@@ -296,18 +296,3 @@ class MetaEnv:
     def ids(self) -> list[int]:
         return list(self.entries)
 
-
-def find_var(ctx: LocalEnv, index: int) -> tuple[Term | None, Term]:
-    return ctx.find_var(index)
-
-
-def find_const(genv: GlobalEnv, is_essence: bool, name: str):
-    return genv.find_const(is_essence, name)
-
-
-def fresh_meta(phi: MetaEnv, decl: MetaEntry) -> tuple[MetaEnv, int]:
-    return phi.fresh_meta(decl)
-
-
-def instantiate_meta(phi: MetaEnv, mid: int, solution: Term) -> MetaEnv:
-    return phi.instantiate_meta(mid, solution)

@@ -154,8 +154,13 @@ def normalize_meta(phi: MetaEnv, genv: GlobalEnv, ctx: Context, t: Term,
 def whnf(phi: MetaEnv, genv: GlobalEnv, ctx: Context, t: Term,
          is_essence: bool = False, fuel: int = DEFAULT_FUEL) -> Term:
     """Reduce just enough to expose the top connective (a view, not a normal
-    form); used by the refiner's beta-view premises."""
-    budget = _Fuel(fuel)
+    form); used by the refiner's beta-view premises.  Head reductions of
+    applications draw on the same `fuel` budget as the rest."""
+    return _whnf(phi, genv, ctx, t, is_essence, _Fuel(fuel))
+
+
+def _whnf(phi: MetaEnv, genv: GlobalEnv, ctx: Context, t: Term,
+          is_essence: bool, budget: _Fuel) -> Term:
     while True:
         budget.tick()
         match t:
@@ -191,7 +196,7 @@ def whnf(phi: MetaEnv, genv: GlobalEnv, ctx: Context, t: Term,
                     return t
                 t = found[0]
             case App(l, h, spine):
-                h2 = whnf(phi, genv, ctx, h, is_essence, fuel)
+                h2 = _whnf(phi, genv, ctx, h, is_essence, budget)
                 if h2 is h:
                     return t
                 t = App(l, h2, spine)

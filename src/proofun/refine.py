@@ -12,6 +12,11 @@ The sort discipline is the logical-framework one: the only product rules
 are (Type, Type) and (Type, Kind), with Type : Kind.  Checking-mode rules
 are syntax-directed and take priority; the default rule infers a type and
 unifies it with the expectation, blaming the innermost offending subterm.
+
+A type the refiner synthesised is well formed by construction and is
+trusted, never elaborated again (as in Coquand's type-checking algorithm
+for dependent types): the `Abs` inference rule decides the product rule
+from the sort of the domain and the sort read off the body's type.
 """
 
 from __future__ import annotations
@@ -33,8 +38,8 @@ from proofun.syntax import (
     Abs, App, Coercion, Const, Inter, Let, Location, Meta, Prod,
     SInLeft, SInRight, SMatch, Sort, SortKind, SPair, SPrLeft, SPrRight,
     Term, Underscore, Union, Var,
-    beta_redex, contains_meta, erase_context, first_meta, lift, mk_app,
-    msubst, replace_bound, sort_kind, sort_type,
+    beta_redex, contains_meta, erase_context, first_meta, instantiate, lift,
+    mk_app, msubst, replace_bound, sort_kind, sort_type,
 )
 from proofun.unify import unify, unify_essence
 
@@ -64,6 +69,50 @@ def _pts_check(phi: MetaEnv, genv: GlobalEnv, ctx_dom: LocalEnv,
         except UnificationFailure:
             continue
     raise TypeCheckError("this product is not allowed by the sort discipline", loc)
+
+
+def _infer_abs(phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv, t: Abs
+               ) -> tuple[Term, Term, Term, MetaEnv]:
+    """Inference for an abstraction: the refined term, its product type and
+    the sort of that product.  The product is trusted, not re-checked: its
+    domain was forced and its codomain was synthesised, so only the product
+    rule is left to decide, from the domain's sort and the body type's sort,
+    which a nested abstraction hands back and `_sort_of` reads otherwise."""
+    dom2, s1, phi = force_type(phi, genv, ctx, t.domain)
+    inner = ctx.push_decl(t.name, dom2)
+    if isinstance(t.body, Abs):
+        body2, tau, s2, phi = _infer_abs(phi, genv, inner, t.body)
+    else:
+        body2, tau, phi = reconstruct(phi, genv, inner, t.body)
+        s2, phi = _sort_of(phi, genv, inner, tau)
+    phi, sort = _pts_check(phi, genv, ctx, inner, s1, s2, t.loc)
+    return (Abs(t.loc, t.name, dom2, body2), Prod(t.loc, t.name, dom2, tau),
+            sort, phi)
+
+
+def _sort_of(phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv, ty: Term
+             ) -> tuple[Term, MetaEnv]:
+    """Sort of `ty`, a type the refiner synthesised, read off its shape
+    without re-checking it ("retyping"): through products to the final
+    codomain, then through the type of its variable, constant or meta head.
+    Other shapes, sorts included, go through `force_type`."""
+    ty = whnf(phi, genv, ctx, ty)
+    while isinstance(ty, Prod):
+        ctx = ctx.push_decl(ty.name, ty.domain)
+        ty = whnf(phi, genv, ctx, ty.codomain)
+    head, nargs = (ty.head, len(ty.spine)) if isinstance(ty, App) else (ty, 0)
+    if isinstance(head, (Var, Const, Meta)):
+        _h, kind, phi = reconstruct(phi, genv, ctx, head)
+        kind = whnf(phi, genv, ctx, kind)
+        # A sort is closed, so the arguments need not be substituted.
+        kind_ctx = ctx
+        while nargs and isinstance(kind, Prod):
+            kind_ctx = kind_ctx.push_decl(kind.name, kind.domain)
+            kind, nargs = whnf(phi, genv, kind_ctx, kind.codomain), nargs - 1
+        if not nargs and isinstance(kind, (Sort, Meta)):
+            return kind, phi
+    _t, sort, phi = force_type(phi, genv, ctx, ty)
+    return sort, phi
 
 
 def reconstruct(phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv, t: Term
@@ -117,20 +166,28 @@ def reconstruct(phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv, t: Term
             cod2, s2, phi = force_type(phi, genv, inner, cod)
             phi, sort = _pts_check(phi, genv, ctx, inner, s1, s2, loc)
             return Prod(loc, name, dom2, cod2), sort, phi
-        case Abs(loc, name, dom, body):
-            dom2, _s, phi = force_type(phi, genv, ctx, dom)
-            body2, tau, phi = reconstruct(phi, genv, ctx.push_decl(name, dom2), body)
-            prod, _s2, phi = force_type(phi, genv, ctx, Prod(loc, name, dom2, tau))
-            return Abs(loc, name, dom2, body2), prod, phi
+        case Abs():
+            term, prod, _sort, phi = _infer_abs(phi, genv, ctx, t)
+            return term, prod, phi
         case App(loc, head, spine):
             term, sigma, phi = reconstruct(phi, genv, ctx, head)
+            # While `sigma` is syntactically a product chain, the arguments
+            # checked against it are kept `pending` instead of substituted
+            # one by one: each domain gets them in one substitution when it
+            # is reached, the rest of the chain once, when it ends.
+            args: list[Term] = []
+            pending: list[Term] = []
             for arg in spine:
-                view = whnf(phi, genv, ctx, sigma)
-                if isinstance(view, Prod):
-                    arg2, phi = reconstruct_with_type(phi, genv, ctx, arg,
-                                                      view.domain)
-                    term = mk_app(loc, term, (arg2,))
-                    sigma = beta_redex(view.codomain, arg2)
+                if not isinstance(sigma, Prod):
+                    sigma, pending = instantiate(sigma, pending), []
+                    view = whnf(phi, genv, ctx, sigma)
+                    if isinstance(view, Prod):
+                        sigma = view
+                if isinstance(sigma, Prod):
+                    want = instantiate(sigma.domain, pending)
+                    arg2, phi = reconstruct_with_type(phi, genv, ctx, arg, want)
+                    pending.append(arg2)
+                    sigma = sigma.codomain
                 else:
                     arg2, sigma1, phi = reconstruct(phi, genv, ctx, arg)
                     phi, yid = phi.fresh_meta(SortDecl())
@@ -142,13 +199,14 @@ def reconstruct(phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv, t: Term
                     try:
                         phi = unify(phi, genv, ctx, sigma, target)
                     except UnificationFailure:
+                        term = mk_app(loc, term, args)
                         raise TypeCheckError(
                             f'the term "{show_term(zonk(phi, term), ctx.names())}" '
                             f'has type "{show_term(zonk(phi, sigma), ctx.names())}" '
                             'and cannot be applied', term.loc) from None
-                    term = mk_app(loc, term, (arg2,))
                     sigma = Meta(loc, xid, erase_context(len(ctx)) + (arg2,))
-            return term, sigma, phi
+                args.append(arg2)
+            return mk_app(loc, term, args), instantiate(sigma, pending), phi
         case Inter(loc, left, right):
             left2, phi = reconstruct_with_type(phi, genv, ctx, left, sort_type(loc))
             right2, phi = reconstruct_with_type(phi, genv, ctx, right, sort_type(loc))

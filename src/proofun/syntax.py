@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 from proofun.errors import InternalError
 
@@ -294,18 +294,28 @@ def lift(k: int, n: int, t: Term) -> Term:
     return map_term(k, shift, t)
 
 
-def beta_redex(body: Term, arg: Term) -> Term:
-    """Contract `(fun x => body) arg`: substitute index 0 by `arg` and strip
-    the enclosing binder, decrementing the remaining free indices."""
+def instantiate(body: Term, args: Sequence[Term]) -> Term:
+    """Strip `len(args)` enclosing binders from `body` at once: index i gets
+    `args[n-1-i]` (the last argument is index 0), and the remaining free
+    indices drop by n.  One walk of `body`, whatever the number of args."""
+    n = len(args)
+    if n == 0:
+        return body
 
     def subst(k: int, loc: Location, m: int) -> Term:
         if m < k:
             return Var(loc, m)
-        if m == k:
-            return lift(0, k, arg)
-        return Var(loc, m - 1)
+        if m - k < n:
+            return lift(0, k, args[n - 1 - (m - k)])
+        return Var(loc, m - n)
 
     return map_term(0, subst, body)
+
+
+def beta_redex(body: Term, arg: Term) -> Term:
+    """Contract `(fun x => body) arg`: substitute index 0 by `arg` and strip
+    the enclosing binder, decrementing the remaining free indices."""
+    return instantiate(body, (arg,))
 
 
 def replace_bound(t: Term, arg: Term) -> Term:
@@ -398,36 +408,39 @@ def same_term(a: Term, b: Term) -> bool:
     return False
 
 
-def children(t: Term) -> Iterator[Term]:
+def children(t: Term) -> tuple[Term, ...]:
     """All immediate child terms, including those under binders and inside
     meta-variable suspensions."""
     match t:
         case Sort() | Var() | Const() | Underscore():
-            return
+            return ()
         case Let(_, _, a, b, c):
-            yield from (a, b, c)
+            return (a, b, c)
         case Prod(_, _, a, b) | Abs(_, _, a, b):
-            yield from (a, b)
+            return (a, b)
         case App(_, h, sp):
-            yield h
-            yield from sp
+            return (h, *sp)
         case (Inter(_, a, b) | Union(_, a, b) | SPair(_, a, b)
               | SInLeft(_, a, b) | SInRight(_, a, b) | Coercion(_, a, b)):
-            yield from (a, b)
+            return (a, b)
         case SPrLeft(_, a) | SPrRight(_, a):
-            yield a
+            return (a,)
         case SMatch(_, s, m, _, a1, b1, _, a2, b2):
-            yield from (s, m, a1, b1, a2, b2)
+            return (s, m, a1, b1, a2, b2)
         case Meta(_, _, susp):
-            yield from susp
-        case _:
-            raise InternalError(f"children: unknown node {t!r}")
+            return susp
+    raise InternalError(f"children: unknown node {t!r}")
 
 
 def subterms(t: Term) -> Iterator[Term]:
-    yield t
-    for c in children(t):
-        yield from subterms(c)
+    """Every subterm of `t` in pre-order (`t` first, children left to
+    right), walked with an explicit stack so that a node costs the same to
+    reach at any depth."""
+    stack = [t]
+    while stack:
+        s = stack.pop()
+        yield s
+        stack.extend(reversed(children(s)))
 
 
 def first_meta(t: Term) -> Meta | None:

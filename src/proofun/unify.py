@@ -1,10 +1,17 @@
 """Higher-order unification: structural congruences, eta rules, and pattern
 unification for meta-variables, threading an explicit meta-environment.
 
-Both sides are normalized (solved metas expanded) before every structural
-step.  Meta-variables are solved by pattern unification: when a meta is
-applied to distinct variables and the other side mentions nothing outside
-them, the inverse index permutation gives the unique solution.  Suspension
+`unify` normalizes both sides once (solved metas expanded) and then
+recurses on the normal forms: every subterm reached is normal under the
+meta-environment its parent was normalized in.  A subterm is normalized
+again only when a meta was solved since then and the subterm mentions a
+meta, since only a solution can create a redex inside a normal form.
+Alpha-equality is tested once on entry and below that only at leaves and
+meta-variables.
+
+Meta-variables are solved by pattern unification: when a meta is applied
+to distinct variables and the other side mentions nothing outside them,
+the inverse index permutation gives the unique solution.  Suspension
 entries that are not variables are skipped during inversion, which still
 yields a sound solution whenever the right-hand side does not need them;
 anything harder fails rather than postponing constraints.
@@ -19,9 +26,10 @@ from proofun.env import (
 from proofun.errors import InternalError, UnificationFailure
 from proofun.normalize import normalize_meta, zonk
 from proofun.syntax import (
-    Abs, App, Coercion, Inter, Location, Meta, NOWHERE, Prod, SInLeft,
-    SInRight, SMatch, Sort, SPair, SPrLeft, SPrRight, Term, Union, Var,
-    lift, map_term, mk_app, same_term, subterms, visit_term,
+    Abs, App, Coercion, Const, Inter, Location, Meta, NOWHERE, Prod, SInLeft,
+    SInRight, SMatch, Sort, SPair, SPrLeft, SPrRight, Term, Underscore, Union,
+    Var, contains_meta, lift, map_term, mk_app, same_term, subterms,
+    visit_term,
 )
 
 
@@ -198,9 +206,25 @@ def unify(phi: MetaEnv, genv: GlobalEnv, ctx: Context, t1: Term, t2: Term,
     t2 = normalize_meta(phi, genv, ctx, t2, is_essence)
     if same_term(t1, t2):
         return phi
+    return _unify_normal(phi, genv, ctx, t1, t2, is_essence, phi)
+
+
+def _unify_normal(phi: MetaEnv, genv: GlobalEnv, ctx: Context, t1: Term,
+                  t2: Term, is_essence: bool, normal_at: MetaEnv) -> MetaEnv:
+    """`unify` on two terms already normal under `normal_at`, an earlier or
+    the current state of `phi`.  A side is normalized again only when metas
+    were solved since then and it mentions one."""
+    if phi is not normal_at:
+        if contains_meta(t1):
+            t1 = normalize_meta(phi, genv, ctx, t1, is_essence)
+        if contains_meta(t2):
+            t2 = normalize_meta(phi, genv, ctx, t2, is_essence)
+    if isinstance(t1, (Sort, Var, Const, Underscore, Meta)) and same_term(t1, t2):
+        return phi
+    here = phi
 
     def recur(phi: MetaEnv, ctx: Context, a: Term, b: Term) -> MetaEnv:
-        return unify(phi, genv, ctx, a, b, is_essence)
+        return _unify_normal(phi, genv, ctx, a, b, is_essence, here)
 
     # Meta cases first: a meta can absorb an abstraction, so they take
     # priority over the eta rules.

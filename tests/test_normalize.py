@@ -17,7 +17,7 @@ from proofun.syntax import (
     same_term, subterms,
 )
 
-from helpers import P, axiom, make_test_genv, random_refined_term
+from helpers import P, axiom, define, make_test_genv, random_refined_term
 
 L = NOWHERE
 
@@ -154,6 +154,19 @@ def test_fuel_exhaustion_reports_instead_of_hanging():
     omega = fix_index(parse_term("(fun (x : A) => x x) (fun (x : A) => x x)"))
     with pytest.raises(FuelExhausted):
         strongly_normalize(False, GlobalEnv(), LocalEnv(), omega, fuel=5000)
+
+
+def test_whnf_head_reductions_share_one_fuel_budget():
+    genv = make_test_genv()
+    define(genv, "c0", "f")
+    for i in range(1, 4):
+        define(genv, f"c{i}", f"c{i - 1}")
+    t = P("c3 a")
+    # one step for the application, five to unfold c3 down to the axiom f,
+    # two more for the resulting application: eight in all
+    with pytest.raises(FuelExhausted):
+        whnf(MetaEnv(), genv, LocalEnv(), t, fuel=5)
+    assert same_term(whnf(MetaEnv(), genv, LocalEnv(), t), P("f a"))
 
 
 # ------------- normal-form properties -------------

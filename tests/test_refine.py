@@ -1,6 +1,7 @@
 """Bidirectional refinement: inference, checking, type forcing, and the
 essence phase, against the worked examples."""
 
+import io
 import random
 
 import pytest
@@ -14,6 +15,7 @@ from proofun.errors import (
 from proofun.normalize import strongly_normalize, zonk
 from proofun.parser import fix_index, parse_term
 from proofun.pretty import render_error, show_term
+from proofun.repl import Session, run_source
 from proofun.refine import (
     elaborate, elaborate_type, essence, essence_with_hint, force_type,
     reconstruct, reconstruct_with_type,
@@ -89,6 +91,37 @@ def test_products_respect_the_sort_discipline():
     # abstracting over all of Type needs (Kind, _), which is not allowed
     with pytest.raises(TypeCheckError):
         elaborate(genv, P("fun x : Type => x"))
+
+
+def test_abstraction_sort_discipline_messages_and_spans():
+    session = Session(quiet=True, out=io.StringIO(), err=io.StringIO())
+    assert run_source(session, "Axiom (A : Type) (P : A -> Type) (a : A).")
+    discipline = "this product is not allowed by the sort discipline"
+    rejected = [
+        # (body, caret column, caret width, message)
+        ("fun (X : Type) => X", 17, 19, discipline),
+        ("fun (x : A) => Type", 32, 4, "Kind itself has no type"),
+        ("fun (x : A) => fun (X : Type) => X", 32, 19, discipline),
+        ("fun (f : A -> Type) => f", 17, 24, discipline),
+    ]
+    for body, column, width, message in rejected:
+        session.err = io.StringIO()
+        line = f"Definition d := {body}."
+        assert not run_source(session, line)
+        caret = " " * (column - 1) + "^" * width
+        assert session.err.getvalue() == f"{line}\n{caret}\nError: {message}\n"
+    accepted = [
+        ("fun (x : A) => P", "A -> A -> Type", "fun x : A => P"),
+        ("fun (x : A) (y : P x) => y",
+         "forall x : A, P x -> P x", "fun x : A => fun y : P x => y"),
+        ("fun (x : A) => (fun (y : _) => y) x",
+         "A -> A", "fun x : A => (fun y : A => y) x"),
+    ]
+    for i, (body, ty, printed) in enumerate(accepted):
+        assert run_source(session, f"Definition d{i} := {body}.")
+        session.out = io.StringIO()
+        assert run_source(session, f"Print d{i}.")
+        assert session.out.getvalue() == f"d{i} : {ty}\nd{i} := {printed}\n"
 
 
 def test_let_infers_and_substitutes():

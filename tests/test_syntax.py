@@ -10,8 +10,8 @@ from proofun.normalize import delta_phi_expand
 from proofun.parser import fix_index
 from proofun.syntax import (
     Abs, App, Const, Meta, NOWHERE, Prod, Sort, SortKind, Underscore,
-    Var, beta_redex, erase_context, free_in, lift, map_term, same_term,
-    visit_term,
+    Var, beta_redex, children, erase_context, free_in, instantiate, lift,
+    map_term, same_term, subterms, visit_term,
 )
 
 from helpers import (
@@ -181,6 +181,34 @@ def test_beta_agrees_with_named_substitution_oracle():
         assert same_term(via_debruijn, via_named)
         checked += 1
     assert checked > 500
+
+
+def test_instantiate_is_successive_beta_from_the_outermost_binder():
+    # The body is scoped over z, x, y (y innermost); the arguments over z.
+    rng = random.Random(11)
+    for _ in range(200):
+        named = random_named_term(rng, rng.randint(1, 10), ("z", "x", "y"))
+        body = fix_index(named_to_syntax(named), ["y", "x", "z"])
+        ax, ay = (fix_index(named_to_syntax(random_named_term(rng, 3, ("z",))), ["z"])
+                  for _ in range(2))
+        stepwise = beta_redex(beta_redex(body, lift(0, 1, ay)), ax)
+        assert same_term(instantiate(body, (ax, ay)), stepwise)
+    assert instantiate(body, ()) is body
+
+
+def test_subterms_is_preorder_at_any_depth():
+    def preorder(t):
+        return [t] + [s for c in children(t) for s in preorder(c)]
+
+    rng = random.Random(5)
+    for _ in range(100):
+        t = fix_index(named_to_syntax(random_named_term(rng, rng.randint(1, 12))))
+        t = App(L, Meta(L, 0, (t, Underscore(L))), (t, Meta(L, 1, ())))
+        assert [id(s) for s in subterms(t)] == [id(s) for s in preorder(t)]
+    deep = Var(L, 0)
+    for _ in range(5000):
+        deep = Abs(L, "x", Underscore(L), deep)
+    assert sum(1 for _ in subterms(deep)) == 10001
 
 
 # ------------- erase_context -------------
