@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+import functools
+from typing import TYPE_CHECKING, Callable, ParamSpec, TypeVar
 
 if TYPE_CHECKING:
     from proofun.syntax import Location, Term
+
+_P = ParamSpec("_P")
+_R = TypeVar("_R")
+
+TOO_DEEP = "the input is nested too deeply to process"
 
 
 class ProverError(Exception):
@@ -60,3 +66,17 @@ class InternalError(Exception):
 
 class FuelExhausted(InternalError):
     """Normalization step budget ran out (ill-typed internal term)."""
+
+
+def too_deep_as_error(fn: Callable[_P, _R]) -> Callable[_P, _R]:
+    """Report a `RecursionError` escaping `fn` as a `ProverError` with no
+    location, so a library entry point never leaks one."""
+
+    @functools.wraps(fn)
+    def wrapper(*args: _P.args, **kwargs: _P.kwargs) -> _R:
+        try:
+            return fn(*args, **kwargs)
+        except RecursionError:
+            raise ProverError(TOO_DEEP) from None
+
+    return wrapper

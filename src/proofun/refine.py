@@ -29,7 +29,7 @@ from proofun.env import (
 )
 from proofun.errors import (
     EssenceMismatch, InternalError, TypeCheckError, UnificationFailure,
-    UnresolvedMeta,
+    UnresolvedMeta, too_deep_as_error,
 )
 from proofun.normalize import whnf, zonk
 from proofun.pretty import show_term
@@ -570,6 +570,7 @@ def _check_meta_free(part: Term, fallback: Location) -> None:
         raise UnresolvedMeta(bad.mid, loc)
 
 
+@too_deep_as_error
 def elaborate(genv: GlobalEnv, t: Term, expected: Term | None = None) -> Elaborated:
     """Run both refinement phases from an empty meta-environment and return
     the four components a definition stores; fails if any hole is left."""
@@ -591,6 +592,7 @@ def elaborate(genv: GlobalEnv, t: Term, expected: Term | None = None) -> Elabora
     return Elaborated(term, ty, ess, ty_ess)
 
 
+@too_deep_as_error
 def elaborate_type(genv: GlobalEnv, t: Term) -> tuple[Term, Term]:
     """Elaborate an axiom's type; returns (type, type essence)."""
     phi = MetaEnv()

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import IO
 
 from proofun.env import AxiomInfo, GlobalEnv, LocalEnv
-from proofun.errors import CommandError, ParseError, ProverError
+from proofun.errors import CommandError, ParseError, ProverError, TOO_DEEP
 from proofun.normalize import strongly_normalize
 from proofun.parser import (
     Axiom, Command, Compute, Definition, Help, Load, Print, Printall, Quit,
@@ -136,12 +136,9 @@ def run_command_list(session: Session, cmds: list[Command],
             return False
         except RecursionError:
             session.genv = snapshot
-            session.report(source_text, ProverError(_TOO_DEEP))
+            session.report(source_text, ProverError(TOO_DEEP))
             return False
     return True
-
-
-_TOO_DEEP = "the input is nested too deeply to process"
 
 
 def run_source(session: Session, text: str, source: str = "<input>") -> bool:
@@ -159,7 +156,7 @@ def run_source(session: Session, text: str, source: str = "<input>") -> bool:
             session.report(text, error)
             return False
         except RecursionError:
-            session.report(text, ProverError(_TOO_DEEP))
+            session.report(text, ProverError(TOO_DEEP))
             return False
         if not run_command_list(session, cmds, text):
             return False

@@ -1,13 +1,19 @@
 """Decision procedure for subtyping in the intersection/union type theory.
 
-Both sides are first strongly normalized, the left is rewritten to a
-disjunctive normal form and the right to a conjunctive normal form, and a
-structural recursion then decides the ordering:
+Both sides are first strongly normalized.  The right side is rewritten to a
+conjunctive normal form; the left keeps its own `&`/`|` tree, with only its
+atoms put in arrow-normal form.  A structural recursion then decides the
+ordering:
 
   - a union on the left and an intersection on the right split conjunctively;
   - an intersection on the left and a union on the right split disjunctively;
   - arrows compare contravariantly in the domain, covariantly in the codomain;
   - anything else must be alpha-equal.
+
+Against one conjunct C of the right, "every disjunct of the left's DNF has
+an atom below some atom of C" is the left tree evaluated with `|` as and,
+`&` as or and each atom as "below some atom of C": DNF is a Boolean identity,
+so the left's DNF, exponential in its number of conjuncts, is never built.
 
 `anf` puts arrows themselves in normal form by distributing them over unions
 in the domain and intersections in the codomain.  Descending under a product
@@ -18,7 +24,7 @@ alpha-equality base case, best effort.
 from __future__ import annotations
 
 from proofun.env import Context, GlobalEnv
-from proofun.errors import InternalError
+from proofun.errors import InternalError, too_deep_as_error
 from proofun.normalize import strongly_normalize
 from proofun.syntax import (
     Inter, Location, NOWHERE, Prod, Term, Union, contains_meta, same_term,
@@ -87,17 +93,32 @@ def danf(t: Term) -> Term:
             return anf(t)
 
 
+def _anf_atoms(t: Term) -> Term:
+    """Arrow-normal form at the atoms of an `&`/`|` tree, the tree kept."""
+    match t:
+        case Inter(l, a, b):
+            return Inter(l, _anf_atoms(a), _anf_atoms(b))
+        case Union(l, a, b):
+            return Union(l, _anf_atoms(a), _anf_atoms(b))
+        case _:
+            return anf(t)
+
+
+@too_deep_as_error
 def is_subtype(genv: GlobalEnv, ctx: Context, a: Term, b: Term) -> bool:
     """Decide a <= b; both sides must be meta-free."""
     if contains_meta(a) or contains_meta(b):
         raise InternalError("is_subtype: meta-variable in input")
-    a = danf(strongly_normalize(False, genv, ctx, a))
+    a = _anf_atoms(strongly_normalize(False, genv, ctx, a))
     b = canf(strongly_normalize(False, genv, ctx, b))
 
     def compare(ctx: Context, a: Term, b: Term) -> bool:
         match (a, b):
             case (Union(_, a1, a2), _):
                 return compare(ctx, a1, b) and compare(ctx, a2, b)
+            # Splitting the right's conjunction before the left's
+            # intersection keeps "or" over the left inside "and" over the
+            # conjuncts, which is what makes a left side not in DNF sound.
             case (_, Inter(_, b1, b2)):
                 return compare(ctx, a, b1) and compare(ctx, a, b2)
             case (Inter(_, a1, a2), _):

@@ -234,6 +234,11 @@ def random_refined_term(rng: random.Random, max_fuel: int = 4) -> tuple[Term, Te
 # Subtype enumeration
 
 
+def conjunction_of_unions(unions: list[list[str]]) -> str:
+    """Concrete syntax of (u00 | u01 | ...) & (u10 | ...) & ..."""
+    return " & ".join(f"({' | '.join(u)})" for u in unions)
+
+
 def enumerate_types(max_connectives: int = 2, atoms=("a", "b")) -> list[Term]:
     """All types over the atoms with at most `max_connectives` of ->, &, |
     (syntactically deduplicated, locations shared)."""

@@ -1,20 +1,26 @@
-"""Growth of elaboration work with the size of deep terms.
+"""Growth of checking work with the size of deep terms and wide types.
 
 The work is the number of Python function calls (generator resumptions
 included) made inside the proofun package while one script is checked.
 Unlike a time, that count is deterministic.  Doubling the size of a script
-must multiply its count by less than MAX_RATIO: elaboration of these shapes
-is linear in their size (a quadratic path gives a ratio near 4).
+must multiply its count by less than MAX_RATIO: checking these shapes is
+linear in their size (a quadratic path gives a ratio near 4).  The size is
+the nesting depth, except for `conj_coercion`, where it is the number of
+conjuncts of an intersection of unions (an exponential path, such as the
+left side's disjunctive normal form, gives a ratio of 2^size).
 """
 
 import io
 import os
+import random
 import sys
 
 import pytest
 
 import proofun
 from proofun.repl import Session, run_source
+
+from helpers import conjunction_of_unions
 
 PACKAGE_DIR = os.path.dirname(proofun.__file__)
 MAX_RATIO = 2.5
@@ -47,6 +53,15 @@ def pair_of_projections(n: int) -> str:
             f"fun (x : B) => proj_r h {xs}>.\n")
 
 
+def conj_coercion(k: int) -> str:
+    unions = [[f"a{i}", f"b{i}"] for i in range(k)]
+    rng = random.Random(k)
+    permuted = [u[::-1] for u in rng.sample(unions, k)]
+    names = " ".join(" ".join(u) for u in unions)
+    return (f"Axiom ({names} : Type) (w : {conjunction_of_unions(unions)}).\n"
+            f"Definition d := coe ({conjunction_of_unions(permuted)}) w.\n")
+
+
 def calls_to_check(script: str) -> int:
     """Calls made inside proofun while checking `script` from scratch."""
     session = Session(quiet=True, out=io.StringIO(), err=io.StringIO())
@@ -66,9 +81,12 @@ def calls_to_check(script: str) -> int:
     return count
 
 
-@pytest.mark.parametrize("family", [
-    nested_fun, application_spine, hole_against_arrow, pair_of_projections,
-], ids=lambda f: f.__name__)
-def test_work_grows_linearly_with_size(family):
-    small, large = calls_to_check(family(100)), calls_to_check(family(200))
+# (family, size n): the test compares the work at n and at 2n.
+FAMILIES = [(nested_fun, 100), (application_spine, 100), (hole_against_arrow, 100),
+            (pair_of_projections, 100), (conj_coercion, 5)]
+
+
+@pytest.mark.parametrize("family, size", FAMILIES, ids=[f.__name__ for f, _ in FAMILIES])
+def test_work_grows_linearly_with_size(family, size):
+    small, large = calls_to_check(family(size)), calls_to_check(family(2 * size))
     assert large / small < MAX_RATIO, (small, large)

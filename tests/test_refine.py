@@ -10,7 +10,7 @@ from proofun.env import (
     EssDef, EssenceEnv, GlobalEnv, LocalEnv, MetaEnv, TypedDecl,
 )
 from proofun.errors import (
-    EssenceMismatch, TypeCheckError, UnresolvedMeta,
+    TOO_DEEP, EssenceMismatch, ProverError, TypeCheckError, UnresolvedMeta,
 )
 from proofun.normalize import strongly_normalize, zonk
 from proofun.parser import fix_index, parse_term
@@ -20,8 +20,9 @@ from proofun.refine import (
     elaborate, elaborate_type, essence, essence_with_hint, force_type,
     reconstruct, reconstruct_with_type,
 )
+from proofun.subtype import is_subtype
 from proofun.syntax import (
-    Abs, Meta, NOWHERE, Underscore,
+    Abs, Const, Inter, Meta, NOWHERE, Underscore,
     contains_meta, same_term, sort_kind, sort_type,
 )
 
@@ -603,3 +604,17 @@ def test_lf_encoding_families_share_one_essence():
         assert show_term(base) == shared
         for other in group[1:]:
             assert same_term(base, normal_essence(other)), (group[0], other)
+
+
+@pytest.mark.parametrize("entry", [
+    elaborate, elaborate_type, lambda genv, t: is_subtype(genv, LocalEnv(), t, t),
+], ids=["elaborate", "elaborate_type", "is_subtype"])
+def test_entry_points_report_deep_nesting_as_prover_error(entry):
+    genv = GlobalEnv()
+    axiom(genv, "a", "Type")
+    chain = Const(L, "a")
+    for _ in range(3000):
+        chain = Inter(L, chain, Const(L, "a"))
+    with pytest.raises(ProverError) as info:
+        entry(genv, chain)
+    assert info.value.message == TOO_DEEP and info.value.loc is None

@@ -3,11 +3,16 @@ against the declarative derivation-search oracle."""
 
 import random
 
-from proofun.env import GlobalEnv, LocalEnv
-from proofun.subtype import anf, canf, danf, is_subtype
-from proofun.syntax import Inter, NOWHERE, Prod, Term, Union, same_term, subterms
+from hypothesis import given, settings, strategies as st
 
-from helpers import P, enumerate_types
+from proofun.env import Context, GlobalEnv, LocalEnv
+from proofun.normalize import strongly_normalize
+from proofun.subtype import anf, canf, danf, is_subtype
+from proofun.syntax import (
+    Const, Inter, NOWHERE, Prod, Term, Union, same_term, subterms,
+)
+
+from helpers import P, conjunction_of_unions, enumerate_types
 from oracle_subtype import derivable
 
 GENV = GlobalEnv()
@@ -231,3 +236,82 @@ def test_oracle_agreement_sampled_at_depth_three():
     for _ in range(3000):
         x, y = rng.choice(deeper), rng.choice(deeper)
         assert is_subtype(GENV, CTX, x, y) == derivable(x, y, memo=memo), (x, y)
+
+
+# ------------- differential: the procedure that builds the left's DNF -------------
+
+
+def dnf_is_subtype(a: Term, b: Term) -> bool:
+    """Reference decision: the left side materialised in disjunctive normal
+    form, the right in conjunctive normal form, compared structurally."""
+
+    def compare(ctx: Context, a: Term, b: Term) -> bool:
+        match (a, b):
+            case (Union(_, a1, a2), _):
+                return compare(ctx, a1, b) and compare(ctx, a2, b)
+            case (_, Inter(_, b1, b2)):
+                return compare(ctx, a, b1) and compare(ctx, a, b2)
+            case (Inter(_, a1, a2), _):
+                return compare(ctx, a1, b) or compare(ctx, a2, b)
+            case (_, Union(_, b1, b2)):
+                return compare(ctx, a, b1) or compare(ctx, a, b2)
+            case (Prod(_, _, a1, a2), Prod(_, _, b1, b2)):
+                return compare(ctx, b1, a1) and compare(ctx.push_dummy(), a2, b2)
+            case _:
+                return same_term(a, b)
+
+    def nf(t: Term) -> Term:
+        return strongly_normalize(False, GENV, CTX, t)
+
+    return compare(CTX, danf(nf(a)), canf(nf(b)))
+
+
+def test_agrees_with_dnf_procedure_at_depth_three():
+    rng = random.Random(211)
+    deeper = enumerate_types(3)
+    for _ in range(3000):
+        x, y = rng.choice(deeper), rng.choice(deeper)
+        assert is_subtype(GENV, CTX, x, y) == dnf_is_subtype(x, y), (x, y)
+
+
+def _types(depth: int) -> st.SearchStrategy[Term]:
+    atom = st.sampled_from("abcd").map(lambda name: Const(NOWHERE, name))
+    if depth == 0:
+        return atom
+    smaller = _types(depth - 1)
+    node = st.tuples(st.sampled_from(("->", "&", "|")), smaller, smaller).map(
+        lambda t: Prod(NOWHERE, "", t[1], t[2]) if t[0] == "->"
+        else (Inter if t[0] == "&" else Union)(NOWHERE, t[1], t[2]))
+    return st.one_of(atom, node)
+
+
+@settings(derandomize=True, database=None, max_examples=500, deadline=None)
+@given(_types(4), _types(4))
+def test_agrees_with_dnf_procedure_on_generated_types(x, y):
+    # Random pairs are mostly unrelated; the last two pairs always hold.
+    for a, b in ((x, y), (x, x), (Inter(NOWHERE, x, y), Union(NOWHERE, y, x))):
+        assert is_subtype(GENV, CTX, a, b) == dnf_is_subtype(a, b), (a, b)
+
+
+def _benchmark_shapes():
+    """(left, right, expected) in the shapes of the subtyping benchmark:
+    a wide intersection of unions coerced to a permutation of itself with
+    each union reordered, or to one with a conjunct narrowed to an atom;
+    arrows distributed over a union domain or an intersection codomain."""
+    rng = random.Random(5)
+    unions = [[f"{k}{i}" for k in "abc"[:w]] for i, w in enumerate([2, 3, 2, 2, 3])]
+    permuted = [rng.sample(u, len(u)) for u in rng.sample(unions, len(unions))]
+    narrowed = [u[:] for u in permuted]
+    narrowed[2] = narrowed[2][:1]
+    yield conjunction_of_unions(unions), conjunction_of_unions(permuted), True
+    yield conjunction_of_unions(unions), conjunction_of_unions(narrowed), False
+    xs = ["x0", "x1", "x2", "x3"]
+    for order, want in ((["x2", "x0", "x3", "x1"], True), (["x2", "z", "x0", "x3", "x1"], False)):
+        yield " & ".join(f"({x} -> c)" for x in xs), f"({' | '.join(order)}) -> c", want
+        yield " & ".join(f"(c -> {x})" for x in xs), f"c -> {' & '.join(order)}", want
+
+
+def test_agrees_with_dnf_procedure_on_benchmark_shapes():
+    for left, right, want in _benchmark_shapes():
+        x, y = P(left), P(right)
+        assert is_subtype(GENV, CTX, x, y) == dnf_is_subtype(x, y) == want, (left, right)
