@@ -1,20 +1,30 @@
 """Strong normalization under beta, eta, projection, injection, let, and the
 three delta rules (global definitions, local definitions, solved metas).
 
-The strategy is applicative order: normalize all children left to right,
-then contract the root if it is a redex, and repeat.  `strongly_normalize`
-is the strict entry point for meta-free terms; `normalize_meta` additionally
-expands solved meta-variables and treats unsolved ones as rigid atoms, which
-is what unification needs.
+There is one set of reduction rules, `_whnf`, which rewrites the root of a
+term until it is no longer a redex (weak head normal form).  Strong
+normalization is head-first: `_norm` takes the weak head normal form, then
+normalizes the children, then applies eta to an abstraction whose body is
+normal.  A discarded argument is therefore never normalized, and a
+duplicated, unevaluated argument is normalized once per copy.  One fuel
+budget covers a whole call: a tick per `_whnf` step plus a tick per node
+`_norm` visits.
+
+`strongly_normalize` is the strict entry point for meta-free terms;
+`normalize_meta` additionally expands solved meta-variables and treats
+unsolved ones as rigid atoms, which is what unification needs; `whnf` is
+the head view the refiner's premises use.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from proofun.env import Context, EssDef, GlobalEnv, MetaEnv, SortDef, TypedDef
 from proofun.errors import FuelExhausted, InternalError
 from proofun.syntax import (
-    Abs, App, Const, Let, Meta, SInLeft, SInRight, SMatch, SPair, SPrLeft,
-    SPrRight, Term, Var,
+    Abs, App, Coercion, Const, Inter, Let, Meta, Prod, SInLeft, SInRight,
+    SMatch, SPair, SPrLeft, SPrRight, Sort, Term, Underscore, Union, Var,
     beta_redex, contains_meta, first_underscore, free_in, lift, mk_app,
     msubst, visit_term,
 )
@@ -61,76 +71,24 @@ def delta_phi_expand(phi: MetaEnv, m: Meta) -> Term | None:
             return None
 
 
-_DONE, _AGAIN = False, True
-
-
-def _contract(phi: MetaEnv | None, is_essence: bool, genv: GlobalEnv,
-              ctx: Context, t: Term) -> tuple[Term, bool]:
-    """One root contraction; children of `t` are already normal.  `_AGAIN`
-    asks the driver to renormalize the contractum, `_DONE` means the result
-    is final (already normal by construction)."""
-    match t:
-        # Spine discipline: reductions can create odd spines, re-merge first.
-        case App(l, App(_, h, s2), s1):
-            return App(l, h, s2 + s1), _AGAIN
-        case App(_, h, ()):
-            return h, _DONE
-        case App(l, Abs(_, _, _, body), spine):
-            contractum = beta_redex(body, spine[0])
-            return mk_app(l, contractum, spine[1:]), _AGAIN
-        case Let(_, _, _, bound, body):
-            return beta_redex(body, bound), _AGAIN
-        case Var(_, n):
-            body = ctx.def_body(n)
-            if body is None:
-                return t, _DONE
-            if isinstance(body, Var):
-                return body, _DONE
-            return body, _AGAIN
-        case Const(_, name):
-            found = genv.find_const(is_essence, name)
-            if found is None or found[0] is None:  # unbound or axiom: fixed
-                return t, _DONE
-            return found[0], _AGAIN
-        case Abs(_, _, _, App(l2, head, spine)) if spine and (
-                isinstance(spine[-1], Var) and spine[-1].index == 0):
-            if is_eta(App(l2, head, spine[:-1])):
-                head2 = lift(0, -1, head)
-                rest = tuple(lift(0, -1, a) for a in spine[:-1])
-                return (head2 if not rest else App(l2, head2, rest)), _DONE
-            return t, _DONE
-        case SPrLeft(_, SPair(_, x, _)):
-            return x, _DONE
-        case SPrRight(_, SPair(_, _, x)):
-            return x, _DONE
-        case SMatch(_, SInLeft(_, _, payload), _, _, _, branch1, _, _, _):
-            return beta_redex(branch1, payload), _AGAIN
-        case SMatch(_, SInRight(_, _, payload), _, _, _, _, _, _, branch2):
-            return beta_redex(branch2, payload), _AGAIN
-        case Meta() as m:
-            if phi is None:
-                raise InternalError("strongly_normalize reached a meta-variable")
-            expanded = delta_phi_expand(phi, m)
-            if expanded is None:
-                return t, _DONE
-            return expanded, _AGAIN
-        case _:
-            return t, _DONE
-
-
 def _norm(phi: MetaEnv | None, is_essence: bool, genv: GlobalEnv,
           ctx: Context, t: Term, fuel: _Fuel) -> Term:
-    while True:
-        fuel.tick()
-        t = visit_term(
-            lambda c: _norm(phi, is_essence, genv, ctx, c, fuel),
-            lambda _s, c: _norm(phi, is_essence, genv, ctx.push_dummy(), c, fuel),
-            lambda s, _c: s,
-            t,
-        )
-        t, again = _contract(phi, is_essence, genv, ctx, t)
-        if not again:
-            return t
+    fuel.tick()
+    t = _whnf(phi, genv, ctx, t, is_essence, fuel)
+    norm = lambda c: _norm(phi, is_essence, genv, ctx, c, fuel)
+    under = lambda _s, c: _norm(phi, is_essence, genv, ctx.push_dummy(), c, fuel)
+    keep = lambda s, _c: s
+    if type(t) is App:  # its head is in weak head normal form: skip that root
+        return App(t.loc, visit_term(norm, under, keep, t.head), tuple(map(norm, t.spine)))
+    t = visit_term(norm, under, keep, t)
+    match t:
+        # eta: fun x => h a1 .. an x  ~>  h a1 .. an, when x is not free there
+        case Abs(_, _, _, App(l, head, spine)) if (
+                isinstance(spine[-1], Var) and spine[-1].index == 0
+                and is_eta(App(l, head, spine[:-1]))):
+            return mk_app(l, lift(0, -1, head),
+                          tuple(lift(0, -1, a) for a in spine[:-1]))
+    return t
 
 
 def strongly_normalize(is_essence: bool, genv: GlobalEnv, ctx: Context,
@@ -154,37 +112,36 @@ def normalize_meta(phi: MetaEnv, genv: GlobalEnv, ctx: Context, t: Term,
 def whnf(phi: MetaEnv, genv: GlobalEnv, ctx: Context, t: Term,
          is_essence: bool = False, fuel: int = DEFAULT_FUEL) -> Term:
     """Reduce just enough to expose the top connective (a view, not a normal
-    form); used by the refiner's beta-view premises.  Head reductions of
-    applications draw on the same `fuel` budget as the rest."""
+    form); used by the refiner's beta-view premises.  The heads of
+    applications, the bodies of projections and the scrutinees of matches
+    are reduced on the same `fuel` budget."""
     return _whnf(phi, genv, ctx, t, is_essence, _Fuel(fuel))
 
 
-def _whnf(phi: MetaEnv, genv: GlobalEnv, ctx: Context, t: Term,
-          is_essence: bool, budget: _Fuel) -> Term:
-    while True:
-        budget.tick()
+# Node kinds whose root is never a redex: `_whnf` hands them back untouched.
+_INERT = frozenset({Prod, Abs, Inter, Union, Sort, SPair, SInLeft, SInRight,
+                    Coercion, Underscore})
+
+
+def _whnf(phi: MetaEnv | None, genv: GlobalEnv, ctx: Context, t: Term,
+          is_essence: bool, fuel: _Fuel) -> Term:
+    """The reduction rules, applied at the root until none applies.  A term
+    already in weak head normal form comes back as the same object, which
+    the application case relies on to stop."""
+    while type(t) not in _INERT:
+        fuel.tick()
         match t:
-            case Meta() as m:
-                expanded = delta_phi_expand(phi, m)
-                if expanded is None:
-                    return t
-                t = expanded
             case App(l, App(_, h, s2), s1):
                 t = App(l, h, s2 + s1)
             case App(_, h, ()):
                 t = h
             case App(l, Abs(_, _, _, body), spine):
                 t = mk_app(l, beta_redex(body, spine[0]), spine[1:])
-            case Let(_, _, _, bound, body):
-                t = beta_redex(body, bound)
-            case SPrLeft(_, SPair(_, x, _)):
-                t = x
-            case SPrRight(_, SPair(_, _, x)):
-                t = x
-            case SMatch(_, SInLeft(_, _, p), _, _, _, b1, _, _, _):
-                t = beta_redex(b1, p)
-            case SMatch(_, SInRight(_, _, p), _, _, _, _, _, _, b2):
-                t = beta_redex(b2, p)
+            case App(l, h, spine):
+                h2 = _whnf(phi, genv, ctx, h, is_essence, fuel)
+                if h2 is h:
+                    return t
+                t = App(l, h2, spine)
             case Var(_, n):
                 body = ctx.def_body(n)
                 if body is None:
@@ -192,16 +149,34 @@ def _whnf(phi: MetaEnv, genv: GlobalEnv, ctx: Context, t: Term,
                 t = body
             case Const(_, name):
                 found = genv.find_const(is_essence, name)
-                if found is None or found[0] is None:
+                if found is None or found[0] is None:  # unbound or axiom: fixed
                     return t
                 t = found[0]
-            case App(l, h, spine):
-                h2 = _whnf(phi, genv, ctx, h, is_essence, budget)
-                if h2 is h:
+            case Let(_, _, _, bound, body):
+                t = beta_redex(body, bound)
+            case SPrLeft(l, body) | SPrRight(l, body):
+                pair = _whnf(phi, genv, ctx, body, is_essence, fuel)
+                if type(pair) is not SPair:
+                    return t if pair is body else type(t)(l, pair)
+                t = pair.left if type(t) is SPrLeft else pair.right
+            case SMatch(scrutinee=scrutinee):
+                injection = _whnf(phi, genv, ctx, scrutinee, is_essence, fuel)
+                if type(injection) is SInLeft:
+                    t = beta_redex(t.branch1, injection.body)
+                elif type(injection) is SInRight:
+                    t = beta_redex(t.branch2, injection.body)
+                else:
+                    return t if injection is scrutinee else replace(t, scrutinee=injection)
+            case Meta() as m:
+                if phi is None:
+                    raise InternalError("strongly_normalize reached a meta-variable")
+                expanded = delta_phi_expand(phi, m)
+                if expanded is None:
                     return t
-                t = App(l, h2, spine)
+                t = expanded
             case _:
-                return t
+                raise InternalError(f"_whnf: unknown node {t!r}")
+    return t
 
 
 def zonk(phi: MetaEnv, t: Term) -> Term:

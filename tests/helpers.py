@@ -7,12 +7,15 @@ from __future__ import annotations
 import os
 import random
 
-from proofun.env import GlobalEnv
+from proofun.env import Context, GlobalEnv, MetaEnv
+from proofun.errors import InternalError
+from proofun.normalize import DEFAULT_FUEL, delta_phi_expand, is_eta
 from proofun.parser import fix_index, parse_term
 from proofun.refine import elaborate, elaborate_type
 from proofun.syntax import (
-    Abs, App, Const, Inter, Let, NOWHERE, Prod, SPair, SPrLeft, SPrRight,
-    Term, Underscore, Union, Var, mk_app,
+    Abs, App, Const, Inter, Let, Meta, NOWHERE, Prod, SInLeft, SInRight,
+    SMatch, SPair, SPrLeft, SPrRight, Term, Underscore, Union, Var,
+    beta_redex, lift, mk_app, visit_term,
 )
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "corpus")
@@ -170,8 +173,11 @@ _SIGNATURE: dict[str, str] = {
 }
 
 
+_SIGNATURE_TYPES: dict[str, Term] = {name: P(ty) for name, ty in _SIGNATURE.items()}
+
+
 def _type_of_const(name: str) -> Term:
-    return P(_SIGNATURE[name])
+    return _SIGNATURE_TYPES[name]
 
 
 def _types_equal(t1: Term, t2: Term) -> bool:
@@ -254,3 +260,84 @@ def enumerate_types(max_connectives: int = 2, atoms=("a", "b")) -> list[Term]:
                     layer.append(Union(NOWHERE, left, right))
         by_size.append(layer)
     return [t for layer in by_size for t in layer]
+
+
+# ---------------------------------------------------------------------------
+# Reference normalizer: the applicative-order engine the head-first one in
+# `proofun.normalize` replaced.  Children are normalized first, then the root
+# is contracted, and a contractum that may hold new redexes is normalized
+# again.  Kept only so tests can compare the two engines.
+
+
+def reference_normalize(phi: MetaEnv | None, is_essence: bool, genv: GlobalEnv,
+                        ctx: Context, t: Term,
+                        fuel: int = DEFAULT_FUEL) -> Term:
+    """Normal form of `t` by the applicative-order engine; `phi=None` is
+    strict (`strongly_normalize`), otherwise solved metas are expanded
+    (`normalize_meta`)."""
+    left = [fuel]
+
+    def norm(ctx: Context, t: Term) -> Term:
+        while True:
+            left[0] -= 1
+            if left[0] < 0:
+                raise InternalError("reference_normalize ran out of fuel")
+            t = visit_term(lambda c: norm(ctx, c),
+                           lambda _s, c: norm(ctx.push_dummy(), c),
+                           lambda s, _c: s, t)
+            t, again = _reference_contract(phi, is_essence, genv, ctx, t)
+            if not again:
+                return t
+
+    return norm(ctx, t)
+
+
+def _reference_contract(phi: MetaEnv | None, is_essence: bool, genv: GlobalEnv,
+                        ctx: Context, t: Term) -> tuple[Term, bool]:
+    """One root contraction of a term whose children are normal; the flag
+    asks for the contractum to be normalized again."""
+    match t:
+        case App(l, App(_, h, s2), s1):
+            return App(l, h, s2 + s1), True
+        case App(_, h, ()):
+            return h, False
+        case App(l, Abs(_, _, _, body), spine):
+            return mk_app(l, beta_redex(body, spine[0]), spine[1:]), True
+        case Let(_, _, _, bound, body):
+            return beta_redex(body, bound), True
+        case Var(_, n):
+            body = ctx.def_body(n)
+            if body is None:
+                return t, False
+            if isinstance(body, Var):
+                return body, False
+            return body, True
+        case Const(_, name):
+            found = genv.find_const(is_essence, name)
+            if found is None or found[0] is None:
+                return t, False
+            return found[0], True
+        case Abs(_, _, _, App(l2, head, spine)) if spine and (
+                isinstance(spine[-1], Var) and spine[-1].index == 0):
+            if is_eta(App(l2, head, spine[:-1])):
+                head2 = lift(0, -1, head)
+                rest = tuple(lift(0, -1, a) for a in spine[:-1])
+                return (head2 if not rest else App(l2, head2, rest)), False
+            return t, False
+        case SPrLeft(_, SPair(_, x, _)):
+            return x, False
+        case SPrRight(_, SPair(_, _, x)):
+            return x, False
+        case SMatch(_, SInLeft(_, _, payload), _, _, _, branch1, _, _, _):
+            return beta_redex(branch1, payload), True
+        case SMatch(_, SInRight(_, _, payload), _, _, _, _, _, _, branch2):
+            return beta_redex(branch2, payload), True
+        case Meta() as m:
+            if phi is None:
+                raise InternalError("reference_normalize reached a meta-variable")
+            expanded = delta_phi_expand(phi, m)
+            if expanded is None:
+                return t, False
+            return expanded, True
+        case _:
+            return t, False

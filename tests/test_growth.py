@@ -7,7 +7,10 @@ must multiply its count by less than MAX_RATIO: checking these shapes is
 linear in their size (a quadratic path gives a ratio near 4).  The size is
 the nesting depth, except for `conj_coercion`, where it is the number of
 conjuncts of an intersection of unions (an exponential path, such as the
-left side's disjunctive normal form, gives a ratio of 2^size).
+left side's disjunctive normal form, gives a ratio of 2^size), and for
+`church_product`, where it is the Church numeral n multiplied by 2 (the
+normal form of the product has 2n applications; an engine that normalizes
+each contractum again is quadratic in it).
 """
 
 import io
@@ -62,6 +65,20 @@ def conj_coercion(k: int) -> str:
             f"Definition d := coe ({conjunction_of_unions(permuted)}) w.\n")
 
 
+def church_product(n: int) -> str:
+    nat = "(o -> o) -> o -> o"
+
+    def church(k: int) -> str:
+        return f"fun (f : o -> o) (x : o) => {'f (' * k}x{')' * k}"
+
+    return (f"Axiom (o : Type).\n"
+            f"Definition mul := fun (m n : {nat}) (f : o -> o) (x : o) => m (n f) x.\n"
+            f"Definition c{n} := {church(n)}.\n"
+            f"Definition c2 := {church(2)}.\n"
+            f"Definition p := mul c{n} c2.\n"
+            f"Compute p.\n")
+
+
 def calls_to_check(script: str) -> int:
     """Calls made inside proofun while checking `script` from scratch."""
     session = Session(quiet=True, out=io.StringIO(), err=io.StringIO())
@@ -83,7 +100,7 @@ def calls_to_check(script: str) -> int:
 
 # (family, size n): the test compares the work at n and at 2n.
 FAMILIES = [(nested_fun, 100), (application_spine, 100), (hole_against_arrow, 100),
-            (pair_of_projections, 100), (conj_coercion, 5)]
+            (pair_of_projections, 100), (conj_coercion, 5), (church_product, 40)]
 
 
 @pytest.mark.parametrize("family, size", FAMILIES, ids=[f.__name__ for f, _ in FAMILIES])

@@ -1,23 +1,29 @@
-"""The evaluator: reduction rules, spine discipline, idempotence, fuel."""
+"""The evaluator: reduction rules, spine discipline, idempotence, fuel,
+head-first order, and agreement with the applicative-order reference."""
 
+import io
 import random
 
 import pytest
 
-from proofun.env import GlobalEnv, LocalEnv, MetaEnv, TypedDecl
+from proofun.env import DefInfo, EssenceEnv, GlobalEnv, LocalEnv, MetaEnv, TypedDecl
 from proofun.errors import FuelExhausted, InternalError
 from proofun.normalize import (
     delta_phi_expand, is_eta, normalize_meta, strongly_normalize, whnf, zonk,
 )
 from proofun.parser import fix_id, fix_index, parse_term
-from proofun.pretty import render
+from proofun.pretty import render, show_term
+from proofun.repl import Session, load_file
 from proofun.syntax import (
     Abs, App, Const, Let, Meta, NOWHERE, SInLeft, SInRight, SMatch, SPair,
     SPrLeft, SPrRight, Term, Underscore, Var, erase_context,
     same_term, subterms,
 )
 
-from helpers import P, axiom, define, make_test_genv, random_refined_term
+from helpers import (
+    CORPUS_FILES, P, axiom, corpus_path, define, make_test_genv,
+    random_refined_term, reference_normalize,
+)
 
 L = NOWHERE
 
@@ -79,6 +85,16 @@ def test_delta_local_definition():
     genv = GlobalEnv()
     ctx = LocalEnv().push_def("x", Const(L, "c"), Const(L, "s"))
     assert strongly_normalize(False, genv, ctx, Var(L, 0)) == Const(L, "c")
+
+
+def test_chains_of_local_definitions_unfold_fully():
+    # [y := x; x := c]: y unfolds to x, which unfolds in turn to c
+    genv = GlobalEnv()
+    ctx = (LocalEnv().push_def("x", Const(L, "c"), Const(L, "s"))
+           .push_def("y", Var(L, 0), Const(L, "s")))
+    assert whnf(MetaEnv(), genv, ctx, Var(L, 0)) == Const(L, "c")
+    assert strongly_normalize(False, genv, ctx, Var(L, 0)) == Const(L, "c")
+    assert normalize_meta(MetaEnv(), genv, ctx, Var(L, 0)) == Const(L, "c")
 
 
 def test_printing_example_renders_y0():
@@ -156,6 +172,12 @@ def test_fuel_exhaustion_reports_instead_of_hanging():
         strongly_normalize(False, GlobalEnv(), LocalEnv(), omega, fuel=5000)
 
 
+def test_discarded_arguments_are_never_normalized():
+    # head-first: the looping argument is dropped before anyone looks at it
+    t = P("(fun (y : A) => d) ((fun (x : A) => x x) (fun (x : A) => x x))")
+    assert same_term(nf(GlobalEnv(), t), Const(L, "d"))
+
+
 def test_whnf_head_reductions_share_one_fuel_budget():
     genv = make_test_genv()
     define(genv, "c0", "f")
@@ -215,12 +237,83 @@ def test_whnf_exposes_head_without_normalizing_children():
                for s in subterms(view))
 
 
-def test_zonk_expands_solved_metas_deeply():
+def test_whnf_reduces_the_body_of_a_projection():
+    t = P("proj_l ((fun (p : A) => p) <d1, d2>)")
+    assert same_term(whnf(MetaEnv(), GlobalEnv(), LocalEnv(), t), Const(L, "d1"))
+
+
+def test_whnf_reduces_the_scrutinee_of_a_match():
+    motive = Abs(L, "q", P("tau | rho"), Const(L, "T"))
+    scrutinee = P("(fun (q : tau | rho) => q) (inj_l rho d3)")
+    sm = SMatch(L, scrutinee, motive,
+                "x", Const(L, "tau"), fix_index(parse_term("f1 x"), ["x"]),
+                "x", Const(L, "rho"), fix_index(parse_term("f2 x"), ["x"]))
+    view = whnf(MetaEnv(), GlobalEnv(), LocalEnv(), sm)
+    assert same_term(view, P("f1 d3"))
+
+
+def _solved_meta_chain():
+    """`?outer[c]` in the context `x : s`, where `?outer := ?inner[x]` and
+    `?inner := x`: two solved metas to expand, giving `c`."""
     ctx = LocalEnv().push_decl("x", Const(L, "s"))
     phi, inner = MetaEnv().fresh_meta(TypedDecl(ctx, Const(L, "s")))
     phi, outer = phi.fresh_meta(TypedDecl(ctx, Const(L, "s")))
     phi = phi.instantiate_meta(inner, Var(L, 0))
     phi = phi.instantiate_meta(outer, Meta(L, inner, erase_context(1)))
-    t = Meta(L, outer, (Const(L, "c"),))
+    return phi, ctx, Meta(L, outer, (Const(L, "c"),))
+
+
+def test_zonk_expands_solved_metas_deeply():
+    phi, ctx, t = _solved_meta_chain()
     assert zonk(phi, t) == Const(L, "c")
     assert normalize_meta(phi, GlobalEnv(), ctx, t) == Const(L, "c")
+
+
+# ------------- agreement with the applicative-order reference -------------
+
+
+def _assert_agrees(expected: Term, got: Term, scope=()):
+    assert same_term(expected, got), (show_term(expected, scope), show_term(got, scope))
+    assert show_term(expected, scope) == show_term(got, scope)
+
+
+def test_agrees_with_applicative_reference():
+    """The head-first engine and the applicative-order one it replaced
+    (`helpers.reference_normalize`) give the same normal form, binder names
+    included, on random typed terms, on every corpus body and essence, and
+    on terms with solved metas.
+
+    Only locations may differ: the engines contract redexes in a different
+    order, so a normal form may keep the span of another source node (in
+    pierce.bull the essence of `Is_0_Test` keeps the inner application's
+    span instead of the `smatch` one).  So this test does not assert `==`.
+    No user sees the location of a normal form: `refine` catches every
+    `UnificationFailure` and re-raises it with source locations."""
+    genv = make_test_genv()
+    rng = random.Random(41)
+    for _ in range(3000):
+        t, _ty = random_refined_term(rng)
+        _assert_agrees(reference_normalize(None, False, genv, LocalEnv(), t), nf(genv, t))
+
+    for name in CORPUS_FILES:
+        session = Session(quiet=True, out=io.StringIO(), err=io.StringIO())
+        assert load_file(session, corpus_path(name)), session.err.getvalue()
+        corpus_genv = session.genv
+        for _const, info in corpus_genv.items():
+            if not isinstance(info, DefInfo):
+                continue
+            _assert_agrees(
+                reference_normalize(None, False, corpus_genv, LocalEnv(), info.body),
+                strongly_normalize(False, corpus_genv, LocalEnv(), info.body))
+            _assert_agrees(
+                reference_normalize(None, True, corpus_genv, EssenceEnv(), info.essence),
+                strongly_normalize(True, corpus_genv, EssenceEnv(), info.essence))
+
+    phi, ctx, chain = _solved_meta_chain()
+    genv = GlobalEnv()
+    for t in (chain, App(L, Const(L, "f"), (chain, chain)),
+              App(L, Abs(L, "u", Const(L, "s"), App(L, Var(L, 0), (Var(L, 1),))),
+                  (Abs(L, "w", Const(L, "s"), chain),)),
+              SPrLeft(L, SPair(L, chain, Var(L, 0)))):
+        _assert_agrees(reference_normalize(phi, False, genv, ctx, t),
+                       normalize_meta(phi, genv, ctx, t), ["x"])

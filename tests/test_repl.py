@@ -2,9 +2,12 @@
 
 import io
 import os
+import subprocess
+import sys
 
 import pytest
 
+import proofun
 from proofun.repl import (
     HELP_TEXT, QuitRequested, Session, load_file, main, run_source,
 )
@@ -95,6 +98,17 @@ def test_compute_normalizes_and_prints():
     assert out_of(s) == "fun y0 : nat => y\n"
 
 
+def test_chain_of_local_definitions_in_a_binder_type():
+    # the type of z unfolds y, then x, to A
+    s = session()
+    assert run_source(s, "Axiom (A : Type) (g : A -> A).")
+    assert run_source(s, "Definition d := let x : Type := A in "
+                         "let y : Type := x in fun (z : y) => g z."), s.err.getvalue()
+    s.out = io.StringIO()
+    assert run_source(s, "Print d.")
+    assert out_of(s).splitlines()[0] == "d : A -> A"
+
+
 def test_compute_axiom_is_its_own_normal_form():
     s = session()
     assert run_source(s, "Axiom nat : Type.")
@@ -160,6 +174,16 @@ def test_cli_runs_scripts_and_reports_exit_codes(tmp_path, capsys):
     assert main([str(bad), "--quiet", "--no-color"]) == 1
     assert main(["--definitely-not-a-flag"]) == 2
     capsys.readouterr()
+
+
+def test_python_dash_m_proofun_runs_scripts(tmp_path):
+    script = tmp_path / "ok.bull"
+    script.write_text("Axiom s : Type.\nCompute s.\n")
+    src_dir = os.path.dirname(os.path.dirname(proofun.__file__))
+    env = {**os.environ, "PYTHONPATH": src_dir}
+    done = subprocess.run([sys.executable, "-m", "proofun", "--quiet", str(script)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "s\n", "")
 
 
 def test_cli_loads_corpus_files(capsys):
