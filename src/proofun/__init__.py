@@ -2,7 +2,7 @@
 and union types: parser, normalizer, subtyping, higher-order unification,
 bidirectional refinement, and an interactive command loop."""
 
-from proofun.env import EssenceEnv, GlobalEnv, LocalEnv, MetaEnv
+from proofun.env import GlobalEnv, LocalEnv, MetaEnv
 from proofun.errors import (
     CommandError, EssenceMismatch, InternalError, ParseError, ProverError,
     TypeCheckError, UnificationFailure, UnresolvedMeta,
@@ -13,17 +13,17 @@ from proofun.pretty import render, render_error, show_term
 from proofun.refine import Elaborated, elaborate, elaborate_type
 from proofun.repl import Session, main, run_source
 from proofun.subtype import is_subtype
-from proofun.syntax import Term, same_term
+from proofun.syntax import Term
 from proofun.unify import unify, unify_essence
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CommandError", "Elaborated", "EssenceEnv", "EssenceMismatch",
-    "GlobalEnv", "InternalError", "LocalEnv", "MetaEnv", "ParseError",
-    "ProverError", "Session", "Term", "TypeCheckError", "UnificationFailure",
+    "CommandError", "Elaborated", "EssenceMismatch", "GlobalEnv",
+    "InternalError", "LocalEnv", "MetaEnv", "ParseError", "ProverError",
+    "Session", "Term", "TypeCheckError", "UnificationFailure",
     "UnresolvedMeta", "elaborate", "elaborate_type", "fix_id", "fix_index",
     "is_subtype", "main", "parse_command", "parse_term", "render",
-    "render_error", "run_source", "same_term", "show_term",
-    "strongly_normalize", "unify", "unify_essence",
+    "render_error", "run_source", "show_term", "strongly_normalize",
+    "unify", "unify_essence",
 ]

@@ -1,11 +1,13 @@
-"""The four environments: global signature, local context, essence context,
-and the meta-variable environment.
+"""The three environments: global signature, local context, and the
+meta-variable environment.
 
-Local and essence environments are immutable stacks (index 0 is the most
-recent entry); entry types and bodies are stored relative to their own
-position and lifted on retrieval.  The meta-environment is a persistent
-value: `fresh_meta` and `instantiate_meta` return updated copies, which makes
-the force-type probes and REPL backtracking trivial.
+A local context is an immutable stack (index 0 is the most recent entry);
+entry types and bodies are stored relative to their own position and lifted
+on retrieval.  The essence phase uses the same stack: its declarations carry
+`Underscore` as their type and its definitions bind essences.  The
+meta-environment is a persistent value: `fresh_meta` and `instantiate_meta`
+return updated copies, which makes the force-type probes and REPL
+backtracking trivial.
 """
 
 from __future__ import annotations
@@ -73,52 +75,6 @@ class LocalEnv:
     def names(self) -> list[str]:
         """Name hints, innermost first (parallel to de Bruijn indices)."""
         return [e.name for e in self.entries]
-
-
-# ---------------------------------------------------------------------------
-# Essence environment (Psi)
-
-
-@dataclass(frozen=True)
-class Bare:
-    name: str
-
-
-@dataclass(frozen=True)
-class EssLocalDef:
-    name: str
-    essence: Term
-
-
-@dataclass(frozen=True)
-class EssenceEnv:
-    entries: tuple[TyUnion[Bare, EssLocalDef], ...] = ()
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def push_bare(self, name: str) -> EssenceEnv:
-        return EssenceEnv((Bare(name),) + self.entries)
-
-    def push_def(self, name: str, essence: Term) -> EssenceEnv:
-        return EssenceEnv((EssLocalDef(name, essence),) + self.entries)
-
-    def push_dummy(self) -> EssenceEnv:
-        return self.push_bare("")
-
-    def def_body(self, index: int) -> Term | None:
-        if not 0 <= index < len(self.entries):
-            raise InternalError(f"def_body: index {index} out of range")
-        entry = self.entries[index]
-        if isinstance(entry, EssLocalDef):
-            return lift(0, index + 1, entry.essence)
-        return None
-
-    def names(self) -> list[str]:
-        return [e.name for e in self.entries]
-
-
-Context = TyUnion[LocalEnv, EssenceEnv]
 
 
 # ---------------------------------------------------------------------------
@@ -220,12 +176,12 @@ class TypedDef:
 
 @dataclass(frozen=True)
 class EssDecl:
-    ctx: EssenceEnv
+    ctx: LocalEnv
 
 
 @dataclass(frozen=True)
 class EssDef:
-    ctx: EssenceEnv
+    ctx: LocalEnv
     essence: Term
 
 
@@ -287,7 +243,8 @@ class MetaEnv:
         entry = self.lookup(mid)
         if not isinstance(entry, (TypedDecl, TypedDef)):
             raise InternalError(f"?{mid} has no essence companion")
-        psi = EssenceEnv(tuple(Bare(e.name) for e in entry.ctx.entries))
+        psi = LocalEnv(tuple(Decl(e.name, Underscore(NOWHERE))
+                             for e in entry.ctx.entries))
         phi, eid = self.fresh_meta(EssDecl(psi))
         companions = dict(phi.companions)
         companions[mid] = eid

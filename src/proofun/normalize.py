@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from proofun.env import Context, EssDef, GlobalEnv, MetaEnv, SortDef, TypedDef
+from proofun.env import EssDef, GlobalEnv, LocalEnv, MetaEnv, SortDef, TypedDef
 from proofun.errors import FuelExhausted, InternalError
 from proofun.syntax import (
     Abs, App, Coercion, Const, Inter, Let, Meta, Prod, SInLeft, SInRight,
@@ -59,20 +59,16 @@ def delta_phi_expand(phi: MetaEnv, m: Meta) -> Term | None:
     match entry:
         case SortDef(sort):
             return sort  # sort metas ignore their suspension
-        case TypedDef(ctx, body, _):
+        case TypedDef(ctx, body, _) | EssDef(ctx, body):
             if len(ctx) != len(m.susp):
                 raise InternalError("suspension length does not match the meta context")
             return msubst(body, m.susp)
-        case EssDef(ctx, essence):
-            if len(ctx) != len(m.susp):
-                raise InternalError("suspension length does not match the meta context")
-            return msubst(essence, m.susp)
         case _:
             return None
 
 
 def _norm(phi: MetaEnv | None, is_essence: bool, genv: GlobalEnv,
-          ctx: Context, t: Term, fuel: _Fuel) -> Term:
+          ctx: LocalEnv, t: Term, fuel: _Fuel) -> Term:
     fuel.tick()
     t = _whnf(phi, genv, ctx, t, is_essence, fuel)
     norm = lambda c: _norm(phi, is_essence, genv, ctx, c, fuel)
@@ -91,7 +87,7 @@ def _norm(phi: MetaEnv | None, is_essence: bool, genv: GlobalEnv,
     return t
 
 
-def strongly_normalize(is_essence: bool, genv: GlobalEnv, ctx: Context,
+def strongly_normalize(is_essence: bool, genv: GlobalEnv, ctx: LocalEnv,
                        t: Term, fuel: int = DEFAULT_FUEL) -> Term:
     """Normal form of a meta-free term.  Non-termination is out of contract
     for ill-typed input; the fuel budget turns it into a reported error."""
@@ -102,14 +98,14 @@ def strongly_normalize(is_essence: bool, genv: GlobalEnv, ctx: Context,
     return _norm(None, is_essence, genv, ctx, t, _Fuel(fuel))
 
 
-def normalize_meta(phi: MetaEnv, genv: GlobalEnv, ctx: Context, t: Term,
+def normalize_meta(phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv, t: Term,
                    is_essence: bool = False, fuel: int = DEFAULT_FUEL) -> Term:
     """Normalization for the unifier and refiner: solved metas are expanded,
     unsolved ones normalize their suspensions and stay put."""
     return _norm(phi, is_essence, genv, ctx, t, _Fuel(fuel))
 
 
-def whnf(phi: MetaEnv, genv: GlobalEnv, ctx: Context, t: Term,
+def whnf(phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv, t: Term,
          is_essence: bool = False, fuel: int = DEFAULT_FUEL) -> Term:
     """Reduce just enough to expose the top connective (a view, not a normal
     form); used by the refiner's beta-view premises.  The heads of
@@ -123,7 +119,7 @@ _INERT = frozenset({Prod, Abs, Inter, Union, Sort, SPair, SInLeft, SInRight,
                     Coercion, Underscore})
 
 
-def _whnf(phi: MetaEnv | None, genv: GlobalEnv, ctx: Context, t: Term,
+def _whnf(phi: MetaEnv | None, genv: GlobalEnv, ctx: LocalEnv, t: Term,
           is_essence: bool, fuel: _Fuel) -> Term:
     """The reduction rules, applied at the root until none applies.  A term
     already in weak head normal form comes back as the same object, which

@@ -14,7 +14,7 @@ from proofun.parser import fix_id
 from proofun.syntax import (
     Abs, App, Coercion, Const, Inter, Let, Meta, Prod, SInLeft,
     SInRight, SMatch, SPair, SPrLeft, SPrRight, Sort, Term, Underscore,
-    Union, Var,
+    Union, Var, subterms,
 )
 
 # Precedence levels, loosest to tightest.
@@ -22,12 +22,7 @@ _ARROW, _UNION, _INTER, _APP, _ATOM = 0, 1, 2, 3, 4
 
 
 def _occurs_name(name: str, t: Term) -> bool:
-    match t:
-        case Const(_, n):
-            return n == name
-        case _:
-            from proofun.syntax import children
-            return any(_occurs_name(name, c) for c in children(t))
+    return any(type(s) is Const and s.name == name for s in subterms(t))
 
 
 def render(t: Term, prec: int = _ARROW) -> str:

@@ -24,8 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from proofun.env import (
-    EssDecl, EssDef, EssenceEnv, GlobalEnv, LocalEnv, MetaEnv, SortDecl,
-    SortDef, TypedDecl, TypedDef,
+    EssDecl, EssDef, GlobalEnv, LocalEnv, MetaEnv, SortDecl, SortDef,
+    TypedDecl, TypedDef,
 )
 from proofun.errors import (
     EssenceMismatch, InternalError, TypeCheckError, UnificationFailure,
@@ -44,6 +44,12 @@ from proofun.syntax import (
 from proofun.unify import unify, unify_essence
 
 _PTS_RULES = ((SortKind.TYPE, SortKind.TYPE), (SortKind.TYPE, SortKind.KIND))
+
+
+def _shown(phi: MetaEnv, ctx: LocalEnv, t: Term) -> str:
+    """`t` as an error message shows it: solved metas expanded, bound
+    variables named after `ctx`."""
+    return show_term(zonk(phi, t), ctx.names())
 
 
 def _fresh_wildcard(phi: MetaEnv, ctx: LocalEnv, loc: Location
@@ -201,8 +207,8 @@ def reconstruct(phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv, t: Term
                     except UnificationFailure:
                         term = mk_app(loc, term, args)
                         raise TypeCheckError(
-                            f'the term "{show_term(zonk(phi, term), ctx.names())}" '
-                            f'has type "{show_term(zonk(phi, sigma), ctx.names())}" '
+                            f'the term "{_shown(phi, ctx, term)}" '
+                            f'has type "{_shown(phi, ctx, sigma)}" '
                             'and cannot be applied', term.loc) from None
                     sigma = Meta(loc, xid, erase_context(len(ctx)) + (arg2,))
                 args.append(arg2)
@@ -235,10 +241,9 @@ def reconstruct(phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv, t: Term
                     phi = unify(phi, genv, ctx, sigma,
                                 Inter(loc, Meta(loc, x1, susp), Meta(loc, x2, susp)))
                 except UnificationFailure:
-                    names = ctx.names()
                     raise TypeCheckError(
-                        f'the term "{show_term(zonk(phi, body2), names)}" has '
-                        f'type "{show_term(zonk(phi, sigma), names)}" while it '
+                        f'the term "{_shown(phi, ctx, body2)}" has '
+                        f'type "{_shown(phi, ctx, sigma)}" while it '
                         'is expected to have an intersection type', body.loc) \
                         from None
                 ty = Meta(loc, x1 if left_side else x2, susp)
@@ -262,11 +267,10 @@ def reconstruct(phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv, t: Term
             try:
                 phi = unify(phi, genv, ctx, sigma, union)
             except UnificationFailure:
-                names = ctx.names()
                 raise TypeCheckError(
-                    f'the term "{show_term(zonk(phi, scrut2), names)}" has type '
-                    f'"{show_term(zonk(phi, sigma), names)}" while it is expected '
-                    f'to have type "{show_term(zonk(phi, union), names)}".',
+                    f'the term "{_shown(phi, ctx, scrut2)}" has type '
+                    f'"{_shown(phi, ctx, sigma)}" while it is expected '
+                    f'to have type "{_shown(phi, ctx, union)}".',
                     scrut.loc) from None
             motive2, phi = reconstruct_with_type(
                 phi, genv, ctx, motive,
@@ -294,7 +298,7 @@ def reconstruct(phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv, t: Term
                     "cannot decide subtyping against an incomplete type", loc)
             if not is_subtype(genv, ctx, tau_z, target_z):
                 raise TypeCheckError(
-                    f'the term "{show_term(zonk(phi, body2), ctx.names())}" has type '
+                    f'the term "{_shown(phi, ctx, body2)}" has type '
                     f'"{show_term(tau_z, ctx.names())}" which is not a subtype of '
                     f'"{show_term(target_z, ctx.names())}"', body.loc)
             return Coercion(loc, target2, body2), target2, phi
@@ -325,7 +329,7 @@ def force_type(phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv, t: Term
     if as_kind is not None:
         return t2, tau, as_kind
     raise TypeCheckError(
-        f'the term "{show_term(zonk(phi, t2), ctx.names())}" is not a type', loc)
+        f'the term "{_shown(phi, ctx, t2)}" is not a type', loc)
 
 
 def reconstruct_with_type(phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv,
@@ -339,11 +343,10 @@ def reconstruct_with_type(phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv,
         try:
             return t2, unify(phi2, genv, ctx, sigma, expected)
         except UnificationFailure:
-            names = ctx.names()
             raise TypeCheckError(
-                f'the term "{show_term(zonk(phi2, t2), names)}" has type '
-                f'"{show_term(zonk(phi2, sigma), names)}" while it is expected '
-                f'to have type "{show_term(zonk(phi2, expected), names)}".',
+                f'the term "{_shown(phi2, ctx, t2)}" has type '
+                f'"{_shown(phi2, ctx, sigma)}" while it is expected '
+                f'to have type "{_shown(phi2, ctx, expected)}".',
                 t.loc) from None
 
     match t:
@@ -363,11 +366,10 @@ def reconstruct_with_type(phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv,
             try:
                 phi = unify(phi, genv, ctx, dom2, view.domain)
             except UnificationFailure:
-                names = ctx.names()
                 raise TypeCheckError(
-                    f'the domain "{show_term(zonk(phi, dom2), names)}" does not '
+                    f'the domain "{_shown(phi, ctx, dom2)}" does not '
                     f'match the expected domain '
-                    f'"{show_term(zonk(phi, view.domain), names)}"',
+                    f'"{_shown(phi, ctx, view.domain)}"',
                     dom.loc) from None
             body2, phi = reconstruct_with_type(
                 phi, genv, ctx.push_decl(name, dom2), body, view.codomain)
@@ -400,11 +402,10 @@ def reconstruct_with_type(phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv,
             try:
                 phi = unify(phi, genv, ctx, other2, target)
             except UnificationFailure:
-                names = ctx.names()
                 raise TypeCheckError(
-                    f'the annotation "{show_term(zonk(phi, other2), names)}" '
+                    f'the annotation "{_shown(phi, ctx, other2)}" '
                     f'does not match the union component '
-                    f'"{show_term(zonk(phi, target), names)}"',
+                    f'"{_shown(phi, ctx, target)}"',
                     other.loc) from None
             body2, phi = reconstruct_with_type(
                 phi, genv, ctx, body, view.left if left_side else view.right)
@@ -421,7 +422,7 @@ def reconstruct_with_type(phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv,
 # Essence phase
 
 
-def essence(phi: MetaEnv, genv: GlobalEnv, psi: EssenceEnv, t: Term
+def essence(phi: MetaEnv, genv: GlobalEnv, psi: LocalEnv, t: Term
             ) -> tuple[Term, MetaEnv]:
     """Erase proof-functional structure, checking along the way that strong
     pairs and strong sums share the essence of their first component."""
@@ -432,9 +433,7 @@ def essence(phi: MetaEnv, genv: GlobalEnv, psi: EssenceEnv, t: Term
             raise InternalError("essence of an unrefined placeholder")
         case Meta(loc, mid, susp):
             entry = phi.lookup(mid)
-            if isinstance(entry, (SortDecl, SortDef)):
-                return t, phi
-            if isinstance(entry, (EssDecl, EssDef)):
+            if isinstance(entry, (SortDecl, SortDef, EssDecl, EssDef)):
                 return t, phi
             phi, eid = phi.essence_companion(mid)
             parts: list[Term] = []
@@ -445,17 +444,17 @@ def essence(phi: MetaEnv, genv: GlobalEnv, psi: EssenceEnv, t: Term
         case Abs(loc, name, dom, body):
             if not isinstance(dom, Underscore):
                 _sd, phi = essence(phi, genv, psi, dom)
-            m, phi = essence(phi, genv, psi.push_bare(name), body)
+            m, phi = essence(phi, genv, psi.push_decl(name, Underscore(loc)), body)
             return Abs(loc, name, Underscore(loc), m), phi
         case Prod(loc, name, dom, cod):
             e1, phi = essence(phi, genv, psi, dom)
-            e2, phi = essence(phi, genv, psi.push_bare(name), cod)
+            e2, phi = essence(phi, genv, psi.push_decl(name, Underscore(loc)), cod)
             return Prod(loc, name, e1, e2), phi
         case Let(loc, name, annot, bound, body):
             if not isinstance(annot, Underscore):
                 _sa, phi = essence(phi, genv, psi, annot)
             m1, phi = essence(phi, genv, psi, bound)
-            m2, phi = essence(phi, genv, psi.push_def(name, m1), body)
+            m2, phi = essence(phi, genv, psi.push_def(name, m1, Underscore(loc)), body)
             return Let(loc, name, Underscore(loc), m1, m2), phi
         case App(loc, head, spine):
             m, phi = essence(phi, genv, psi, head)
@@ -485,14 +484,15 @@ def essence(phi: MetaEnv, genv: GlobalEnv, psi: EssenceEnv, t: Term
             big_n, phi = essence(phi, genv, psi, scrut)
             _sm, phi = essence(phi, genv, psi, motive)
             _s1, phi = essence(phi, genv, psi, a1)
-            m, phi = essence(phi, genv, psi.push_bare(n1), b1)
+            m, phi = essence(phi, genv, psi.push_decl(n1, Underscore(loc)), b1)
             _s2, phi = essence(phi, genv, psi, a2)
-            phi = essence_with_hint(phi, genv, psi.push_bare(n2), m, b2)
+            phi = essence_with_hint(phi, genv, psi.push_decl(n2, Underscore(loc)),
+                                    m, b2)
             return App(loc, Abs(loc, n1, Underscore(loc), m), (big_n,)), phi
     raise InternalError(f"essence: unhandled node {t!r}")
 
 
-def essence_with_hint(phi: MetaEnv, genv: GlobalEnv, psi: EssenceEnv,
+def essence_with_hint(phi: MetaEnv, genv: GlobalEnv, psi: LocalEnv,
                       hint: Term, t: Term) -> MetaEnv:
     """Checking-mode essence judgment: verify that `t` erases to `hint`."""
 
@@ -501,11 +501,10 @@ def essence_with_hint(phi: MetaEnv, genv: GlobalEnv, psi: EssenceEnv,
         try:
             return unify_essence(phi2, genv, psi, hint, m2)
         except UnificationFailure:
-            names = psi.names()
             raise EssenceMismatch(
-                f'the term has essence "{show_term(zonk(phi2, m2), names)}" '
+                f'the term has essence "{_shown(phi2, psi, m2)}" '
                 f'while it is expected to have essence '
-                f'"{show_term(zonk(phi2, hint), names)}"', t.loc) from None
+                f'"{_shown(phi2, psi, hint)}"', t.loc) from None
 
     match t:
         case SPair(_, left, right):
@@ -516,24 +515,27 @@ def essence_with_hint(phi: MetaEnv, genv: GlobalEnv, psi: EssenceEnv,
         case SInLeft(_, other, body) | SInRight(_, other, body):
             _s, phi = essence(phi, genv, psi, other)
             return essence_with_hint(phi, genv, psi, hint, body)
-        case Let(_, name, annot, bound, body):
+        case Let(loc, name, annot, bound, body):
             if not isinstance(annot, Underscore):
                 _sa, phi = essence(phi, genv, psi, annot)
             m1, phi = essence(phi, genv, psi, bound)
-            return essence_with_hint(phi, genv, psi.push_def(name, m1),
+            return essence_with_hint(phi, genv,
+                                     psi.push_def(name, m1, Underscore(loc)),
                                      lift(0, 1, hint), body)
-        case Prod(_, name, dom, cod):
+        case Prod(loc, name, dom, cod):
             view = whnf(phi, genv, psi, hint, is_essence=True)
             if not isinstance(view, Prod):
                 return default()
             phi = essence_with_hint(phi, genv, psi, view.domain, dom)
-            return essence_with_hint(phi, genv, psi.push_bare(name),
+            return essence_with_hint(phi, genv,
+                                     psi.push_decl(name, Underscore(loc)),
                                      view.codomain, cod)
-        case Abs(_, name, _, body):
+        case Abs(loc, name, _, body):
             view = whnf(phi, genv, psi, hint, is_essence=True)
             if not isinstance(view, Abs):
                 return default()
-            return essence_with_hint(phi, genv, psi.push_bare(name),
+            return essence_with_hint(phi, genv,
+                                     psi.push_decl(name, Underscore(loc)),
                                      view.body, body)
         case Inter(_, left, right):
             view = whnf(phi, genv, psi, hint, is_essence=True)
@@ -576,15 +578,14 @@ def elaborate(genv: GlobalEnv, t: Term, expected: Term | None = None) -> Elabora
     the four components a definition stores; fails if any hole is left."""
     phi = MetaEnv()
     ctx = LocalEnv()
-    psi = EssenceEnv()
     if expected is not None:
         expected2, _s, phi = force_type(phi, genv, ctx, expected)
         term, phi = reconstruct_with_type(phi, genv, ctx, t, expected2)
         ty = expected2
     else:
         term, ty, phi = reconstruct(phi, genv, ctx, t)
-    ess, phi = essence(phi, genv, psi, zonk(phi, term))
-    ty_ess, phi = essence(phi, genv, psi, zonk(phi, ty))
+    ess, phi = essence(phi, genv, ctx, zonk(phi, term))
+    ty_ess, phi = essence(phi, genv, ctx, zonk(phi, ty))
     term, ty = zonk(phi, term), zonk(phi, ty)
     ess, ty_ess = zonk(phi, ess), zonk(phi, ty_ess)
     for part in (term, ty, ess, ty_ess):
@@ -597,7 +598,7 @@ def elaborate_type(genv: GlobalEnv, t: Term) -> tuple[Term, Term]:
     """Elaborate an axiom's type; returns (type, type essence)."""
     phi = MetaEnv()
     t2, _s, phi = force_type(phi, genv, LocalEnv(), t)
-    ess, phi = essence(phi, genv, EssenceEnv(), zonk(phi, t2))
+    ess, phi = essence(phi, genv, LocalEnv(), zonk(phi, t2))
     t2, ess = zonk(phi, t2), zonk(phi, ess)
     _check_meta_free(t2, t.loc)
     _check_meta_free(ess, t.loc)

@@ -8,7 +8,7 @@ ordering:
   - a union on the left and an intersection on the right split conjunctively;
   - an intersection on the left and a union on the right split disjunctively;
   - arrows compare contravariantly in the domain, covariantly in the codomain;
-  - anything else must be alpha-equal.
+  - anything else must be alpha-equal (`==`).
 
 Against one conjunct C of the right, "every disjunct of the left's DNF has
 an atom below some atom of C" is the left tree evaluated with `|` as and,
@@ -23,12 +23,10 @@ alpha-equality base case, best effort.
 
 from __future__ import annotations
 
-from proofun.env import Context, GlobalEnv
+from proofun.env import GlobalEnv, LocalEnv
 from proofun.errors import InternalError, too_deep_as_error
 from proofun.normalize import strongly_normalize
-from proofun.syntax import (
-    Inter, Location, NOWHERE, Prod, Term, Union, contains_meta, same_term,
-)
+from proofun.syntax import Inter, Location, NOWHERE, Prod, Term, Union, contains_meta
 
 
 def anf(t: Term) -> Term:
@@ -105,14 +103,14 @@ def _anf_atoms(t: Term) -> Term:
 
 
 @too_deep_as_error
-def is_subtype(genv: GlobalEnv, ctx: Context, a: Term, b: Term) -> bool:
+def is_subtype(genv: GlobalEnv, ctx: LocalEnv, a: Term, b: Term) -> bool:
     """Decide a <= b; both sides must be meta-free."""
     if contains_meta(a) or contains_meta(b):
         raise InternalError("is_subtype: meta-variable in input")
     a = _anf_atoms(strongly_normalize(False, genv, ctx, a))
     b = canf(strongly_normalize(False, genv, ctx, b))
 
-    def compare(ctx: Context, a: Term, b: Term) -> bool:
+    def compare(ctx: LocalEnv, a: Term, b: Term) -> bool:
         match (a, b):
             case (Union(_, a1, a2), _):
                 return compare(ctx, a1, b) and compare(ctx, a2, b)
@@ -128,6 +126,6 @@ def is_subtype(genv: GlobalEnv, ctx: Context, a: Term, b: Term) -> bool:
             case (Prod(_, _, a1, a2), Prod(_, _, b1, b2)):
                 return compare(ctx, b1, a1) and compare(ctx.push_dummy(), a2, b2)
             case _:
-                return same_term(a, b)
+                return a == b
 
     return compare(ctx, a, b)

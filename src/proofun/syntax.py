@@ -6,13 +6,14 @@ Bound variables are de Bruijn indices (`Var`); binders keep the original
 source name purely as a printing hint.  Applications are kept in spine form:
 a head term plus the tuple of all arguments, leftmost argument first.
 
-Every node carries a `Location`, which never influences equality: use
-`same_term` for alpha-equivalence.
+Every node carries a `Location`.  Locations and binder names are hints:
+they are excluded from the generated `==` and `hash`, so `==` on terms is
+alpha-equivalence.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterator, Sequence
 
@@ -53,7 +54,7 @@ class Term:
 
 @dataclass(frozen=True)
 class Sort(Term):
-    loc: Location
+    loc: Location = field(compare=False)
     kind: SortKind
 
 
@@ -61,8 +62,8 @@ class Sort(Term):
 class Let(Term):
     """let name : annot := bound in body   (body binds index 0)"""
 
-    loc: Location
-    name: str
+    loc: Location = field(compare=False)
+    name: str = field(compare=False)
     annot: Term
     bound: Term
     body: Term
@@ -72,8 +73,8 @@ class Let(Term):
 class Prod(Term):
     """forall name : domain, codomain   (codomain binds index 0)"""
 
-    loc: Location
-    name: str
+    loc: Location = field(compare=False)
+    name: str = field(compare=False)
     domain: Term
     codomain: Term
 
@@ -85,8 +86,8 @@ class Abs(Term):
     Essence abstractions are untyped; they carry `Underscore` as the domain.
     """
 
-    loc: Location
-    name: str
+    loc: Location = field(compare=False)
+    name: str = field(compare=False)
     domain: Term
     body: Term
 
@@ -96,21 +97,21 @@ class App(Term):
     """head applied to spine, leftmost argument first; head is never an App
     in normalized or refined terms."""
 
-    loc: Location
+    loc: Location = field(compare=False)
     head: Term
     spine: tuple[Term, ...]
 
 
 @dataclass(frozen=True)
 class Inter(Term):
-    loc: Location
+    loc: Location = field(compare=False)
     left: Term
     right: Term
 
 
 @dataclass(frozen=True)
 class Union(Term):
-    loc: Location
+    loc: Location = field(compare=False)
     left: Term
     right: Term
 
@@ -119,20 +120,20 @@ class Union(Term):
 class SPair(Term):
     """Strong pair: both components must share one essence."""
 
-    loc: Location
+    loc: Location = field(compare=False)
     left: Term
     right: Term
 
 
 @dataclass(frozen=True)
 class SPrLeft(Term):
-    loc: Location
+    loc: Location = field(compare=False)
     body: Term
 
 
 @dataclass(frozen=True)
 class SPrRight(Term):
-    loc: Location
+    loc: Location = field(compare=False)
     body: Term
 
 
@@ -144,13 +145,13 @@ class SMatch(Term):
     each branch binds index 0 to the matched component.
     """
 
-    loc: Location
+    loc: Location = field(compare=False)
     scrutinee: Term
     motive: Term
-    name1: str
+    name1: str = field(compare=False)
     annot1: Term
     branch1: Term
-    name2: str
+    name2: str = field(compare=False)
     annot2: Term
     branch2: Term
 
@@ -159,7 +160,7 @@ class SMatch(Term):
 class SInLeft(Term):
     """inj_l other body : typeof(body) | other"""
 
-    loc: Location
+    loc: Location = field(compare=False)
     other: Term
     body: Term
 
@@ -168,7 +169,7 @@ class SInLeft(Term):
 class SInRight(Term):
     """inj_r other body : other | typeof(body)"""
 
-    loc: Location
+    loc: Location = field(compare=False)
     other: Term
     body: Term
 
@@ -177,26 +178,26 @@ class SInRight(Term):
 class Coercion(Term):
     """coe target body: explicit up-cast, requires typeof(body) <= target."""
 
-    loc: Location
+    loc: Location = field(compare=False)
     target: Term
     body: Term
 
 
 @dataclass(frozen=True)
 class Var(Term):
-    loc: Location
+    loc: Location = field(compare=False)
     index: int
 
 
 @dataclass(frozen=True)
 class Const(Term):
-    loc: Location
+    loc: Location = field(compare=False)
     name: str
 
 
 @dataclass(frozen=True)
 class Underscore(Term):
-    loc: Location
+    loc: Location = field(compare=False)
 
 
 @dataclass(frozen=True)
@@ -204,7 +205,7 @@ class Meta(Term):
     """Meta-variable with its suspended substitution (one term per local
     variable in scope at creation time)."""
 
-    loc: Location
+    loc: Location = field(compare=False)
     mid: int
     susp: tuple[Term, ...]
 
@@ -345,7 +346,7 @@ def erase_context(n: int) -> tuple[Term, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Predicates and comparisons
+# Predicates
 
 
 def free_in(index: int, t: Term) -> bool:
@@ -360,52 +361,6 @@ def free_in(index: int, t: Term) -> bool:
 
     map_term(0, check, t)
     return hit
-
-
-def same_term(a: Term, b: Term) -> bool:
-    """Structural equality up to locations and binder name hints."""
-    match (a, b):
-        case (Sort(_, k1), Sort(_, k2)):
-            return k1 == k2
-        case (Var(_, i), Var(_, j)):
-            return i == j
-        case (Const(_, x), Const(_, y)):
-            return x == y
-        case (Underscore(), Underscore()):
-            return True
-        case (Meta(_, i, s1), Meta(_, j, s2)):
-            return i == j and len(s1) == len(s2) and all(
-                same_term(x, y) for x, y in zip(s1, s2))
-        case (Let(_, _, a1, a2, a3), Let(_, _, b1, b2, b3)):
-            return same_term(a1, b1) and same_term(a2, b2) and same_term(a3, b3)
-        case (Prod(_, _, a1, a2), Prod(_, _, b1, b2)):
-            return same_term(a1, b1) and same_term(a2, b2)
-        case (Abs(_, _, a1, a2), Abs(_, _, b1, b2)):
-            return same_term(a1, b1) and same_term(a2, b2)
-        case (App(_, h1, s1), App(_, h2, s2)):
-            return same_term(h1, h2) and len(s1) == len(s2) and all(
-                same_term(x, y) for x, y in zip(s1, s2))
-        case (Inter(_, a1, a2), Inter(_, b1, b2)):
-            return same_term(a1, b1) and same_term(a2, b2)
-        case (Union(_, a1, a2), Union(_, b1, b2)):
-            return same_term(a1, b1) and same_term(a2, b2)
-        case (SPair(_, a1, a2), SPair(_, b1, b2)):
-            return same_term(a1, b1) and same_term(a2, b2)
-        case (SPrLeft(_, a1), SPrLeft(_, b1)):
-            return same_term(a1, b1)
-        case (SPrRight(_, a1), SPrRight(_, b1)):
-            return same_term(a1, b1)
-        case (SMatch(_, a1, a2, _, a3, a4, _, a5, a6),
-              SMatch(_, b1, b2, _, b3, b4, _, b5, b6)):
-            return all(same_term(x, y) for x, y in
-                       ((a1, b1), (a2, b2), (a3, b3), (a4, b4), (a5, b5), (a6, b6)))
-        case (SInLeft(_, a1, a2), SInLeft(_, b1, b2)):
-            return same_term(a1, b1) and same_term(a2, b2)
-        case (SInRight(_, a1, a2), SInRight(_, b1, b2)):
-            return same_term(a1, b1) and same_term(a2, b2)
-        case (Coercion(_, a1, a2), Coercion(_, b1, b2)):
-            return same_term(a1, b1) and same_term(a2, b2)
-    return False
 
 
 def children(t: Term) -> tuple[Term, ...]:

@@ -6,8 +6,10 @@ recurses on the normal forms: every subterm reached is normal under the
 meta-environment its parent was normalized in.  A subterm is normalized
 again only when a meta was solved since then and the subterm mentions a
 meta, since only a solution can create a redex inside a normal form.
-Alpha-equality is tested once on entry and below that only at leaves and
-meta-variables.
+Alpha-equality (`==` on terms) is tested once on entry and below that only
+at leaves and meta-variables.  The typing and essence phases share one
+context type: binders push a declaration whose type the essence phase never
+reads.
 
 Meta-variables are solved by pattern unification: when a meta is applied
 to distinct variables and the other side mentions nothing outside them,
@@ -20,23 +22,15 @@ anything harder fails rather than postponing constraints.
 from __future__ import annotations
 
 from proofun.env import (
-    Bare, Context, Decl, EssDecl, EssenceEnv, EssLocalDef, GlobalEnv,
-    LocalDef, LocalEnv, MetaEnv, SortDecl, TypedDecl,
+    Decl, EssDecl, GlobalEnv, LocalDef, LocalEnv, MetaEnv, SortDecl, TypedDecl,
 )
 from proofun.errors import InternalError, UnificationFailure
 from proofun.normalize import normalize_meta, zonk
 from proofun.syntax import (
     Abs, App, Coercion, Const, Inter, Location, Meta, NOWHERE, Prod, SInLeft,
     SInRight, SMatch, Sort, SPair, SPrLeft, SPrRight, Term, Underscore, Union,
-    Var, contains_meta, lift, map_term, mk_app, same_term, subterms,
-    visit_term,
+    Var, contains_meta, lift, map_term, mk_app, subterms, visit_term,
 )
-
-
-def _push(ctx: Context, name: str, ty: Term) -> Context:
-    if isinstance(ctx, EssenceEnv):
-        return ctx.push_bare(name)
-    return ctx.push_decl(name, ty)
 
 
 def _occurs(mid: int, t: Term) -> bool:
@@ -135,36 +129,28 @@ def _prune_meta(phi: MetaEnv, mid: int, keep: list[int]) -> MetaEnv | None:
         return _strengthen(zonk(phi, t), new_pos, r, p)
 
     try:
+        old = entry.ctx.entries
+        rebuilt: list[Decl | LocalDef] = []
+        for r, p in enumerate(kept):
+            e = old[n - 1 - p]
+            if isinstance(e, LocalDef):
+                rebuilt.append(LocalDef(e.name, cut(e.body, r, p),
+                                        cut(e.type, r, p)))
+            else:
+                rebuilt.append(Decl(e.name, cut(e.type, r, p)))
+        pruned_ctx = LocalEnv(tuple(reversed(rebuilt)))
         if isinstance(entry, TypedDecl):
-            old = entry.ctx.entries
-            rebuilt: list[Decl | LocalDef] = []
-            for r, p in enumerate(kept):
-                e = old[n - 1 - p]
-                if isinstance(e, LocalDef):
-                    rebuilt.append(LocalDef(e.name, cut(e.body, r, p),
-                                            cut(e.type, r, p)))
-                else:
-                    rebuilt.append(Decl(e.name, cut(e.type, r, p)))
-            pruned_ctx = LocalEnv(tuple(reversed(rebuilt)))
-            pruned_ty = cut(entry.type, len(kept), n)
-            phi, fresh = phi.fresh_meta(TypedDecl(pruned_ctx, pruned_ty))
+            decl = TypedDecl(pruned_ctx, cut(entry.type, len(kept), n))
         else:
-            old_e = entry.ctx.entries
-            rebuilt_e: list[Bare | EssLocalDef] = []
-            for r, p in enumerate(kept):
-                e = old_e[n - 1 - p]
-                if isinstance(e, EssLocalDef):
-                    rebuilt_e.append(EssLocalDef(e.name, cut(e.essence, r, p)))
-                else:
-                    rebuilt_e.append(Bare(e.name))
-            phi, fresh = phi.fresh_meta(EssDecl(EssenceEnv(tuple(reversed(rebuilt_e)))))
+            decl = EssDecl(pruned_ctx)
+        phi, fresh = phi.fresh_meta(decl)
     except _NotInvertible:
         return None
     susp = tuple(Var(NOWHERE, n - 1 - p) for p in kept)
     return phi.instantiate_meta(mid, Meta(NOWHERE, fresh, susp))
 
 
-def try_hopu(phi: MetaEnv, genv: GlobalEnv, ctx: Context, m: Meta, rhs: Term,
+def try_hopu(phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv, m: Meta, rhs: Term,
              is_essence: bool = False) -> MetaEnv | None:
     """Solve `m ≐ rhs` by pattern unification with pruning; None when the
     problem is outside the fragment, so the caller can fall back.  An
@@ -198,18 +184,18 @@ def try_hopu(phi: MetaEnv, genv: GlobalEnv, ctx: Context, m: Meta, rhs: Term,
         return phi.instantiate_meta(m.mid, solution)
 
 
-def unify(phi: MetaEnv, genv: GlobalEnv, ctx: Context, t1: Term, t2: Term,
+def unify(phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv, t1: Term, t2: Term,
           is_essence: bool = False) -> MetaEnv:
     """Unify two terms, returning the extended meta-environment or raising
     `UnificationFailure` on a rigid mismatch."""
     t1 = normalize_meta(phi, genv, ctx, t1, is_essence)
     t2 = normalize_meta(phi, genv, ctx, t2, is_essence)
-    if same_term(t1, t2):
+    if t1 == t2:
         return phi
     return _unify_normal(phi, genv, ctx, t1, t2, is_essence, phi)
 
 
-def _unify_normal(phi: MetaEnv, genv: GlobalEnv, ctx: Context, t1: Term,
+def _unify_normal(phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv, t1: Term,
                   t2: Term, is_essence: bool, normal_at: MetaEnv) -> MetaEnv:
     """`unify` on two terms already normal under `normal_at`, an earlier or
     the current state of `phi`.  A side is normalized again only when metas
@@ -219,11 +205,11 @@ def _unify_normal(phi: MetaEnv, genv: GlobalEnv, ctx: Context, t1: Term,
             t1 = normalize_meta(phi, genv, ctx, t1, is_essence)
         if contains_meta(t2):
             t2 = normalize_meta(phi, genv, ctx, t2, is_essence)
-    if isinstance(t1, (Sort, Var, Const, Underscore, Meta)) and same_term(t1, t2):
+    if isinstance(t1, (Sort, Var, Const, Underscore, Meta)) and t1 == t2:
         return phi
     here = phi
 
-    def recur(phi: MetaEnv, ctx: Context, a: Term, b: Term) -> MetaEnv:
+    def recur(phi: MetaEnv, ctx: LocalEnv, a: Term, b: Term) -> MetaEnv:
         return _unify_normal(phi, genv, ctx, a, b, is_essence, here)
 
     # Meta cases first: a meta can absorb an abstraction, so they take
@@ -242,18 +228,18 @@ def _unify_normal(phi: MetaEnv, genv: GlobalEnv, ctx: Context, t1: Term,
     # Eta: exactly one side is an abstraction.
     if isinstance(t1, Abs) and not isinstance(t2, Abs):
         applied = mk_app(t2.loc, lift(0, 1, t2), (Var(NOWHERE, 0),))
-        return recur(phi, _push(ctx, t1.name, t1.domain), t1.body, applied)
+        return recur(phi, ctx.push_decl(t1.name, t1.domain), t1.body, applied)
     if isinstance(t2, Abs) and not isinstance(t1, Abs):
         applied = mk_app(t1.loc, lift(0, 1, t1), (Var(NOWHERE, 0),))
-        return recur(phi, _push(ctx, t2.name, t2.domain), applied, t2.body)
+        return recur(phi, ctx.push_decl(t2.name, t2.domain), applied, t2.body)
 
     match (t1, t2):
         case (Abs(_, n1, d1, b1), Abs(_, _, d2, b2)):
             phi = recur(phi, ctx, d1, d2)
-            return recur(phi, _push(ctx, n1, d1), b1, b2)
+            return recur(phi, ctx.push_decl(n1, d1), b1, b2)
         case (Prod(_, n1, d1, c1), Prod(_, _, d2, c2)):
             phi = recur(phi, ctx, d1, d2)
-            return recur(phi, _push(ctx, n1, d1), c1, c2)
+            return recur(phi, ctx.push_decl(n1, d1), c1, c2)
         case (Inter(_, a1, a2), Inter(_, b1, b2)):
             phi = recur(phi, ctx, a1, b1)
             return recur(phi, ctx, a2, b2)
@@ -276,9 +262,9 @@ def _unify_normal(phi: MetaEnv, genv: GlobalEnv, ctx: Context, t1: Term,
             phi = recur(phi, ctx, s1, s2)
             phi = recur(phi, ctx, m1, m2)
             phi = recur(phi, ctx, a1, a2)
-            phi = recur(phi, _push(ctx, x1, a1), l1, l2)
+            phi = recur(phi, ctx.push_decl(x1, a1), l1, l2)
             phi = recur(phi, ctx, c1, c2)
-            return recur(phi, _push(ctx, y1, c1), r1, r2)
+            return recur(phi, ctx.push_decl(y1, c1), r1, r2)
         # Fallback: recursively unify every subterm of like-shaped nodes.
         case (App(_, h1, s1), App(_, h2, s2)):
             if len(s1) != len(s2):
@@ -290,7 +276,7 @@ def _unify_normal(phi: MetaEnv, genv: GlobalEnv, ctx: Context, t1: Term,
     raise UnificationFailure(t1, t2, t1.loc)
 
 
-def unify_essence(phi: MetaEnv, genv: GlobalEnv, psi: EssenceEnv,
+def unify_essence(phi: MetaEnv, genv: GlobalEnv, psi: LocalEnv,
                   m1: Term, m2: Term) -> MetaEnv:
     """The same engine restricted to the essence sublanguage."""
     return unify(phi, genv, psi, m1, m2, is_essence=True)

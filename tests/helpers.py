@@ -7,7 +7,7 @@ from __future__ import annotations
 import os
 import random
 
-from proofun.env import Context, GlobalEnv, MetaEnv
+from proofun.env import GlobalEnv, LocalEnv, MetaEnv
 from proofun.errors import InternalError
 from proofun.normalize import DEFAULT_FUEL, delta_phi_expand, is_eta
 from proofun.parser import fix_index, parse_term
@@ -180,11 +180,6 @@ def _type_of_const(name: str) -> Term:
     return _SIGNATURE_TYPES[name]
 
 
-def _types_equal(t1: Term, t2: Term) -> bool:
-    from proofun.syntax import same_term
-    return same_term(t1, t2)
-
-
 def random_typed_term(rng: random.Random, ty: Term, ctx_types: list[Term],
                       fuel: int) -> Term:
     """Type-directed generation of well-typed terms over `make_test_genv`;
@@ -193,10 +188,10 @@ def random_typed_term(rng: random.Random, ty: Term, ctx_types: list[Term],
     play are closed, so entering a binder needs no lifting."""
     candidates: list[Term] = []
     for i, vt in enumerate(ctx_types):
-        if _types_equal(vt, ty):
+        if vt == ty:
             candidates.append(Var(NOWHERE, i))
     for name in _SIGNATURE:
-        if _types_equal(_type_of_const(name), ty):
+        if _type_of_const(name) == ty:
             candidates.append(Const(NOWHERE, name))
     if fuel <= 0 and candidates:
         return rng.choice(candidates)
@@ -227,7 +222,7 @@ def random_typed_term(rng: random.Random, ty: Term, ctx_types: list[Term],
         body = random_typed_term(rng, ty.codomain, [ty.domain] + ctx_types,
                                  fuel - 1)
         return Abs(NOWHERE, f"t{len(ctx_types)}", ty.domain, body)
-    return Const(NOWHERE, "a" if _types_equal(ty, _ATOM_A) else "b")
+    return Const(NOWHERE, "a" if ty == _ATOM_A else "b")
 
 
 def random_refined_term(rng: random.Random, max_fuel: int = 4) -> tuple[Term, Term]:
@@ -270,14 +265,14 @@ def enumerate_types(max_connectives: int = 2, atoms=("a", "b")) -> list[Term]:
 
 
 def reference_normalize(phi: MetaEnv | None, is_essence: bool, genv: GlobalEnv,
-                        ctx: Context, t: Term,
+                        ctx: LocalEnv, t: Term,
                         fuel: int = DEFAULT_FUEL) -> Term:
     """Normal form of `t` by the applicative-order engine; `phi=None` is
     strict (`strongly_normalize`), otherwise solved metas are expanded
     (`normalize_meta`)."""
     left = [fuel]
 
-    def norm(ctx: Context, t: Term) -> Term:
+    def norm(ctx: LocalEnv, t: Term) -> Term:
         while True:
             left[0] -= 1
             if left[0] < 0:
@@ -293,7 +288,7 @@ def reference_normalize(phi: MetaEnv | None, is_essence: bool, genv: GlobalEnv,
 
 
 def _reference_contract(phi: MetaEnv | None, is_essence: bool, genv: GlobalEnv,
-                        ctx: Context, t: Term) -> tuple[Term, bool]:
+                        ctx: LocalEnv, t: Term) -> tuple[Term, bool]:
     """One root contraction of a term whose children are normal; the flag
     asks for the contractum to be normalized again."""
     match t:

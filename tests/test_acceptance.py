@@ -15,7 +15,7 @@ from proofun.pretty import render_error, show_term
 from proofun.refine import elaborate, essence, reconstruct_with_type
 from proofun.repl import Session, load_file, run_source
 from proofun.subtype import is_subtype
-from proofun.syntax import Abs, Const, Meta, NOWHERE, Var, mk_app, same_term
+from proofun.syntax import Abs, Const, Meta, NOWHERE, Underscore, Var, mk_app
 from proofun.unify import unify
 
 from helpers import (
@@ -73,15 +73,14 @@ def test_criterion_2_refinement_worked_examples():
     hole = term.right.body
     assert isinstance(hole, Meta)
     entry = phi.lookup(hole.mid)
-    assert isinstance(entry, TypedDecl) and same_term(entry.type, P("t"))
-    from proofun.env import EssenceEnv
-    _m, phi = essence(phi, genv2, EssenceEnv(), zonk(phi, term))
+    assert isinstance(entry, TypedDecl) and entry.type == P("t")
+    _m, phi = essence(phi, genv2, LocalEnv(), zonk(phi, term))
     companion = phi.lookup(phi.companions[hole.mid])
     assert isinstance(companion, EssDef)
     # essence(?y) is beta-equal to the bound variable x
-    psi = EssenceEnv().push_bare("x")
+    psi = LocalEnv().push_decl("x", Underscore(L))
     solved = normalize_meta(phi, genv2, psi, companion.essence, is_essence=True)
-    assert same_term(solved, Var(L, 0))
+    assert solved == Var(L, 0)
     print("\nPASS criterion 2: eq_refl _ : eq _ 0 elaborates to eq_refl 0 : "
           "eq 0 0; strong-pair hole has essence x")
 
@@ -138,7 +137,7 @@ def test_criterion_5_unifier_soundness():
         nonlocal successes
         n1 = strongly_normalize(False, genv, c, zonk(phi, t1))
         n2 = strongly_normalize(False, genv, c, zonk(phi, t2))
-        assert same_term(n1, n2)
+        assert n1 == n2
         successes += 1
 
     for _ in range(800):
@@ -167,7 +166,7 @@ def test_criterion_5_unifier_soundness():
         phi = unify(phi, genv, pctx, problem, rhs)
         n1 = normalize_meta(phi, genv, pctx, problem)
         n2 = normalize_meta(phi, genv, pctx, rhs)
-        assert same_term(n1, n2)
+        assert n1 == n2
         successes += 1
 
     # the worked example: ?f y x z = x c y
@@ -187,7 +186,7 @@ def test_criterion_5_unifier_soundness():
     lam = solution
     for name, ty in (("z", "s3"), ("x", "s1"), ("y", "s2")):
         lam = Abs(L, name, Const(L, ty), lam)
-    assert same_term(lam, P("fun y : s2 => fun x : s1 => fun z : s3 => x c y"))
+    assert lam == P("fun y : s2 => fun x : s1 => fun z : s3 => x c y")
     successes += 1
 
     assert successes >= 1000
@@ -204,10 +203,10 @@ def test_criterion_6_normalization_properties():
         t = elaborate(genv, raw, ty).term
         once = strongly_normalize(False, genv, ctx, t)
         assert _redex_free(genv, once)
-        assert same_term(once, strongly_normalize(False, genv, ctx, once))
+        assert once == strongly_normalize(False, genv, ctx, once)
 
     # corpus definitions: idempotence, delta-transparency, essence coherence
-    from proofun.env import AxiomInfo, EssenceEnv
+    from proofun.env import AxiomInfo
     for name in CORPUS_FILES:
         s = Session(quiet=True, out=io.StringIO(), err=io.StringIO())
         assert load_file(s, corpus_path(name))
@@ -215,16 +214,16 @@ def test_criterion_6_normalization_properties():
             if isinstance(info, AxiomInfo):
                 continue
             nf = strongly_normalize(False, s.genv, ctx, info.body)
-            assert same_term(nf, strongly_normalize(False, s.genv, ctx, nf))
+            assert nf == strongly_normalize(False, s.genv, ctx, nf)
             assert _redex_free(s.genv, nf)
             # Compute on the name agrees with inlining the definition first
             via_const = strongly_normalize(False, s.genv, ctx, Const(L, const))
-            assert same_term(via_const, nf)
+            assert via_const == nf
             # essence(normalize(body)) is beta-equal to normalize(essence)
-            e1, _phi = essence(MetaEnv(), s.genv, EssenceEnv(), nf)
-            e1 = strongly_normalize(True, s.genv, EssenceEnv(), e1)
-            e2 = strongly_normalize(True, s.genv, EssenceEnv(), info.essence)
-            assert same_term(e1, e2), const
+            e1, _phi = essence(MetaEnv(), s.genv, LocalEnv(), nf)
+            e1 = strongly_normalize(True, s.genv, LocalEnv(), e1)
+            e2 = strongly_normalize(True, s.genv, LocalEnv(), info.essence)
+            assert e1 == e2, const
 
     # the printing example renders byte-exactly
     s = Session(quiet=True, out=io.StringIO(), err=io.StringIO())

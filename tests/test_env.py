@@ -10,7 +10,8 @@ from proofun.env import (
 from proofun.errors import CommandError, InternalError
 from proofun.normalize import delta_phi_expand
 from proofun.syntax import (
-    Const, Meta, NOWHERE, Prod, Sort, SortKind, Var, free_in, lift, sort_type,
+    Const, Meta, NOWHERE, Prod, Sort, SortKind, Underscore, Var, free_in, lift,
+    sort_type,
 )
 
 from helpers import axiom, define, make_test_genv
@@ -160,6 +161,9 @@ def test_essence_companion_is_stable():
     assert e1 == e2
     assert isinstance(phi.lookup(e1), EssDecl)
     assert len(phi.lookup(e1).ctx) == len(ctx)
+    # The companion's context is the typed one with every type erased.
+    assert phi.lookup(e1).ctx.names() == ctx.names()
+    assert all(isinstance(e.type, Underscore) for e in phi.lookup(e1).ctx.entries)
 
 
 def test_replaying_corpus_preserves_prefix_typing():

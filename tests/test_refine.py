@@ -7,7 +7,7 @@ import random
 import pytest
 
 from proofun.env import (
-    EssDef, EssenceEnv, GlobalEnv, LocalEnv, MetaEnv, TypedDecl,
+    EssDef, GlobalEnv, LocalEnv, MetaEnv, TypedDecl,
 )
 from proofun.errors import (
     TOO_DEEP, EssenceMismatch, ProverError, TypeCheckError, UnresolvedMeta,
@@ -23,7 +23,7 @@ from proofun.refine import (
 from proofun.subtype import is_subtype
 from proofun.syntax import (
     Abs, Const, Inter, Meta, NOWHERE, Underscore,
-    contains_meta, same_term, sort_kind, sort_type,
+    contains_meta, sort_kind, sort_type,
 )
 
 from helpers import P, axiom, define, make_test_genv, random_refined_term
@@ -143,13 +143,13 @@ def test_annotation_must_be_a_type():
 
 def test_force_type_on_type_itself():
     t, sort, phi = force_type(MetaEnv(), GlobalEnv(), LocalEnv(), sort_type())
-    assert same_term(zonk(phi, sort), sort_kind())
+    assert zonk(phi, sort) == sort_kind()
 
 
 def test_force_type_on_atom():
     genv = fresh_genv()
     t, sort, phi = force_type(MetaEnv(), genv, LocalEnv(), P("nat"))
-    assert same_term(zonk(phi, sort), sort_type())
+    assert zonk(phi, sort) == sort_type()
 
 
 def test_force_type_on_wildcard_yields_sort_meta():
@@ -175,7 +175,7 @@ def test_checking_abs_against_product():
     t, phi = reconstruct_with_type(MetaEnv(), genv, LocalEnv(),
                                    P("fun x => x"), P("nat -> nat"))
     assert isinstance(t, Abs)
-    assert same_term(zonk(phi, t.domain), P("nat"))
+    assert zonk(phi, t.domain) == P("nat")
 
 
 def test_checking_wildcard_against_expected_type():
@@ -184,7 +184,7 @@ def test_checking_wildcard_against_expected_type():
                                    Underscore(L), P("nat"))
     assert isinstance(t, Meta)
     entry = phi.lookup(t.mid)
-    assert same_term(entry.type, P("nat"))
+    assert entry.type == P("nat")
 
 
 def test_checking_abs_with_wrong_domain_fails_at_domain():
@@ -267,7 +267,7 @@ def test_strong_pair_hole_gets_type_and_essence_constraint():
     assert isinstance(hole, Meta)
     entry = phi.lookup(hole.mid)
     assert isinstance(entry, TypedDecl)
-    assert same_term(entry.type, P("t"))
+    assert entry.type == P("t")
     assert len(entry.ctx) == 1
     # Phase 2: its essence companion is constrained to the bound variable x.
     with pytest.raises(UnresolvedMeta):
@@ -278,17 +278,17 @@ def test_strong_pair_hole_gets_type_and_essence_constraint():
     companion = phi2.lookup(eid)
     assert isinstance(companion, EssDef)
     from proofun.syntax import Var
-    assert same_term(companion.essence, Var(L, 0))
+    assert companion.essence == Var(L, 0)
 
 
 def _essence_phi(genv, phi, term):
-    _m, phi = essence(phi, genv, EssenceEnv(), zonk(phi, term))
+    _m, phi = essence(phi, genv, LocalEnv(), zonk(phi, term))
     return phi
 
 
 def _finish(genv, phi, term):
     from proofun.refine import _check_meta_free
-    _m, phi = essence(phi, genv, EssenceEnv(), zonk(phi, term))
+    _m, phi = essence(phi, genv, LocalEnv(), zonk(phi, term))
     _check_meta_free(zonk(phi, term), L)
 
 
@@ -346,14 +346,14 @@ def test_hint_checking_through_projection():
     # global essence of d is the constant itself, eta-equal to fun x => x? No:
     # d is an axiom, so its essence is d itself and the hint fails.
     with pytest.raises(EssenceMismatch):
-        essence_with_hint(phi, genv, EssenceEnv(), P("fun x => x"),
+        essence_with_hint(phi, genv, LocalEnv(), P("fun x => x"),
                           P("proj_r d"))
 
 
 def test_hint_checking_succeeds_via_definition_unfolding():
     genv = make_test_genv()
     define(genv, "idA", "fun x : A => x")
-    phi = essence_with_hint(MetaEnv(), genv, EssenceEnv(), P("fun x => x"),
+    phi = essence_with_hint(MetaEnv(), genv, LocalEnv(), P("fun x => x"),
                             P("idA"))
     assert phi.entries == {}
 
@@ -379,7 +379,7 @@ def test_recheck_stability():
         t, ty = random_refined_term(rng)
         first = elaborate(genv, t, ty)
         second = elaborate(genv, first.term, first.type)
-        assert same_term(first.term, second.term)
+        assert first.term == second.term
 
 
 def test_checking_accepts_what_inference_produced():
@@ -389,7 +389,7 @@ def test_checking_accepts_what_inference_produced():
         t, _ty = random_refined_term(rng)
         inferred = elaborate(genv, t)
         again = elaborate(genv, t, inferred.type)
-        assert same_term(inferred.term, again.term)
+        assert inferred.term == again.term
 
 
 def test_subject_reduction_on_random_terms():
@@ -400,8 +400,7 @@ def test_subject_reduction_on_random_terms():
         result = elaborate(genv, t, ty)
         reduced = strongly_normalize(False, genv, LocalEnv(), result.term)
         re_elab = elaborate(genv, reduced, result.type)
-        assert same_term(
-            strongly_normalize(False, genv, LocalEnv(), re_elab.term), reduced)
+        assert strongly_normalize(False, genv, LocalEnv(), re_elab.term) == reduced
 
 
 # ------------- corpus-level properties -------------
@@ -423,8 +422,8 @@ def _corpus_definitions():
 def test_corpus_recheck_stability():
     for genv, const, info in _corpus_definitions():
         again = elaborate(genv, info.body, info.type)
-        assert same_term(again.term, info.body), const
-        assert same_term(again.type, info.type), const
+        assert again.term == info.body, const
+        assert again.type == info.type, const
 
 
 def test_corpus_subject_reduction():
@@ -432,12 +431,11 @@ def test_corpus_subject_reduction():
         reduced = strongly_normalize(False, genv, LocalEnv(), info.body)
         again = elaborate(genv, reduced, info.type)
         norm = lambda t: strongly_normalize(False, genv, LocalEnv(), t)
-        assert same_term(norm(again.type), norm(info.type)), const
+        assert norm(again.type) == norm(info.type), const
 
 
 def test_corpus_strong_pairs_have_beta_equal_component_essences():
     from proofun.syntax import Abs, Let, Prod, SMatch, SPair, children
-    from proofun.env import EssenceEnv
     found = 0
 
     def walk(genv, psi, t):
@@ -447,28 +445,28 @@ def test_corpus_strong_pairs_have_beta_equal_component_essences():
             e2, phi = essence(phi, genv, psi, t.right)
             n1 = strongly_normalize(True, genv, psi, e1)
             n2 = strongly_normalize(True, genv, psi, e2)
-            assert same_term(n1, n2)
+            assert n1 == n2
             found += 1
         match t:
             case Let(_, name, annot, bound, body):
                 walk(genv, psi, annot)
                 walk(genv, psi, bound)
                 m, _phi = essence(MetaEnv(), genv, psi, bound)
-                walk(genv, psi.push_def(name, m), body)
+                walk(genv, psi.push_def(name, m, Underscore(L)), body)
             case Abs(_, name, dom, body) | Prod(_, name, dom, body):
                 walk(genv, psi, dom)
-                walk(genv, psi.push_bare(name), body)
+                walk(genv, psi.push_decl(name, Underscore(L)), body)
             case SMatch(_, scr, mot, n1_, a1, b1, n2_, a2, b2):
                 for c in (scr, mot, a1, a2):
                     walk(genv, psi, c)
-                walk(genv, psi.push_bare(n1_), b1)
-                walk(genv, psi.push_bare(n2_), b2)
+                walk(genv, psi.push_decl(n1_, Underscore(L)), b1)
+                walk(genv, psi.push_decl(n2_, Underscore(L)), b2)
             case _:
                 for c in children(t):
                     walk(genv, psi, c)
 
     for genv, const, info in _corpus_definitions():
-        walk(genv, EssenceEnv(), info.body)
+        walk(genv, LocalEnv(), info.body)
     assert found >= 1  # the polymorphic identity's pair at least
 
 
@@ -494,7 +492,7 @@ def test_meta_var_rule_rederives_suspended_type():
     term = Meta(L, mid, (Var(L, 0),))
     out, ty, phi2 = reconstruct(phi, genv, ctx, term)
     assert isinstance(out, Meta) and out.mid == mid
-    assert same_term(ty, P("B"))
+    assert ty == P("B")
     # the suspension was checked: a badly typed suspension is rejected
     with pytest.raises(TypeCheckError):
         reconstruct(phi, genv, ctx, Meta(L, mid, (P("b"),)))
@@ -585,7 +583,7 @@ def test_lf_encoding_families_share_one_essence():
     from helpers import corpus_path
     s = Session(quiet=True, out=io.StringIO(), err=io.StringIO())
     assert load_file(s, corpus_path("lf_encoding.bull"))
-    psi = EssenceEnv()
+    psi = LocalEnv()
 
     def normal_essence(name):
         info = s.genv.lookup(name)
@@ -603,7 +601,7 @@ def test_lf_encoding_families_share_one_essence():
         base = normal_essence(group[0])
         assert show_term(base) == shared
         for other in group[1:]:
-            assert same_term(base, normal_essence(other)), (group[0], other)
+            assert base == normal_essence(other), (group[0], other)
 
 
 @pytest.mark.parametrize("entry", [

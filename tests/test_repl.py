@@ -176,6 +176,13 @@ def test_cli_runs_scripts_and_reports_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_public_api_names_all_resolve():
+    namespace: dict = {}
+    exec("from proofun import *", namespace)
+    for name in proofun.__all__:
+        assert namespace[name] is getattr(proofun, name), name
+
+
 def test_python_dash_m_proofun_runs_scripts(tmp_path):
     script = tmp_path / "ok.bull"
     script.write_text("Axiom s : Type.\nCompute s.\n")

@@ -5,11 +5,11 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from proofun.env import Context, GlobalEnv, LocalEnv
+from proofun.env import GlobalEnv, LocalEnv
 from proofun.normalize import strongly_normalize
 from proofun.subtype import anf, canf, danf, is_subtype
 from proofun.syntax import (
-    Const, Inter, NOWHERE, Prod, Term, Union, same_term, subterms,
+    Const, Inter, NOWHERE, Prod, Term, Union, subterms,
 )
 
 from helpers import P, conjunction_of_unions, enumerate_types
@@ -28,39 +28,39 @@ def sub(a: str, b: str) -> bool:
 
 def test_anf_atomic_unchanged():
     t = P("a")
-    assert anf(t) == t
+    assert repr(anf(t)) == repr(t)
 
 
 def test_anf_distributes_union_domain():
-    assert same_term(anf(P("(a | b) -> c")), P("(a -> c) & (b -> c)"))
+    assert anf(P("(a | b) -> c")) == P("(a -> c) & (b -> c)")
 
 
 def test_anf_distributes_inter_codomain():
-    assert same_term(anf(P("a -> b & c")), P("(a -> b) & (a -> c)"))
+    assert anf(P("a -> b & c")) == P("(a -> b) & (a -> c)")
 
 
 def test_canf_distributes_union_over_inter():
-    assert same_term(canf(P("a | b & c")), P("(a | b) & (a | c)"))
+    assert canf(P("a | b & c")) == P("(a | b) & (a | c)")
 
 
 def test_canf_inter_is_componentwise():
-    assert same_term(canf(P("a & b")), Inter(NOWHERE, canf(P("a")), canf(P("b"))))
+    assert canf(P("a & b")) == Inter(NOWHERE, canf(P("a")), canf(P("b")))
 
 
 def test_canf_atom():
-    assert canf(P("a")) == P("a")
+    assert repr(canf(P("a"))) == repr(P("a"))
 
 
 def test_danf_distributes_inter_over_union():
-    assert same_term(danf(P("(a | b) & c")), P("a & c | b & c"))
+    assert danf(P("(a | b) & c")) == P("a & c | b & c")
 
 
 def test_danf_union_is_componentwise():
-    assert same_term(danf(P("a | b")), Union(NOWHERE, danf(P("a")), danf(P("b"))))
+    assert danf(P("a | b")) == Union(NOWHERE, danf(P("a")), danf(P("b")))
 
 
 def test_danf_atom():
-    assert danf(P("a")) == P("a")
+    assert repr(danf(P("a"))) == repr(P("a"))
 
 
 def _no_union_above_inter(t: Term) -> bool:
@@ -245,7 +245,7 @@ def dnf_is_subtype(a: Term, b: Term) -> bool:
     """Reference decision: the left side materialised in disjunctive normal
     form, the right in conjunctive normal form, compared structurally."""
 
-    def compare(ctx: Context, a: Term, b: Term) -> bool:
+    def compare(ctx: LocalEnv, a: Term, b: Term) -> bool:
         match (a, b):
             case (Union(_, a1, a2), _):
                 return compare(ctx, a1, b) and compare(ctx, a2, b)
@@ -258,7 +258,7 @@ def dnf_is_subtype(a: Term, b: Term) -> bool:
             case (Prod(_, _, a1, a2), Prod(_, _, b1, b2)):
                 return compare(ctx, b1, a1) and compare(ctx.push_dummy(), a2, b2)
             case _:
-                return same_term(a, b)
+                return a == b
 
     def nf(t: Term) -> Term:
         return strongly_normalize(False, GENV, CTX, t)

@@ -1,6 +1,7 @@
 """Core term machinery: traversals, lifting, substitution, equality."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -9,9 +10,9 @@ from proofun.errors import InternalError
 from proofun.normalize import delta_phi_expand
 from proofun.parser import fix_index
 from proofun.syntax import (
-    Abs, App, Const, Meta, NOWHERE, Prod, Sort, SortKind, Underscore,
-    Var, beta_redex, children, erase_context, free_in, instantiate, lift,
-    map_term, same_term, subterms, visit_term,
+    Abs, App, Const, Let, Location, Meta, NOWHERE, Prod, SMatch, Sort,
+    SortKind, Underscore, Var, beta_redex, children, erase_context, free_in,
+    instantiate, lift, map_term, subterms, visit_term,
 )
 
 from helpers import (
@@ -31,7 +32,7 @@ def _c(name):
 def test_visit_identity_is_bit_equal():
     t = P("fun x : A => smatch x as q return B with y : C => f y, z : D => g z end")
     out = visit_term(lambda c: c, lambda _s, c: c, lambda s, _c: s, t)
-    assert out == t
+    assert repr(out) == repr(t)  # `==` alone ignores locations and hints
 
 
 def test_visit_abs_contract():
@@ -39,6 +40,7 @@ def test_visit_abs_contract():
     out = visit_term(lambda c: _c("F"), lambda s, c: _c("G"),
                      lambda s, c: s + "!", t)
     assert out == Abs(L, "x!", _c("F"), _c("G"))
+    assert out.name == "x!"
 
 
 def test_visit_app_spine_children():
@@ -94,12 +96,12 @@ def test_visit_matches_direct_recursion_on_random_terms():
 
 def test_map_identity():
     t = P("fun x : A => f x y")
-    assert map_term(0, lambda k, l, n: Var(l, n), t) == t
+    assert repr(map_term(0, lambda k, l, n: Var(l, n), t)) == repr(t)
 
 
 def test_lift_zero_is_identity():
     t = P("fun x : A => f x")
-    assert lift(0, 0, t) == t
+    assert repr(lift(0, 0, t)) == repr(t)
 
 
 def test_lift_free_var():
@@ -118,7 +120,7 @@ def test_lift_cutoff_counts_from_the_root():
 
 def test_lift_closed_term_unchanged():
     t = P("fun x : A => x")
-    assert lift(0, 5, t) == t
+    assert repr(lift(0, 5, t)) == repr(t)
 
 
 def test_lift_matches_scope_weakening_oracle():
@@ -130,7 +132,7 @@ def test_lift_matches_scope_weakening_oracle():
         t = named_to_syntax(named)
         lifted = lift(0, 1, fix_index(t, ["u", "w"]))
         weakened = fix_index(t, ["#fresh", "u", "w"])
-        assert same_term(lifted, weakened)
+        assert lifted == weakened
 
 
 def test_lift_composition():
@@ -178,7 +180,7 @@ def test_beta_agrees_with_named_substitution_oracle():
         counter = [0]
         named_result = named_subst(body, x, arg, counter)
         via_named = fix_index(named_to_syntax(named_result))
-        assert same_term(via_debruijn, via_named)
+        assert via_debruijn == via_named
         checked += 1
     assert checked > 500
 
@@ -192,7 +194,7 @@ def test_instantiate_is_successive_beta_from_the_outermost_binder():
         ax, ay = (fix_index(named_to_syntax(random_named_term(rng, 3, ("z",))), ["z"])
                   for _ in range(2))
         stepwise = beta_redex(beta_redex(body, lift(0, 1, ay)), ax)
-        assert same_term(instantiate(body, (ax, ay)), stepwise)
+        assert instantiate(body, (ax, ay)) == stepwise
     assert instantiate(body, ()) is body
 
 
@@ -238,38 +240,68 @@ def test_identity_suspension_invariant_under_projection():
         assert expanded == Var(L, i)
 
 
-# ------------- same_term / free_in -------------
+# ------------- equality (alpha-equivalence) / free_in -------------
 
 
-def test_same_term_reflexive_on_samples():
+_ELSEWHERE = Location("elsewhere", (7, 3), (7, 9))
+
+
+def _random_indexed(rng, size):
+    return fix_index(named_to_syntax(random_named_term(rng, size)))
+
+
+def test_term_eq_reflexive_on_samples():
     rng = random.Random(17)
     for _ in range(50):
-        t = fix_index(named_to_syntax(random_named_term(rng, rng.randint(1, 8))))
-        assert same_term(t, t)
+        t = _random_indexed(rng, rng.randint(1, 8))
+        assert t == t
 
 
-def test_same_term_ignores_hints_and_locations():
+def test_term_eq_ignores_hints_and_locations():
     t1 = Abs(L, "x", _c("A"), Var(L, 0))
-    from proofun.syntax import Location
-    other_loc = Location("elsewhere", (3, 1), (3, 5))
-    t2 = Abs(other_loc, "y", Const(other_loc, "A"), Var(other_loc, 0))
-    assert same_term(t1, t2)
+    t2 = Abs(_ELSEWHERE, "y", Const(_ELSEWHERE, "A"), Var(_ELSEWHERE, 0))
+    assert t1 == t2
+    assert hash(t1) == hash(t2)
 
 
-def test_same_term_distinguishes_indices():
-    assert not same_term(Var(L, 0), Var(L, 1))
+def test_term_eq_distinguishes_indices_and_constants():
+    assert Var(L, 0) != Var(L, 1)
+    assert Const(L, "a") != Const(L, "b")
+    assert Var(L, 0) != Const(L, "a")
 
 
-def test_same_term_equivalence_relation_on_triples():
+def test_term_eq_equivalence_relation_on_triples():
     rng = random.Random(19)
-    pool = [fix_index(named_to_syntax(random_named_term(rng, rng.randint(1, 6))))
-            for _ in range(30)]
+    pool = [_random_indexed(rng, rng.randint(1, 6)) for _ in range(30)]
     for _ in range(300):
         a, b, c = rng.choice(pool), rng.choice(pool), rng.choice(pool)
-        assert same_term(a, a)
-        assert same_term(a, b) == same_term(b, a)
-        if same_term(a, b) and same_term(b, c):
-            assert same_term(a, c)
+        assert a == a
+        assert (a == b) == (b == a)
+        if a == b and b == c:
+            assert a == c
+
+
+def _rehint(t):
+    """`t` rebuilt with every location moved and every binder hint renamed."""
+    out = visit_term(_rehint, lambda _s, c: _rehint(c), lambda s, _c: s + "'", t)
+    return replace(out, loc=_ELSEWHERE)
+
+
+def test_term_eq_and_hash_survive_moved_locations_and_renamed_binders():
+    rng = random.Random(23)
+    for _ in range(200):
+        a, b, c = (_random_indexed(rng, rng.randint(1, 8)) for _ in range(3))
+        t = Let(L, "l", Prod(L, "p", a, b), c,
+                SMatch(L, Var(L, 0), Abs(L, "m", Underscore(L), b),
+                       "y", a, b, "z", c, a))
+        moved = _rehint(t)
+        assert moved == t and t == moved
+        assert hash(moved) == hash(t)
+        assert all(s.loc == _ELSEWHERE for s in subterms(moved))
+        assert (moved.name, moved.annot.name) == ("l'", "p'")
+        body = moved.body
+        assert (body.motive.name, body.name1, body.name2) == ("m'", "y'", "z'")
+    assert {Let, Prod, Abs, SMatch} <= {type(s) for s in subterms(t)}
 
 
 def test_free_in_var_itself():
@@ -285,6 +317,6 @@ def test_free_in_shifted_under_binder():
 
 
 def test_sorts_and_underscore_compare():
-    assert same_term(Sort(L, SortKind.TYPE), Sort(L, SortKind.TYPE))
-    assert not same_term(Sort(L, SortKind.TYPE), Sort(L, SortKind.KIND))
-    assert same_term(Underscore(L), Underscore(L))
+    assert Sort(L, SortKind.TYPE) == Sort(L, SortKind.TYPE)
+    assert Sort(L, SortKind.TYPE) != Sort(L, SortKind.KIND)
+    assert Underscore(L) == Underscore(L)

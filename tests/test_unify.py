@@ -12,8 +12,8 @@ from proofun.env import (
 from proofun.errors import UnificationFailure
 from proofun.normalize import normalize_meta, strongly_normalize, zonk
 from proofun.syntax import (
-    Abs, Const, Meta, NOWHERE, Term, Var,
-    erase_context, mk_app, same_term, sort_kind, sort_type,
+    Abs, Const, Meta, NOWHERE, Term, Underscore, Var,
+    erase_context, mk_app, sort_kind, sort_type,
 )
 from proofun.unify import try_hopu, unify, unify_essence
 
@@ -37,7 +37,7 @@ def assert_sound(phi: MetaEnv, genv, ctx, t1: Term, t2: Term) -> None:
     normalizing yields alpha-equal terms."""
     n1 = strongly_normalize(False, genv, ctx, zonk(phi, t1))
     n2 = strongly_normalize(False, genv, ctx, zonk(phi, t2))
-    assert same_term(n1, n2)
+    assert n1 == n2
 
 
 # ------------- identity and congruence rules -------------
@@ -123,14 +123,14 @@ def test_hopu_worked_example_permutes_de_bruijn_indices():
     phi2 = unify(phi, genv, ctx, problem_lhs, rhs)
     solution = phi2.lookup(fid).body
     # In the declared context (y, x, z) the solution reads x c y.
-    assert same_term(solution, mk_app(L, Var(L, 1), (Const(L, "c"), Var(L, 2))))
+    assert solution == mk_app(L, Var(L, 1), (Const(L, "c"), Var(L, 2)))
     # Presented as an abstraction over that context, binder order follows
     # the suspension.
     lam = solution
     for name, ty in [("z", "s3"), ("x", "s1"), ("y", "s2")]:
         lam = Abs(L, name, Const(L, name.replace("z", "s3") if False else ty), lam)
     expected = P("fun y : s2 => fun x : s1 => fun z : s3 => x c y")
-    assert same_term(lam, expected)
+    assert lam == expected
     assert_sound(phi2, genv, ctx, problem_lhs, rhs)
 
 
@@ -174,7 +174,23 @@ def test_pruning_restricts_meta_to_shared_variables():
     # Instantiating the pruned result makes both sides equal.
     n1 = normalize_meta(phi2, GENV, ctx, lhs)
     n2 = normalize_meta(phi2, GENV, ctx, rhs)
-    assert same_term(n1, n2)
+    assert n1 == n2
+
+
+def test_pruning_an_essence_meta_keeps_it_an_essence_meta():
+    # The essence-side twin: ?narrow[x] =?= ?wide[x; y] over bare binders.
+    from proofun.env import EssDecl, EssDef
+    psi = LocalEnv().push_decl("x", Underscore(L)).push_decl("y", Underscore(L))
+    narrow_psi = LocalEnv().push_decl("x", Underscore(L))
+    phi, narrow = MetaEnv().fresh_meta(EssDecl(narrow_psi))
+    phi, wide = phi.fresh_meta(EssDecl(psi))
+    phi2 = unify_essence(phi, GENV, psi, Meta(L, narrow, (Var(L, 1),)),
+                         Meta(L, wide, erase_context(2)))
+    pruned = phi2.lookup(wide)
+    assert isinstance(pruned, EssDef) and isinstance(pruned.essence, Meta)
+    fresh = phi2.lookup(pruned.essence.mid)
+    assert isinstance(fresh, EssDecl)
+    assert fresh.ctx.names() == ["x"]
 
 
 def test_sort_meta_takes_sorts_only():
@@ -191,7 +207,7 @@ def test_flex_rigid_through_solved_metas():
     phi, m2 = _typed_meta(phi, CTX)
     phi = unify(phi, GENV, CTX, m1, m2)          # link the two metas
     phi = unify(phi, GENV, CTX, m1, P("f a"))    # solve through the link
-    assert same_term(zonk(phi, m2), P("f a"))
+    assert zonk(phi, m2) == P("f a")
 
 
 # ------------- HOPU most-generality on small pattern problems -------------
@@ -240,10 +256,10 @@ def test_hopu_solution_is_the_unique_pattern_solution():
                 # alpha) whose expansion through the suspension is the rhs
                 from proofun.syntax import msubst
                 matches = [cand for cand in bodies
-                           if same_term(msubst(cand, susp), rhs_body)]
+                           if msubst(cand, susp) == rhs_body]
                 assert matches
-                assert all(same_term(m, matches[0]) for m in matches)
-                assert same_term(solution, matches[0])
+                assert all(m == matches[0] for m in matches)
+                assert solution == matches[0]
 
 
 # ------------- random suites -------------
@@ -280,17 +296,15 @@ def test_symmetry_of_outcome_on_random_pairs():
 
 def test_unify_essence_normalizes_local_definitions():
     # let-bound essences differ as variables but agree after delta-psi.
-    from proofun.env import EssenceEnv
-    psi = (EssenceEnv().push_def("id1", P("fun x => x"))
-           .push_def("id2", P("fun x => x")))
+    psi = (LocalEnv().push_def("id1", P("fun x => x"), Underscore(L))
+           .push_def("id2", P("fun x => x"), Underscore(L)))
     phi = unify_essence(MetaEnv(), GENV, psi, Var(L, 1), Var(L, 0))
     assert phi.entries == {}
 
 
 def test_unify_essence_rejects_different_shapes():
-    from proofun.env import EssenceEnv
     with pytest.raises(UnificationFailure):
-        unify_essence(MetaEnv(), GENV, EssenceEnv(),
+        unify_essence(MetaEnv(), GENV, LocalEnv(),
                       P("fun x => x"), P("fun x => fun y => y"))
 
 
@@ -309,9 +323,9 @@ def test_monotonicity_across_calls():
 
 
 def test_essence_meta_absorbs_an_abstraction():
-    from proofun.env import EssDecl, EssenceEnv
-    phi, mid = MetaEnv().fresh_meta(EssDecl(EssenceEnv()))
+    from proofun.env import EssDecl
+    phi, mid = MetaEnv().fresh_meta(EssDecl(LocalEnv()))
     m = Meta(L, mid, ())
-    phi2 = unify_essence(phi, GENV, EssenceEnv(), m, P("fun x => x"))
-    solved = normalize_meta(phi2, GENV, EssenceEnv(), m, is_essence=True)
-    assert same_term(solved, P("fun x => x"))
+    phi2 = unify_essence(phi, GENV, LocalEnv(), m, P("fun x => x"))
+    solved = normalize_meta(phi2, GENV, LocalEnv(), m, is_essence=True)
+    assert solved == P("fun x => x")
