@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import IO
 
 from proofun.env import AxiomInfo, GlobalEnv, LocalEnv
-from proofun.errors import CommandError, ParseError, ProverError, TOO_DEEP
+from proofun.errors import CommandError, FuelExhausted, ParseError, ProverError, TOO_DEEP
 from proofun.normalize import strongly_normalize
 from proofun.parser import (
     Axiom, Command, Compute, Definition, Help, Load, Print, Printall, Quit,
@@ -137,6 +137,10 @@ def run_command_list(session: Session, cmds: list[Command],
         except RecursionError:
             session.genv = snapshot
             session.report(source_text, ProverError(TOO_DEEP))
+            return False
+        except FuelExhausted as exhausted:
+            session.genv = snapshot
+            session.report(source_text, ProverError(str(exhausted), cmd.loc))
             return False
     return True
 

@@ -1,15 +1,16 @@
 """Higher-order unification: structural congruences, eta rules, and pattern
 unification for meta-variables, threading an explicit meta-environment.
 
-`unify` normalizes both sides once (solved metas expanded) and then
-recurses on the normal forms: every subterm reached is normal under the
-meta-environment its parent was normalized in.  A subterm is normalized
-again only when a meta was solved since then and the subterm mentions a
-meta, since only a solution can create a redex inside a normal form.
-Alpha-equality (`==` on terms) is tested once on entry and below that only
-at leaves and meta-variables.  The typing and essence phases share one
-context type: binders push a declaration whose type the essence phase never
-reads.
+Unification is head-first, like conversion checking: `==` terms unify at
+once, and otherwise each step compares the weak head normal forms of both
+sides under the current meta-environment and recurses into their unreduced
+children.  A child is reduced only when the comparison reaches it, under the
+solutions found so far.  Definitions unfold at the head eagerly, not on a
+head mismatch: postponing them would solve more metas (`f ?m =?= f a` with
+`f := fun _ => c` would give `?m := a`), changing which definitions are
+accepted.  Head views are eta-short, as normal forms are, so `fun x => ?m x`
+stays the flexible `?m`.  Binders push a declaration whose type the essence
+phase never reads.
 
 Meta-variables are solved by pattern unification: when a meta is applied
 to distinct variables and the other side mentions nothing outside them,
@@ -25,11 +26,11 @@ from proofun.env import (
     Decl, EssDecl, GlobalEnv, LocalDef, LocalEnv, MetaEnv, SortDecl, TypedDecl,
 )
 from proofun.errors import InternalError, UnificationFailure
-from proofun.normalize import normalize_meta, zonk
+from proofun.normalize import eta_contract, normalize_meta, whnf, zonk
 from proofun.syntax import (
     Abs, App, Coercion, Const, Inter, Location, Meta, NOWHERE, Prod, SInLeft,
     SInRight, SMatch, Sort, SPair, SPrLeft, SPrRight, Term, Underscore, Union,
-    Var, contains_meta, lift, map_term, mk_app, subterms, visit_term,
+    Var, lift, map_term, mk_app, subterms, visit_term,
 )
 
 
@@ -188,29 +189,48 @@ def unify(phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv, t1: Term, t2: Term,
           is_essence: bool = False) -> MetaEnv:
     """Unify two terms, returning the extended meta-environment or raising
     `UnificationFailure` on a rigid mismatch."""
-    t1 = normalize_meta(phi, genv, ctx, t1, is_essence)
-    t2 = normalize_meta(phi, genv, ctx, t2, is_essence)
     if t1 == t2:
         return phi
-    return _unify_normal(phi, genv, ctx, t1, t2, is_essence, phi)
+    return _unify_heads(phi, genv, ctx, t1, t2, is_essence)
 
 
-def _unify_normal(phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv, t1: Term,
-                  t2: Term, is_essence: bool, normal_at: MetaEnv) -> MetaEnv:
-    """`unify` on two terms already normal under `normal_at`, an earlier or
-    the current state of `phi`.  A side is normalized again only when metas
-    were solved since then and it mentions one."""
-    if phi is not normal_at:
-        if contains_meta(t1):
-            t1 = normalize_meta(phi, genv, ctx, t1, is_essence)
-        if contains_meta(t2):
-            t2 = normalize_meta(phi, genv, ctx, t2, is_essence)
+def _head(phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv, t: Term,
+          is_essence: bool) -> Term:
+    """The eta-short weak head normal form of `t`.  An abstraction whose body
+    ends in its variable, but not syntactically, contracts when the normal
+    form of its body allows.  An unsolved meta also has its suspension
+    normalized: inversion needs variables, not redexes."""
+    t = whnf(phi, genv, ctx, t, is_essence)
+    if isinstance(t, Abs):
+        inner = ctx.push_decl(t.name, t.domain)
+        body = _head(phi, genv, inner, t.body, is_essence)
+        t = eta_contract(Abs(t.loc, t.name, t.domain, body))
+        if isinstance(t, Abs) and type(body) is App and (
+                whnf(phi, genv, inner, body.spine[-1], is_essence) == Var(NOWHERE, 0)):
+            t = eta_contract(Abs(t.loc, t.name, t.domain,
+                                 normalize_meta(phi, genv, inner, body, is_essence)))
+    if isinstance(t, Meta):
+        return normalize_meta(phi, genv, ctx, t, is_essence)
+    return t
+
+
+def _peel(t: Term) -> Term:
+    """The body of an abstraction, or `t` applied to the new variable."""
+    if isinstance(t, Abs):
+        return t.body
+    return mk_app(t.loc, lift(0, 1, t), (Var(NOWHERE, 0),))
+
+
+def _unify_heads(phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv, t1: Term,
+                 t2: Term, is_essence: bool) -> MetaEnv:
+    """One step below `unify`'s entry: compare the heads, then recurse."""
+    t1 = _head(phi, genv, ctx, t1, is_essence)
+    t2 = _head(phi, genv, ctx, t2, is_essence)
     if isinstance(t1, (Sort, Var, Const, Underscore, Meta)) and t1 == t2:
         return phi
-    here = phi
 
     def recur(phi: MetaEnv, ctx: LocalEnv, a: Term, b: Term) -> MetaEnv:
-        return _unify_normal(phi, genv, ctx, a, b, is_essence, here)
+        return _unify_heads(phi, genv, ctx, a, b, is_essence)
 
     # Meta cases first: a meta can absorb an abstraction, so they take
     # priority over the eta rules.
@@ -225,18 +245,18 @@ def _unify_normal(phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv, t1: Term,
                 return solved
         raise UnificationFailure(t1, t2, t1.loc)
 
-    # Eta: exactly one side is an abstraction.
-    if isinstance(t1, Abs) and not isinstance(t2, Abs):
-        applied = mk_app(t2.loc, lift(0, 1, t2), (Var(NOWHERE, 0),))
-        return recur(phi, ctx.push_decl(t1.name, t1.domain), t1.body, applied)
-    if isinstance(t2, Abs) and not isinstance(t1, Abs):
-        applied = mk_app(t1.loc, lift(0, 1, t1), (Var(NOWHERE, 0),))
-        return recur(phi, ctx.push_decl(t2.name, t2.domain), applied, t2.body)
+    # Abstractions, with eta when exactly one side is one.  The body of a head
+    # view is a head view, so binders are peeled here, not viewed again.
+    if isinstance(t1, Abs) or isinstance(t2, Abs):
+        while (isinstance(t1, Abs) or isinstance(t2, Abs)) and not (
+                isinstance(t1, Meta) or isinstance(t2, Meta)):
+            if isinstance(t1, Abs) and isinstance(t2, Abs):
+                phi = recur(phi, ctx, t1.domain, t2.domain)
+            binder = t1 if isinstance(t1, Abs) else t2
+            ctx, t1, t2 = ctx.push_decl(binder.name, binder.domain), _peel(t1), _peel(t2)
+        return recur(phi, ctx, t1, t2)
 
     match (t1, t2):
-        case (Abs(_, n1, d1, b1), Abs(_, _, d2, b2)):
-            phi = recur(phi, ctx, d1, d2)
-            return recur(phi, ctx.push_decl(n1, d1), b1, b2)
         case (Prod(_, n1, d1, c1), Prod(_, _, d2, c2)):
             phi = recur(phi, ctx, d1, d2)
             return recur(phi, ctx.push_decl(n1, d1), c1, c2)

@@ -7,16 +7,22 @@ from __future__ import annotations
 import os
 import random
 
-from proofun.env import GlobalEnv, LocalEnv, MetaEnv
-from proofun.errors import InternalError
-from proofun.normalize import DEFAULT_FUEL, delta_phi_expand, is_eta
+from proofun.env import (
+    EssDecl, EssDef, GlobalEnv, LocalEnv, MetaEnv, SortDecl, SortDef,
+    TypedDecl,
+)
+from proofun.errors import InternalError, UnificationFailure
+from proofun.normalize import (
+    DEFAULT_FUEL, delta_phi_expand, is_eta, normalize_meta,
+)
 from proofun.parser import fix_index, parse_term
 from proofun.refine import elaborate, elaborate_type
 from proofun.syntax import (
-    Abs, App, Const, Inter, Let, Meta, NOWHERE, Prod, SInLeft, SInRight,
-    SMatch, SPair, SPrLeft, SPrRight, Term, Underscore, Union, Var,
-    beta_redex, lift, mk_app, visit_term,
+    Abs, App, Coercion, Const, Inter, Let, Meta, NOWHERE, Prod, SInLeft,
+    SInRight, SMatch, Sort, SPair, SPrLeft, SPrRight, Term, Underscore, Union,
+    Var, beta_redex, contains_meta, erase_context, lift, mk_app, visit_term,
 )
+from proofun.unify import try_hopu
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "corpus")
 
@@ -336,3 +342,118 @@ def _reference_contract(phi: MetaEnv | None, is_essence: bool, genv: GlobalEnv,
             return expanded, True
         case _:
             return t, False
+
+
+# ---------------------------------------------------------------------------
+# Reference unifier: the eager algorithm the lazy, head-first `unify` in
+# `proofun.unify` replaced.  Both sides are normalized on entry, and a
+# subterm is normalized again only when a meta was solved since its parent
+# was normalized and it mentions a meta.  Kept only so tests can compare the
+# two unifiers; `try_hopu` is shared.
+
+
+def reference_unify(phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv, t1: Term,
+                    t2: Term, is_essence: bool = False) -> MetaEnv:
+    t1 = normalize_meta(phi, genv, ctx, t1, is_essence)
+    t2 = normalize_meta(phi, genv, ctx, t2, is_essence)
+    if t1 == t2:
+        return phi
+    return _reference_unify_normal(phi, genv, ctx, t1, t2, is_essence, phi)
+
+
+def _reference_unify_normal(phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv,
+                            t1: Term, t2: Term, is_essence: bool,
+                            normal_at: MetaEnv) -> MetaEnv:
+    if phi is not normal_at:
+        if contains_meta(t1):
+            t1 = normalize_meta(phi, genv, ctx, t1, is_essence)
+        if contains_meta(t2):
+            t2 = normalize_meta(phi, genv, ctx, t2, is_essence)
+    if isinstance(t1, (Sort, Var, Const, Underscore, Meta)) and t1 == t2:
+        return phi
+    here = phi
+
+    def recur(phi: MetaEnv, ctx: LocalEnv, a: Term, b: Term) -> MetaEnv:
+        return _reference_unify_normal(phi, genv, ctx, a, b, is_essence, here)
+
+    if isinstance(t1, Meta) or isinstance(t2, Meta):
+        if isinstance(t1, Meta):
+            solved = try_hopu(phi, genv, ctx, t1, t2, is_essence)
+            if solved is not None:
+                return solved
+        if isinstance(t2, Meta):
+            solved = try_hopu(phi, genv, ctx, t2, t1, is_essence)
+            if solved is not None:
+                return solved
+        raise UnificationFailure(t1, t2, t1.loc)
+
+    if isinstance(t1, Abs) and not isinstance(t2, Abs):
+        applied = mk_app(t2.loc, lift(0, 1, t2), (Var(NOWHERE, 0),))
+        return recur(phi, ctx.push_decl(t1.name, t1.domain), t1.body, applied)
+    if isinstance(t2, Abs) and not isinstance(t1, Abs):
+        applied = mk_app(t1.loc, lift(0, 1, t1), (Var(NOWHERE, 0),))
+        return recur(phi, ctx.push_decl(t2.name, t2.domain), applied, t2.body)
+
+    match (t1, t2):
+        case (Abs(_, n1, d1, b1), Abs(_, _, d2, b2)):
+            phi = recur(phi, ctx, d1, d2)
+            return recur(phi, ctx.push_decl(n1, d1), b1, b2)
+        case (Prod(_, n1, d1, c1), Prod(_, _, d2, c2)):
+            phi = recur(phi, ctx, d1, d2)
+            return recur(phi, ctx.push_decl(n1, d1), c1, c2)
+        case (Inter(_, a1, a2), Inter(_, b1, b2)):
+            phi = recur(phi, ctx, a1, b1)
+            return recur(phi, ctx, a2, b2)
+        case (Union(_, a1, a2), Union(_, b1, b2)):
+            phi = recur(phi, ctx, a1, b1)
+            return recur(phi, ctx, a2, b2)
+        case (SPair(_, a1, a2), SPair(_, b1, b2)):
+            phi = recur(phi, ctx, a1, b1)
+            return recur(phi, ctx, a2, b2)
+        case (SPrLeft(_, a), SPrLeft(_, b)) | (SPrRight(_, a), SPrRight(_, b)):
+            return recur(phi, ctx, a, b)
+        case (SInLeft(_, o1, a), SInLeft(_, o2, b)) | (SInRight(_, o1, a), SInRight(_, o2, b)):
+            phi = recur(phi, ctx, o1, o2)
+            return recur(phi, ctx, a, b)
+        case (Coercion(_, s1, a), Coercion(_, s2, b)):
+            phi = recur(phi, ctx, s1, s2)
+            return recur(phi, ctx, a, b)
+        case (SMatch(_, s1, m1, x1, a1, l1, y1, c1, r1),
+              SMatch(_, s2, m2, _, a2, l2, _, c2, r2)):
+            phi = recur(phi, ctx, s1, s2)
+            phi = recur(phi, ctx, m1, m2)
+            phi = recur(phi, ctx, a1, a2)
+            phi = recur(phi, ctx.push_decl(x1, a1), l1, l2)
+            phi = recur(phi, ctx, c1, c2)
+            return recur(phi, ctx.push_decl(y1, c1), r1, r2)
+        case (App(_, h1, s1), App(_, h2, s2)):
+            if len(s1) != len(s2):
+                raise UnificationFailure(t1, t2, t1.loc)
+            phi = recur(phi, ctx, h1, h2)
+            for a, b in zip(s1, s2):
+                phi = recur(phi, ctx, a, b)
+            return phi
+    raise UnificationFailure(t1, t2, t1.loc)
+
+
+def unify_outcome(unifier, phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv,
+                  t1: Term, t2: Term, is_essence: bool = False):
+    """What a unifier decides on one problem: the exception type it raised,
+    or the normalized solution (None while unsolved) of every meta-variable
+    of the resulting environment, keyed by id."""
+    try:
+        out = unifier(phi, genv, ctx, t1, t2, is_essence)
+    except (UnificationFailure, InternalError) as exc:
+        return type(exc).__name__
+    solutions = {}
+    for mid, entry in out.entries.items():
+        if isinstance(entry, (SortDecl, TypedDecl, EssDecl)):
+            solutions[mid] = None
+            continue
+        if isinstance(entry, SortDef):
+            solutions[mid] = normalize_meta(out, genv, LocalEnv(), entry.sort)
+            continue
+        essence = isinstance(entry, EssDef)
+        meta = Meta(NOWHERE, mid, erase_context(len(entry.ctx)))
+        solutions[mid] = normalize_meta(out, genv, entry.ctx, meta, essence)
+    return solutions

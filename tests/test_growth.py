@@ -79,6 +79,22 @@ def church_product(n: int) -> str:
             f"Compute p.\n")
 
 
+def unfolded_abstraction(n: int) -> str:
+    # The unifier meets two abstractions of n binders, one behind a definition.
+    arrow = " -> ".join(["A"] * (n + 1))
+    binders = " ".join(f"(x{i} : A)" for i in range(n))
+    return (f"Axiom (A : Type) (P : ({arrow}) -> Type) (p : P (fun {binders} => x0)).\n"
+            f"Definition c := fun {binders} => x0.\n"
+            f"Definition q : P c := p.\n")
+
+
+def chain_of_holes(n: int) -> str:
+    arrow = " -> ".join(["A"] * (n + 1))
+    holes = " -> ".join(["_"] * (n + 1))
+    return (f"Axiom (A : Type) (k : ({arrow}) -> A).\n"
+            f"Definition d (y : {holes}) := k y.\n")
+
+
 def calls_to_check(script: str) -> int:
     """Calls made inside proofun while checking `script` from scratch."""
     session = Session(quiet=True, out=io.StringIO(), err=io.StringIO())
@@ -100,10 +116,18 @@ def calls_to_check(script: str) -> int:
 
 # (family, size n): the test compares the work at n and at 2n.
 FAMILIES = [(nested_fun, 100), (application_spine, 100), (hole_against_arrow, 100),
-            (pair_of_projections, 100), (conj_coercion, 5), (church_product, 40)]
+            (pair_of_projections, 100), (conj_coercion, 5), (church_product, 40),
+            (unfolded_abstraction, 100)]
 
 
 @pytest.mark.parametrize("family, size", FAMILIES, ids=[f.__name__ for f, _ in FAMILIES])
 def test_work_grows_linearly_with_size(family, size):
     small, large = calls_to_check(family(size)), calls_to_check(family(2 * size))
     assert large / small < MAX_RATIO, (small, large)
+
+
+def test_chain_of_holes_is_at_most_quadratic():
+    # Each hole is a meta whose suspension holds every binder before it, so
+    # this family is not linear yet; a cubic path gives a ratio near 8.
+    small, large = calls_to_check(chain_of_holes(40)), calls_to_check(chain_of_holes(80))
+    assert large / small < 4, (small, large)

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import proofun
+from proofun import normalize
 from proofun.repl import (
     HELP_TEXT, QuitRequested, Session, load_file, main, run_source,
 )
@@ -300,3 +301,34 @@ def test_deeply_nested_input_reports_instead_of_crashing():
         assert "x" in s.genv
     else:
         assert "nested too deeply" in s.err.getvalue()
+
+
+def doubling_script(k: int) -> str:
+    """`dk a` has a normal form with 2^(k+1) - 1 applications of `g`."""
+    lines = ["Axiom (A : Type) (g : A -> A -> A) (a : A).",
+             "Definition d0 (x : A) : A := g x x."]
+    lines += [f"Definition d{i} (x : A) : A := g (d{i - 1} x) (d{i - 1} x)."
+              for i in range(1, k + 1)]
+    lines.append(f"Definition top : A := d{k} a.")
+    return "\n".join(lines) + "\n"
+
+
+def test_fuel_exhaustion_is_a_located_error(tmp_path, monkeypatch, capsys):
+    class SmallFuel(normalize._Fuel):
+        def __init__(self, left: int):
+            super().__init__(min(left, 2000))
+
+    monkeypatch.setattr(normalize, "_Fuel", SmallFuel)
+    s = session()
+    assert run_source(s, doubling_script(10)), s.err.getvalue()
+    names = s.genv.names()
+    assert not run_source(s, "Print top.\nCompute top.")
+    assert s.genv.names() == names
+    assert s.err.getvalue() == (
+        "Compute top.\n^^^^^^^\n"
+        "Error: normalization did not terminate within the step budget\n")
+    script = tmp_path / "doubling.bull"
+    script.write_text(doubling_script(10) + "Compute top.\nAxiom after : A.\n")
+    assert main([str(script), "--quiet", "--no-color"]) == 1
+    err = capsys.readouterr().err
+    assert err.endswith("Error: normalization did not terminate within the step budget\n")

@@ -1,11 +1,14 @@
 """Unification: structural rules, eta, pattern unification with pruning,
-and the suite-wide soundness harness."""
+laziness, the suite-wide soundness harness, and a differential against the
+eager reference unifier."""
 
+import io
 import itertools
 import random
 
 import pytest
 
+from proofun import normalize, refine
 from proofun.env import (
     GlobalEnv, LocalEnv, MetaEnv, SortDecl, TypedDecl, TypedDef,
 )
@@ -13,11 +16,15 @@ from proofun.errors import UnificationFailure
 from proofun.normalize import normalize_meta, strongly_normalize, zonk
 from proofun.syntax import (
     Abs, Const, Meta, NOWHERE, Term, Underscore, Var,
-    erase_context, mk_app, sort_kind, sort_type,
+    erase_context, mk_app, sort_kind, sort_type, visit_term,
 )
+from proofun.repl import Session, load_file
 from proofun.unify import try_hopu, unify, unify_essence
 
-from helpers import P, make_test_genv, random_refined_term
+from helpers import (
+    CORPUS_FILES, P, corpus_path, define, make_test_genv, random_refined_term,
+    reference_unify, unify_outcome,
+)
 
 L = NOWHERE
 GENV = make_test_genv()
@@ -80,6 +87,31 @@ def test_abs_congruence_under_binder():
     assert phi.entries == {}
 
 
+# ------------- laziness -------------
+
+
+def test_rigid_heads_are_compared_before_arguments_are_reduced():
+    # The arguments have no normal form; distinct axiom heads decide alone.
+    omega = "((fun (x : A) => x x) (fun (x : A) => x x))"
+    with pytest.raises(UnificationFailure):
+        unify(MetaEnv(), GENV, CTX, P(f"f {omega}"), P(f"g {omega}"))
+
+
+def test_equal_terms_are_not_reduced(monkeypatch):
+    genv = make_test_genv()
+    define(genv, "twice", "fun (x : A) => f (f x)")
+    steps = []
+    for name in ("_norm", "_whnf"):
+        original = getattr(normalize, name)
+        monkeypatch.setattr(normalize, name, lambda *args, _f=original, _n=name:
+                            steps.append(_n) or _f(*args))
+    phi = MetaEnv()
+    assert unify(phi, genv, CTX, P("twice (twice a)"), P("twice (twice a)")) is phi
+    assert steps == []
+    unify(phi, genv, CTX, P("twice a"), P("f (f a)"))
+    assert steps  # the counter does see reductions
+
+
 # ------------- pattern unification -------------
 
 
@@ -139,6 +171,22 @@ def test_occurs_check_is_hard_failure():
     rhs = mk_app(L, Const(L, "f"), (m,))
     with pytest.raises(UnificationFailure):
         unify(phi, GENV, CTX, m, rhs)
+
+
+_WITH_X = CTX.push_decl("x", Const(L, "A"))
+
+
+@pytest.mark.parametrize("ctx, entry", [
+    (_WITH_X, mk_app(L, P("fun (z : A) => z"), (Var(L, 0),))),
+    (_WITH_X.push_def("y", Var(L, 0), Const(L, "A")), Var(L, 0)),
+], ids=["beta_redex", "let_bound_alias"])
+def test_suspension_entries_are_normalized_before_inversion(ctx, entry):
+    # The suspension holds a redex that reduces to x; only the variable x
+    # can be inverted.
+    phi, mid = MetaEnv().fresh_meta(TypedDecl(_WITH_X, Const(L, "A")))
+    x = Var(L, len(ctx) - 1)
+    phi2 = unify(phi, GENV, ctx, Meta(L, mid, (entry,)), mk_app(L, P("f"), (x,)))
+    assert phi2.lookup(mid).body == mk_app(L, P("f"), (Var(L, 0),))
 
 
 def test_rigid_free_variable_outside_pattern_fails():
@@ -208,6 +256,24 @@ def test_flex_rigid_through_solved_metas():
     phi = unify(phi, GENV, CTX, m1, m2)          # link the two metas
     phi = unify(phi, GENV, CTX, m1, P("f a"))    # solve through the link
     assert zonk(phi, m2) == P("f a")
+
+
+@pytest.mark.parametrize("ty, wrapper, rhs, solution", [
+    ("A -> A", "fun (q : A -> A) (x : A) => q x",
+     "fun (y : A) => h y b", "fun y : A => h y b"),
+    ("A -> B -> A", "fun (q : A -> B -> A) (x : A) (y : B) => q x y",
+     "fun (u : A) (v : B) => h (f u) v", "fun u : A => h (f u)"),
+    ("A -> A", "fun (q : A -> A) (x : A) => q ((fun (z : A) => z) x)",
+     "fun (y : A) => h y b", "fun y : A => h y b"),
+], ids=["one_binder", "two_binders", "variable_after_reduction"])
+def test_eta_expanded_meta_is_flexible(ty, wrapper, rhs, solution):
+    # `fun x => ?m x` is the meta itself: it takes the whole other side
+    # instead of being matched against its body head by head.
+    phi, m = _typed_meta(MetaEnv(), CTX, P(ty))
+    lhs = mk_app(L, P(wrapper), (m,))
+    phi2 = unify(phi, GENV, CTX, lhs, P(rhs))
+    assert normalize_meta(phi2, GENV, CTX, m) == P(solution)
+    assert_sound(phi2, GENV, CTX, lhs, P(rhs))
 
 
 # ------------- HOPU most-generality on small pattern problems -------------
@@ -329,3 +395,72 @@ def test_essence_meta_absorbs_an_abstraction():
     phi2 = unify_essence(phi, GENV, LocalEnv(), m, P("fun x => x"))
     solved = normalize_meta(phi2, GENV, LocalEnv(), m, is_essence=True)
     assert solved == P("fun x => x")
+
+
+# ------------- differential against the eager reference unifier -------------
+
+
+def _assert_agrees(phi, genv, ctx, t1, t2, is_essence=False):
+    lazy = unify_outcome(unify, phi, genv, ctx, t1, t2, is_essence)
+    eager = unify_outcome(reference_unify, phi, genv, ctx, t1, t2, is_essence)
+    assert lazy == eager, (t1, t2)
+
+
+def test_agrees_with_reference_unifier_on_corpus_calls(monkeypatch):
+    # Every problem the refiner poses while checking the corpus, compared
+    # when it is posed (the signature grows afterwards).
+    calls = []
+
+    def recording_unify(phi, genv, ctx, t1, t2, is_essence=False):
+        calls.append((t1, t2))
+        _assert_agrees(phi, genv, ctx, t1, t2, is_essence)
+        return unify(phi, genv, ctx, t1, t2, is_essence)
+
+    monkeypatch.setattr(refine, "unify", recording_unify)
+    monkeypatch.setattr(refine, "unify_essence", lambda phi, genv, psi, m1, m2:
+                        recording_unify(phi, genv, psi, m1, m2, True))
+    for name in CORPUS_FILES:
+        session = Session(quiet=True, out=io.StringIO(), err=io.StringIO())
+        assert load_file(session, corpus_path(name)), session.err.getvalue()
+    assert len(calls) > 1000
+
+
+# Applied to a meta, these reduce to its eta-expansions by one and two binders,
+# the last one with a redex in place of the variable.
+_ETA_WRAPPERS = [None, P("fun (q : A -> A) (x : A) => q x"),
+                 P("fun (q : A -> B -> A) (x : A) (y : B) => q x y"),
+                 P("fun (q : A -> A) (x : A) => q ((fun (z : A) => z) x)")]
+
+
+def _with_metas(rng, phi, t, share):
+    """Replace random subterms of `t` by fresh typed metas over the binders
+    above them, some of them eta-expanded (the declared types play no part
+    in unification)."""
+
+    def go(t, depth):
+        nonlocal phi
+        if rng.random() < share:
+            ctx = LocalEnv()
+            for _ in range(depth):
+                ctx = ctx.push_dummy()
+            phi, mid = phi.fresh_meta(TypedDecl(ctx, Const(L, "A")))
+            meta = Meta(L, mid, erase_context(depth))
+            wrapper = rng.choice(_ETA_WRAPPERS)
+            return meta if wrapper is None else mk_app(L, wrapper, (meta,))
+        return visit_term(lambda c: go(c, depth), lambda _s, c: go(c, depth + 1),
+                          lambda s, _c: s, t)
+
+    t = go(t, 0)
+    return phi, t
+
+
+def test_agrees_with_reference_unifier_on_random_pairs():
+    rng = random.Random(59)
+    for _ in range(300):
+        t1, _ = random_refined_term(rng)
+        t2, _ = random_refined_term(rng)
+        phi, m1 = _with_metas(rng, MetaEnv(), t1, 0.15)
+        phi, m2 = _with_metas(rng, phi, t1, 0.15)
+        phi, m3 = _with_metas(rng, phi, t2, 0.15)
+        for a, b in [(t1, t2), (m1, t1), (t1, m1), (m1, m2), (m1, m3), (m3, m1)]:
+            _assert_agrees(phi, GENV, CTX, a, b)
