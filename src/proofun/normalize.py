@@ -76,12 +76,9 @@ def _norm(phi: MetaEnv | None, is_essence: bool, genv: GlobalEnv,
     keep = lambda s, _c: s
     if type(t) is App:  # its head is in weak head normal form: skip that root
         return App(t.loc, visit_term(norm, under, keep, t.head), tuple(map(norm, t.spine)))
-    return eta_contract(visit_term(norm, under, keep, t))
-
-
-def eta_contract(t: Term) -> Term:
-    """`fun x => h a1 .. an x` as `h a1 .. an` when x is not free there."""
+    t = visit_term(norm, under, keep, t)
     match t:
+        # eta: fun x => h a1 .. an x  ~>  h a1 .. an, when x is not free there
         case Abs(_, _, _, App(l, head, spine)) if (
                 isinstance(spine[-1], Var) and spine[-1].index == 0
                 and is_eta(App(l, head, spine[:-1]))):

@@ -26,7 +26,7 @@ from proofun.env import (
     Decl, EssDecl, GlobalEnv, LocalDef, LocalEnv, MetaEnv, SortDecl, TypedDecl,
 )
 from proofun.errors import InternalError, UnificationFailure
-from proofun.normalize import eta_contract, normalize_meta, whnf, zonk
+from proofun.normalize import normalize_meta, whnf, zonk
 from proofun.syntax import (
     Abs, App, Coercion, Const, Inter, Location, Meta, NOWHERE, Prod, SInLeft,
     SInRight, SMatch, Sort, SPair, SPrLeft, SPrRight, Term, Underscore, Union,
@@ -196,21 +196,25 @@ def unify(phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv, t1: Term, t2: Term,
 
 def _head(phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv, t: Term,
           is_essence: bool) -> Term:
-    """The eta-short weak head normal form of `t`.  An abstraction whose body
-    ends in its variable, but not syntactically, contracts when the normal
-    form of its body allows.  An unsolved meta also has its suspension
-    normalized: inversion needs variables, not redexes."""
+    """The eta-short weak head normal form of `t`.  Nested abstractions are
+    viewed down to their first body that is not one; only when that body
+    applies something to a term whose view is the innermost variable can the
+    normal form eta-contract, and then the abstraction is normalized whole.
+    An unsolved meta also has its suspension normalized: inversion needs
+    variables, not redexes."""
+    outer, binders = ctx, []
     t = whnf(phi, genv, ctx, t, is_essence)
-    if isinstance(t, Abs):
-        inner = ctx.push_decl(t.name, t.domain)
-        body = _head(phi, genv, inner, t.body, is_essence)
-        t = eta_contract(Abs(t.loc, t.name, t.domain, body))
-        if isinstance(t, Abs) and type(body) is App and (
-                whnf(phi, genv, inner, body.spine[-1], is_essence) == Var(NOWHERE, 0)):
-            t = eta_contract(Abs(t.loc, t.name, t.domain,
-                                 normalize_meta(phi, genv, inner, body, is_essence)))
+    while isinstance(t, Abs):
+        binders.append(t)
+        ctx = ctx.push_decl(t.name, t.domain)
+        t = whnf(phi, genv, ctx, t.body, is_essence)
+    if binders and type(t) is App and (
+            _head(phi, genv, ctx, t.spine[-1], is_essence) == Var(NOWHERE, 0)):
+        return normalize_meta(phi, genv, outer, binders[0], is_essence)
     if isinstance(t, Meta):
-        return normalize_meta(phi, genv, ctx, t, is_essence)
+        t = normalize_meta(phi, genv, ctx, t, is_essence)
+    for b in reversed(binders):
+        t = Abs(b.loc, b.name, b.domain, t)
     return t
 
 
@@ -260,22 +264,13 @@ def _unify_heads(phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv, t1: Term,
         case (Prod(_, n1, d1, c1), Prod(_, _, d2, c2)):
             phi = recur(phi, ctx, d1, d2)
             return recur(phi, ctx.push_decl(n1, d1), c1, c2)
-        case (Inter(_, a1, a2), Inter(_, b1, b2)):
-            phi = recur(phi, ctx, a1, b1)
-            return recur(phi, ctx, a2, b2)
-        case (Union(_, a1, a2), Union(_, b1, b2)):
-            phi = recur(phi, ctx, a1, b1)
-            return recur(phi, ctx, a2, b2)
-        case (SPair(_, a1, a2), SPair(_, b1, b2)):
+        case ((Inter(_, a1, a2), Inter(_, b1, b2)) | (Union(_, a1, a2), Union(_, b1, b2))
+              | (SPair(_, a1, a2), SPair(_, b1, b2)) | (Coercion(_, a1, a2), Coercion(_, b1, b2))
+              | (SInLeft(_, a1, a2), SInLeft(_, b1, b2))
+              | (SInRight(_, a1, a2), SInRight(_, b1, b2))):
             phi = recur(phi, ctx, a1, b1)
             return recur(phi, ctx, a2, b2)
         case (SPrLeft(_, a), SPrLeft(_, b)) | (SPrRight(_, a), SPrRight(_, b)):
-            return recur(phi, ctx, a, b)
-        case (SInLeft(_, o1, a), SInLeft(_, o2, b)) | (SInRight(_, o1, a), SInRight(_, o2, b)):
-            phi = recur(phi, ctx, o1, o2)
-            return recur(phi, ctx, a, b)
-        case (Coercion(_, s1, a), Coercion(_, s2, b)):
-            phi = recur(phi, ctx, s1, s2)
             return recur(phi, ctx, a, b)
         case (SMatch(_, s1, m1, x1, a1, l1, y1, c1, r1),
               SMatch(_, s2, m2, _, a2, l2, _, c2, r2)):

@@ -18,7 +18,7 @@ from proofun.syntax import (
     Abs, Const, Meta, NOWHERE, Term, Underscore, Var,
     erase_context, mk_app, sort_kind, sort_type, visit_term,
 )
-from proofun.repl import Session, load_file
+from proofun.repl import Session, load_file, run_source
 from proofun.unify import try_hopu, unify, unify_essence
 
 from helpers import (
@@ -265,7 +265,11 @@ def test_flex_rigid_through_solved_metas():
      "fun (u : A) (v : B) => h (f u) v", "fun u : A => h (f u)"),
     ("A -> A", "fun (q : A -> A) (x : A) => q ((fun (z : A) => z) x)",
      "fun (y : A) => h y b", "fun y : A => h y b"),
-], ids=["one_binder", "two_binders", "variable_after_reduction"])
+    ("(A -> A) -> A -> A",
+     "fun (q : (A -> A) -> A -> A) (x : A -> A) => q (fun (y : A) => x y)",
+     "fun (u : A -> A) (z : A) => f (u z)", "fun (u : A -> A) (z : A) => f (u z)"),
+], ids=["one_binder", "two_binders", "variable_after_reduction",
+        "eta_expanded_variable"])
 def test_eta_expanded_meta_is_flexible(ty, wrapper, rhs, solution):
     # `fun x => ?m x` is the meta itself: it takes the whole other side
     # instead of being matched against its body head by head.
@@ -274,6 +278,21 @@ def test_eta_expanded_meta_is_flexible(ty, wrapper, rhs, solution):
     phi2 = unify(phi, GENV, CTX, lhs, P(rhs))
     assert normalize_meta(phi2, GENV, CTX, m) == P(solution)
     assert_sound(phi2, GENV, CTX, lhs, P(rhs))
+
+
+@pytest.mark.parametrize("script", [
+    """Axiom (A : Type) (f g : A -> A) (P : (A -> A) -> Type)
+             (p : P (fun (y : A) => f (g y))).
+       Definition d : P ((fun (q : A -> A) (x : A) => q x) _) := p.""",
+    # The hole's argument `fun y => x y` is the variable `x` only up to eta.
+    """Axiom (A : Type) (f : A -> A) (P : ((A -> A) -> A -> A) -> Type)
+             (p : P (fun (u : A -> A) (z : A) => f (u z))).
+       Definition d : P ((fun (q : (A -> A) -> A -> A) (x : A -> A) =>
+                          q (fun (y : A) => x y)) _) := p.""",
+], ids=["one_binder", "eta_expanded_variable"])
+def test_eta_expanded_hole_is_solved_in_a_definition(script):
+    session = Session(quiet=True, out=io.StringIO(), err=io.StringIO())
+    assert run_source(session, script), session.err.getvalue()
 
 
 # ------------- HOPU most-generality on small pattern problems -------------
@@ -426,10 +445,11 @@ def test_agrees_with_reference_unifier_on_corpus_calls(monkeypatch):
 
 
 # Applied to a meta, these reduce to its eta-expansions by one and two binders,
-# the last one with a redex in place of the variable.
+# then with a redex and with an eta-expanded variable in place of the variable.
 _ETA_WRAPPERS = [None, P("fun (q : A -> A) (x : A) => q x"),
                  P("fun (q : A -> B -> A) (x : A) (y : B) => q x y"),
-                 P("fun (q : A -> A) (x : A) => q ((fun (z : A) => z) x)")]
+                 P("fun (q : A -> A) (x : A) => q ((fun (z : A) => z) x)"),
+                 P("fun (q : (A -> A) -> A -> A) (x : A -> A) => q (fun (y : A) => x y)")]
 
 
 def _with_metas(rng, phi, t, share):
