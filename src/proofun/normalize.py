@@ -177,15 +177,20 @@ def _whnf(phi: MetaEnv | None, genv: GlobalEnv, ctx: LocalEnv, t: Term,
 
 def zonk(phi: MetaEnv, t: Term) -> Term:
     """Deeply replace every solved meta-variable by its solution (with the
-    suspended substitution applied); no other reduction is performed."""
+    suspended substitution applied); no other reduction is performed.  A
+    meta-free term comes back as the same object."""
+    return _zonk(phi, t) if contains_meta(t) else t
+
+
+def _zonk(phi: MetaEnv, t: Term) -> Term:
     if isinstance(t, Meta):
         expanded = delta_phi_expand(phi, t)
         if expanded is not None:
-            return zonk(phi, expanded)
-        return Meta(t.loc, t.mid, tuple(zonk(phi, s) for s in t.susp))
+            return _zonk(phi, expanded)
+        return Meta(t.loc, t.mid, tuple(_zonk(phi, s) for s in t.susp))
     return visit_term(
-        lambda c: zonk(phi, c),
-        lambda _s, c: zonk(phi, c),
+        lambda c: _zonk(phi, c),
+        lambda _s, c: _zonk(phi, c),
         lambda s, _c: s,
         t,
     )

@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 from proofun.errors import InternalError, LexError, ParseError
 from proofun.syntax import (
-    Abs, App, Coercion, Const, Inter, Let, Location, Meta, Prod, SInLeft,
-    SInRight, SMatch, SPair, SPrLeft, SPrRight, Sort, SortKind, Term,
-    Underscore, Union, Var, span, visit_term,
+    Abs, App, Coercion, Const, ConstOccurrences, Inter, Let, Location, Meta,
+    Prod, SInLeft, SInRight, SMatch, SPair, SPrLeft, SPrRight, Sort, SortKind,
+    Term, Underscore, Union, Var, span, visit_term,
 )
 
 KEYWORDS = frozenset({
@@ -534,67 +534,94 @@ def fix_index(t: Term, scope: tuple[str, ...] | list[str] = ()) -> Term:
     return go(t, list(scope))
 
 
-def _const_names(t: Term) -> set[str]:
-    names: set[str] = set()
-
-    def collect(t: Term) -> Term:
-        if isinstance(t, Const):
-            names.add(t.name)
-            return t
-        return visit_term(collect, lambda _s, c: collect(c), lambda s, _c: s, t)
-
-    collect(t)
-    return names
-
-
-def _pick_name(hint: str, forbidden: set[str]) -> str:
-    base = hint or "x"
-    if base not in forbidden:
-        return base
-    i = 0
-    while f"{base}{i}" in forbidden:
-        i += 1
-    return f"{base}{i}"
-
-
 def fix_id(t: Term, scope: tuple[str, ...] | list[str] = ()) -> Term:
     """Replace de Bruijn indices with printable names, renaming a binder
     (first free numeric suffix) whenever its hint would capture a constant
     occurring in its scope or shadow an enclosing name."""
+    consts = ConstOccurrences(t)
+    names = list(reversed(scope))  # outermost first: index n is names[-1 - n]
+    taken = set(scope)
+    # floor[base] = j: the candidates of `base` before suffix j are all taken
+    # (suffix -1 is `base` itself), so a chain of binders with one hint
+    # costs O(1) per binder.
+    floor: dict[str, int] = {}
 
-    def bind(hint: str, child: Term, names: list[str]) -> str:
-        return _pick_name(hint, set(names) | _const_names(child))
+    def bind(hint: str, child: Term) -> str:
+        base = hint or "x"
+        j = floor.get(base, -1)
+        skipping = True
+        while True:
+            chosen = f"{base}{j}" if j >= 0 else base
+            if chosen in taken:
+                if skipping:
+                    floor[base] = j + 1
+            elif consts.occurs(chosen, child):
+                skipping = False
+            else:
+                return chosen
+            j += 1
 
-    def go(t: Term, names: list[str]) -> Term:
+    def enter(name: str) -> None:
+        names.append(name)
+        taken.add(name)  # a chosen name is never taken already
+
+    def leave(name: str) -> None:
+        names.pop()
+        taken.remove(name)
+        # `name` is the candidate j of every base it splits into as base + str(j);
+        # lowering a floor further than needed is harmless.
+        cut = len(name)
+        while cut:
+            digits = name[cut:]
+            j = int(digits) if digits else -1
+            if floor.get(name[:cut], -1) > j:
+                floor[name[:cut]] = j
+            if not "0" <= name[cut - 1] <= "9":
+                break
+            cut -= 1
+
+    # One frame per nesting level: the spine and every binder are walked here.
+    def go(t: Term) -> Term:
         match t:
             case Var(loc, n):
                 if n >= len(names):
                     raise InternalError(f"fix_id: index {n} out of range")
-                return Const(loc, names[n])
+                return Const(loc, names[-1 - n])
+            case App(loc, head, spine):
+                return App(loc, go(head), tuple(map(go, spine)))
+            case Abs(loc, name, dom, body) | Prod(loc, name, dom, body):
+                chosen = bind(name, body)
+                dom = go(dom)
+                enter(chosen)
+                body = go(body)
+                leave(chosen)
+                return type(t)(loc, chosen, dom, body)
             case Let(loc, name, annot, bound, body):
-                chosen = bind(name, body, names)
-                return Let(loc, chosen, go(annot, names), go(bound, names),
-                           go(body, [chosen] + names))
-            case Prod(loc, name, dom, cod):
-                chosen = bind(name, cod, names)
-                return Prod(loc, chosen, go(dom, names), go(cod, [chosen] + names))
-            case Abs(loc, name, dom, body):
-                chosen = bind(name, body, names)
-                return Abs(loc, chosen, go(dom, names), go(body, [chosen] + names))
+                chosen = bind(name, body)
+                annot, bound = go(annot), go(bound)
+                enter(chosen)
+                body = go(body)
+                leave(chosen)
+                return Let(loc, chosen, annot, bound, body)
             case SMatch(loc, scrut, motive, n1, a1, b1, n2, a2, b2):
-                c1 = bind(n1, b1, names)
-                c2 = bind(n2, b2, names)
-                return SMatch(loc, go(scrut, names), go(motive, names),
-                              c1, go(a1, names), go(b1, [c1] + names),
-                              c2, go(a2, names), go(b2, [c2] + names))
+                c1, c2 = bind(n1, b1), bind(n2, b2)
+                scrut, motive, a1, a2 = go(scrut), go(motive), go(a1), go(a2)
+                enter(c1)
+                b1 = go(b1)
+                leave(c1)
+                enter(c2)
+                b2 = go(b2)
+                leave(c2)
+                return SMatch(loc, scrut, motive, c1, a1, b1, c2, a2, b2)
+            case (Inter(loc, a, b) | Union(loc, a, b) | SPair(loc, a, b)
+                  | SInLeft(loc, a, b) | SInRight(loc, a, b) | Coercion(loc, a, b)):
+                return type(t)(loc, go(a), go(b))
+            case SPrLeft(loc, a) | SPrRight(loc, a):
+                return type(t)(loc, go(a))
             case Meta(loc, mid, susp):
-                return Meta(loc, mid, tuple(go(s, names) for s in susp))
-            case _:
-                return visit_term(
-                    lambda c: go(c, names),
-                    lambda _s, c: go(c, names),  # binder cases all handled above
-                    lambda s, _c: s,
-                    t,
-                )
+                return Meta(loc, mid, tuple(map(go, susp)))
+            case Sort() | Const() | Underscore():
+                return t
+        raise InternalError(f"fix_id: unknown node {t!r}")
 
-    return go(t, list(scope))
+    return go(t)

@@ -9,89 +9,90 @@ parentheses appear only where re-parsing would otherwise change the tree, so
 
 from __future__ import annotations
 
-from proofun.errors import InternalError, ProverError
+from proofun.errors import InternalError, ProverError, too_deep_as_error
 from proofun.parser import fix_id
 from proofun.syntax import (
-    Abs, App, Coercion, Const, Inter, Let, Meta, Prod, SInLeft,
-    SInRight, SMatch, SPair, SPrLeft, SPrRight, Sort, Term, Underscore,
-    Union, Var, subterms,
+    Abs, App, Coercion, Const, ConstOccurrences, Inter, Let, Meta, Prod,
+    SInLeft, SInRight, SMatch, SPair, SPrLeft, SPrRight, Sort, Term,
+    Underscore, Union, Var,
 )
 
 # Precedence levels, loosest to tightest.
 _ARROW, _UNION, _INTER, _APP, _ATOM = 0, 1, 2, 3, 4
 
 
-def _occurs_name(name: str, t: Term) -> bool:
-    return any(type(s) is Const and s.name == name for s in subterms(t))
-
-
 def render(t: Term, prec: int = _ARROW) -> str:
     """Concrete syntax for a named term (no `Var` nodes)."""
+    consts = ConstOccurrences(t)
 
-    def wrap(level: int, body: str) -> str:
-        return f"({body})" if prec > level else body
+    def go(t: Term, prec: int = _ARROW) -> str:
+        def wrap(level: int, body: str) -> str:
+            return f"({body})" if prec > level else body
 
-    match t:
-        case Sort(_, kind):
-            return kind.value
-        case Const(_, name):
-            return name
-        case Underscore():
-            return "_"
-        case Meta(_, mid, susp):
-            inner = "; ".join(render(s) for s in susp)
-            return f"?{mid}[{inner}]"
-        case Prod(_, name, dom, cod):
-            if name and _occurs_name(name, cod):
-                binder = f"forall {name}" if isinstance(dom, Underscore) else \
-                    f"forall {name} : {render(dom)}"
-                return wrap(_ARROW, f"{binder}, {render(cod)}")
-            return wrap(_ARROW, f"{render(dom, _UNION)} -> {render(cod, _ARROW)}")
-        case Union(_, left, right):
-            return wrap(_UNION, f"{render(left, _INTER)} | {render(right, _UNION)}")
-        case Inter(_, left, right):
-            return wrap(_INTER, f"{render(left, _APP)} & {render(right, _INTER)}")
-        case Abs(_, name, dom, body):
-            binder = f"fun {name}" if isinstance(dom, Underscore) else \
-                f"fun {name} : {render(dom)}"
-            return wrap(_ARROW, f"{binder} => {render(body)}")
-        case Let(_, name, annot, bound, body):
-            head = f"let {name}" if isinstance(annot, Underscore) else \
-                f"let {name} : {render(annot)}"
-            return wrap(_ARROW, f"{head} := {render(bound)} in {render(body)}")
-        case App(_, head, spine):
-            parts = [render(head, _APP)] + [render(a, _ATOM) for a in spine]
-            return wrap(_APP, " ".join(parts))
-        case SPair(_, left, right):
-            return f"<{render(left)}, {render(right)}>"
-        case SPrLeft(_, body):
-            return wrap(_APP, f"proj_l {render(body, _ATOM)}")
-        case SPrRight(_, body):
-            return wrap(_APP, f"proj_r {render(body, _ATOM)}")
-        case SInLeft(_, other, body):
-            return wrap(_APP, f"inj_l {render(other, _ATOM)} {render(body, _ATOM)}")
-        case SInRight(_, other, body):
-            return wrap(_APP, f"inj_r {render(other, _ATOM)} {render(body, _ATOM)}")
-        case Coercion(_, target, body):
-            return wrap(_APP, f"coe {render(target, _ATOM)} {render(body, _ATOM)}")
-        case SMatch(_, scrut, motive, n1, a1, b1, n2, a2, b2):
-            parts = [f"smatch {render(scrut)}"]
-            if isinstance(motive, Abs):
-                if motive.name and _occurs_name(motive.name, motive.body):
-                    parts.append(f"as {motive.name}")
-                if not isinstance(motive.body, Underscore):
-                    parts.append(f"return {render(motive.body)}")
-            branch1 = f"{n1} => {render(b1)}" if isinstance(a1, Underscore) else \
-                f"{n1} : {render(a1)} => {render(b1)}"
-            branch2 = f"{n2} => {render(b2)}" if isinstance(a2, Underscore) else \
-                f"{n2} : {render(a2)} => {render(b2)}"
-            parts.append(f"with {branch1}, {branch2} end")
-            return " ".join(parts)
-        case Var(_, index):
-            raise InternalError(f"render: unresolved de Bruijn index {index}")
-    raise InternalError(f"render: unknown node {t!r}")
+        match t:
+            case Sort(_, kind):
+                return kind.value
+            case Const(_, name):
+                return name
+            case Underscore():
+                return "_"
+            case Meta(_, mid, susp):
+                inner = "; ".join(go(s) for s in susp)
+                return f"?{mid}[{inner}]"
+            case Prod(_, name, dom, cod):
+                if name and consts.occurs(name, cod):
+                    binder = f"forall {name}" if isinstance(dom, Underscore) else \
+                        f"forall {name} : {go(dom)}"
+                    return wrap(_ARROW, f"{binder}, {go(cod)}")
+                return wrap(_ARROW, f"{go(dom, _UNION)} -> {go(cod, _ARROW)}")
+            case Union(_, left, right):
+                return wrap(_UNION, f"{go(left, _INTER)} | {go(right, _UNION)}")
+            case Inter(_, left, right):
+                return wrap(_INTER, f"{go(left, _APP)} & {go(right, _INTER)}")
+            case Abs(_, name, dom, body):
+                binder = f"fun {name}" if isinstance(dom, Underscore) else \
+                    f"fun {name} : {go(dom)}"
+                return wrap(_ARROW, f"{binder} => {go(body)}")
+            case Let(_, name, annot, bound, body):
+                head = f"let {name}" if isinstance(annot, Underscore) else \
+                    f"let {name} : {go(annot)}"
+                return wrap(_ARROW, f"{head} := {go(bound)} in {go(body)}")
+            case App(_, head, spine):
+                parts = [go(head, _APP)] + [go(a, _ATOM) for a in spine]
+                return wrap(_APP, " ".join(parts))
+            case SPair(_, left, right):
+                return f"<{go(left)}, {go(right)}>"
+            case SPrLeft(_, body):
+                return wrap(_APP, f"proj_l {go(body, _ATOM)}")
+            case SPrRight(_, body):
+                return wrap(_APP, f"proj_r {go(body, _ATOM)}")
+            case SInLeft(_, other, body):
+                return wrap(_APP, f"inj_l {go(other, _ATOM)} {go(body, _ATOM)}")
+            case SInRight(_, other, body):
+                return wrap(_APP, f"inj_r {go(other, _ATOM)} {go(body, _ATOM)}")
+            case Coercion(_, target, body):
+                return wrap(_APP, f"coe {go(target, _ATOM)} {go(body, _ATOM)}")
+            case SMatch(_, scrut, motive, n1, a1, b1, n2, a2, b2):
+                parts = [f"smatch {go(scrut)}"]
+                if isinstance(motive, Abs):
+                    if motive.name and consts.occurs(motive.name, motive.body):
+                        parts.append(f"as {motive.name}")
+                    if not isinstance(motive.body, Underscore):
+                        parts.append(f"return {go(motive.body)}")
+                branch1 = f"{n1} => {go(b1)}" if isinstance(a1, Underscore) else \
+                    f"{n1} : {go(a1)} => {go(b1)}"
+                branch2 = f"{n2} => {go(b2)}" if isinstance(a2, Underscore) else \
+                    f"{n2} : {go(a2)} => {go(b2)}"
+                parts.append(f"with {branch1}, {branch2} end")
+                return " ".join(parts)
+            case Var(_, index):
+                raise InternalError(f"render: unresolved de Bruijn index {index}")
+        raise InternalError(f"render: unknown node {t!r}")
+
+    return go(t, prec)
 
 
+@too_deep_as_error
 def show_term(t: Term, scope: tuple[str, ...] | list[str] = ()) -> str:
     """Render an indexed term using the given scope names (innermost first)."""
     return render(fix_id(t, scope))

@@ -13,6 +13,7 @@ alpha-equivalence.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterator, Sequence
@@ -396,6 +397,55 @@ def subterms(t: Term) -> Iterator[Term]:
         s = stack.pop()
         yield s
         stack.extend(reversed(children(s)))
+
+
+class ConstOccurrences:
+    """Answers "does `Const(name)` occur in `u`?" for the subterms `u` of one
+    root term, in O(log n) each after O(n) set-up.
+
+    Both halves of the set-up are lazy.  The first query collects the
+    constant names of the whole root, and a name that occurs nowhere is
+    answered from that set.  The first query for any other name builds the
+    pre-order index: each name keeps the sorted positions of its
+    occurrences, and each subterm (by identity) the interval of positions
+    it covers.  A subterm object shared by several positions has the same
+    constants at each, so any one of its intervals answers for all.
+    """
+
+    __slots__ = ("_root", "_names", "_at", "_spans")
+
+    def __init__(self, root: Term):
+        self._root = root
+        self._names: set[str] | None = None
+        self._at: dict[str, list[int]] = {}
+        self._spans: dict[int, tuple[int, int]] | None = None
+
+    def occurs(self, name: str, u: Term) -> bool:
+        if self._names is None:
+            self._names = {s.name for s in subterms(self._root) if type(s) is Const}
+        if name not in self._names:
+            return False
+        if self._spans is None:
+            self._index()
+        start, end = self._spans[id(u)]
+        at = self._at[name]
+        i = bisect_left(at, start)
+        return i < len(at) and at[i] < end
+
+    def _index(self) -> None:
+        at, spans, pos = self._at, {}, 0
+        stack: list[Term | int] = [self._root]
+        while stack:
+            s = stack.pop()
+            if type(s) is int:  # the pre-order position of a node whose subtree is done
+                spans[id(stack.pop())] = (s, pos)
+                continue
+            if type(s) is Const:
+                at.setdefault(s.name, []).append(pos)
+            stack += (s, pos)
+            stack.extend(reversed(children(s)))
+            pos += 1
+        self._spans = spans
 
 
 def first_meta(t: Term) -> Meta | None:

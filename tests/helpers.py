@@ -19,8 +19,8 @@ from proofun.parser import fix_index, parse_term
 from proofun.refine import elaborate, elaborate_type
 from proofun.syntax import (
     Abs, App, Coercion, Const, Inter, Let, Meta, NOWHERE, Prod, SInLeft,
-    SInRight, SMatch, Sort, SPair, SPrLeft, SPrRight, Term, Underscore, Union,
-    Var, beta_redex, contains_meta, erase_context, lift, mk_app, visit_term,
+    SInRight, SMatch, Sort, SortKind, SPair, SPrLeft, SPrRight, Term,
+    Underscore, Union, Var, beta_redex, contains_meta, erase_context, lift, mk_app, visit_term,
 )
 from proofun.unify import try_hopu
 
@@ -457,3 +457,199 @@ def unify_outcome(unifier, phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv,
         meta = Meta(NOWHERE, mid, erase_context(len(entry.ctx)))
         solutions[mid] = normalize_meta(out, genv, entry.ctx, meta, essence)
     return solutions
+
+
+# ---------------------------------------------------------------------------
+# Reference printer: the naming pass `fix_id` and `render` as they were
+# before the constant-occurrence index.  At every binder the naming pass
+# collects the constants of the binder's whole scope, and `render` scans a
+# product's whole codomain for its name.  Kept only so tests can compare
+# `show_term` with it.
+
+
+def _reference_const_names(t: Term) -> set[str]:
+    names: set[str] = set()
+
+    def collect(t: Term) -> Term:
+        if isinstance(t, Const):
+            names.add(t.name)
+            return t
+        return visit_term(collect, lambda _s, c: collect(c), lambda s, _c: s, t)
+
+    collect(t)
+    return names
+
+
+def _reference_pick_name(hint: str, forbidden: set[str]) -> str:
+    base = hint or "x"
+    if base not in forbidden:
+        return base
+    i = 0
+    while f"{base}{i}" in forbidden:
+        i += 1
+    return f"{base}{i}"
+
+
+def reference_fix_id(t: Term, scope: tuple[str, ...] = ()) -> Term:
+    def bind(hint: str, child: Term, names: list[str]) -> str:
+        return _reference_pick_name(hint, set(names) | _reference_const_names(child))
+
+    def go(t: Term, names: list[str]) -> Term:
+        match t:
+            case Var(loc, n):
+                if n >= len(names):
+                    raise InternalError(f"fix_id: index {n} out of range")
+                return Const(loc, names[n])
+            case Let(loc, name, annot, bound, body):
+                chosen = bind(name, body, names)
+                return Let(loc, chosen, go(annot, names), go(bound, names),
+                           go(body, [chosen] + names))
+            case Prod(loc, name, dom, cod):
+                chosen = bind(name, cod, names)
+                return Prod(loc, chosen, go(dom, names), go(cod, [chosen] + names))
+            case Abs(loc, name, dom, body):
+                chosen = bind(name, body, names)
+                return Abs(loc, chosen, go(dom, names), go(body, [chosen] + names))
+            case SMatch(loc, scrut, motive, n1, a1, b1, n2, a2, b2):
+                c1 = bind(n1, b1, names)
+                c2 = bind(n2, b2, names)
+                return SMatch(loc, go(scrut, names), go(motive, names),
+                              c1, go(a1, names), go(b1, [c1] + names),
+                              c2, go(a2, names), go(b2, [c2] + names))
+            case Meta(loc, mid, susp):
+                return Meta(loc, mid, tuple(go(s, names) for s in susp))
+            case _:
+                return visit_term(lambda c: go(c, names), lambda _s, c: go(c, names),
+                                  lambda s, _c: s, t)
+
+    return go(t, list(scope))
+
+
+_ARROW, _UNION, _INTER, _APP, _ATOM = 0, 1, 2, 3, 4
+
+
+def reference_render(t: Term, prec: int = _ARROW) -> str:
+    r = reference_render
+
+    def wrap(level: int, body: str) -> str:
+        return f"({body})" if prec > level else body
+
+    def occurs(name: str, t: Term) -> bool:
+        return name in _reference_const_names(t)
+
+    match t:
+        case Sort(_, kind):
+            return kind.value
+        case Const(_, name):
+            return name
+        case Underscore():
+            return "_"
+        case Meta(_, mid, susp):
+            return f"?{mid}[{'; '.join(r(s) for s in susp)}]"
+        case Prod(_, name, dom, cod):
+            if name and occurs(name, cod):
+                binder = f"forall {name}" if isinstance(dom, Underscore) else \
+                    f"forall {name} : {r(dom)}"
+                return wrap(_ARROW, f"{binder}, {r(cod)}")
+            return wrap(_ARROW, f"{r(dom, _UNION)} -> {r(cod, _ARROW)}")
+        case Union(_, left, right):
+            return wrap(_UNION, f"{r(left, _INTER)} | {r(right, _UNION)}")
+        case Inter(_, left, right):
+            return wrap(_INTER, f"{r(left, _APP)} & {r(right, _INTER)}")
+        case Abs(_, name, dom, body):
+            binder = f"fun {name}" if isinstance(dom, Underscore) else \
+                f"fun {name} : {r(dom)}"
+            return wrap(_ARROW, f"{binder} => {r(body)}")
+        case Let(_, name, annot, bound, body):
+            head = f"let {name}" if isinstance(annot, Underscore) else \
+                f"let {name} : {r(annot)}"
+            return wrap(_ARROW, f"{head} := {r(bound)} in {r(body)}")
+        case App(_, head, spine):
+            return wrap(_APP, " ".join([r(head, _APP)] + [r(a, _ATOM) for a in spine]))
+        case SPair(_, left, right):
+            return f"<{r(left)}, {r(right)}>"
+        case SPrLeft(_, body):
+            return wrap(_APP, f"proj_l {r(body, _ATOM)}")
+        case SPrRight(_, body):
+            return wrap(_APP, f"proj_r {r(body, _ATOM)}")
+        case SInLeft(_, other, body):
+            return wrap(_APP, f"inj_l {r(other, _ATOM)} {r(body, _ATOM)}")
+        case SInRight(_, other, body):
+            return wrap(_APP, f"inj_r {r(other, _ATOM)} {r(body, _ATOM)}")
+        case Coercion(_, target, body):
+            return wrap(_APP, f"coe {r(target, _ATOM)} {r(body, _ATOM)}")
+        case SMatch(_, scrut, motive, n1, a1, b1, n2, a2, b2):
+            parts = [f"smatch {r(scrut)}"]
+            if isinstance(motive, Abs):
+                if motive.name and occurs(motive.name, motive.body):
+                    parts.append(f"as {motive.name}")
+                if not isinstance(motive.body, Underscore):
+                    parts.append(f"return {r(motive.body)}")
+            branch1 = f"{n1} => {r(b1)}" if isinstance(a1, Underscore) else \
+                f"{n1} : {r(a1)} => {r(b1)}"
+            branch2 = f"{n2} => {r(b2)}" if isinstance(a2, Underscore) else \
+                f"{n2} : {r(a2)} => {r(b2)}"
+            parts.append(f"with {branch1}, {branch2} end")
+            return " ".join(parts)
+    raise AssertionError(t)
+
+
+# Binder hints and constants share one small pool, so that a hint collides
+# with a constant in its scope, with an enclosing name, or with a name of
+# its own x/x0/x1 suffix chain.
+_PRINT_HINTS = ("", "x", "x0", "x1", "y", "y0", "c")
+_PRINT_CONSTS = ("x", "x0", "x1", "y", "c", "A")
+
+
+def random_printable_term(rng: random.Random, size: int, depth: int = 0,
+                          indexed: bool = True) -> Term:
+    """Random term over every node kind, for the printer differential.
+    Indexed, its bound variables are indices below `depth` (which counts
+    the scope the term is shown in).  Not indexed, it is a parsed-style term:
+    bound variables are constants, and an inner binder may shadow an outer
+    one."""
+
+    def sub(n: int, under: int = 0) -> Term:
+        return random_printable_term(rng, n, depth + under, indexed)
+
+    def sizes(k: int) -> list[int]:
+        cuts = sorted(rng.randint(0, size - 1) for _ in range(k - 1))
+        return [max(1, b - a) for a, b in zip([0] + cuts, cuts + [size - 1])]
+
+    def hint() -> str:
+        return rng.choice(_PRINT_HINTS)
+
+    def maybe_hole(n: int) -> Term:
+        return Underscore(NOWHERE) if rng.random() < 0.25 else sub(n)
+
+    if size <= 1:
+        roll = rng.random()
+        if indexed and depth and roll < 0.5:
+            return Var(NOWHERE, rng.randrange(depth))
+        if roll < 0.9:
+            return Const(NOWHERE, rng.choice(_PRINT_CONSTS))
+        return rng.choice([Sort(NOWHERE, SortKind.TYPE), Underscore(NOWHERE)])
+    kind = rng.randrange(10)
+    if kind in (0, 1, 2):
+        d, b = sizes(2)
+        node = (Prod, Abs, Prod)[kind]
+        return node(NOWHERE, hint(), maybe_hole(d), sub(b, 1))
+    if kind == 3:
+        a, v, b = sizes(3)
+        return Let(NOWHERE, hint(), maybe_hole(a), sub(v), sub(b, 1))
+    if kind == 4:
+        parts = sizes(rng.randint(2, 4))
+        return App(NOWHERE, sub(parts[0]), tuple(sub(n) for n in parts[1:]))
+    if kind == 5:
+        a, b = sizes(2)
+        node = rng.choice([Inter, Union, SPair, SInLeft, SInRight, Coercion])
+        return node(NOWHERE, sub(a), sub(b))
+    if kind == 6:
+        return rng.choice([SPrLeft, SPrRight])(NOWHERE, sub(size - 1))
+    if kind == 7:
+        s, m, a1, b1, a2, b2 = sizes(6)
+        body = Underscore(NOWHERE) if rng.random() < 0.25 else sub(m, 1)
+        motive = Abs(NOWHERE, hint(), Underscore(NOWHERE), body)
+        return SMatch(NOWHERE, sub(s), motive, hint(), maybe_hole(a1), sub(b1, 1),
+                      hint(), maybe_hole(a2), sub(b2, 1))
+    return Meta(NOWHERE, rng.randrange(5), tuple(sub(n) for n in sizes(rng.randint(1, 3))))

@@ -10,7 +10,9 @@ conjuncts of an intersection of unions (an exponential path, such as the
 left side's disjunctive normal form, gives a ratio of 2^size), and for
 `church_product`, where it is the Church numeral n multiplied by 2 (the
 normal form of the product has 2n applications; an engine that normalizes
-each contractum again is quadratic in it).
+each contractum again is quadratic in it).  The `print_` families end in
+`Print`, whose naming pass asks at every binder whether its name occurs
+in the binder's scope.
 """
 
 import io
@@ -95,6 +97,21 @@ def chain_of_holes(n: int) -> str:
             f"Definition d (y : {holes}) := k y.\n")
 
 
+def print_arrow_axiom(n: int) -> str:
+    arrow = " -> ".join(["A"] * (n + 1))
+    return f"Axiom (A : Type) (h : {arrow}).\nPrint h.\n"
+
+
+def print_nested_fun(n: int) -> str:
+    return nested_fun(n) + "Print d.\n"
+
+
+def print_forall_chain(n: int) -> str:
+    binders = " ".join(f"x{i}" for i in range(n))
+    return (f"Axiom (A : Type) (P : A -> Type).\n"
+            f"Axiom h : forall ({binders} : A), P x0.\nPrint h.\n")
+
+
 def calls_to_check(script: str) -> int:
     """Calls made inside proofun while checking `script` from scratch."""
     session = Session(quiet=True, out=io.StringIO(), err=io.StringIO())
@@ -117,7 +134,8 @@ def calls_to_check(script: str) -> int:
 # (family, size n): the test compares the work at n and at 2n.
 FAMILIES = [(nested_fun, 100), (application_spine, 100), (hole_against_arrow, 100),
             (pair_of_projections, 100), (conj_coercion, 5), (church_product, 40),
-            (unfolded_abstraction, 100)]
+            (unfolded_abstraction, 100), (print_arrow_axiom, 100), (print_nested_fun, 100),
+            (print_forall_chain, 100)]
 
 
 @pytest.mark.parametrize("family, size", FAMILIES, ids=[f.__name__ for f, _ in FAMILIES])

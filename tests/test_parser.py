@@ -10,13 +10,16 @@ from proofun.parser import (
     Axiom, Definition, Load, Print, Quit, fix_id, fix_index, parse_command,
     parse_script, parse_term,
 )
-from proofun.pretty import render
+from proofun.pretty import render, show_term
 from proofun.syntax import (
     Abs, App, Const, Inter, Let, Prod, SInRight, SMatch, SPair,
     SPrLeft, Underscore, Union, Var,
 )
 
-from helpers import named_to_syntax, random_named_term
+from helpers import (
+    named_to_syntax, random_named_term, random_printable_term,
+    reference_fix_id, reference_render,
+)
 
 
 # ------------- terms -------------
@@ -217,6 +220,31 @@ def test_fix_id_renames_shadowing_in_scope():
     inner = fix_index(parse_term("fun x : A => fun x : A => x"))
     printed = render(fix_id(inner))
     assert printed == "fun x : A => fun x0 : A => x0"
+
+
+def test_show_term_matches_the_reference_printer():
+    rng = random.Random(41)
+    scopes = [(), ("x",), ("x0", "x", "y"), ("c", "x", "x"), ("x", "x0", "x1")]
+    for _ in range(3000):
+        scope = rng.choice(scopes)
+        t = random_printable_term(rng, rng.randint(1, 16), len(scope))
+        assert show_term(t, scope) == reference_render(reference_fix_id(t, scope))
+    for _ in range(2000):
+        t = random_printable_term(rng, rng.randint(1, 16), indexed=False)
+        assert render(t) == reference_render(t)
+
+
+@pytest.mark.parametrize("src", [
+    "fun x : A => fun x : A => x",
+    "forall x : A, forall x : A, P x",
+    "forall x : A, forall x : A, P",
+    "forall x : (forall x : A, P x), Q x",
+    "smatch s as x return (forall x : A, P x) with y => y, z => z end",
+    "smatch s as x return (forall y : A, P x) with y => y, z => z end",
+])
+def test_render_of_shadowing_parsed_terms_matches_the_reference(src):
+    t = parse_term(src)
+    assert render(t) == reference_render(t)
 
 
 def test_fix_roundtrip_on_clash_free_terms():

@@ -14,6 +14,7 @@ from proofun.repl import (
 )
 
 from helpers import corpus_path
+from test_growth import church_product
 
 with open(os.path.join(os.path.dirname(__file__), "golden", "help.txt"),
           encoding="utf-8") as _f:
@@ -301,6 +302,25 @@ def test_deeply_nested_input_reports_instead_of_crashing():
         assert "x" in s.genv
     else:
         assert "nested too deeply" in s.err.getvalue()
+
+
+def test_compute_prints_a_normal_form_250_applications_deep():
+    # `mul c125 c2` normalises to `fun f x => f (f (... (f x)))`.
+    s = session()
+    assert run_source(s, church_product(125)), s.err.getvalue()
+    assert out_of(s) == ("fun f : o -> o => fun x : o => "
+                         + "f (" * 249 + "f x" + ")" * 249 + "\n")
+
+
+def test_show_term_reports_excessive_depth_as_a_prover_error():
+    from proofun.errors import ProverError
+    from proofun.pretty import show_term
+    from proofun.syntax import NOWHERE, Const, Prod
+    t = Const(NOWHERE, "A")
+    for _ in range(5000):
+        t = Prod(NOWHERE, "", Const(NOWHERE, "A"), t)
+    with pytest.raises(ProverError, match="nested too deeply"):
+        show_term(t)
 
 
 def doubling_script(k: int) -> str:
