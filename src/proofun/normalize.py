@@ -6,7 +6,8 @@ term until it is no longer a redex (weak head normal form).  Strong
 normalization is head-first: `_norm` takes the weak head normal form, then
 normalizes the children, then applies eta to an abstraction whose body is
 normal.  A discarded argument is therefore never normalized, and a
-duplicated, unevaluated argument is normalized once per copy.  One fuel
+duplicated, unevaluated argument is normalized once per copy.  A subterm
+that is already normal comes back as the same object.  One fuel
 budget covers a whole call: a tick per `_whnf` step plus a tick per node
 `_norm` visits.
 
@@ -19,6 +20,7 @@ the head view the refiner's premises use.
 from __future__ import annotations
 
 from dataclasses import replace
+from operator import is_
 
 from proofun.env import EssDef, GlobalEnv, LocalEnv, MetaEnv, SortDef, TypedDef
 from proofun.errors import FuelExhausted, InternalError
@@ -75,7 +77,12 @@ def _norm(phi: MetaEnv | None, is_essence: bool, genv: GlobalEnv,
     under = lambda _s, c: _norm(phi, is_essence, genv, ctx.push_dummy(), c, fuel)
     keep = lambda s, _c: s
     if type(t) is App:  # its head is in weak head normal form: skip that root
-        return App(t.loc, visit_term(norm, under, keep, t.head), tuple(map(norm, t.spine)))
+        head, spine = visit_term(norm, under, keep, t.head), []
+        for a in t.spine:  # not `map(norm, ...)`: one Python frame per nesting level
+            spine.append(_norm(phi, is_essence, genv, ctx, a, fuel))
+        if head is t.head and all(map(is_, spine, t.spine)):
+            return t
+        return App(t.loc, head, tuple(spine))
     t = visit_term(norm, under, keep, t)
     match t:
         # eta: fun x => h a1 .. an x  ~>  h a1 .. an, when x is not free there
@@ -177,17 +184,19 @@ def _whnf(phi: MetaEnv | None, genv: GlobalEnv, ctx: LocalEnv, t: Term,
 
 def zonk(phi: MetaEnv, t: Term) -> Term:
     """Deeply replace every solved meta-variable by its solution (with the
-    suspended substitution applied); no other reduction is performed.  A
-    meta-free term comes back as the same object."""
-    return _zonk(phi, t) if contains_meta(t) else t
+    suspended substitution applied); no other reduction is performed.  Only
+    the nodes above a meta-variable are visited: a meta-free subterm comes
+    back as the same object."""
+    return _zonk(phi, t)
 
 
 def _zonk(phi: MetaEnv, t: Term) -> Term:
-    if isinstance(t, Meta):
+    if not contains_meta(t):
+        return t
+    if type(t) is Meta:
         expanded = delta_phi_expand(phi, t)
         if expanded is not None:
             return _zonk(phi, expanded)
-        return Meta(t.loc, t.mid, tuple(_zonk(phi, s) for s in t.susp))
     return visit_term(
         lambda c: _zonk(phi, c),
         lambda _s, c: _zonk(phi, c),

@@ -58,7 +58,9 @@ def render(t: Term, prec: int = _ARROW) -> str:
                     f"let {name} : {go(annot)}"
                 return wrap(_ARROW, f"{head} := {go(bound)} in {go(body)}")
             case App(_, head, spine):
-                parts = [go(head, _APP)] + [go(a, _ATOM) for a in spine]
+                parts = [go(head, _APP)]
+                for a in spine:  # not a comprehension: one Python frame per nesting level
+                    parts.append(go(a, _ATOM))
                 return wrap(_APP, " ".join(parts))
             case SPair(_, left, right):
                 return f"<{go(left)}, {go(right)}>"

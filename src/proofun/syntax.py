@@ -9,6 +9,20 @@ a head term plus the tuple of all arguments, leftmost argument first.
 Every node carries a `Location`.  Locations and binder names are hints:
 they are excluded from the generated `==` and `hash`, so `==` on terms is
 alpha-equivalence.
+
+Each node also caches two facts about itself: `loose`, one more than its
+largest free de Bruijn index (0 when it is closed), and whether a
+meta-variable occurs in it (`contains_meta`).  They are filled lazily by
+the first query, in one post-order walk that stops at nodes already
+summarised, so each node is summarised once in its life.  They live in the
+instance dictionary, not in a dataclass field, so `==`, `hash`, `repr` and
+`dataclasses.replace` ignore them and constructing a node costs nothing.
+
+Rebuilds share: `visit_term` returns its input object when every child and
+name comes back as the same object, and `map_term` (so `lift`,
+`instantiate` and `msubst`) also returns a subterm unchanged when its
+cached facts show that no index in it can change.  A term that a
+traversal leaves alone is therefore the very object it was given.
 """
 
 from __future__ import annotations
@@ -16,6 +30,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import is_
 from typing import Callable, Iterator, Sequence
 
 from proofun.errors import InternalError
@@ -51,6 +66,9 @@ class Term:
     """Base class for all nodes; see the concrete dataclasses below."""
 
     __slots__ = ()
+    # The cached facts of a summarised node, `2 * loose + contains_meta`; the
+    # class default marks a node not summarised yet (see `_summarise`).
+    _facts: int | None = None
 
 
 @dataclass(frozen=True)
@@ -223,58 +241,61 @@ def visit_term(
 ) -> Term:
     """Rebuild `t` mapping `f` over children outside binders, `g` over
     children under a binder, and `h` over binder names.  The node kind and
-    location are preserved."""
+    location are preserved, and `t` itself comes back when every child and
+    name does."""
     match t:
         case Sort() | Var() | Const() | Underscore():
             return t
         case Let(loc, name, annot, bound, body):
-            return Let(loc, h(name, body), f(annot), f(bound), g(name, body))
+            old = (name, annot, bound, body)
+            new = (h(name, body), f(annot), f(bound), g(name, body))
         case Prod(loc, name, dom, cod):
-            return Prod(loc, h(name, cod), f(dom), g(name, cod))
+            old, new = (name, dom, cod), (h(name, cod), f(dom), g(name, cod))
         case Abs(loc, name, dom, body):
-            return Abs(loc, h(name, body), f(dom), g(name, body))
+            old, new = (name, dom, body), (h(name, body), f(dom), g(name, body))
         case App(loc, head, spine):
-            return App(loc, f(head), tuple(f(a) for a in spine))
-        case Inter(loc, left, right):
-            return Inter(loc, f(left), f(right))
-        case Union(loc, left, right):
-            return Union(loc, f(left), f(right))
-        case SPair(loc, left, right):
-            return SPair(loc, f(left), f(right))
-        case SPrLeft(loc, body):
-            return SPrLeft(loc, f(body))
-        case SPrRight(loc, body):
-            return SPrRight(loc, f(body))
+            old, new = (head, spine), (f(head), _map_shared(f, spine))
+        case (Inter(loc, left, right) | Union(loc, left, right) | SPair(loc, left, right)
+              | SInLeft(loc, left, right) | SInRight(loc, left, right)
+              | Coercion(loc, left, right)):
+            old, new = (left, right), (f(left), f(right))
+        case SPrLeft(loc, body) | SPrRight(loc, body):
+            old, new = (body,), (f(body),)
         case SMatch(loc, scrut, motive, n1, a1, b1, n2, a2, b2):
-            return SMatch(
-                loc, f(scrut), f(motive),
-                h(n1, b1), f(a1), g(n1, b1),
-                h(n2, b2), f(a2), g(n2, b2),
-            )
-        case SInLeft(loc, other, body):
-            return SInLeft(loc, f(other), f(body))
-        case SInRight(loc, other, body):
-            return SInRight(loc, f(other), f(body))
-        case Coercion(loc, target, body):
-            return Coercion(loc, f(target), f(body))
+            old = (scrut, motive, n1, a1, b1, n2, a2, b2)
+            new = (f(scrut), f(motive), h(n1, b1), f(a1), g(n1, b1),
+                   h(n2, b2), f(a2), g(n2, b2))
         case Meta(loc, mid, susp):
-            return Meta(loc, mid, tuple(f(a) for a in susp))
-    raise InternalError(f"visit_term: unknown node {t!r}")
+            old, new = (mid, susp), (mid, _map_shared(f, susp))
+        case _:
+            raise InternalError(f"visit_term: unknown node {t!r}")
+    return t if all(map(is_, new, old)) else type(t)(loc, *new)
+
+
+def _map_shared(f: Callable[[Term], Term], ts: tuple[Term, ...]) -> tuple[Term, ...]:
+    """`tuple(map(f, ts))`, or `ts` itself when `f` returns every entry."""
+    out = tuple(map(f, ts))
+    return ts if all(map(is_, out, ts)) else out
 
 
 def map_term(k: int, fn: Callable[[int, Location, int], Term], t: Term) -> Term:
-    """Replace every `Var(loc, n)` at binder offset `d` by `fn(k + d, loc, n)`;
-    meta-variable suspensions are traversed like ordinary children."""
-    match t:
-        case Var(loc, n):
-            return fn(k, loc, n)
-        case _:
-            return visit_term(
-                lambda c: map_term(k, fn, c),
-                lambda _s, c: map_term(k + 1, fn, c),
-                lambda s, _c: s,
-                t,
-            )
+    """Replace every free `Var(loc, n)` at binder offset `d` (one with
+    `n >= k + d`) by `fn(k + d, loc, n)`; bound variables are kept, and
+    meta-variable suspensions are traversed like ordinary children.  A
+    subterm whose facts are already cached and show no free index at or
+    above its offset comes back unchanged; `map_term` never fills the cache
+    itself, since most of what it walks is a fresh contractum."""
+    facts = t._facts
+    if facts is not None and facts >> 1 <= k:
+        return t
+    if type(t) is Var:
+        return t if t.index < k else fn(k, t.loc, t.index)
+    return visit_term(
+        lambda c: map_term(k, fn, c),
+        lambda _s, c: map_term(k + 1, fn, c),
+        lambda s, _c: s,
+        t,
+    )
 
 
 def lift(k: int, n: int, t: Term) -> Term:
@@ -286,9 +307,7 @@ def lift(k: int, n: int, t: Term) -> Term:
     if n == 0:
         return t
 
-    def shift(k2: int, loc: Location, m: int) -> Term:
-        if m < k2:
-            return Var(loc, m)
+    def shift(_k: int, loc: Location, m: int) -> Term:
         if m + n < 0:
             raise InternalError(f"lift underflow: index {m} shifted by {n}")
         return Var(loc, m + n)
@@ -305,8 +324,6 @@ def instantiate(body: Term, args: Sequence[Term]) -> Term:
         return body
 
     def subst(k: int, loc: Location, m: int) -> Term:
-        if m < k:
-            return Var(loc, m)
         if m - k < n:
             return lift(0, k, args[n - 1 - (m - k)])
         return Var(loc, m - n)
@@ -331,8 +348,6 @@ def msubst(solution: Term, susp: tuple[Term, ...]) -> Term:
     n = len(susp)
 
     def subst(k: int, loc: Location, m: int) -> Term:
-        if m < k:
-            return Var(loc, m)
         if m - k >= n:
             raise InternalError("meta solution escapes its declared context")
         return lift(0, k, susp[n - 1 - (m - k)])
@@ -386,6 +401,45 @@ def children(t: Term) -> tuple[Term, ...]:
         case Meta(_, _, susp):
             return susp
     raise InternalError(f"children: unknown node {t!r}")
+
+
+# The positions in `children(t)` that sit under one binder of `t`.
+_UNDER_BINDER = {Let: (2,), Prod: (1,), Abs: (1,), SMatch: (3, 5)}
+
+
+def _summarise(t: Term) -> int:
+    """The facts of `t`, filling those of every subterm not summarised yet in
+    one post-order walk with an explicit stack."""
+    stack: list[Term | tuple[Term, ...]] = [t]
+    while stack:
+        s = stack.pop()
+        if type(s) is tuple:  # the children of the node below, all summarised
+            kids, s = s, stack.pop()
+            under = _UNDER_BINDER.get(type(s), ())
+            loose, meta = 0, type(s) is Meta
+            for i, c in enumerate(kids):
+                meta |= c._facts & 1
+                loose = max(loose, (c._facts >> 1) - (i in under))
+            object.__setattr__(s, "_facts", 2 * loose + meta)
+        elif s._facts is None:
+            if type(s) is Var:
+                object.__setattr__(s, "_facts", 2 * (s.index + 1))
+                continue
+            kids = children(s)
+            stack += (s, kids)
+            stack += kids
+    return t._facts
+
+
+def loose(t: Term) -> int:
+    """One more than the largest free de Bruijn index of `t`; 0 if closed."""
+    facts = t._facts
+    return (_summarise(t) if facts is None else facts) >> 1
+
+
+def contains_meta(t: Term) -> bool:
+    facts = t._facts
+    return bool((_summarise(t) if facts is None else facts) & 1)
 
 
 def subterms(t: Term) -> Iterator[Term]:
@@ -448,15 +502,20 @@ class ConstOccurrences:
         self._spans = spans
 
 
+def metas(t: Term) -> Iterator[Meta]:
+    """Every meta-variable occurrence in `t`, in pre-order; meta-free
+    subtrees are skipped by their cached facts."""
+    stack = [t]
+    while stack:
+        s = stack.pop()
+        if contains_meta(s):
+            if type(s) is Meta:
+                yield s
+            stack.extend(reversed(children(s)))
+
+
 def first_meta(t: Term) -> Meta | None:
-    for s in subterms(t):
-        if isinstance(s, Meta):
-            return s
-    return None
-
-
-def contains_meta(t: Term) -> bool:
-    return first_meta(t) is not None
+    return next(metas(t), None)
 
 
 def first_underscore(t: Term) -> Underscore | None:

@@ -30,12 +30,12 @@ from proofun.normalize import normalize_meta, whnf, zonk
 from proofun.syntax import (
     Abs, App, Coercion, Const, Inter, Location, Meta, NOWHERE, Prod, SInLeft,
     SInRight, SMatch, Sort, SPair, SPrLeft, SPrRight, Term, Underscore, Union,
-    Var, lift, map_term, mk_app, subterms, visit_term,
+    Var, contains_meta, lift, loose, map_term, metas, mk_app, visit_term,
 )
 
 
 def _occurs(mid: int, t: Term) -> bool:
-    return any(isinstance(s, Meta) and s.mid == mid for s in subterms(t))
+    return any(m.mid == mid for m in metas(t))
 
 
 class _NotInvertible(Exception):
@@ -70,11 +70,12 @@ def _suspension_inverse(susp: tuple[Term, ...]) -> dict[int, int]:
 def _invert(inverse: dict[int, int], t: Term, k: int = 0) -> Term:
     """Rewrite `t` into the solution space of the meta being solved.  A free
     variable outside the pattern aborts; when it sits inside another meta's
-    suspension, that meta is reported for pruning instead."""
+    suspension, that meta is reported for pruning instead.  A meta-free
+    subterm whose free indices are all below `k` comes back as itself."""
+    if loose(t) <= k and not contains_meta(t):
+        return t
     match t:
         case Var(loc, idx):
-            if idx < k:
-                return Var(loc, idx)
             if idx - k in inverse:
                 return Var(loc, inverse[idx - k] + k)
             raise _NotInvertible
@@ -104,8 +105,6 @@ def _strengthen(t: Term, new_pos: dict[int, int], r: int, p: int) -> Term:
     scoped over the kept positions only (`r` of them)."""
 
     def f(k: int, loc: Location, m: int) -> Term:
-        if m < k:
-            return Var(loc, m)
         q = p - 1 - (m - k)
         if q not in new_pos:
             raise _NotInvertible
@@ -230,7 +229,7 @@ def _unify_heads(phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv, t1: Term,
     """One step below `unify`'s entry: compare the heads, then recurse."""
     t1 = _head(phi, genv, ctx, t1, is_essence)
     t2 = _head(phi, genv, ctx, t2, is_essence)
-    if isinstance(t1, (Sort, Var, Const, Underscore, Meta)) and t1 == t2:
+    if t1 is t2 or isinstance(t1, (Sort, Var, Const, Underscore, Meta)) and t1 == t2:
         return phi
 
     def recur(phi: MetaEnv, ctx: LocalEnv, a: Term, b: Term) -> MetaEnv:

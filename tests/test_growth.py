@@ -12,7 +12,9 @@ left side's disjunctive normal form, gives a ratio of 2^size), and for
 normal form of the product has 2n applications; an engine that normalizes
 each contractum again is quadratic in it).  The `print_` families end in
 `Print`, whose naming pass asks at every binder whether its name occurs
-in the binder's scope.
+in the binder's scope.  In `solved_hole_used_n_times` the size is the
+number of uses of a hole whose solution is an arrow of that size: a
+checker that walks or copies the solution at each use is quadratic.
 """
 
 import io
@@ -97,6 +99,14 @@ def chain_of_holes(n: int) -> str:
             f"Definition d (y : {holes}) := k y.\n")
 
 
+def solved_hole_used_n_times(n: int) -> str:
+    # Every use of `y` compares the hole's solution with the domain of `f`.
+    arrow = " -> ".join(["A"] * (n + 1))
+    uses = " ".join(["(f y)"] * n)
+    return (f"Axiom (A : Type) (c : {arrow}) (f : ({arrow}) -> A) (p : {arrow}).\n"
+            f"Definition d := (fun (y : _) => p {uses}) c.\n")
+
+
 def print_arrow_axiom(n: int) -> str:
     arrow = " -> ".join(["A"] * (n + 1))
     return f"Axiom (A : Type) (h : {arrow}).\nPrint h.\n"
@@ -112,9 +122,9 @@ def print_forall_chain(n: int) -> str:
             f"Axiom h : forall ({binders} : A), P x0.\nPrint h.\n")
 
 
-def calls_to_check(script: str) -> int:
-    """Calls made inside proofun while checking `script` from scratch."""
-    session = Session(quiet=True, out=io.StringIO(), err=io.StringIO())
+def count_calls(thunk):
+    """The number of calls made inside proofun while `thunk()` runs, and
+    its result."""
     count = 0
 
     def profile(frame, event, _arg):
@@ -124,9 +134,16 @@ def calls_to_check(script: str) -> int:
 
     sys.setprofile(profile)
     try:
-        ok = run_source(session, script)
+        result = thunk()
     finally:
         sys.setprofile(None)
+    return count, result
+
+
+def calls_to_check(script: str) -> int:
+    """Calls made inside proofun while checking `script` from scratch."""
+    session = Session(quiet=True, out=io.StringIO(), err=io.StringIO())
+    count, ok = count_calls(lambda: run_source(session, script))
     assert ok, session.err.getvalue()
     return count
 
@@ -135,7 +152,7 @@ def calls_to_check(script: str) -> int:
 FAMILIES = [(nested_fun, 100), (application_spine, 100), (hole_against_arrow, 100),
             (pair_of_projections, 100), (conj_coercion, 5), (church_product, 40),
             (unfolded_abstraction, 100), (print_arrow_axiom, 100), (print_nested_fun, 100),
-            (print_forall_chain, 100)]
+            (print_forall_chain, 100), (solved_hole_used_n_times, 100)]
 
 
 @pytest.mark.parametrize("family, size", FAMILIES, ids=[f.__name__ for f, _ in FAMILIES])

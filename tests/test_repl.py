@@ -312,6 +312,19 @@ def test_compute_prints_a_normal_form_250_applications_deep():
                          + "f (" * 249 + "f x" + ")" * 249 + "\n")
 
 
+def test_compute_prints_a_normal_form_500_applications_deep():
+    # `mul c125 c4`: normalising and rendering take one Python frame per
+    # nested application, so this fits the default recursion limit.
+    s = session()
+    c4 = "fun (f : o -> o) (x : o) => f (f (f (f x)))"
+    script = church_product(125) + f"Definition c4 := {c4}.\nDefinition q := mul c125 c4.\n"
+    assert run_source(s, script), s.err.getvalue()
+    s.out = io.StringIO()
+    assert run_source(s, "Compute q."), s.err.getvalue()
+    assert out_of(s) == ("fun f : o -> o => fun x : o => "
+                         + "f (" * 499 + "f x" + ")" * 499 + "\n")
+
+
 def test_show_term_reports_excessive_depth_as_a_prover_error():
     from proofun.errors import ProverError
     from proofun.pretty import show_term

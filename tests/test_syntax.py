@@ -1,23 +1,26 @@
 """Core term machinery: traversals, lifting, substitution, equality."""
 
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
 from proofun.env import LocalEnv, MetaEnv, TypedDecl
 from proofun.errors import InternalError
-from proofun.normalize import delta_phi_expand
+from proofun.normalize import delta_phi_expand, zonk
 from proofun.parser import fix_index
 from proofun.syntax import (
     Abs, App, Const, Let, Location, Meta, NOWHERE, Prod, SMatch, Sort,
-    SortKind, Underscore, Var, beta_redex, children, erase_context, free_in,
-    instantiate, lift, map_term, subterms, visit_term,
+    SortKind, Term, Underscore, Var, beta_redex, children, contains_meta,
+    erase_context, first_meta, free_in, instantiate, lift, loose, map_term,
+    msubst, subterms, visit_term,
 )
 
 from helpers import (
     P, enumerate_closed_named, named_subst, named_to_syntax, random_named_term,
+    random_printable_term,
 )
+from test_growth import count_calls
 
 L = NOWHERE
 
@@ -320,3 +323,164 @@ def test_sorts_and_underscore_compare():
     assert Sort(L, SortKind.TYPE) == Sort(L, SortKind.TYPE)
     assert Sort(L, SortKind.TYPE) != Sort(L, SortKind.KIND)
     assert Underscore(L) == Underscore(L)
+
+
+# ------------- cached facts (loose, contains_meta) -------------
+
+
+def _reference_facts(t):
+    """`(loose(t), contains_meta(t))` by direct recursion over the fields."""
+
+    def free(t):
+        match t:
+            case Var(_, n):
+                return {n}
+            case Let(_, _, a, b, c):
+                return free(a) | free(b) | down(c)
+            case Prod(_, _, a, b) | Abs(_, _, a, b):
+                return free(a) | down(b)
+            case SMatch(_, s, m, _, a1, b1, _, a2, b2):
+                return free(s) | free(m) | free(a1) | down(b1) | free(a2) | down(b2)
+        return set().union(*map(free, children(t)))
+
+    def down(t):
+        return {n - 1 for n in free(t) if n}
+
+    indices = free(t)
+    return (max(indices) + 1 if indices else 0,
+            any(type(s) is Meta for s in subterms(t)))
+
+
+def _twin(t, relocate=False, counter=None):
+    """A copy of `t` built node by node, so no node of it has cached facts;
+    with `relocate`, every node gets its own location (pre-order number)."""
+    counter = [0] if counter is None else counter
+    counter[0] += 1
+    loc = Location("t", (counter[0], 1), (counter[0], 2)) if relocate else t.loc
+    args = []
+    for f in fields(t)[1:]:
+        v = getattr(t, f.name)
+        if isinstance(v, Term):
+            v = _twin(v, relocate, counter)
+        elif isinstance(v, tuple):
+            v = tuple(_twin(c, relocate, counter) for c in v)
+        args.append(v)
+    return type(t)(loc, *args)
+
+
+def _random_cached_term(rng):
+    """A random term over every node kind (metas with suspensions, `SMatch`
+    binders), free variables included, with distinct locations."""
+    t = random_printable_term(rng, rng.randint(1, 14), depth=rng.randint(0, 3))
+    return _twin(t, relocate=True)
+
+
+def test_facts_of_every_subterm_match_the_reference():
+    rng = random.Random(31)
+    kinds = set()
+    for _ in range(400):
+        t = _random_cached_term(rng)
+        if rng.random() < 0.5:  # part of it summarised before the rest
+            inner = rng.choice(list(subterms(t)))
+            assert (loose(inner), contains_meta(inner)) == _reference_facts(inner)
+        shared = App(L, t, (t, Meta(L, 7, (t,))))
+        edited = replace(t, loc=_ELSEWHERE) if type(t) is not Var else t
+        for root in (t, shared, edited):
+            for s in subterms(root):
+                kinds.add(type(s))
+                assert (loose(s), contains_meta(s)) == _reference_facts(s), s
+        if type(t) is App:  # a replaced node is summarised afresh
+            changed = replace(t, spine=t.spine + (Var(L, 9), Meta(L, 0, ())))
+            assert (loose(changed), contains_meta(changed)) == _reference_facts(changed)
+    assert {Let, Prod, Abs, App, SMatch, Meta, Var} <= kinds
+
+
+def _solve_some_metas(rng, t):
+    """`t` with every meta renumbered to a fresh one over a context as long
+    as its suspension, about half of them solved, and the environment."""
+    phi = MetaEnv()
+
+    def go(t):
+        nonlocal phi
+        if type(t) is not Meta:
+            return visit_term(go, lambda _s, c: go(c), lambda s, _c: s, t)
+        susp = tuple(go(c) for c in t.susp)
+        ctx = LocalEnv()
+        for _ in susp:
+            ctx = ctx.push_dummy()
+        phi, mid = phi.fresh_meta(TypedDecl(ctx, _c("A")))
+        if rng.random() < 0.5:
+            j = rng.randrange(len(susp)) if susp else None
+            sol = _c("s") if j is None else App(L, _c("s"), (Var(L, j), Var(L, 0)))
+            phi = phi.instantiate_meta(mid, sol)
+        return Meta(t.loc, mid, susp)
+
+    t = go(t)
+    return phi, t
+
+
+def test_traversals_agree_on_a_cached_term_and_an_uncached_twin():
+    rng = random.Random(37)
+    for _ in range(400):
+        phi, t = _solve_some_metas(rng, _random_cached_term(rng))
+        cached, twin = t, _twin(t)
+        for s in subterms(cached):  # some subterms summarised, or all of them
+            if rng.random() < 0.3:
+                loose(s)
+        if rng.random() < 0.5:
+            loose(cached)
+        assert all(s._facts is None for s in subterms(twin))
+        n = _reference_facts(twin)[0]
+        args = tuple(_random_cached_term(rng) for _ in range(rng.randint(1, 3)))
+        k, by = rng.randint(0, 3), rng.randint(-1, 3)
+        if by >= 0 or not free_in(0, twin):
+            assert repr(lift(k, by, cached)) == repr(lift(k, by, twin))
+        assert repr(instantiate(cached, args)) == repr(instantiate(twin, args))
+        susp = args + tuple(Var(L, i) for i in range(n))
+        assert repr(msubst(cached, susp)) == repr(msubst(twin, susp))
+        for i in range(n + 2):
+            assert free_in(i, cached) == free_in(i, twin)
+        assert repr(zonk(phi, cached)) == repr(zonk(phi, twin))
+        m1, m2 = first_meta(cached), first_meta(_twin(t))
+        first = next((s for s in subterms(twin) if type(s) is Meta), None)
+        assert (m1 is None) == (m2 is None) == (first is None)
+        if m1 is not None:
+            assert (m1.mid, m1.loc) == (m2.mid, m2.loc) == (first.mid, first.loc)
+
+
+def test_cache_leaves_eq_hash_repr_and_fields_alone():
+    rng = random.Random(41)
+    for _ in range(200):
+        t = _random_cached_term(rng)
+        twin = _twin(t)
+        before = (repr(t), hash(t))
+        loose(t)
+        assert (repr(t), hash(t)) == before == (repr(twin), hash(twin))
+        assert t == twin and twin == t
+        assert "_facts" not in repr(t)
+        assert "_facts" not in {f.name for f in fields(t)}
+        assert "_facts" not in vars(replace(t))
+
+
+def test_summarised_closed_term_is_queried_and_shifted_in_constant_calls():
+    t = App(L, _c("f"), tuple(Abs(L, "x", _c("A"), App(L, Var(L, 0), (_c("a"),)))
+                              for _ in range(400)))
+    assert sum(1 for _ in subterms(t)) == 2002
+    assert not contains_meta(t)
+    queries = [lambda: contains_meta(t), lambda: zonk(MetaEnv(), t), lambda: lift(0, 3, t)]
+    for query in queries:
+        calls, _ = count_calls(query)
+        assert calls <= 5, calls
+    assert lift(0, 3, t) is t
+    assert zonk(MetaEnv(), t) is t
+
+
+def test_rebuilds_share_unchanged_subterms():
+    t = P("fun x : A => f (g x) (h c)")
+    out = lift(0, 1, t)
+    assert out is t  # closed: nothing to shift
+    body = Abs(L, "y", _c("B"), App(L, Var(L, 1), (Var(L, 0), P("h c"))))
+    shifted = lift(0, 2, body)
+    assert shifted.domain is body.domain
+    assert shifted.body.spine[1] is body.body.spine[1]
+    assert shifted.body.head == Var(L, 3)
