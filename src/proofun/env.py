@@ -209,9 +209,6 @@ class MetaEnv:
         except KeyError:
             raise InternalError(f"unknown meta-variable ?{mid}") from None
 
-    def is_instantiated(self, mid: int) -> bool:
-        return isinstance(self.lookup(mid), (SortDef, TypedDef, EssDef))
-
     def fresh_meta(self, decl: MetaEntry) -> tuple[MetaEnv, int]:
         if not isinstance(decl, (SortDecl, TypedDecl, EssDecl)):
             raise InternalError("fresh_meta expects a declaration form")

@@ -17,6 +17,7 @@ Comments are `(* ... *)` and nest.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from proofun.errors import InternalError, LexError, ParseError
 from proofun.syntax import (
@@ -38,8 +39,7 @@ _IDCHARS = frozenset(
     "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_'")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # ID KW UNDERSCORE STRING LPAREN RPAREN LT GT AMP BAR ARROW DARROW COLONEQ COLON COMMA DOT EOF
     text: str
     loc: Location
@@ -204,7 +204,10 @@ class _Parser:
         self.pos = 0
 
     def peek(self, ahead: int = 0) -> Token:
-        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
+        # `pos` never passes the final EOF token, so only a lookahead clamps.
+        if ahead:
+            return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
+        return self.toks[self.pos]
 
     def next(self) -> Token:
         tok = self.peek()
@@ -514,24 +517,30 @@ def parse_script(text: str, source: str = "<script>") -> list[list[Command]]:
 
 def fix_index(t: Term, scope: tuple[str, ...] | list[str] = ()) -> Term:
     """Replace names bound by `scope` (innermost first) or by enclosing
-    binders with de Bruijn indices; unknown names stay constants."""
+    binders with de Bruijn indices; unknown names stay constants.  Each name
+    maps to the stack of depths that bind it, so a lookup is O(1)."""
+    depths: dict[str, list[int]] = {}
+    for depth, name in enumerate(reversed(scope)):
+        depths.setdefault(name, []).append(depth)
+    depth = len(scope)
 
-    def go(t: Term, names: list[str]) -> Term:
-        match t:
-            case Const(loc, name):
-                try:
-                    return Var(loc, names.index(name))
-                except ValueError:
-                    return t
-            case _:
-                return visit_term(
-                    lambda c: go(c, names),
-                    lambda s, c: go(c, [s] + names),
-                    lambda s, _c: s,
-                    t,
-                )
+    def go(t: Term) -> Term:
+        if type(t) is Const:
+            bound = depths.get(t.name)
+            return Var(t.loc, depth - 1 - bound[-1]) if bound else t
+        return visit_term(go, under, lambda s, _c: s, t)
 
-    return go(t, list(scope))
+    def under(name: str, child: Term) -> Term:
+        nonlocal depth
+        bound = depths.setdefault(name, [])
+        bound.append(depth)
+        depth += 1
+        child = go(child)
+        depth -= 1
+        bound.pop()
+        return child
+
+    return go(t)
 
 
 def fix_id(t: Term, scope: tuple[str, ...] | list[str] = ()) -> Term:

@@ -9,9 +9,12 @@ through unification as early as possible.  The essence phase (`essence` /
 strong pairs and strong sums carry one shared computational content.
 
 The sort discipline is the logical-framework one: the only product rules
-are (Type, Type) and (Type, Kind), with Type : Kind.  Checking-mode rules
-are syntax-directed and take priority; the default rule infers a type and
-unifies it with the expectation, blaming the innermost offending subterm.
+are (Type, Type) and (Type, Kind), with Type : Kind.  Sorts are read off
+the weak head normal form of a synthesised type, not unified, as in the
+Pure Type System checkers of van Benthem Jutting, McKinna and Pollack
+(1993).  Checking-mode rules are syntax-directed and take priority; the
+default rule infers a type and unifies it with the expectation, blaming
+the innermost offending subterm.
 
 A type the refiner synthesised is well formed by construction and is
 trusted, never elaborated again (as in Coquand's type-checking algorithm
@@ -65,15 +68,21 @@ def _fresh_wildcard(phi: MetaEnv, ctx: LocalEnv, loc: Location
 def _pts_check(phi: MetaEnv, genv: GlobalEnv, ctx_dom: LocalEnv,
                ctx_cod: LocalEnv, s1: Term, s2: Term, loc: Location
                ) -> tuple[MetaEnv, Term]:
-    """Resolve the product side condition by trying the allowed sort pairs
-    in order; returns the sort of the product."""
-    for a, b in _PTS_RULES:
-        try:
-            phi2 = unify(phi, genv, ctx_dom, s1, Sort(loc, a))
-            phi2 = unify(phi2, genv, ctx_cod, s2, Sort(loc, b))
-            return phi2, Sort(loc, b)
-        except UnificationFailure:
-            continue
+    """Resolve the product side condition; returns the sort of the product.
+    Two sorts are looked up in the rules; otherwise the allowed sort pairs
+    are tried in order against the metas."""
+    v1, v2 = whnf(phi, genv, ctx_dom, s1), whnf(phi, genv, ctx_cod, s2)
+    if isinstance(v1, Sort) and isinstance(v2, Sort):
+        if (v1.kind, v2.kind) in _PTS_RULES:
+            return phi, Sort(loc, v2.kind)
+    else:
+        for a, b in _PTS_RULES:
+            try:
+                phi2 = unify(phi, genv, ctx_dom, s1, Sort(loc, a))
+                phi2 = unify(phi2, genv, ctx_cod, s2, Sort(loc, b))
+                return phi2, Sort(loc, b)
+            except UnificationFailure:
+                continue
     raise TypeCheckError("this product is not allowed by the sort discipline", loc)
 
 
@@ -307,29 +316,18 @@ def reconstruct(phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv, t: Term
 
 def force_type(phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv, t: Term
                ) -> tuple[Term, Term, MetaEnv]:
-    """Refine `t` while ensuring it is a type: its type must unify with
-    Type, with Kind, or (when both would do) with a fresh sort meta."""
+    """Refine `t` while ensuring it is a type, and return its type `tau`: a
+    sort in the weak head normal form of `tau` decides at once, otherwise
+    `tau` must unify with a fresh sort meta (only a flexible `tau` does)."""
     t2, tau, phi = reconstruct(phi, genv, ctx, t)
-    loc = t.loc
-
-    def probe(sort: Term) -> MetaEnv | None:
-        try:
-            return unify(phi, genv, ctx, tau, sort)
-        except UnificationFailure:
-            return None
-
-    as_type = probe(sort_type(loc))
-    as_kind = probe(sort_kind(loc))
-    if as_type is not None and as_kind is not None:
-        phi2, sid = phi.fresh_meta(SortDecl())
-        phi3 = unify(phi2, genv, ctx, tau, Meta(loc, sid, ()))
-        return t2, tau, phi3
-    if as_type is not None:
-        return t2, tau, as_type
-    if as_kind is not None:
-        return t2, tau, as_kind
-    raise TypeCheckError(
-        f'the term "{_shown(phi, ctx, t2)}" is not a type', loc)
+    if isinstance(whnf(phi, genv, ctx, tau), Sort):
+        return t2, tau, phi
+    phi2, sid = phi.fresh_meta(SortDecl())
+    try:
+        return t2, tau, unify(phi2, genv, ctx, tau, Meta(t.loc, sid, ()))
+    except UnificationFailure:
+        raise TypeCheckError(
+            f'the term "{_shown(phi, ctx, t2)}" is not a type', t.loc) from None
 
 
 def reconstruct_with_type(phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv,

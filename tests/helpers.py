@@ -6,23 +6,28 @@ from __future__ import annotations
 
 import os
 import random
+from typing import NamedTuple
 
 from proofun.env import (
     EssDecl, EssDef, GlobalEnv, LocalEnv, MetaEnv, SortDecl, SortDef,
     TypedDecl,
 )
-from proofun.errors import InternalError, UnificationFailure
+from proofun.errors import (
+    InternalError, LexError, ProverError, TypeCheckError, UnificationFailure,
+)
 from proofun.normalize import (
-    DEFAULT_FUEL, delta_phi_expand, is_eta, normalize_meta,
+    DEFAULT_FUEL, delta_phi_expand, is_eta, normalize_meta, zonk,
 )
-from proofun.parser import fix_index, parse_term
-from proofun.refine import elaborate, elaborate_type
+from proofun.parser import KEYWORDS, _IDCHARS, fix_index, parse_term
+from proofun.pretty import show_term
+from proofun.refine import elaborate, elaborate_type, reconstruct
 from proofun.syntax import (
-    Abs, App, Coercion, Const, Inter, Let, Meta, NOWHERE, Prod, SInLeft,
-    SInRight, SMatch, Sort, SortKind, SPair, SPrLeft, SPrRight, Term,
-    Underscore, Union, Var, beta_redex, contains_meta, erase_context, lift, mk_app, visit_term,
+    Abs, App, Coercion, Const, Inter, Let, Location, Meta, NOWHERE, Prod,
+    SInLeft, SInRight, SMatch, Sort, SortKind, SPair, SPrLeft, SPrRight, Term,
+    Underscore, Union, Var, beta_redex, contains_meta, erase_context, lift, mk_app,
+    sort_kind, sort_type, visit_term,
 )
-from proofun.unify import try_hopu
+from proofun.unify import try_hopu, unify
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "corpus")
 
@@ -653,3 +658,169 @@ def random_printable_term(rng: random.Random, size: int, depth: int = 0,
         return SMatch(NOWHERE, sub(s), motive, hint(), maybe_hole(a1), sub(b1, 1),
                       hint(), maybe_hole(a2), sub(b2, 1))
     return Meta(NOWHERE, rng.randrange(5), tuple(sub(n) for n in sizes(rng.randint(1, 3))))
+
+
+# ---------------------------------------------------------------------------
+# Reference sort decision: `force_type` as it was before sorts were read off
+# the synthesised type.  The type of the refined term is unified with Type
+# and with Kind, and with a fresh sort meta when both succeed.  Kept only so
+# tests can compare the two.
+
+
+def reference_force_type(phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv, t: Term
+                         ) -> tuple[Term, Term, MetaEnv]:
+    t2, tau, phi = reconstruct(phi, genv, ctx, t)
+    loc = t.loc
+
+    def probe(sort: Term) -> MetaEnv | None:
+        try:
+            return unify(phi, genv, ctx, tau, sort)
+        except UnificationFailure:
+            return None
+
+    as_type = probe(sort_type(loc))
+    as_kind = probe(sort_kind(loc))
+    if as_type is not None and as_kind is not None:
+        phi2, sid = phi.fresh_meta(SortDecl())
+        phi3 = unify(phi2, genv, ctx, tau, Meta(loc, sid, ()))
+        return t2, tau, phi3
+    if as_type is not None:
+        return t2, tau, as_type
+    if as_kind is not None:
+        return t2, tau, as_kind
+    raise TypeCheckError(
+        f'the term "{show_term(zonk(phi, t2), ctx.names())}" is not a type', loc)
+
+
+def force_type_outcome(force, phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv,
+                       t: Term):
+    """What a sort decision gives: the refined term, its type and the whole
+    meta-environment, or the error's class, text and location."""
+    try:
+        t2, tau, out = force(phi, genv, ctx, t)
+    except ProverError as exc:
+        return type(exc).__name__, exc.message, exc.loc
+    return t2, tau, (out.next_id, out.entries, out.companions)
+
+
+# ---------------------------------------------------------------------------
+# Reference front end: the lexer and `fix_index` as they were before tokens
+# and locations got cheaper constructors and `fix_index` kept a stack of
+# binding depths per name.  `fix_index` copies the list of enclosing names at every binder and scans
+# it for every constant.  Kept only so tests can compare the front end with
+# them.
+
+
+class ReferenceToken(NamedTuple):
+    kind: str
+    text: str
+    loc: Location
+
+
+def reference_tokenize(text: str, source: str = "<input>") -> list[ReferenceToken]:
+    toks: list[ReferenceToken] = []
+    line, col, i = 1, 1, 0
+    n = len(text)
+
+    def here(width: int) -> Location:
+        return Location(source, (line, col), (line, col + width))
+
+    while i < n:
+        c = text[i]
+        if c == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if c in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if text.startswith("(*", i):
+            depth, start = 1, here(2)
+            i += 2
+            col += 2
+            while i < n and depth:
+                if text.startswith("(*", i):
+                    depth += 1
+                    i += 2
+                    col += 2
+                elif text.startswith("*)", i):
+                    depth -= 1
+                    i += 2
+                    col += 2
+                elif text[i] == "\n":
+                    line += 1
+                    col = 1
+                    i += 1
+                else:
+                    i += 1
+                    col += 1
+            if depth:
+                raise LexError("unterminated comment", start)
+            continue
+        if c == '"':
+            start = here(1)
+            j = i + 1
+            while j < n and text[j] not in '"\n':
+                j += 1
+            if j >= n or text[j] != '"':
+                raise LexError("unterminated string", start)
+            value = text[i + 1:j]
+            end = (line, col + (j - i) + 1)
+            toks.append(ReferenceToken("STRING", value, Location(source, (line, col), end)))
+            col += (j - i) + 1
+            i = j + 1
+            continue
+        two = text[i:i + 2]
+        if two in ("->", "=>", ":="):
+            kind = {"->": "ARROW", "=>": "DARROW", ":=": "COLONEQ"}[two]
+            toks.append(ReferenceToken(kind, two, here(2)))
+            i += 2
+            col += 2
+            continue
+        if c in "()<>&|:,.":
+            kind = {"(": "LPAREN", ")": "RPAREN", "<": "LT", ">": "GT",
+                    "&": "AMP", "|": "BAR", ":": "COLON", ",": "COMMA",
+                    ".": "DOT"}[c]
+            toks.append(ReferenceToken(kind, c, here(1)))
+            i += 1
+            col += 1
+            continue
+        if c in _IDCHARS:
+            j = i
+            while j < n and text[j] in _IDCHARS:
+                j += 1
+            word = text[i:j]
+            if word == "_":
+                kind = "UNDERSCORE"
+            elif word in KEYWORDS:
+                kind = "KW"
+            else:
+                kind = "ID"
+            toks.append(ReferenceToken(kind, word, here(j - i)))
+            col += j - i
+            i = j
+            continue
+        raise LexError(f'unexpected character "{c}"', here(1))
+    toks.append(ReferenceToken("EOF", "", Location(source, (line, col), (line, col))))
+    return toks
+
+
+def reference_fix_index(t: Term, scope: tuple[str, ...] = ()) -> Term:
+    def go(t: Term, names: list[str]) -> Term:
+        match t:
+            case Const(loc, name):
+                try:
+                    return Var(loc, names.index(name))
+                except ValueError:
+                    return t
+            case _:
+                return visit_term(
+                    lambda c: go(c, names),
+                    lambda s, c: go(c, [s] + names),
+                    lambda s, _c: s,
+                    t,
+                )
+
+    return go(t, list(scope))

@@ -4,11 +4,12 @@ round trips."""
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from proofun.errors import LexError, ParseError
 from proofun.parser import (
     Axiom, Definition, Load, Print, Quit, fix_id, fix_index, parse_command,
-    parse_script, parse_term,
+    parse_script, parse_term, tokenize,
 )
 from proofun.pretty import render, show_term
 from proofun.syntax import (
@@ -17,9 +18,11 @@ from proofun.syntax import (
 )
 
 from helpers import (
-    named_to_syntax, random_named_term, random_printable_term,
-    reference_fix_id, reference_render,
+    CORPUS_FILES, corpus_path, named_to_syntax, random_named_term,
+    random_printable_term, reference_fix_id, reference_fix_index,
+    reference_render, reference_tokenize,
 )
+from test_growth import FAMILIES, chain_of_holes
 
 
 # ------------- terms -------------
@@ -288,3 +291,66 @@ def test_print_reparse_over_type_expressions():
 def test_utf8_tolerated_in_comments():
     t = parse_term("(* théorème ✓ *) Type")
     assert render(t) == "Type"
+
+
+# ------------- the front end against the reference -------------
+
+
+def _front_end_texts() -> list[tuple[str, str]]:
+    """(source name, text): the corpus and the growth-test shapes."""
+    texts = []
+    for name in CORPUS_FILES:
+        with open(corpus_path(name), encoding="utf-8") as handle:
+            texts.append((name, handle.read()))
+    for family, size in FAMILIES + [(chain_of_holes, 20)]:
+        texts.append((family.__name__, family(size // 4 or 1)))
+    return texts
+
+
+def _lex_outcome(lexer, text: str, source: str = "t.bull"):
+    try:
+        return [(t.kind, t.text, t.loc) for t in lexer(text, source)]
+    except LexError as exc:
+        return "LexError", exc.message, exc.loc
+
+
+def test_tokens_match_the_reference_on_corpus_and_growth_shapes():
+    for name, text in _front_end_texts():
+        toks = _lex_outcome(tokenize, text, name)
+        assert toks[-1][0] == "EOF"
+        assert toks == _lex_outcome(reference_tokenize, text, name)
+
+
+# Fragments chosen to straddle every lexer state: nested and unterminated
+# comments and strings, tabs, CR, multi-character operators and non-ASCII.
+_LEX_PIECES = ["(*", "*)", "(", ")", "*", '"', "\n", "\t", "\r", " ", "->", "-",
+               "=>", "=", ":=", ":", ".", ",", "<", ">", "&", "|", "_", "x'",
+               "Type", "fun", "A0", "é", "λ", "✓", "#", "Kind"]
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(st.lists(st.sampled_from(_LEX_PIECES), max_size=40).map("".join)
+       | st.text(max_size=40))
+def test_lexer_matches_the_reference_on_arbitrary_text(text):
+    assert _lex_outcome(tokenize, text) == _lex_outcome(reference_tokenize, text)
+
+
+def test_fix_index_matches_the_reference_on_parsed_commands():
+    # `repr` shows locations and binder names too, not only the indices.
+    for name, text in _front_end_texts():
+        for group in parse_script(text, name):
+            for cmd in group:
+                for t in (getattr(cmd, "type", None), getattr(cmd, "body", None)):
+                    if t is not None:
+                        assert repr(fix_index(t)) == repr(reference_fix_index(t)), name
+
+
+def test_fix_index_matches_the_reference_on_random_shadowing_terms():
+    rng = random.Random(9)
+    names = ("x", "x0", "y", "c", "")
+    for _ in range(400):
+        t = random_printable_term(rng, rng.randint(1, 30), indexed=False)
+        scope = tuple(rng.choice(names) for _ in range(rng.randint(0, 4)))
+        assert repr(fix_index(t, scope)) == repr(reference_fix_index(t, scope)), (t, scope)
+    t = parse_term("fun (x : A) (x : x) => x y")
+    assert repr(fix_index(t, ("y", "x", "y"))) == repr(reference_fix_index(t, ("y", "x", "y")))

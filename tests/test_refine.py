@@ -6,27 +6,32 @@ import random
 
 import pytest
 
+from proofun import refine
 from proofun.env import (
-    EssDef, GlobalEnv, LocalEnv, MetaEnv, TypedDecl,
+    EssDef, GlobalEnv, LocalEnv, MetaEnv, SortDecl, TypedDecl,
 )
 from proofun.errors import (
     TOO_DEEP, EssenceMismatch, ProverError, TypeCheckError, UnresolvedMeta,
 )
-from proofun.normalize import strongly_normalize, zonk
+from proofun.normalize import strongly_normalize, whnf, zonk
 from proofun.parser import fix_index, parse_term
 from proofun.pretty import render_error, show_term
-from proofun.repl import Session, run_source
+from proofun.repl import Session, load_file, run_source
 from proofun.refine import (
     elaborate, elaborate_type, essence, essence_with_hint, force_type,
     reconstruct, reconstruct_with_type,
 )
 from proofun.subtype import is_subtype
 from proofun.syntax import (
-    Abs, Const, Inter, Meta, NOWHERE, Underscore,
+    Abs, Const, Inter, Location, Meta, NOWHERE, Sort, Underscore, Var,
     contains_meta, sort_kind, sort_type,
 )
+from proofun.unify import unify
 
-from helpers import P, axiom, define, make_test_genv, random_refined_term
+from helpers import (
+    CORPUS_FILES, P, axiom, corpus_path, define, force_type_outcome,
+    make_test_genv, random_refined_term, reference_force_type,
+)
 
 L = NOWHERE
 
@@ -157,7 +162,6 @@ def test_force_type_on_wildcard_yields_sort_meta():
     t, sort, phi = force_type(MetaEnv(), genv, LocalEnv(), Underscore(L))
     resolved = zonk(phi, sort)
     assert isinstance(resolved, Meta)
-    from proofun.env import SortDecl
     assert isinstance(phi.lookup(resolved.mid), SortDecl)
 
 
@@ -165,6 +169,109 @@ def test_force_type_rejects_terms():
     genv = fresh_genv()
     with pytest.raises(TypeCheckError):
         force_type(MetaEnv(), genv, LocalEnv(), P("0"))
+
+
+def _sort_decision_cases():
+    """(name, meta-environment, context, term) for the sort decision: sorts
+    behind definitions and solved metas, flexible types and non-types."""
+    genv = fresh_genv()
+    define(genv, "T", "Type")
+    axiom(genv, "a", "T")
+    axiom(genv, "b", "a")
+    empty, ctx = LocalEnv(), LocalEnv().push_decl("x", P("nat"))
+    phi, zid = MetaEnv().fresh_meta(SortDecl())
+    phi = phi.instantiate_meta(zid, sort_type())
+    phi, yid = phi.fresh_meta(TypedDecl(empty, Meta(L, zid, ())))
+    phi, kid = phi.fresh_meta(TypedDecl(empty, sort_kind()))
+    phi = phi.instantiate_meta(kid, sort_type())
+    phi, tid = phi.fresh_meta(TypedDecl(empty, Meta(L, kid, ())))
+    phi, sid = phi.fresh_meta(SortDecl())
+    phi, vid = phi.fresh_meta(TypedDecl(empty, Meta(L, sid, ())))
+    # A meta over (x : nat) whose type is a type meta; used at `0` below, so
+    # the suspension of that type is not a variable.
+    phi, fid = phi.fresh_meta(TypedDecl(ctx, sort_kind()))
+    phi, gid = phi.fresh_meta(TypedDecl(ctx, Meta(L, fid, (Var(L, 0),))))
+    cases = [
+        ("Type", MetaEnv(), empty, sort_type()),
+        ("Kind", MetaEnv(), empty, sort_kind()),
+        ("atom", MetaEnv(), empty, P("nat")),
+        ("definition of a sort", MetaEnv(), empty, P("T")),
+        ("sort behind a definition", MetaEnv(), empty, P("a")),
+        ("term of a defined type", MetaEnv(), empty, P("b")),
+        ("solved sort meta", phi, empty, Meta(L, yid, ())),
+        ("solved typed meta", phi, empty, Meta(L, tid, ())),
+        ("unsolved sort meta", phi, empty, Meta(L, vid, ())),
+        ("meta of a flexible type", phi, empty, Meta(L, gid, (P("0"),))),
+        ("wildcard", MetaEnv(), empty, Underscore(L)),
+        ("wildcard under a binder", MetaEnv(), ctx, Underscore(L)),
+        ("product into Kind", MetaEnv(), empty, P("nat -> Type")),
+        ("product out of Kind", MetaEnv(), empty, P("Type -> Type")),
+        ("dependent product", MetaEnv(), empty, P("forall x : nat, eq x x")),
+        ("non-type", MetaEnv(), empty, P("0")),
+        ("type family", MetaEnv(), empty, P("eq 0")),
+        ("variable of a non-sort", MetaEnv(), ctx, Var(L, 0)),
+    ]
+    return genv, cases
+
+
+def test_sort_decision_agrees_with_the_two_probe_reference():
+    genv, cases = _sort_decision_cases()
+    outcomes = {}
+    for name, phi, ctx, t in cases:
+        outcomes[name] = force_type_outcome(force_type, phi, genv, ctx, t)
+        assert outcomes[name] == \
+            force_type_outcome(reference_force_type, phi, genv, ctx, t), name
+    assert outcomes["non-type"] == ("TypeCheckError", 'the term "0" is not a type',
+                                    Location("<input>", (1, 1), (1, 2)))
+    assert outcomes["term of a defined type"][1] == 'the term "b" is not a type'
+    assert outcomes["Kind"][1] == "Kind itself has no type"
+    assert outcomes["product out of Kind"][1] == \
+        "this product is not allowed by the sort discipline"
+    # `_` comes back as a typed meta whose type is solved to a sort meta.
+    for name in ("wildcard", "wildcard under a binder"):
+        t2, sort, (_next, entries, _companions) = outcomes[name]
+        assert isinstance(t2, Meta) and isinstance(sort, Meta)
+        assert isinstance(entries[entries[sort.mid].body.mid], SortDecl)
+
+
+def test_sort_decision_agrees_with_the_reference_on_corpus_calls(monkeypatch):
+    # Every top-level `force_type` call made while checking the corpus is
+    # decided by both; nested calls inside a comparison run unchecked.
+    original, busy, compared = refine.force_type, False, 0
+
+    def checking(phi, genv, ctx, t):
+        nonlocal busy, compared
+        if not busy:
+            busy = True
+            try:
+                new = force_type_outcome(original, phi, genv, ctx, t)
+                old = force_type_outcome(reference_force_type, phi, genv, ctx, t)
+            finally:
+                busy = False
+            assert new == old, t
+            compared += 1
+        return original(phi, genv, ctx, t)
+
+    monkeypatch.setattr(refine, "force_type", checking)
+    for name in CORPUS_FILES:
+        session = Session(quiet=True, out=io.StringIO(), err=io.StringIO())
+        assert load_file(session, corpus_path(name)), session.err.getvalue()
+    assert compared > 400
+
+
+def test_a_sort_is_read_without_unifying(monkeypatch):
+    genv, _cases = _sort_decision_cases()
+    posed = []
+
+    def counting(*args, **kwargs):
+        posed.append(args)
+        return unify(*args, **kwargs)
+
+    monkeypatch.setattr(refine, "unify", counting)
+    for src in ("Type", "nat", "T", "a", "nat -> Type", "nat -> nat"):
+        t, sort, phi = force_type(MetaEnv(), genv, LocalEnv(), P(src))
+        assert isinstance(whnf(phi, genv, LocalEnv(), sort), Sort), src
+    assert posed == []
 
 
 # ------------- reconstruct_with_type -------------
@@ -513,7 +620,7 @@ def test_default_rule_checks_conversion_through_definitions():
     # The expected and inferred types differ syntactically but agree after
     # unfolding a definition and beta-reducing.
     import io
-    from proofun.repl import Session, run_source
+    from proofun.repl import Session, load_file, run_source
     s = Session(quiet=True, out=io.StringIO(), err=io.StringIO())
     assert run_source(s, """
         Axiom (o : Type) (atom : o -> Type) (i j : o).
@@ -536,7 +643,7 @@ def test_unresolved_meta_blames_the_hole_location():
 
 def test_dependent_smatch_motive():
     import io
-    from proofun.repl import Session, run_source
+    from proofun.repl import Session, load_file, run_source
     s = Session(quiet=True, out=io.StringIO(), err=io.StringIO())
     assert run_source(s, """
         Axiom (A B : Type) (P : A | B -> Type).
@@ -555,7 +662,7 @@ def test_dependent_smatch_motive():
 
 def test_dependent_smatch_rejects_unshared_branch_essences():
     import io
-    from proofun.repl import Session, run_source
+    from proofun.repl import Session, load_file, run_source
     s = Session(quiet=True, out=io.StringIO(), err=io.StringIO())
     assert not run_source(s, """
         Axiom (A B : Type) (P : A | B -> Type).

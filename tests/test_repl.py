@@ -178,6 +178,22 @@ def test_cli_runs_scripts_and_reports_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_flags_of_one_call_do_not_carry_into_the_next(tmp_path, capsys):
+    # The argument parser is built once and reused by every call.
+    script = tmp_path / "s.bull"
+    script.write_text("Axiom s : Type.\n")
+    assert main([str(script)]) == 0
+    assert capsys.readouterr().out == "s is declared.\n"
+    assert main([str(script), "--quiet"]) == 0
+    assert capsys.readouterr().out == ""
+    assert main([str(script)]) == 0
+    assert capsys.readouterr().out == "s is declared.\n"
+    assert main(["--help"]) == 0
+    assert "--no-color" in capsys.readouterr().out
+    assert main(["--quiet", "--bogus"]) == 2
+    assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+
+
 def test_public_api_names_all_resolve():
     namespace: dict = {}
     exec("from proofun import *", namespace)
