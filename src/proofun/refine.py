@@ -161,12 +161,14 @@ def reconstruct(phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv, t: Term
                         raise InternalError("bad suspension length")
                     checked: list[Term] = []
                     for i in range(n):
-                        want = msubst(mctx.entries[n - 1 - i].type, tuple(checked))
+                        # Entry n-1-i is scoped over the i entries before
+                        # it: the prefix checked so far, passed uncopied.
+                        want = msubst(mctx.entries[n - 1 - i].type, checked)
                         elem, phi = reconstruct_with_type(
                             phi, genv, ctx, susp[i], want)
                         checked.append(elem)
-                    return (Meta(loc, mid, tuple(checked)),
-                            msubst(ty, tuple(checked)), phi)
+                    susp2 = tuple(checked)
+                    return Meta(loc, mid, susp2), msubst(ty, susp2), phi
             raise InternalError("essence meta in a typing judgment")
         case Let(loc, name, annot, bound, body):
             annot2, _s, phi = force_type(phi, genv, ctx, annot)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from dataclasses import dataclass, field
 from typing import IO
@@ -54,6 +55,7 @@ class Session:
     color: bool = False
     out: IO[str] | None = None  # None: current sys.stdout / sys.stderr
     err: IO[str] | None = None
+    loading: set[str] = field(default_factory=set)  # real paths of open Loads
 
     def emit(self, text: str) -> None:
         print(text, file=self.out or sys.stdout)
@@ -169,12 +171,21 @@ def run_source(session: Session, text: str, source: str = "<input>") -> bool:
 
 
 def load_file(session: Session, path: str, loc: Location | None = None) -> bool:
+    """Run the file at `path`.  A `Load` of a file that is still being
+    loaded (a cycle) is an error at that `Load`."""
+    key = os.path.realpath(path)
+    if key in session.loading:
+        raise CommandError(f'cyclic Load: "{path}" is already being loaded', loc)
     try:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
     except OSError as exc:
         raise CommandError(f'cannot open "{path}": {exc.strerror}', loc) from None
-    return run_source(session, text, source=path)
+    session.loading.add(key)
+    try:
+        return run_source(session, text, source=path)
+    finally:
+        session.loading.discard(key)
 
 
 # A command never contains a period, so the token stream splits exactly at

@@ -10,25 +10,25 @@ Every node carries a `Location`.  Locations and binder names are hints:
 they are excluded from the generated `==` and `hash`, so `==` on terms is
 alpha-equivalence.
 
-Each node also caches two facts about itself: `loose`, one more than its
+Each node also stores two facts about itself: `loose`, one more than its
 largest free de Bruijn index (0 when it is closed), and whether a
-meta-variable occurs in it (`contains_meta`).  They are filled lazily by
-the first query, in one post-order walk that stops at nodes already
-summarised, so each node is summarised once in its life.  They live in the
-instance dictionary, not in a dataclass field, so `==`, `hash`, `repr` and
-`dataclasses.replace` ignore them and constructing a node costs nothing.
+meta-variable occurs in it (`contains_meta`).  Its constructor computes them
+from its children's facts, a constant amount of work per child, so every
+node knows them from birth and both queries take constant time.  They live
+in the instance dictionary, not in a dataclass field, so `==`, `hash`,
+`repr` and `dataclasses.replace` ignore them.
 
 Rebuilds share: `visit_term` returns its input object when every child and
 name comes back as the same object, and `map_term` (so `lift`,
-`instantiate` and `msubst`) also returns a subterm unchanged when its
-cached facts show that no index in it can change.  A term that a
-traversal leaves alone is therefore the very object it was given.
+`instantiate` and `msubst`) also returns a subterm unchanged when its facts
+show that no index in it can change.  A term that a traversal leaves alone
+is therefore the very object it was given.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from operator import is_
 from typing import Callable, Iterator, Sequence
@@ -47,8 +47,8 @@ class Location:
     def __init__(self, source: str = "<input>", start: tuple[int, int] = (0, 0),
                  end: tuple[int, int] = (0, 0)) -> None:
         # Cheaper than the generated frozen `__init__` (`object.__setattr__`).
-        fields = self.__dict__
-        fields["source"], fields["start"], fields["end"] = source, start, end
+        d = self.__dict__
+        d["source"], d["start"], d["end"] = source, start, end
 
 
 NOWHERE = Location()
@@ -72,18 +72,18 @@ class Term:
     """Base class for all nodes; see the concrete dataclasses below."""
 
     __slots__ = ()
-    # The cached facts of a summarised node, `2 * loose + contains_meta`; the
-    # class default marks a node not summarised yet (see `_summarise`).
-    _facts: int | None = None
+    # The facts of the node, `2 * loose + contains_meta`, set by its
+    # constructor (see `_constructor`).
+    _facts: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Sort(Term):
     loc: Location = field(compare=False)
     kind: SortKind
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Let(Term):
     """let name : annot := bound in body   (body binds index 0)"""
 
@@ -94,7 +94,7 @@ class Let(Term):
     body: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Prod(Term):
     """forall name : domain, codomain   (codomain binds index 0)"""
 
@@ -104,7 +104,7 @@ class Prod(Term):
     codomain: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Abs(Term):
     """fun name : domain => body   (body binds index 0)
 
@@ -117,7 +117,7 @@ class Abs(Term):
     body: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class App(Term):
     """head applied to spine, leftmost argument first; head is never an App
     in normalized or refined terms."""
@@ -127,21 +127,21 @@ class App(Term):
     spine: tuple[Term, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Inter(Term):
     loc: Location = field(compare=False)
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Union(Term):
     loc: Location = field(compare=False)
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SPair(Term):
     """Strong pair: both components must share one essence."""
 
@@ -150,19 +150,19 @@ class SPair(Term):
     right: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SPrLeft(Term):
     loc: Location = field(compare=False)
     body: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SPrRight(Term):
     loc: Location = field(compare=False)
     body: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SMatch(Term):
     """Strong sum elimination.
 
@@ -181,7 +181,7 @@ class SMatch(Term):
     branch2: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SInLeft(Term):
     """inj_l other body : typeof(body) | other"""
 
@@ -190,7 +190,7 @@ class SInLeft(Term):
     body: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SInRight(Term):
     """inj_r other body : other | typeof(body)"""
 
@@ -199,7 +199,7 @@ class SInRight(Term):
     body: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Coercion(Term):
     """coe target body: explicit up-cast, requires typeof(body) <= target."""
 
@@ -208,24 +208,24 @@ class Coercion(Term):
     body: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Var(Term):
     loc: Location = field(compare=False)
     index: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Const(Term):
     loc: Location = field(compare=False)
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Underscore(Term):
     loc: Location = field(compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Meta(Term):
     """Meta-variable with its suspended substitution (one term per local
     variable in scope at creation time)."""
@@ -233,6 +233,46 @@ class Meta(Term):
     loc: Location = field(compare=False)
     mid: int
     susp: tuple[Term, ...]
+
+
+# The fields of each node kind that sit under one binder of that node.
+_UNDER_BINDER = {Let: ("body",), Prod: ("codomain",), Abs: ("body",),
+                 SMatch: ("branch1", "branch2")}
+
+# Folds the facts `x` of one child into the node's facts `f`: the larger
+# loose range, and the meta flag of either.
+_JOIN = "f = (f if f > x else x) | (f | x) & 1"
+
+
+def _constructor(cls: type) -> Callable[..., None]:
+    """The `__init__` of node kind `cls`.  It stores the fields in the
+    instance dictionary (cheaper than the frozen dataclass's
+    `object.__setattr__`) and sets `_facts` from the children's facts in a
+    constant number of steps per child; a child under a binder counts with
+    its loose range lowered by one."""
+    under = _UNDER_BINDER.get(cls, ())
+    names = [f.name for f in fields(cls)]
+    lines = ["d = self.__dict__", *(f"d[{n!r}] = {n}" for n in names),
+             "f = 2 * index + 2" if cls is Var else f"f = {int(cls is Meta)}"]
+    for f in fields(cls):
+        if f.type == "Term":
+            lines.append(f"x = {f.name}._facts")
+            if f.name in under:
+                lines.append("x = x - 2 if x > 1 else x")
+            lines.append(_JOIN)
+        elif f.type == "tuple[Term, ...]":
+            lines += [f"for c in {f.name}:", f"    x = c._facts; {_JOIN}"]
+    lines.append("d['_facts'] = f")
+    source = "".join(f"    {line}\n" for line in lines)
+    namespace: dict[str, Callable[..., None]] = {}
+    exec(f"def __init__(self, {', '.join(names)}):\n{source}", namespace)
+    init = namespace["__init__"]
+    init.__qualname__ = f"{cls.__name__}.__init__"
+    return init
+
+
+for _kind in Term.__subclasses__():
+    _kind.__init__ = _constructor(_kind)
 
 
 # ---------------------------------------------------------------------------
@@ -288,14 +328,12 @@ def map_term(k: int, fn: Callable[[int, Location, int], Term], t: Term) -> Term:
     """Replace every free `Var(loc, n)` at binder offset `d` (one with
     `n >= k + d`) by `fn(k + d, loc, n)`; bound variables are kept, and
     meta-variable suspensions are traversed like ordinary children.  A
-    subterm whose facts are already cached and show no free index at or
-    above its offset comes back unchanged; `map_term` never fills the cache
-    itself, since most of what it walks is a fresh contractum."""
-    facts = t._facts
-    if facts is not None and facts >> 1 <= k:
+    subterm whose facts show no free index at or above its offset comes
+    back unchanged without being walked."""
+    if t._facts >> 1 <= k:
         return t
     if type(t) is Var:
-        return t if t.index < k else fn(k, t.loc, t.index)
+        return fn(k, t.loc, t.index)
     return visit_term(
         lambda c: map_term(k, fn, c),
         lambda _s, c: map_term(k + 1, fn, c),
@@ -348,7 +386,7 @@ def replace_bound(t: Term, arg: Term) -> Term:
     return beta_redex(lift(1, 1, t), arg)
 
 
-def msubst(solution: Term, susp: tuple[Term, ...]) -> Term:
+def msubst(solution: Term, susp: Sequence[Term]) -> Term:
     """Simultaneously substitute the suspended terms for the declared local
     variables of a meta-variable solution (index n-1 gets susp[0])."""
     n = len(susp)
@@ -409,43 +447,13 @@ def children(t: Term) -> tuple[Term, ...]:
     raise InternalError(f"children: unknown node {t!r}")
 
 
-# The positions in `children(t)` that sit under one binder of `t`.
-_UNDER_BINDER = {Let: (2,), Prod: (1,), Abs: (1,), SMatch: (3, 5)}
-
-
-def _summarise(t: Term) -> int:
-    """The facts of `t`, filling those of every subterm not summarised yet in
-    one post-order walk with an explicit stack."""
-    stack: list[Term | tuple[Term, ...]] = [t]
-    while stack:
-        s = stack.pop()
-        if type(s) is tuple:  # the children of the node below, all summarised
-            kids, s = s, stack.pop()
-            under = _UNDER_BINDER.get(type(s), ())
-            loose, meta = 0, type(s) is Meta
-            for i, c in enumerate(kids):
-                meta |= c._facts & 1
-                loose = max(loose, (c._facts >> 1) - (i in under))
-            object.__setattr__(s, "_facts", 2 * loose + meta)
-        elif s._facts is None:
-            if type(s) is Var:
-                object.__setattr__(s, "_facts", 2 * (s.index + 1))
-                continue
-            kids = children(s)
-            stack += (s, kids)
-            stack += kids
-    return t._facts
-
-
 def loose(t: Term) -> int:
     """One more than the largest free de Bruijn index of `t`; 0 if closed."""
-    facts = t._facts
-    return (_summarise(t) if facts is None else facts) >> 1
+    return t._facts >> 1
 
 
 def contains_meta(t: Term) -> bool:
-    facts = t._facts
-    return bool((_summarise(t) if facts is None else facts) & 1)
+    return bool(t._facts & 1)
 
 
 def subterms(t: Term) -> Iterator[Term]:
@@ -510,7 +518,7 @@ class ConstOccurrences:
 
 def metas(t: Term) -> Iterator[Meta]:
     """Every meta-variable occurrence in `t`, in pre-order; meta-free
-    subtrees are skipped by their cached facts."""
+    subtrees are skipped by their facts."""
     stack = [t]
     while stack:
         s = stack.pop()

@@ -280,6 +280,42 @@ def test_nested_load(tmp_path):
     assert s.genv.names() == ["s", "t"]
 
 
+def test_a_file_that_loads_itself_is_a_located_error(tmp_path):
+    script = tmp_path / "self.bull"
+    script.write_text(f'Axiom s : Type.\nLoad "{script}".\nAxiom t : Type.\n')
+    s = session()
+    assert not load_file(s, str(script))
+    report = s.err.getvalue()
+    assert f'Load "{script}".\n^' in report
+    assert report.rstrip("\n").endswith(f'Error: cyclic Load: "{script}" is already being loaded')
+    assert s.genv.names() == ["s"]  # earlier successes kept, the rest aborted
+    assert not s.loading
+
+
+def test_a_load_cycle_through_two_files_is_reported_at_the_closing_load(tmp_path):
+    a, b = tmp_path / "a.bull", tmp_path / "b.bull"
+    a.write_text(f'Load "{b}".\n')
+    b.write_text(f'\nLoad "{tmp_path}/../{tmp_path.name}/a.bull".\n')
+    s = session()
+    assert not run_source(s, f'Load "{a}".')
+    report = s.err.getvalue()
+    assert report.count("Error:") == 1
+    assert report.startswith(f'Load "{tmp_path}/../{tmp_path.name}/a.bull".\n^')
+    assert "cyclic Load" in report and "a.bull" in report
+    assert not s.loading
+
+
+def test_a_file_loaded_twice_outside_a_cycle_runs_twice(tmp_path):
+    inner = tmp_path / "inner.bull"
+    inner.write_text("Print s.\n")
+    outer = tmp_path / "outer.bull"
+    outer.write_text(f'Load "{inner}".\nLoad "{inner}".\n')
+    s = session()
+    assert run_source(s, "Axiom s : Type.")
+    assert load_file(s, str(outer))
+    assert out_of(s) == "s : Type\ns : Type\n"
+
+
 def test_color_wraps_error_reports():
     s = Session(quiet=True, color=True, out=io.StringIO(), err=io.StringIO())
     assert not run_source(s, "Print ghost.")

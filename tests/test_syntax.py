@@ -1,5 +1,6 @@
 """Core term machinery: traversals, lifting, substitution, equality."""
 
+import io
 import random
 from dataclasses import fields, replace
 
@@ -8,17 +9,19 @@ import pytest
 from proofun.env import LocalEnv, MetaEnv, TypedDecl
 from proofun.errors import InternalError
 from proofun.normalize import delta_phi_expand, zonk
-from proofun.parser import fix_index
+from proofun.parser import fix_index, parse_script, parse_term
+from proofun.pretty import show_term
+from proofun.repl import Session, load_file
 from proofun.syntax import (
     Abs, App, Const, Let, Location, Meta, NOWHERE, Prod, SMatch, Sort,
     SortKind, Term, Underscore, Var, beta_redex, children, contains_meta,
     erase_context, first_meta, free_in, instantiate, lift, loose, map_term,
-    msubst, subterms, visit_term,
+    mk_app, msubst, subterms, visit_term,
 )
 
 from helpers import (
-    P, enumerate_closed_named, named_subst, named_to_syntax, random_named_term,
-    random_printable_term,
+    CORPUS_FILES, P, corpus_path, enumerate_closed_named, named_subst,
+    named_to_syntax, random_named_term, random_printable_term,
 )
 from test_growth import count_calls
 
@@ -325,7 +328,7 @@ def test_sorts_and_underscore_compare():
     assert Underscore(L) == Underscore(L)
 
 
-# ------------- cached facts (loose, contains_meta) -------------
+# ------------- node facts (loose, contains_meta) -------------
 
 
 def _reference_facts(t):
@@ -352,8 +355,9 @@ def _reference_facts(t):
 
 
 def _twin(t, relocate=False, counter=None):
-    """A copy of `t` built node by node, so no node of it has cached facts;
-    with `relocate`, every node gets its own location (pre-order number)."""
+    """A copy of `t` built node by node, so it shares no node object with
+    `t`; with `relocate`, every node gets its own location (pre-order
+    number)."""
     counter = [0] if counter is None else counter
     counter[0] += 1
     loc = Location("t", (counter[0], 1), (counter[0], 2)) if relocate else t.loc
@@ -368,31 +372,71 @@ def _twin(t, relocate=False, counter=None):
     return type(t)(loc, *args)
 
 
-def _random_cached_term(rng):
+def _random_term(rng):
     """A random term over every node kind (metas with suspensions, `SMatch`
     binders), free variables included, with distinct locations."""
     t = random_printable_term(rng, rng.randint(1, 14), depth=rng.randint(0, 3))
     return _twin(t, relocate=True)
 
 
+def _assert_facts_match(root):
+    for s in subterms(root):
+        assert (loose(s), contains_meta(s)) == _reference_facts(s), s
+
+
 def test_facts_of_every_subterm_match_the_reference():
     rng = random.Random(31)
     kinds = set()
     for _ in range(400):
-        t = _random_cached_term(rng)
-        if rng.random() < 0.5:  # part of it summarised before the rest
-            inner = rng.choice(list(subterms(t)))
-            assert (loose(inner), contains_meta(inner)) == _reference_facts(inner)
-        shared = App(L, t, (t, Meta(L, 7, (t,))))
-        edited = replace(t, loc=_ELSEWHERE) if type(t) is not Var else t
-        for root in (t, shared, edited):
-            for s in subterms(root):
-                kinds.add(type(s))
-                assert (loose(s), contains_meta(s)) == _reference_facts(s), s
-        if type(t) is App:  # a replaced node is summarised afresh
-            changed = replace(t, spine=t.spine + (Var(L, 9), Meta(L, 0, ())))
-            assert (loose(changed), contains_meta(changed)) == _reference_facts(changed)
+        t, other = _random_term(rng), _random_term(rng)
+        args = tuple(_random_term(rng) for _ in range(rng.randint(1, 3)))
+        susp = args + tuple(Var(L, i) for i in range(_reference_facts(t)[0]))
+        pick = lambda c: rng.choice((c, other, Var(L, rng.randrange(4)), Meta(L, 1, (c,))))
+        roots = [
+            t,
+            App(L, t, (t, Meta(L, 7, (t,)))),  # shared subterms
+            replace(t, loc=_ELSEWHERE) if type(t) is not Var else t,
+            visit_term(pick, lambda _s, c: pick(c), lambda s, _c: s, t),
+            lift(rng.randint(0, 3), rng.randint(0, 3), t),
+            instantiate(t, args),
+            msubst(t, susp),
+            mk_app(L, t, args),
+            mk_app(L, App(L, other, args), (t,)),
+        ]
+        if type(t) is App:  # a replaced node gets facts of its own
+            roots.append(replace(t, spine=t.spine + (Var(L, 9), Meta(L, 0, ()))))
+        for root in roots:
+            kinds.update(type(s) for s in subterms(root))
+            _assert_facts_match(root)
     assert {Let, Prod, Abs, App, SMatch, Meta, Var} <= kinds
+
+    scopes = [(), ("x",), ("x0", "x", "y")]
+    for _ in range(300):  # parsed, then indexed
+        scope = rng.choice(scopes)
+        t = random_printable_term(rng, rng.randint(1, 16), len(scope))
+        if first_meta(t) is not None:  # metas have no concrete syntax
+            continue
+        parsed = parse_term(show_term(t, scope))
+        _assert_facts_match(parsed)
+        _assert_facts_match(fix_index(parsed, scope))
+
+    parts = 0
+    for name in CORPUS_FILES:
+        with open(corpus_path(name), encoding="utf-8") as handle:
+            script = parse_script(handle.read(), name)
+        for cmd in (c for group in script for c in group):
+            for t in (getattr(cmd, "type", None), getattr(cmd, "body", None)):
+                if isinstance(t, Term):
+                    _assert_facts_match(t)
+                    _assert_facts_match(fix_index(t))
+        # the parts `elaborate` stores: term, type, essence, type essence
+        session = Session(quiet=True, out=io.StringIO(), err=io.StringIO())
+        assert load_file(session, corpus_path(name)), session.err.getvalue()
+        for _const, info in session.genv.items():
+            for part in vars(info).values():
+                _assert_facts_match(part)
+                parts += 1
+    assert parts > 100
 
 
 def _solve_some_metas(rng, t):
@@ -422,16 +466,11 @@ def _solve_some_metas(rng, t):
 def test_traversals_agree_on_a_cached_term_and_an_uncached_twin():
     rng = random.Random(37)
     for _ in range(400):
-        phi, t = _solve_some_metas(rng, _random_cached_term(rng))
+        phi, t = _solve_some_metas(rng, _random_term(rng))
         cached, twin = t, _twin(t)
-        for s in subterms(cached):  # some subterms summarised, or all of them
-            if rng.random() < 0.3:
-                loose(s)
-        if rng.random() < 0.5:
-            loose(cached)
-        assert all(s._facts is None for s in subterms(twin))
+        _assert_facts_match(twin)
         n = _reference_facts(twin)[0]
-        args = tuple(_random_cached_term(rng) for _ in range(rng.randint(1, 3)))
+        args = tuple(_random_term(rng) for _ in range(rng.randint(1, 3)))
         k, by = rng.randint(0, 3), rng.randint(-1, 3)
         if by >= 0 or not free_in(0, twin):
             assert repr(lift(k, by, cached)) == repr(lift(k, by, twin))
@@ -451,28 +490,30 @@ def test_traversals_agree_on_a_cached_term_and_an_uncached_twin():
 def test_cache_leaves_eq_hash_repr_and_fields_alone():
     rng = random.Random(41)
     for _ in range(200):
-        t = _random_cached_term(rng)
+        t = _random_term(rng)
         twin = _twin(t)
-        before = (repr(t), hash(t))
-        loose(t)
-        assert (repr(t), hash(t)) == before == (repr(twin), hash(twin))
+        assert (repr(t), hash(t)) == (repr(twin), hash(twin))
         assert t == twin and twin == t
         assert "_facts" not in repr(t)
         assert "_facts" not in {f.name for f in fields(t)}
-        assert "_facts" not in vars(replace(t))
+        copy = replace(t)
+        _assert_facts_match(copy)
+        vars(copy)["_facts"] ^= 1  # facts that disagree change none of them
+        assert (copy == t, hash(copy), repr(copy)) == (True, hash(t), repr(t))
 
 
 def test_summarised_closed_term_is_queried_and_shifted_in_constant_calls():
+    # Freshly built and never queried before the calls are counted.
     t = App(L, _c("f"), tuple(Abs(L, "x", _c("A"), App(L, Var(L, 0), (_c("a"),)))
                               for _ in range(400)))
-    assert sum(1 for _ in subterms(t)) == 2002
-    assert not contains_meta(t)
-    queries = [lambda: contains_meta(t), lambda: zonk(MetaEnv(), t), lambda: lift(0, 3, t)]
+    queries = [lambda: contains_meta(t), lambda: first_meta(t),
+               lambda: zonk(MetaEnv(), t), lambda: lift(0, 3, t)]
     for query in queries:
         calls, _ = count_calls(query)
         assert calls <= 5, calls
     assert lift(0, 3, t) is t
     assert zonk(MetaEnv(), t) is t
+    assert sum(1 for _ in subterms(t)) == 2002
 
 
 def test_rebuilds_share_unchanged_subterms():
