@@ -98,12 +98,14 @@ class DefInfo:
 class GlobalEnv:
     """Ordered signature of fully elaborated constants.
 
-    Entries are immutable and meta-free; a snapshot is a shallow copy, which
-    is all REPL backtracking needs.
+    Entries are immutable and meta-free, and a command only adds entries.
+    So a snapshot is the number of entries, and rolling back to it removes
+    the entries added since, newest first: both take time in the number of
+    entries removed, not in the size of the signature.
     """
 
-    def __init__(self, entries: dict[str, AxiomInfo | DefInfo] | None = None):
-        self._entries: dict[str, AxiomInfo | DefInfo] = dict(entries or {})
+    def __init__(self) -> None:
+        self._entries: dict[str, AxiomInfo | DefInfo] = {}
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -143,8 +145,14 @@ class GlobalEnv:
     def items(self) -> Iterator[tuple[str, AxiomInfo | DefInfo]]:
         return iter(self._entries.items())
 
-    def snapshot(self) -> GlobalEnv:
-        return GlobalEnv(self._entries)
+    def snapshot(self) -> int:
+        """A mark to `rollback` to: the number of entries."""
+        return len(self._entries)
+
+    def rollback(self, mark: int) -> None:
+        """Remove every entry added since `snapshot()` returned `mark`."""
+        while len(self._entries) > mark:
+            self._entries.popitem()
 
 
 # ---------------------------------------------------------------------------

@@ -1,31 +1,43 @@
 """Strong normalization under beta, eta, projection, injection, let, and the
 three delta rules (global definitions, local definitions, solved metas).
 
-There is one set of reduction rules, `_whnf`, which rewrites the root of a
-term until it is no longer a redex (weak head normal form).  Strong
-normalization is head-first: `_norm` takes the weak head normal form, then
-normalizes the children, then applies eta to an abstraction whose body is
-normal.  A discarded argument is therefore never normalized, and a
-duplicated, unevaluated argument is normalized once per copy.  A subterm
-that is already normal comes back as the same object.  One fuel
-budget covers a whole call: a tick per `_whnf` step plus a tick per node
-`_norm` visits.
+Two engines implement these rules, one per kind of entry point.
 
-`strongly_normalize` is the strict entry point for meta-free terms;
+`strongly_normalize` is the strict entry point for meta-free terms, which
+`Compute` and subtyping use.  It normalizes by evaluation: `_eval` runs a
+term in an environment of arguments that are evaluated when first needed
+and then kept (call-by-need), and `_quote` reads the value back into an
+indexed, eta-short term.  Nothing is substituted, so a β, ζ or δ step costs
+the same whatever the size of the argument, and each global definition is
+looked up once per call.  Its inputs are whole definitions that reduce a
+lot, which is where substitution costs most.
+
 `normalize_meta` additionally expands solved meta-variables and treats
 unsolved ones as rigid atoms, which is what unification needs; `whnf` is
-the head view the refiner's premises use.
+the head view the refiner's premises use.  Both rewrite de Bruijn
+terms by substitution: `_whnf` rewrites the root of a term until it is no
+longer a redex, and `_norm` takes the weak head normal form, then normalizes
+the children, then applies eta to an abstraction whose body is normal.  The
+unifier and refiner mostly hand them small terms that are nearly normal,
+and `_norm` returns a subterm that is already normal as the same object,
+where the evaluator would rebuild it.
+
+Both engines are head-first, so a discarded argument is never normalized,
+and both give the same normal forms.  One fuel budget covers a whole call:
+a tick per evaluation step and per node read back, or a tick per `_whnf`
+step and per node `_norm` visits.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
-from operator import is_
+from dataclasses import fields, replace
+from operator import attrgetter, is_
+from typing import TypeAlias
 
-from proofun.env import EssDef, GlobalEnv, LocalEnv, MetaEnv, SortDef, TypedDef
+from proofun.env import EssDef, GlobalEnv, LocalDef, LocalEnv, MetaEnv, SortDef, TypedDef
 from proofun.errors import FuelExhausted, InternalError
 from proofun.syntax import (
-    Abs, App, Coercion, Const, Inter, Let, Meta, Prod, SInLeft, SInRight,
+    NOWHERE, Abs, App, Coercion, Const, Inter, Let, Meta, Prod, SInLeft, SInRight,
     SMatch, SPair, SPrLeft, SPrRight, Sort, Term, Underscore, Union, Var,
     beta_redex, contains_meta, first_underscore, free_in, lift, mk_app,
     msubst, visit_term,
@@ -46,12 +58,30 @@ class _Fuel:
             raise FuelExhausted("normalization did not terminate within the step budget")
 
 
+# Node kinds whose root is never a redex: `_whnf` hands them back untouched.
+_INERT = frozenset({Prod, Abs, Inter, Union, Sort, SPair, SInLeft, SInRight,
+                    Coercion, Underscore})
+
+
 def is_eta(t: Term) -> bool:
     """True iff index 0 does not occur free in `t`, so an enclosing binder
     can be stripped and the indices shifted down."""
     if isinstance(t, App) and not t.spine:
         return not free_in(0, t.head)
     return not free_in(0, t)
+
+
+def _eta_contract(body: Term) -> Term | None:
+    """Eta: the normal form of `fun x => body` when `body` is the normal
+    `h a1 .. an x` with `x` (index 0) not free in `h a1 .. an`, which is
+    `h a1 .. an` with its indices shifted down; None for any other body."""
+    if type(body) is not App:
+        return None
+    head, spine = body.head, body.spine
+    if not (type(spine[-1]) is Var and spine[-1].index == 0
+            and is_eta(App(body.loc, head, spine[:-1]))):
+        return None
+    return mk_app(body.loc, lift(0, -1, head), tuple(lift(0, -1, a) for a in spine[:-1]))
 
 
 def delta_phi_expand(phi: MetaEnv, m: Meta) -> Term | None:
@@ -69,40 +99,291 @@ def delta_phi_expand(phi: MetaEnv, m: Meta) -> Term | None:
             return None
 
 
-def _norm(phi: MetaEnv | None, is_essence: bool, genv: GlobalEnv,
-          ctx: LocalEnv, t: Term, fuel: _Fuel) -> Term:
-    fuel.tick()
-    t = _whnf(phi, genv, ctx, t, is_essence, fuel)
-    norm = lambda c: _norm(phi, is_essence, genv, ctx, c, fuel)
-    under = lambda _s, c: _norm(phi, is_essence, genv, ctx.push_dummy(), c, fuel)
-    keep = lambda s, _c: s
-    if type(t) is App:  # its head is in weak head normal form: skip that root
-        head, spine = visit_term(norm, under, keep, t.head), []
-        for a in t.spine:  # not `map(norm, ...)`: one Python frame per nesting level
-            spine.append(_norm(phi, is_essence, genv, ctx, a, fuel))
-        if head is t.head and all(map(is_, spine, t.spine)):
-            return t
-        return App(t.loc, head, tuple(spine))
-    t = visit_term(norm, under, keep, t)
-    match t:
-        # eta: fun x => h a1 .. an x  ~>  h a1 .. an, when x is not free there
-        case Abs(_, _, _, App(l, head, spine)) if (
-                isinstance(spine[-1], Var) and spine[-1].index == 0
-                and is_eta(App(l, head, spine[:-1]))):
-            return mk_app(l, lift(0, -1, head),
-                          tuple(lift(0, -1, a) for a in spine[:-1]))
-    return t
-
-
 def strongly_normalize(is_essence: bool, genv: GlobalEnv, ctx: LocalEnv,
                        t: Term, fuel: int = DEFAULT_FUEL) -> Term:
-    """Normal form of a meta-free term.  Non-termination is out of contract
-    for ill-typed input; the fuel budget turns it into a reported error."""
+    """Normal form of a meta-free term, by evaluation and read-back.
+    Non-termination is out of contract for ill-typed input; the fuel budget
+    turns it into a reported error."""
     if contains_meta(t):
         raise InternalError("strongly_normalize: input contains a meta-variable")
     if not is_essence and first_underscore(t) is not None:
         raise InternalError("strongly_normalize: input contains a placeholder")
-    return _norm(None, is_essence, genv, ctx, t, _Fuel(fuel))
+    return _nf(t, 0, len(ctx), _Machine(genv, ctx, is_essence, _Fuel(fuel)))
+
+
+# ---------------------------------------------------------------------------
+# Normalization by evaluation: the engine behind `strongly_normalize`.
+#
+# A term is evaluated in an environment, a linked list `(thunk, rest)` whose
+# first entry is index 0.  The list ends in an offset into the context
+# `ctx`: index i past the end of a list ending in k is entry k + i of `ctx`.
+# An entry is a thunk: an argument, a `let`-bound term or a local definition
+# of the context, with the environment it was written in, evaluated the
+# first time it is needed and then kept, so a discarded argument is never
+# evaluated and a duplicated one is evaluated once.  A variable that stands
+# for itself (a declaration of the context, or the binder being read back)
+# has a thunk that holds its value from the start.  A value is
+#   - a `_Clo`: a node whose root is never a redex (`fun`, `forall`, `&`,
+#     `|`, a pair, an injection, a coercion) with the environment of its free
+#     variables, so nothing below its root has been evaluated yet;
+#   - a `_Rigid`: a head that cannot reduce, applied to a spine of thunks.
+#     The head is a de Bruijn *level* (a variable bound outside the term),
+#     an axiom, a sort, a placeholder, a `_Clo` that is not a function, or
+#     a `_Stuck` projection or match;
+#   - a `Sort`, `Underscore` or axiom `Const` node, standing for itself.
+# `_quote` reads a value back into an indexed, eta-short term.  Levels count
+# binders from the outside, so a value stays valid under more binders, and
+# the read-back turns level l at depth d into index d - 1 - l.
+
+_Env: TypeAlias = "tuple[_Thunk, _Env] | int"
+
+
+class _Thunk:
+    __slots__ = ("term", "env", "value")
+
+    def __init__(self, term: Term | None, env: _Env | None, value: _Value | None = None):
+        self.term, self.env, self.value = term, env, value
+
+
+class _Clo:
+    __slots__ = ("term", "env")
+
+    def __init__(self, term: Term, env: _Env):
+        self.term, self.env = term, env
+
+
+class _Stuck:
+    """A projection or match whose scrutinee evaluated to `scrutinee`, a
+    value that is not a pair or injection."""
+
+    __slots__ = ("term", "env", "scrutinee")
+
+    def __init__(self, term: Term, env: _Env, scrutinee: _Value):
+        self.term, self.env, self.scrutinee = term, env, scrutinee
+
+
+class _Rigid:
+    __slots__ = ("head", "spine")
+
+    def __init__(self, head: int | Term | _Clo | _Stuck, spine: tuple[_Thunk, ...]):
+        self.head, self.spine = head, spine
+
+
+_Value: TypeAlias = "_Clo | _Rigid | Term"
+
+# Node kinds whose value is a closure, and the two children of each: the
+# second is under a binder for `Abs` and `Prod`.
+_CLOSED_OVER = _INERT - {Sort, Underscore}
+_CHILDREN = {k: attrgetter(*(f.name for f in fields(k) if f.compare)) for k in _CLOSED_OVER}
+
+
+class _Machine:
+    """What one `strongly_normalize` call shares: the signature, the local
+    context, the side, one fuel budget, and the thunks of the global
+    definitions and context entries used, each made once per call."""
+
+    __slots__ = ("genv", "ctx", "is_essence", "tick", "consts", "entries")
+
+    def __init__(self, genv: GlobalEnv, ctx: LocalEnv, is_essence: bool, fuel: _Fuel):
+        self.genv, self.ctx, self.is_essence, self.tick = genv, ctx, is_essence, fuel.tick
+        self.consts: dict[str, _Thunk | None] = {}
+        self.entries: dict[int, _Thunk] = {}
+
+    def const(self, name: str) -> _Thunk | None:
+        """The thunk of a definition's body; None for an axiom or an unbound
+        name, which stay fixed."""
+        try:
+            return self.consts[name]
+        except KeyError:
+            found = self.genv.find_const(self.is_essence, name)
+            if found is None or found[0] is None:
+                thunk = None
+            else:  # a closed body: its environment holds no entry of `ctx`
+                thunk = _Thunk(found[0], len(self.ctx))
+            self.consts[name] = thunk
+            return thunk
+
+    def entry(self, index: int) -> _Thunk:
+        """The thunk of entry `index` of the context: a local definition's
+        body in the entries after it, or a declared variable itself."""
+        try:
+            return self.entries[index]
+        except KeyError:
+            entries = self.ctx.entries
+            if not 0 <= index < len(entries):
+                raise InternalError(f"_eval: unbound index {index}") from None
+            if isinstance(entries[index], LocalDef):
+                thunk = _Thunk(entries[index].body, index + 1)
+            else:
+                thunk = _Thunk(None, None, _Rigid(len(entries) - 1 - index, ()))
+            self.entries[index] = thunk
+            return thunk
+
+
+def _eval(t: Term, env: _Env, m: _Machine) -> _Value:
+    """The value of `t` in `env`.  Every contraction in tail position (β,
+    ζ, δ, a projection of a pair, a match of an injection, entering a
+    thunk) continues the loop instead of recursing, so a looping term runs
+    out of fuel, not out of stack.  Arguments wait in `pending`, the next
+    one last.  A thunk being evaluated waits in `updates`, with the number
+    of arguments that were pending when it was entered: the first value
+    reached with that many pending is the thunk's value."""
+    pending: list[_Thunk] = []
+    updates: list[tuple[_Thunk, int]] = []
+    floor = 0  # arguments below this belong to a thunk's caller
+    tick = m.tick
+    while True:
+        tick()
+        k = type(t)
+        if k is App:
+            for a in reversed(t.spine):
+                pending.append(_Thunk(a, env))
+            t = t.head
+            continue
+        if k is Abs:
+            if len(pending) > floor:
+                env, t = (pending.pop(), env), t.body
+                continue
+            v: _Value = _Clo(t, env)
+        elif k is Var or k is Const:
+            if k is Var:
+                e, i = env, t.index
+                try:
+                    while i:
+                        e, i = e[1], i - 1
+                    thunk = e[0]
+                except TypeError:  # `e` is the offset that ends the list
+                    thunk = m.entry(e + i)
+            else:
+                thunk = m.const(t.name)
+            if thunk is None:  # an axiom or unbound constant: fixed
+                v = t
+            elif thunk.value is None:
+                floor = len(pending)
+                updates.append((thunk, floor))
+                t, env = thunk.term, thunk.env
+                continue
+            else:
+                v = thunk.value
+        elif k is Let:
+            env, t = (_Thunk(t.bound, env), env), t.body
+            continue
+        elif k is SPrLeft or k is SPrRight:
+            pair = _eval(t.body, env, m)
+            if type(pair) is _Clo and type(pair.term) is SPair:
+                t, env = pair.term.left if k is SPrLeft else pair.term.right, pair.env
+                continue
+            v = _Rigid(_Stuck(t, env, pair), ())
+        elif k is SMatch:
+            injection = _eval(t.scrutinee, env, m)
+            if type(injection) is _Clo and type(injection.term) in (SInLeft, SInRight):
+                branch = t.branch1 if type(injection.term) is SInLeft else t.branch2
+                env, t = (_Thunk(injection.term.body, injection.env), env), branch
+                continue
+            v = _Rigid(_Stuck(t, env, injection), ())
+        elif k in _CLOSED_OVER:
+            v = _Clo(t, env)
+        elif k is Sort or k is Underscore:
+            v = t
+        else:
+            raise InternalError(f"_eval: unexpected node {t!r}")
+        # `v` is a value: store it in the thunks it is the value of, and apply
+        # it to the pending arguments.
+        while True:
+            if len(pending) == floor:
+                if not updates:
+                    return v
+                thunk = updates.pop()[0]
+                thunk.value, thunk.term, thunk.env = v, None, None
+                floor = updates[-1][1] if updates else 0
+            elif type(v) is _Clo and type(v.term) is Abs:
+                env, t = (pending.pop(), v.env), v.term.body
+                break
+            else:  # a rigid head, or a non-function applied: stuck
+                args = pending[floor:]
+                del pending[floor:]
+                args.reverse()
+                v = (_Rigid(v.head, v.spine + tuple(args)) if type(v) is _Rigid
+                     else _Rigid(v, tuple(args)))
+
+
+def _force(thunk: _Thunk, m: _Machine) -> _Value:
+    if thunk.value is None:
+        thunk.value = _eval(thunk.term, thunk.env, m)
+        thunk.term = thunk.env = None
+    return thunk.value
+
+
+def _quote(v: _Value, depth: int, m: _Machine) -> Term:
+    """Read `v` back as a normal term under `depth` binders.  One Python
+    frame per nested application: an argument is forced before the frame
+    that reads it back is entered."""
+    k = type(v)
+    if k is _Clo:
+        return _quote_node(v.term, v.env, depth, m)
+    if k is not _Rigid:
+        return v  # a sort, placeholder or axiom
+    m.tick()
+    head = v.head
+    if type(head) is int:
+        head = Var(NOWHERE, depth - 1 - head)
+    elif type(head) is _Stuck:
+        head = _quote_stuck(head, depth, m)
+    elif type(head) is _Clo:
+        head = _quote_node(head.term, head.env, depth, m)
+    if not v.spine:
+        return head
+    args = []
+    for thunk in v.spine:
+        args.append(_quote(_force(thunk, m), depth, m))
+    return App(NOWHERE, head, tuple(args))
+
+
+def _nf(t: Term, env: _Env, depth: int, m: _Machine) -> Term:
+    """The normal form of `t` in `env`: `_quote(_eval(t))`, reading a node
+    whose root is never a redex back directly."""
+    k = type(t)
+    if k in _CLOSED_OVER:
+        return _quote_node(t, env, depth, m)
+    if k is Const and m.const(t.name) is None:  # an axiom: fixed
+        m.tick()
+        return t
+    return _quote(_eval(t, env, m), depth, m)
+
+
+def _quote_node(t: Term, env: _Env, depth: int, m: _Machine) -> Term:
+    """Read back the closure of `t`, a node whose root is never a redex:
+    its children are normalized in `env` (under a binder, with a fresh
+    variable at level `depth` added), and an abstraction is eta-reduced.
+    A node whose children all come back unchanged comes back itself."""
+    m.tick()
+    k = type(t)
+    a, b = _CHILDREN[k](t)
+    a2 = _nf(a, env, depth, m)
+    if k is not Abs and k is not Prod:
+        b2 = _nf(b, env, depth, m)
+        return t if a2 is a and b2 is b else k(t.loc, a2, b2)
+    b2 = _nf(b, (_Thunk(None, None, _Rigid(depth, ())), env), depth + 1, m)
+    if k is Abs and (contracted := _eta_contract(b2)) is not None:
+        return contracted
+    return t if a2 is a and b2 is b else k(t.loc, t.name, a2, b2)
+
+
+def _quote_stuck(stuck: _Stuck, depth: int, m: _Machine) -> Term:
+    """Read back a projection or match that did not reduce: the value of its
+    scrutinee, and its other parts normalized in its environment."""
+    t, env = stuck.term, stuck.env
+    scrutinee = _quote(stuck.scrutinee, depth, m)
+    if type(t) is not SMatch:
+        return type(t)(t.loc, scrutinee)
+    under = (_Thunk(None, None, _Rigid(depth, ())), env)
+    return SMatch(t.loc, scrutinee, _nf(t.motive, env, depth, m),
+                  t.name1, _nf(t.annot1, env, depth, m), _nf(t.branch1, under, depth + 1, m),
+                  t.name2, _nf(t.annot2, env, depth, m), _nf(t.branch2, under, depth + 1, m))
+
+
+# ---------------------------------------------------------------------------
+# Rewriting by substitution: the engine behind `normalize_meta` and `whnf`.
 
 
 def normalize_meta(phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv, t: Term,
@@ -121,12 +402,27 @@ def whnf(phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv, t: Term,
     return _whnf(phi, genv, ctx, t, is_essence, _Fuel(fuel))
 
 
-# Node kinds whose root is never a redex: `_whnf` hands them back untouched.
-_INERT = frozenset({Prod, Abs, Inter, Union, Sort, SPair, SInLeft, SInRight,
-                    Coercion, Underscore})
+def _norm(phi: MetaEnv, is_essence: bool, genv: GlobalEnv,
+          ctx: LocalEnv, t: Term, fuel: _Fuel) -> Term:
+    fuel.tick()
+    t = _whnf(phi, genv, ctx, t, is_essence, fuel)
+    norm = lambda c: _norm(phi, is_essence, genv, ctx, c, fuel)
+    under = lambda _s, c: _norm(phi, is_essence, genv, ctx.push_dummy(), c, fuel)
+    keep = lambda s, _c: s
+    if type(t) is App:  # its head is in weak head normal form: skip that root
+        head, spine = visit_term(norm, under, keep, t.head), []
+        for a in t.spine:  # not `map(norm, ...)`: one Python frame per nesting level
+            spine.append(_norm(phi, is_essence, genv, ctx, a, fuel))
+        if head is t.head and all(map(is_, spine, t.spine)):
+            return t
+        return App(t.loc, head, tuple(spine))
+    t = visit_term(norm, under, keep, t)
+    if type(t) is Abs and (contracted := _eta_contract(t.body)) is not None:
+        return contracted
+    return t
 
 
-def _whnf(phi: MetaEnv | None, genv: GlobalEnv, ctx: LocalEnv, t: Term,
+def _whnf(phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv, t: Term,
           is_essence: bool, fuel: _Fuel) -> Term:
     """The reduction rules, applied at the root until none applies.  A term
     already in weak head normal form comes back as the same object, which
@@ -171,8 +467,6 @@ def _whnf(phi: MetaEnv | None, genv: GlobalEnv, ctx: LocalEnv, t: Term,
                 else:
                     return t if injection is scrutinee else replace(t, scrutinee=injection)
             case Meta() as m:
-                if phi is None:
-                    raise InternalError("strongly_normalize reached a meta-variable")
                 expanded = delta_phi_expand(phi, m)
                 if expanded is None:
                     return t

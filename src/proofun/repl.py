@@ -1,11 +1,11 @@
 """Read-eval-print loop and command-line entry point.
 
 A source command expands to a list of atomic commands which run against a
-snapshot of the signature: if any atomic command fails, the whole list is
-rolled back and the error reported, so a failed command never changes the
-environment.  Loaded files are one command stream in which every source
-command is its own atomic unit; a failure aborts the rest of the file but
-keeps the earlier successes.
+snapshot of the signature: if any atomic command fails or is interrupted,
+the whole list is rolled back and the error reported, so a failed command
+never changes the environment.  Loaded files are one command stream in
+which every source command is its own atomic unit; a failure aborts the
+rest of the file but keeps the earlier successes.
 """
 
 from __future__ import annotations
@@ -126,25 +126,27 @@ class _LoadFailed(Exception):
 def run_command_list(session: Session, cmds: list[Command],
                      source_text: str) -> bool:
     """Run the atomic commands of one source command; commit only if all
-    succeed, otherwise restore the signature and report the first error."""
-    snapshot = session.genv.snapshot()
+    succeed, otherwise restore the signature and report the first error.
+    An interruption (Ctrl-C) is reported like an error at its command."""
+    mark = session.genv.snapshot()
     for cmd in cmds:
         try:
             exec_command(session, cmd)
         except _LoadFailed:
             return False  # inner file already reported; keep its successes
         except ProverError as error:
-            session.genv = snapshot
-            session.report(source_text, error)
-            return False
+            failure = error
         except RecursionError:
-            session.genv = snapshot
-            session.report(source_text, ProverError(TOO_DEEP))
-            return False
+            failure = ProverError(TOO_DEEP)
         except FuelExhausted as exhausted:
-            session.genv = snapshot
-            session.report(source_text, ProverError(str(exhausted), cmd.loc))
-            return False
+            failure = ProverError(str(exhausted), cmd.loc)
+        except KeyboardInterrupt:
+            failure = ProverError("interrupted", cmd.loc)
+        else:
+            continue
+        session.genv.rollback(mark)
+        session.report(source_text, failure)
+        return False
     return True
 
 

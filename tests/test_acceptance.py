@@ -204,6 +204,8 @@ def test_criterion_6_normalization_properties():
         once = strongly_normalize(False, genv, ctx, t)
         assert _redex_free(genv, once)
         assert once == strongly_normalize(False, genv, ctx, once)
+        # evaluation and substitution give the same normal form
+        assert once == normalize_meta(MetaEnv(), genv, ctx, t)
 
     # corpus definitions: idempotence, delta-transparency, essence coherence
     from proofun.env import AxiomInfo
@@ -215,6 +217,7 @@ def test_criterion_6_normalization_properties():
                 continue
             nf = strongly_normalize(False, s.genv, ctx, info.body)
             assert nf == strongly_normalize(False, s.genv, ctx, nf)
+            assert nf == normalize_meta(MetaEnv(), s.genv, ctx, info.body)
             assert _redex_free(s.genv, nf)
             # Compute on the name agrees with inlining the definition first
             via_const = strongly_normalize(False, s.genv, ctx, Const(L, const))

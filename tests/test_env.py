@@ -102,11 +102,20 @@ def test_duplicate_names_rejected():
 
 
 def test_snapshot_isolated_from_later_insertions():
+    # A snapshot is a mark: rolling back to it removes exactly the entries
+    # added since, and frees their names.
     genv = GlobalEnv()
     axiom(genv, "a", "Type")
-    snap = genv.snapshot()
+    mark = genv.snapshot()
     axiom(genv, "b", "Type")
-    assert "b" in genv and "b" not in snap
+    define(genv, "c", "b")
+    assert genv.names() == ["a", "b", "c"]
+    genv.rollback(mark)
+    assert genv.names() == ["a"] and "b" not in genv and genv.lookup("c") is None
+    genv.rollback(mark)  # nothing left to remove
+    assert genv.names() == ["a"]
+    axiom(genv, "b", "Type")
+    assert genv.names() == ["a", "b"]
 
 
 # ------------- MetaEnv -------------

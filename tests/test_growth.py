@@ -1,10 +1,11 @@
 """Growth of checking work with the size of deep terms and wide types.
 
 The work is the number of Python function calls (generator resumptions
-included) made inside the proofun package while one script is checked.
-Unlike a time, that count is deterministic.  Doubling the size of a script
-must multiply its count by less than MAX_RATIO: checking these shapes is
-linear in their size (a quadratic path gives a ratio near 4).  The size is
+included) made inside the proofun package while one script is checked; the
+node constructors, compiled from strings, count when the package calls
+them.  Unlike a time, that count is deterministic.  Doubling the size of
+a script must multiply its count by less than MAX_RATIO: checking these
+shapes is linear in their size (a quadratic path gives a ratio near 4).  The size is
 the nesting depth, except for `conj_coercion`, where it is the number of
 conjuncts of an intersection of unions (an exponential path, such as the
 left side's disjunctive normal form, gives a ratio of 2^size), and for
@@ -122,6 +123,15 @@ def print_forall_chain(n: int) -> str:
             f"Axiom h : forall ({binders} : A), P x0.\nPrint h.\n")
 
 
+def _in_package(frame) -> bool:
+    """True for code of the package, and for code compiled from a string
+    (the generated node constructors) that the package called."""
+    filename = frame.f_code.co_filename
+    if filename == "<string>" and frame.f_back is not None:
+        filename = frame.f_back.f_code.co_filename
+    return filename.startswith(PACKAGE_DIR)
+
+
 def count_calls(thunk):
     """The number of calls made inside proofun while `thunk()` runs, and
     its result."""
@@ -129,7 +139,7 @@ def count_calls(thunk):
 
     def profile(frame, event, _arg):
         nonlocal count
-        if event == "call" and frame.f_code.co_filename.startswith(PACKAGE_DIR):
+        if event == "call" and _in_package(frame):
             count += 1
 
     sys.setprofile(profile)

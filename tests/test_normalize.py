@@ -1,11 +1,14 @@
-"""The evaluator: reduction rules, spine discipline, idempotence, fuel,
-head-first order, and agreement with the applicative-order reference."""
+"""The normalizers: reduction rules, spine discipline, idempotence, fuel,
+head-first order, call-by-need, and agreement of evaluation
+(`strongly_normalize`), substitution (`normalize_meta`) and the
+applicative-order reference."""
 
 import io
 import random
 
 import pytest
 
+from proofun import normalize
 from proofun.env import DefInfo, GlobalEnv, LocalEnv, MetaEnv, TypedDecl
 from proofun.errors import FuelExhausted, InternalError
 from proofun.normalize import (
@@ -13,6 +16,7 @@ from proofun.normalize import (
 )
 from proofun.parser import fix_id, fix_index, parse_term
 from proofun.pretty import render, show_term
+from proofun.refine import elaborate
 from proofun.repl import Session, load_file
 from proofun.syntax import (
     Abs, App, Const, Let, Meta, NOWHERE, SInLeft, SInRight, SMatch, SPair,
@@ -267,7 +271,7 @@ def test_zonk_expands_solved_metas_deeply():
     assert normalize_meta(phi, GlobalEnv(), ctx, t) == Const(L, "c")
 
 
-# ------------- agreement with the applicative-order reference -------------
+# ------------- agreement of evaluation, substitution and the reference -------------
 
 
 def _assert_agrees(expected: Term, got: Term, scope=()):
@@ -275,11 +279,22 @@ def _assert_agrees(expected: Term, got: Term, scope=()):
     assert show_term(expected, scope) == show_term(got, scope)
 
 
+def _engines_agree(is_essence, genv, ctx, t, scope=()):
+    """`strongly_normalize` (evaluation), `normalize_meta` on an empty
+    meta-environment (substitution) and `reference_normalize` (applicative
+    order) give the same normal form; it is returned."""
+    got = strongly_normalize(is_essence, genv, ctx, t)
+    _assert_agrees(normalize_meta(MetaEnv(), genv, ctx, t, is_essence), got, scope)
+    _assert_agrees(reference_normalize(None, is_essence, genv, ctx, t), got, scope)
+    return got
+
+
 def test_agrees_with_applicative_reference():
-    """The head-first engine and the applicative-order one it replaced
-    (`helpers.reference_normalize`) give the same normal form, binder names
-    included, on random typed terms, on every corpus body and essence, and
-    on terms with solved metas.
+    """The evaluator, the head-first substitution engine and the
+    applicative-order one (`helpers.reference_normalize`) give the same
+    normal form, binder names included, on random typed terms and their
+    essences, on every corpus definition's type, type essence, body and
+    essence, and (the last two engines) on terms with solved metas.
 
     Only locations may differ: the engines contract redexes in a different
     order, so a normal form may keep the span of another source node (in
@@ -289,23 +304,22 @@ def test_agrees_with_applicative_reference():
     `UnificationFailure` and re-raises it with source locations."""
     genv = make_test_genv()
     rng = random.Random(41)
-    for _ in range(3000):
-        t, _ty = random_refined_term(rng)
-        _assert_agrees(reference_normalize(None, False, genv, LocalEnv(), t), nf(genv, t))
+    for i in range(3000):
+        t, ty = random_refined_term(rng)
+        _engines_agree(False, genv, LocalEnv(), t)
+        if i % 2 == 0:
+            _engines_agree(True, genv, LocalEnv(), elaborate(genv, t, ty).essence)
 
     for name in CORPUS_FILES:
         session = Session(quiet=True, out=io.StringIO(), err=io.StringIO())
         assert load_file(session, corpus_path(name)), session.err.getvalue()
         corpus_genv = session.genv
         for _const, info in corpus_genv.items():
-            if not isinstance(info, DefInfo):
-                continue
-            _assert_agrees(
-                reference_normalize(None, False, corpus_genv, LocalEnv(), info.body),
-                strongly_normalize(False, corpus_genv, LocalEnv(), info.body))
-            _assert_agrees(
-                reference_normalize(None, True, corpus_genv, LocalEnv(), info.essence),
-                strongly_normalize(True, corpus_genv, LocalEnv(), info.essence))
+            _engines_agree(False, corpus_genv, LocalEnv(), info.type)
+            _engines_agree(True, corpus_genv, LocalEnv(), info.type_essence)
+            if isinstance(info, DefInfo):
+                _engines_agree(False, corpus_genv, LocalEnv(), info.body)
+                _engines_agree(True, corpus_genv, LocalEnv(), info.essence)
 
     phi, ctx, chain = _solved_meta_chain()
     genv = GlobalEnv()
@@ -315,3 +329,65 @@ def test_agrees_with_applicative_reference():
               SPrLeft(L, SPair(L, chain, Var(L, 0)))):
         _assert_agrees(reference_normalize(phi, False, genv, ctx, t),
                        normalize_meta(phi, genv, ctx, t), ["x"])
+
+
+def _match(scrutinee: str) -> SMatch:
+    motive = Abs(L, "q", P("A | B"), Const(L, "A"))
+    return SMatch(L, P(scrutinee), motive,
+                  "x", Const(L, "A"), fix_index(parse_term("(fun (y : A) => y) x"), ["x"]),
+                  "x", Const(L, "B"), fix_index(parse_term("h a x"), ["x"]))
+
+
+@pytest.mark.parametrize("term, normal", [
+    ("proj_l ((fun (r : A & A) => r) p)", "proj_l p"),
+    ("(proj_r p) ((fun (y : A) => y) a)", "proj_r p a"),
+    # a component is read in its pair's own environment
+    ("proj_r ((fun (y : A) => <f y, f y>) a)", "f a"),
+    ("(coe (A -> A) ((fun (y : A -> A) => y) f)) a", "coe (A -> A) f a"),
+    ("<(fun (y : A) => y) a, f> a", "<a, f> a"),
+    (_match("(fun (q : A | B) => q) w"),
+     "smatch w return A with x : A => x, x : B => h a x end"),
+    # the injection's payload is read in the injection's own environment
+    (_match("(fun (y : B) => inj_r A y) b"), "h a b"),
+], ids=["projection", "applied_projection", "projection_reduces", "coe_applied",
+        "pair_applied", "smatch", "smatch_reduces"])
+def test_eliminations_normalize_their_parts(term, normal):
+    genv = make_test_genv()
+    t = P(term) if isinstance(term, str) else term
+    assert show_term(_engines_agree(False, genv, LocalEnv(), t)) == normal
+
+
+def test_local_definitions_in_the_context_unfold():
+    # [u : A; x := f u; y : A]: x unfolds, u and y stay; eta removes z
+    genv = make_test_genv()
+    scope = ["y", "x", "u"]
+    ctx = (LocalEnv().push_decl("u", Const(L, "A"))
+           .push_def("x", fix_index(parse_term("f u"), ["u"]), Const(L, "A"))
+           .push_decl("y", Const(L, "A")))
+    t = fix_index(parse_term("fun (z : B) => h x z"), scope)
+    assert show_term(_engines_agree(False, genv, ctx, t, scope), scope) == "h (f u)"
+    t = fix_index(parse_term("(fun (v : A) => h v (g y)) x"), scope)
+    assert show_term(_engines_agree(False, genv, ctx, t, scope), scope) == "h (f u) (g y)"
+
+
+def test_a_duplicated_argument_is_evaluated_once(monkeypatch):
+    # call-by-need: `y` occurs twice, but its 20 redexes are contracted once
+    budgets = []
+
+    class RecordedFuel(normalize._Fuel):
+        def __init__(self, left: int):
+            super().__init__(left)
+            budgets.append((left, self))
+
+    monkeypatch.setattr(normalize, "_Fuel", RecordedFuel)
+
+    def steps(src: str) -> int:
+        assert nf(make_test_genv(), P(src)) == P("h a a")
+        start, fuel = budgets[-1]
+        return start - fuel.left
+
+    e = "a"
+    for _ in range(20):
+        e = f"(fun (u : A) => u) ({e})"
+    shared, copied = steps(f"let y : A := {e} in h y y"), steps(f"h ({e}) ({e})")
+    assert shared + 20 < copied, (shared, copied)

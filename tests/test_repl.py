@@ -13,6 +13,8 @@ from proofun.repl import (
     HELP_TEXT, QuitRequested, Session, load_file, main, run_source,
 )
 
+from proofun.refine import elaborate_type
+
 from helpers import corpus_path
 from test_growth import church_product
 
@@ -257,6 +259,55 @@ def test_interactive_loop_recovers_after_error(monkeypatch):
     assert repl(s) == 0
     assert "Axiom s : Type" in out_of(s)
     assert "unknown identifier" in s.err.getvalue()
+
+
+def _interrupt(*_args, **_kwargs):
+    raise KeyboardInterrupt
+
+
+def test_interrupted_compute_is_a_located_error_and_the_session_continues(
+        monkeypatch, capsys, tmp_path):
+    lines = iter(["Axiom (o : Type) (a : o).", "Definition d := a.", "Compute d.",
+                  "Axiom b : o.", "Printall."])
+
+    def reader(_prompt=""):
+        try:
+            return next(lines)
+        except StopIteration:
+            raise EOFError
+
+    monkeypatch.setattr("builtins.input", reader)
+    monkeypatch.setattr("proofun.repl.strongly_normalize", _interrupt)
+    s = session()
+    from proofun.repl import repl
+    assert repl(s) == 0
+    assert s.err.getvalue() == "Compute d.\n^^^^^^^\nError: interrupted\n"
+    assert s.genv.names() == ["o", "a", "d", "b"]
+    assert "Axiom b : o" in out_of(s)
+    script = tmp_path / "interrupted.bull"
+    script.write_text("Axiom (o : Type) (a : o).\nDefinition d := a.\nCompute d.\nAxiom b : o.\n")
+    assert main([str(script), "--quiet", "--no-color"]) == 1
+    assert capsys.readouterr().err.endswith("Error: interrupted\n")
+
+
+def test_interrupt_rolls_back_the_whole_source_command(monkeypatch):
+    s = session()
+    assert run_source(s, "Axiom (o : Type) (a : o).")
+    calls = []
+
+    def elaborate_type_then_interrupt(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise KeyboardInterrupt
+        return elaborate_type(*args)
+
+    monkeypatch.setattr("proofun.repl.elaborate_type", elaborate_type_then_interrupt)
+    assert not run_source(s, "Axiom (b c : o).")
+    assert s.genv.names() == ["o", "a"]  # `b` was added, then rolled back
+    assert s.err.getvalue().endswith("Error: interrupted\n")
+    monkeypatch.undo()
+    assert run_source(s, "Axiom (b c : o).")
+    assert s.genv.names() == ["o", "a", "b", "c"]
 
 
 def test_cli_piped_stdin(tmp_path):
