@@ -39,7 +39,7 @@ from proofun.errors import FuelExhausted, InternalError
 from proofun.syntax import (
     NOWHERE, Abs, App, Coercion, Const, Inter, Let, Meta, Prod, SInLeft, SInRight,
     SMatch, SPair, SPrLeft, SPrRight, Sort, Term, Underscore, Union, Var,
-    beta_redex, contains_meta, first_underscore, free_in, lift, mk_app,
+    beta_redex, contains_meta, contains_underscore, free_in, lift, mk_app,
     msubst, visit_term,
 )
 
@@ -106,7 +106,7 @@ def strongly_normalize(is_essence: bool, genv: GlobalEnv, ctx: LocalEnv,
     turns it into a reported error."""
     if contains_meta(t):
         raise InternalError("strongly_normalize: input contains a meta-variable")
-    if not is_essence and first_underscore(t) is not None:
+    if not is_essence and contains_underscore(t):
         raise InternalError("strongly_normalize: input contains a placeholder")
     return _nf(t, 0, len(ctx), _Machine(genv, ctx, is_essence, _Fuel(fuel)))
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from proofun.errors import InternalError, LexError, ParseError
+from proofun.errors import InternalError, LexError, ParseError, too_deep_as_error
 from proofun.syntax import (
     Abs, App, Coercion, Const, ConstOccurrences, Inter, Let, Location, Meta,
     Prod, SInLeft, SInRight, SMatch, SPair, SPrLeft, SPrRight, Sort, SortKind,
@@ -486,6 +486,7 @@ class _Parser:
         return [Definition(loc, name, ty, body)]
 
 
+@too_deep_as_error
 def parse_term(text: str, source: str = "<input>") -> Term:
     """Parse a single term; variables come back as `Const` nodes."""
     p = _Parser(tokenize(text, source))
@@ -494,6 +495,7 @@ def parse_term(text: str, source: str = "<input>") -> Term:
     return t
 
 
+@too_deep_as_error
 def parse_command(text: str, source: str = "<input>") -> list[Command]:
     """Parse one period-terminated source command into its atomic commands."""
     p = _Parser(tokenize(text, source))
@@ -502,6 +504,7 @@ def parse_command(text: str, source: str = "<input>") -> list[Command]:
     return cmds
 
 
+@too_deep_as_error
 def parse_script(text: str, source: str = "<script>") -> list[list[Command]]:
     """Parse a whole command stream; each inner list is one atomic unit."""
     p = _Parser(tokenize(text, source))
@@ -546,9 +549,12 @@ def fix_index(t: Term, scope: tuple[str, ...] | list[str] = ()) -> Term:
 def fix_id(t: Term, scope: tuple[str, ...] | list[str] = ()) -> Term:
     """Replace de Bruijn indices with printable names, renaming a binder
     (first free numeric suffix) whenever its hint would capture a constant
-    occurring in its scope or shadow an enclosing name."""
+    occurring in its scope or shadow an enclosing name.  A product or `smatch`
+    motive whose bound variable is never used gets the name `""`, so `render`
+    need not ask where its name occurs."""
     consts = ConstOccurrences(t)
     names = list(reversed(scope))  # outermost first: index n is names[-1 - n]
+    used = [True] * len(names)  # used[i]: names[i] has been printed
     taken = set(scope)
     # floor[base] = j: the candidates of `base` before suffix j are all taken
     # (suffix -1 is `base` itself), so a chain of binders with one hint
@@ -572,9 +578,10 @@ def fix_id(t: Term, scope: tuple[str, ...] | list[str] = ()) -> Term:
 
     def enter(name: str) -> None:
         names.append(name)
+        used.append(False)
         taken.add(name)  # a chosen name is never taken already
 
-    def leave(name: str) -> None:
+    def leave(name: str) -> bool:
         names.pop()
         taken.remove(name)
         # `name` is the candidate j of every base it splits into as base + str(j);
@@ -588,6 +595,7 @@ def fix_id(t: Term, scope: tuple[str, ...] | list[str] = ()) -> Term:
             if not "0" <= name[cut - 1] <= "9":
                 break
             cut -= 1
+        return used.pop()  # whether `name` was printed in its scope
 
     # One frame per nesting level: the spine and every binder are walked here.
     def go(t: Term) -> Term:
@@ -595,6 +603,7 @@ def fix_id(t: Term, scope: tuple[str, ...] | list[str] = ()) -> Term:
             case Var(loc, n):
                 if n >= len(names):
                     raise InternalError(f"fix_id: index {n} out of range")
+                used[-1 - n] = True
                 return Const(loc, names[-1 - n])
             case App(loc, head, spine):
                 return App(loc, go(head), tuple(map(go, spine)))
@@ -603,8 +612,8 @@ def fix_id(t: Term, scope: tuple[str, ...] | list[str] = ()) -> Term:
                 dom = go(dom)
                 enter(chosen)
                 body = go(body)
-                leave(chosen)
-                return type(t)(loc, chosen, dom, body)
+                kept = leave(chosen) or type(t) is Abs  # `fun` always prints its name
+                return type(t)(loc, chosen if kept else "", dom, body)
             case Let(loc, name, annot, bound, body):
                 chosen = bind(name, body)
                 annot, bound = go(annot), go(bound)
@@ -614,7 +623,12 @@ def fix_id(t: Term, scope: tuple[str, ...] | list[str] = ()) -> Term:
                 return Let(loc, chosen, annot, bound, body)
             case SMatch(loc, scrut, motive, n1, a1, b1, n2, a2, b2):
                 c1, c2 = bind(n1, b1), bind(n2, b2)
-                scrut, motive, a1, a2 = go(scrut), go(motive), go(a1), go(a2)
+                scrut, a1, a2 = go(scrut), go(a1), go(a2)
+                if type(motive) is Abs:  # named like a product: `""` when unused
+                    m = go(Prod(motive.loc, motive.name, motive.domain, motive.body))
+                    motive = Abs(m.loc, m.name, m.domain, m.codomain)
+                else:
+                    motive = go(motive)
                 enter(c1)
                 b1 = go(b1)
                 leave(c1)

@@ -22,7 +22,8 @@ _ARROW, _UNION, _INTER, _APP, _ATOM = 0, 1, 2, 3, 4
 
 
 def render(t: Term, prec: int = _ARROW) -> str:
-    """Concrete syntax for a named term (no `Var` nodes)."""
+    """Concrete syntax for a named term (no `Var` nodes).  `fix_id` names a
+    non-dependent product `""`, which prints as an arrow with no occurrence query."""
     consts = ConstOccurrences(t)
 
     def go(t: Term, prec: int = _ARROW) -> str:

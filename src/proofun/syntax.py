@@ -10,13 +10,14 @@ Every node carries a `Location`.  Locations and binder names are hints:
 they are excluded from the generated `==` and `hash`, so `==` on terms is
 alpha-equivalence.
 
-Each node also stores two facts about itself: `loose`, one more than its
-largest free de Bruijn index (0 when it is closed), and whether a
-meta-variable occurs in it (`contains_meta`).  Its constructor computes them
-from its children's facts, a constant amount of work per child, so every
-node knows them from birth and both queries take constant time.  They live
-in the instance dictionary, not in a dataclass field, so `==`, `hash`,
-`repr` and `dataclasses.replace` ignore them.
+Each node also stores three facts about itself: `loose`, one more than its
+largest free de Bruijn index (0 when it is closed), whether a meta-variable
+occurs in it (`contains_meta`), and whether a placeholder `_` does
+(`contains_underscore`).  Its constructor computes them from its children's
+facts, a constant amount of work per child, so every node knows them from
+birth and each query takes constant time.  They live in the instance
+dictionary, not in a dataclass field, so `==`, `hash`, `repr` and
+`dataclasses.replace` ignore them.
 
 Rebuilds share: `visit_term` returns its input object when every child and
 name comes back as the same object, and `map_term` (so `lift`,
@@ -72,8 +73,8 @@ class Term:
     """Base class for all nodes; see the concrete dataclasses below."""
 
     __slots__ = ()
-    # The facts of the node, `2 * loose + contains_meta`, set by its
-    # constructor (see `_constructor`).
+    # The facts of the node, `4 * loose + 2 * contains_underscore +
+    # contains_meta`, set by its constructor (see `_constructor`).
     _facts: int
 
 
@@ -240,8 +241,8 @@ _UNDER_BINDER = {Let: ("body",), Prod: ("codomain",), Abs: ("body",),
                  SMatch: ("branch1", "branch2")}
 
 # Folds the facts `x` of one child into the node's facts `f`: the larger
-# loose range, and the meta flag of either.
-_JOIN = "f = (f if f > x else x) | (f | x) & 1"
+# loose range, and the placeholder and meta flags of either.
+_JOIN = "f = (f if f > x else x) | (f | x) & 3"
 
 
 def _constructor(cls: type) -> Callable[..., None]:
@@ -253,12 +254,13 @@ def _constructor(cls: type) -> Callable[..., None]:
     under = _UNDER_BINDER.get(cls, ())
     names = [f.name for f in fields(cls)]
     lines = ["d = self.__dict__", *(f"d[{n!r}] = {n}" for n in names),
-             "f = 2 * index + 2" if cls is Var else f"f = {int(cls is Meta)}"]
+             "f = 4 * index + 4" if cls is Var else
+             f"f = {int(cls is Meta) + 2 * int(cls is Underscore)}"]
     for f in fields(cls):
         if f.type == "Term":
             lines.append(f"x = {f.name}._facts")
             if f.name in under:
-                lines.append("x = x - 2 if x > 1 else x")
+                lines.append("x = x - 4 if x > 3 else x")
             lines.append(_JOIN)
         elif f.type == "tuple[Term, ...]":
             lines += [f"for c in {f.name}:", f"    x = c._facts; {_JOIN}"]
@@ -271,8 +273,15 @@ def _constructor(cls: type) -> Callable[..., None]:
     return init
 
 
+# The children of each node kind: its `Term` fields and the entries of its
+# `tuple[Term, ...]` field, in field order.
+_CHILDREN: dict[type, Callable[[Term], tuple[Term, ...]]] = {}
+
 for _kind in Term.__subclasses__():
     _kind.__init__ = _constructor(_kind)
+    _parts = "".join(f"t.{f.name}, " if f.type == "Term" else f"*t.{f.name}, "
+                     for f in fields(_kind) if "Term" in f.type)
+    _CHILDREN[_kind] = eval(f"lambda t: ({_parts})")
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +339,7 @@ def map_term(k: int, fn: Callable[[int, Location, int], Term], t: Term) -> Term:
     meta-variable suspensions are traversed like ordinary children.  A
     subterm whose facts show no free index at or above its offset comes
     back unchanged without being walked."""
-    if t._facts >> 1 <= k:
+    if t._facts >> 2 <= k:
         return t
     if type(t) is Var:
         return fn(k, t.loc, t.index)
@@ -426,34 +435,23 @@ def free_in(index: int, t: Term) -> bool:
 def children(t: Term) -> tuple[Term, ...]:
     """All immediate child terms, including those under binders and inside
     meta-variable suspensions."""
-    match t:
-        case Sort() | Var() | Const() | Underscore():
-            return ()
-        case Let(_, _, a, b, c):
-            return (a, b, c)
-        case Prod(_, _, a, b) | Abs(_, _, a, b):
-            return (a, b)
-        case App(_, h, sp):
-            return (h, *sp)
-        case (Inter(_, a, b) | Union(_, a, b) | SPair(_, a, b)
-              | SInLeft(_, a, b) | SInRight(_, a, b) | Coercion(_, a, b)):
-            return (a, b)
-        case SPrLeft(_, a) | SPrRight(_, a):
-            return (a,)
-        case SMatch(_, s, m, _, a1, b1, _, a2, b2):
-            return (s, m, a1, b1, a2, b2)
-        case Meta(_, _, susp):
-            return susp
-    raise InternalError(f"children: unknown node {t!r}")
+    try:
+        return _CHILDREN[type(t)](t)
+    except KeyError:
+        raise InternalError(f"children: unknown node {t!r}") from None
 
 
 def loose(t: Term) -> int:
     """One more than the largest free de Bruijn index of `t`; 0 if closed."""
-    return t._facts >> 1
+    return t._facts >> 2
 
 
 def contains_meta(t: Term) -> bool:
     return bool(t._facts & 1)
+
+
+def contains_underscore(t: Term) -> bool:
+    return bool(t._facts & 2)
 
 
 def subterms(t: Term) -> Iterator[Term]:
@@ -477,7 +475,10 @@ class ConstOccurrences:
     pre-order index: each name keeps the sorted positions of its
     occurrences, and each subterm (by identity) the interval of positions
     it covers.  A subterm object shared by several positions has the same
-    constants at each, so any one of its intervals answers for all.
+    constants at each, so any one of its intervals answers for all.  `render`
+    asks only about the names of products and `smatch` motives, and `fix_id`
+    names the non-dependent ones `""`, so printing a term with no dependent
+    product builds the index only when a binder hint is a constant's name.
     """
 
     __slots__ = ("_root", "_names", "_at", "_spans")
@@ -530,13 +531,6 @@ def metas(t: Term) -> Iterator[Meta]:
 
 def first_meta(t: Term) -> Meta | None:
     return next(metas(t), None)
-
-
-def first_underscore(t: Term) -> Underscore | None:
-    for s in subterms(t):
-        if isinstance(s, Underscore):
-            return s
-    return None
 
 
 def mk_app(loc: Location, head: Term, args: tuple[Term, ...] | list[Term]) -> Term:

@@ -19,7 +19,7 @@ from proofun.pretty import render, show_term
 from proofun.refine import elaborate
 from proofun.repl import Session, load_file
 from proofun.syntax import (
-    Abs, App, Const, Let, Meta, NOWHERE, SInLeft, SInRight, SMatch, SPair,
+    Abs, App, Const, Let, Meta, NOWHERE, Prod, SInLeft, SInRight, SMatch, SPair,
     SPrLeft, SPrRight, Term, Underscore, Var, erase_context, subterms,
 )
 
@@ -156,8 +156,10 @@ def test_meta_input_is_internal_error():
 
 
 def test_placeholder_input_is_internal_error():
-    with pytest.raises(InternalError):
-        nf(GlobalEnv(), Underscore(L))
+    nested = Abs(L, "x", Const(L, "A"), App(L, Var(L, 0), (Underscore(L),)))
+    for t in (Underscore(L), nested, Prod(L, "", Const(L, "A"), nested)):
+        with pytest.raises(InternalError, match="contains a placeholder"):
+            nf(GlobalEnv(), t)
 
 
 def test_essence_mode_tolerates_untyped_binders():

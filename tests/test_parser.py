@@ -1,19 +1,21 @@
 """Concrete syntax: grammar, desugarings, commands, and the named/indexed
 round trips."""
 
+import io
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from proofun.errors import LexError, ParseError
+from proofun.errors import TOO_DEEP, LexError, ParseError, ProverError
 from proofun.parser import (
     Axiom, Definition, Load, Print, Quit, fix_id, fix_index, parse_command,
     parse_script, parse_term, tokenize,
 )
 from proofun.pretty import render, show_term
+from proofun.repl import Session, run_source
 from proofun.syntax import (
-    Abs, App, Const, Inter, Let, Prod, SInRight, SMatch, SPair,
+    Abs, App, Const, ConstOccurrences, Inter, Let, Prod, SInRight, SMatch, SPair,
     SPrLeft, Underscore, Union, Var,
 )
 
@@ -22,7 +24,7 @@ from helpers import (
     random_printable_term, reference_fix_id, reference_fix_index,
     reference_render, reference_tokenize,
 )
-from test_growth import FAMILIES, chain_of_holes
+from test_growth import FAMILIES, chain_of_holes, church_product
 
 
 # ------------- terms -------------
@@ -134,6 +136,16 @@ def test_unterminated_comment_is_a_lex_error():
         parse_term("(* never closed")
 
 
+@pytest.mark.parametrize("entry", [parse_term, parse_command, parse_script])
+def test_too_deep_input_is_a_prover_error(entry):
+    depth = 2000
+    nested = "f (" * depth + "x" + ")" * depth
+    text = nested if entry is parse_term else f"Definition d := {nested}."
+    with pytest.raises(ProverError) as info:
+        entry(text)
+    assert info.value.message == TOO_DEEP and info.value.loc is None
+
+
 # ------------- commands -------------
 
 
@@ -235,6 +247,33 @@ def test_show_term_matches_the_reference_printer():
     for _ in range(2000):
         t = random_printable_term(rng, rng.randint(1, 16), indexed=False)
         assert render(t) == reference_render(t)
+
+
+def test_fix_id_leaves_an_unused_product_or_motive_binder_unnamed():
+    t = fix_id(fix_index(parse_term("forall x : A, forall y : x -> B, B")))
+    assert (t.name, t.codomain.name, t.codomain.domain.name) == ("x", "", "")
+    motives = [fix_id(fix_index(parse_term(
+        f"smatch s as w return {body} with y => y, z => z end"))).motive
+        for body in ("P w", "P")]
+    assert [m.name for m in motives] == ["w", ""]
+    # Abstractions keep their name: `fun` always prints it.
+    assert fix_id(fix_index(parse_term("fun y : A => B"))).name == "y"
+
+
+def test_printing_without_dependent_products_builds_no_occurrence_index(monkeypatch):
+    def no_index(self):
+        raise AssertionError("occurrence index built")
+
+    monkeypatch.setattr(ConstOccurrences, "_index", no_index)
+    s = Session(quiet=True, out=io.StringIO(), err=io.StringIO())
+    assert run_source(s, church_product(3)), s.err.getvalue()
+    assert s.out.getvalue() == "fun f : o -> o => fun x : o => f (f (f (f (f (f x)))))\n"
+    hinted = fix_index(parse_term("forall x : (forall x : o, o), forall x : o, o"))
+    assert show_term(hinted) == "(o -> o) -> o -> o"
+    assert show_term(hinted, ("x",)) == "(o -> o) -> o -> o"
+    monkeypatch.undo()
+    assert show_term(fix_index(parse_term("forall A : Type, A -> A"))) == \
+        "forall A : Type, A -> A"
 
 
 @pytest.mark.parametrize("src", [

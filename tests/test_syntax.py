@@ -15,8 +15,8 @@ from proofun.repl import Session, load_file
 from proofun.syntax import (
     Abs, App, Const, Let, Location, Meta, NOWHERE, Prod, SMatch, Sort,
     SortKind, Term, Underscore, Var, beta_redex, children, contains_meta,
-    erase_context, first_meta, free_in, instantiate, lift, loose, map_term,
-    mk_app, msubst, subterms, visit_term,
+    contains_underscore, erase_context, first_meta, free_in, instantiate, lift,
+    loose, map_term, mk_app, msubst, subterms, visit_term,
 )
 
 from helpers import (
@@ -219,6 +219,29 @@ def test_subterms_is_preorder_at_any_depth():
     assert sum(1 for _ in subterms(deep)) == 10001
 
 
+def test_children_are_the_term_fields_in_field_order():
+    def by_fields(t):
+        out = []
+        for f in fields(t):
+            if f.type == "Term":
+                out.append(getattr(t, f.name))
+            elif f.type == "tuple[Term, ...]":
+                out.extend(getattr(t, f.name))
+        return out
+
+    rng = random.Random(43)
+    kinds = set()
+    for _ in range(300):
+        for s in subterms(_random_term(rng)):
+            kinds.add(type(s))
+            got, want = children(s), by_fields(s)
+            assert type(got) is tuple and len(got) == len(want), s
+            assert all(a is b for a, b in zip(got, want)), s
+    assert kinds == set(Term.__subclasses__())
+    with pytest.raises(InternalError):
+        children(object())
+
+
 # ------------- erase_context -------------
 
 
@@ -328,11 +351,12 @@ def test_sorts_and_underscore_compare():
     assert Underscore(L) == Underscore(L)
 
 
-# ------------- node facts (loose, contains_meta) -------------
+# ------------- node facts (loose, contains_meta, contains_underscore) -------------
 
 
 def _reference_facts(t):
-    """`(loose(t), contains_meta(t))` by direct recursion over the fields."""
+    """`(loose(t), contains_meta(t), contains_underscore(t))` by direct
+    recursion over the fields."""
 
     def free(t):
         match t:
@@ -350,8 +374,8 @@ def _reference_facts(t):
         return {n - 1 for n in free(t) if n}
 
     indices = free(t)
-    return (max(indices) + 1 if indices else 0,
-            any(type(s) is Meta for s in subterms(t)))
+    kinds = {type(s) for s in subterms(t)}
+    return (max(indices) + 1 if indices else 0, Meta in kinds, Underscore in kinds)
 
 
 def _twin(t, relocate=False, counter=None):
@@ -381,7 +405,7 @@ def _random_term(rng):
 
 def _assert_facts_match(root):
     for s in subterms(root):
-        assert (loose(s), contains_meta(s)) == _reference_facts(s), s
+        assert (loose(s), contains_meta(s), contains_underscore(s)) == _reference_facts(s), s
 
 
 def test_facts_of_every_subterm_match_the_reference():
