@@ -11,11 +11,14 @@ signature.  Operator precedence, tightest first:
 
 `proj_l`, `proj_r`, `inj_l`, `inj_r`, and `coe` are prefix keywords that
 consume exactly their displayed argument count at application precedence.
-Comments are `(* ... *)` and nest.
+Comments are `(* ... *)` and nest.  The lexer is one regular expression
+with an alternative per token shape, plus a loop that counts comment
+nesting; a script is lexed once and parsed from its one token list.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -23,7 +26,7 @@ from proofun.errors import InternalError, LexError, ParseError, too_deep_as_erro
 from proofun.syntax import (
     Abs, App, Coercion, Const, ConstOccurrences, Inter, Let, Location, Meta,
     Prod, SInLeft, SInRight, SMatch, SPair, SPrLeft, SPrRight, Sort, SortKind,
-    Term, Underscore, Union, Var, span, visit_term,
+    Term, Underscore, Union, Var, mk_app, span, visit_term,
 )
 
 KEYWORDS = frozenset({
@@ -53,92 +56,60 @@ _KIND_NAMES = {
 }
 
 
+UNTERMINATED_COMMENT = "unterminated comment"
+_OPERATORS = {text: kind for kind, text in _KIND_NAMES.items() if kind not in ("ID", "STRING")}
+
+# After any blanks, one alternative per token shape, tried in order: `(*`
+# before `(`, each two-character operator before its one-character prefix,
+# and an empty match at the end of the text.
+_LEXEME = re.compile("[ \t\r]*(?:" + "|".join((
+    r"(?P<NL>\n)", r"(?P<COMMENT>\(\*)", r'(?P<STRING>"[^"\n]*")',
+    "(?P<WORD>[" + re.escape("".join(sorted(_IDCHARS))) + "]+)",
+    "(?P<OP>" + "|".join(map(re.escape, sorted(_OPERATORS, key=len, reverse=True))) + ")",
+    r"(?P<BAD>.)", r"\Z",
+)) + ")")
+_NESTING = re.compile(r"\(\*|\*\)")
+
+
 def tokenize(text: str, source: str = "<input>") -> list[Token]:
+    """The tokens of `text`, ending with an `EOF` token.  No token spans a
+    line, so a column is the offset past the start of the current line."""
     toks: list[Token] = []
-    line, col, i = 1, 1, 0
-    n = len(text)
-
-    def here(width: int) -> Location:
-        return Location(source, (line, col), (line, col + width))
-
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
+    line, line_start, pos = 1, 0, 0
+    while True:
+        m = _LEXEME.match(text, pos)
+        kind, pos = m.lastgroup, m.end()
+        if kind == "NL":
+            line, line_start = line + 1, pos
             continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if text.startswith("(*", i):
-            depth, start = 1, here(2)
-            i += 2
-            col += 2
-            while i < n and depth:
-                if text.startswith("(*", i):
-                    depth += 1
-                    i += 2
-                    col += 2
-                elif text.startswith("*)", i):
-                    depth -= 1
-                    i += 2
-                    col += 2
-                elif text[i] == "\n":
-                    line += 1
-                    col = 1
-                    i += 1
-                else:
-                    i += 1
-                    col += 1
+        if kind is None:  # the end of the text
+            break
+        start, lexeme = m.start(kind), m.group(kind)
+        here = Location(source, (line, start - line_start + 1), (line, pos - line_start + 1))
+        if kind == "WORD":
+            kind = "UNDERSCORE" if lexeme == "_" else "KW" if lexeme in KEYWORDS else "ID"
+            toks.append(Token(kind, lexeme, here))
+        elif kind == "OP":
+            toks.append(Token(_OPERATORS[lexeme], lexeme, here))
+        elif kind == "STRING":
+            toks.append(Token("STRING", lexeme[1:-1], here))
+        elif kind == "COMMENT":
+            depth = 1
+            for nest in _NESTING.finditer(text, pos):
+                depth += 1 if nest.group() == "(*" else -1
+                if not depth:
+                    break
             if depth:
-                raise LexError("unterminated comment", start)
-            continue
-        if c == '"':
-            start = here(1)
-            j = i + 1
-            while j < n and text[j] not in '"\n':
-                j += 1
-            if j >= n or text[j] != '"':
-                raise LexError("unterminated string", start)
-            value = text[i + 1:j]
-            toks.append(Token("STRING", value,
-                              Location(source, (line, col), (line, col + (j - i) + 1))))
-            col += (j - i) + 1
-            i = j + 1
-            continue
-        two = text[i:i + 2]
-        if two in ("->", "=>", ":="):
-            kind = {"->": "ARROW", "=>": "DARROW", ":=": "COLONEQ"}[two]
-            toks.append(Token(kind, two, here(2)))
-            i += 2
-            col += 2
-            continue
-        if c in "()<>&|:,.":
-            kind = {"(": "LPAREN", ")": "RPAREN", "<": "LT", ">": "GT",
-                    "&": "AMP", "|": "BAR", ":": "COLON", ",": "COMMA",
-                    ".": "DOT"}[c]
-            toks.append(Token(kind, c, here(1)))
-            i += 1
-            col += 1
-            continue
-        if c in _IDCHARS:
-            j = i
-            while j < n and text[j] in _IDCHARS:
-                j += 1
-            word = text[i:j]
-            if word == "_":
-                kind = "UNDERSCORE"
-            elif word in KEYWORDS:
-                kind = "KW"
-            else:
-                kind = "ID"
-            toks.append(Token(kind, word, here(j - i)))
-            col += j - i
-            i = j
-            continue
-        raise LexError(f'unexpected character "{c}"', here(1))
+                raise LexError(UNTERMINATED_COMMENT, here)
+            pos = nest.end()
+            newlines = text.count("\n", start, pos)
+            if newlines:
+                line, line_start = line + newlines, text.rindex("\n", start, pos) + 1
+        elif lexeme == '"':
+            raise LexError("unterminated string", here)
+        else:
+            raise LexError(f'unexpected character "{lexeme}"', here)
+    col = len(text) - line_start + 1
     toks.append(Token("EOF", "", Location(source, (line, col), (line, col))))
     return toks
 
@@ -627,8 +598,10 @@ def fix_id(t: Term, scope: tuple[str, ...] | list[str] = ()) -> Term:
                 if type(motive) is Abs:  # named like a product: `""` when unused
                     m = go(Prod(motive.loc, motive.name, motive.domain, motive.body))
                     motive = Abs(m.loc, m.name, m.domain, m.codomain)
-                else:
-                    motive = go(motive)
+                else:  # eta-reduced by normalisation: `P` prints as `as x return P x`
+                    chosen, m = bind("", motive), motive.loc
+                    body = mk_app(m, go(motive), (Const(m, chosen),))
+                    motive = Abs(m, chosen, Underscore(m), body)
                 enter(c1)
                 b1 = go(b1)
                 leave(c1)

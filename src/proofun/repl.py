@@ -5,7 +5,10 @@ snapshot of the signature: if any atomic command fails or is interrupted,
 the whole list is rolled back and the error reported, so a failed command
 never changes the environment.  Loaded files are one command stream in
 which every source command is its own atomic unit; a failure aborts the
-rest of the file but keeps the earlier successes.
+rest of the file but keeps the earlier successes.  A stream is lexed once
+and parsed one source command at a time from its single token list; lexing,
+parsing and running share one failure path, so an error or an interruption
+at any of them is reported the same way.
 """
 
 from __future__ import annotations
@@ -18,11 +21,13 @@ from dataclasses import dataclass, field
 from typing import IO
 
 from proofun.env import AxiomInfo, GlobalEnv, LocalEnv
-from proofun.errors import CommandError, FuelExhausted, ParseError, ProverError, TOO_DEEP
+from proofun.errors import (
+    CommandError, FuelExhausted, LexError, ParseError, ProverError, TOO_DEEP,
+)
 from proofun.normalize import strongly_normalize
 from proofun.parser import (
     Axiom, Command, Compute, Definition, Help, Load, Print, Printall, Quit,
-    Token, fix_index, tokenize, _Parser,
+    UNTERMINATED_COMMENT, fix_index, tokenize, _Parser,
 )
 from proofun.pretty import render_error, show_term
 from proofun.refine import elaborate, elaborate_type
@@ -123,53 +128,36 @@ class _LoadFailed(Exception):
     successes, so the enclosing command list must not roll back."""
 
 
-def run_command_list(session: Session, cmds: list[Command],
-                     source_text: str) -> bool:
-    """Run the atomic commands of one source command; commit only if all
-    succeed, otherwise restore the signature and report the first error.
-    An interruption (Ctrl-C) is reported like an error at its command."""
-    mark = session.genv.snapshot()
-    for cmd in cmds:
-        try:
-            exec_command(session, cmd)
-        except _LoadFailed:
-            return False  # inner file already reported; keep its successes
-        except ProverError as error:
-            failure = error
-        except RecursionError:
-            failure = ProverError(TOO_DEEP)
-        except FuelExhausted as exhausted:
-            failure = ProverError(str(exhausted), cmd.loc)
-        except KeyboardInterrupt:
-            failure = ProverError("interrupted", cmd.loc)
-        else:
-            continue
-        session.genv.rollback(mark)
-        session.report(source_text, failure)
-        return False
-    return True
-
-
 def run_source(session: Session, text: str, source: str = "<input>") -> bool:
     """Run a whole command stream; each source command is atomic.  Returns
-    False as soon as one command fails (the remainder is not run)."""
+    False as soon as one command fails (the remainder is not run).  An
+    interruption (Ctrl-C) is reported like an error at its command."""
+    mark = loc = None  # the signature before this source command; the running command's place
     try:
-        chunks = _split_commands(text, source)
+        toks = tokenize(text, source)
+        if len(toks) > 1 and toks[-2].kind != "DOT":  # checked before anything runs
+            raise ParseError('expected "." at the end of the command', toks[-2].loc)
+        parser = _Parser(toks)
+        while not parser.at("EOF"):
+            mark, loc = session.genv.snapshot(), None
+            for cmd in _parse_chunk(parser):
+                loc = cmd.loc
+                exec_command(session, cmd)
+        return True
+    except _LoadFailed:
+        return False  # inner file already reported; keep its successes
     except ProverError as error:
-        session.report(text, error)
-        return False
-    for chunk in chunks:
-        try:
-            cmds = _parse_chunk(chunk, source)
-        except ProverError as error:
-            session.report(text, error)
-            return False
-        except RecursionError:
-            session.report(text, ProverError(TOO_DEEP))
-            return False
-        if not run_command_list(session, cmds, text):
-            return False
-    return True
+        failure = error
+    except RecursionError:
+        failure = ProverError(TOO_DEEP)
+    except FuelExhausted as exhausted:
+        failure = ProverError(str(exhausted), loc)
+    except KeyboardInterrupt:
+        failure = ProverError("interrupted", loc)
+    if mark is not None:
+        session.genv.rollback(mark)
+    session.report(text, failure)
+    return False
 
 
 def load_file(session: Session, path: str, loc: Location | None = None) -> bool:
@@ -190,36 +178,20 @@ def load_file(session: Session, path: str, loc: Location | None = None) -> bool:
         session.loading.discard(key)
 
 
-# A command never contains a period, so the token stream splits exactly at
-# DOT tokens; a trailing fragment without one is an unterminated command.
-
-
-def _split_commands(text: str, source: str) -> list[list[Token]]:
-    toks = tokenize(text, source)[:-1]  # drop EOF
-    chunks: list[list[Token]] = []
-    current: list[Token] = []
-    for tok in toks:
-        current.append(tok)
-        if tok.kind == "DOT":
-            chunks.append(current)
-            current = []
-    if current:
-        raise ParseError('expected "." at the end of the command', current[-1].loc)
-    return chunks
-
-
-def _parse_chunk(chunk: list[Token], source: str) -> list[Command]:
-    last = chunk[-1].loc
-    eof = Token("EOF", "", Location(source, last.end, last.end))
-    return _Parser(chunk + [eof]).command()
+def _parse_chunk(parser: _Parser) -> list[Command]:
+    """The atomic commands of the next source command.  A command never
+    contains a period and the grammar reads one only to end a command, so
+    the parser never reads past the command's own period."""
+    return parser.command()
 
 
 def _incomplete(text: str, source: str) -> bool:
-    """True while the buffer has no command terminator yet."""
+    """True while the buffer has no command terminator yet, or ends inside
+    a comment that may close on a later line."""
     try:
         toks = tokenize(text, source)
-    except ProverError:
-        return False  # let the runner report the lex error
+    except LexError as error:
+        return error.message == UNTERMINATED_COMMENT  # other lex errors: report now
     return not any(tok.kind == "DOT" for tok in toks)
 
 

@@ -167,8 +167,8 @@ class SPrRight(Term):
 class SMatch(Term):
     """Strong sum elimination.
 
-    `motive` is always a lambda abstraction (the parser guarantees it);
-    each branch binds index 0 to the matched component.
+    The parser builds `motive` as a lambda abstraction (normalisation may
+    eta-reduce it); each branch binds index 0 to the matched component.
     """
 
     loc: Location = field(compare=False)

@@ -393,3 +393,21 @@ def test_fix_index_matches_the_reference_on_random_shadowing_terms():
         assert repr(fix_index(t, scope)) == repr(reference_fix_index(t, scope)), (t, scope)
     t = parse_term("fun (x : A) (x : x) => x y")
     assert repr(fix_index(t, ("y", "x", "y"))) == repr(reference_fix_index(t, ("y", "x", "y")))
+
+
+def test_an_unterminated_comment_is_located_at_its_opener_on_its_own_line():
+    with pytest.raises(LexError) as info:
+        tokenize("a\n(* x\ny\n", "t.bull")
+    assert info.value.message == "unterminated comment"
+    assert (info.value.loc.start, info.value.loc.end) == ((2, 1), (2, 3))
+
+
+def test_fix_id_eta_expands_a_motive_that_is_not_an_abstraction():
+    t = fix_index(parse_term("smatch s with y => y, z => z end"))
+    loc = t.loc
+    cases = [(Var(loc, 0), "smatch s as x return P x with"),
+             (App(loc, Const(loc, "x"), (Var(loc, 0),)), "smatch s as x0 return x P x0 with")]
+    for motive, text in cases:
+        u = SMatch(loc, t.scrutinee, motive, t.name1, t.annot1, t.branch1,
+                   t.name2, t.annot2, t.branch2)
+        assert show_term(u, ("P",)).startswith(text)

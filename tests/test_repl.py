@@ -468,3 +468,109 @@ def test_fuel_exhaustion_is_a_located_error(tmp_path, monkeypatch, capsys):
     assert main([str(script), "--quiet", "--no-color"]) == 1
     err = capsys.readouterr().err
     assert err.endswith("Error: normalization did not terminate within the step budget\n")
+
+
+# ------------- one token list per script, one failure path -------------
+
+
+def test_an_unterminated_final_command_is_reported_before_anything_runs():
+    s = session()
+    assert not run_source(s, "Axiom s : Type.\nAxiom t : s")
+    assert s.genv.names() == []
+    assert s.err.getvalue() == (
+        'Axiom t : s\n          ^\nError: expected "." at the end of the command\n')
+
+
+def test_a_parse_error_in_the_third_command_keeps_the_first_two():
+    s = session()
+    assert not run_source(s, "Axiom a : Type.\nAxiom b : a.\nAxiom c : ).\nAxiom d : a.")
+    assert s.genv.names() == ["a", "b"]
+    assert s.err.getvalue() == 'Axiom c : ).\n          ^\nError: expected a term but found ")"\n'
+
+
+def test_run_source_and_parse_script_split_texts_into_the_same_commands(monkeypatch):
+    from test_parser import _front_end_texts
+    from proofun.parser import parse_script
+    for name, text in _front_end_texts():
+        ran = []
+        monkeypatch.setattr("proofun.repl.exec_command", lambda _s, cmd: ran.append(cmd))
+        assert run_source(session(), text, name)
+        parsed = [cmd for group in parse_script(text, name) for cmd in group]
+        assert repr(ran) == repr(parsed), name
+
+
+def _lines_then_eof(lines):
+    lines = iter(lines)
+
+    def reader(_prompt=""):
+        try:
+            return next(lines)
+        except StopIteration:
+            raise EOFError
+    return reader
+
+
+def test_an_interrupt_while_parsing_is_reported_and_the_session_continues(
+        monkeypatch, capsys, tmp_path):
+    from proofun import repl as repl_module
+    parse_chunk, calls = repl_module._parse_chunk, []
+
+    def interrupt_the_second_parse(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise KeyboardInterrupt
+        return parse_chunk(*args)
+
+    monkeypatch.setattr("proofun.repl._parse_chunk", interrupt_the_second_parse)
+    script = tmp_path / "interrupted.bull"
+    script.write_text("Axiom o : Type.\nAxiom a : o.\nAxiom b : o.\n")
+    try:
+        assert main(["--quiet", "--no-color", str(script)]) == 1
+    except KeyboardInterrupt:
+        pytest.fail("the interrupt escaped from main")
+    assert capsys.readouterr().err == "Error: interrupted\n"
+    monkeypatch.setattr("builtins.input", _lines_then_eof(
+        ["Axiom o : Type.", "Axiom a : o.", "Axiom b : o.", "Printall."]))
+    calls.clear()
+    s = session()
+    try:
+        assert repl_module.repl(s) == 0
+    except KeyboardInterrupt:
+        pytest.fail("the interrupt escaped from the interactive loop")
+    assert s.err.getvalue() == "Error: interrupted\n"
+    assert s.genv.names() == ["o", "b"]
+    assert out_of(s) == "Axiom o : Type\nAxiom b : o\n"
+
+
+def test_a_comment_spanning_lines_can_be_typed_at_the_prompt(monkeypatch):
+    monkeypatch.setattr("builtins.input", _lines_then_eof(
+        ["Axiom A : Type. (* a", "multi-line comment *)", "Axiom a : A.", "Print a.",
+         "Axiom b : A. (* (* nested", "*) still open", "*) Print b."]))
+    s = session()
+    from proofun.repl import repl
+    assert repl(s) == 0
+    assert s.err.getvalue() == ""
+    assert s.genv.names() == ["A", "a", "b"]
+    assert out_of(s) == "a : A\nb : A\n"
+
+
+def test_other_lex_errors_are_reported_at_the_prompt_at_once(monkeypatch):
+    monkeypatch.setattr("builtins.input", _lines_then_eof(['Load "no end', "Axiom A : Type."]))
+    s = session()
+    from proofun.repl import repl
+    assert repl(s) == 0
+    assert s.err.getvalue() == 'Load "no end\n     ^\nError: unterminated string\n'
+    assert s.genv.names() == ["A"]
+
+
+def test_compute_prints_an_eta_reduced_smatch_motive_as_print_does():
+    s = session()
+    assert run_source(s, """
+        Axiom (A B : Type) (P : A | B -> Type) (f : forall x : A | B, P x) (s : A | B).
+        Definition d := smatch s as x return P x with y => f (inj_l B y), z => f (inj_r A z) end.
+        Print d.
+        Compute d.""")
+    printed, computed = out_of(s).splitlines()[1:]
+    assert printed == "d := " + computed
+    assert computed == ("smatch s as x return P x with "
+                        "y : A => f (inj_l B y), z : B => f (inj_r A z) end")
