@@ -1,31 +1,27 @@
 """Strong normalization under beta, eta, projection, injection, let, and the
 three delta rules (global definitions, local definitions, solved metas).
 
-Two engines implement these rules, one per kind of entry point.
-
-`strongly_normalize` is the strict entry point for meta-free terms, which
-`Compute` and subtyping use.  It normalizes by evaluation: `_eval` runs a
-term in an environment of arguments that are evaluated when first needed
-and then kept (call-by-need), and `_quote` reads the value back into an
-indexed, eta-short term.  Nothing is substituted, so a β, ζ or δ step costs
+One normalizer serves every caller.  `strongly_normalize` is the strict
+entry point for meta-free terms, which `Compute` and subtyping use;
+`normalize_meta` also expands solved meta-variables and keeps unsolved ones
+with their suspensions normalized, which is what the unifier needs.  Both
+normalize by evaluation: `_eval` runs a term in an environment of arguments
+that are evaluated when first needed and then kept (call-by-need), and
+`_quote` reads the value back into an indexed, eta-short term.  Nothing is
+substituted except a solved meta's suspension, so a β, ζ or δ step costs
 the same whatever the size of the argument, and each global definition is
-looked up once per call.  Its inputs are whole definitions that reduce a
-lot, which is where substitution costs most.
+looked up once per call.  An unsolved meta is a flexible head: applied to
+arguments it stays a neutral spine, and the read-back normalizes its
+suspension entries.
 
-`normalize_meta` additionally expands solved meta-variables and treats
-unsolved ones as rigid atoms, which is what unification needs; `whnf` is
-the head view the refiner's premises use.  Both rewrite de Bruijn
-terms by substitution: `_whnf` rewrites the root of a term until it is no
-longer a redex, and `_norm` takes the weak head normal form, then normalizes
-the children, then applies eta to an abstraction whose body is normal.  The
-unifier and refiner mostly hand them small terms that are nearly normal,
-and `_norm` returns a subterm that is already normal as the same object,
-where the evaluator would rebuild it.
+`whnf` is the head view the refiner and unifier use: `_whnf` rewrites the
+root of a de Bruijn term by substitution until it is no longer a redex, and
+leaves the children alone.
 
-Both engines are head-first, so a discarded argument is never normalized,
-and both give the same normal forms.  One fuel budget covers a whole call:
-a tick per evaluation step and per node read back, or a tick per `_whnf`
-step and per node `_norm` visits.
+The evaluator is head-first, so a discarded argument is never normalized.
+One fuel budget covers a whole call: a tick per evaluation step and per
+node read back, for `Compute`, subtyping and the unifier's normal forms
+alike, and a tick per `_whnf` step for the head view.
 """
 
 from __future__ import annotations
@@ -101,18 +97,24 @@ def delta_phi_expand(phi: MetaEnv, m: Meta) -> Term | None:
 
 def strongly_normalize(is_essence: bool, genv: GlobalEnv, ctx: LocalEnv,
                        t: Term, fuel: int = DEFAULT_FUEL) -> Term:
-    """Normal form of a meta-free term, by evaluation and read-back.
-    Non-termination is out of contract for ill-typed input; the fuel budget
-    turns it into a reported error."""
+    """Normal form of a meta-free term.  Non-termination is out of contract
+    for ill-typed input; the fuel budget turns it into a reported error."""
     if contains_meta(t):
         raise InternalError("strongly_normalize: input contains a meta-variable")
     if not is_essence and contains_underscore(t):
         raise InternalError("strongly_normalize: input contains a placeholder")
-    return _nf(t, 0, len(ctx), _Machine(genv, ctx, is_essence, _Fuel(fuel)))
+    return _nf(t, 0, len(ctx), _Machine(MetaEnv(), genv, ctx, is_essence, _Fuel(fuel)))
+
+
+def normalize_meta(phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv, t: Term,
+                   is_essence: bool = False, fuel: int = DEFAULT_FUEL) -> Term:
+    """Normalization for the unifier and refiner: solved metas are expanded,
+    unsolved ones normalize their suspensions and stay put."""
+    return _nf(t, 0, len(ctx), _Machine(phi, genv, ctx, is_essence, _Fuel(fuel)))
 
 
 # ---------------------------------------------------------------------------
-# Normalization by evaluation: the engine behind `strongly_normalize`.
+# Normalization by evaluation: the engine behind both entry points.
 #
 # A term is evaluated in an environment, a linked list `(thunk, rest)` whose
 # first entry is index 0.  The list ends in an offset into the context
@@ -124,12 +126,13 @@ def strongly_normalize(is_essence: bool, genv: GlobalEnv, ctx: LocalEnv,
 # for itself (a declaration of the context, or the binder being read back)
 # has a thunk that holds its value from the start.  A value is
 #   - a `_Clo`: a node whose root is never a redex (`fun`, `forall`, `&`,
-#     `|`, a pair, an injection, a coercion) with the environment of its free
-#     variables, so nothing below its root has been evaluated yet;
+#     `|`, a pair, an injection, a coercion, an unsolved meta) with the
+#     environment of its free variables, so nothing below its root has been
+#     evaluated yet;
 #   - a `_Rigid`: a head that cannot reduce, applied to a spine of thunks.
 #     The head is a de Bruijn *level* (a variable bound outside the term),
-#     an axiom, a sort, a placeholder, a `_Clo` that is not a function, or
-#     a `_Stuck` projection or match;
+#     an axiom, a sort, a placeholder, a `_Clo` that is not a function (an
+#     unsolved meta is the flexible case), or a `_Stuck` projection or match;
 #   - a `Sort`, `Underscore` or axiom `Const` node, standing for itself.
 # `_quote` reads a value back into an indexed, eta-short term.  Levels count
 # binders from the outside, so a value stays valid under more binders, and
@@ -178,14 +181,17 @@ _CHILDREN = {k: attrgetter(*(f.name for f in fields(k) if f.compare)) for k in _
 
 
 class _Machine:
-    """What one `strongly_normalize` call shares: the signature, the local
-    context, the side, one fuel budget, and the thunks of the global
-    definitions and context entries used, each made once per call."""
+    """What one normalization call shares: the meta-environment, the
+    signature, the local context, the side, one fuel budget, and the thunks
+    of the global definitions and context entries used, each made once per
+    call."""
 
-    __slots__ = ("genv", "ctx", "is_essence", "tick", "consts", "entries")
+    __slots__ = ("phi", "genv", "ctx", "is_essence", "tick", "consts", "entries")
 
-    def __init__(self, genv: GlobalEnv, ctx: LocalEnv, is_essence: bool, fuel: _Fuel):
-        self.genv, self.ctx, self.is_essence, self.tick = genv, ctx, is_essence, fuel.tick
+    def __init__(self, phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv, is_essence: bool,
+                 fuel: _Fuel):
+        self.phi, self.genv, self.ctx, self.is_essence = phi, genv, ctx, is_essence
+        self.tick = fuel.tick
         self.consts: dict[str, _Thunk | None] = {}
         self.entries: dict[int, _Thunk] = {}
 
@@ -222,12 +228,12 @@ class _Machine:
 
 def _eval(t: Term, env: _Env, m: _Machine) -> _Value:
     """The value of `t` in `env`.  Every contraction in tail position (β,
-    ζ, δ, a projection of a pair, a match of an injection, entering a
-    thunk) continues the loop instead of recursing, so a looping term runs
-    out of fuel, not out of stack.  Arguments wait in `pending`, the next
-    one last.  A thunk being evaluated waits in `updates`, with the number
-    of arguments that were pending when it was entered: the first value
-    reached with that many pending is the thunk's value."""
+    ζ, δ, a solved meta, a projection of a pair, a match of an injection,
+    entering a thunk) continues the loop instead of recursing, so a looping
+    term runs out of fuel, not out of stack.  Arguments wait in `pending`,
+    the next one last.  A thunk being evaluated waits in `updates`, with the
+    number of arguments that were pending when it was entered: the first
+    value reached with that many pending is the thunk's value."""
     pending: list[_Thunk] = []
     updates: list[tuple[_Thunk, int]] = []
     floor = 0  # arguments below this belong to a thunk's caller
@@ -282,6 +288,12 @@ def _eval(t: Term, env: _Env, m: _Machine) -> _Value:
                 continue
             v = _Rigid(_Stuck(t, env, injection), ())
         elif k in _CLOSED_OVER:
+            v = _Clo(t, env)
+        elif k is Meta:
+            expanded = delta_phi_expand(m.phi, t)
+            if expanded is not None:
+                t = expanded
+                continue
             v = _Clo(t, env)
         elif k is Sort or k is Underscore:
             v = t
@@ -355,9 +367,13 @@ def _quote_node(t: Term, env: _Env, depth: int, m: _Machine) -> Term:
     """Read back the closure of `t`, a node whose root is never a redex:
     its children are normalized in `env` (under a binder, with a fresh
     variable at level `depth` added), and an abstraction is eta-reduced.
-    A node whose children all come back unchanged comes back itself."""
+    A node whose children all come back unchanged comes back itself; the
+    children of an unsolved meta are its suspension entries."""
     m.tick()
     k = type(t)
+    if k is Meta:
+        susp = [_nf(s, env, depth, m) for s in t.susp]
+        return t if all(map(is_, susp, t.susp)) else Meta(t.loc, t.mid, tuple(susp))
     a, b = _CHILDREN[k](t)
     a2 = _nf(a, env, depth, m)
     if k is not Abs and k is not Prod:
@@ -383,14 +399,7 @@ def _quote_stuck(stuck: _Stuck, depth: int, m: _Machine) -> Term:
 
 
 # ---------------------------------------------------------------------------
-# Rewriting by substitution: the engine behind `normalize_meta` and `whnf`.
-
-
-def normalize_meta(phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv, t: Term,
-                   is_essence: bool = False, fuel: int = DEFAULT_FUEL) -> Term:
-    """Normalization for the unifier and refiner: solved metas are expanded,
-    unsolved ones normalize their suspensions and stay put."""
-    return _norm(phi, is_essence, genv, ctx, t, _Fuel(fuel))
+# Rewriting the root by substitution: the head view behind `whnf`.
 
 
 def whnf(phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv, t: Term,
@@ -400,26 +409,6 @@ def whnf(phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv, t: Term,
     applications, the bodies of projections and the scrutinees of matches
     are reduced on the same `fuel` budget."""
     return _whnf(phi, genv, ctx, t, is_essence, _Fuel(fuel))
-
-
-def _norm(phi: MetaEnv, is_essence: bool, genv: GlobalEnv,
-          ctx: LocalEnv, t: Term, fuel: _Fuel) -> Term:
-    fuel.tick()
-    t = _whnf(phi, genv, ctx, t, is_essence, fuel)
-    norm = lambda c: _norm(phi, is_essence, genv, ctx, c, fuel)
-    under = lambda _s, c: _norm(phi, is_essence, genv, ctx.push_dummy(), c, fuel)
-    keep = lambda s, _c: s
-    if type(t) is App:  # its head is in weak head normal form: skip that root
-        head, spine = visit_term(norm, under, keep, t.head), []
-        for a in t.spine:  # not `map(norm, ...)`: one Python frame per nesting level
-            spine.append(_norm(phi, is_essence, genv, ctx, a, fuel))
-        if head is t.head and all(map(is_, spine, t.spine)):
-            return t
-        return App(t.loc, head, tuple(spine))
-    t = visit_term(norm, under, keep, t)
-    if type(t) is Abs and (contracted := _eta_contract(t.body)) is not None:
-        return contracted
-    return t
 
 
 def _whnf(phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv, t: Term,

@@ -55,6 +55,14 @@ def _shown(phi: MetaEnv, ctx: LocalEnv, t: Term) -> str:
     return show_term(zonk(phi, t), ctx.names())
 
 
+def _has_type(phi: MetaEnv, ctx: LocalEnv, t: Term, ty: Term, rest: Term | str) -> str:
+    """The message `the term "t" has type "ty"` followed by `rest`: the rest
+    of the sentence, or the type `t` was expected to have."""
+    if isinstance(rest, Term):
+        rest = f' while it is expected to have type "{_shown(phi, ctx, rest)}".'
+    return f'the term "{_shown(phi, ctx, t)}" has type "{_shown(phi, ctx, ty)}"{rest}'
+
+
 def _fresh_wildcard(phi: MetaEnv, ctx: LocalEnv, loc: Location
                     ) -> tuple[MetaEnv, Term, Term]:
     """Mint ?x : ?y : ?z (term meta, type meta, sort meta) over `ctx`."""
@@ -218,9 +226,8 @@ def reconstruct(phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv, t: Term
                     except UnificationFailure:
                         term = mk_app(loc, term, args)
                         raise TypeCheckError(
-                            f'the term "{_shown(phi, ctx, term)}" '
-                            f'has type "{_shown(phi, ctx, sigma)}" '
-                            'and cannot be applied', term.loc) from None
+                            _has_type(phi, ctx, term, sigma, " and cannot be applied"),
+                            term.loc) from None
                     sigma = Meta(loc, xid, erase_context(len(ctx)) + (arg2,))
                 args.append(arg2)
             return mk_app(loc, term, args), instantiate(sigma, pending), phi
@@ -252,11 +259,9 @@ def reconstruct(phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv, t: Term
                     phi = unify(phi, genv, ctx, sigma,
                                 Inter(loc, Meta(loc, x1, susp), Meta(loc, x2, susp)))
                 except UnificationFailure:
-                    raise TypeCheckError(
-                        f'the term "{_shown(phi, ctx, body2)}" has '
-                        f'type "{_shown(phi, ctx, sigma)}" while it '
-                        'is expected to have an intersection type', body.loc) \
-                        from None
+                    raise TypeCheckError(_has_type(
+                        phi, ctx, body2, sigma,
+                        " while it is expected to have an intersection type"), body.loc) from None
                 ty = Meta(loc, x1 if left_side else x2, susp)
             node = SPrLeft if left_side else SPrRight
             return node(loc, body2), ty, phi
@@ -278,11 +283,8 @@ def reconstruct(phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv, t: Term
             try:
                 phi = unify(phi, genv, ctx, sigma, union)
             except UnificationFailure:
-                raise TypeCheckError(
-                    f'the term "{_shown(phi, ctx, scrut2)}" has type '
-                    f'"{_shown(phi, ctx, sigma)}" while it is expected '
-                    f'to have type "{_shown(phi, ctx, union)}".',
-                    scrut.loc) from None
+                raise TypeCheckError(_has_type(phi, ctx, scrut2, sigma, union),
+                                     scrut.loc) from None
             motive2, phi = reconstruct_with_type(
                 phi, genv, ctx, motive,
                 Prod(loc, "x", union, sort_type(loc)))
@@ -308,10 +310,9 @@ def reconstruct(phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv, t: Term
                 raise TypeCheckError(
                     "cannot decide subtyping against an incomplete type", loc)
             if not is_subtype(genv, ctx, tau_z, target_z):
-                raise TypeCheckError(
-                    f'the term "{_shown(phi, ctx, body2)}" has type '
-                    f'"{show_term(tau_z, ctx.names())}" which is not a subtype of '
-                    f'"{show_term(target_z, ctx.names())}"', body.loc)
+                raise TypeCheckError(_has_type(
+                    phi, ctx, body2, tau_z,
+                    f' which is not a subtype of "{_shown(phi, ctx, target_z)}"'), body.loc)
             return Coercion(loc, target2, body2), target2, phi
     raise InternalError(f"reconstruct: unhandled node {t!r}")
 
@@ -343,11 +344,8 @@ def reconstruct_with_type(phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv,
         try:
             return t2, unify(phi2, genv, ctx, sigma, expected)
         except UnificationFailure:
-            raise TypeCheckError(
-                f'the term "{_shown(phi2, ctx, t2)}" has type '
-                f'"{_shown(phi2, ctx, sigma)}" while it is expected '
-                f'to have type "{_shown(phi2, ctx, expected)}".',
-                t.loc) from None
+            raise TypeCheckError(_has_type(phi2, ctx, t2, sigma, expected),
+                                 t.loc) from None
 
     match t:
         case Let(loc, name, annot, bound, body):

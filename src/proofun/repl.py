@@ -203,7 +203,8 @@ def repl(session: Session) -> int:
         prompt = ("> " if not buffer else "  ") if show_prompt else ""
         try:
             line = input(prompt)
-        except EOFError:
+        except EOFError:  # an unfinished command is reported as a script's would be
+            run_source(session, buffer, "<input>")
             return 0
         buffer += line + "\n"
         if _incomplete(buffer, "<input>"):

@@ -1,6 +1,7 @@
-"""The normalizers: reduction rules, spine discipline, idempotence, fuel,
-head-first order, call-by-need, and agreement of evaluation
-(`strongly_normalize`), substitution (`normalize_meta`) and the
+"""The normalizer and the head view: reduction rules, spine discipline,
+idempotence, fuel, head-first order, call-by-need, and agreement of the
+evaluator's two entry points (`strongly_normalize` for meta-free terms,
+`normalize_meta` for terms with solved and unsolved metas) with the
 applicative-order reference."""
 
 import io
@@ -9,7 +10,9 @@ import random
 import pytest
 
 from proofun import normalize
-from proofun.env import DefInfo, GlobalEnv, LocalEnv, MetaEnv, TypedDecl
+from proofun.env import (
+    Decl, DefInfo, EssDecl, GlobalEnv, LocalEnv, MetaEnv, SortDecl, TypedDecl,
+)
 from proofun.errors import FuelExhausted, InternalError
 from proofun.normalize import (
     delta_phi_expand, is_eta, normalize_meta, strongly_normalize, whnf, zonk,
@@ -20,12 +23,13 @@ from proofun.refine import elaborate
 from proofun.repl import Session, load_file
 from proofun.syntax import (
     Abs, App, Const, Let, Meta, NOWHERE, Prod, SInLeft, SInRight, SMatch, SPair,
-    SPrLeft, SPrRight, Term, Underscore, Var, erase_context, subterms,
+    SPrLeft, SPrRight, Term, Underscore, Var, contains_meta, erase_context, lift,
+    mk_app, sort_type, subterms, visit_term,
 )
 
 from helpers import (
     CORPUS_FILES, P, axiom, corpus_path, define, make_test_genv,
-    random_refined_term, reference_normalize,
+    random_refined_term, random_simple_type, random_typed_term, reference_normalize,
 )
 
 L = NOWHERE
@@ -273,7 +277,7 @@ def test_zonk_expands_solved_metas_deeply():
     assert normalize_meta(phi, GlobalEnv(), ctx, t) == Const(L, "c")
 
 
-# ------------- agreement of evaluation, substitution and the reference -------------
+# ------------- agreement of the entry points and the reference -------------
 
 
 def _assert_agrees(expected: Term, got: Term, scope=()):
@@ -282,9 +286,9 @@ def _assert_agrees(expected: Term, got: Term, scope=()):
 
 
 def _engines_agree(is_essence, genv, ctx, t, scope=()):
-    """`strongly_normalize` (evaluation), `normalize_meta` on an empty
-    meta-environment (substitution) and `reference_normalize` (applicative
-    order) give the same normal form; it is returned."""
+    """`strongly_normalize`, `normalize_meta` on an empty meta-environment
+    (the same evaluator, entered for the unifier) and `reference_normalize`
+    (applicative order) give the same normal form; it is returned."""
     got = strongly_normalize(is_essence, genv, ctx, t)
     _assert_agrees(normalize_meta(MetaEnv(), genv, ctx, t, is_essence), got, scope)
     _assert_agrees(reference_normalize(None, is_essence, genv, ctx, t), got, scope)
@@ -292,11 +296,11 @@ def _engines_agree(is_essence, genv, ctx, t, scope=()):
 
 
 def test_agrees_with_applicative_reference():
-    """The evaluator, the head-first substitution engine and the
-    applicative-order one (`helpers.reference_normalize`) give the same
-    normal form, binder names included, on random typed terms and their
-    essences, on every corpus definition's type, type essence, body and
-    essence, and (the last two engines) on terms with solved metas.
+    """The evaluator, through both entry points, and the applicative-order
+    engine (`helpers.reference_normalize`) give the same normal form, binder
+    names included, on random typed terms and their essences, on every
+    corpus definition's type, type essence, body and essence, and
+    (`normalize_meta` and the reference) on terms with solved metas.
 
     Only locations may differ: the engines contract redexes in a different
     order, so a normal form may keep the span of another source node (in
@@ -331,6 +335,139 @@ def test_agrees_with_applicative_reference():
               SPrLeft(L, SPair(L, chain, Var(L, 0)))):
         _assert_agrees(reference_normalize(phi, False, genv, ctx, t),
                        normalize_meta(phi, genv, ctx, t), ["x"])
+
+
+class _Metas:
+    """Puts meta-variables into a meta-free term, bottom-up, at random
+    subterms `s` (under `depth` binders of the term and the `outer` entries
+    of its context).  A solved meta gives `s` back when expanded and
+    normalized: `?m[id] := s`; `?m[id] u := fun y => ...y...`, `s` with its
+    last argument `u` abstracted; or `?m[id; u] := ...y...`, the same body
+    with `u` in the suspension.  An unsolved meta (only when `unsolved`)
+    keeps `s` out of the term: its suspension holds variables in scope, `s`
+    itself and reducible entries, and it may be applied to arguments; and
+    a binder's annotation `T` may become `T -> ?s`, with `?s` a sort meta,
+    solved or not.  `kinds` records which forms were made."""
+
+    def __init__(self, rng: random.Random, outer: int, is_essence: bool, unsolved: bool):
+        self.rng, self.outer, self.is_essence, self.unsolved = rng, outer, is_essence, unsolved
+        self.phi, self.kinds = MetaEnv(), set()
+        self.annot = Underscore(L) if is_essence else Const(L, "A")
+
+    def fresh(self, length: int, solution: Term | None = None) -> int:
+        ctx = LocalEnv(tuple(Decl(f"z{i}", self.annot) for i in range(length)))
+        decl = EssDecl(ctx) if self.is_essence else TypedDecl(ctx, Const(L, "A"))
+        self.phi, mid = self.phi.fresh_meta(decl)
+        if solution is not None:
+            self.phi = self.phi.instantiate_meta(mid, solution)
+        return mid
+
+    def reducible(self, u: Term) -> Term:
+        """`u`, or the redex `(fun z => z) u`."""
+        if self.rng.random() < 0.5:
+            return u
+        return App(L, Abs(L, "z", self.annot, Var(L, 0)), (u,))
+
+    def put(self, t: Term, depth: int) -> Term:
+        t = visit_term(lambda c: self.put(c, depth),
+                       lambda _s, c: self.put(c, depth + 1), lambda s, _c: s, t)
+        if self.unsolved and type(t) is Abs and self.rng.random() < 0.1:
+            solved = self.rng.random() < 0.5
+            self.kinds.add("sort_solved" if solved else "sort_unsolved")
+            self.phi, sid = self.phi.fresh_meta(SortDecl())
+            if solved:
+                self.phi = self.phi.instantiate_meta(sid, sort_type())
+            junk = (self.reducible(Const(L, "a")),) if self.rng.random() < 0.3 else ()
+            return Abs(L, t.name, Prod(L, "", t.domain, Meta(L, sid, junk)), t.body)
+        roll, k = self.rng.random(), self.outer + depth
+        ident = erase_context(k)
+        if roll < 0.12:
+            self.kinds.add("identity")
+            return Meta(L, self.fresh(k, t), ident)
+        if roll < 0.3 and type(t) is App:
+            u = t.spine[-1]
+            body = mk_app(L, lift(0, 1, t.head),
+                          tuple(lift(0, 1, a) for a in t.spine[:-1]) + (Var(L, 0),))
+            if roll < 0.21:
+                self.kinds.add("abstraction_applied")
+                solution = Abs(L, "y", self.annot, body)
+                return App(L, Meta(L, self.fresh(k, solution), ident), (self.reducible(u),))
+            self.kinds.add("suspension_entry")
+            return Meta(L, self.fresh(k + 1, body), ident + (self.reducible(u),))
+        if roll < 0.45 and self.unsolved:
+            pool = [t, Const(L, "f")] + [Var(L, i) for i in range(k)]
+            susp = tuple(self.reducible(self.rng.choice(pool))
+                         for _ in range(self.rng.randint(0, 3)))
+            args = tuple(self.reducible(self.rng.choice(pool))
+                         for _ in range(self.rng.choice((0, 0, 1, 2))))
+            self.kinds.add("unsolved_applied" if args else "unsolved")
+            return mk_app(L, Meta(L, self.fresh(len(susp)), susp), args)
+        return t
+
+
+def _metas_agree(rng, is_essence, genv, ctx, t, unsolved, scope=()):
+    """`normalize_meta` of `t` with metas put in agrees with the reference,
+    is its own normal form and, when every meta is solved, is the normal
+    form of `t` itself; the forms made, and where metas ended up, are
+    returned."""
+    metas = _Metas(rng, len(ctx), is_essence, unsolved)
+    with_metas = metas.put(t, 0)
+    got = normalize_meta(metas.phi, genv, ctx, with_metas, is_essence)
+    _assert_agrees(reference_normalize(metas.phi, is_essence, genv, ctx, with_metas),
+                   got, scope)
+    assert normalize_meta(metas.phi, genv, ctx, got, is_essence) == got
+    if not unsolved:
+        _assert_agrees(strongly_normalize(is_essence, genv, ctx, t), got, scope)
+    for s in subterms(with_metas):
+        if type(s) is Abs and contains_meta(s.body):
+            metas.kinds.add("under_binder")
+        elif type(s) is Let and contains_meta(s.body):
+            metas.kinds.add("let_body")
+        elif type(s) is Let and contains_meta(s.bound):
+            metas.kinds.add("let_bound")
+    return metas.kinds
+
+
+def test_metas_agree_with_the_reference_on_random_terms():
+    """A seeded differential over random typed terms and their essences
+    with solved and unsolved metas put in: under binders, in `let`-bound
+    terms and `let` bodies, with local definitions in the context, solved
+    metas whose solution is an abstraction applied to arguments or uses a
+    suspension entry, sort metas, and unsolved metas with reducible
+    suspension entries, applied or not."""
+    genv = make_test_genv()
+    rng = random.Random(43)
+    closed = LocalEnv()
+    scope = ["x", "u"]
+    with_def = (LocalEnv().push_decl("u", Const(L, "A"))
+                .push_def("x", fix_index(parse_term("f u"), ["u"]), Const(L, "A")))
+    kinds = set()
+    for i in range(600):
+        t, ty = random_refined_term(rng)
+        for unsolved in (False, True):
+            kinds |= _metas_agree(rng, False, genv, closed, t, unsolved)
+            if i % 2 == 0:
+                essence = elaborate(genv, t, ty).essence
+                kinds |= _metas_agree(rng, True, genv, closed, essence, unsolved)
+        ty = random_simple_type(rng, rng.randint(0, 2))
+        t = random_typed_term(rng, ty, [Const(L, "A"), Const(L, "A")], 4)
+        kinds |= _metas_agree(rng, False, genv, with_def, t, True, scope)
+    assert kinds == {"identity", "abstraction_applied", "suspension_entry", "unsolved",
+                     "unsolved_applied", "sort_solved", "sort_unsolved", "under_binder",
+                     "let_body", "let_bound"}
+
+
+def test_a_normal_input_with_metas_comes_back_equal():
+    ctx = LocalEnv().push_decl("x", Const(L, "A"))
+    phi, mid = MetaEnv().fresh_meta(TypedDecl(ctx, Const(L, "A")))
+    flex = Meta(L, mid, (Var(L, 0),))
+    phi, outer = phi.fresh_meta(TypedDecl(LocalEnv(), Const(L, "A")))
+    inner = Meta(L, mid, (Var(L, 0),))
+    for t, context in ((flex, ctx),
+                       (Abs(L, "x", Const(L, "A"), App(L, inner, (Const(L, "a"),))),
+                        LocalEnv()),
+                       (Meta(L, outer, ()), LocalEnv())):
+        assert normalize_meta(phi, make_test_genv(), context, t) == t
 
 
 def _match(scrutinee: str) -> SMatch:

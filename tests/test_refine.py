@@ -89,6 +89,22 @@ def test_application_not_a_function():
     assert "cannot be applied" in info.value.message
 
 
+@pytest.mark.parametrize("definition, message", [
+    ("a a", 'the term "a" has type "A" and cannot be applied'),
+    ("proj_l a", 'the term "a" has type "A" while it is expected to have an '
+                 'intersection type'),
+    ("smatch a return A with x : A => x, y : B => a end",
+     'the term "a" has type "A" while it is expected to have type "A | B".'),
+    ("coe B a", 'the term "a" has type "A" which is not a subtype of "B"'),
+    ("f b", 'the term "b" has type "B" while it is expected to have type "A".'),
+], ids=["spine", "projection", "smatch", "coe", "checking"])
+def test_has_type_messages_are_exact(definition, message):
+    s = Session(quiet=True, out=io.StringIO(), err=io.StringIO())
+    assert run_source(s, "Axiom (A B : Type) (a : A) (b : B) (f : A -> A).")
+    assert not run_source(s, f"Definition d := {definition}.")
+    assert s.err.getvalue().splitlines()[-1] == f"Error: {message}"
+
+
 def test_products_respect_the_sort_discipline():
     genv = fresh_genv()
     # term-level product and type-family product are fine

@@ -563,6 +563,46 @@ def test_other_lex_errors_are_reported_at_the_prompt_at_once(monkeypatch):
     assert s.genv.names() == ["A"]
 
 
+def _reported_by_a_script(text: str) -> str:
+    s = session()
+    assert not run_source(s, text)
+    return s.err.getvalue()
+
+
+def test_an_unfinished_command_at_end_of_input_is_reported(monkeypatch):
+    monkeypatch.setattr("builtins.input", _lines_then_eof(
+        ["Axiom s : Type.", "Print s.", "Axiom t : s"]))
+    s = session()
+    from proofun.repl import repl
+    assert repl(s) == 0
+    assert out_of(s) == "s : Type\n"
+    assert s.err.getvalue() == _reported_by_a_script("Axiom t : s\n")
+    assert 'expected "." at the end of the command' in s.err.getvalue()
+    assert s.genv.names() == ["s"]
+
+
+def test_a_comment_open_at_end_of_input_is_reported_at_its_opener(monkeypatch):
+    monkeypatch.setattr("builtins.input", _lines_then_eof(
+        ["Axiom s : Type.", "Axiom t : s. (* open", "still open"]))
+    s = session()
+    from proofun.repl import repl
+    assert repl(s) == 0
+    expected = _reported_by_a_script("Axiom t : s. (* open\nstill open\n")
+    assert s.err.getvalue() == expected
+    assert expected == "Axiom t : s. (* open\n             ^^\nError: unterminated comment\n"
+    assert s.genv.names() == ["s"]
+
+
+def test_blanks_and_closed_comments_at_end_of_input_stay_silent(monkeypatch):
+    monkeypatch.setattr("builtins.input", _lines_then_eof(
+        ["Axiom s : Type.", "   ", "(* a closed", "comment *)", ""]))
+    s = session()
+    from proofun.repl import repl
+    assert repl(s) == 0
+    assert s.err.getvalue() == ""
+    assert s.genv.names() == ["s"]
+
+
 def test_compute_prints_an_eta_reduced_smatch_motive_as_print_does():
     s = session()
     assert run_source(s, """
