@@ -23,8 +23,9 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from proofun.errors import InternalError, LexError, ParseError, too_deep_as_error
+from proofun.pretty import binder_names
 from proofun.syntax import (
-    Abs, App, Coercion, Const, ConstOccurrences, Inter, Let, Location, Meta,
+    Abs, App, Coercion, Const, Inter, Let, Location, Meta,
     Prod, SInLeft, SInRight, SMatch, SPair, SPrLeft, SPrRight, Sort, SortKind,
     Term, Underscore, Union, Var, mk_app, span, visit_term,
 )
@@ -518,55 +519,12 @@ def fix_index(t: Term, scope: tuple[str, ...] | list[str] = ()) -> Term:
 
 
 def fix_id(t: Term, scope: tuple[str, ...] | list[str] = ()) -> Term:
-    """Replace de Bruijn indices with printable names, renaming a binder
-    (first free numeric suffix) whenever its hint would capture a constant
-    occurring in its scope or shadow an enclosing name.  A product or `smatch`
-    motive whose bound variable is never used gets the name `""`, so `render`
-    need not ask where its name occurs."""
-    consts = ConstOccurrences(t)
-    names = list(reversed(scope))  # outermost first: index n is names[-1 - n]
-    used = [True] * len(names)  # used[i]: names[i] has been printed
-    taken = set(scope)
-    # floor[base] = j: the candidates of `base` before suffix j are all taken
-    # (suffix -1 is `base` itself), so a chain of binders with one hint
-    # costs O(1) per binder.
-    floor: dict[str, int] = {}
-
-    def bind(hint: str, child: Term) -> str:
-        base = hint or "x"
-        j = floor.get(base, -1)
-        skipping = True
-        while True:
-            chosen = f"{base}{j}" if j >= 0 else base
-            if chosen in taken:
-                if skipping:
-                    floor[base] = j + 1
-            elif consts.occurs(chosen, child):
-                skipping = False
-            else:
-                return chosen
-            j += 1
-
-    def enter(name: str) -> None:
-        names.append(name)
-        used.append(False)
-        taken.add(name)  # a chosen name is never taken already
-
-    def leave(name: str) -> bool:
-        names.pop()
-        taken.remove(name)
-        # `name` is the candidate j of every base it splits into as base + str(j);
-        # lowering a floor further than needed is harmless.
-        cut = len(name)
-        while cut:
-            digits = name[cut:]
-            j = int(digits) if digits else -1
-            if floor.get(name[:cut], -1) > j:
-                floor[name[:cut]] = j
-            if not "0" <= name[cut - 1] <= "9":
-                break
-            cut -= 1
-        return used.pop()  # whether `name` was printed in its scope
+    """Replace de Bruijn indices with printable names: the named copy of `t`
+    that `show_term` prints, with each binder named by the printer's policy
+    (`binder_names`).  A product or `smatch` motive whose bound variable is
+    never used gets the name `""`, so `render` need not ask where its name
+    occurs."""
+    bind, enter, leave, names, used = binder_names(t, scope)
 
     # One frame per nesting level: the spine and every binder are walked here.
     def go(t: Term) -> Term:
@@ -583,14 +541,14 @@ def fix_id(t: Term, scope: tuple[str, ...] | list[str] = ()) -> Term:
                 dom = go(dom)
                 enter(chosen)
                 body = go(body)
-                kept = leave(chosen) or type(t) is Abs  # `fun` always prints its name
+                kept = leave(chosen, body) or type(t) is Abs  # `fun` always prints its name
                 return type(t)(loc, chosen if kept else "", dom, body)
             case Let(loc, name, annot, bound, body):
                 chosen = bind(name, body)
                 annot, bound = go(annot), go(bound)
                 enter(chosen)
                 body = go(body)
-                leave(chosen)
+                leave(chosen, body)
                 return Let(loc, chosen, annot, bound, body)
             case SMatch(loc, scrut, motive, n1, a1, b1, n2, a2, b2):
                 c1, c2 = bind(n1, b1), bind(n2, b2)
@@ -604,10 +562,10 @@ def fix_id(t: Term, scope: tuple[str, ...] | list[str] = ()) -> Term:
                     motive = Abs(m, chosen, Underscore(m), body)
                 enter(c1)
                 b1 = go(b1)
-                leave(c1)
+                leave(c1, b1)
                 enter(c2)
                 b2 = go(b2)
-                leave(c2)
+                leave(c2, b2)
                 return SMatch(loc, scrut, motive, c1, a1, b1, c2, a2, b2)
             case (Inter(loc, a, b) | Union(loc, a, b) | SPair(loc, a, b)
                   | SInLeft(loc, a, b) | SInRight(loc, a, b) | Coercion(loc, a, b)):

@@ -186,13 +186,14 @@ def _parse_chunk(parser: _Parser) -> list[Command]:
 
 
 def _incomplete(text: str, source: str) -> bool:
-    """True while the buffer has no command terminator yet, or ends inside
-    a comment that may close on a later line."""
+    """True while the buffer's last token is not a command terminator (the
+    tail `run_source` checks), or it ends inside a comment that may close on
+    a later line."""
     try:
         toks = tokenize(text, source)
     except LexError as error:
         return error.message == UNTERMINATED_COMMENT  # other lex errors: report now
-    return not any(tok.kind == "DOT" for tok in toks)
+    return len(toks) < 2 or toks[-2].kind != "DOT"  # toks[-1] is EOF
 
 
 def repl(session: Session) -> int:

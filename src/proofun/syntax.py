@@ -475,10 +475,11 @@ class ConstOccurrences:
     pre-order index: each name keeps the sorted positions of its
     occurrences, and each subterm (by identity) the interval of positions
     it covers.  A subterm object shared by several positions has the same
-    constants at each, so any one of its intervals answers for all.  `render`
-    asks only about the names of products and `smatch` motives, and `fix_id`
-    names the non-dependent ones `""`, so printing a term with no dependent
-    product builds the index only when a binder hint is a constant's name.
+    constants at each, so any one of its intervals answers for all.
+    `show_term` asks only while it picks a binder's name, so it builds the
+    index only when a binder hint, or a suffixed candidate for it, is a
+    constant's name; `render` also asks whether a binder of a named term
+    occurs in its scope.
     """
 
     __slots__ = ("_root", "_names", "_at", "_spans")

@@ -3,6 +3,7 @@ round trips."""
 
 import io
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,8 +16,8 @@ from proofun.parser import (
 from proofun.pretty import render, show_term
 from proofun.repl import Session, run_source
 from proofun.syntax import (
-    Abs, App, Const, ConstOccurrences, Inter, Let, Prod, SInRight, SMatch, SPair,
-    SPrLeft, Underscore, Union, Var,
+    NOWHERE, Abs, App, Const, ConstOccurrences, Inter, Let, Prod, SInRight, SMatch,
+    SPair, SPrLeft, Underscore, Union, Var,
 )
 
 from helpers import (
@@ -247,6 +248,34 @@ def test_show_term_matches_the_reference_printer():
     for _ in range(2000):
         t = random_printable_term(rng, rng.randint(1, 16), indexed=False)
         assert render(t) == reference_render(t)
+
+
+@pytest.mark.parametrize("shape", ["app", "fun", "forall"])
+def test_show_term_prints_950_nested_levels_at_the_default_recursion_limit(shape):
+    # The printer keeps one Python frame per nesting level; a walk with a
+    # helper frame between levels reaches only about half this depth.
+    assert sys.getrecursionlimit() == 1000
+    n, loc = 950, NOWHERE
+    if shape == "app":  # f (f (... (f x)))
+        t = Const(loc, "x")
+        for _ in range(n):
+            t = App(loc, Const(loc, "f"), (t,))
+        text = "f (" * (n - 1) + "f x" + ")" * (n - 1)
+    elif shape == "fun":  # fun x => fun x0 => ... => x948
+        t = Var(loc, 0)
+        for _ in range(n):
+            t = Abs(loc, "x", Underscore(loc), t)
+        text = "fun x => " + "".join(f"fun x{i} => " for i in range(n - 1)) + f"x{n - 2}"
+    else:  # forall x : A, forall x0 : P x, ..., P x948 -> B
+        t = Const(loc, "B")
+        for _ in range(n):
+            t = Prod(loc, "x", App(loc, Const(loc, "P"), (Var(loc, 0),)), t)
+        t = Prod(loc, "x", Const(loc, "A"), t)
+        names = ["x"] + [f"x{i}" for i in range(n)]
+        text = "forall x : A, " + "".join(
+            f"forall {names[i + 1]} : P {names[i]}, " for i in range(n - 1)) + \
+            f"P {names[n - 1]} -> B"
+    assert show_term(t) == text
 
 
 def test_fix_id_leaves_an_unused_product_or_motive_binder_unnamed():

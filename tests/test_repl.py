@@ -157,6 +157,32 @@ def test_error_report_echoes_line_and_caret():
     assert report.index("^") > report.index(src.splitlines()[0])
 
 
+def test_error_report_echoes_the_lexers_line_across_other_line_breaks():
+    # The lexer ends a line only at "\n": a form feed, U+2028, U+0085 or a
+    # lone "\r" inside a comment leaves the blamed token on the same line.
+    for brk in ("\f", "\u2028", "\r", "\x85"):
+        s = session()
+        src = f"Axiom (A : Type). (* a{brk}b *) Axiom a : B."
+        assert not run_source(s, src)
+        column = src.index(" B.") + 1
+        assert s.err.getvalue() == (
+            f"{src}\n{' ' * column}^\nError: unknown identifier \"B\"\n")
+
+
+def test_error_report_drops_the_carriage_return_of_a_crlf_line():
+    s = session()
+    assert not run_source(s, "Axiom (A : Type).\r\nAxiom a : B.\r\n")
+    assert s.err.getvalue() == (
+        "Axiom a : B.\n          ^\nError: unknown identifier \"B\"\n")
+
+
+def test_error_report_keeps_the_lines_tabs_under_the_caret():
+    s = session()
+    assert not run_source(s, "Axiom (A : Type).\n\tAxiom a :\t B.\n")
+    assert s.err.getvalue() == (
+        "\tAxiom a :\t B.\n\t         \t ^\nError: unknown identifier \"B\"\n")
+
+
 def test_multiline_commands_and_comments():
     s = session()
     text = """(* a comment
@@ -319,6 +345,17 @@ def test_cli_piped_stdin(tmp_path):
         capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0
     assert proc.stdout == "s : Type\n"
+
+
+def test_piped_stdin_waits_for_a_command_that_ends_on_a_later_line():
+    # A line that ends inside a command is held until the buffer's last
+    # token is ".", even when an earlier command on that line is complete.
+    proc = subprocess.run(
+        [sys.executable, "-m", "proofun", "--no-color"],
+        input="Axiom (A : Type).\nAxiom a : A. Axiom b\n: A.\nPrint b.\n",
+        capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "A is declared.\na is declared.\nb is declared.\nb : A\n"
 
 
 def test_nested_load(tmp_path):
