@@ -9,17 +9,25 @@ signature.  Operator precedence, tightest first:
     application  >  &  >  |  >  ->        (-> , & , | associate right,
                                            application associates left)
 
+`_Parser.term` climbs precedence (Pratt, *Top Down Operator Precedence*,
+POPL 1973): after an application it loops over the infix operators binding
+at least as tightly as its `level`, re-entering itself at an operator's own
+level for its right operand.  An arrow nests one frame deep, `(` two.
+
 `proj_l`, `proj_r`, `inj_l`, `inj_r`, and `coe` are prefix keywords that
 consume exactly their displayed argument count at application precedence.
 Comments are `(* ... *)` and nest.  The lexer is one regular expression
-with an alternative per token shape, plus a loop that counts comment
-nesting; a script is lexed once and parsed from its one token list.
+with an alternative per token shape; `tokenize` runs one `finditer` loop
+over it up to each comment, counts the comment's nesting, and restarts
+after it.  Tokens and their `Location`s are tuples built in C.  A script is
+lexed once and parsed from its one token list.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import is_
 from typing import NamedTuple
 
 from proofun.errors import InternalError, LexError, ParseError, too_deep_as_error
@@ -59,10 +67,13 @@ _KIND_NAMES = {
 
 UNTERMINATED_COMMENT = "unterminated comment"
 _OPERATORS = {text: kind for kind, text in _KIND_NAMES.items() if kind not in ("ID", "STRING")}
+# The kind of each operator, keyword and `_`; any other word is an `ID`.
+_KINDS = {**_OPERATORS, **dict.fromkeys(KEYWORDS, "KW"), "_": "UNDERSCORE"}
 
 # After any blanks, one alternative per token shape, tried in order: `(*`
 # before `(`, each two-character operator before its one-character prefix,
-# and an empty match at the end of the text.
+# and an empty match at the end of the text.  Some alternative matches at
+# every position, so successive matches tile the text.
 _LEXEME = re.compile("[ \t\r]*(?:" + "|".join((
     r"(?P<NL>\n)", r"(?P<COMMENT>\(\*)", r'(?P<STRING>"[^"\n]*")',
     "(?P<WORD>[" + re.escape("".join(sorted(_IDCHARS))) + "]+)",
@@ -74,45 +85,46 @@ _NESTING = re.compile(r"\(\*|\*\)")
 
 def tokenize(text: str, source: str = "<input>") -> list[Token]:
     """The tokens of `text`, ending with an `EOF` token.  No token spans a
-    line, so a column is the offset past the start of the current line."""
+    line, so a column is the offset past the start of the current line.
+    One `finditer` pass runs up to each comment; the comment's end is found
+    by counting nesting, and a new pass starts after it."""
     toks: list[Token] = []
-    line, line_start, pos = 1, 0, 0
+    append, new, kinds = toks.append, tuple.__new__, _KINDS
+    line, before, pos = 1, -1, 0  # `before`: the offset of column 0 of the line
     while True:
-        m = _LEXEME.match(text, pos)
-        kind, pos = m.lastgroup, m.end()
-        if kind == "NL":
-            line, line_start = line + 1, pos
-            continue
-        if kind is None:  # the end of the text
-            break
-        start, lexeme = m.start(kind), m.group(kind)
-        here = Location(source, (line, start - line_start + 1), (line, pos - line_start + 1))
-        if kind == "WORD":
-            kind = "UNDERSCORE" if lexeme == "_" else "KW" if lexeme in KEYWORDS else "ID"
-            toks.append(Token(kind, lexeme, here))
-        elif kind == "OP":
-            toks.append(Token(_OPERATORS[lexeme], lexeme, here))
-        elif kind == "STRING":
-            toks.append(Token("STRING", lexeme[1:-1], here))
-        elif kind == "COMMENT":
-            depth = 1
-            for nest in _NESTING.finditer(text, pos):
-                depth += 1 if nest.group() == "(*" else -1
-                if not depth:
-                    break
-            if depth:
-                raise LexError(UNTERMINATED_COMMENT, here)
-            pos = nest.end()
-            newlines = text.count("\n", start, pos)
-            if newlines:
-                line, line_start = line + newlines, text.rindex("\n", start, pos) + 1
-        elif lexeme == '"':
-            raise LexError("unterminated string", here)
-        else:
-            raise LexError(f'unexpected character "{lexeme}"', here)
-    col = len(text) - line_start + 1
-    toks.append(Token("EOF", "", Location(source, (line, col), (line, col))))
-    return toks
+        for m in _LEXEME.finditer(text, pos):
+            kind = m.lastgroup
+            if kind == "NL":
+                line, before = line + 1, m.end() - 1
+                continue
+            if kind is None:  # the end of the text
+                col = len(text) - before
+                append(new(Token, ("EOF", "", new(Location, (source, (line, col), (line, col))))))
+                return toks
+            start, end = m.span(kind)
+            here = new(Location, (source, (line, start - before), (line, end - before)))
+            if kind == "WORD" or kind == "OP":
+                lexeme = text[start:end]
+                append(new(Token, (kinds.get(lexeme, "ID"), lexeme, here)))
+            elif kind == "STRING":
+                append(new(Token, ("STRING", text[start + 1:end - 1], here)))
+            elif kind == "COMMENT":
+                break
+            elif text[start] == '"':
+                raise LexError("unterminated string", here)
+            else:
+                raise LexError(f'unexpected character "{text[start]}"', here)
+        depth = 1
+        for nest in _NESTING.finditer(text, end):
+            depth += 1 if nest.group() == "(*" else -1
+            if not depth:
+                break
+        if depth:
+            raise LexError(UNTERMINATED_COMMENT, here)
+        pos = nest.end()
+        newlines = text.count("\n", start, pos)
+        if newlines:
+            line, before = line + newlines, text.rindex("\n", start, pos)
 
 
 # ---------------------------------------------------------------------------
@@ -170,83 +182,109 @@ class Quit:
 Command = Help | Load | Axiom | Definition | Print | Printall | Compute | Quit
 
 
+# The binding level of each infix operator, loosest first; all associate right.
+_LEVELS = {"ARROW": 0, "BAR": 1, "AMP": 2}
+# The prefix keywords, which take their atoms at application precedence.
+_PREFIXES = {"proj_l": SPrLeft, "proj_r": SPrRight, "inj_l": SInLeft, "inj_r": SInRight,
+             "coe": Coercion}
+
+
 class _Parser:
     def __init__(self, toks: list[Token]):
         self.toks = toks
         self.pos = 0
 
-    def peek(self, ahead: int = 0) -> Token:
-        # `pos` never passes the final EOF token, so only a lookahead clamps.
-        if ahead:
-            return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
+    def peek(self) -> Token:
         return self.toks[self.pos]
 
     def next(self) -> Token:
-        tok = self.peek()
-        if tok.kind != "EOF":
+        tok = self.toks[self.pos]
+        if tok.kind != "EOF":  # `pos` never passes the final EOF token
             self.pos += 1
         return tok
 
     def at(self, kind: str, text: str | None = None) -> bool:
-        tok = self.peek()
+        tok = self.toks[self.pos]
         return tok.kind == kind and (text is None or tok.text == text)
 
     def expect(self, kind: str, text: str | None = None) -> Token:
-        tok = self.peek()
-        if not self.at(kind, text):
+        tok = self.toks[self.pos]
+        if tok.kind != kind or text is not None and tok.text != text:
             want = text or _KIND_NAMES.get(kind, kind.lower())
             raise ParseError(f'expected "{want}" but found "{tok.text or "end of input"}"',
                              tok.loc)
-        return self.next()
+        if kind != "EOF":
+            self.pos += 1
+        return tok
 
     def fail(self, message: str) -> ParseError:
         return ParseError(message, self.peek().loc)
 
     # -- terms --------------------------------------------------------------
 
-    def term(self) -> Term:
-        tok = self.peek()
-        if tok.kind == "KW" and tok.text in ("fun", "forall", "let"):
-            return self.binder()
-        return self.arrow()
+    def term(self, level: int = 0) -> Term:
+        """A term whose infix operators all bind at `level` (`_LEVELS`) or
+        tighter, by precedence climbing.  A binder reaches as far right as
+        it can, so it stands only where an arrow may (`level` 0)."""
+        tok = self.toks[self.pos]
+        node = None
+        if tok.kind == "KW":
+            if not level and tok.text in ("fun", "forall", "let"):
+                return self.binder()
+            node = _PREFIXES.get(tok.text)
+        if node is None:
+            left = self.atom()
+        else:  # `proj_l`/`proj_r` take one atom, the other prefixes two
+            self.pos += 1
+            args = [self.atom()]
+            if node is not SPrLeft and node is not SPrRight and args[0] is not None:
+                args.append(self.atom())
+            left = None if args[-1] is None else node(span(tok.loc, args[-1].loc), *args)
+        if left is None:
+            raise self.fail(f'expected a term but found "{self.peek().text or "end of input"}"')
+        spine = []
+        while (arg := self.atom()) is not None:
+            spine.append(arg)
+        if spine:
+            left = App(span(left.loc, spine[-1].loc), left, tuple(spine))
+        while True:
+            op = _LEVELS.get(self.toks[self.pos].kind)  # the next operator's level
+            if op is None or op < level:
+                return left
+            self.pos += 1
+            right = self.term(op)  # the same level again: right-associative
+            loc = span(left.loc, right.loc)
+            left = (Prod(loc, "", left, right) if op == 0 else
+                    Union(loc, left, right) if op == 1 else Inter(loc, left, right))
 
     def binder(self) -> Term:
         tok = self.next()
-        if tok.text == "fun":
+        if tok.text != "let":  # fun ARGS => t  or  forall ARGS, t
             args = self.args(typed_tail=True)
-            self.expect("DARROW")
-            body = self.term()
-            return self.fold_abs(tok.loc, args, body)
-        if tok.text == "forall":
-            args = self.args(typed_tail=True)
-            self.expect("COMMA")
-            body = self.term()
-            return self.fold_prod(tok.loc, args, body)
+            self.expect("DARROW" if tok.text == "fun" else "COMMA")
+            return self.fold(Abs if tok.text == "fun" else Prod, tok.loc, args, self.term())
         # let ID [args] [: T] := t1 in t2
         name = self.ident()
         args = self.args() if self.args_ahead() else []
         annot: Term = Underscore(tok.loc)
         if self.at("COLON"):
             self.next()
-            annot = self.fold_prod(tok.loc, args, self.term())
+            annot = self.fold(Prod, tok.loc, args, self.term())
         self.expect("COLONEQ")
-        bound = self.fold_abs(tok.loc, args, self.term())
+        bound = self.fold(Abs, tok.loc, args, self.term())
         self.expect("KW", "in")
         body = self.term()
         return Let(span(tok.loc, body.loc), name, annot, bound, body)
 
-    def fold_abs(self, loc: Location, args: list[tuple[str, Term]], body: Term) -> Term:
+    def fold(self, node: type[Abs] | type[Prod], loc: Location,
+             args: list[tuple[str, Term]], body: Term) -> Term:
+        """`body` under one `node` binder per argument, the first outermost."""
         for name, annot in reversed(args):
-            body = Abs(span(loc, body.loc), name, annot, body)
-        return body
-
-    def fold_prod(self, loc: Location, args: list[tuple[str, Term]], body: Term) -> Term:
-        for name, annot in reversed(args):
-            body = Prod(span(loc, body.loc), name, annot, body)
+            body = node(span(loc, body.loc), name, annot, body)
         return body
 
     def args_ahead(self) -> bool:
-        return self.at("ID") or (self.at("LPAREN") and self.peek(1).kind == "ID")
+        return self.at("ID") or (self.at("LPAREN") and self.toks[self.pos + 1].kind == "ID")
 
     def args(self, typed_tail: bool = False) -> list[tuple[str, Term]]:
         """Non-empty argument sequence: bare names or `(x y z : T)` groups.
@@ -261,7 +299,7 @@ class _Parser:
                 tok = self.next()
                 out.append((tok.text, Underscore(tok.loc)))
                 bare_run += 1
-            elif self.at("LPAREN") and self.peek(1).kind == "ID":
+            elif self.at("LPAREN") and self.toks[self.pos + 1].kind == "ID":
                 self.next()
                 names = [self.ident()]
                 while self.at("ID"):
@@ -284,89 +322,35 @@ class _Parser:
     def ident(self) -> str:
         return self.expect("ID").text
 
-    def arrow(self) -> Term:
-        left = self.union()
-        if self.at("ARROW"):
-            self.next()
-            right = self.term()
-            return Prod(span(left.loc, right.loc), "", left, right)
-        return left
-
-    def union(self) -> Term:
-        left = self.inter()
-        if self.at("BAR"):
-            self.next()
-            right = self.union()
-            return Union(span(left.loc, right.loc), left, right)
-        return left
-
-    def inter(self) -> Term:
-        left = self.app()
-        if self.at("AMP"):
-            self.next()
-            right = self.inter()
-            return Inter(span(left.loc, right.loc), left, right)
-        return left
-
-    def app(self) -> Term:
-        head = self.prefix()
-        args = []
-        while self.atom_ahead():
-            args.append(self.atom())
-        if not args:
-            return head
-        return App(span(head.loc, args[-1].loc), head, tuple(args))
-
-    def prefix(self) -> Term:
-        tok = self.peek()
-        if tok.kind == "KW" and tok.text in ("proj_l", "proj_r"):
-            self.next()
-            body = self.atom()
-            node = SPrLeft if tok.text == "proj_l" else SPrRight
-            return node(span(tok.loc, body.loc), body)
-        if tok.kind == "KW" and tok.text in ("inj_l", "inj_r", "coe"):
-            self.next()
-            first = self.atom()
-            second = self.atom()
-            loc = span(tok.loc, second.loc)
-            if tok.text == "inj_l":
-                return SInLeft(loc, first, second)
-            if tok.text == "inj_r":
-                return SInRight(loc, first, second)
-            return Coercion(loc, first, second)
-        return self.atom()
-
-    def atom_ahead(self) -> bool:
-        tok = self.peek()
-        return (tok.kind in ("ID", "UNDERSCORE", "LPAREN", "LT")
-                or (tok.kind == "KW" and tok.text in ("Type", "smatch")))
-
-    def atom(self) -> Term:
-        tok = self.peek()
-        if tok.kind == "ID":
-            self.next()
+    def atom(self) -> Term | None:
+        """The atom at the cursor, or None, consuming nothing, if no atom
+        starts there."""
+        tok = self.toks[self.pos]
+        kind = tok.kind
+        if kind == "ID":
+            self.pos += 1
             return Const(tok.loc, tok.text)
-        if tok.kind == "UNDERSCORE":
-            self.next()
-            return Underscore(tok.loc)
-        if tok.kind == "KW" and tok.text == "Type":
-            self.next()
-            return Sort(tok.loc, SortKind.TYPE)
-        if tok.kind == "LPAREN":
-            self.next()
+        if kind == "LPAREN":
+            self.pos += 1
             inner = self.term()
             self.expect("RPAREN")
             return inner
-        if tok.kind == "LT":
-            self.next()
+        if kind == "UNDERSCORE":
+            self.pos += 1
+            return Underscore(tok.loc)
+        if kind == "LT":
+            self.pos += 1
             left = self.term()
             self.expect("COMMA")
             right = self.term()
             close = self.expect("GT")
             return SPair(span(tok.loc, close.loc), left, right)
-        if tok.kind == "KW" and tok.text == "smatch":
+        if kind == "KW" and tok.text == "Type":
+            self.pos += 1
+            return Sort(tok.loc, SortKind.TYPE)
+        if kind == "KW" and tok.text == "smatch":
             return self.smatch()
-        raise self.fail(f'expected a term but found "{tok.text or "end of input"}"')
+        return None
 
     def smatch(self) -> Term:
         start = self.expect("KW", "smatch")
@@ -451,9 +435,9 @@ class _Parser:
         ty: Term | None = None
         if self.at("COLON"):
             self.next()
-            ty = self.fold_prod(loc, args, self.term())
+            ty = self.fold(Prod, loc, args, self.term())
         self.expect("COLONEQ")
-        body = self.fold_abs(loc, args, self.term())
+        body = self.fold(Abs, loc, args, self.term())
         self.expect("DOT")
         return [Definition(loc, name, ty, body)]
 
@@ -493,16 +477,31 @@ def parse_script(text: str, source: str = "<script>") -> list[list[Command]]:
 def fix_index(t: Term, scope: tuple[str, ...] | list[str] = ()) -> Term:
     """Replace names bound by `scope` (innermost first) or by enclosing
     binders with de Bruijn indices; unknown names stay constants.  Each name
-    maps to the stack of depths that bind it, so a lookup is O(1)."""
+    maps to the stack of depths that bind it, so a lookup is O(1).  The node
+    kinds the parser builds in bulk are rebuilt here, the others by
+    `visit_term`; a node with no bound name in it comes back itself."""
     depths: dict[str, list[int]] = {}
     for depth, name in enumerate(reversed(scope)):
         depths.setdefault(name, []).append(depth)
     depth = len(scope)
 
     def go(t: Term) -> Term:
-        if type(t) is Const:
+        kind = type(t)
+        if kind is Const:
             bound = depths.get(t.name)
             return Var(t.loc, depth - 1 - bound[-1]) if bound else t
+        if kind is App:
+            head, spine = go(t.head), tuple(map(go, t.spine))
+            if head is t.head and all(map(is_, spine, t.spine)):
+                return t
+            return App(t.loc, head, spine)
+        if kind is Abs:
+            dom, body = go(t.domain), under(t.name, t.body)
+            return t if dom is t.domain and body is t.body else Abs(t.loc, t.name, dom, body)
+        if kind is Prod:
+            dom, body = go(t.domain), under(t.name, t.codomain)
+            return (t if dom is t.domain and body is t.codomain else
+                    Prod(t.loc, t.name, dom, body))
         return visit_term(go, under, lambda s, _c: s, t)
 
     def under(name: str, child: Term) -> Term:

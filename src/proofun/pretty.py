@@ -228,10 +228,11 @@ def render_error(source_text: str, err: ProverError) -> str:
             width = loc.end[1] - loc.start[1]
         else:
             width = 1
-        # The lexer counts a tab as one column: keep the line's tabs so the
-        # carets sit under the span at any tab width.
+        # The lexer counts a tab as one column: keep the line's tabs, before
+        # and inside the span, so the carets sit under it at any tab width.
         column = loc.start[1] - 1
-        pad = "".join("\t" if c == "\t" else " " for c in line[:column])
-        caret = pad.ljust(column) + "^" * width
+        under = line[:column + width].ljust(column + width)
+        caret = "".join("\t" if c == "\t" else " " if i < column else "^"
+                        for i, c in enumerate(under))
         return f"{line}\n{caret}\nError: {err.message}"
     return f"Error: {err.message}"

@@ -456,10 +456,11 @@ def essence(phi: MetaEnv, genv: GlobalEnv, psi: LocalEnv, t: Term
             return Let(loc, name, Underscore(loc), m1, m2), phi
         case App(loc, head, spine):
             m, phi = essence(phi, genv, psi, head)
+            args = []
             for arg in spine:
                 n, phi = essence(phi, genv, psi, arg)
-                m = mk_app(loc, m, (n,))
-            return m, phi
+                args.append(n)
+            return mk_app(loc, m, args), phi
         case Inter(loc, left, right):
             e1, phi = essence(phi, genv, psi, left)
             e2, phi = essence(phi, genv, psi, right)

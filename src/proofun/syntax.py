@@ -32,24 +32,19 @@ from bisect import bisect_left
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from operator import is_
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from proofun.errors import InternalError
 
 
-@dataclass(frozen=True, init=False)
-class Location:
-    """Source span. `(0, 0)` positions mark synthesized nodes."""
+class Location(NamedTuple):
+    """Source span `(source, start, end)`, each position a 1-based
+    `(line, column)`; `(0, 0)` positions mark synthesized nodes.  A tuple,
+    so the lexer and `span` build one with `tuple.__new__`, in C."""
 
     source: str = "<input>"
-    start: tuple[int, int] = (0, 0)  # (line, column), 1-based
+    start: tuple[int, int] = (0, 0)
     end: tuple[int, int] = (0, 0)
-
-    def __init__(self, source: str = "<input>", start: tuple[int, int] = (0, 0),
-                 end: tuple[int, int] = (0, 0)) -> None:
-        # Cheaper than the generated frozen `__init__` (`object.__setattr__`).
-        d = self.__dict__
-        d["source"], d["start"], d["end"] = source, start, end
 
 
 NOWHERE = Location()
@@ -57,11 +52,14 @@ NOWHERE = Location()
 
 def span(a: Location, b: Location) -> Location:
     """Smallest location covering both `a` and `b` (same source assumed)."""
-    if a.start == (0, 0):
+    start, other = a.start, b.start
+    if start == (0, 0):
         return b
-    if b.start == (0, 0):
+    if other == (0, 0):
         return a
-    return Location(a.source, min(a.start, b.start), max(a.end, b.end))
+    end, last = a.end, b.end
+    return tuple.__new__(Location, (a.source, start if start <= other else other,
+                                    end if end >= last else last))
 
 
 class SortKind(Enum):

@@ -16,8 +16,8 @@ from proofun.parser import (
 from proofun.pretty import render, show_term
 from proofun.repl import Session, run_source
 from proofun.syntax import (
-    NOWHERE, Abs, App, Const, ConstOccurrences, Inter, Let, Prod, SInRight, SMatch,
-    SPair, SPrLeft, Underscore, Union, Var,
+    NOWHERE, Abs, App, Const, ConstOccurrences, Inter, Let, Location, Prod, SInRight,
+    SMatch, SPair, SPrLeft, Underscore, Union, Var, span,
 )
 
 from helpers import (
@@ -250,6 +250,22 @@ def test_show_term_matches_the_reference_printer():
         assert render(t) == reference_render(t)
 
 
+@pytest.mark.parametrize("shape, n", [("arrow", 450), ("fun", 450), ("parens", 400)])
+def test_parse_term_nests_deeply_at_the_default_recursion_limit(shape, n):
+    # The parser keeps at most two Python frames per nesting level: an
+    # arrow's right operand re-enters `term` directly, a `fun` body passes
+    # through `binder` and a parenthesis through `atom`.  With one frame
+    # more per level, the parentheses are too deep.
+    assert sys.getrecursionlimit() == 1000
+    text = {"arrow": "a" + " -> a" * n, "fun": "fun x => " * n + "x",
+            "parens": "(" * n + "x" + ")" * n}[shape]
+    t, depth = parse_term(text), 0
+    while type(t) in (Prod, Abs):
+        t, depth = (t.codomain if type(t) is Prod else t.body), depth + 1
+    assert depth == (0 if shape == "parens" else n)
+    assert t == Const(NOWHERE, "a" if shape == "arrow" else "x")
+
+
 @pytest.mark.parametrize("shape", ["app", "fun", "forall"])
 def test_show_term_prints_950_nested_levels_at_the_default_recursion_limit(shape):
     # The printer keeps one Python frame per nesting level; a walk with a
@@ -422,6 +438,23 @@ def test_fix_index_matches_the_reference_on_random_shadowing_terms():
         assert repr(fix_index(t, scope)) == repr(reference_fix_index(t, scope)), (t, scope)
     t = parse_term("fun (x : A) (x : x) => x y")
     assert repr(fix_index(t, ("y", "x", "y"))) == repr(reference_fix_index(t, ("y", "x", "y")))
+
+
+def test_the_lexer_and_span_build_locations_without_calling_python_code():
+    # `Location(...)` runs Python code; `tokenize` and `span` build the same
+    # tuples with `tuple.__new__`.
+    calls = []
+    sys.setprofile(lambda frame, event, _arg: event == "call" and calls.append(
+        frame.f_code.co_name))
+    try:
+        toks = tokenize("Definition d :=\n  (* c *) fun x => x.", "t.bull")
+        loc = span(toks[0].loc, toks[-1].loc)
+    finally:
+        sys.setprofile(None)
+    assert calls == ["tokenize", "span"]
+    assert loc == Location("t.bull", (1, 1), (2, 22)) and hash(loc) == hash(Location(*loc))
+    assert repr(loc) == "Location(source='t.bull', start=(1, 1), end=(2, 22))"
+    assert (loc.source, loc.start, loc.end) == ("t.bull", (1, 1), (2, 22))
 
 
 def test_an_unterminated_comment_is_located_at_its_opener_on_its_own_line():

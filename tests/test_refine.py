@@ -23,7 +23,7 @@ from proofun.refine import (
 )
 from proofun.subtype import is_subtype
 from proofun.syntax import (
-    Abs, Const, Inter, Location, Meta, NOWHERE, Sort, Underscore, Var,
+    Abs, App, Const, Inter, Location, Meta, NOWHERE, Sort, Underscore, Var,
     contains_meta, sort_kind, sort_type,
 )
 from proofun.unify import unify
@@ -423,6 +423,24 @@ def test_essence_transparent_through_proofs():
     axiom(genv, "both", "(A -> A) & (B -> B)")
     result = elaborate(genv, P("proj_l both"))
     assert show_term(result.essence) == "both"
+
+
+@pytest.mark.parametrize("n", [50, 100])
+def test_essence_of_an_application_builds_one_app_node(n, monkeypatch):
+    # Growing the spine one argument at a time would copy it, and rescan it
+    # for its facts, once per argument: O(n^2) work whatever the call count.
+    built = []
+    init = App.__init__
+
+    def counting_init(self, *fields):
+        built.append(self)
+        init(self, *fields)
+
+    t = App(L, Const(L, "f"), tuple(Const(L, f"a{i}") for i in range(n)))
+    monkeypatch.setattr(App, "__init__", counting_init)
+    m, _phi = essence(MetaEnv(), GlobalEnv(), LocalEnv(), t)
+    monkeypatch.undo()
+    assert len(built) == 1 and m == t
 
 
 def test_essence_of_polymorphic_identity():

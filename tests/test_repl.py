@@ -183,6 +183,16 @@ def test_error_report_keeps_the_lines_tabs_under_the_caret():
         "\tAxiom a :\t B.\n\t         \t ^\nError: unknown identifier \"B\"\n")
 
 
+def test_error_report_keeps_the_tabs_inside_the_blamed_span():
+    s = session()
+    assert run_source(s, "Axiom (A : Type) (P : A -> Type).")
+    src = "Definition d := fun (X :\tType) => X."
+    assert not run_source(s, src)
+    assert s.err.getvalue() == (
+        f"{src}\n{' ' * 16}{'^' * 8}\t{'^' * 10}\n"
+        "Error: this product is not allowed by the sort discipline\n")
+
+
 def test_multiline_commands_and_comments():
     s = session()
     text = """(* a comment
