@@ -63,15 +63,6 @@ class LocalEnv:
             return lift(0, index + 1, entry.body), ty
         return None, ty
 
-    def def_body(self, index: int) -> Term | None:
-        """Lifted body when the entry is a definition, else None."""
-        if not 0 <= index < len(self.entries):
-            raise InternalError(f"def_body: index {index} out of range")
-        entry = self.entries[index]
-        if isinstance(entry, LocalDef):
-            return lift(0, index + 1, entry.body)
-        return None
-
     def names(self) -> list[str]:
         """Name hints, innermost first (parallel to de Bruijn indices)."""
         return [e.name for e in self.entries]
@@ -194,8 +185,6 @@ class EssDef:
 
 
 MetaEntry = TyUnion[SortDecl, SortDef, TypedDecl, TypedDef, EssDecl, EssDef]
-
-_DECL_TO_DEF = {SortDecl: SortDef, TypedDecl: TypedDef, EssDecl: EssDef}
 
 
 @dataclass(frozen=True, eq=False)

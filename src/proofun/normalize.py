@@ -14,14 +14,15 @@ looked up once per call.  An unsolved meta is a flexible head: applied to
 arguments it stays a neutral spine, and the read-back normalizes its
 suspension entries.
 
-`whnf` is the head view the refiner and unifier use: `_whnf` rewrites the
-root of a de Bruijn term by substitution until it is no longer a redex, and
-leaves the children alone.
+`whnf` is the head view the refiner and unifier use.  It runs the same
+evaluator to a weak-head value and reads that value back by substitution,
+reducing nothing below the root, so every reduction rule is written once,
+in `_eval`.
 
 The evaluator is head-first, so a discarded argument is never normalized.
-One fuel budget covers a whole call: a tick per evaluation step and per
-node read back, for `Compute`, subtyping and the unifier's normal forms
-alike, and a tick per `_whnf` step for the head view.
+One fuel budget covers a whole call: a tick per evaluation step, and per
+node read back for `Compute`, subtyping and the unifier's normal forms
+alike.  The head view's read-back reduces nothing and takes no ticks.
 """
 
 from __future__ import annotations
@@ -33,10 +34,10 @@ from typing import TypeAlias
 from proofun.env import EssDef, GlobalEnv, LocalDef, LocalEnv, MetaEnv, SortDef, TypedDef
 from proofun.errors import FuelExhausted, InternalError
 from proofun.syntax import (
-    NOWHERE, Abs, App, Coercion, Const, Inter, Let, Meta, Prod, SInLeft, SInRight,
-    SMatch, SPair, SPrLeft, SPrRight, Sort, Term, Underscore, Union, Var,
-    beta_redex, contains_meta, contains_underscore, free_in, lift, mk_app,
-    msubst, visit_term,
+    NOWHERE, Abs, App, Coercion, Const, Inter, Let, Location, Meta, Prod, SInLeft,
+    SInRight, SMatch, SPair, SPrLeft, SPrRight, Sort, Term, Underscore, Union, Var,
+    contains_meta, contains_underscore, free_in, lift, map_term, mk_app, msubst,
+    visit_term,
 )
 
 DEFAULT_FUEL = 1_000_000
@@ -54,7 +55,7 @@ class _Fuel:
             raise FuelExhausted("normalization did not terminate within the step budget")
 
 
-# Node kinds whose root is never a redex: `_whnf` hands them back untouched.
+# Node kinds whose root is never a redex: `whnf` hands them back untouched.
 _INERT = frozenset({Prod, Abs, Inter, Union, Sort, SPair, SInLeft, SInRight,
                     Coercion, Underscore})
 
@@ -122,9 +123,11 @@ def normalize_meta(phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv, t: Term,
 # An entry is a thunk: an argument, a `let`-bound term or a local definition
 # of the context, with the environment it was written in, evaluated the
 # first time it is needed and then kept, so a discarded argument is never
-# evaluated and a duplicated one is evaluated once.  A variable that stands
-# for itself (a declaration of the context, or the binder being read back)
-# has a thunk that holds its value from the start.  A value is
+# evaluated and a duplicated one is evaluated once.  A forced thunk keeps its
+# term and environment too: the head view reads an argument back as written.
+# A variable that stands for itself (a declaration of the context, or the
+# binder being read back) has a thunk that holds its value from the start.
+# A value is
 #   - a `_Clo`: a node whose root is never a redex (`fun`, `forall`, `&`,
 #     `|`, a pair, an injection, a coercion, an unsolved meta) with the
 #     environment of its free variables, so nothing below its root has been
@@ -306,7 +309,7 @@ def _eval(t: Term, env: _Env, m: _Machine) -> _Value:
                 if not updates:
                     return v
                 thunk = updates.pop()[0]
-                thunk.value, thunk.term, thunk.env = v, None, None
+                thunk.value = v
                 floor = updates[-1][1] if updates else 0
             elif type(v) is _Clo and type(v.term) is Abs:
                 env, t = (pending.pop(), v.env), v.term.body
@@ -322,7 +325,6 @@ def _eval(t: Term, env: _Env, m: _Machine) -> _Value:
 def _force(thunk: _Thunk, m: _Machine) -> _Value:
     if thunk.value is None:
         thunk.value = _eval(thunk.term, thunk.env, m)
-        thunk.term = thunk.env = None
     return thunk.value
 
 
@@ -399,70 +401,65 @@ def _quote_stuck(stuck: _Stuck, depth: int, m: _Machine) -> Term:
 
 
 # ---------------------------------------------------------------------------
-# Rewriting the root by substitution: the head view behind `whnf`.
+# The head view: a weak-head value read back by substitution.
 
 
 def whnf(phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv, t: Term,
          is_essence: bool = False, fuel: int = DEFAULT_FUEL) -> Term:
     """Reduce just enough to expose the top connective (a view, not a normal
-    form); used by the refiner's beta-view premises.  The heads of
-    applications, the bodies of projections and the scrutinees of matches
-    are reduced on the same `fuel` budget."""
-    return _whnf(phi, genv, ctx, t, is_essence, _Fuel(fuel))
+    form); used by the refiner's beta-view premises.  The evaluator takes
+    `t` to a weak-head value on the `fuel` budget, and `_view` reads it back
+    without reducing anything below its root.  A term already in weak head
+    normal form comes back as the same object."""
+    if type(t) in _INERT:
+        return t
+    view = _view(_eval(t, 0, _Machine(phi, genv, ctx, is_essence, _Fuel(fuel))), len(ctx), {})
+    return t if view is t or view == t else view
 
 
-def _whnf(phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv, t: Term,
-          is_essence: bool, fuel: _Fuel) -> Term:
-    """The reduction rules, applied at the root until none applies.  A term
-    already in weak head normal form comes back as the same object, which
-    the application case relies on to stop."""
-    while type(t) not in _INERT:
-        fuel.tick()
-        match t:
-            case App(l, App(_, h, s2), s1):
-                t = App(l, h, s2 + s1)
-            case App(_, h, ()):
-                t = h
-            case App(l, Abs(_, _, _, body), spine):
-                t = mk_app(l, beta_redex(body, spine[0]), spine[1:])
-            case App(l, h, spine):
-                h2 = _whnf(phi, genv, ctx, h, is_essence, fuel)
-                if h2 is h:
-                    return t
-                t = App(l, h2, spine)
-            case Var(_, n):
-                body = ctx.def_body(n)
-                if body is None:
-                    return t
-                t = body
-            case Const(_, name):
-                found = genv.find_const(is_essence, name)
-                if found is None or found[0] is None:  # unbound or axiom: fixed
-                    return t
-                t = found[0]
-            case Let(_, _, _, bound, body):
-                t = beta_redex(body, bound)
-            case SPrLeft(l, body) | SPrRight(l, body):
-                pair = _whnf(phi, genv, ctx, body, is_essence, fuel)
-                if type(pair) is not SPair:
-                    return t if pair is body else type(t)(l, pair)
-                t = pair.left if type(t) is SPrLeft else pair.right
-            case SMatch(scrutinee=scrutinee):
-                injection = _whnf(phi, genv, ctx, scrutinee, is_essence, fuel)
-                if type(injection) is SInLeft:
-                    t = beta_redex(t.branch1, injection.body)
-                elif type(injection) is SInRight:
-                    t = beta_redex(t.branch2, injection.body)
-                else:
-                    return t if injection is scrutinee else replace(t, scrutinee=injection)
-            case Meta() as m:
-                expanded = delta_phi_expand(phi, m)
-                if expanded is None:
-                    return t
-                t = expanded
-            case _:
-                raise InternalError(f"_whnf: unknown node {t!r}")
-    return t
+def _view(v: _Value, depth: int, read: dict[_Thunk, Term]) -> Term:
+    """Read a weak-head value back as a term under `depth` binders: a
+    closure by substitution, a rigid spine as its arguments as written, and
+    a stuck projection or match with its scrutinee's view.  `read` keeps the
+    term each thunk was read as, so an argument used twice is shared."""
+    k = type(v)
+    if k is _Clo:
+        return _read(v.term, v.env, read)
+    if k is not _Rigid:
+        return v  # a sort, placeholder or axiom
+    head = v.head
+    if type(head) is int:
+        head = Var(NOWHERE, depth - 1 - head)
+    elif type(head) is _Clo:
+        head = _read(head.term, head.env, read)
+    elif type(head) is _Stuck:
+        t, scrutinee = head.term, _view(head.scrutinee, depth, read)
+        head = (replace(_read(t, head.env, read), scrutinee=scrutinee) if type(t) is SMatch
+                else type(t)(t.loc, scrutinee))
+    if not v.spine:
+        return head
+    return App(NOWHERE, head, tuple(_read(a.term, a.env, read) for a in v.spine))
+
+
+def _read(t: Term, env: _Env, read: dict[_Thunk, Term]) -> Term:
+    """`t` with its environment substituted: an entry of the list becomes
+    the term of its thunk (read the same way), and an index past the list's
+    end becomes the context index.  Nothing is reduced."""
+    if type(env) is int:
+        return lift(0, env, t)
+
+    def entry(k: int, loc: Location, index: int) -> Term:
+        e, i = env, index - k
+        while type(e) is tuple:
+            if not i:
+                thunk = e[0]
+                if thunk not in read:
+                    read[thunk] = _read(thunk.term, thunk.env, read)
+                return lift(0, k, read[thunk])
+            e, i = e[1], i - 1
+        return Var(loc, e + i + k)
+
+    return map_term(0, entry, t)
 
 
 def zonk(phi: MetaEnv, t: Term) -> Term:

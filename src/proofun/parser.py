@@ -35,7 +35,7 @@ from proofun.pretty import binder_names
 from proofun.syntax import (
     Abs, App, Coercion, Const, Inter, Let, Location, Meta,
     Prod, SInLeft, SInRight, SMatch, SPair, SPrLeft, SPrRight, Sort, SortKind,
-    Term, Underscore, Union, Var, mk_app, span, visit_term,
+    Term, Underscore, Union, Var, lift, mk_app, span, visit_term,
 )
 
 KEYWORDS = frozenset({
@@ -485,7 +485,7 @@ def fix_index(t: Term, scope: tuple[str, ...] | list[str] = ()) -> Term:
         depths.setdefault(name, []).append(depth)
     depth = len(scope)
 
-    def go(t: Term) -> Term:
+    def go(t: Term, group: tuple[Term, Term] | None = None) -> Term:
         kind = type(t)
         if kind is Const:
             bound = depths.get(t.name)
@@ -495,21 +495,23 @@ def fix_index(t: Term, scope: tuple[str, ...] | list[str] = ()) -> Term:
             if head is t.head and all(map(is_, spine, t.spine)):
                 return t
             return App(t.loc, head, spine)
-        if kind is Abs:
-            dom, body = go(t.domain), under(t.name, t.body)
-            return t if dom is t.domain and body is t.body else Abs(t.loc, t.name, dom, body)
-        if kind is Prod:
-            dom, body = go(t.domain), under(t.name, t.codomain)
-            return (t if dom is t.domain and body is t.codomain else
-                    Prod(t.loc, t.name, dom, body))
+        if kind is Abs or kind is Prod:
+            # The parser gives every name of a group `(x y : A)` the same `A`
+            # object: it is resolved once, outside the group, and lifted past
+            # each earlier name of the group.
+            dom = (lift(0, 1, group[1]) if group and t.domain is group[0]
+                   else go(t.domain))
+            body = t.body if kind is Abs else t.codomain
+            body2 = under(t.name, body, (t.domain, dom))
+            return t if dom is t.domain and body2 is body else kind(t.loc, t.name, dom, body2)
         return visit_term(go, under, lambda s, _c: s, t)
 
-    def under(name: str, child: Term) -> Term:
+    def under(name: str, child: Term, group: tuple[Term, Term] | None = None) -> Term:
         nonlocal depth
         bound = depths.setdefault(name, [])
         bound.append(depth)
         depth += 1
-        child = go(child)
+        child = go(child, group)
         depth -= 1
         bound.pop()
         return child

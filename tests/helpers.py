@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import os
 import random
+from dataclasses import replace
 from typing import NamedTuple
 
 from proofun.env import (
@@ -13,7 +14,8 @@ from proofun.env import (
     TypedDecl,
 )
 from proofun.errors import (
-    InternalError, LexError, ProverError, TypeCheckError, UnificationFailure,
+    FuelExhausted, InternalError, LexError, ProverError, TypeCheckError,
+    UnificationFailure,
 )
 from proofun.normalize import (
     DEFAULT_FUEL, delta_phi_expand, is_eta, normalize_meta, zonk,
@@ -312,7 +314,7 @@ def _reference_contract(phi: MetaEnv | None, is_essence: bool, genv: GlobalEnv,
         case Let(_, _, _, bound, body):
             return beta_redex(body, bound), True
         case Var(_, n):
-            body = ctx.def_body(n)
+            body = ctx.find_var(n)[0]
             if body is None:
                 return t, False
             if isinstance(body, Var):
@@ -347,6 +349,77 @@ def _reference_contract(phi: MetaEnv | None, is_essence: bool, genv: GlobalEnv,
             return expanded, True
         case _:
             return t, False
+
+
+# ---------------------------------------------------------------------------
+# Reference head view: the substitution rewriter `proofun.normalize.whnf`
+# replaced.  It applies the reduction rules at the root of a de Bruijn term,
+# by substitution, until none applies, and leaves the children alone.  Kept
+# only so tests can compare the two head views.
+
+_REFERENCE_INERT = (Prod, Abs, Inter, Union, Sort, SPair, SInLeft, SInRight,
+                    Coercion, Underscore)
+
+
+def reference_whnf(phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv, t: Term,
+                   is_essence: bool = False, fuel: int = DEFAULT_FUEL) -> Term:
+    """The weak head normal form of `t` by root rewriting, one tick of
+    `fuel` per step.  A term already in weak head normal form comes back as
+    the same object, which the application case relies on to stop."""
+    left = [fuel]
+
+    def go(t: Term) -> Term:
+        while type(t) not in _REFERENCE_INERT:
+            left[0] -= 1
+            if left[0] < 0:
+                raise FuelExhausted("reference_whnf ran out of fuel")
+            match t:
+                case App(l, App(_, h, s2), s1):
+                    t = App(l, h, s2 + s1)
+                case App(_, h, ()):
+                    t = h
+                case App(l, Abs(_, _, _, body), spine):
+                    t = mk_app(l, beta_redex(body, spine[0]), spine[1:])
+                case App(l, h, spine):
+                    h2 = go(h)
+                    if h2 is h:
+                        return t
+                    t = App(l, h2, spine)
+                case Var(_, n):
+                    body = ctx.find_var(n)[0]
+                    if body is None:
+                        return t
+                    t = body
+                case Const(_, name):
+                    found = genv.find_const(is_essence, name)
+                    if found is None or found[0] is None:  # unbound or axiom: fixed
+                        return t
+                    t = found[0]
+                case Let(_, _, _, bound, body):
+                    t = beta_redex(body, bound)
+                case SPrLeft(l, body) | SPrRight(l, body):
+                    pair = go(body)
+                    if type(pair) is not SPair:
+                        return t if pair is body else type(t)(l, pair)
+                    t = pair.left if type(t) is SPrLeft else pair.right
+                case SMatch(scrutinee=scrutinee):
+                    injection = go(scrutinee)
+                    if type(injection) is SInLeft:
+                        t = beta_redex(t.branch1, injection.body)
+                    elif type(injection) is SInRight:
+                        t = beta_redex(t.branch2, injection.body)
+                    else:
+                        return t if injection is scrutinee else replace(t, scrutinee=injection)
+                case Meta() as m:
+                    expanded = delta_phi_expand(phi, m)
+                    if expanded is None:
+                        return t
+                    t = expanded
+                case _:
+                    raise InternalError(f"reference_whnf: unknown node {t!r}")
+        return t
+
+    return go(t)
 
 
 # ---------------------------------------------------------------------------
@@ -808,13 +881,20 @@ def reference_tokenize(text: str, source: str = "<input>") -> list[ReferenceToke
 
 
 def reference_fix_index(t: Term, scope: tuple[str, ...] = ()) -> Term:
-    def go(t: Term, names: list[str]) -> Term:
+    """Index `t` under `scope`.  A binder whose domain is the same object as
+    its parent binder's (a group `(x y : A)` from the parser) reads it with
+    the names its parent read it with, the parent's own name hidden."""
+    def go(t: Term, names: list, group: tuple[Term, list] | None = None) -> Term:
         match t:
             case Const(loc, name):
                 try:
                     return Var(loc, names.index(name))
                 except ValueError:
                     return t
+            case Abs(loc, name, dom, body) | Prod(loc, name, dom, body):
+                dom_names = [None] + group[1] if group and dom is group[0] else names
+                return type(t)(loc, name, go(dom, dom_names),
+                               go(body, [name] + names, (dom, dom_names)))
             case _:
                 return visit_term(
                     lambda c: go(c, names),

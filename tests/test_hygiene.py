@@ -1,0 +1,82 @@
+"""Source hygiene of `src/proofun`: no unused import, and no module-level
+private name that nothing uses.  No linter is installed, so these tests
+are the guard."""
+
+import ast
+import pathlib
+import re
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "proofun").glob("*.py"))
+SEARCHED = [*SOURCES, *sorted((ROOT / "tests").glob("*.py")),
+            *sorted((ROOT / "perfbench").glob("*.py"))]
+
+
+def _parse(path: pathlib.Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), str(path))
+
+
+def _read_names(tree: ast.Module) -> set[str]:
+    """The names a module reads: every name not assigned to, and every
+    identifier in a string that is not a docstring (an `__all__` entry, a
+    string annotation, a name patched by string)."""
+    docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                  if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                       ast.AsyncFunctionDef))
+                  and node.body and isinstance(node.body[0], ast.Expr)}
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and id(node) not in docstrings):
+            names.update(re.findall(r"[A-Za-z_]\w*", node.value))
+    return names
+
+
+def _uses(tree: ast.Module) -> set[str]:
+    """The names a module reads, plus the attributes it reads and the names
+    it imports from other modules."""
+    names = _read_names(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_every_import_is_used(path):
+    tree = _parse(path)
+    read = _read_names(tree)
+    unused = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound = [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound = [a.asname or a.name for a in node.names if a.name != "*"]
+        else:
+            continue
+        unused += [name for name in bound if name not in read]
+    assert unused == []
+
+
+def test_every_private_module_name_is_used():
+    used = set().union(*(_uses(_parse(path)) for path in SEARCHED))
+    dead = []
+    for path in SOURCES:
+        for node in _parse(path).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            dead += [f"{path.name}:{name}" for name in defined
+                     if name.startswith("_") and not name.startswith("__")
+                     and name not in used]
+    assert dead == []

@@ -30,6 +30,7 @@ from proofun.syntax import (
 from helpers import (
     CORPUS_FILES, P, axiom, corpus_path, define, make_test_genv,
     random_refined_term, random_simple_type, random_typed_term, reference_normalize,
+    reference_whnf,
 )
 
 L = NOWHERE
@@ -192,8 +193,8 @@ def test_whnf_head_reductions_share_one_fuel_budget():
     for i in range(1, 4):
         define(genv, f"c{i}", f"c{i - 1}")
     t = P("c3 a")
-    # one step for the application, five to unfold c3 down to the axiom f,
-    # two more for the resulting application: eight in all
+    # one evaluation step for the application, one for each of c3, c2, c1
+    # and c0, and one for the axiom f: six in all
     with pytest.raises(FuelExhausted):
         whnf(MetaEnv(), genv, LocalEnv(), t, fuel=5)
     assert whnf(MetaEnv(), genv, LocalEnv(), t) == P("f a")
@@ -530,3 +531,125 @@ def test_a_duplicated_argument_is_evaluated_once(monkeypatch):
         e = f"(fun (u : A) => u) ({e})"
     shared, copied = steps(f"let y : A := {e} in h y y"), steps(f"h ({e}) ({e})")
     assert shared + 20 < copied, (shared, copied)
+
+
+# ------------- the head view and its reference -------------
+
+
+def _in_context(ctx: LocalEnv, t: Term) -> list[tuple[LocalEnv, Term]]:
+    """Every subterm of `t` with its context: each binder above it adds a
+    declaration."""
+    out = [(ctx, t)]
+    visit_term(lambda c: out.extend(_in_context(ctx, c)) or c,
+               lambda _s, c: out.extend(_in_context(ctx.push_dummy(), c)) or c,
+               lambda s, _c: s, t)
+    return out
+
+
+def _views_agree(phi, genv, ctx, t, is_essence=False) -> int:
+    """`whnf` and `reference_whnf` give equal views of every subterm of `t`,
+    and a subterm the reference leaves alone comes back from `whnf` as the
+    same object; the number of subterms that reduced is returned."""
+    reduced = 0
+    for c, s in _in_context(ctx, t):
+        expected = reference_whnf(phi, genv, c, s, is_essence)
+        got = whnf(phi, genv, c, s, is_essence)
+        assert got == expected, (s, expected, got)
+        if expected is s:
+            assert got is s, s
+        else:
+            reduced += 1
+    return reduced
+
+
+def test_whnf_agrees_with_the_substitution_reference():
+    """The evaluator's weak-head value read back (`whnf`) and root rewriting
+    by substitution (`helpers.reference_whnf`) agree on every subterm of
+    random typed terms and their essences, of the same terms with solved and
+    unsolved metas put in, of terms over a context with a local definition,
+    and of every corpus definition."""
+    genv = make_test_genv()
+    rng = random.Random(47)
+    with_def = (LocalEnv().push_decl("u", Const(L, "A"))
+                .push_def("x", fix_index(parse_term("f u"), ["u"]), Const(L, "A")))
+    reduced = 0
+    for i in range(1000):
+        t, ty = random_refined_term(rng)
+        reduced += _views_agree(MetaEnv(), genv, LocalEnv(), t)
+        if i % 2 == 0:
+            reduced += _views_agree(MetaEnv(), genv, LocalEnv(),
+                                    elaborate(genv, t, ty).essence, True)
+        metas = _Metas(rng, 0, False, unsolved=i % 2 == 1)
+        with_metas = metas.put(t, 0)
+        reduced += _views_agree(metas.phi, genv, LocalEnv(), with_metas)
+        t = random_typed_term(rng, random_simple_type(rng, rng.randint(0, 2)),
+                              [Const(L, "A"), Const(L, "A")], 4)
+        reduced += _views_agree(MetaEnv(), genv, with_def, t)
+    assert reduced > 5000, reduced
+
+    for name in CORPUS_FILES:
+        session = Session(quiet=True, out=io.StringIO(), err=io.StringIO())
+        assert load_file(session, corpus_path(name)), session.err.getvalue()
+        for _const, info in session.genv.items():
+            _views_agree(MetaEnv(), session.genv, LocalEnv(), info.type)
+            _views_agree(MetaEnv(), session.genv, LocalEnv(), info.type_essence, True)
+            if isinstance(info, DefInfo):
+                _views_agree(MetaEnv(), session.genv, LocalEnv(), info.body)
+                _views_agree(MetaEnv(), session.genv, LocalEnv(), info.essence, True)
+
+
+_VIEW_SCOPE = ["y", "x", "u"]
+
+
+def _view_context() -> tuple[GlobalEnv, LocalEnv]:
+    """The signature with `q : A & A` and `p := q`, and the context
+    [u : B; x := fun z => h z u; y : A]."""
+    genv = make_test_genv()
+    axiom(genv, "q", "A & A")
+    define(genv, "p", "q")
+    ctx = (LocalEnv().push_decl("u", Const(L, "B"))
+           .push_def("x", fix_index(parse_term("fun (z : A) => h z u"), ["u"]), P("A -> A"))
+           .push_decl("y", Const(L, "A")))
+    return genv, ctx
+
+
+@pytest.mark.parametrize("term, view", [
+    # `x` is forced by the projection, but the argument reads back as written
+    ("(fun (x : A & A) => (proj_l x) x) p", "proj_l q p"),
+    ("let w : A -> A := fun (z : A) => h z (g y) in w (f y)", "h (f y) (g y)"),
+    ("x y", "h y u"),
+    ("x", "fun z : A => h z u"),
+    ("proj_l ((fun (r : A & A) => r) q)", "proj_l q"),
+    ("(fun (v : A) => smatch w return A with z : A => h v (g z), z : B => v end) y",
+     "smatch w return A with z : A => h y (g z), z : B => y end"),
+    ("smatch ((fun (r : A | B) => r) w) return A with z : A => z, z : B => y end",
+     "smatch w return A with z : A => z, z : B => y end"),
+], ids=["forced_thunk", "let_head", "local_definition_applied", "local_definition",
+        "stuck_projection", "stuck_match", "stuck_match_reduced_scrutinee"])
+def test_whnf_reads_the_weak_head_value_back(term, view):
+    genv, ctx = _view_context()
+    t = fix_index(parse_term(term), _VIEW_SCOPE)
+    got = whnf(MetaEnv(), genv, ctx, t)
+    assert got == reference_whnf(MetaEnv(), genv, ctx, t)
+    assert show_term(got, _VIEW_SCOPE) == view
+
+
+@pytest.mark.parametrize("term", [
+    "y", "u", "f y", "h (f y) u", "proj_l y", "w", "a",
+    "smatch y return A with z : A => z, z : B => y end",
+])
+def test_whnf_gives_back_a_weak_head_normal_input_itself(term):
+    genv, ctx = _view_context()
+    t = fix_index(parse_term(term), _VIEW_SCOPE)
+    assert whnf(MetaEnv(), genv, ctx, t) is t
+    phi, mid = MetaEnv().fresh_meta(TypedDecl(ctx, Const(L, "A")))
+    flex = App(L, Meta(L, mid, erase_context(len(ctx))), (t,))
+    assert whnf(phi, genv, ctx, flex) is flex
+
+
+def test_whnf_reads_an_argument_used_twice_back_once():
+    t = P("let x1 : A := f a in let x2 : A := h x1 x1 in let x3 : A := h x2 x2 in g x3")
+    view = whnf(MetaEnv(), make_test_genv(), LocalEnv(), t)
+    assert show_term(view) == "g (h (h (f a) (f a)) (h (f a) (f a)))"
+    x3 = view.spine[0]
+    assert x3.spine[0] is x3.spine[1] and x3.spine[0].spine[0] is x3.spine[0].spine[1]

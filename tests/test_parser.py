@@ -436,8 +436,17 @@ def test_fix_index_matches_the_reference_on_random_shadowing_terms():
         t = random_printable_term(rng, rng.randint(1, 30), indexed=False)
         scope = tuple(rng.choice(names) for _ in range(rng.randint(0, 4)))
         assert repr(fix_index(t, scope)) == repr(reference_fix_index(t, scope)), (t, scope)
-    t = parse_term("fun (x : A) (x : x) => x y")
-    assert repr(fix_index(t, ("y", "x", "y"))) == repr(reference_fix_index(t, ("y", "x", "y")))
+    for src in ("fun (x : A) (x : x) => x y", "fun (x y z : x) => forall (w v : y), z",
+                "fun x y : y => let f (y x : x) := x in f", "forall (y x : x) (z : x), y"):
+        t = parse_term(src)
+        assert repr(fix_index(t, ("y", "x", "y"))) == repr(reference_fix_index(t, ("y", "x", "y")))
+
+
+def test_every_name_of_a_binder_group_reads_the_type_outside_the_group():
+    t = fix_index(parse_term("fun (x y z : x) => z"), ("x",))
+    assert [t.domain, t.body.domain, t.body.body.domain] == [Var(NOWHERE, i) for i in range(3)]
+    t = fix_index(parse_term("fun (x : x) (y : x) => y"), ("x",))
+    assert [t.domain, t.body.domain] == [Var(NOWHERE, 0), Var(NOWHERE, 0)]
 
 
 def test_the_lexer_and_span_build_locations_without_calling_python_code():

@@ -113,6 +113,31 @@ def test_chain_of_local_definitions_in_a_binder_type():
     assert out_of(s).splitlines()[0] == "d : A -> A"
 
 
+@pytest.mark.parametrize("definition, printed", [
+    ("Definition d := fun (x y : x) => y.", "d : x -> x -> x"),
+    ("Definition d := fun x y : x => y.", "d : x -> x -> x"),
+    ("Definition d := forall (x y : x), T.", "d : Type"),
+    ("Definition d := let f (x y : x) := y in f.", "d : x -> x -> x"),
+    ("Definition d (x y : x) := y.", "d : x -> x -> x"),
+    ("Definition d (x y z : x) := z.", "d : x -> x -> x -> x"),
+], ids=["fun", "fun_typed_tail", "forall", "let", "definition", "definition_three"])
+def test_a_binder_group_reads_its_type_outside_the_group(definition, printed):
+    # in `(x y : x)` both names get the global `x`, as in Coq
+    s = session()
+    assert run_source(s, "Axiom (T : Type) (x : Type).")
+    assert run_source(s, definition), s.err.getvalue()
+    s.out = io.StringIO()
+    assert run_source(s, "Print d.")
+    assert out_of(s).splitlines()[0] == printed
+
+
+def test_separate_binders_read_a_type_under_the_earlier_name():
+    s = session()
+    assert run_source(s, "Axiom (T : Type) (x : Type).")
+    assert not run_source(s, "Definition d := fun (x : x) (y : x) => y.")
+    assert 'the term "x" is not a type' in s.err.getvalue()
+
+
 def test_compute_axiom_is_its_own_normal_form():
     s = session()
     assert run_source(s, "Axiom nat : Type.")

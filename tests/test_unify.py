@@ -101,7 +101,7 @@ def test_equal_terms_are_not_reduced(monkeypatch):
     genv = make_test_genv()
     define(genv, "twice", "fun (x : A) => f (f x)")
     steps = []
-    for name in ("_nf", "_whnf"):
+    for name in ("_nf", "_eval"):
         original = getattr(normalize, name)
         monkeypatch.setattr(normalize, name, lambda *args, _f=original, _n=name:
                             steps.append(_n) or _f(*args))
