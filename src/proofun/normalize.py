@@ -58,6 +58,7 @@ class _Fuel:
 # Node kinds whose root is never a redex: `whnf` hands them back untouched.
 _INERT = frozenset({Prod, Abs, Inter, Union, Sort, SPair, SInLeft, SInRight,
                     Coercion, Underscore})
+_SOLVED = (SortDef, TypedDef, EssDef)  # the entries of a solved meta
 
 
 def is_eta(t: Term) -> bool:
@@ -410,9 +411,14 @@ def whnf(phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv, t: Term,
     form); used by the refiner's beta-view premises.  The evaluator takes
     `t` to a weak-head value on the `fuel` budget, and `_view` reads it back
     without reducing anything below its root.  A term already in weak head
-    normal form comes back as the same object."""
-    if type(t) in _INERT:
+    normal form comes back as the same object; a node that is never a redex,
+    an unsolved meta and an axiom or unbound constant do so at once, without
+    entering the evaluator."""
+    k = type(t)
+    if k in _INERT or k is Meta and not isinstance(phi.lookup(t.mid), _SOLVED):
         return t
+    if k is Const and (genv.find_const(is_essence, t.name) or (None,))[0] is None:
+        return t  # an axiom or an unbound name
     view = _view(_eval(t, 0, _Machine(phi, genv, ctx, is_essence, _Fuel(fuel))), len(ctx), {})
     return t if view is t or view == t else view
 

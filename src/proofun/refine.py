@@ -25,6 +25,7 @@ from the sort of the domain and the sort read off the body's type.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import is_
 
 from proofun.env import (
     EssDecl, EssDef, GlobalEnv, LocalEnv, MetaEnv, SortDecl, SortDef,
@@ -41,8 +42,8 @@ from proofun.syntax import (
     Abs, App, Coercion, Const, Inter, Let, Location, Meta, Prod,
     SInLeft, SInRight, SMatch, Sort, SortKind, SPair, SPrLeft, SPrRight,
     Term, Underscore, Union, Var,
-    beta_redex, contains_meta, erase_context, first_meta, instantiate, lift,
-    mk_app, msubst, replace_bound, sort_kind, sort_type,
+    beta_redex, changes_essence, contains_meta, erase_context, first_meta,
+    instantiate, lift, mk_app, msubst, replace_bound, sort_kind, sort_type,
 )
 from proofun.unify import unify, unify_essence
 
@@ -109,8 +110,8 @@ def _infer_abs(phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv, t: Abs
         body2, tau, phi = reconstruct(phi, genv, inner, t.body)
         s2, phi = _sort_of(phi, genv, inner, tau)
     phi, sort = _pts_check(phi, genv, ctx, inner, s1, s2, t.loc)
-    return (Abs(t.loc, t.name, dom2, body2), Prod(t.loc, t.name, dom2, tau),
-            sort, phi)
+    term = t if dom2 is t.domain and body2 is t.body else Abs(t.loc, t.name, dom2, body2)
+    return term, Prod(t.loc, t.name, dom2, tau), sort, phi
 
 
 def _sort_of(phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv, ty: Term
@@ -190,7 +191,7 @@ def reconstruct(phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv, t: Term
             inner = ctx.push_decl(name, dom2)
             cod2, s2, phi = force_type(phi, genv, inner, cod)
             phi, sort = _pts_check(phi, genv, ctx, inner, s1, s2, loc)
-            return Prod(loc, name, dom2, cod2), sort, phi
+            return t if dom2 is dom and cod2 is cod else Prod(loc, name, dom2, cod2), sort, phi
         case Abs():
             term, prod, _sort, phi = _infer_abs(phi, genv, ctx, t)
             return term, prod, phi
@@ -230,15 +231,15 @@ def reconstruct(phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv, t: Term
                             term.loc) from None
                     sigma = Meta(loc, xid, erase_context(len(ctx)) + (arg2,))
                 args.append(arg2)
-            return mk_app(loc, term, args), instantiate(sigma, pending), phi
-        case Inter(loc, left, right):
+            if term is not head or type(head) is App or not all(map(is_, args, spine)):
+                t = mk_app(loc, term, args)  # else `t` is its own refinement
+            return t, instantiate(sigma, pending), phi
+        case Inter(loc, left, right) | Union(loc, left, right):
             left2, phi = reconstruct_with_type(phi, genv, ctx, left, sort_type(loc))
             right2, phi = reconstruct_with_type(phi, genv, ctx, right, sort_type(loc))
-            return Inter(loc, left2, right2), sort_type(loc), phi
-        case Union(loc, left, right):
-            left2, phi = reconstruct_with_type(phi, genv, ctx, left, sort_type(loc))
-            right2, phi = reconstruct_with_type(phi, genv, ctx, right, sort_type(loc))
-            return Union(loc, left2, right2), sort_type(loc), phi
+            if left2 is not left or right2 is not right:
+                t = type(t)(loc, left2, right2)
+            return t, sort_type(loc), phi
         case SPair(loc, left, right):
             left2, s1, phi = reconstruct(phi, genv, ctx, left)
             right2, s2, phi = reconstruct(phi, genv, ctx, right)
@@ -371,7 +372,7 @@ def reconstruct_with_type(phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv,
                     dom.loc) from None
             body2, phi = reconstruct_with_type(
                 phi, genv, ctx.push_decl(name, dom2), body, view.codomain)
-            return Abs(loc, name, dom2, body2), phi
+            return t if dom2 is dom and body2 is body else Abs(loc, name, dom2, body2), phi
         case SPair(loc, left, right):
             view = whnf(phi, genv, ctx, expected)
             if not isinstance(view, Inter):
@@ -423,10 +424,12 @@ def reconstruct_with_type(phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv,
 def essence(phi: MetaEnv, genv: GlobalEnv, psi: LocalEnv, t: Term
             ) -> tuple[Term, MetaEnv]:
     """Erase proof-functional structure, checking along the way that strong
-    pairs and strong sums share the essence of their first component."""
+    pairs and strong sums share the essence of their first component.  A
+    term whose facts show it is its own essence (see `changes_essence`)
+    comes back as the same object at once, however large it is."""
+    if not changes_essence(t):
+        return t, phi
     match t:
-        case Sort() | Var() | Const():
-            return t, phi
         case Underscore():
             raise InternalError("essence of an unrefined placeholder")
         case Meta(loc, mid, susp):
@@ -461,23 +464,16 @@ def essence(phi: MetaEnv, genv: GlobalEnv, psi: LocalEnv, t: Term
                 n, phi = essence(phi, genv, psi, arg)
                 args.append(n)
             return mk_app(loc, m, args), phi
-        case Inter(loc, left, right):
+        case Inter(loc, left, right) | Union(loc, left, right):
             e1, phi = essence(phi, genv, psi, left)
             e2, phi = essence(phi, genv, psi, right)
-            return Inter(loc, e1, e2), phi
-        case Union(loc, left, right):
-            e1, phi = essence(phi, genv, psi, left)
-            e2, phi = essence(phi, genv, psi, right)
-            return Union(loc, e1, e2), phi
+            return type(t)(loc, e1, e2), phi
         case SPair(loc, left, right):
             m, phi = essence(phi, genv, psi, left)
             phi = essence_with_hint(phi, genv, psi, m, right)
             return m, phi
-        case SPrLeft(_, body) | SPrRight(_, body):
-            return essence(phi, genv, psi, body)
-        case SInLeft(_, _, body) | SInRight(_, _, body):
-            return essence(phi, genv, psi, body)
-        case Coercion(_, _, body):
+        case (SPrLeft(_, body) | SPrRight(_, body) | SInLeft(_, _, body)
+              | SInRight(_, _, body) | Coercion(_, _, body)):
             return essence(phi, genv, psi, body)
         case SMatch(loc, scrut, motive, n1, a1, b1, n2, a2, b2):
             big_n, phi = essence(phi, genv, psi, scrut)

@@ -98,10 +98,8 @@ def exec_command(session: Session, cmd: Command) -> None:
             info = genv.lookup(name)
             if info is None:
                 raise CommandError(f'unknown identifier "{name}"', loc)
-            if isinstance(info, AxiomInfo):
-                session.emit(f"{name} : {show_term(info.type)}")
-            else:
-                session.emit(f"{name} : {show_term(info.type)}")
+            session.emit(f"{name} : {show_term(info.type)}")
+            if not isinstance(info, AxiomInfo):
                 session.emit(f"{name} := {show_term(info.body)}")
         case Printall():
             for name, info in genv.items():

@@ -10,12 +10,16 @@ Every node carries a `Location`.  Locations and binder names are hints:
 they are excluded from the generated `==` and `hash`, so `==` on terms is
 alpha-equivalence.
 
-Each node also stores three facts about itself: `loose`, one more than its
+Each node also stores four facts about itself: `loose`, one more than its
 largest free de Bruijn index (0 when it is closed), whether a meta-variable
-occurs in it (`contains_meta`), and whether a placeholder `_` does
-(`contains_underscore`).  Its constructor computes them from its children's
-facts, a constant amount of work per child, so every node knows them from
-birth and each query takes constant time.  They live in the instance
+occurs in it (`contains_meta`), whether a placeholder `_` does
+(`contains_underscore`), and whether the essence changes it
+(`changes_essence`: a `fun`, `let`, meta, placeholder or proof-functional
+node occurs, or an application `mk_app` would merge).  A term built only
+from sorts, variables, constants, products, applications, `&` and `|` is
+its own essence.  Its constructor computes the facts from its children's,
+a constant amount of work per child, so every node knows them from birth
+and each query takes constant time.  They live in the instance
 dictionary, not in a dataclass field, so `==`, `hash`, `repr` and
 `dataclasses.replace` ignore them.
 
@@ -71,8 +75,9 @@ class Term:
     """Base class for all nodes; see the concrete dataclasses below."""
 
     __slots__ = ()
-    # The facts of the node, `4 * loose + 2 * contains_underscore +
-    # contains_meta`, set by its constructor (see `_constructor`).
+    # The facts of the node, `8 * loose + 4 * changes_essence +
+    # 2 * contains_underscore + contains_meta`, set by its constructor (see
+    # `_constructor`).
     _facts: int
 
 
@@ -238,9 +243,14 @@ class Meta(Term):
 _UNDER_BINDER = {Let: ("body",), Prod: ("codomain",), Abs: ("body",),
                  SMatch: ("branch1", "branch2")}
 
+# Node kinds the essence always changes.  An application changes when its
+# head is an application or it has no arguments: `mk_app` merges it.
+_ESSENCE_CHANGING = {Abs, Let, SPair, SPrLeft, SPrRight, SInLeft, SInRight, Coercion,
+                     SMatch, Meta, Underscore}
+
 # Folds the facts `x` of one child into the node's facts `f`: the larger
-# loose range, and the placeholder and meta flags of either.
-_JOIN = "f = (f if f > x else x) | (f | x) & 3"
+# loose range, and the essence, placeholder and meta flags of either.
+_JOIN = "f = (f if f > x else x) | (f | x) & 7"
 
 
 def _constructor(cls: type) -> Callable[..., None]:
@@ -251,20 +261,22 @@ def _constructor(cls: type) -> Callable[..., None]:
     its loose range lowered by one."""
     under = _UNDER_BINDER.get(cls, ())
     names = [f.name for f in fields(cls)]
+    own = int(cls is Meta) + 2 * int(cls is Underscore) + 4 * int(cls in _ESSENCE_CHANGING)
     lines = ["d = self.__dict__", *(f"d[{n!r}] = {n}" for n in names),
-             "f = 4 * index + 4" if cls is Var else
-             f"f = {int(cls is Meta) + 2 * int(cls is Underscore)}"]
+             "f = 8 * index + 8" if cls is Var else
+             "f = 4 if type(head) is App or not spine else 0" if cls is App else
+             f"f = {own}"]
     for f in fields(cls):
         if f.type == "Term":
             lines.append(f"x = {f.name}._facts")
             if f.name in under:
-                lines.append("x = x - 4 if x > 3 else x")
+                lines.append("x = x - 8 if x > 7 else x")
             lines.append(_JOIN)
         elif f.type == "tuple[Term, ...]":
             lines += [f"for c in {f.name}:", f"    x = c._facts; {_JOIN}"]
     lines.append("d['_facts'] = f")
     source = "".join(f"    {line}\n" for line in lines)
-    namespace: dict[str, Callable[..., None]] = {}
+    namespace: dict[str, Callable[..., None] | type] = {"App": App}
     exec(f"def __init__(self, {', '.join(names)}):\n{source}", namespace)
     init = namespace["__init__"]
     init.__qualname__ = f"{cls.__name__}.__init__"
@@ -337,7 +349,7 @@ def map_term(k: int, fn: Callable[[int, Location, int], Term], t: Term) -> Term:
     meta-variable suspensions are traversed like ordinary children.  A
     subterm whose facts show no free index at or above its offset comes
     back unchanged without being walked."""
-    if t._facts >> 2 <= k:
+    if t._facts >> 3 <= k:
         return t
     if type(t) is Var:
         return fn(k, t.loc, t.index)
@@ -441,7 +453,7 @@ def children(t: Term) -> tuple[Term, ...]:
 
 def loose(t: Term) -> int:
     """One more than the largest free de Bruijn index of `t`; 0 if closed."""
-    return t._facts >> 2
+    return t._facts >> 3
 
 
 def contains_meta(t: Term) -> bool:
@@ -450,6 +462,10 @@ def contains_meta(t: Term) -> bool:
 
 def contains_underscore(t: Term) -> bool:
     return bool(t._facts & 2)
+
+
+def changes_essence(t: Term) -> bool:
+    return bool(t._facts & 4)
 
 
 def subterms(t: Term) -> Iterator[Term]:

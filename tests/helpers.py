@@ -22,7 +22,7 @@ from proofun.normalize import (
 )
 from proofun.parser import KEYWORDS, _IDCHARS, fix_index, parse_term
 from proofun.pretty import show_term
-from proofun.refine import elaborate, elaborate_type, reconstruct
+from proofun.refine import elaborate, elaborate_type, essence_with_hint, reconstruct
 from proofun.syntax import (
     Abs, App, Coercion, Const, Inter, Let, Location, Meta, NOWHERE, Prod,
     SInLeft, SInRight, SMatch, Sort, SortKind, SPair, SPrLeft, SPrRight, Term,
@@ -774,6 +774,85 @@ def force_type_outcome(force, phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv,
     except ProverError as exc:
         return type(exc).__name__, exc.message, exc.loc
     return t2, tau, (out.next_id, out.entries, out.companions)
+
+
+# ---------------------------------------------------------------------------
+# Reference essence: `essence` as it was before a node knew whether its
+# essence is itself.  Every node is walked and rebuilt, sorts, variables and
+# constants included.  Strong pairs and matches check their hints with the
+# production `essence_with_hint`.  Kept only so tests can compare the two.
+
+
+def reference_essence(phi: MetaEnv, genv: GlobalEnv, psi: LocalEnv, t: Term
+                      ) -> tuple[Term, MetaEnv]:
+    def go(phi: MetaEnv, psi: LocalEnv, t: Term) -> tuple[Term, MetaEnv]:
+        match t:
+            case Sort() | Var() | Const():
+                return t, phi
+            case Underscore():
+                raise InternalError("essence of an unrefined placeholder")
+            case Meta(loc, mid, susp):
+                if isinstance(phi.lookup(mid), (SortDecl, SortDef, EssDecl, EssDef)):
+                    return t, phi
+                phi, eid = phi.essence_companion(mid)
+                parts = []
+                for s in susp:
+                    m, phi = go(phi, psi, s)
+                    parts.append(m)
+                return Meta(loc, eid, tuple(parts)), phi
+            case Abs(loc, name, dom, body):
+                if not isinstance(dom, Underscore):
+                    _sd, phi = go(phi, psi, dom)
+                m, phi = go(phi, psi.push_decl(name, Underscore(loc)), body)
+                return Abs(loc, name, Underscore(loc), m), phi
+            case Prod(loc, name, dom, cod):
+                e1, phi = go(phi, psi, dom)
+                e2, phi = go(phi, psi.push_decl(name, Underscore(loc)), cod)
+                return Prod(loc, name, e1, e2), phi
+            case Let(loc, name, annot, bound, body):
+                if not isinstance(annot, Underscore):
+                    _sa, phi = go(phi, psi, annot)
+                m1, phi = go(phi, psi, bound)
+                m2, phi = go(phi, psi.push_def(name, m1, Underscore(loc)), body)
+                return Let(loc, name, Underscore(loc), m1, m2), phi
+            case App(loc, head, spine):
+                m, phi = go(phi, psi, head)
+                args = []
+                for arg in spine:
+                    n, phi = go(phi, psi, arg)
+                    args.append(n)
+                return mk_app(loc, m, args), phi
+            case Inter(loc, left, right) | Union(loc, left, right):
+                e1, phi = go(phi, psi, left)
+                e2, phi = go(phi, psi, right)
+                return type(t)(loc, e1, e2), phi
+            case SPair(loc, left, right):
+                m, phi = go(phi, psi, left)
+                return m, essence_with_hint(phi, genv, psi, m, right)
+            case (SPrLeft(_, body) | SPrRight(_, body) | SInLeft(_, _, body)
+                  | SInRight(_, _, body) | Coercion(_, _, body)):
+                return go(phi, psi, body)
+            case SMatch(loc, scrut, motive, n1, a1, b1, n2, a2, b2):
+                big_n, phi = go(phi, psi, scrut)
+                _sm, phi = go(phi, psi, motive)
+                _s1, phi = go(phi, psi, a1)
+                m, phi = go(phi, psi.push_decl(n1, Underscore(loc)), b1)
+                _s2, phi = go(phi, psi, a2)
+                phi = essence_with_hint(phi, genv, psi.push_decl(n2, Underscore(loc)), m, b2)
+                return App(loc, Abs(loc, n1, Underscore(loc), m), (big_n,)), phi
+        raise InternalError(f"reference_essence: unhandled node {t!r}")
+
+    return go(phi, psi, t)
+
+
+def essence_outcome(ess, phi: MetaEnv, genv: GlobalEnv, psi: LocalEnv, t: Term):
+    """What an essence judgment gives: the essence and the whole
+    meta-environment, or the error's class, text and location."""
+    try:
+        m, out = ess(phi, genv, psi, t)
+    except ProverError as exc:
+        return type(exc).__name__, exc.message, exc.loc
+    return m, (out.next_id, out.entries, out.companions)
 
 
 # ---------------------------------------------------------------------------

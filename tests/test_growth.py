@@ -26,6 +26,7 @@ import sys
 import pytest
 
 import proofun
+from proofun import refine
 from proofun.repl import Session, run_source
 
 from helpers import conjunction_of_unions
@@ -176,3 +177,25 @@ def test_chain_of_holes_is_at_most_quadratic():
     # this family is not linear yet; a cubic path gives a ratio near 8.
     small, large = calls_to_check(chain_of_holes(40)), calls_to_check(chain_of_holes(80))
     assert large / small < 4, (small, large)
+
+
+def test_essence_of_an_arrow_axiom_is_entered_a_constant_number_of_times():
+    # An arrow of constants is its own essence, so its facts answer at the
+    # root: the essence phase does not walk it, however long it is.
+    def essence_calls(n):
+        calls = 0
+
+        def profile(frame, event, _arg):
+            nonlocal calls
+            calls += event == "call" and frame.f_code is refine.essence.__code__
+
+        arrow = " -> ".join(["A"] * (n + 1))
+        session = Session(quiet=True, out=io.StringIO(), err=io.StringIO())
+        sys.setprofile(profile)
+        try:
+            assert run_source(session, f"Axiom (A : Type) (h : {arrow}).\n")
+        finally:
+            sys.setprofile(None)
+        return calls
+
+    assert essence_calls(50) == essence_calls(100) == 2  # the types of `A` and `h`

@@ -653,3 +653,32 @@ def test_whnf_reads_an_argument_used_twice_back_once():
     assert show_term(view) == "g (h (h (f a) (f a)) (h (f a) (f a)))"
     x3 = view.spine[0]
     assert x3.spine[0] is x3.spine[1] and x3.spine[0].spine[0] is x3.spine[0].spine[1]
+
+
+def test_whnf_gives_back_an_unsolved_meta_and_an_axiom_without_evaluating(monkeypatch):
+    genv = make_test_genv()
+    define(genv, "d", "f a")
+    ctx = LocalEnv().push_decl("y", Const(L, "A"))
+    phi, sid = MetaEnv().fresh_meta(SortDecl())
+    phi, tid = phi.fresh_meta(TypedDecl(ctx, Const(L, "A")))
+    phi, eid = phi.fresh_meta(EssDecl(ctx))
+    phi, solved = phi.fresh_meta(TypedDecl(ctx, Const(L, "A")))
+    phi = phi.instantiate_meta(solved, Const(L, "a"))
+    entered = []
+    evaluate = normalize._eval
+
+    def counting_eval(*args):
+        entered.append(args[0])
+        return evaluate(*args)
+
+    monkeypatch.setattr(normalize, "_eval", counting_eval)
+    fixed = [Meta(L, sid, ()), Meta(L, tid, (Var(L, 0),)), Meta(L, eid, (Var(L, 0),)),
+             Const(L, "a"), Const(L, "f"), Const(L, "unbound")]
+    for t in fixed:
+        for is_essence in (False, True):
+            assert whnf(phi, genv, ctx, t, is_essence) is t
+    assert entered == []
+    # a solved meta and a definition still reduce, through the evaluator
+    assert whnf(phi, genv, ctx, Meta(L, solved, (Var(L, 0),))) == Const(L, "a")
+    assert whnf(phi, genv, ctx, Const(L, "d")) == P("f a")
+    assert len(entered) == 2

@@ -3,6 +3,7 @@ essence phase, against the worked examples."""
 
 import io
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -23,14 +24,14 @@ from proofun.refine import (
 )
 from proofun.subtype import is_subtype
 from proofun.syntax import (
-    Abs, App, Const, Inter, Location, Meta, NOWHERE, Sort, Underscore, Var,
-    contains_meta, sort_kind, sort_type,
+    Abs, App, Const, Inter, Location, Meta, NOWHERE, Prod, Sort, SPrLeft, Term,
+    Underscore, Union, Var, contains_meta, sort_kind, sort_type, visit_term,
 )
 from proofun.unify import unify
 
 from helpers import (
-    CORPUS_FILES, P, axiom, corpus_path, define, force_type_outcome,
-    make_test_genv, random_refined_term, reference_force_type,
+    CORPUS_FILES, P, axiom, corpus_path, define, essence_outcome, force_type_outcome,
+    make_test_genv, random_refined_term, reference_essence, reference_force_type,
 )
 
 L = NOWHERE
@@ -415,6 +416,23 @@ def _finish(genv, phi, term):
     _check_meta_free(zonk(phi, term), L)
 
 
+@pytest.mark.parametrize("src", ["forall (x : A), A -> B", "(A -> A) & (B | A)", "h (f a) b",
+                                 "fun (x : A) (y : B) => h x y"])
+def test_refinement_gives_back_a_term_it_does_not_change(src):
+    genv = make_test_genv()
+    t = P(src)
+    t2, ty, _phi = reconstruct(MetaEnv(), genv, LocalEnv(), t)
+    assert t2 is t
+    assert reconstruct_with_type(MetaEnv(), genv, LocalEnv(), t, ty)[0] is t
+
+
+def test_refinement_merges_an_application_head_into_the_spine():
+    genv = make_test_genv()
+    t = P("(h (f a)) b")
+    t2, _ty, _phi = reconstruct(MetaEnv(), genv, LocalEnv(), t)
+    assert type(t.head) is App and type(t2.head) is Const and t2 == P("h (f a) b")
+
+
 # ------------- essence phase -------------
 
 
@@ -436,11 +454,107 @@ def test_essence_of_an_application_builds_one_app_node(n, monkeypatch):
         built.append(self)
         init(self, *fields)
 
-    t = App(L, Const(L, "f"), tuple(Const(L, f"a{i}") for i in range(n)))
+    # One argument changes in the essence, so the spine is rebuilt.
+    args = [Const(L, f"a{i}") for i in range(n)]
+    t = App(L, Const(L, "f"), (*args[:n // 2], SPrLeft(L, Const(L, "p")), *args[n // 2:]))
     monkeypatch.setattr(App, "__init__", counting_init)
     m, _phi = essence(MetaEnv(), GlobalEnv(), LocalEnv(), t)
     monkeypatch.undo()
-    assert len(built) == 1 and m == t
+    assert len(built) == 1
+    assert m == App(L, Const(L, "f"), (*args[:n // 2], Const(L, "p"), *args[n // 2:]))
+
+
+def _essence_free_term(rng, depth, bound=0):
+    """A random tree of products, applications, `&` and `|` over sorts,
+    variables and constants: a term that is its own essence."""
+    if depth == 0 or rng.random() < 0.2:
+        leaves = [sort_type(), Const(L, rng.choice("ABfg"))]
+        return rng.choice(leaves + [Var(L, rng.randrange(bound))] if bound else leaves)
+    roll = rng.randrange(4)
+    if roll == 0:
+        return Prod(L, "x", _essence_free_term(rng, depth - 1, bound),
+                    _essence_free_term(rng, depth - 1, bound + 1))
+    if roll == 1:
+        head = rng.choice([Const(L, "f"), Var(L, bound)]) if bound else Const(L, "f")
+        spine = tuple(_essence_free_term(rng, depth - 1, bound)
+                      for _ in range(rng.randint(1, 3)))
+        return App(L, head, spine)
+    node = Inter if roll == 2 else Union
+    return node(L, _essence_free_term(rng, depth - 1, bound),
+                _essence_free_term(rng, depth - 1, bound))
+
+
+def test_essence_of_an_essence_free_term_is_the_term_itself(monkeypatch):
+    rng = random.Random(53)
+    terms = [_essence_free_term(rng, 6) for _ in range(200)]
+    terms.append(P("forall (x : Type) (y : x), (x -> x) & (f x | g y x)"))
+    built = []
+
+    def counting(init):
+        def counting_init(self, *fields):
+            built.append(self)
+            init(self, *fields)
+        return counting_init
+
+    for kind in Term.__subclasses__():
+        monkeypatch.setattr(kind, "__init__", counting(kind.__init__))
+    phi, genv, psi = MetaEnv(), GlobalEnv(), LocalEnv()
+    for t in terms:
+        m, phi2 = essence(phi, genv, psi, t)
+        assert m is t and phi2 is phi
+    assert built == []
+
+
+def _domains_as_holes(t):
+    """`t` with the domain of every abstraction replaced by `_`."""
+    t = visit_term(_domains_as_holes, lambda _s, c: _domains_as_holes(c), lambda s, _c: s, t)
+    return replace(t, domain=Underscore(L)) if type(t) is Abs else t
+
+
+def test_essence_agrees_with_the_reference_on_random_terms():
+    rng = random.Random(59)
+    genv = make_test_genv()
+    refined = 0
+    for _ in range(400):
+        t, ty = random_refined_term(rng)
+        for part in (t, ty):
+            assert (essence_outcome(essence, MetaEnv(), genv, LocalEnv(), part)
+                    == essence_outcome(reference_essence, MetaEnv(), genv, LocalEnv(), part))
+        # with metas, solved and unsolved: the holes refined against the type
+        try:
+            t2, phi = reconstruct_with_type(MetaEnv(), genv, LocalEnv(), _domains_as_holes(t), ty)
+        except TypeCheckError:
+            continue
+        for part in (t2, zonk(phi, t2)):
+            assert (essence_outcome(essence, phi, genv, LocalEnv(), part)
+                    == essence_outcome(reference_essence, phi, genv, LocalEnv(), part))
+        refined += contains_meta(t2)
+    assert refined > 100, refined
+
+
+def test_essence_agrees_with_the_reference_on_every_corpus_elaboration(monkeypatch):
+    # Every essence `elaborate` and `elaborate_type` ask for (a definition's
+    # term and type, an axiom's type) is compared.
+    checked, depth = [], [0]
+    production = refine.essence
+
+    def checking(phi, genv, psi, t):
+        depth[0] += 1
+        try:
+            m, out = production(phi, genv, psi, t)
+        finally:
+            depth[0] -= 1
+        if depth[0] == 0:
+            assert ((m, (out.next_id, out.entries, out.companions))
+                    == essence_outcome(reference_essence, phi, genv, psi, t))
+            checked.append(t)
+        return m, out
+
+    monkeypatch.setattr(refine, "essence", checking)
+    for name in CORPUS_FILES:
+        session = Session(quiet=True, out=io.StringIO(), err=io.StringIO())
+        assert load_file(session, corpus_path(name)), session.err.getvalue()
+    assert len(checked) > 100, len(checked)
 
 
 def test_essence_of_polymorphic_identity():

@@ -13,9 +13,10 @@ from proofun.parser import fix_index, parse_script, parse_term
 from proofun.pretty import show_term
 from proofun.repl import Session, load_file
 from proofun.syntax import (
-    Abs, App, Const, Let, Location, Meta, NOWHERE, Prod, SMatch, Sort,
-    SortKind, Term, Underscore, Var, beta_redex, children, contains_meta,
-    contains_underscore, erase_context, first_meta, free_in, instantiate, lift,
+    Abs, App, Coercion, Const, Let, Location, Meta, NOWHERE, Prod, SInLeft, SInRight,
+    SMatch, Sort, SortKind, SPair, SPrLeft, SPrRight, Term, Underscore, Var, beta_redex,
+    changes_essence, children, contains_meta, contains_underscore, erase_context,
+    first_meta, free_in, instantiate, lift,
     loose, map_term, mk_app, msubst, subterms, visit_term,
 )
 
@@ -351,12 +352,16 @@ def test_sorts_and_underscore_compare():
     assert Underscore(L) == Underscore(L)
 
 
-# ------------- node facts (loose, contains_meta, contains_underscore) -------------
+# ------------- node facts (loose, contains_meta, contains_underscore, changes_essence) -------------
+
+# The node kinds the essence erases or rebuilds.
+_ESSENCE_NODES = (Abs, Let, SPair, SPrLeft, SPrRight, SInLeft, SInRight, Coercion, SMatch,
+                  Meta, Underscore)
 
 
 def _reference_facts(t):
-    """`(loose(t), contains_meta(t), contains_underscore(t))` by direct
-    recursion over the fields."""
+    """`(loose(t), contains_meta(t), contains_underscore(t),
+    changes_essence(t))` by direct recursion over the fields."""
 
     def free(t):
         match t:
@@ -373,9 +378,16 @@ def _reference_facts(t):
     def down(t):
         return {n - 1 for n in free(t) if n}
 
+    def changes(t):
+        if isinstance(t, _ESSENCE_NODES):
+            return True
+        if isinstance(t, App) and (isinstance(t.head, App) or not t.spine):
+            return True  # `mk_app` merges it
+        return any(map(changes, children(t)))
+
     indices = free(t)
     kinds = {type(s) for s in subterms(t)}
-    return (max(indices) + 1 if indices else 0, Meta in kinds, Underscore in kinds)
+    return (max(indices) + 1 if indices else 0, Meta in kinds, Underscore in kinds, changes(t))
 
 
 def _twin(t, relocate=False, counter=None):
@@ -405,7 +417,23 @@ def _random_term(rng):
 
 def _assert_facts_match(root):
     for s in subterms(root):
-        assert (loose(s), contains_meta(s), contains_underscore(s)) == _reference_facts(s), s
+        facts = (loose(s), contains_meta(s), contains_underscore(s), changes_essence(s))
+        assert facts == _reference_facts(s), s
+
+
+@pytest.mark.parametrize("t, changes", [
+    (App(L, App(L, _c("f"), (_c("a"),)), (_c("b"),)), True),  # merged by `mk_app`
+    (App(L, _c("f"), ()), True),
+    (App(L, _c("f"), (_c("a"), Var(L, 0))), False),
+    (Prod(L, "x", _c("A"), Prod(L, "y", Var(L, 0), P("fun z : A => z"))), True),
+    (Prod(L, "x", _c("A"), App(L, _c("P"), (Meta(L, 3, (Var(L, 0),)),))), True),
+    (Prod(L, "x", Sort(L, SortKind.TYPE), P("(A -> B) & (A | B)")), False),
+    (Underscore(L), True),
+    (P("proj_l p"), True),
+])
+def test_changes_essence_by_hand(t, changes):
+    assert changes_essence(t) is changes
+    _assert_facts_match(t)
 
 
 def test_facts_of_every_subterm_match_the_reference():
