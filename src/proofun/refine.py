@@ -56,22 +56,36 @@ def _shown(phi: MetaEnv, ctx: LocalEnv, t: Term) -> str:
     return show_term(zonk(phi, t), ctx.names())
 
 
-def _has_type(phi: MetaEnv, ctx: LocalEnv, t: Term, ty: Term, rest: Term | str) -> str:
-    """The message `the term "t" has type "ty"` followed by `rest`: the rest
-    of the sentence, or the type `t` was expected to have."""
-    if isinstance(rest, Term):
-        rest = f' while it is expected to have type "{_shown(phi, ctx, rest)}".'
-    return f'the term "{_shown(phi, ctx, t)}" has type "{_shown(phi, ctx, ty)}"{rest}'
+_EXPECTED_TYPE = 'the term "{t}" has type "{a}" while it is expected to have type "{b}".'
 
 
-def _fresh_wildcard(phi: MetaEnv, ctx: LocalEnv, loc: Location
-                    ) -> tuple[MetaEnv, Term, Term]:
-    """Mint ?x : ?y : ?z (term meta, type meta, sort meta) over `ctx`."""
-    phi, zid = phi.fresh_meta(SortDecl())
-    phi, yid = phi.fresh_meta(TypedDecl(ctx, Meta(loc, zid, ())))
-    ty = Meta(loc, yid, erase_context(len(ctx)))
-    phi, xid = phi.fresh_meta(TypedDecl(ctx, ty))
-    return phi, Meta(loc, xid, erase_context(len(ctx))), ty
+def _unify_or(phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv, a: Term, b: Term,
+              loc: Location, message: str, subject: Term | tuple | None = None,
+              is_essence: bool = False) -> MetaEnv:
+    """Unify `a` with `b` (their essences if `is_essence`), or fail with
+    `message` at `loc`: a `TypeCheckError`, or an `EssenceMismatch`.  The
+    message's fields `{a}`, `{b}` and `{t}` (the `subject`) are shown only
+    on failure, and only those it names.  A `subject` `(head, args)` is
+    the application of `head` to `args`, built only then and blamed at
+    its own location."""
+    try:
+        return (unify_essence if is_essence else unify)(phi, genv, ctx, a, b)
+    except UnificationFailure:
+        pass
+    if isinstance(subject, tuple):
+        subject = mk_app(loc, *subject)
+        loc = subject.loc
+    shown = {}
+    for key, term in (("t", subject), ("a", a), ("b", b)):
+        if "{" + key + "}" in message:
+            shown[key] = _shown(phi, ctx, term)
+    raise (EssenceMismatch if is_essence else TypeCheckError)(message.format_map(shown), loc)
+
+
+def _hole(phi: MetaEnv, ctx: LocalEnv, ty: Term, loc: Location) -> tuple[MetaEnv, Meta]:
+    """A fresh meta ?x : `ty` over `ctx`, under the identity suspension."""
+    phi, mid = phi.fresh_meta(TypedDecl(ctx, ty))
+    return phi, Meta(loc, mid, erase_context(len(ctx)))
 
 
 def _pts_check(phi: MetaEnv, genv: GlobalEnv, ctx_dom: LocalEnv,
@@ -156,8 +170,10 @@ def reconstruct(phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv, t: Term
             if found is None:
                 raise TypeCheckError(f'unknown identifier "{name}"', loc)
             return t, found[1], phi
-        case Underscore(loc):
-            phi, term, ty = _fresh_wildcard(phi, ctx, loc)
+        case Underscore(loc):  # ?x : ?y : ?z, a term, a type and a sort meta
+            phi, zid = phi.fresh_meta(SortDecl())
+            phi, ty = _hole(phi, ctx, Meta(loc, zid, ()), loc)
+            phi, term = _hole(phi, ctx, ty, loc)
             return term, ty, phi
         case Meta(loc, mid, susp):
             entry = phi.lookup(mid)
@@ -185,7 +201,7 @@ def reconstruct(phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv, t: Term
             inner = ctx.push_def(name, bound2, annot2)
             body2, tau, phi = reconstruct(phi, genv, inner, body)
             return (Let(loc, name, annot2, bound2, body2),
-                    beta_redex(tau, bound2), phi)
+                    beta_redex(zonk(phi, tau), bound2), phi)
         case Prod(loc, name, dom, cod):
             dom2, s1, phi = force_type(phi, genv, ctx, dom)
             inner = ctx.push_decl(name, dom2)
@@ -217,19 +233,11 @@ def reconstruct(phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv, t: Term
                 else:
                     arg2, sigma1, phi = reconstruct(phi, genv, ctx, arg)
                     phi, yid = phi.fresh_meta(SortDecl())
-                    inner = ctx.push_decl("x", sigma1)
-                    phi, xid = phi.fresh_meta(
-                        TypedDecl(inner, Meta(loc, yid, ())))
-                    target = Prod(loc, "x", sigma1,
-                                  Meta(loc, xid, erase_context(len(ctx) + 1)))
-                    try:
-                        phi = unify(phi, genv, ctx, sigma, target)
-                    except UnificationFailure:
-                        term = mk_app(loc, term, args)
-                        raise TypeCheckError(
-                            _has_type(phi, ctx, term, sigma, " and cannot be applied"),
-                            term.loc) from None
-                    sigma = Meta(loc, xid, erase_context(len(ctx)) + (arg2,))
+                    phi, cod = _hole(phi, ctx.push_decl("x", sigma1), Meta(loc, yid, ()), loc)
+                    phi = _unify_or(phi, genv, ctx, sigma, Prod(loc, "x", sigma1, cod), loc,
+                                    'the term "{t}" has type "{a}" and cannot be applied',
+                                    (term, args))
+                    sigma = Meta(loc, cod.mid, erase_context(len(ctx)) + (arg2,))
                 args.append(arg2)
             if term is not head or type(head) is App or not all(map(is_, args, spine)):
                 t = mk_app(loc, term, args)  # else `t` is its own refinement
@@ -253,17 +261,12 @@ def reconstruct(phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv, t: Term
             if isinstance(view, Inter):
                 ty = view.left if left_side else view.right
             else:
-                phi, x1 = phi.fresh_meta(TypedDecl(ctx, sort_type(loc)))
-                phi, x2 = phi.fresh_meta(TypedDecl(ctx, sort_type(loc)))
-                susp = erase_context(len(ctx))
-                try:
-                    phi = unify(phi, genv, ctx, sigma,
-                                Inter(loc, Meta(loc, x1, susp), Meta(loc, x2, susp)))
-                except UnificationFailure:
-                    raise TypeCheckError(_has_type(
-                        phi, ctx, body2, sigma,
-                        " while it is expected to have an intersection type"), body.loc) from None
-                ty = Meta(loc, x1 if left_side else x2, susp)
+                phi, x1 = _hole(phi, ctx, sort_type(loc), loc)
+                phi, x2 = _hole(phi, ctx, sort_type(loc), loc)
+                phi = _unify_or(phi, genv, ctx, sigma, Inter(loc, x1, x2), body.loc,
+                                'the term "{t}" has type "{a}" while it is expected '
+                                'to have an intersection type', body2)
+                ty = x1 if left_side else x2
             node = SPrLeft if left_side else SPrRight
             return node(loc, body2), ty, phi
         case SInLeft(loc, other, body) | SInRight(loc, other, body):
@@ -281,11 +284,7 @@ def reconstruct(phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv, t: Term
             a1_2, phi = reconstruct_with_type(phi, genv, ctx, a1, sort_type(loc))
             a2_2, phi = reconstruct_with_type(phi, genv, ctx, a2, sort_type(loc))
             union = Union(loc, a1_2, a2_2)
-            try:
-                phi = unify(phi, genv, ctx, sigma, union)
-            except UnificationFailure:
-                raise TypeCheckError(_has_type(phi, ctx, scrut2, sigma, union),
-                                     scrut.loc) from None
+            phi = _unify_or(phi, genv, ctx, sigma, union, scrut.loc, _EXPECTED_TYPE, scrut2)
             motive2, phi = reconstruct_with_type(
                 phi, genv, ctx, motive,
                 Prod(loc, "x", union, sort_type(loc)))
@@ -311,9 +310,9 @@ def reconstruct(phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv, t: Term
                 raise TypeCheckError(
                     "cannot decide subtyping against an incomplete type", loc)
             if not is_subtype(genv, ctx, tau_z, target_z):
-                raise TypeCheckError(_has_type(
-                    phi, ctx, body2, tau_z,
-                    f' which is not a subtype of "{_shown(phi, ctx, target_z)}"'), body.loc)
+                raise TypeCheckError(
+                    f'the term "{_shown(phi, ctx, body2)}" has type "{_shown(phi, ctx, tau_z)}"'
+                    f' which is not a subtype of "{_shown(phi, ctx, target_z)}"', body.loc)
             return Coercion(loc, target2, body2), target2, phi
     raise InternalError(f"reconstruct: unhandled node {t!r}")
 
@@ -326,12 +325,9 @@ def force_type(phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv, t: Term
     t2, tau, phi = reconstruct(phi, genv, ctx, t)
     if isinstance(whnf(phi, genv, ctx, tau), Sort):
         return t2, tau, phi
-    phi2, sid = phi.fresh_meta(SortDecl())
-    try:
-        return t2, tau, unify(phi2, genv, ctx, tau, Meta(t.loc, sid, ()))
-    except UnificationFailure:
-        raise TypeCheckError(
-            f'the term "{_shown(phi, ctx, t2)}" is not a type', t.loc) from None
+    phi, sid = phi.fresh_meta(SortDecl())
+    return t2, tau, _unify_or(phi, genv, ctx, tau, Meta(t.loc, sid, ()), t.loc,
+                              'the term "{t}" is not a type', t2)
 
 
 def reconstruct_with_type(phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv,
@@ -342,11 +338,7 @@ def reconstruct_with_type(phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv,
 
     def default() -> tuple[Term, MetaEnv]:
         t2, sigma, phi2 = reconstruct(phi, genv, ctx, t)
-        try:
-            return t2, unify(phi2, genv, ctx, sigma, expected)
-        except UnificationFailure:
-            raise TypeCheckError(_has_type(phi2, ctx, t2, sigma, expected),
-                                 t.loc) from None
+        return t2, _unify_or(phi2, genv, ctx, sigma, expected, t.loc, _EXPECTED_TYPE, t2)
 
     match t:
         case Let(loc, name, annot, bound, body):
@@ -362,14 +354,8 @@ def reconstruct_with_type(phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv,
             if not isinstance(view, Prod):
                 return default()
             dom2, _s, phi = force_type(phi, genv, ctx, dom)
-            try:
-                phi = unify(phi, genv, ctx, dom2, view.domain)
-            except UnificationFailure:
-                raise TypeCheckError(
-                    f'the domain "{_shown(phi, ctx, dom2)}" does not '
-                    f'match the expected domain '
-                    f'"{_shown(phi, ctx, view.domain)}"',
-                    dom.loc) from None
+            phi = _unify_or(phi, genv, ctx, dom2, view.domain, dom.loc,
+                            'the domain "{a}" does not match the expected domain "{b}"')
             body2, phi = reconstruct_with_type(
                 phi, genv, ctx.push_decl(name, dom2), body, view.codomain)
             return t if dom2 is dom and body2 is body else Abs(loc, name, dom2, body2), phi
@@ -382,8 +368,7 @@ def reconstruct_with_type(phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv,
             return SPair(loc, left2, right2), phi
         case SPrLeft(loc, body) | SPrRight(loc, body):
             left_side = isinstance(t, SPrLeft)
-            phi, xid = phi.fresh_meta(TypedDecl(ctx, sort_type(loc)))
-            other = Meta(loc, xid, erase_context(len(ctx)))
+            phi, other = _hole(phi, ctx, sort_type(loc), loc)
             inter = Inter(loc, expected, other) if left_side else \
                 Inter(loc, other, expected)
             _ty, phi = reconstruct_with_type(phi, genv, ctx, inter, sort_type(loc))
@@ -398,21 +383,15 @@ def reconstruct_with_type(phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv,
             other2, phi = reconstruct_with_type(phi, genv, ctx, other,
                                                 sort_type(loc))
             target = view.right if left_side else view.left
-            try:
-                phi = unify(phi, genv, ctx, other2, target)
-            except UnificationFailure:
-                raise TypeCheckError(
-                    f'the annotation "{_shown(phi, ctx, other2)}" '
-                    f'does not match the union component '
-                    f'"{_shown(phi, ctx, target)}"',
-                    other.loc) from None
+            phi = _unify_or(phi, genv, ctx, other2, target, other.loc,
+                            'the annotation "{a}" does not match the union component "{b}"')
             body2, phi = reconstruct_with_type(
                 phi, genv, ctx, body, view.left if left_side else view.right)
             node = SInLeft if left_side else SInRight
             return node(loc, other2, body2), phi
         case Underscore(loc):
-            phi, xid = phi.fresh_meta(TypedDecl(ctx, expected))
-            return Meta(loc, xid, erase_context(len(ctx))), phi
+            phi, hole = _hole(phi, ctx, expected, loc)
+            return hole, phi
         case _:
             return default()
 
@@ -493,13 +472,8 @@ def essence_with_hint(phi: MetaEnv, genv: GlobalEnv, psi: LocalEnv,
 
     def default() -> MetaEnv:
         m2, phi2 = essence(phi, genv, psi, t)
-        try:
-            return unify_essence(phi2, genv, psi, hint, m2)
-        except UnificationFailure:
-            raise EssenceMismatch(
-                f'the term has essence "{_shown(phi2, psi, m2)}" '
-                f'while it is expected to have essence '
-                f'"{_shown(phi2, psi, hint)}"', t.loc) from None
+        return _unify_or(phi2, genv, psi, hint, m2, t.loc, 'the term has essence "{b}" '
+                         'while it is expected to have essence "{a}"', is_essence=True)
 
     match t:
         case SPair(_, left, right):
@@ -532,15 +506,9 @@ def essence_with_hint(phi: MetaEnv, genv: GlobalEnv, psi: LocalEnv,
             return essence_with_hint(phi, genv,
                                      psi.push_decl(name, Underscore(loc)),
                                      view.body, body)
-        case Inter(_, left, right):
+        case Inter(_, left, right) | Union(_, left, right):
             view = whnf(phi, genv, psi, hint, is_essence=True)
-            if not isinstance(view, Inter):
-                return default()
-            phi = essence_with_hint(phi, genv, psi, view.left, left)
-            return essence_with_hint(phi, genv, psi, view.right, right)
-        case Union(_, left, right):
-            view = whnf(phi, genv, psi, hint, is_essence=True)
-            if not isinstance(view, Union):
+            if type(view) is not type(t):
                 return default()
             phi = essence_with_hint(phi, genv, psi, view.left, left)
             return essence_with_hint(phi, genv, psi, view.right, right)
@@ -567,6 +535,20 @@ def _check_meta_free(part: Term, fallback: Location) -> None:
         raise UnresolvedMeta(bad.mid, loc)
 
 
+def _closed(phi: MetaEnv, genv: GlobalEnv, fallback: Location, *parts: Term) -> list[Term]:
+    """The closing step of both elaborators: the essence of each part in
+    order, then every part and every essence with its metas expanded; fails
+    on the first one left with a meta."""
+    essences = []
+    for part in parts:
+        ess, phi = essence(phi, genv, LocalEnv(), zonk(phi, part))
+        essences.append(ess)
+    closed = [zonk(phi, part) for part in (*parts, *essences)]
+    for part in closed:
+        _check_meta_free(part, fallback)
+    return closed
+
+
 @too_deep_as_error
 def elaborate(genv: GlobalEnv, t: Term, expected: Term | None = None) -> Elaborated:
     """Run both refinement phases from an empty meta-environment and return
@@ -579,13 +561,7 @@ def elaborate(genv: GlobalEnv, t: Term, expected: Term | None = None) -> Elabora
         ty = expected2
     else:
         term, ty, phi = reconstruct(phi, genv, ctx, t)
-    ess, phi = essence(phi, genv, ctx, zonk(phi, term))
-    ty_ess, phi = essence(phi, genv, ctx, zonk(phi, ty))
-    term, ty = zonk(phi, term), zonk(phi, ty)
-    ess, ty_ess = zonk(phi, ess), zonk(phi, ty_ess)
-    for part in (term, ty, ess, ty_ess):
-        _check_meta_free(part, t.loc)
-    return Elaborated(term, ty, ess, ty_ess)
+    return Elaborated(*_closed(phi, genv, t.loc, term, ty))
 
 
 @too_deep_as_error
@@ -593,8 +569,5 @@ def elaborate_type(genv: GlobalEnv, t: Term) -> tuple[Term, Term]:
     """Elaborate an axiom's type; returns (type, type essence)."""
     phi = MetaEnv()
     t2, _s, phi = force_type(phi, genv, LocalEnv(), t)
-    ess, phi = essence(phi, genv, LocalEnv(), zonk(phi, t2))
-    t2, ess = zonk(phi, t2), zonk(phi, ess)
-    _check_meta_free(t2, t.loc)
-    _check_meta_free(ess, t.loc)
+    t2, ess = _closed(phi, genv, t.loc, t2)
     return t2, ess

@@ -55,7 +55,6 @@ class QuitRequested(Exception):
 @dataclass
 class Session:
     genv: GlobalEnv = field(default_factory=GlobalEnv)
-    interactive: bool = False
     quiet: bool = False
     color: bool = False
     out: IO[str] | None = None  # None: current sys.stdout / sys.stderr
@@ -195,7 +194,6 @@ def _incomplete(text: str, source: str) -> bool:
 
 
 def repl(session: Session) -> int:
-    session.interactive = True
     show_prompt = sys.stdin.isatty()
     buffer = ""
     while True:

@@ -80,3 +80,17 @@ def test_every_private_module_name_is_used():
                      if name.startswith("_") and not name.startswith("__")
                      and name not in used]
     assert dead == []
+
+
+def test_the_refiner_reports_a_failed_unification_in_one_place():
+    # One handler turns a failed unification into a located error (the
+    # mismatch helper); the only other one is the product rule's search
+    # over the allowed sort pairs, where a failure means "try the next".
+    catching = []
+    for node in _parse(ROOT / "src" / "proofun" / "refine.py").body:
+        for inner in ast.walk(node):
+            if (isinstance(inner, ast.ExceptHandler) and inner.type is not None
+                    and any(isinstance(n, ast.Name) and n.id == "UnificationFailure"
+                            for n in ast.walk(inner.type))):
+                catching.append(node.name)
+    assert sorted(catching) == ["_pts_check", "_unify_or"]

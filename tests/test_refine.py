@@ -90,20 +90,33 @@ def test_application_not_a_function():
     assert "cannot be applied" in info.value.message
 
 
-@pytest.mark.parametrize("definition, message", [
-    ("a a", 'the term "a" has type "A" and cannot be applied'),
-    ("proj_l a", 'the term "a" has type "A" while it is expected to have an '
-                 'intersection type'),
-    ("smatch a return A with x : A => x, y : B => a end",
+@pytest.mark.parametrize("command, column, width, message", [
+    ("Definition d := a a.", 17, 1, 'the term "a" has type "A" and cannot be applied'),
+    ("Definition d := f a b.", 17, 5, 'the term "f a" has type "A" and cannot be applied'),
+    ("Definition d := proj_l a.", 24, 1,
+     'the term "a" has type "A" while it is expected to have an intersection type'),
+    ("Definition d := smatch a return A with x : A => x, y : B => a end.", 24, 1,
      'the term "a" has type "A" while it is expected to have type "A | B".'),
-    ("coe B a", 'the term "a" has type "A" which is not a subtype of "B"'),
-    ("f b", 'the term "b" has type "B" while it is expected to have type "A".'),
-], ids=["spine", "projection", "smatch", "coe", "checking"])
-def test_has_type_messages_are_exact(definition, message):
+    ("Definition d := coe B a.", 23, 1, 'the term "a" has type "A" which is not a subtype of "B"'),
+    ("Definition d := f b.", 19, 1,
+     'the term "b" has type "B" while it is expected to have type "A".'),
+    ("Definition d := fun (x : a) => x.", 26, 1, 'the term "a" is not a type'),
+    ("Definition d : A -> A := fun (x : B) => x.", 35, 1,
+     'the domain "B" does not match the expected domain "A"'),
+    ("Definition d : A | B := inj_l A a.", 31, 1,
+     'the annotation "A" does not match the union component "B"'),
+    ("Definition d := <a, b>.", 21, 1,
+     'the term has essence "b" while it is expected to have essence "a"'),
+], ids=["spine", "spine_of_two", "projection", "smatch", "coe", "checking", "not_a_type",
+        "domain", "injection", "essence"])
+def test_has_type_messages_are_exact(command, column, width, message):
+    # The whole report: the echoed command, the caret under the blamed
+    # subterm, and the message.
     s = Session(quiet=True, out=io.StringIO(), err=io.StringIO())
     assert run_source(s, "Axiom (A B : Type) (a : A) (b : B) (f : A -> A).")
-    assert not run_source(s, f"Definition d := {definition}.")
-    assert s.err.getvalue().splitlines()[-1] == f"Error: {message}"
+    assert not run_source(s, command)
+    caret = " " * (column - 1) + "^" * width
+    assert s.err.getvalue() == f"{command}\n{caret}\nError: {message}\n"
 
 
 def test_products_respect_the_sort_discipline():
@@ -151,6 +164,19 @@ def test_let_infers_and_substitutes():
     genv = fresh_genv()
     result = elaborate(genv, P("let n : nat := 0 in eq_refl n"))
     assert show_term(result.type) == "eq 0 0"
+
+
+def test_inferred_let_type_has_no_solved_meta():
+    # The bound term is substituted into the body's type with its solved
+    # metas expanded, so an unannotated `let` (whose declared type is a
+    # wildcard, solved by the bound term) gives back a meta-free type.
+    genv = GlobalEnv()
+    axiom(genv, "A", "Type")
+    axiom(genv, "g", "A -> A")
+    axiom(genv, "a", "A")
+    _t, ty, _phi = reconstruct(MetaEnv(), genv, LocalEnv(), P("let y := g a in y"))
+    assert not contains_meta(ty)
+    assert show_term(ty) == "A"
 
 
 def test_annotation_must_be_a_type():
