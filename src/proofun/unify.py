@@ -28,9 +28,9 @@ from proofun.env import (
 from proofun.errors import InternalError, UnificationFailure
 from proofun.normalize import normalize_meta, whnf, zonk
 from proofun.syntax import (
-    Abs, App, Coercion, Const, Inter, Location, Meta, NOWHERE, Prod, SInLeft,
+    Abs, App, Coercion, Const, Inter, Meta, NOWHERE, Prod, SInLeft,
     SInRight, SMatch, Sort, SPair, SPrLeft, SPrRight, Term, Underscore, Union,
-    Var, contains_meta, lift, loose, map_term, metas, mk_app, visit_term,
+    Var, contains_meta, lift, loose, metas, mk_app, visit_term,
 )
 
 
@@ -100,19 +100,6 @@ def _invert(inverse: dict[int, int], t: Term, k: int = 0) -> Term:
             )
 
 
-def _strengthen(t: Term, new_pos: dict[int, int], r: int, p: int) -> Term:
-    """Re-index a term scoped over the first `p` context positions so it is
-    scoped over the kept positions only (`r` of them)."""
-
-    def f(k: int, loc: Location, m: int) -> Term:
-        q = p - 1 - (m - k)
-        if q not in new_pos:
-            raise _NotInvertible
-        return Var(loc, (r - 1 - new_pos[q]) + k)
-
-    return map_term(0, f, t)
-
-
 def _prune_meta(phi: MetaEnv, mid: int, keep: list[int]) -> MetaEnv | None:
     """Instantiate `mid` with a fresh meta over the kept context positions.
     None when a kept entry (or the meta's type) depends on a dropped one."""
@@ -123,10 +110,12 @@ def _prune_meta(phi: MetaEnv, mid: int, keep: list[int]) -> MetaEnv | None:
     kept = sorted(set(keep))
     if len(kept) >= n:
         return None
-    new_pos = {p: r for r, p in enumerate(kept)}
 
     def cut(t: Term, r: int, p: int) -> Term:
-        return _strengthen(zonk(phi, t), new_pos, r, p)
+        """Re-index `t`, scoped over the first `p` context positions, over
+        the first `r` kept ones."""
+        inverse = {p - 1 - q: r - 1 - i for i, q in enumerate(kept[:r])}
+        return _invert(inverse, zonk(phi, t))
 
     try:
         old = entry.ctx.entries
@@ -144,7 +133,7 @@ def _prune_meta(phi: MetaEnv, mid: int, keep: list[int]) -> MetaEnv | None:
         else:
             decl = EssDecl(pruned_ctx)
         phi, fresh = phi.fresh_meta(decl)
-    except _NotInvertible:
+    except (_NotInvertible, _NeedsPruning):
         return None
     susp = tuple(Var(NOWHERE, n - 1 - p) for p in kept)
     return phi.instantiate_meta(mid, Meta(NOWHERE, fresh, susp))

@@ -1,8 +1,9 @@
-"""Source hygiene of `src/proofun`: no unused import, and no module-level
-private name that nothing uses.  No linter is installed, so these tests
-are the guard."""
+"""Source hygiene of `src/proofun`: no unused import, no module-level
+private name that nothing uses, and no name the benchmark tracer wraps
+missing.  No linter is installed, so these tests are the guard."""
 
 import ast
+import importlib
 import pathlib
 import re
 
@@ -94,3 +95,23 @@ def test_the_refiner_reports_a_failed_unification_in_one_place():
                             for n in ast.walk(inner.type))):
                 catching.append(node.name)
     assert sorted(catching) == ["_pts_check", "_unify_or"]
+
+
+def test_every_name_the_tracer_wraps_exists():
+    # The tracer rebinds these names when it is installed; a renamed or
+    # deleted one would only show as a crash of a traced benchmark run.
+    tables = {}
+    for node in _parse(ROOT / "perfbench" / "tracer.py").body:
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            name = getattr(node.targets[0], "id", None)
+            if name in ("SPANNED", "COUNTED", "SPANNED_METHODS", "COUNTED_METHODS"):
+                tables[name] = ast.literal_eval(node.value)
+    assert len(tables) == 4
+    missing = []
+    for module, name, *_layer in tables["SPANNED"] + tables["COUNTED"]:
+        if not hasattr(importlib.import_module(module), name):
+            missing.append(f"{module}.{name}")
+    for module, cls, name, *_layer in tables["SPANNED_METHODS"] + tables["COUNTED_METHODS"]:
+        if name not in getattr(importlib.import_module(module), cls).__dict__:
+            missing.append(f"{module}.{cls}.{name}")
+    assert missing == []

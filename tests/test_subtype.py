@@ -3,10 +3,12 @@ against the declarative derivation-search oracle."""
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from proofun.env import GlobalEnv, LocalEnv
 from proofun.normalize import strongly_normalize
+from proofun.pretty import show_term
 from proofun.subtype import anf, canf, danf, is_subtype
 from proofun.syntax import (
     Const, Inter, NOWHERE, Prod, Term, Union, subterms,
@@ -61,6 +63,31 @@ def test_danf_union_is_componentwise():
 
 def test_danf_atom():
     assert repr(danf(P("a"))) == repr(P("a"))
+
+
+@pytest.mark.parametrize("nf, src, expected", [
+    (canf, "(a & b) | (c & d)", "((a | c) & (a | d)) & (b | c) & (b | d)"),
+    (danf, "(a | b) & (c | d)", "(a & c | a & d) | b & c | b & d"),
+    (anf, "(a | b) -> c & d", "((a -> c) & (a -> d)) & (b -> c) & (b -> d)"),
+    (anf, "((a | b) & c) -> d | e", "(a & c -> d | e) & (b & c -> d | e)"),
+    (canf, "a | (b -> c & d)", "(a | (b -> c)) & (a | (b -> d))"),
+], ids=["canf_both_sides", "danf_both_sides", "anf_domain_and_codomain",
+        "anf_danf_domain", "canf_of_anf_atom"])
+def test_nested_normal_forms_are_exact(nf, src, expected):
+    assert nf(P(src)) == P(expected)
+    assert show_term(nf(P(src))) == expected
+
+
+def test_distribution_keeps_the_split_nodes_locations():
+    t = P("(a & b) | (c & d)")
+    c = canf(t)
+    assert c.loc == t.left.loc
+    assert c.left.loc == c.right.loc == t.right.loc
+    assert c.left.left.loc == NOWHERE  # a join, not a split node
+    arrow = P("(a | b) -> c")
+    a = anf(arrow)
+    assert a.loc == arrow.domain.loc
+    assert a.left.loc == a.right.loc == arrow.loc
 
 
 def _no_union_above_inter(t: Term) -> bool:

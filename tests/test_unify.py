@@ -241,6 +241,23 @@ def test_pruning_an_essence_meta_keeps_it_an_essence_meta():
     assert fresh.ctx.names() == ["x"]
 
 
+def test_pruning_is_refused_when_a_kept_entry_depends_on_a_dropped_one():
+    # ?m[y] =?= g ?n[x; y] over (x : A) (y : P x): x must be pruned from ?n,
+    # but y's type mentions x, so no restriction of ?n exists.
+    genv = make_test_genv()
+    from helpers import axiom
+    axiom(genv, "P", "A -> Type")
+    ctx = CTX.push_decl("x", Const(L, "A")).push_decl("y", mk_app(L, P("P"), (Var(L, 0),)))
+    phi, n = MetaEnv().fresh_meta(TypedDecl(ctx, Const(L, "A")))
+    phi, m = phi.fresh_meta(TypedDecl(LocalEnv().push_decl("y", Const(L, "B")),
+                                      Const(L, "B")))
+    lhs = Meta(L, m, (Var(L, 0),))
+    rhs = mk_app(L, P("g"), (Meta(L, n, erase_context(2)),))
+    assert try_hopu(phi, genv, ctx, lhs, rhs) is None
+    with pytest.raises(UnificationFailure):
+        unify(phi, genv, ctx, lhs, rhs)
+
+
 def test_sort_meta_takes_sorts_only():
     phi, mid = MetaEnv().fresh_meta(SortDecl())
     m = Meta(L, mid, ())
