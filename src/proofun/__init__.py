@@ -9,7 +9,7 @@ from proofun.errors import (
 )
 from proofun.normalize import strongly_normalize
 from proofun.parser import fix_id, fix_index, parse_command, parse_term
-from proofun.pretty import render, render_error, show_term
+from proofun.pretty import render_error, show_term
 from proofun.refine import Elaborated, elaborate, elaborate_type
 from proofun.repl import Session, main, run_source
 from proofun.subtype import is_subtype
@@ -23,7 +23,7 @@ __all__ = [
     "InternalError", "LocalEnv", "MetaEnv", "ParseError", "ProverError",
     "Session", "Term", "TypeCheckError", "UnificationFailure",
     "UnresolvedMeta", "elaborate", "elaborate_type", "fix_id", "fix_index",
-    "is_subtype", "main", "parse_command", "parse_term", "render",
-    "render_error", "run_source", "show_term", "strongly_normalize",
-    "unify", "unify_essence",
+    "is_subtype", "main", "parse_command", "parse_term", "render_error",
+    "run_source", "show_term", "strongly_normalize", "unify",
+    "unify_essence",
 ]

@@ -1,6 +1,10 @@
 """The three environments: global signature, local context, and the
 meta-variable environment.
 
+Each environment has one entry class per kind, whose value is an optional
+field: `None` means declared (an axiom, a local declaration, an unsolved
+meta), a term means defined or solved.
+
 A local context is an immutable stack (index 0 is the most recent entry);
 entry types and bodies are stored relative to their own position and lifted
 on retrieval.  The essence phase uses the same stack: its declarations carry
@@ -12,7 +16,7 @@ backtracking trivial.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterator, Union as TyUnion
 
 from proofun.errors import CommandError, InternalError
@@ -25,20 +29,15 @@ from proofun.syntax import NOWHERE, Term, Underscore, lift
 
 @dataclass(frozen=True)
 class Decl:
+    """A declaration, or a local definition when `body` is set."""
     name: str
     type: Term
-
-
-@dataclass(frozen=True)
-class LocalDef:
-    name: str
-    body: Term
-    type: Term
+    body: Term | None = None
 
 
 @dataclass(frozen=True)
 class LocalEnv:
-    entries: tuple[TyUnion[Decl, LocalDef], ...] = ()
+    entries: tuple[Decl, ...] = ()
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -47,10 +46,7 @@ class LocalEnv:
         return LocalEnv((Decl(name, type_),) + self.entries)
 
     def push_def(self, name: str, body: Term, type_: Term) -> LocalEnv:
-        return LocalEnv((LocalDef(name, body, type_),) + self.entries)
-
-    def push_dummy(self) -> LocalEnv:
-        return self.push_decl("", Underscore(NOWHERE))
+        return LocalEnv((Decl(name, type_, body),) + self.entries)
 
     def find_var(self, index: int) -> tuple[Term | None, Term]:
         """Type (and body, for a local definition) of the entry at `index`,
@@ -59,9 +55,9 @@ class LocalEnv:
             raise InternalError(f"find_var: index {index} out of range")
         entry = self.entries[index]
         ty = lift(0, index + 1, entry.type)
-        if isinstance(entry, LocalDef):
-            return lift(0, index + 1, entry.body), ty
-        return None, ty
+        if entry.body is None:
+            return None, ty
+        return lift(0, index + 1, entry.body), ty
 
     def names(self) -> list[str]:
         """Name hints, innermost first (parallel to de Bruijn indices)."""
@@ -73,17 +69,12 @@ class LocalEnv:
 
 
 @dataclass(frozen=True)
-class AxiomInfo:
+class ConstInfo:
+    """An axiom, or a definition when `essence` and `body` are set."""
     type_essence: Term
     type: Term
-
-
-@dataclass(frozen=True)
-class DefInfo:
-    essence: Term
-    body: Term
-    type_essence: Term
-    type: Term
+    essence: Term | None = None
+    body: Term | None = None
 
 
 class GlobalEnv:
@@ -96,7 +87,7 @@ class GlobalEnv:
     """
 
     def __init__(self) -> None:
-        self._entries: dict[str, AxiomInfo | DefInfo] = {}
+        self._entries: dict[str, ConstInfo] = {}
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -104,28 +95,26 @@ class GlobalEnv:
     def __contains__(self, name: str) -> bool:
         return name in self._entries
 
-    def lookup(self, name: str) -> AxiomInfo | DefInfo | None:
+    def lookup(self, name: str) -> ConstInfo | None:
         return self._entries.get(name)
 
     def add_axiom(self, name: str, type_essence: Term, type_: Term) -> None:
         if name in self._entries:
             raise CommandError(f'the name "{name}" is already defined')
-        self._entries[name] = AxiomInfo(type_essence, type_)
+        self._entries[name] = ConstInfo(type_essence, type_)
 
     def add_definition(self, name: str, essence: Term, body: Term,
                        type_essence: Term, type_: Term) -> None:
         if name in self._entries:
             raise CommandError(f'the name "{name}" is already defined')
-        self._entries[name] = DefInfo(essence, body, type_essence, type_)
+        self._entries[name] = ConstInfo(type_essence, type_, essence, body)
 
     def find_const(self, is_essence: bool, name: str) -> tuple[Term | None, Term] | None:
-        """(body, type) of a definition — or (essence, type essence) on the
+        """(body, type) of a constant — or (essence, type essence) on the
         essence side; axioms answer with no body so delta leaves them fixed."""
         info = self._entries.get(name)
         if info is None:
             return None
-        if isinstance(info, AxiomInfo):
-            return None, info.type_essence if is_essence else info.type
         if is_essence:
             return info.essence, info.type_essence
         return info.body, info.type
@@ -133,7 +122,7 @@ class GlobalEnv:
     def names(self) -> list[str]:
         return list(self._entries)
 
-    def items(self) -> Iterator[tuple[str, AxiomInfo | DefInfo]]:
+    def items(self) -> Iterator[tuple[str, ConstInfo]]:
         return iter(self._entries.items())
 
     def snapshot(self) -> int:
@@ -151,49 +140,33 @@ class GlobalEnv:
 
 
 @dataclass(frozen=True)
-class SortDecl:
-    pass
+class SortMeta:
+    value: Term | None = None
 
 
 @dataclass(frozen=True)
-class SortDef:
-    sort: Term
-
-
-@dataclass(frozen=True)
-class TypedDecl:
+class TypedMeta:
     ctx: LocalEnv
     type: Term
+    value: Term | None = None
 
 
 @dataclass(frozen=True)
-class TypedDef:
+class EssMeta:
     ctx: LocalEnv
-    body: Term
-    type: Term
+    value: Term | None = None
 
 
-@dataclass(frozen=True)
-class EssDecl:
-    ctx: LocalEnv
-
-
-@dataclass(frozen=True)
-class EssDef:
-    ctx: LocalEnv
-    essence: Term
-
-
-MetaEntry = TyUnion[SortDecl, SortDef, TypedDecl, TypedDef, EssDecl, EssDef]
+MetaEntry = TyUnion[SortMeta, TypedMeta, EssMeta]
 
 
 @dataclass(frozen=True, eq=False)
 class MetaEnv:
     """Declared and solved meta-variables plus the fresh-id counter.
 
-    Instantiation is write-once: a declaration may become a definition, a
-    definition never changes.  `companions` links a typed meta-variable to
-    the essence meta standing for it during the second typing phase.
+    Instantiation is write-once: an entry's `value` is set once and never
+    changes.  `companions` links a typed meta-variable to the essence meta
+    standing for it during the second typing phase.
     """
 
     next_id: int = 0
@@ -207,8 +180,8 @@ class MetaEnv:
             raise InternalError(f"unknown meta-variable ?{mid}") from None
 
     def fresh_meta(self, decl: MetaEntry) -> tuple[MetaEnv, int]:
-        if not isinstance(decl, (SortDecl, TypedDecl, EssDecl)):
-            raise InternalError("fresh_meta expects a declaration form")
+        if decl.value is not None:
+            raise InternalError("fresh_meta expects an unsolved entry")
         mid = self.next_id
         entries = dict(self.entries)
         entries[mid] = decl
@@ -216,17 +189,10 @@ class MetaEnv:
 
     def instantiate_meta(self, mid: int, solution: Term) -> MetaEnv:
         entry = self.lookup(mid)
-        match entry:
-            case SortDecl():
-                new: MetaEntry = SortDef(solution)
-            case TypedDecl(ctx, ty):
-                new = TypedDef(ctx, solution, ty)
-            case EssDecl(ctx):
-                new = EssDef(ctx, solution)
-            case _:
-                raise InternalError(f"meta-variable ?{mid} instantiated twice")
+        if entry.value is not None:
+            raise InternalError(f"meta-variable ?{mid} instantiated twice")
         entries = dict(self.entries)
-        entries[mid] = new
+        entries[mid] = replace(entry, value=solution)
         return MetaEnv(self.next_id, entries, self.companions)
 
     def essence_companion(self, mid: int) -> tuple[MetaEnv, int]:
@@ -235,15 +201,11 @@ class MetaEnv:
         if mid in self.companions:
             return self, self.companions[mid]
         entry = self.lookup(mid)
-        if not isinstance(entry, (TypedDecl, TypedDef)):
+        if not isinstance(entry, TypedMeta):
             raise InternalError(f"?{mid} has no essence companion")
         psi = LocalEnv(tuple(Decl(e.name, Underscore(NOWHERE))
                              for e in entry.ctx.entries))
-        phi, eid = self.fresh_meta(EssDecl(psi))
+        phi, eid = self.fresh_meta(EssMeta(psi))
         companions = dict(phi.companions)
         companions[mid] = eid
         return MetaEnv(phi.next_id, phi.entries, companions), eid
-
-    def ids(self) -> list[int]:
-        return list(self.entries)
-

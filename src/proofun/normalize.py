@@ -31,7 +31,7 @@ from dataclasses import fields, replace
 from operator import attrgetter, is_
 from typing import TypeAlias
 
-from proofun.env import EssDef, GlobalEnv, LocalDef, LocalEnv, MetaEnv, SortDef, TypedDef
+from proofun.env import GlobalEnv, LocalEnv, MetaEnv, SortMeta
 from proofun.errors import FuelExhausted, InternalError
 from proofun.syntax import (
     NOWHERE, Abs, App, Coercion, Const, Inter, Let, Location, Meta, Prod, SInLeft,
@@ -58,7 +58,6 @@ class _Fuel:
 # Node kinds whose root is never a redex: `whnf` hands them back untouched.
 _INERT = frozenset({Prod, Abs, Inter, Union, Sort, SPair, SInLeft, SInRight,
                     Coercion, Underscore})
-_SOLVED = (SortDef, TypedDef, EssDef)  # the entries of a solved meta
 
 
 def is_eta(t: Term) -> bool:
@@ -86,15 +85,12 @@ def delta_phi_expand(phi: MetaEnv, m: Meta) -> Term | None:
     """Solution of an instantiated meta-variable with its suspended
     substitution applied; None while the meta is only declared."""
     entry = phi.lookup(m.mid)
-    match entry:
-        case SortDef(sort):
-            return sort  # sort metas ignore their suspension
-        case TypedDef(ctx, body, _) | EssDef(ctx, body):
-            if len(ctx) != len(m.susp):
-                raise InternalError("suspension length does not match the meta context")
-            return msubst(body, m.susp)
-        case _:
-            return None
+    value = entry.value
+    if value is None or type(entry) is SortMeta:
+        return value  # sort metas ignore their suspension
+    if len(entry.ctx) != len(m.susp):
+        raise InternalError("suspension length does not match the meta context")
+    return msubst(value, m.susp)
 
 
 def strongly_normalize(is_essence: bool, genv: GlobalEnv, ctx: LocalEnv,
@@ -222,10 +218,11 @@ class _Machine:
             entries = self.ctx.entries
             if not 0 <= index < len(entries):
                 raise InternalError(f"_eval: unbound index {index}") from None
-            if isinstance(entries[index], LocalDef):
-                thunk = _Thunk(entries[index].body, index + 1)
-            else:
+            body = entries[index].body
+            if body is None:
                 thunk = _Thunk(None, None, _Rigid(len(entries) - 1 - index, ()))
+            else:
+                thunk = _Thunk(body, index + 1)
             self.entries[index] = thunk
             return thunk
 
@@ -415,7 +412,7 @@ def whnf(phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv, t: Term,
     an unsolved meta and an axiom or unbound constant do so at once, without
     entering the evaluator."""
     k = type(t)
-    if k in _INERT or k is Meta and not isinstance(phi.lookup(t.mid), _SOLVED):
+    if k in _INERT or k is Meta and phi.lookup(t.mid).value is None:
         return t
     if k is Const and (genv.find_const(is_essence, t.name) or (None,))[0] is None:
         return t  # an axiom or an unbound name

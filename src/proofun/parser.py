@@ -1,5 +1,7 @@
 """Lexer and recursive-descent parser for the concrete term syntax and the
-command language, plus the named/indexed conversions `fix_index` / `fix_id`.
+command language, plus the named/indexed conversions `fix_index` / `fix_id`
+(the checker prints indexed terms with `show_term` and does not call
+`fix_id`).
 
 The parser produces terms whose variables are all `Const` nodes; `fix_index`
 then rewrites names bound by enclosing binders into de Bruijn `Var` indices,
@@ -523,8 +525,8 @@ def fix_id(t: Term, scope: tuple[str, ...] | list[str] = ()) -> Term:
     """Replace de Bruijn indices with printable names: the named copy of `t`
     that `show_term` prints, with each binder named by the printer's policy
     (`binder_names`).  A product or `smatch` motive whose bound variable is
-    never used gets the name `""`, so `render` need not ask where its name
-    occurs."""
+    never used gets the name `""`, so the name's occurrence decides whether
+    it prints as dependent."""
     bind, enter, leave, names, used = binder_names(t, scope)
 
     # One frame per nesting level: the spine and every binder are walked here.

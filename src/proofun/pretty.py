@@ -1,14 +1,12 @@
 """Precedence-aware printing of terms as concrete syntax, and the caret-style
 error display used by the REPL.
 
-One walk prints both kinds of term.  `show_term` prints an indexed term: at
-each binder it picks a printable name (`binder_names`, the policy `fix_id`
-also follows), it resolves each `Var` to its binder's name as it goes, and
-it prints a product as `forall` only when that name was printed in the
-codomain.  `render` prints a named term (from the parser, or `fix_id`'s
-output): each binder keeps its hint, and a product is dependent when its
-name occurs in its codomain.  Printing is minimal: parentheses appear only
-where re-parsing would otherwise change the tree, so `parse_term(render(t))`
+`show_term` prints an indexed term in one walk: at each binder it picks a
+printable name (`binder_names`, the policy `fix_id` also follows), it
+resolves each `Var` to its binder's name as it goes, and it prints a
+product as `forall` only when that name was printed in the codomain.
+Printing is minimal: parentheses appear only where re-parsing would
+otherwise change the tree, so `fix_index(parse_term(show_term(t)))`
 round-trips.
 """
 
@@ -89,12 +87,13 @@ def binder_names(root: Term, scope: tuple[str, ...] | list[str] = ()) -> tuple:
     return bind, enter, leave, names, used
 
 
-def _print(t: Term, prec: int, policy: tuple) -> str:
-    """The text of `t` where precedence `prec` is expected, with binders
-    named by `policy`, a tuple shaped like `binder_names`' result.  One
-    Python frame per nesting level: every node kind, spines and binders
-    included, is printed in `go` itself."""
-    bind, enter, leave, names, used = policy
+@too_deep_as_error
+def show_term(t: Term, scope: tuple[str, ...] | list[str] = ()) -> str:
+    """Concrete syntax for an indexed term under the given scope names
+    (innermost first), with `binder_names`' names.  One Python frame per
+    nesting level: every node kind, spines and binders included, is printed
+    in `go` itself."""
+    bind, enter, leave, names, used = binder_names(t, scope)
 
     def go(t: Term, prec: int) -> str:
         tp = type(t)
@@ -182,8 +181,7 @@ def _print(t: Term, prec: int, policy: tuple) -> str:
                     parts.append(f"return {result}")
             else:  # eta-reduced by normalisation: `P` prints as `as x return P x`
                 name = bind("", motive)
-                if name:  # `render` keeps the empty hint: a named term prints no clause
-                    parts.append(f"as {name} return {go(motive, _APP)} {name}")
+                parts.append(f"as {name} return {go(motive, _APP)} {name}")
             branches = []
             for name, annot, branch in ((n1, t.annot1, b1), (n2, t.annot2, b2)):
                 head = name if type(annot) is Underscore else f"{name} : {go(annot, _ARROW)}"
@@ -196,23 +194,7 @@ def _print(t: Term, prec: int, policy: tuple) -> str:
             raise InternalError(f"printer: unknown node {t!r}")
         return f"({text})" if prec > _LEVEL[tp] else text
 
-    return go(t, prec)
-
-
-def render(t: Term, prec: int = _ARROW) -> str:
-    """Concrete syntax for a named term (no `Var` nodes): each binder prints
-    its own name, and a product is dependent when its name occurs in its
-    codomain (`fix_id` names the others `""`)."""
-    occurs = ConstOccurrences(t).occurs
-    return _print(t, prec, (lambda hint, _child: hint, lambda _name: None,
-                            lambda name, child: name != "" and occurs(name, child), [], []))
-
-
-@too_deep_as_error
-def show_term(t: Term, scope: tuple[str, ...] | list[str] = ()) -> str:
-    """Concrete syntax for an indexed term under the given scope names
-    (innermost first), printed in one walk with `binder_names`' names."""
-    return _print(t, _ARROW, binder_names(t, scope))
+    return go(t, _ARROW)
 
 
 def render_error(source_text: str, err: ProverError) -> str:

@@ -27,10 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import is_
 
-from proofun.env import (
-    EssDecl, EssDef, GlobalEnv, LocalEnv, MetaEnv, SortDecl, SortDef,
-    TypedDecl, TypedDef,
-)
+from proofun.env import GlobalEnv, LocalEnv, MetaEnv, SortMeta, TypedMeta
 from proofun.errors import (
     EssenceMismatch, InternalError, TypeCheckError, UnificationFailure,
     UnresolvedMeta, too_deep_as_error,
@@ -84,7 +81,7 @@ def _unify_or(phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv, a: Term, b: Term,
 
 def _hole(phi: MetaEnv, ctx: LocalEnv, ty: Term, loc: Location) -> tuple[MetaEnv, Meta]:
     """A fresh meta ?x : `ty` over `ctx`, under the identity suspension."""
-    phi, mid = phi.fresh_meta(TypedDecl(ctx, ty))
+    phi, mid = phi.fresh_meta(TypedMeta(ctx, ty))
     return phi, Meta(loc, mid, erase_context(len(ctx)))
 
 
@@ -171,16 +168,16 @@ def reconstruct(phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv, t: Term
                 raise TypeCheckError(f'unknown identifier "{name}"', loc)
             return t, found[1], phi
         case Underscore(loc):  # ?x : ?y : ?z, a term, a type and a sort meta
-            phi, zid = phi.fresh_meta(SortDecl())
+            phi, zid = phi.fresh_meta(SortMeta())
             phi, ty = _hole(phi, ctx, Meta(loc, zid, ()), loc)
             phi, term = _hole(phi, ctx, ty, loc)
             return term, ty, phi
         case Meta(loc, mid, susp):
             entry = phi.lookup(mid)
             match entry:
-                case SortDecl() | SortDef():
+                case SortMeta():
                     return t, sort_kind(loc), phi
-                case TypedDecl(mctx, ty) | TypedDef(mctx, _, ty):
+                case TypedMeta(mctx, ty):
                     n = len(mctx)
                     if len(susp) != n:
                         raise InternalError("bad suspension length")
@@ -232,7 +229,7 @@ def reconstruct(phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv, t: Term
                     sigma = sigma.codomain
                 else:
                     arg2, sigma1, phi = reconstruct(phi, genv, ctx, arg)
-                    phi, yid = phi.fresh_meta(SortDecl())
+                    phi, yid = phi.fresh_meta(SortMeta())
                     phi, cod = _hole(phi, ctx.push_decl("x", sigma1), Meta(loc, yid, ()), loc)
                     phi = _unify_or(phi, genv, ctx, sigma, Prod(loc, "x", sigma1, cod), loc,
                                     'the term "{t}" has type "{a}" and cannot be applied',
@@ -325,7 +322,7 @@ def force_type(phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv, t: Term
     t2, tau, phi = reconstruct(phi, genv, ctx, t)
     if isinstance(whnf(phi, genv, ctx, tau), Sort):
         return t2, tau, phi
-    phi, sid = phi.fresh_meta(SortDecl())
+    phi, sid = phi.fresh_meta(SortMeta())
     return t2, tau, _unify_or(phi, genv, ctx, tau, Meta(t.loc, sid, ()), t.loc,
                               'the term "{t}" is not a type', t2)
 
@@ -413,7 +410,7 @@ def essence(phi: MetaEnv, genv: GlobalEnv, psi: LocalEnv, t: Term
             raise InternalError("essence of an unrefined placeholder")
         case Meta(loc, mid, susp):
             entry = phi.lookup(mid)
-            if isinstance(entry, (SortDecl, SortDef, EssDecl, EssDef)):
+            if not isinstance(entry, TypedMeta):
                 return t, phi
             phi, eid = phi.essence_companion(mid)
             parts: list[Term] = []

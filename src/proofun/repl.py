@@ -20,7 +20,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import IO
 
-from proofun.env import AxiomInfo, GlobalEnv, LocalEnv
+from proofun.env import GlobalEnv, LocalEnv
 from proofun.errors import (
     CommandError, FuelExhausted, LexError, ParseError, ProverError, TOO_DEEP,
 )
@@ -98,17 +98,17 @@ def exec_command(session: Session, cmd: Command) -> None:
             if info is None:
                 raise CommandError(f'unknown identifier "{name}"', loc)
             session.emit(f"{name} : {show_term(info.type)}")
-            if not isinstance(info, AxiomInfo):
+            if info.body is not None:
                 session.emit(f"{name} := {show_term(info.body)}")
         case Printall():
             for name, info in genv.items():
-                kind = "Axiom" if isinstance(info, AxiomInfo) else "Definition"
+                kind = "Axiom" if info.body is None else "Definition"
                 session.emit(f"{kind} {name} : {show_term(info.type)}")
         case Compute(loc, name):
             info = genv.lookup(name)
             if info is None:
                 raise CommandError(f'unknown identifier "{name}"', loc)
-            if isinstance(info, AxiomInfo):
+            if info.body is None:
                 session.emit(name)  # axioms are their own normal form
             else:
                 nf = strongly_normalize(False, genv, LocalEnv(), info.body)

@@ -492,8 +492,7 @@ class ConstOccurrences:
     constants at each, so any one of its intervals answers for all.
     `show_term` asks only while it picks a binder's name, so it builds the
     index only when a binder hint, or a suffixed candidate for it, is a
-    constant's name; `render` also asks whether a binder of a named term
-    occurs in its scope.
+    constant's name.
     """
 
     __slots__ = ("_root", "_names", "_at", "_spans")

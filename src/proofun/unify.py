@@ -22,9 +22,7 @@ anything harder fails rather than postponing constraints.
 
 from __future__ import annotations
 
-from proofun.env import (
-    Decl, EssDecl, GlobalEnv, LocalDef, LocalEnv, MetaEnv, SortDecl, TypedDecl,
-)
+from proofun.env import Decl, EssMeta, GlobalEnv, LocalEnv, MetaEnv, SortMeta, TypedMeta
 from proofun.errors import InternalError, UnificationFailure
 from proofun.normalize import normalize_meta, whnf, zonk
 from proofun.syntax import (
@@ -104,7 +102,7 @@ def _prune_meta(phi: MetaEnv, mid: int, keep: list[int]) -> MetaEnv | None:
     """Instantiate `mid` with a fresh meta over the kept context positions.
     None when a kept entry (or the meta's type) depends on a dropped one."""
     entry = phi.lookup(mid)
-    if not isinstance(entry, (TypedDecl, EssDecl)):
+    if type(entry) is SortMeta or entry.value is not None:
         return None
     n = len(entry.ctx)
     kept = sorted(set(keep))
@@ -119,19 +117,16 @@ def _prune_meta(phi: MetaEnv, mid: int, keep: list[int]) -> MetaEnv | None:
 
     try:
         old = entry.ctx.entries
-        rebuilt: list[Decl | LocalDef] = []
+        rebuilt: list[Decl] = []
         for r, p in enumerate(kept):
             e = old[n - 1 - p]
-            if isinstance(e, LocalDef):
-                rebuilt.append(LocalDef(e.name, cut(e.body, r, p),
-                                        cut(e.type, r, p)))
-            else:
-                rebuilt.append(Decl(e.name, cut(e.type, r, p)))
+            rebuilt.append(Decl(e.name, cut(e.type, r, p),
+                                None if e.body is None else cut(e.body, r, p)))
         pruned_ctx = LocalEnv(tuple(reversed(rebuilt)))
-        if isinstance(entry, TypedDecl):
-            decl = TypedDecl(pruned_ctx, cut(entry.type, len(kept), n))
+        if type(entry) is TypedMeta:
+            decl = TypedMeta(pruned_ctx, cut(entry.type, len(kept), n))
         else:
-            decl = EssDecl(pruned_ctx)
+            decl = EssMeta(pruned_ctx)
         phi, fresh = phi.fresh_meta(decl)
     except (_NotInvertible, _NeedsPruning):
         return None
@@ -149,14 +144,14 @@ def try_hopu(phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv, m: Meta, rhs: Term,
         rhs_n = normalize_meta(phi, genv, ctx, rhs, is_essence)
         if _occurs(m.mid, rhs_n):
             raise UnificationFailure(m, rhs_n, m.loc)
-        if isinstance(entry, SortDecl):
+        if entry.value is not None:
+            raise InternalError("try_hopu on an instantiated meta-variable")
+        if type(entry) is SortMeta:
             if isinstance(rhs_n, Sort):
                 return phi.instantiate_meta(m.mid, rhs_n)
-            if isinstance(rhs_n, Meta) and isinstance(phi.lookup(rhs_n.mid), SortDecl):
+            if isinstance(rhs_n, Meta) and phi.lookup(rhs_n.mid) == SortMeta():
                 return phi.instantiate_meta(m.mid, rhs_n)
             return None
-        if not isinstance(entry, (TypedDecl, EssDecl)):
-            raise InternalError("try_hopu on an instantiated meta-variable")
         if len(entry.ctx) != len(m.susp):
             raise InternalError("suspension length does not match the meta context")
         inverse = _suspension_inverse(m.susp)

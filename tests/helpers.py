@@ -9,10 +9,7 @@ import random
 from dataclasses import replace
 from typing import NamedTuple
 
-from proofun.env import (
-    EssDecl, EssDef, GlobalEnv, LocalEnv, MetaEnv, SortDecl, SortDef,
-    TypedDecl,
-)
+from proofun.env import EssMeta, GlobalEnv, LocalEnv, MetaEnv, SortMeta, TypedMeta
 from proofun.errors import (
     FuelExhausted, InternalError, LexError, ProverError, TypeCheckError,
     UnificationFailure,
@@ -39,6 +36,11 @@ CORPUS_FILES = ["basics.bull", "pierce.bull", "harrop.bull",
 
 def corpus_path(name: str) -> str:
     return os.path.join(CORPUS_DIR, name)
+
+
+def push_dummy(ctx: LocalEnv) -> LocalEnv:
+    """`ctx` under one more binder, whose name and type play no part."""
+    return ctx.push_decl("", Underscore(NOWHERE))
 
 
 def P(src: str) -> Term:
@@ -291,7 +293,7 @@ def reference_normalize(phi: MetaEnv | None, is_essence: bool, genv: GlobalEnv,
             if left[0] < 0:
                 raise InternalError("reference_normalize ran out of fuel")
             t = visit_term(lambda c: norm(ctx, c),
-                           lambda _s, c: norm(ctx.push_dummy(), c),
+                           lambda _s, c: norm(push_dummy(ctx), c),
                            lambda s, _c: s, t)
             t, again = _reference_contract(phi, is_essence, genv, ctx, t)
             if not again:
@@ -525,13 +527,13 @@ def unify_outcome(unifier, phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv,
         return type(exc).__name__
     solutions = {}
     for mid, entry in out.entries.items():
-        if isinstance(entry, (SortDecl, TypedDecl, EssDecl)):
+        if entry.value is None:
             solutions[mid] = None
             continue
-        if isinstance(entry, SortDef):
-            solutions[mid] = normalize_meta(out, genv, LocalEnv(), entry.sort)
+        if isinstance(entry, SortMeta):
+            solutions[mid] = normalize_meta(out, genv, LocalEnv(), entry.value)
             continue
-        essence = isinstance(entry, EssDef)
+        essence = isinstance(entry, EssMeta)
         meta = Meta(NOWHERE, mid, erase_context(len(entry.ctx)))
         solutions[mid] = normalize_meta(out, genv, entry.ctx, meta, essence)
     return solutions
@@ -754,7 +756,7 @@ def reference_force_type(phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv, t: Term
     as_type = probe(sort_type(loc))
     as_kind = probe(sort_kind(loc))
     if as_type is not None and as_kind is not None:
-        phi2, sid = phi.fresh_meta(SortDecl())
+        phi2, sid = phi.fresh_meta(SortMeta())
         phi3 = unify(phi2, genv, ctx, tau, Meta(loc, sid, ()))
         return t2, tau, phi3
     if as_type is not None:
@@ -792,7 +794,7 @@ def reference_essence(phi: MetaEnv, genv: GlobalEnv, psi: LocalEnv, t: Term
             case Underscore():
                 raise InternalError("essence of an unrefined placeholder")
             case Meta(loc, mid, susp):
-                if isinstance(phi.lookup(mid), (SortDecl, SortDef, EssDecl, EssDef)):
+                if not isinstance(phi.lookup(mid), TypedMeta):
                     return t, phi
                 phi, eid = phi.essence_companion(mid)
                 parts = []

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from proofun.env import EssDef, GlobalEnv, LocalEnv, MetaEnv, TypedDecl
+from proofun.env import EssMeta, GlobalEnv, LocalEnv, MetaEnv, TypedMeta
 from proofun.errors import EssenceMismatch, TypeCheckError
 from proofun.normalize import normalize_meta, strongly_normalize, zonk
 from proofun.parser import fix_index, parse_term
@@ -73,13 +73,13 @@ def test_criterion_2_refinement_worked_examples():
     hole = term.right.body
     assert isinstance(hole, Meta)
     entry = phi.lookup(hole.mid)
-    assert isinstance(entry, TypedDecl) and entry.type == P("t")
+    assert isinstance(entry, TypedMeta) and entry.value is None and entry.type == P("t")
     _m, phi = essence(phi, genv2, LocalEnv(), zonk(phi, term))
     companion = phi.lookup(phi.companions[hole.mid])
-    assert isinstance(companion, EssDef)
+    assert isinstance(companion, EssMeta) and companion.value is not None
     # essence(?y) is beta-equal to the bound variable x
     psi = LocalEnv().push_decl("x", Underscore(L))
-    solved = normalize_meta(phi, genv2, psi, companion.essence, is_essence=True)
+    solved = normalize_meta(phi, genv2, psi, companion.value, is_essence=True)
     assert solved == Var(L, 0)
     print("\nPASS criterion 2: eq_refl _ : eq _ 0 elaborates to eq_refl 0 : "
           "eq 0 0; strong-pair hole has essence x")
@@ -161,7 +161,7 @@ def test_criterion_5_unifier_soundness():
         head = rng.choice([Var(L, rng.randrange(n)), Const(L, "f")])
         rhs = head if rng.random() < 0.4 else mk_app(
             L, Const(L, "f"), (Var(L, rng.randrange(n)),))
-        phi, mid = MetaEnv().fresh_meta(TypedDecl(mctx, atom))
+        phi, mid = MetaEnv().fresh_meta(TypedMeta(mctx, atom))
         problem = Meta(L, mid, susp)
         phi = unify(phi, genv, pctx, problem, rhs)
         n1 = normalize_meta(phi, genv, pctx, problem)
@@ -178,11 +178,11 @@ def test_criterion_5_unifier_soundness():
             .push_decl("y", Const(L, "s2")).push_decl("z", Const(L, "s3")))
     mctx = (LocalEnv().push_decl("y", Const(L, "s2"))
             .push_decl("x", Const(L, "s1")).push_decl("z", Const(L, "s3")))
-    phi, fid = MetaEnv().fresh_meta(TypedDecl(mctx, Const(L, "s4")))
+    phi, fid = MetaEnv().fresh_meta(TypedMeta(mctx, Const(L, "s4")))
     lhs = Meta(L, fid, (Var(L, 1), Var(L, 2), Var(L, 0)))  # ?f[y; x; z]
     rhs = mk_app(L, Var(L, 2), (Const(L, "c"), Var(L, 1)))  # x c y
     phi = unify(phi, genv2, ctx2, lhs, rhs)
-    solution = phi.lookup(fid).body
+    solution = phi.lookup(fid).value
     lam = solution
     for name, ty in (("z", "s3"), ("x", "s1"), ("y", "s2")):
         lam = Abs(L, name, Const(L, ty), lam)
@@ -208,12 +208,11 @@ def test_criterion_6_normalization_properties():
         assert once == normalize_meta(MetaEnv(), genv, ctx, t)
 
     # corpus definitions: idempotence, delta-transparency, essence coherence
-    from proofun.env import AxiomInfo
     for name in CORPUS_FILES:
         s = Session(quiet=True, out=io.StringIO(), err=io.StringIO())
         assert load_file(s, corpus_path(name))
         for const, info in s.genv.items():
-            if isinstance(info, AxiomInfo):
+            if info.body is None:
                 continue
             nf = strongly_normalize(False, s.genv, ctx, info.body)
             assert nf == strongly_normalize(False, s.genv, ctx, nf)

@@ -1,12 +1,11 @@
 """Environments: lookup lifting, meta bookkeeping, signature discipline."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
-from proofun.env import (
-    EssDecl, GlobalEnv, LocalEnv, MetaEnv, SortDecl, SortDef, TypedDecl,
-)
+from proofun.env import EssMeta, GlobalEnv, LocalEnv, MetaEnv, SortMeta, TypedMeta
 from proofun.errors import CommandError, InternalError
 from proofun.normalize import delta_phi_expand
 from proofun.syntax import (
@@ -120,59 +119,88 @@ def test_snapshot_isolated_from_later_insertions():
 
 # ------------- MetaEnv -------------
 
+_MCTX = LocalEnv().push_decl("x", Const(L, "s"))
+# One unsolved entry of each meta kind (sort, typed, essence), with a
+# solution of the right kind.  The lifecycle tests run over all three.
+_UNSOLVED = [
+    (SortMeta(), sort_type()),
+    (TypedMeta(_MCTX, Const(L, "s")), Var(L, 0)),
+    (EssMeta(_MCTX), Var(L, 0)),
+]
+
 
 def test_fresh_ids_are_consecutive_and_entries_kept():
     phi = MetaEnv()
-    phi, a = phi.fresh_meta(SortDecl())
-    phi, b = phi.fresh_meta(SortDecl())
+    phi, a = phi.fresh_meta(SortMeta())
+    phi, b = phi.fresh_meta(SortMeta())
     assert (a, b) == (0, 1)
-    assert phi.lookup(a) == SortDecl()
+    assert phi.lookup(a) == SortMeta()
 
 
 def test_fresh_typed_decl_retrievable():
     ctx = LocalEnv().push_decl("x", Const(L, "s"))
-    phi, mid = MetaEnv().fresh_meta(TypedDecl(ctx, Const(L, "s")))
+    phi, mid = MetaEnv().fresh_meta(TypedMeta(ctx, Const(L, "s")))
     entry = phi.lookup(mid)
-    assert entry.ctx == ctx and entry.type == Const(L, "s")
+    assert entry.ctx == ctx and entry.type == Const(L, "s") and entry.value is None
 
 
 def test_instantiate_then_lookup():
-    phi, mid = MetaEnv().fresh_meta(SortDecl())
-    phi = phi.instantiate_meta(mid, sort_type())
-    assert phi.lookup(mid) == SortDef(sort_type())
+    # Instantiation sets the value and keeps everything else of the entry.
+    for unsolved, solution in _UNSOLVED:
+        phi, mid = MetaEnv().fresh_meta(unsolved)
+        phi = phi.instantiate_meta(mid, solution)
+        solved = phi.lookup(mid)
+        assert type(solved) is type(unsolved) and solved.value is solution
+        assert replace(solved, value=None) == unsolved
+        if not isinstance(unsolved, SortMeta):
+            assert solved.ctx is unsolved.ctx
+        if isinstance(unsolved, TypedMeta):
+            assert solved.type is unsolved.type
 
 
 def test_instantiate_does_not_disturb_others():
-    phi, a = MetaEnv().fresh_meta(SortDecl())
-    phi, b = phi.fresh_meta(SortDecl())
-    phi = phi.instantiate_meta(a, sort_type())
-    assert phi.lookup(b) == SortDecl()
+    for unsolved, solution in _UNSOLVED:
+        phi, a = MetaEnv().fresh_meta(unsolved)
+        phi, b = phi.fresh_meta(unsolved)
+        phi = phi.instantiate_meta(a, solution)
+        assert phi.lookup(b) == unsolved
 
 
 def test_double_instantiation_is_internal_error():
-    phi, mid = MetaEnv().fresh_meta(SortDecl())
-    phi = phi.instantiate_meta(mid, sort_type())
-    with pytest.raises(InternalError):
-        phi.instantiate_meta(mid, sort_type())
+    for unsolved, solution in _UNSOLVED:
+        phi, mid = MetaEnv().fresh_meta(unsolved)
+        phi = phi.instantiate_meta(mid, solution)
+        with pytest.raises(InternalError):
+            phi.instantiate_meta(mid, solution)
+
+
+def test_fresh_meta_of_a_solved_entry_is_internal_error():
+    for unsolved, solution in _UNSOLVED:
+        with pytest.raises(InternalError):
+            MetaEnv().fresh_meta(replace(unsolved, value=solution))
 
 
 def test_sort_meta_delta_reduction():
-    phi, mid = MetaEnv().fresh_meta(SortDecl())
+    phi, mid = MetaEnv().fresh_meta(SortMeta())
     phi = phi.instantiate_meta(mid, sort_type())
     assert delta_phi_expand(phi, Meta(L, mid, ())) == sort_type()
 
 
 def test_essence_companion_is_stable():
-    ctx = LocalEnv().push_decl("x", Const(L, "s"))
-    phi, mid = MetaEnv().fresh_meta(TypedDecl(ctx, Const(L, "s")))
-    phi, e1 = phi.essence_companion(mid)
-    phi, e2 = phi.essence_companion(mid)
-    assert e1 == e2
-    assert isinstance(phi.lookup(e1), EssDecl)
-    assert len(phi.lookup(e1).ctx) == len(ctx)
-    # The companion's context is the typed one with every type erased.
-    assert phi.lookup(e1).ctx.names() == ctx.names()
-    assert all(isinstance(e.type, Underscore) for e in phi.lookup(e1).ctx.entries)
+    with_def = _MCTX.push_def("d", Var(L, 0), Const(L, "s"))
+    for ctx in (_MCTX, with_def):
+        phi, mid = MetaEnv().fresh_meta(TypedMeta(ctx, Const(L, "s")))
+        phi, e1 = phi.essence_companion(mid)
+        phi, e2 = phi.essence_companion(mid)
+        assert e1 == e2
+        companion = phi.lookup(e1)
+        assert isinstance(companion, EssMeta) and companion.value is None
+        assert len(companion.ctx) == len(ctx)
+        # The companion's context is the typed one with every type erased
+        # and every local definition's body dropped.
+        assert companion.ctx.names() == ctx.names()
+        assert all(isinstance(e.type, Underscore) and e.body is None
+                   for e in companion.ctx.entries)
 
 
 def test_replaying_corpus_preserves_prefix_typing():
@@ -183,9 +211,8 @@ def test_replaying_corpus_preserves_prefix_typing():
     define(genv, "pick", "fun u : A => h u (g u)")
     replay = GlobalEnv()
     for name, info in genv.items():
-        from proofun.env import AxiomInfo
         from proofun.refine import elaborate
-        if isinstance(info, AxiomInfo):
+        if info.body is None:
             replay.add_axiom(name, info.type_essence, info.type)
         else:
             result = elaborate(replay, info.body, info.type)

@@ -1,6 +1,6 @@
 """Source hygiene of `src/proofun`: no unused import, no module-level
-private name that nothing uses, and no name the benchmark tracer wraps
-missing.  No linter is installed, so these tests are the guard."""
+private name or public method that nothing uses, and no name the benchmark
+tracer wraps missing.  No linter is installed, so these tests are the guard."""
 
 import ast
 import importlib
@@ -80,6 +80,19 @@ def test_every_private_module_name_is_used():
             dead += [f"{path.name}:{name}" for name in defined
                      if name.startswith("_") and not name.startswith("__")
                      and name not in used]
+    assert dead == []
+
+
+def test_every_public_method_is_used():
+    # A method nothing reads is dead code, whatever its name.
+    used = set().union(*(_uses(_parse(path)) for path in SEARCHED))
+    dead = []
+    for path in SOURCES:
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.ClassDef):
+                dead += [f"{path.name}:{node.name}.{item.name}" for item in node.body
+                         if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                         and not item.name.startswith("_") and item.name not in used]
     assert dead == []
 
 

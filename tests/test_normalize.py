@@ -10,15 +10,13 @@ import random
 import pytest
 
 from proofun import normalize
-from proofun.env import (
-    Decl, DefInfo, EssDecl, GlobalEnv, LocalEnv, MetaEnv, SortDecl, TypedDecl,
-)
+from proofun.env import Decl, EssMeta, GlobalEnv, LocalEnv, MetaEnv, SortMeta, TypedMeta
 from proofun.errors import FuelExhausted, InternalError
 from proofun.normalize import (
     delta_phi_expand, is_eta, normalize_meta, strongly_normalize, whnf, zonk,
 )
 from proofun.parser import fix_id, fix_index, parse_term
-from proofun.pretty import render, show_term
+from proofun.pretty import show_term
 from proofun.refine import elaborate
 from proofun.repl import Session, load_file
 from proofun.syntax import (
@@ -28,9 +26,9 @@ from proofun.syntax import (
 )
 
 from helpers import (
-    CORPUS_FILES, P, axiom, corpus_path, define, make_test_genv,
+    CORPUS_FILES, P, axiom, corpus_path, define, make_test_genv, push_dummy,
     random_refined_term, random_simple_type, random_typed_term, reference_normalize,
-    reference_whnf,
+    reference_render, reference_whnf,
 )
 
 L = NOWHERE
@@ -45,8 +43,8 @@ def nf(genv, t):
 
 def test_projection_of_strong_pair():
     genv = GlobalEnv()
-    assert render(fix_id(nf(genv, P("proj_l < d1, d2 >")))) == "d1"
-    assert render(fix_id(nf(genv, P("proj_r < d1, d2 >")))) == "d2"
+    assert reference_render(fix_id(nf(genv, P("proj_l < d1, d2 >")))) == "d1"
+    assert reference_render(fix_id(nf(genv, P("proj_r < d1, d2 >")))) == "d2"
 
 
 def test_injection_reduces_matching_branch():
@@ -55,7 +53,7 @@ def test_injection_reduces_matching_branch():
     sm = SMatch(L, P("inj_l rho d3"), motive,
                 "x", Const(L, "tau"), fix_index(parse_term("f1 x"), ["x"]),
                 "x", Const(L, "rho"), fix_index(parse_term("f2 x"), ["x"]))
-    assert render(fix_id(nf(genv, sm))) == "f1 d3"
+    assert reference_render(fix_id(nf(genv, sm))) == "f1 d3"
 
 
 def test_beta_merges_spines():
@@ -70,7 +68,7 @@ def test_beta_merges_spines():
 
 def test_eta_reduction():
     genv = GlobalEnv()
-    assert render(fix_id(nf(genv, P("fun x : A => f x")))) == "f"
+    assert reference_render(fix_id(nf(genv, P("fun x : A => f x")))) == "f"
     # x free in the head: no eta
     t = P("fun x : A => x x")
     assert nf(genv, t) == t
@@ -78,15 +76,15 @@ def test_eta_reduction():
 
 def test_zeta_reduces_let():
     genv = GlobalEnv()
-    assert render(fix_id(nf(genv, P("let x : s := d1 in f x x")))) == "f d1 d1"
+    assert reference_render(fix_id(nf(genv, P("let x : s := d1 in f x x")))) == "f d1 d1"
 
 
 def test_delta_global_definitions_unfold_but_axioms_stay():
     genv = make_test_genv()
     from helpers import define
     define(genv, "twice", "fun u : A => f (f u)")
-    assert render(fix_id(nf(genv, P("twice a")))) == "f (f a)"
-    assert render(fix_id(nf(genv, P("f a")))) == "f a"  # axiom head is rigid
+    assert reference_render(fix_id(nf(genv, P("twice a")))) == "f (f a)"
+    assert reference_render(fix_id(nf(genv, P("f a")))) == "f a"  # axiom head is rigid
 
 
 def test_delta_local_definition():
@@ -110,7 +108,7 @@ def test_printing_example_renders_y0():
     axiom(genv, "nat", "Type")
     axiom(genv, "y", "nat")
     t = P("(fun (x y : nat) => x) y")
-    assert render(fix_id(nf(genv, t))) == "fun y0 : nat => y"
+    assert reference_render(fix_id(nf(genv, t))) == "fun y0 : nat => y"
 
 
 # ------------- is_eta -------------
@@ -132,22 +130,21 @@ def test_is_eta_shifted_indices():
 
 
 def test_uninstantiated_meta_expands_to_none():
-    phi, mid = MetaEnv().fresh_meta(TypedDecl(LocalEnv(), Const(L, "s")))
+    phi, mid = MetaEnv().fresh_meta(TypedMeta(LocalEnv(), Const(L, "s")))
     assert delta_phi_expand(phi, Meta(L, mid, ())) is None
 
 
 def test_suspension_substitutes_into_solution():
     # (x : s |- ?y := x) expands ?y[c] to c.
     ctx = LocalEnv().push_decl("x", Const(L, "s"))
-    phi, mid = MetaEnv().fresh_meta(TypedDecl(ctx, Const(L, "s")))
+    phi, mid = MetaEnv().fresh_meta(TypedMeta(ctx, Const(L, "s")))
     phi = phi.instantiate_meta(mid, Var(L, 0))
     assert delta_phi_expand(phi, Meta(L, mid, (Const(L, "c"),))) == Const(L, "c")
 
 
 def test_sort_meta_discards_suspension():
-    from proofun.env import SortDecl
     from proofun.syntax import sort_type
-    phi, mid = MetaEnv().fresh_meta(SortDecl())
+    phi, mid = MetaEnv().fresh_meta(SortMeta())
     phi = phi.instantiate_meta(mid, sort_type())
     assert delta_phi_expand(phi, Meta(L, mid, (Const(L, "junk"),))) == sort_type()
 
@@ -265,8 +262,8 @@ def _solved_meta_chain():
     """`?outer[c]` in the context `x : s`, where `?outer := ?inner[x]` and
     `?inner := x`: two solved metas to expand, giving `c`."""
     ctx = LocalEnv().push_decl("x", Const(L, "s"))
-    phi, inner = MetaEnv().fresh_meta(TypedDecl(ctx, Const(L, "s")))
-    phi, outer = phi.fresh_meta(TypedDecl(ctx, Const(L, "s")))
+    phi, inner = MetaEnv().fresh_meta(TypedMeta(ctx, Const(L, "s")))
+    phi, outer = phi.fresh_meta(TypedMeta(ctx, Const(L, "s")))
     phi = phi.instantiate_meta(inner, Var(L, 0))
     phi = phi.instantiate_meta(outer, Meta(L, inner, erase_context(1)))
     return phi, ctx, Meta(L, outer, (Const(L, "c"),))
@@ -324,7 +321,7 @@ def test_agrees_with_applicative_reference():
         for _const, info in corpus_genv.items():
             _engines_agree(False, corpus_genv, LocalEnv(), info.type)
             _engines_agree(True, corpus_genv, LocalEnv(), info.type_essence)
-            if isinstance(info, DefInfo):
+            if info.body is not None:
                 _engines_agree(False, corpus_genv, LocalEnv(), info.body)
                 _engines_agree(True, corpus_genv, LocalEnv(), info.essence)
 
@@ -357,7 +354,7 @@ class _Metas:
 
     def fresh(self, length: int, solution: Term | None = None) -> int:
         ctx = LocalEnv(tuple(Decl(f"z{i}", self.annot) for i in range(length)))
-        decl = EssDecl(ctx) if self.is_essence else TypedDecl(ctx, Const(L, "A"))
+        decl = EssMeta(ctx) if self.is_essence else TypedMeta(ctx, Const(L, "A"))
         self.phi, mid = self.phi.fresh_meta(decl)
         if solution is not None:
             self.phi = self.phi.instantiate_meta(mid, solution)
@@ -375,7 +372,7 @@ class _Metas:
         if self.unsolved and type(t) is Abs and self.rng.random() < 0.1:
             solved = self.rng.random() < 0.5
             self.kinds.add("sort_solved" if solved else "sort_unsolved")
-            self.phi, sid = self.phi.fresh_meta(SortDecl())
+            self.phi, sid = self.phi.fresh_meta(SortMeta())
             if solved:
                 self.phi = self.phi.instantiate_meta(sid, sort_type())
             junk = (self.reducible(Const(L, "a")),) if self.rng.random() < 0.3 else ()
@@ -460,9 +457,9 @@ def test_metas_agree_with_the_reference_on_random_terms():
 
 def test_a_normal_input_with_metas_comes_back_equal():
     ctx = LocalEnv().push_decl("x", Const(L, "A"))
-    phi, mid = MetaEnv().fresh_meta(TypedDecl(ctx, Const(L, "A")))
+    phi, mid = MetaEnv().fresh_meta(TypedMeta(ctx, Const(L, "A")))
     flex = Meta(L, mid, (Var(L, 0),))
-    phi, outer = phi.fresh_meta(TypedDecl(LocalEnv(), Const(L, "A")))
+    phi, outer = phi.fresh_meta(TypedMeta(LocalEnv(), Const(L, "A")))
     inner = Meta(L, mid, (Var(L, 0),))
     for t, context in ((flex, ctx),
                        (Abs(L, "x", Const(L, "A"), App(L, inner, (Const(L, "a"),))),
@@ -541,7 +538,7 @@ def _in_context(ctx: LocalEnv, t: Term) -> list[tuple[LocalEnv, Term]]:
     declaration."""
     out = [(ctx, t)]
     visit_term(lambda c: out.extend(_in_context(ctx, c)) or c,
-               lambda _s, c: out.extend(_in_context(ctx.push_dummy(), c)) or c,
+               lambda _s, c: out.extend(_in_context(push_dummy(ctx), c)) or c,
                lambda s, _c: s, t)
     return out
 
@@ -593,7 +590,7 @@ def test_whnf_agrees_with_the_substitution_reference():
         for _const, info in session.genv.items():
             _views_agree(MetaEnv(), session.genv, LocalEnv(), info.type)
             _views_agree(MetaEnv(), session.genv, LocalEnv(), info.type_essence, True)
-            if isinstance(info, DefInfo):
+            if info.body is not None:
                 _views_agree(MetaEnv(), session.genv, LocalEnv(), info.body)
                 _views_agree(MetaEnv(), session.genv, LocalEnv(), info.essence, True)
 
@@ -642,7 +639,7 @@ def test_whnf_gives_back_a_weak_head_normal_input_itself(term):
     genv, ctx = _view_context()
     t = fix_index(parse_term(term), _VIEW_SCOPE)
     assert whnf(MetaEnv(), genv, ctx, t) is t
-    phi, mid = MetaEnv().fresh_meta(TypedDecl(ctx, Const(L, "A")))
+    phi, mid = MetaEnv().fresh_meta(TypedMeta(ctx, Const(L, "A")))
     flex = App(L, Meta(L, mid, erase_context(len(ctx))), (t,))
     assert whnf(phi, genv, ctx, flex) is flex
 
@@ -659,10 +656,10 @@ def test_whnf_gives_back_an_unsolved_meta_and_an_axiom_without_evaluating(monkey
     genv = make_test_genv()
     define(genv, "d", "f a")
     ctx = LocalEnv().push_decl("y", Const(L, "A"))
-    phi, sid = MetaEnv().fresh_meta(SortDecl())
-    phi, tid = phi.fresh_meta(TypedDecl(ctx, Const(L, "A")))
-    phi, eid = phi.fresh_meta(EssDecl(ctx))
-    phi, solved = phi.fresh_meta(TypedDecl(ctx, Const(L, "A")))
+    phi, sid = MetaEnv().fresh_meta(SortMeta())
+    phi, tid = phi.fresh_meta(TypedMeta(ctx, Const(L, "A")))
+    phi, eid = phi.fresh_meta(EssMeta(ctx))
+    phi, solved = phi.fresh_meta(TypedMeta(ctx, Const(L, "A")))
     phi = phi.instantiate_meta(solved, Const(L, "a"))
     entered = []
     evaluate = normalize._eval

@@ -8,9 +8,7 @@ from dataclasses import replace
 import pytest
 
 from proofun import refine
-from proofun.env import (
-    EssDef, GlobalEnv, LocalEnv, MetaEnv, SortDecl, TypedDecl,
-)
+from proofun.env import EssMeta, GlobalEnv, LocalEnv, MetaEnv, SortMeta, TypedMeta
 from proofun.errors import (
     TOO_DEEP, EssenceMismatch, ProverError, TypeCheckError, UnresolvedMeta,
 )
@@ -205,7 +203,7 @@ def test_force_type_on_wildcard_yields_sort_meta():
     t, sort, phi = force_type(MetaEnv(), genv, LocalEnv(), Underscore(L))
     resolved = zonk(phi, sort)
     assert isinstance(resolved, Meta)
-    assert isinstance(phi.lookup(resolved.mid), SortDecl)
+    assert phi.lookup(resolved.mid) == SortMeta()
 
 
 def test_force_type_rejects_terms():
@@ -222,18 +220,18 @@ def _sort_decision_cases():
     axiom(genv, "a", "T")
     axiom(genv, "b", "a")
     empty, ctx = LocalEnv(), LocalEnv().push_decl("x", P("nat"))
-    phi, zid = MetaEnv().fresh_meta(SortDecl())
+    phi, zid = MetaEnv().fresh_meta(SortMeta())
     phi = phi.instantiate_meta(zid, sort_type())
-    phi, yid = phi.fresh_meta(TypedDecl(empty, Meta(L, zid, ())))
-    phi, kid = phi.fresh_meta(TypedDecl(empty, sort_kind()))
+    phi, yid = phi.fresh_meta(TypedMeta(empty, Meta(L, zid, ())))
+    phi, kid = phi.fresh_meta(TypedMeta(empty, sort_kind()))
     phi = phi.instantiate_meta(kid, sort_type())
-    phi, tid = phi.fresh_meta(TypedDecl(empty, Meta(L, kid, ())))
-    phi, sid = phi.fresh_meta(SortDecl())
-    phi, vid = phi.fresh_meta(TypedDecl(empty, Meta(L, sid, ())))
+    phi, tid = phi.fresh_meta(TypedMeta(empty, Meta(L, kid, ())))
+    phi, sid = phi.fresh_meta(SortMeta())
+    phi, vid = phi.fresh_meta(TypedMeta(empty, Meta(L, sid, ())))
     # A meta over (x : nat) whose type is a type meta; used at `0` below, so
     # the suspension of that type is not a variable.
-    phi, fid = phi.fresh_meta(TypedDecl(ctx, sort_kind()))
-    phi, gid = phi.fresh_meta(TypedDecl(ctx, Meta(L, fid, (Var(L, 0),))))
+    phi, fid = phi.fresh_meta(TypedMeta(ctx, sort_kind()))
+    phi, gid = phi.fresh_meta(TypedMeta(ctx, Meta(L, fid, (Var(L, 0),))))
     cases = [
         ("Type", MetaEnv(), empty, sort_type()),
         ("Kind", MetaEnv(), empty, sort_kind()),
@@ -274,7 +272,7 @@ def test_sort_decision_agrees_with_the_two_probe_reference():
     for name in ("wildcard", "wildcard under a binder"):
         t2, sort, (_next, entries, _companions) = outcomes[name]
         assert isinstance(t2, Meta) and isinstance(sort, Meta)
-        assert isinstance(entries[entries[sort.mid].body.mid], SortDecl)
+        assert entries[entries[sort.mid].value.mid] == SortMeta()
 
 
 def test_sort_decision_agrees_with_the_reference_on_corpus_calls(monkeypatch):
@@ -416,7 +414,7 @@ def test_strong_pair_hole_gets_type_and_essence_constraint():
     hole = term.right.body
     assert isinstance(hole, Meta)
     entry = phi.lookup(hole.mid)
-    assert isinstance(entry, TypedDecl)
+    assert isinstance(entry, TypedMeta) and entry.value is None
     assert entry.type == P("t")
     assert len(entry.ctx) == 1
     # Phase 2: its essence companion is constrained to the bound variable x.
@@ -426,9 +424,9 @@ def test_strong_pair_hole_gets_type_and_essence_constraint():
     phi2 = _essence_phi(genv, phi, term)
     eid = phi2.companions[hole.mid]
     companion = phi2.lookup(eid)
-    assert isinstance(companion, EssDef)
+    assert isinstance(companion, EssMeta) and companion.value is not None
     from proofun.syntax import Var
-    assert companion.essence == Var(L, 0)
+    assert companion.value == Var(L, 0)
 
 
 def _essence_phi(genv, phi, term):
@@ -689,14 +687,13 @@ def test_subject_reduction_on_random_terms():
 
 def _corpus_definitions():
     import io
-    from proofun.env import AxiomInfo
     from proofun.repl import Session, load_file
     from helpers import CORPUS_FILES, corpus_path
     for name in CORPUS_FILES:
         s = Session(quiet=True, out=io.StringIO(), err=io.StringIO())
         assert load_file(s, corpus_path(name))
         for const, info in s.genv.items():
-            if not isinstance(info, AxiomInfo):
+            if info.body is not None:
                 yield s.genv, const, info
 
 
@@ -768,7 +765,7 @@ def test_meta_var_rule_rederives_suspended_type():
     genv = make_test_genv()
     ctx = LocalEnv().push_decl("u", P("A"))
     mctx = LocalEnv().push_decl("w", P("A"))
-    phi, mid = MetaEnv().fresh_meta(TypedDecl(mctx, P("B")))
+    phi, mid = MetaEnv().fresh_meta(TypedMeta(mctx, P("B")))
     from proofun.syntax import Var
     term = Meta(L, mid, (Var(L, 0),))
     out, ty, phi2 = reconstruct(phi, genv, ctx, term)

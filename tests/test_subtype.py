@@ -14,7 +14,7 @@ from proofun.syntax import (
     Const, Inter, NOWHERE, Prod, Term, Union, subterms,
 )
 
-from helpers import P, conjunction_of_unions, enumerate_types
+from helpers import P, conjunction_of_unions, enumerate_types, push_dummy
 from oracle_subtype import derivable
 
 GENV = GlobalEnv()
@@ -248,10 +248,10 @@ def test_dependent_products_compare_structurally():
 
 def test_meta_input_is_rejected():
     import pytest
-    from proofun.env import MetaEnv, TypedDecl
+    from proofun.env import MetaEnv, TypedMeta
     from proofun.errors import InternalError
     from proofun.syntax import Const, Meta, NOWHERE
-    phi, mid = MetaEnv().fresh_meta(TypedDecl(LocalEnv(), Const(NOWHERE, "a")))
+    phi, mid = MetaEnv().fresh_meta(TypedMeta(LocalEnv(), Const(NOWHERE, "a")))
     with pytest.raises(InternalError):
         is_subtype(GENV, CTX, Meta(NOWHERE, mid, ()), P("a"))
 
@@ -283,7 +283,7 @@ def dnf_is_subtype(a: Term, b: Term) -> bool:
             case (_, Union(_, b1, b2)):
                 return compare(ctx, a, b1) or compare(ctx, a, b2)
             case (Prod(_, _, a1, a2), Prod(_, _, b1, b2)):
-                return compare(ctx, b1, a1) and compare(ctx.push_dummy(), a2, b2)
+                return compare(ctx, b1, a1) and compare(push_dummy(ctx), a2, b2)
             case _:
                 return a == b
 

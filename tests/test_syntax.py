@@ -6,7 +6,7 @@ from dataclasses import fields, replace
 
 import pytest
 
-from proofun.env import LocalEnv, MetaEnv, TypedDecl
+from proofun.env import LocalEnv, MetaEnv, TypedMeta
 from proofun.errors import InternalError
 from proofun.normalize import delta_phi_expand, zonk
 from proofun.parser import fix_index, parse_script, parse_term
@@ -22,7 +22,7 @@ from proofun.syntax import (
 
 from helpers import (
     CORPUS_FILES, P, corpus_path, enumerate_closed_named, named_subst,
-    named_to_syntax, random_named_term, random_printable_term,
+    named_to_syntax, push_dummy, random_named_term, random_printable_term,
 )
 from test_growth import count_calls
 
@@ -264,7 +264,7 @@ def test_identity_suspension_invariant_under_projection():
     ctx = LocalEnv().push_decl("x", _c("A")).push_decl("y", _c("B"))
     for i in range(2):
         phi = MetaEnv()
-        phi, mid = phi.fresh_meta(TypedDecl(ctx, _c("A")))
+        phi, mid = phi.fresh_meta(TypedMeta(ctx, _c("A")))
         phi = phi.instantiate_meta(mid, Var(L, i))
         expanded = delta_phi_expand(phi, Meta(L, mid, erase_context(2)))
         assert expanded == Var(L, i)
@@ -486,8 +486,9 @@ def test_facts_of_every_subterm_match_the_reference():
         assert load_file(session, corpus_path(name)), session.err.getvalue()
         for _const, info in session.genv.items():
             for part in vars(info).values():
-                _assert_facts_match(part)
-                parts += 1
+                if part is not None:  # an axiom has no essence and no body
+                    _assert_facts_match(part)
+                    parts += 1
     assert parts > 100
 
 
@@ -503,8 +504,8 @@ def _solve_some_metas(rng, t):
         susp = tuple(go(c) for c in t.susp)
         ctx = LocalEnv()
         for _ in susp:
-            ctx = ctx.push_dummy()
-        phi, mid = phi.fresh_meta(TypedDecl(ctx, _c("A")))
+            ctx = push_dummy(ctx)
+        phi, mid = phi.fresh_meta(TypedMeta(ctx, _c("A")))
         if rng.random() < 0.5:
             j = rng.randrange(len(susp)) if susp else None
             sol = _c("s") if j is None else App(L, _c("s"), (Var(L, j), Var(L, 0)))

@@ -9,9 +9,7 @@ import random
 import pytest
 
 from proofun import normalize, refine
-from proofun.env import (
-    GlobalEnv, LocalEnv, MetaEnv, SortDecl, TypedDecl, TypedDef,
-)
+from proofun.env import Decl, GlobalEnv, LocalEnv, MetaEnv, SortMeta, TypedMeta
 from proofun.errors import UnificationFailure
 from proofun.normalize import normalize_meta, strongly_normalize, zonk
 from proofun.syntax import (
@@ -23,7 +21,7 @@ from proofun.unify import try_hopu, unify, unify_essence
 
 from helpers import (
     CORPUS_FILES, P, corpus_path, define, make_test_genv, random_refined_term,
-    reference_unify, unify_outcome,
+    push_dummy, reference_unify, unify_outcome,
 )
 
 L = NOWHERE
@@ -35,7 +33,7 @@ def assert_monotone(before: MetaEnv, after: MetaEnv) -> None:
     """Declared entries are never removed and definitions never change."""
     for mid, entry in before.entries.items():
         assert mid in after.entries
-        if isinstance(entry, TypedDef):
+        if isinstance(entry, TypedMeta) and entry.value is not None:
             assert after.entries[mid] == entry
 
 
@@ -117,7 +115,7 @@ def test_equal_terms_are_not_reduced(monkeypatch):
 
 def _typed_meta(phi, ctx, ty=None):
     ty = ty if ty is not None else Const(L, "A")
-    phi, mid = phi.fresh_meta(TypedDecl(ctx, ty))
+    phi, mid = phi.fresh_meta(TypedMeta(ctx, ty))
     return phi, Meta(L, mid, erase_context(len(ctx)))
 
 
@@ -132,7 +130,7 @@ def test_projection_pattern():
     phi, m = _typed_meta(MetaEnv(), ctx)
     phi2 = unify(phi, GENV, ctx, m, Var(L, 0))
     entry = phi2.lookup(m.mid)
-    assert isinstance(entry, TypedDef) and entry.body == Var(L, 0)
+    assert isinstance(entry, TypedMeta) and entry.value == Var(L, 0)
 
 
 def test_hopu_worked_example_permutes_de_bruijn_indices():
@@ -149,11 +147,11 @@ def test_hopu_worked_example_permutes_de_bruijn_indices():
     x, y, z = Var(L, 2), Var(L, 1), Var(L, 0)
     meta_ctx = (LocalEnv().push_decl("y", Const(L, "s2"))
                 .push_decl("x", Const(L, "s1")).push_decl("z", Const(L, "s3")))
-    phi, fid = MetaEnv().fresh_meta(TypedDecl(meta_ctx, Const(L, "s4")))
+    phi, fid = MetaEnv().fresh_meta(TypedMeta(meta_ctx, Const(L, "s4")))
     problem_lhs = Meta(L, fid, (y, x, z))
     rhs = mk_app(L, x, (Const(L, "c"), y))
     phi2 = unify(phi, genv, ctx, problem_lhs, rhs)
-    solution = phi2.lookup(fid).body
+    solution = phi2.lookup(fid).value
     # In the declared context (y, x, z) the solution reads x c y.
     assert solution == mk_app(L, Var(L, 1), (Const(L, "c"), Var(L, 2)))
     # Presented as an abstraction over that context, binder order follows
@@ -183,15 +181,15 @@ _WITH_X = CTX.push_decl("x", Const(L, "A"))
 def test_suspension_entries_are_normalized_before_inversion(ctx, entry):
     # The suspension holds a redex that reduces to x; only the variable x
     # can be inverted.
-    phi, mid = MetaEnv().fresh_meta(TypedDecl(_WITH_X, Const(L, "A")))
+    phi, mid = MetaEnv().fresh_meta(TypedMeta(_WITH_X, Const(L, "A")))
     x = Var(L, len(ctx) - 1)
     phi2 = unify(phi, GENV, ctx, Meta(L, mid, (entry,)), mk_app(L, P("f"), (x,)))
-    assert phi2.lookup(mid).body == mk_app(L, P("f"), (Var(L, 0),))
+    assert phi2.lookup(mid).value == mk_app(L, P("f"), (Var(L, 0),))
 
 
 def test_rigid_free_variable_outside_pattern_fails():
     ctx = CTX.push_decl("u", Const(L, "A"))
-    phi, mid = MetaEnv().fresh_meta(TypedDecl(CTX, Const(L, "A")))
+    phi, mid = MetaEnv().fresh_meta(TypedMeta(CTX, Const(L, "A")))
     closed_meta = Meta(L, mid, ())  # suspension does not cover u
     with pytest.raises(UnificationFailure):
         unify(phi, GENV, ctx, closed_meta, Var(L, 0))
@@ -200,7 +198,7 @@ def test_rigid_free_variable_outside_pattern_fails():
 def test_duplicate_suspension_variables_are_ambiguous():
     ctx = CTX.push_decl("u", Const(L, "A"))
     two = LocalEnv().push_decl("p", Const(L, "A")).push_decl("q", Const(L, "A"))
-    phi, mid = MetaEnv().fresh_meta(TypedDecl(two, Const(L, "A")))
+    phi, mid = MetaEnv().fresh_meta(TypedMeta(two, Const(L, "A")))
     doubled = Meta(L, mid, (Var(L, 0), Var(L, 0)))
     with pytest.raises(UnificationFailure):
         unify(phi, GENV, ctx, doubled, Var(L, 0))
@@ -213,8 +211,8 @@ def test_pruning_restricts_meta_to_shared_variables():
     # ?m[u] =?= g' applied over [u; w]-suspended meta: w must be pruned away.
     ctx = CTX.push_decl("u", Const(L, "A")).push_decl("w", Const(L, "A"))
     narrow_ctx = LocalEnv().push_decl("u", Const(L, "A"))
-    phi, narrow = phi_n = MetaEnv().fresh_meta(TypedDecl(narrow_ctx, Const(L, "A")))
-    phi, wide = phi.fresh_meta(TypedDecl(ctx, Const(L, "A")))
+    phi, narrow = phi_n = MetaEnv().fresh_meta(TypedMeta(narrow_ctx, Const(L, "A")))
+    phi, wide = phi.fresh_meta(TypedMeta(ctx, Const(L, "A")))
     lhs = Meta(L, narrow, (Var(L, 1),))       # ?narrow[u]
     rhs = Meta(L, wide, erase_context(2))     # ?wide[u; w]
     phi2 = unify(phi, GENV, ctx, lhs, rhs)
@@ -227,17 +225,17 @@ def test_pruning_restricts_meta_to_shared_variables():
 
 def test_pruning_an_essence_meta_keeps_it_an_essence_meta():
     # The essence-side twin: ?narrow[x] =?= ?wide[x; y] over bare binders.
-    from proofun.env import EssDecl, EssDef
+    from proofun.env import EssMeta
     psi = LocalEnv().push_decl("x", Underscore(L)).push_decl("y", Underscore(L))
     narrow_psi = LocalEnv().push_decl("x", Underscore(L))
-    phi, narrow = MetaEnv().fresh_meta(EssDecl(narrow_psi))
-    phi, wide = phi.fresh_meta(EssDecl(psi))
+    phi, narrow = MetaEnv().fresh_meta(EssMeta(narrow_psi))
+    phi, wide = phi.fresh_meta(EssMeta(psi))
     phi2 = unify_essence(phi, GENV, psi, Meta(L, narrow, (Var(L, 1),)),
                          Meta(L, wide, erase_context(2)))
     pruned = phi2.lookup(wide)
-    assert isinstance(pruned, EssDef) and isinstance(pruned.essence, Meta)
-    fresh = phi2.lookup(pruned.essence.mid)
-    assert isinstance(fresh, EssDecl)
+    assert isinstance(pruned, EssMeta) and isinstance(pruned.value, Meta)
+    fresh = phi2.lookup(pruned.value.mid)
+    assert isinstance(fresh, EssMeta) and fresh.value is None
     assert fresh.ctx.names() == ["x"]
 
 
@@ -248,8 +246,8 @@ def test_pruning_is_refused_when_a_kept_entry_depends_on_a_dropped_one():
     from helpers import axiom
     axiom(genv, "P", "A -> Type")
     ctx = CTX.push_decl("x", Const(L, "A")).push_decl("y", mk_app(L, P("P"), (Var(L, 0),)))
-    phi, n = MetaEnv().fresh_meta(TypedDecl(ctx, Const(L, "A")))
-    phi, m = phi.fresh_meta(TypedDecl(LocalEnv().push_decl("y", Const(L, "B")),
+    phi, n = MetaEnv().fresh_meta(TypedMeta(ctx, Const(L, "A")))
+    phi, m = phi.fresh_meta(TypedMeta(LocalEnv().push_decl("y", Const(L, "B")),
                                       Const(L, "B")))
     lhs = Meta(L, m, (Var(L, 0),))
     rhs = mk_app(L, P("g"), (Meta(L, n, erase_context(2)),))
@@ -258,8 +256,34 @@ def test_pruning_is_refused_when_a_kept_entry_depends_on_a_dropped_one():
         unify(phi, genv, ctx, lhs, rhs)
 
 
+def test_pruning_keeps_a_local_definition_and_re_indexes_its_body():
+    # ?m[x; d] =?= f ?n[x; w; d; y] over (x : A) (w : B) (d : A := f x) (y : A):
+    # w and y are pruned from ?n, and the kept definition d's body is
+    # re-indexed over the kept entries (x moves from index 1 to index 0).
+    genv = make_test_genv()
+    from helpers import axiom
+    axiom(genv, "Q", "A -> Type")
+    A, f = Const(L, "A"), P("f")
+    ctx = (CTX.push_decl("x", A).push_decl("w", Const(L, "B"))
+           .push_def("d", mk_app(L, f, (Var(L, 1),)), A).push_decl("y", A))
+    phi, n = MetaEnv().fresh_meta(TypedMeta(ctx, mk_app(L, P("Q"), (Var(L, 1),))))
+    m_ctx = LocalEnv().push_decl("x", A).push_def("d", mk_app(L, f, (Var(L, 0),)), A)
+    phi, m = phi.fresh_meta(TypedMeta(m_ctx, A))
+    lhs = Meta(L, m, (Var(L, 3), Var(L, 1)))
+    rhs = mk_app(L, f, (Meta(L, n, erase_context(4)),))
+    phi2 = try_hopu(phi, genv, ctx, lhs, rhs)
+    assert phi2 is not None and phi2.next_id == 3
+    fresh = phi2.lookup(2)
+    assert isinstance(fresh, TypedMeta) and fresh.value is None
+    assert fresh.ctx.entries == (Decl("d", A, mk_app(L, f, (Var(L, 0),))), Decl("x", A))
+    assert fresh.type == mk_app(L, P("Q"), (Var(L, 0),))
+    assert phi2.lookup(n).value == Meta(L, 2, (Var(L, 3), Var(L, 1)))
+    assert phi2.lookup(m).value == mk_app(
+        L, f, (Meta(L, 2, (Var(L, 1), mk_app(L, f, (Var(L, 1),)))),))
+
+
 def test_sort_meta_takes_sorts_only():
-    phi, mid = MetaEnv().fresh_meta(SortDecl())
+    phi, mid = MetaEnv().fresh_meta(SortMeta())
     m = Meta(L, mid, ())
     phi2 = unify(phi, GENV, CTX, m, sort_kind())
     assert zonk(phi2, m) == sort_kind()
@@ -349,11 +373,11 @@ def test_hopu_solution_is_the_unique_pattern_solution():
         for perm in perms:
             susp = tuple(Var(L, j) for j in perm)
             for rhs_body in rng.sample(bodies, min(25, len(bodies))):
-                phi, mid = MetaEnv().fresh_meta(TypedDecl(meta_ctx, ty))
+                phi, mid = MetaEnv().fresh_meta(TypedMeta(meta_ctx, ty))
                 problem = Meta(L, mid, susp)
                 solved = try_hopu(phi, genv, ctx, problem, rhs_body)
                 assert solved is not None
-                solution = solved.lookup(mid).body
+                solution = solved.lookup(mid).value
                 # brute force: the solution is the unique body (modulo
                 # alpha) whose expansion through the suspension is the rhs
                 from proofun.syntax import msubst
@@ -425,8 +449,8 @@ def test_monotonicity_across_calls():
 
 
 def test_essence_meta_absorbs_an_abstraction():
-    from proofun.env import EssDecl
-    phi, mid = MetaEnv().fresh_meta(EssDecl(LocalEnv()))
+    from proofun.env import EssMeta
+    phi, mid = MetaEnv().fresh_meta(EssMeta(LocalEnv()))
     m = Meta(L, mid, ())
     phi2 = unify_essence(phi, GENV, LocalEnv(), m, P("fun x => x"))
     solved = normalize_meta(phi2, GENV, LocalEnv(), m, is_essence=True)
@@ -482,8 +506,8 @@ def _with_metas(rng, phi, t, share):
         if rng.random() < share:
             ctx = LocalEnv()
             for _ in range(depth):
-                ctx = ctx.push_dummy()
-            phi, mid = phi.fresh_meta(TypedDecl(ctx, Const(L, "A")))
+                ctx = push_dummy(ctx)
+            phi, mid = phi.fresh_meta(TypedMeta(ctx, Const(L, "A")))
             meta = Meta(L, mid, erase_context(depth))
             wrapper = rng.choice(_ETA_WRAPPERS)
             return meta if wrapper is None else mk_app(L, wrapper, (meta,))
