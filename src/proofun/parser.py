@@ -544,14 +544,14 @@ def fix_id(t: Term, scope: tuple[str, ...] | list[str] = ()) -> Term:
                 dom = go(dom)
                 enter(chosen)
                 body = go(body)
-                kept = leave(chosen, body) or type(t) is Abs  # `fun` always prints its name
+                kept = leave(chosen) or type(t) is Abs  # `fun` always prints its name
                 return type(t)(loc, chosen if kept else "", dom, body)
             case Let(loc, name, annot, bound, body):
                 chosen = bind(name, body)
                 annot, bound = go(annot), go(bound)
                 enter(chosen)
                 body = go(body)
-                leave(chosen, body)
+                leave(chosen)
                 return Let(loc, chosen, annot, bound, body)
             case SMatch(loc, scrut, motive, n1, a1, b1, n2, a2, b2):
                 c1, c2 = bind(n1, b1), bind(n2, b2)
@@ -565,10 +565,10 @@ def fix_id(t: Term, scope: tuple[str, ...] | list[str] = ()) -> Term:
                     motive = Abs(m, chosen, Underscore(m), body)
                 enter(c1)
                 b1 = go(b1)
-                leave(c1, b1)
+                leave(c1)
                 enter(c2)
                 b2 = go(b2)
-                leave(c2, b2)
+                leave(c2)
                 return SMatch(loc, scrut, motive, c1, a1, b1, c2, a2, b2)
             case (Inter(loc, a, b) | Union(loc, a, b) | SPair(loc, a, b)
                   | SInLeft(loc, a, b) | SInRight(loc, a, b) | Coercion(loc, a, b)):

@@ -36,9 +36,9 @@ def binder_names(root: Term, scope: tuple[str, ...] | list[str] = ()) -> tuple:
     numeric suffix.
 
     Returns `(bind, enter, leave, names, used)`: `bind(hint, scope_term)`
-    picks a binder's name, `enter(name)` opens its scope, `leave(name,
-    scope_term)` closes it and says whether a `Var` resolved to the name in
-    it; `names` (outermost first) and `used` are the `Var` lookup state."""
+    picks a binder's name, `enter(name)` opens its scope, `leave(name)`
+    closes it and says whether a `Var` resolved to the name in it; `names`
+    (outermost first) and `used` are the `Var` lookup state."""
     consts = ConstOccurrences(root)
     names = list(reversed(scope))  # outermost first: index n is names[-1 - n]
     used = [True] * len(names)  # used[i]: names[i] has been printed
@@ -68,7 +68,7 @@ def binder_names(root: Term, scope: tuple[str, ...] | list[str] = ()) -> tuple:
         used.append(False)
         taken.add(name)  # a chosen name is never taken already
 
-    def leave(name: str, _child: Term) -> bool:
+    def leave(name: str) -> bool:
         names.pop()
         taken.remove(name)
         # `name` is the candidate j of every base it splits into as base + str(j);
@@ -117,14 +117,14 @@ def show_term(t: Term, scope: tuple[str, ...] | list[str] = ()) -> str:
                 f"fun {name} : {go(dom, _ARROW)}"
             enter(name)
             text = f"{head} => {go(body, _ARROW)}"
-            leave(name, body)
+            leave(name)
         elif tp is Prod:
             dom, cod = t.domain, t.codomain
             name = bind(t.name, cod)
             domain = go(dom, _ARROW)  # printed once, for either form
             enter(name)
             codomain = go(cod, _ARROW)
-            if leave(name, cod):
+            if leave(name):
                 text = f"forall {name}, {codomain}" if type(dom) is Underscore else \
                     f"forall {name} : {domain}, {codomain}"
             elif _LEVEL.get(type(dom), _ATOM) < _UNION:
@@ -141,7 +141,7 @@ def show_term(t: Term, scope: tuple[str, ...] | list[str] = ()) -> str:
             bound = go(t.bound, _ARROW)
             enter(name)
             text = f"{head} := {bound} in {go(body, _ARROW)}"
-            leave(name, body)
+            leave(name)
         elif tp is Underscore:
             return "_"
         elif tp is Union:
@@ -175,7 +175,7 @@ def show_term(t: Term, scope: tuple[str, ...] | list[str] = ()) -> str:
                 go(motive.domain, _ARROW)  # not printed, but its variables count as used
                 enter(name)
                 result = None if type(body) is Underscore else go(body, _ARROW)
-                if leave(name, body):
+                if leave(name):
                     parts.append(f"as {name}")
                 if result is not None:
                     parts.append(f"return {result}")
@@ -187,7 +187,7 @@ def show_term(t: Term, scope: tuple[str, ...] | list[str] = ()) -> str:
                 head = name if type(annot) is Underscore else f"{name} : {go(annot, _ARROW)}"
                 enter(name)
                 branches.append(f"{head} => {go(branch, _ARROW)}")
-                leave(name, branch)
+                leave(name)
             parts.append(f"with {branches[0]}, {branches[1]} end")
             return " ".join(parts)
         else:

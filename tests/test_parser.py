@@ -328,7 +328,9 @@ def test_printing_without_dependent_products_builds_no_occurrence_index(monkeypa
 ])
 def test_render_of_shadowing_parsed_terms_matches_the_reference(src):
     t = fix_index(parse_term(src))
-    assert show_term(t) == reference_render(reference_fix_id(t))
+    expected = reference_render(reference_fix_id(t))
+    assert reference_render(fix_id(t)) == expected
+    assert show_term(t) == expected
 
 
 def test_fix_roundtrip_on_clash_free_terms():
@@ -352,21 +354,24 @@ def test_print_reparse_roundtrip():
         sources.append(reference_render(named_to_syntax(random_named_term(rng, rng.randint(1, 10)))))
     for src in sources:
         t = fix_index(parse_term(src))
-        printed = show_term(t)
+        printed = reference_render(fix_id(t))
         again = fix_index(parse_term(printed))
         assert t == again, (src, printed)
+        assert fix_index(parse_term(show_term(t))) == t, (src, show_term(t))
 
 
 def test_print_reparse_over_type_expressions():
     from helpers import enumerate_types
     rng = random.Random(103)
     for t in enumerate_types(2):
-        printed = show_term(t)
+        printed = reference_render(fix_id(t))
         assert t == fix_index(parse_term(printed)), printed
+        assert t == fix_index(parse_term(show_term(t))), show_term(t)
     deeper = enumerate_types(3)
     for t in rng.sample(deeper, 400):
-        printed = show_term(t)
+        printed = reference_render(fix_id(t))
         assert t == fix_index(parse_term(printed)), printed
+        assert t == fix_index(parse_term(show_term(t))), show_term(t)
 
 
 def test_utf8_tolerated_in_comments():
