@@ -89,9 +89,6 @@ class GlobalEnv:
     def __init__(self) -> None:
         self._entries: dict[str, ConstInfo] = {}
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
     def __contains__(self, name: str) -> bool:
         return name in self._entries
 

@@ -27,8 +27,8 @@ alike.  The head view's read-back reduces nothing and takes no ticks.
 
 from __future__ import annotations
 
-from dataclasses import fields, replace
-from operator import attrgetter, is_
+from dataclasses import replace
+from operator import is_
 from typing import TypeAlias
 
 from proofun.env import GlobalEnv, LocalEnv, MetaEnv, SortMeta
@@ -36,8 +36,8 @@ from proofun.errors import FuelExhausted, InternalError
 from proofun.syntax import (
     NOWHERE, Abs, App, Coercion, Const, Inter, Let, Location, Meta, Prod, SInLeft,
     SInRight, SMatch, SPair, SPrLeft, SPrRight, Sort, Term, Underscore, Union, Var,
-    contains_meta, contains_underscore, free_in, lift, map_term, mk_app, msubst,
-    visit_term,
+    children, contains_meta, contains_underscore, free_in, lift, map_term, mk_app,
+    msubst, visit_term,
 )
 
 DEFAULT_FUEL = 1_000_000
@@ -93,22 +93,21 @@ def delta_phi_expand(phi: MetaEnv, m: Meta) -> Term | None:
     return msubst(value, m.susp)
 
 
-def strongly_normalize(is_essence: bool, genv: GlobalEnv, ctx: LocalEnv,
-                       t: Term, fuel: int = DEFAULT_FUEL) -> Term:
+def strongly_normalize(is_essence: bool, genv: GlobalEnv, ctx: LocalEnv, t: Term) -> Term:
     """Normal form of a meta-free term.  Non-termination is out of contract
     for ill-typed input; the fuel budget turns it into a reported error."""
     if contains_meta(t):
         raise InternalError("strongly_normalize: input contains a meta-variable")
     if not is_essence and contains_underscore(t):
         raise InternalError("strongly_normalize: input contains a placeholder")
-    return _nf(t, 0, len(ctx), _Machine(MetaEnv(), genv, ctx, is_essence, _Fuel(fuel)))
+    return _nf(t, 0, len(ctx), _Machine(MetaEnv(), genv, ctx, is_essence))
 
 
 def normalize_meta(phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv, t: Term,
-                   is_essence: bool = False, fuel: int = DEFAULT_FUEL) -> Term:
+                   is_essence: bool = False) -> Term:
     """Normalization for the unifier and refiner: solved metas are expanded,
     unsolved ones normalize their suspensions and stay put."""
-    return _nf(t, 0, len(ctx), _Machine(phi, genv, ctx, is_essence, _Fuel(fuel)))
+    return _nf(t, 0, len(ctx), _Machine(phi, genv, ctx, is_essence))
 
 
 # ---------------------------------------------------------------------------
@@ -174,10 +173,9 @@ class _Rigid:
 
 _Value: TypeAlias = "_Clo | _Rigid | Term"
 
-# Node kinds whose value is a closure, and the two children of each: the
-# second is under a binder for `Abs` and `Prod`.
+# Node kinds whose value is a closure.  Each has two children; the second
+# is under a binder for `Abs` and `Prod`.
 _CLOSED_OVER = _INERT - {Sort, Underscore}
-_CHILDREN = {k: attrgetter(*(f.name for f in fields(k) if f.compare)) for k in _CLOSED_OVER}
 
 
 class _Machine:
@@ -188,10 +186,9 @@ class _Machine:
 
     __slots__ = ("phi", "genv", "ctx", "is_essence", "tick", "consts", "entries")
 
-    def __init__(self, phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv, is_essence: bool,
-                 fuel: _Fuel):
+    def __init__(self, phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv, is_essence: bool):
         self.phi, self.genv, self.ctx, self.is_essence = phi, genv, ctx, is_essence
-        self.tick = fuel.tick
+        self.tick = _Fuel(DEFAULT_FUEL).tick
         self.consts: dict[str, _Thunk | None] = {}
         self.entries: dict[int, _Thunk] = {}
 
@@ -374,7 +371,7 @@ def _quote_node(t: Term, env: _Env, depth: int, m: _Machine) -> Term:
     if k is Meta:
         susp = [_nf(s, env, depth, m) for s in t.susp]
         return t if all(map(is_, susp, t.susp)) else Meta(t.loc, t.mid, tuple(susp))
-    a, b = _CHILDREN[k](t)
+    a, b = children(t)
     a2 = _nf(a, env, depth, m)
     if k is not Abs and k is not Prod:
         b2 = _nf(b, env, depth, m)
@@ -403,10 +400,10 @@ def _quote_stuck(stuck: _Stuck, depth: int, m: _Machine) -> Term:
 
 
 def whnf(phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv, t: Term,
-         is_essence: bool = False, fuel: int = DEFAULT_FUEL) -> Term:
+         is_essence: bool = False) -> Term:
     """Reduce just enough to expose the top connective (a view, not a normal
     form); used by the refiner's beta-view premises.  The evaluator takes
-    `t` to a weak-head value on the `fuel` budget, and `_view` reads it back
+    `t` to a weak-head value on the fuel budget, and `_view` reads it back
     without reducing anything below its root.  A term already in weak head
     normal form comes back as the same object; a node that is never a redex,
     an unsolved meta and an axiom or unbound constant do so at once, without
@@ -416,7 +413,7 @@ def whnf(phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv, t: Term,
         return t
     if k is Const and (genv.find_const(is_essence, t.name) or (None,))[0] is None:
         return t  # an axiom or an unbound name
-    view = _view(_eval(t, 0, _Machine(phi, genv, ctx, is_essence, _Fuel(fuel))), len(ctx), {})
+    view = _view(_eval(t, 0, _Machine(phi, genv, ctx, is_essence)), len(ctx), {})
     return t if view is t or view == t else view
 
 
@@ -480,9 +477,4 @@ def _zonk(phi: MetaEnv, t: Term) -> Term:
         expanded = delta_phi_expand(phi, t)
         if expanded is not None:
             return _zonk(phi, expanded)
-    return visit_term(
-        lambda c: _zonk(phi, c),
-        lambda _s, c: _zonk(phi, c),
-        lambda s, _c: s,
-        t,
-    )
+    return visit_term(lambda c: _zonk(phi, c), lambda _s, c: _zonk(phi, c), t)

@@ -506,7 +506,7 @@ def fix_index(t: Term, scope: tuple[str, ...] | list[str] = ()) -> Term:
             body = t.body if kind is Abs else t.codomain
             body2 = under(t.name, body, (t.domain, dom))
             return t if dom is t.domain and body2 is body else kind(t.loc, t.name, dom, body2)
-        return visit_term(go, under, lambda s, _c: s, t)
+        return visit_term(go, under, t)
 
     def under(name: str, child: Term, group: tuple[Term, Term] | None = None) -> Term:
         nonlocal depth

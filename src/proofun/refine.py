@@ -465,7 +465,9 @@ def essence(phi: MetaEnv, genv: GlobalEnv, psi: LocalEnv, t: Term
 
 def essence_with_hint(phi: MetaEnv, genv: GlobalEnv, psi: LocalEnv,
                       hint: Term, t: Term) -> MetaEnv:
-    """Checking-mode essence judgment: verify that `t` erases to `hint`."""
+    """Checking-mode essence judgment: verify that `t` erases to `hint`.  It
+    runs after the typing phase, on terms whose type has sort `Type`, so a
+    product, `&` or `|` (whose type is a sort) never reaches it."""
 
     def default() -> MetaEnv:
         m2, phi2 = essence(phi, genv, psi, t)
@@ -488,14 +490,6 @@ def essence_with_hint(phi: MetaEnv, genv: GlobalEnv, psi: LocalEnv,
             return essence_with_hint(phi, genv,
                                      psi.push_def(name, m1, Underscore(loc)),
                                      lift(0, 1, hint), body)
-        case Prod(loc, name, dom, cod):
-            view = whnf(phi, genv, psi, hint, is_essence=True)
-            if not isinstance(view, Prod):
-                return default()
-            phi = essence_with_hint(phi, genv, psi, view.domain, dom)
-            return essence_with_hint(phi, genv,
-                                     psi.push_decl(name, Underscore(loc)),
-                                     view.codomain, cod)
         case Abs(loc, name, _, body):
             view = whnf(phi, genv, psi, hint, is_essence=True)
             if not isinstance(view, Abs):
@@ -503,12 +497,6 @@ def essence_with_hint(phi: MetaEnv, genv: GlobalEnv, psi: LocalEnv,
             return essence_with_hint(phi, genv,
                                      psi.push_decl(name, Underscore(loc)),
                                      view.body, body)
-        case Inter(_, left, right) | Union(_, left, right):
-            view = whnf(phi, genv, psi, hint, is_essence=True)
-            if type(view) is not type(t):
-                return default()
-            phi = essence_with_hint(phi, genv, psi, view.left, left)
-            return essence_with_hint(phi, genv, psi, view.right, right)
         case _:
             return default()
 

@@ -23,11 +23,16 @@ and each query takes constant time.  They live in the instance
 dictionary, not in a dataclass field, so `==`, `hash`, `repr` and
 `dataclasses.replace` ignore them.
 
-Rebuilds share: `visit_term` returns its input object when every child and
-name comes back as the same object, and `map_term` (so `lift`,
-`instantiate` and `msubst`) also returns a subterm unchanged when its facts
-show that no index in it can change.  A term that a traversal leaves alone
-is therefore the very object it was given.
+The layout of each node kind is declared once, by its fields and
+`_UNDER_BINDER`: its children in field order, and for each child the
+binder it sits under.  The constructors, `children`, `binders` and
+`visit_term` all read it, so a generic walk has no case per node kind.
+
+Rebuilds share: `visit_term` returns its input object when every child
+comes back as the same object, and `map_term` (so `lift`, `instantiate`
+and `msubst`) also returns a subterm unchanged when its facts show that no
+index in it can change.  A term that a traversal leaves alone is therefore
+the very object it was given.
 """
 
 from __future__ import annotations
@@ -239,9 +244,11 @@ class Meta(Term):
     susp: tuple[Term, ...]
 
 
-# The fields of each node kind that sit under one binder of that node.
-_UNDER_BINDER = {Let: ("body",), Prod: ("codomain",), Abs: ("body",),
-                 SMatch: ("branch1", "branch2")}
+# The fields of each node kind that sit under one binder of that node, each
+# with the fields of that binder's name and type.
+_UNDER_BINDER = {Let: {"body": ("name", "annot")}, Prod: {"codomain": ("name", "domain")},
+                 Abs: {"body": ("name", "domain")},
+                 SMatch: {"branch1": ("name1", "annot1"), "branch2": ("name2", "annot2")}}
 
 # Node kinds the essence always changes.  An application changes when its
 # head is an application or it has no arguments: `mk_app` merges it.
@@ -283,64 +290,59 @@ def _constructor(cls: type) -> Callable[..., None]:
     return init
 
 
-# The children of each node kind: its `Term` fields and the entries of its
-# `tuple[Term, ...]` field, in field order.
+def _layout(cls: type) -> tuple[Callable[..., tuple], Callable[..., tuple],
+                                Callable[..., Term]]:
+    """The children, binders and rebuild functions of node kind `cls`, read
+    off its fields in field order (a `tuple[Term, ...]` field comes last)."""
+    under = _UNDER_BINDER.get(cls, {})
+    kids, bound, args = [], [], []
+    for f in fields(cls):
+        if f.type == "Term":
+            args.append(f"c[{len(kids)}]")
+            kids.append(f"t.{f.name}")
+            bound.append("(t.{}, t.{})".format(*under[f.name]) if f.name in under else "None")
+        elif f.type == "tuple[Term, ...]":
+            args.append(f"tuple(c[{len(kids)}:])")
+            kids.append(f"*t.{f.name}")
+            bound.append(f"*[None] * len(t.{f.name})")
+        else:
+            args.append(f"t.{f.name}")
+    return (eval(f"lambda t: ({''.join(k + ', ' for k in kids)})"),
+            eval(f"lambda t: ({''.join(b + ', ' for b in bound)})"),
+            eval(f"lambda t, c: K({', '.join(args)})", {"K": cls}))
+
+
+# The layout of each node kind.  Its children are its `Term` fields and the
+# entries of its `tuple[Term, ...]` field; each child has the `(name, type)`
+# of the binder it sits under, or None; and a node of the same kind is
+# rebuilt from new children with its location, hints and other fields kept.
 _CHILDREN: dict[type, Callable[[Term], tuple[Term, ...]]] = {}
+_BINDERS: dict[type, Callable[[Term], tuple[tuple[str, Term] | None, ...]]] = {}
+_REBUILD: dict[type, Callable[[Term, Sequence[Term]], Term]] = {}
 
 for _kind in Term.__subclasses__():
     _kind.__init__ = _constructor(_kind)
-    _parts = "".join(f"t.{f.name}, " if f.type == "Term" else f"*t.{f.name}, "
-                     for f in fields(_kind) if "Term" in f.type)
-    _CHILDREN[_kind] = eval(f"lambda t: ({_parts})")
+    _CHILDREN[_kind], _BINDERS[_kind], _REBUILD[_kind] = _layout(_kind)
 
 
 # ---------------------------------------------------------------------------
 # Generic traversals
 
 
-def visit_term(
-    f: Callable[[Term], Term],
-    g: Callable[[str, Term], Term],
-    h: Callable[[str, Term], str],
-    t: Term,
-) -> Term:
-    """Rebuild `t` mapping `f` over children outside binders, `g` over
-    children under a binder, and `h` over binder names.  The node kind and
-    location are preserved, and `t` itself comes back when every child and
-    name does."""
-    match t:
-        case Sort() | Var() | Const() | Underscore():
-            return t
-        case Let(loc, name, annot, bound, body):
-            old = (name, annot, bound, body)
-            new = (h(name, body), f(annot), f(bound), g(name, body))
-        case Prod(loc, name, dom, cod):
-            old, new = (name, dom, cod), (h(name, cod), f(dom), g(name, cod))
-        case Abs(loc, name, dom, body):
-            old, new = (name, dom, body), (h(name, body), f(dom), g(name, body))
-        case App(loc, head, spine):
-            old, new = (head, spine), (f(head), _map_shared(f, spine))
-        case (Inter(loc, left, right) | Union(loc, left, right) | SPair(loc, left, right)
-              | SInLeft(loc, left, right) | SInRight(loc, left, right)
-              | Coercion(loc, left, right)):
-            old, new = (left, right), (f(left), f(right))
-        case SPrLeft(loc, body) | SPrRight(loc, body):
-            old, new = (body,), (f(body),)
-        case SMatch(loc, scrut, motive, n1, a1, b1, n2, a2, b2):
-            old = (scrut, motive, n1, a1, b1, n2, a2, b2)
-            new = (f(scrut), f(motive), h(n1, b1), f(a1), g(n1, b1),
-                   h(n2, b2), f(a2), g(n2, b2))
-        case Meta(loc, mid, susp):
-            old, new = (mid, susp), (mid, _map_shared(f, susp))
-        case _:
-            raise InternalError(f"visit_term: unknown node {t!r}")
-    return t if all(map(is_, new, old)) else type(t)(loc, *new)
-
-
-def _map_shared(f: Callable[[Term], Term], ts: tuple[Term, ...]) -> tuple[Term, ...]:
-    """`tuple(map(f, ts))`, or `ts` itself when `f` returns every entry."""
-    out = tuple(map(f, ts))
-    return ts if all(map(is_, out, ts)) else out
+def visit_term(f: Callable[[Term], Term], g: Callable[[str, Term], Term], t: Term) -> Term:
+    """Rebuild `t` mapping `f` over its children outside binders and
+    `g(name, child)` over those under one, in field order.  The node kind,
+    location, hints and other fields are kept, and `t` itself comes back
+    when every child does."""
+    kind = type(t)
+    try:
+        old, bound = _CHILDREN[kind](t), _BINDERS[kind](t)
+    except KeyError:
+        raise InternalError(f"visit_term: unknown node {t!r}") from None
+    new = []
+    for c, b in zip(old, bound):  # a comprehension would add a frame per nesting level
+        new.append(f(c) if b is None else g(b[0], c))
+    return t if all(map(is_, new, old)) else _REBUILD[kind](t, new)
 
 
 def map_term(k: int, fn: Callable[[int, Location, int], Term], t: Term) -> Term:
@@ -353,12 +355,7 @@ def map_term(k: int, fn: Callable[[int, Location, int], Term], t: Term) -> Term:
         return t
     if type(t) is Var:
         return fn(k, t.loc, t.index)
-    return visit_term(
-        lambda c: map_term(k, fn, c),
-        lambda _s, c: map_term(k + 1, fn, c),
-        lambda s, _c: s,
-        t,
-    )
+    return visit_term(lambda c: map_term(k, fn, c), lambda _s, c: map_term(k + 1, fn, c), t)
 
 
 def lift(k: int, n: int, t: Term) -> Term:
@@ -449,6 +446,15 @@ def children(t: Term) -> tuple[Term, ...]:
         return _CHILDREN[type(t)](t)
     except KeyError:
         raise InternalError(f"children: unknown node {t!r}") from None
+
+
+def binders(t: Term) -> tuple[tuple[str, Term] | None, ...]:
+    """For each child of `t`, the `(name, type)` of the binder of `t` it
+    sits under, or None."""
+    try:
+        return _BINDERS[type(t)](t)
+    except KeyError:
+        raise InternalError(f"binders: unknown node {t!r}") from None
 
 
 def loose(t: Term) -> int:

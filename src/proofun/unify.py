@@ -1,4 +1,4 @@
-"""Higher-order unification: structural congruences, eta rules, and pattern
+"""Higher-order unification: one congruence rule, eta rules, and pattern
 unification for meta-variables, threading an explicit meta-environment.
 
 Unification is head-first, like conversion checking: `==` terms unify at
@@ -9,8 +9,10 @@ solutions found so far.  Definitions unfold at the head eagerly, not on a
 head mismatch: postponing them would solve more metas (`f ?m =?= f a` with
 `f := fun _ => c` would give `?m := a`), changing which definitions are
 accepted.  Head views are eta-short, as normal forms are, so `fun x => ?m x`
-stays the flexible `?m`.  Binders push a declaration whose type the essence
-phase never reads.
+stays the flexible `?m`.  Two heads of the same kind, other than
+abstractions and metas, unify child by child in the node layout's order,
+each child under the binder of the first head it sits under.  Binders push
+a declaration whose type the essence phase never reads.
 
 Meta-variables are solved by pattern unification: when a meta is applied
 to distinct variables and the other side mentions nothing outside them,
@@ -26,9 +28,8 @@ from proofun.env import Decl, EssMeta, GlobalEnv, LocalEnv, MetaEnv, SortMeta, T
 from proofun.errors import InternalError, UnificationFailure
 from proofun.normalize import normalize_meta, whnf, zonk
 from proofun.syntax import (
-    Abs, App, Coercion, Const, Inter, Meta, NOWHERE, Prod, SInLeft,
-    SInRight, SMatch, Sort, SPair, SPrLeft, SPrRight, Term, Underscore, Union,
-    Var, contains_meta, lift, loose, metas, mk_app, visit_term,
+    Abs, App, Const, Meta, NOWHERE, Sort, Term, Underscore, Var, binders, children,
+    contains_meta, lift, loose, metas, mk_app, visit_term,
 )
 
 
@@ -90,12 +91,8 @@ def _invert(inverse: dict[int, int], t: Term, k: int = 0) -> Term:
                 return Meta(loc, mid, tuple(inverted))
             raise _NeedsPruning(mid, keep)
         case _:
-            return visit_term(
-                lambda c: _invert(inverse, c, k),
-                lambda _s, c: _invert(inverse, c, k + 1),
-                lambda s, _c: s,
-                t,
-            )
+            return visit_term(lambda c: _invert(inverse, c, k),
+                              lambda _s, c: _invert(inverse, c, k + 1), t)
 
 
 def _prune_meta(phi: MetaEnv, mid: int, keep: list[int]) -> MetaEnv | None:
@@ -243,35 +240,14 @@ def _unify_heads(phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv, t1: Term,
             ctx, t1, t2 = ctx.push_decl(binder.name, binder.domain), _peel(t1), _peel(t2)
         return recur(phi, ctx, t1, t2)
 
-    match (t1, t2):
-        case (Prod(_, n1, d1, c1), Prod(_, _, d2, c2)):
-            phi = recur(phi, ctx, d1, d2)
-            return recur(phi, ctx.push_decl(n1, d1), c1, c2)
-        case ((Inter(_, a1, a2), Inter(_, b1, b2)) | (Union(_, a1, a2), Union(_, b1, b2))
-              | (SPair(_, a1, a2), SPair(_, b1, b2)) | (Coercion(_, a1, a2), Coercion(_, b1, b2))
-              | (SInLeft(_, a1, a2), SInLeft(_, b1, b2))
-              | (SInRight(_, a1, a2), SInRight(_, b1, b2))):
-            phi = recur(phi, ctx, a1, b1)
-            return recur(phi, ctx, a2, b2)
-        case (SPrLeft(_, a), SPrLeft(_, b)) | (SPrRight(_, a), SPrRight(_, b)):
-            return recur(phi, ctx, a, b)
-        case (SMatch(_, s1, m1, x1, a1, l1, y1, c1, r1),
-              SMatch(_, s2, m2, _, a2, l2, _, c2, r2)):
-            phi = recur(phi, ctx, s1, s2)
-            phi = recur(phi, ctx, m1, m2)
-            phi = recur(phi, ctx, a1, a2)
-            phi = recur(phi, ctx.push_decl(x1, a1), l1, l2)
-            phi = recur(phi, ctx, c1, c2)
-            return recur(phi, ctx.push_decl(y1, c1), r1, r2)
-        # Fallback: recursively unify every subterm of like-shaped nodes.
-        case (App(_, h1, s1), App(_, h2, s2)):
-            if len(s1) != len(s2):
-                raise UnificationFailure(t1, t2, t1.loc)
-            phi = recur(phi, ctx, h1, h2)
-            for a, b in zip(s1, s2):
-                phi = recur(phi, ctx, a, b)
-            return phi
-    raise UnificationFailure(t1, t2, t1.loc)
+    # Like-shaped nodes: unify their children in order, each under the
+    # binder of `t1` it sits under.  Leaves that differ are a mismatch.
+    kids1, kids2 = children(t1), children(t2)
+    if type(t1) is not type(t2) or not kids1 or len(kids1) != len(kids2):
+        raise UnificationFailure(t1, t2, t1.loc)
+    for a, b, binder in zip(kids1, kids2, binders(t1)):
+        phi = recur(phi, ctx if binder is None else ctx.push_decl(*binder), a, b)
+    return phi
 
 
 def unify_essence(phi: MetaEnv, genv: GlobalEnv, psi: LocalEnv,

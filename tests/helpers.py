@@ -293,8 +293,7 @@ def reference_normalize(phi: MetaEnv | None, is_essence: bool, genv: GlobalEnv,
             if left[0] < 0:
                 raise InternalError("reference_normalize ran out of fuel")
             t = visit_term(lambda c: norm(ctx, c),
-                           lambda _s, c: norm(push_dummy(ctx), c),
-                           lambda s, _c: s, t)
+                           lambda _s, c: norm(push_dummy(ctx), c), t)
             t, again = _reference_contract(phi, is_essence, genv, ctx, t)
             if not again:
                 return t
@@ -554,7 +553,7 @@ def _reference_const_names(t: Term) -> set[str]:
         if isinstance(t, Const):
             names.add(t.name)
             return t
-        return visit_term(collect, lambda _s, c: collect(c), lambda s, _c: s, t)
+        return visit_term(collect, lambda _s, c: collect(c), t)
 
     collect(t)
     return names
@@ -599,8 +598,7 @@ def reference_fix_id(t: Term, scope: tuple[str, ...] = ()) -> Term:
             case Meta(loc, mid, susp):
                 return Meta(loc, mid, tuple(go(s, names) for s in susp))
             case _:
-                return visit_term(lambda c: go(c, names), lambda _s, c: go(c, names),
-                                  lambda s, _c: s, t)
+                return visit_term(lambda c: go(c, names), lambda _s, c: go(c, names), t)
 
     return go(t, list(scope))
 
@@ -977,11 +975,6 @@ def reference_fix_index(t: Term, scope: tuple[str, ...] = ()) -> Term:
                 return type(t)(loc, name, go(dom, dom_names),
                                go(body, [name] + names, (dom, dom_names)))
             case _:
-                return visit_term(
-                    lambda c: go(c, names),
-                    lambda s, c: go(c, [s] + names),
-                    lambda s, _c: s,
-                    t,
-                )
+                return visit_term(lambda c: go(c, names), lambda s, c: go(c, [s] + names), t)
 
     return go(t, list(scope))

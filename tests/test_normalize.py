@@ -171,11 +171,12 @@ def test_essence_mode_tolerates_untyped_binders():
     assert out == Const(L, "c")
 
 
-def test_fuel_exhaustion_reports_instead_of_hanging():
+def test_fuel_exhaustion_reports_instead_of_hanging(monkeypatch):
     # well-typed input is the contract; a looping ill-typed term must raise
     omega = fix_index(parse_term("(fun (x : A) => x x) (fun (x : A) => x x)"))
+    monkeypatch.setattr(normalize, "DEFAULT_FUEL", 5000)
     with pytest.raises(FuelExhausted):
-        strongly_normalize(False, GlobalEnv(), LocalEnv(), omega, fuel=5000)
+        strongly_normalize(False, GlobalEnv(), LocalEnv(), omega)
 
 
 def test_discarded_arguments_are_never_normalized():
@@ -184,7 +185,7 @@ def test_discarded_arguments_are_never_normalized():
     assert nf(GlobalEnv(), t) == Const(L, "d")
 
 
-def test_whnf_head_reductions_share_one_fuel_budget():
+def test_whnf_head_reductions_share_one_fuel_budget(monkeypatch):
     genv = make_test_genv()
     define(genv, "c0", "f")
     for i in range(1, 4):
@@ -192,8 +193,10 @@ def test_whnf_head_reductions_share_one_fuel_budget():
     t = P("c3 a")
     # one evaluation step for the application, one for each of c3, c2, c1
     # and c0, and one for the axiom f: six in all
+    monkeypatch.setattr(normalize, "DEFAULT_FUEL", 5)
     with pytest.raises(FuelExhausted):
-        whnf(MetaEnv(), genv, LocalEnv(), t, fuel=5)
+        whnf(MetaEnv(), genv, LocalEnv(), t)
+    monkeypatch.undo()
     assert whnf(MetaEnv(), genv, LocalEnv(), t) == P("f a")
 
 
@@ -368,7 +371,7 @@ class _Metas:
 
     def put(self, t: Term, depth: int) -> Term:
         t = visit_term(lambda c: self.put(c, depth),
-                       lambda _s, c: self.put(c, depth + 1), lambda s, _c: s, t)
+                       lambda _s, c: self.put(c, depth + 1), t)
         if self.unsolved and type(t) is Abs and self.rng.random() < 0.1:
             solved = self.rng.random() < 0.5
             self.kinds.add("sort_solved" if solved else "sort_unsolved")
@@ -538,8 +541,7 @@ def _in_context(ctx: LocalEnv, t: Term) -> list[tuple[LocalEnv, Term]]:
     declaration."""
     out = [(ctx, t)]
     visit_term(lambda c: out.extend(_in_context(ctx, c)) or c,
-               lambda _s, c: out.extend(_in_context(push_dummy(ctx), c)) or c,
-               lambda s, _c: s, t)
+               lambda _s, c: out.extend(_in_context(push_dummy(ctx), c)) or c, t)
     return out
 
 

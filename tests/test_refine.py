@@ -105,14 +105,42 @@ def test_application_not_a_function():
      'the annotation "A" does not match the union component "B"'),
     ("Definition d := <a, b>.", 21, 1,
      'the term has essence "b" while it is expected to have essence "a"'),
+    ("Definition k : A := <a, a>.", 21, 6,
+     'the term "<a, a>" has type "A & A" while it is expected to have type "A".'),
 ], ids=["spine", "spine_of_two", "projection", "smatch", "coe", "checking", "not_a_type",
-        "domain", "injection", "essence"])
+        "domain", "injection", "essence", "pair_not_intersection"])
 def test_has_type_messages_are_exact(command, column, width, message):
     # The whole report: the echoed command, the caret under the blamed
     # subterm, and the message.
     s = Session(quiet=True, out=io.StringIO(), err=io.StringIO())
     assert run_source(s, "Axiom (A B : Type) (a : A) (b : B) (f : A -> A).")
     assert not run_source(s, command)
+    caret = " " * (column - 1) + "^" * width
+    assert s.err.getvalue() == f"{command}\n{caret}\nError: {message}\n"
+
+
+_KIND_NOT_TYPE = 'the term "{}" has type "Kind" while it is expected to have type "Type".'
+
+
+@pytest.mark.parametrize("command, column, width, message", [
+    ("Definition k := <a, A -> A>.", 21, 6, _KIND_NOT_TYPE.format("Type")),
+    ("Definition k := <fun (x : A) => x, fun (x : A) => A & B>.", 36, 20,
+     _KIND_NOT_TYPE.format("A -> Type")),
+    ("Definition k : A & (A -> Type) := <a, fun (x : A) => A | B>.", 21, 9,
+     _KIND_NOT_TYPE.format("A -> Type")),
+    ("Definition k := <a, inj_l B (A -> A)>.", 30, 6, _KIND_NOT_TYPE.format("Type")),
+], ids=["product", "intersection", "union", "injected_product"])
+def test_a_type_in_a_strong_pair_is_rejected_by_the_typing_phase(command, column, width, message):
+    # The essence phase checks a pair's components only after the typing
+    # phase has succeeded, and only at positions whose type has sort `Type`.
+    # A product, `&` or `|` has a sort as its type, so the typing phase
+    # rejects these pairs before any essence is compared.
+    s = Session(quiet=True, out=io.StringIO(), err=io.StringIO())
+    assert run_source(s, "Axiom (A B : Type) (a : A) (b : B) (f : A -> A).")
+    raised = []
+    s.report = lambda text, error: raised.append(type(error)) or Session.report(s, text, error)
+    assert not run_source(s, command)
+    assert raised == [TypeCheckError]
     caret = " " * (column - 1) + "^" * width
     assert s.err.getvalue() == f"{command}\n{caret}\nError: {message}\n"
 
@@ -384,6 +412,15 @@ def test_projection_inference_and_checking():
     assert show_term(result.type) == "B"
 
 
+def test_projection_of_a_flexible_type_infers_its_component():
+    # `q` has a hole for its type, so `proj_l q` unifies that hole with an
+    # intersection of two fresh ones; the application then solves them.
+    s = Session(quiet=True, out=io.StringIO(), err=io.StringIO())
+    assert run_source(s, "Axiom (A : Type) (a : A).")
+    assert run_source(s, "Definition e := (fun q => proj_l q) (coe (A & A) a)."), s.err.getvalue()
+    assert show_term(s.genv.lookup("e").type) == "A"
+
+
 def test_injection_checking_unifies_other_component():
     genv = make_test_genv()
     result = elaborate(genv, P("inj_l B a"), P("A | B"))
@@ -531,7 +568,7 @@ def test_essence_of_an_essence_free_term_is_the_term_itself(monkeypatch):
 
 def _domains_as_holes(t):
     """`t` with the domain of every abstraction replaced by `_`."""
-    t = visit_term(_domains_as_holes, lambda _s, c: _domains_as_holes(c), lambda s, _c: s, t)
+    t = visit_term(_domains_as_holes, lambda _s, c: _domains_as_holes(c), t)
     return replace(t, domain=Underscore(L)) if type(t) is Abs else t
 
 
@@ -579,6 +616,19 @@ def test_essence_agrees_with_the_reference_on_every_corpus_elaboration(monkeypat
         session = Session(quiet=True, out=io.StringIO(), err=io.StringIO())
         assert load_file(session, corpus_path(name)), session.err.getvalue()
     assert len(checked) > 100, len(checked)
+
+
+def test_type_essence_of_an_intersection_keeps_a_type_family_redex():
+    # The essence of `&` is the `&` of its sides' essences: the redex on the
+    # left stays a redex, with its domain erased.
+    s = Session(quiet=True, out=io.StringIO(), err=io.StringIO())
+    assert run_source(s, "Axiom (A B : Type) (a : A) (P : A -> Type)"
+                         " (c : (fun (x : A) => P x) a & B).")
+    info = s.genv.lookup("c")
+    assert show_term(info.type) == "(fun x : A => P x) a & B"
+    assert info.type_essence == P("(fun x => P x) a & B")
+    assert show_term(info.type_essence) == "(fun x => P x) a & B"
+    assert type(info.type_essence.left.head.domain) is Underscore
 
 
 def test_essence_of_polymorphic_identity():

@@ -13,7 +13,10 @@ from proofun.repl import (
     HELP_TEXT, QuitRequested, Session, load_file, main, run_source,
 )
 
+from proofun.errors import TypeCheckError
+from proofun.pretty import render_error
 from proofun.refine import elaborate_type
+from proofun.syntax import Location
 
 from helpers import corpus_path
 from test_growth import church_product
@@ -192,6 +195,11 @@ def test_error_report_echoes_the_lexers_line_across_other_line_breaks():
         column = src.index(" B.") + 1
         assert s.err.getvalue() == (
             f"{src}\n{' ' * column}^\nError: unknown identifier \"B\"\n")
+
+
+def test_error_report_marks_the_start_of_a_span_across_a_line_break():
+    err = TypeCheckError("boom", Location("<input>", (1, 5), (2, 3)))
+    assert render_error("abc defgh\nij kl.\n", err) == "abc defgh\n    ^\nError: boom"
 
 
 def test_error_report_drops_the_carriage_return_of_a_crlf_line():

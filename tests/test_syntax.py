@@ -6,6 +6,7 @@ from dataclasses import fields, replace
 
 import pytest
 
+from proofun import syntax
 from proofun.env import LocalEnv, MetaEnv, TypedMeta
 from proofun.errors import InternalError
 from proofun.normalize import delta_phi_expand, zonk
@@ -15,7 +16,7 @@ from proofun.repl import Session, load_file
 from proofun.syntax import (
     Abs, App, Coercion, Const, Let, Location, Meta, NOWHERE, Prod, SInLeft, SInRight,
     SMatch, Sort, SortKind, SPair, SPrLeft, SPrRight, Term, Underscore, Var, beta_redex,
-    changes_essence, children, contains_meta, contains_underscore, erase_context,
+    binders, changes_essence, children, contains_meta, contains_underscore, erase_context,
     first_meta, free_in, instantiate, lift,
     loose, map_term, mk_app, msubst, subterms, visit_term,
 )
@@ -23,6 +24,7 @@ from proofun.syntax import (
 from helpers import (
     CORPUS_FILES, P, corpus_path, enumerate_closed_named, named_subst,
     named_to_syntax, push_dummy, random_named_term, random_printable_term,
+    random_refined_term,
 )
 from test_growth import count_calls
 
@@ -38,14 +40,16 @@ def _c(name):
 
 def test_visit_identity_is_bit_equal():
     t = P("fun x : A => smatch x as q return B with y : C => f y, z : D => g z end")
-    out = visit_term(lambda c: c, lambda _s, c: c, lambda s, _c: s, t)
+    out = visit_term(lambda c: c, lambda _s, c: c, t)
     assert repr(out) == repr(t)  # `==` alone ignores locations and hints
 
 
 def test_visit_abs_contract():
     t = Abs(L, "x", _c("A"), Var(L, 0))
-    out = visit_term(lambda c: _c("F"), lambda s, c: _c("G"),
-                     lambda s, c: s + "!", t)
+    names = []
+    out = visit_term(lambda c: _c("F"), lambda s, c: names.append(s) or _c("G"), t)
+    out = replace(out, name=out.name + "!")
+    assert names == ["x"]
     assert out == Abs(L, "x!", _c("F"), _c("G"))
     assert out.name == "x!"
 
@@ -53,8 +57,7 @@ def test_visit_abs_contract():
 def test_visit_app_spine_children():
     t = App(L, _c("hd"), (_c("a"), _c("b")))
     seen = []
-    visit_term(lambda c: seen.append(c) or c, lambda _s, c: c,
-               lambda s, _c: s, t)
+    visit_term(lambda c: seen.append(c) or c, lambda _s, c: c, t)
     assert seen == [_c("hd"), _c("a"), _c("b")]
 
 
@@ -91,8 +94,7 @@ def test_visit_matches_direct_recursion_on_random_terms():
                 via_visit.append((depth, t.index))
                 return t
             return visit_term(lambda c: walk(c, depth),
-                              lambda _s, c: walk(c, depth + 1),
-                              lambda s, _c: s, t)
+                              lambda _s, c: walk(c, depth + 1), t)
 
         walk(t, 0)
         assert via_visit == _collect_direct(t)
@@ -243,6 +245,67 @@ def test_children_are_the_term_fields_in_field_order():
         children(object())
 
 
+def _layout_subterms():
+    """Every subterm of the corpus (parsed, indexed and elaborated), of
+    random well-typed terms and of random terms over every node kind."""
+    roots = []
+    for name in CORPUS_FILES:
+        with open(corpus_path(name), encoding="utf-8") as handle:
+            script = parse_script(handle.read(), name)
+        for cmd in (c for group in script for c in group):
+            for t in (getattr(cmd, "type", None), getattr(cmd, "body", None)):
+                if isinstance(t, Term):
+                    roots += [t, fix_index(t)]
+        session = Session(quiet=True, out=io.StringIO(), err=io.StringIO())
+        assert load_file(session, corpus_path(name)), session.err.getvalue()
+        roots += [part for _const, info in session.genv.items()
+                  for part in vars(info).values() if part is not None]
+    rng = random.Random(47)
+    roots += [random_refined_term(rng)[0] for _ in range(100)]
+    roots += [_random_term(rng) for _ in range(200)]
+    return [s for root in roots for s in subterms(root)]
+
+
+def test_every_node_kind_has_one_layout():
+    kinds = set(Term.__subclasses__())
+    assert set(syntax._CHILDREN) == set(syntax._BINDERS) == set(syntax._REBUILD) == kinds
+    for walk in (children, binders, lambda t: visit_term(lambda c: c, lambda _s, c: c, t)):
+        with pytest.raises(InternalError):
+            walk(object())
+
+
+def test_binders_name_the_binder_each_child_sits_under():
+    a, b, c, d = _c("A"), _c("B"), _c("C"), _c("D")
+    cases = [
+        (Let(L, "x", a, b, c), [None, None, ("x", a)]),
+        (Prod(L, "y", a, b), [None, ("y", a)]),
+        (Abs(L, "z", b, c), [None, ("z", b)]),
+        (SMatch(L, a, b, "p", c, a, "q", d, b), [None, None, None, ("p", c), None, ("q", d)]),
+        (App(L, a, (b, c)), [None, None, None]),
+    ]
+    for t, expected in cases:
+        got = binders(t)
+        assert len(got) == len(children(t)) == len(expected)
+        for g, e in zip(got, expected):
+            assert g is None if e is None else g[0] == e[0] and g[1] is e[1]
+    kinds = set()
+    for s in _layout_subterms():
+        got = binders(s)
+        assert type(got) is tuple and len(got) == len(children(s)), s
+        if type(s) not in (Let, Prod, Abs, SMatch):
+            assert got == (None,) * len(got), s
+        kinds.add(type(s))
+    assert {Let, Prod, Abs, SMatch, App, Meta} <= kinds
+
+
+def test_a_node_rebuilt_from_its_own_children_is_itself():
+    for s in _layout_subterms():
+        again = syntax._REBUILD[type(s)](s, list(children(s)))
+        assert type(again) is type(s) and again == s and repr(again) == repr(s), s
+        assert again._facts == s._facts, s
+        assert visit_term(lambda c: c, lambda _s, c: c, s) is s
+
+
 # ------------- erase_context -------------
 
 
@@ -313,8 +376,9 @@ def test_term_eq_equivalence_relation_on_triples():
 
 def _rehint(t):
     """`t` rebuilt with every location moved and every binder hint renamed."""
-    out = visit_term(_rehint, lambda _s, c: _rehint(c), lambda s, _c: s + "'", t)
-    return replace(out, loc=_ELSEWHERE)
+    out = visit_term(_rehint, lambda _s, c: _rehint(c), t)
+    hints = [f.name for f in fields(out) if not f.compare and f.name != "loc"]
+    return replace(out, loc=_ELSEWHERE, **{h: getattr(out, h) + "'" for h in hints})
 
 
 def test_term_eq_and_hash_survive_moved_locations_and_renamed_binders():
@@ -448,7 +512,7 @@ def test_facts_of_every_subterm_match_the_reference():
             t,
             App(L, t, (t, Meta(L, 7, (t,)))),  # shared subterms
             replace(t, loc=_ELSEWHERE) if type(t) is not Var else t,
-            visit_term(pick, lambda _s, c: pick(c), lambda s, _c: s, t),
+            visit_term(pick, lambda _s, c: pick(c), t),
             lift(rng.randint(0, 3), rng.randint(0, 3), t),
             instantiate(t, args),
             msubst(t, susp),
@@ -500,7 +564,7 @@ def _solve_some_metas(rng, t):
     def go(t):
         nonlocal phi
         if type(t) is not Meta:
-            return visit_term(go, lambda _s, c: go(c), lambda s, _c: s, t)
+            return visit_term(go, lambda _s, c: go(c), t)
         susp = tuple(go(c) for c in t.susp)
         ctx = LocalEnv()
         for _ in susp:

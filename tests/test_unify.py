@@ -66,6 +66,21 @@ def test_congruence_on_intersection():
     assert out.entries == phi.entries
 
 
+def test_stuck_matches_unify_part_by_part_under_their_binders():
+    # Both sides are a stuck `smatch`, one with a hole in its second branch:
+    # the parts unify in order, each branch under its own binder, so the hole
+    # is solved under `y : B`.
+    session = Session(quiet=True, out=io.StringIO(), err=io.StringIO())
+    assert run_source(session, "Axiom (A B C : Type) (P : C -> Type) (h : (A -> C) & (B -> C)).")
+    assert run_source(session, (
+        "Definition d (z : A | B) (p : P (smatch z with x => proj_l h x, y => proj_r h y end))"
+        " : P (smatch z with x => proj_l h x, y => _ end) := p.")), session.err.getvalue()
+    assert run_source(session, "Print d.")
+    match = "smatch z return C with x : A => proj_l h x, y : B => proj_r h y end"
+    assert session.out.getvalue() == (f"d : forall z : A | B, P {match} -> P {match}\n"
+                                      f"d := fun z : A | B => fun p : P {match} => p\n")
+
+
 def test_eta_left_against_rigid_head_fails_on_var_app_mismatch():
     # unify (fun x : A => x) with the axiom f : A -> A proceeds via eta to
     # x =? f x, a rigid mismatch.
@@ -511,8 +526,7 @@ def _with_metas(rng, phi, t, share):
             meta = Meta(L, mid, erase_context(depth))
             wrapper = rng.choice(_ETA_WRAPPERS)
             return meta if wrapper is None else mk_app(L, wrapper, (meta,))
-        return visit_term(lambda c: go(c, depth), lambda _s, c: go(c, depth + 1),
-                          lambda s, _c: s, t)
+        return visit_term(lambda c: go(c, depth), lambda _s, c: go(c, depth + 1), t)
 
     t = go(t, 0)
     return phi, t
