@@ -3,15 +3,16 @@ meta-variable environment.
 
 Each environment has one entry class per kind, whose value is an optional
 field: `None` means declared (an axiom, a local declaration, an unsolved
-meta), a term means defined or solved.
+meta), a term means defined or solved.  A checked constant is one
+`ConstInfo`: the elaborators build it and the signature stores it as is.
 
 A local context is an immutable stack (index 0 is the most recent entry);
-entry types and bodies are stored relative to their own position and lifted
-on retrieval.  The essence phase uses the same stack: its declarations carry
-`Underscore` as their type and its definitions bind essences.  The
-meta-environment is a persistent value: `fresh_meta` and `instantiate_meta`
-return updated copies, which makes the force-type probes and REPL
-backtracking trivial.
+entry types and bodies are stored relative to their own position, and
+`find_var` lifts a type on retrieval.  The essence phase uses the same
+stack: its declarations carry `Underscore` as their type and its
+definitions bind essences.  The meta-environment is a persistent value:
+`fresh_meta` and `instantiate_meta` return updated copies, which makes the
+force-type probes and REPL backtracking trivial.
 """
 
 from __future__ import annotations
@@ -48,16 +49,12 @@ class LocalEnv:
     def push_def(self, name: str, body: Term, type_: Term) -> LocalEnv:
         return LocalEnv((Decl(name, type_, body),) + self.entries)
 
-    def find_var(self, index: int) -> tuple[Term | None, Term]:
-        """Type (and body, for a local definition) of the entry at `index`,
-        lifted by index+1 so the result is well-scoped at the query point."""
+    def find_var(self, index: int) -> Term:
+        """Type of the entry at `index`, lifted by index+1 so it is
+        well-scoped at the query point."""
         if not 0 <= index < len(self.entries):
             raise InternalError(f"find_var: index {index} out of range")
-        entry = self.entries[index]
-        ty = lift(0, index + 1, entry.type)
-        if entry.body is None:
-            return None, ty
-        return lift(0, index + 1, entry.body), ty
+        return lift(0, index + 1, self.entries[index].type)
 
     def names(self) -> list[str]:
         """Name hints, innermost first (parallel to de Bruijn indices)."""
@@ -70,7 +67,8 @@ class LocalEnv:
 
 @dataclass(frozen=True)
 class ConstInfo:
-    """An axiom, or a definition when `essence` and `body` are set."""
+    """A checked constant: an axiom, or a definition when `essence` and
+    `body` are set.  Every field is meta-free."""
     type_essence: Term
     type: Term
     essence: Term | None = None
@@ -95,26 +93,19 @@ class GlobalEnv:
     def lookup(self, name: str) -> ConstInfo | None:
         return self._entries.get(name)
 
-    def add_axiom(self, name: str, type_essence: Term, type_: Term) -> None:
+    def add(self, name: str, info: ConstInfo) -> None:
         if name in self._entries:
             raise CommandError(f'the name "{name}" is already defined')
-        self._entries[name] = ConstInfo(type_essence, type_)
+        self._entries[name] = info
 
-    def add_definition(self, name: str, essence: Term, body: Term,
-                       type_essence: Term, type_: Term) -> None:
-        if name in self._entries:
-            raise CommandError(f'the name "{name}" is already defined')
-        self._entries[name] = ConstInfo(type_essence, type_, essence, body)
-
-    def find_const(self, is_essence: bool, name: str) -> tuple[Term | None, Term] | None:
-        """(body, type) of a constant — or (essence, type essence) on the
-        essence side; axioms answer with no body so delta leaves them fixed."""
+    def find_const(self, is_essence: bool, name: str) -> Term | None:
+        """The definiens of a constant: its body, or its essence on the
+        essence side.  None for an axiom or an unbound name, which delta
+        leaves fixed."""
         info = self._entries.get(name)
         if info is None:
             return None
-        if is_essence:
-            return info.essence, info.type_essence
-        return info.body, info.type
+        return info.essence if is_essence else info.body
 
     def names(self) -> list[str]:
         return list(self._entries)

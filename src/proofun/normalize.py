@@ -63,8 +63,6 @@ _INERT = frozenset({Prod, Abs, Inter, Union, Sort, SPair, SInLeft, SInRight,
 def is_eta(t: Term) -> bool:
     """True iff index 0 does not occur free in `t`, so an enclosing binder
     can be stripped and the indices shifted down."""
-    if isinstance(t, App) and not t.spine:
-        return not free_in(0, t.head)
     return not free_in(0, t)
 
 
@@ -198,11 +196,9 @@ class _Machine:
         try:
             return self.consts[name]
         except KeyError:
-            found = self.genv.find_const(self.is_essence, name)
-            if found is None or found[0] is None:
-                thunk = None
-            else:  # a closed body: its environment holds no entry of `ctx`
-                thunk = _Thunk(found[0], len(self.ctx))
+            body = self.genv.find_const(self.is_essence, name)
+            # A closed body: its environment holds no entry of `ctx`.
+            thunk = None if body is None else _Thunk(body, len(self.ctx))
             self.consts[name] = thunk
             return thunk
 
@@ -411,7 +407,7 @@ def whnf(phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv, t: Term,
     k = type(t)
     if k in _INERT or k is Meta and phi.lookup(t.mid).value is None:
         return t
-    if k is Const and (genv.find_const(is_essence, t.name) or (None,))[0] is None:
+    if k is Const and genv.find_const(is_essence, t.name) is None:
         return t  # an axiom or an unbound name
     view = _view(_eval(t, 0, _Machine(phi, genv, ctx, is_essence)), len(ctx), {})
     return t if view is t or view == t else view

@@ -24,10 +24,9 @@ from the sort of the domain and the sort read off the body's type.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import is_
 
-from proofun.env import GlobalEnv, LocalEnv, MetaEnv, SortMeta, TypedMeta
+from proofun.env import ConstInfo, GlobalEnv, LocalEnv, MetaEnv, SortMeta, TypedMeta
 from proofun.errors import (
     EssenceMismatch, InternalError, TypeCheckError, UnificationFailure,
     UnresolvedMeta, too_deep_as_error,
@@ -160,13 +159,12 @@ def reconstruct(phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv, t: Term
         case Sort(loc, SortKind.KIND):
             raise TypeCheckError("Kind itself has no type", loc)
         case Var(loc, n):
-            _, ty = ctx.find_var(n)
-            return t, ty, phi
+            return t, ctx.find_var(n), phi
         case Const(loc, name):
-            found = genv.find_const(False, name)
-            if found is None:
+            info = genv.lookup(name)
+            if info is None:
                 raise TypeCheckError(f'unknown identifier "{name}"', loc)
-            return t, found[1], phi
+            return t, info.type, phi
         case Underscore(loc):  # ?x : ?y : ?z, a term, a type and a sort meta
             phi, zid = phi.fresh_meta(SortMeta())
             phi, ty = _hole(phi, ctx, Meta(loc, zid, ()), loc)
@@ -505,14 +503,6 @@ def essence_with_hint(phi: MetaEnv, genv: GlobalEnv, psi: LocalEnv,
 # Orchestration
 
 
-@dataclass(frozen=True)
-class Elaborated:
-    term: Term
-    type: Term
-    essence: Term
-    type_essence: Term
-
-
 def _check_meta_free(part: Term, fallback: Location) -> None:
     bad = first_meta(part)
     if bad is not None:
@@ -535,9 +525,10 @@ def _closed(phi: MetaEnv, genv: GlobalEnv, fallback: Location, *parts: Term) -> 
 
 
 @too_deep_as_error
-def elaborate(genv: GlobalEnv, t: Term, expected: Term | None = None) -> Elaborated:
+def elaborate(genv: GlobalEnv, t: Term, expected: Term | None = None) -> ConstInfo:
     """Run both refinement phases from an empty meta-environment and return
-    the four components a definition stores; fails if any hole is left."""
+    the definition the signature stores: body, type and their essences;
+    fails if any hole is left."""
     phi = MetaEnv()
     ctx = LocalEnv()
     if expected is not None:
@@ -546,13 +537,15 @@ def elaborate(genv: GlobalEnv, t: Term, expected: Term | None = None) -> Elabora
         ty = expected2
     else:
         term, ty, phi = reconstruct(phi, genv, ctx, t)
-    return Elaborated(*_closed(phi, genv, t.loc, term, ty))
+    body, ty, essence, type_essence = _closed(phi, genv, t.loc, term, ty)
+    return ConstInfo(type_essence=type_essence, type=ty, essence=essence, body=body)
 
 
 @too_deep_as_error
-def elaborate_type(genv: GlobalEnv, t: Term) -> tuple[Term, Term]:
-    """Elaborate an axiom's type; returns (type, type essence)."""
+def elaborate_type(genv: GlobalEnv, t: Term) -> ConstInfo:
+    """Elaborate an axiom's type and return the axiom the signature stores:
+    the type and its essence, with no body."""
     phi = MetaEnv()
     t2, _s, phi = force_type(phi, genv, LocalEnv(), t)
-    t2, ess = _closed(phi, genv, t.loc, t2)
-    return t2, ess
+    ty, type_essence = _closed(phi, genv, t.loc, t2)
+    return ConstInfo(type_essence=type_essence, type=ty)

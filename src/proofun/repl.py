@@ -84,14 +84,11 @@ def exec_command(session: Session, cmd: Command) -> None:
         case Quit():
             raise QuitRequested
         case Axiom(loc, name, ty):
-            ty2, ty_ess = elaborate_type(genv, fix_index(ty))
-            genv.add_axiom(name, ty_ess, ty2)
+            genv.add(name, elaborate_type(genv, fix_index(ty)))
             session.ack(f"{name} is declared.")
         case Definition(loc, name, ty, body):
             expected = fix_index(ty) if ty is not None else None
-            result = elaborate(genv, fix_index(body), expected)
-            genv.add_definition(name, result.essence, result.term,
-                                result.type_essence, result.type)
+            genv.add(name, elaborate(genv, fix_index(body), expected))
             session.ack(f"{name} is defined.")
         case Print(loc, name):
             info = genv.lookup(name)
@@ -128,7 +125,8 @@ class _LoadFailed(Exception):
 def run_source(session: Session, text: str, source: str = "<input>") -> bool:
     """Run a whole command stream; each source command is atomic.  Returns
     False as soon as one command fails (the remainder is not run).  An
-    interruption (Ctrl-C) is reported like an error at its command."""
+    error with no location of its own, a resource limit and an interruption
+    (Ctrl-C) are reported at the running command."""
     mark = loc = None  # the signature before this source command; the running command's place
     try:
         toks = tokenize(text, source)
@@ -148,9 +146,11 @@ def run_source(session: Session, text: str, source: str = "<input>") -> bool:
     except RecursionError:
         failure = ProverError(TOO_DEEP)
     except FuelExhausted as exhausted:
-        failure = ProverError(str(exhausted), loc)
+        failure = ProverError(str(exhausted))
     except KeyboardInterrupt:
-        failure = ProverError("interrupted", loc)
+        failure = ProverError("interrupted")
+    if failure.loc is None:
+        failure.loc = loc
     if mark is not None:
         session.genv.rollback(mark)
     session.report(text, failure)

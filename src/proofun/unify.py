@@ -95,16 +95,15 @@ def _invert(inverse: dict[int, int], t: Term, k: int = 0) -> Term:
                               lambda _s, c: _invert(inverse, c, k + 1), t)
 
 
-def _prune_meta(phi: MetaEnv, mid: int, keep: list[int]) -> MetaEnv | None:
+def _prune_meta(phi: MetaEnv, mid: int, kept: list[int]) -> MetaEnv | None:
     """Instantiate `mid` with a fresh meta over the kept context positions.
-    None when a kept entry (or the meta's type) depends on a dropped one."""
+    None when a kept entry (or the meta's type) depends on a dropped one.
+    `mid` is unsolved (`try_hopu` normalizes the right-hand side first) and
+    not a sort meta (its suspension is empty, so nothing is dropped), and
+    `kept` lists, in increasing order, fewer positions than its suspension
+    has."""
     entry = phi.lookup(mid)
-    if type(entry) is SortMeta or entry.value is not None:
-        return None
     n = len(entry.ctx)
-    kept = sorted(set(keep))
-    if len(kept) >= n:
-        return None
 
     def cut(t: Term, r: int, p: int) -> Term:
         """Re-index `t`, scoped over the first `p` context positions, over
@@ -182,18 +181,18 @@ def _head(phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv, t: Term,
     normal form eta-contract, and then the abstraction is normalized whole.
     An unsolved meta also has its suspension normalized: inversion needs
     variables, not redexes."""
-    outer, binders = ctx, []
+    outer, abstractions = ctx, []
     t = whnf(phi, genv, ctx, t, is_essence)
     while isinstance(t, Abs):
-        binders.append(t)
+        abstractions.append(t)
         ctx = ctx.push_decl(t.name, t.domain)
         t = whnf(phi, genv, ctx, t.body, is_essence)
-    if binders and type(t) is App and (
+    if abstractions and type(t) is App and (
             _head(phi, genv, ctx, t.spine[-1], is_essence) == Var(NOWHERE, 0)):
-        return normalize_meta(phi, genv, outer, binders[0], is_essence)
+        return normalize_meta(phi, genv, outer, abstractions[0], is_essence)
     if isinstance(t, Meta):
         t = normalize_meta(phi, genv, ctx, t, is_essence)
-    for b in reversed(binders):
+    for b in reversed(abstractions):
         t = Abs(b.loc, b.name, b.domain, t)
     return t
 

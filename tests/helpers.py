@@ -49,16 +49,21 @@ def P(src: str) -> Term:
 
 
 def axiom(genv: GlobalEnv, name: str, ty_src: str) -> None:
-    ty, ess = elaborate_type(genv, P(ty_src))
-    genv.add_axiom(name, ess, ty)
+    genv.add(name, elaborate_type(genv, P(ty_src)))
 
 
 def define(genv: GlobalEnv, name: str, body_src: str, ty_src: str | None = None):
     expected = P(ty_src) if ty_src else None
     result = elaborate(genv, P(body_src), expected)
-    genv.add_definition(name, result.essence, result.term,
-                        result.type_essence, result.type)
+    genv.add(name, result)
     return result
+
+
+def local_body(ctx: LocalEnv, index: int) -> Term | None:
+    """The body of the local definition at `index`, lifted to be
+    well-scoped at the query point; None for a declaration."""
+    body = ctx.entries[index].body
+    return None if body is None else lift(0, index + 1, body)
 
 
 def make_test_genv() -> GlobalEnv:
@@ -315,17 +320,17 @@ def _reference_contract(phi: MetaEnv | None, is_essence: bool, genv: GlobalEnv,
         case Let(_, _, _, bound, body):
             return beta_redex(body, bound), True
         case Var(_, n):
-            body = ctx.find_var(n)[0]
+            body = local_body(ctx, n)
             if body is None:
                 return t, False
             if isinstance(body, Var):
                 return body, False
             return body, True
         case Const(_, name):
-            found = genv.find_const(is_essence, name)
-            if found is None or found[0] is None:
+            body = genv.find_const(is_essence, name)
+            if body is None:
                 return t, False
-            return found[0], True
+            return body, True
         case Abs(_, _, _, App(l2, head, spine)) if spine and (
                 isinstance(spine[-1], Var) and spine[-1].index == 0):
             if is_eta(App(l2, head, spine[:-1])):
@@ -387,15 +392,15 @@ def reference_whnf(phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv, t: Term,
                         return t
                     t = App(l, h2, spine)
                 case Var(_, n):
-                    body = ctx.find_var(n)[0]
+                    body = local_body(ctx, n)
                     if body is None:
                         return t
                     t = body
                 case Const(_, name):
-                    found = genv.find_const(is_essence, name)
-                    if found is None or found[0] is None:  # unbound or axiom: fixed
+                    body = genv.find_const(is_essence, name)
+                    if body is None:  # unbound or axiom: fixed
                         return t
-                    t = found[0]
+                    t = body
                 case Let(_, _, _, bound, body):
                     t = beta_redex(body, bound)
                 case SPrLeft(l, body) | SPrRight(l, body):

@@ -60,7 +60,7 @@ def test_criterion_2_refinement_worked_examples():
     axiom(genv, "eq", "nat -> nat -> Type")
     axiom(genv, "eq_refl", "forall x : nat, eq x x")
     result = elaborate(genv, P("eq_refl _"), P("eq _ 0"))
-    assert show_term(result.term) == "eq_refl 0"
+    assert show_term(result.body) == "eq_refl 0"
     assert show_term(result.type) == "eq 0 0"
 
     genv2 = GlobalEnv()
@@ -200,7 +200,7 @@ def test_criterion_6_normalization_properties():
     rng = random.Random(89)
     for _ in range(1000):
         raw, ty = random_refined_term(rng)
-        t = elaborate(genv, raw, ty).term
+        t = elaborate(genv, raw, ty).body
         once = strongly_normalize(False, genv, ctx, t)
         assert _redex_free(genv, once)
         assert once == strongly_normalize(False, genv, ctx, once)

@@ -7,7 +7,7 @@ import pytest
 
 from proofun.env import EssMeta, GlobalEnv, LocalEnv, MetaEnv, SortMeta, TypedMeta
 from proofun.errors import CommandError, InternalError
-from proofun.normalize import delta_phi_expand
+from proofun.normalize import delta_phi_expand, whnf
 from proofun.syntax import (
     Const, Meta, NOWHERE, Prod, Sort, SortKind, Underscore, Var, free_in, lift,
     sort_type,
@@ -23,26 +23,22 @@ L = NOWHERE
 
 def test_find_var_decl_lifts_by_one():
     ctx = LocalEnv().push_decl("x", Const(L, "s"))
-    body, ty = ctx.find_var(0)
-    assert body is None
-    assert ty == lift(0, 1, Const(L, "s"))
+    assert ctx.find_var(0) == lift(0, 1, Const(L, "s"))
 
 
 def test_find_var_def_returns_lifted_body():
-    ctx = LocalEnv().push_def("x", Const(L, "d"), Const(L, "s"))
-    body, ty = ctx.find_var(0)
-    assert body == Const(L, "d")
-    assert ty == Const(L, "s")
+    # `find_var` gives the type; the head view unfolds the lifted body.
+    ctx = LocalEnv().push_decl("y", Const(L, "s")).push_def("x", Var(L, 0), Var(L, 0))
+    assert ctx.find_var(0) == Var(L, 1)
+    assert whnf(MetaEnv(), GlobalEnv(), ctx, Var(L, 0)) == Var(L, 1)
 
 
 def test_find_var_deeper_entry():
     ctx = LocalEnv().push_decl("x", Const(L, "s")).push_decl("y", Const(L, "t"))
-    body, ty = ctx.find_var(1)
-    assert body is None and ty == Const(L, "s")
+    assert ctx.find_var(1) == Const(L, "s")
     # A type mentioning an earlier variable lifts into scope at the query point.
     ctx2 = LocalEnv().push_decl("x", Const(L, "s")).push_decl("p", Var(L, 0))
-    _, ty2 = ctx2.find_var(0)
-    assert ty2 == Var(L, 1)  # still points at x
+    assert ctx2.find_var(0) == Var(L, 1)  # still points at x
 
 
 def test_find_var_out_of_range_is_internal_error():
@@ -63,7 +59,7 @@ def test_find_var_types_are_well_scoped():
                 ty = Const(L, "A")
             ctx = ctx.push_decl(f"v{i}", ty)
         for i in range(depth):
-            _, ty = ctx.find_var(i)
+            ty = ctx.find_var(i)
             assert not free_in(len(ctx), ty)
             assert all(not free_in(j, ty) for j in range(len(ctx), len(ctx) + 3))
 
@@ -78,19 +74,20 @@ def test_find_const_unbound():
 def test_find_const_axiom_has_no_body():
     genv = GlobalEnv()
     axiom(genv, "a", "Type")
-    body, ty = genv.find_const(False, "a")
-    assert body is None and ty == Sort(ty.loc, SortKind.TYPE)
+    assert genv.find_const(False, "a") is None
+    ty = genv.lookup("a").type
+    assert ty == Sort(ty.loc, SortKind.TYPE)
 
 
 def test_find_const_definition_essence_side():
     genv = GlobalEnv()
     axiom(genv, "s", "Type")
     define(genv, "id", "fun x : s => x")
-    body, ty = genv.find_const(True, "id")
+    body = genv.find_const(True, "id")
     # The essence of the identity is the untyped identity abstraction.
     from proofun.syntax import Abs, Underscore
     assert isinstance(body, Abs) and isinstance(body.domain, Underscore)
-    assert isinstance(ty, Prod)
+    assert isinstance(genv.lookup("id").type_essence, Prod)
 
 
 def test_duplicate_names_rejected():
@@ -213,9 +210,7 @@ def test_replaying_corpus_preserves_prefix_typing():
     for name, info in genv.items():
         from proofun.refine import elaborate
         if info.body is None:
-            replay.add_axiom(name, info.type_essence, info.type)
+            replay.add(name, info)
         else:
-            result = elaborate(replay, info.body, info.type)
-            replay.add_definition(name, result.essence, result.term,
-                                  result.type_essence, result.type)
+            replay.add(name, elaborate(replay, info.body, info.type))
     assert replay.names() == genv.names()

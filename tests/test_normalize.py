@@ -219,8 +219,7 @@ def _redex_free(genv, t: Term) -> bool:
                 if is_eta(App(L, head, spine[:-1])):
                     return False
             case Const(_, name):
-                found = genv.find_const(False, name)
-                if found is not None and found[0] is not None:
+                if genv.find_const(False, name) is not None:
                     return False
     return True
 

@@ -76,7 +76,7 @@ def test_unknown_identifier_blamed():
 def test_eq_refl_worked_example():
     genv = fresh_genv()
     result = elaborate(genv, P("eq_refl _"), P("eq _ 0"))
-    assert show_term(result.term) == "eq_refl 0"
+    assert show_term(result.body) == "eq_refl 0"
     assert show_term(result.type) == "eq 0 0"
     assert show_term(result.essence) == "eq_refl 0"
 
@@ -696,7 +696,7 @@ def test_outputs_are_meta_free():
     for _ in range(100):
         t, ty = random_refined_term(rng)
         result = elaborate(genv, t, ty)
-        for part in (result.term, result.type, result.essence,
+        for part in (result.body, result.type, result.essence,
                      result.type_essence):
             assert not contains_meta(part)
 
@@ -707,8 +707,8 @@ def test_recheck_stability():
     for _ in range(100):
         t, ty = random_refined_term(rng)
         first = elaborate(genv, t, ty)
-        second = elaborate(genv, first.term, first.type)
-        assert first.term == second.term
+        second = elaborate(genv, first.body, first.type)
+        assert first.body == second.body
 
 
 def test_checking_accepts_what_inference_produced():
@@ -718,7 +718,7 @@ def test_checking_accepts_what_inference_produced():
         t, _ty = random_refined_term(rng)
         inferred = elaborate(genv, t)
         again = elaborate(genv, t, inferred.type)
-        assert inferred.term == again.term
+        assert inferred.body == again.body
 
 
 def test_subject_reduction_on_random_terms():
@@ -727,9 +727,9 @@ def test_subject_reduction_on_random_terms():
     for _ in range(100):
         t, ty = random_refined_term(rng)
         result = elaborate(genv, t, ty)
-        reduced = strongly_normalize(False, genv, LocalEnv(), result.term)
+        reduced = strongly_normalize(False, genv, LocalEnv(), result.body)
         re_elab = elaborate(genv, reduced, result.type)
-        assert strongly_normalize(False, genv, LocalEnv(), re_elab.term) == reduced
+        assert strongly_normalize(False, genv, LocalEnv(), re_elab.body) == reduced
 
 
 # ------------- corpus-level properties -------------
@@ -750,7 +750,7 @@ def _corpus_definitions():
 def test_corpus_recheck_stability():
     for genv, const, info in _corpus_definitions():
         again = elaborate(genv, info.body, info.type)
-        assert again.term == info.body, const
+        assert again.body == info.body, const
         assert again.type == info.type, const
 
 
@@ -805,7 +805,7 @@ def test_refiner_output_keeps_spines_merged():
     for _ in range(60):
         t, ty = random_refined_term(rng)
         result = elaborate(genv, t, ty)
-        for part in (result.term, result.type):
+        for part in (result.body, result.type):
             for sub in subterms(part):
                 if isinstance(sub, App):
                     assert not isinstance(sub.head, App)

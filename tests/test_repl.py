@@ -197,6 +197,56 @@ def test_error_report_echoes_the_lexers_line_across_other_line_breaks():
             f"{src}\n{' ' * column}^\nError: unknown identifier \"B\"\n")
 
 
+@pytest.mark.parametrize("setup, command, report", [
+    ("Axiom a : Type.", "Axiom a : Type.", "^^^^^\nError: the name \"a\" is already defined"),
+    ("Axiom (A : Type) (a : A).\nDefinition d := a.", "Definition d := a.",
+     "^^^^^^^^^^\nError: the name \"d\" is already defined"),
+], ids=["axiom", "definition"])
+def test_a_duplicate_name_is_reported_at_its_command(setup, command, report):
+    s = session()
+    assert run_source(s, setup)
+    names = s.genv.names()
+    assert not run_source(s, command + "\n")
+    assert s.genv.names() == names
+    assert s.err.getvalue() == f"{command}\n{report}\n"
+
+
+@pytest.mark.parametrize("command, report", [
+    ("Definition d := coe _ a.",
+     "                ^^^^^^^\nError: cannot decide subtyping against an incomplete type"),
+    ("Compute nope.", "^^^^^^^\nError: unknown identifier \"nope\""),
+    ("Axiom a Type.", "        ^^^^\nError: expected \":\" but found \"Type\""),
+    ("Definition d (x : A := x.",
+     "                    ^^\nError: expected \")\" but found \":=\""),
+    ("Definition d := fun => x.",
+     "                    ^^\nError: expected at least one argument"),
+    ("Axiom .", "      ^\nError: expected a name or a parenthesized group"),
+], ids=["coe_incomplete_type", "compute_unknown", "axiom_colon", "binder_paren",
+        "fun_without_binder", "axiom_without_name"])
+def test_command_errors_are_reported_whole(command, report):
+    s = session()
+    assert run_source(s, "Axiom (A : Type) (a : A).")
+    assert not run_source(s, command + "\n")
+    assert s.genv.names() == ["A", "a"]
+    assert s.err.getvalue() == f"{command}\n{report}\n"
+
+
+def test_too_deep_is_reported_at_the_running_command_only():
+    # Normalising `mul c125 c8` nests 1,000 applications: too deep for the
+    # read-back, which runs inside `Compute q`.
+    s = session()
+    c8 = "fun (f : o -> o) (x : o) => " + "f (" * 8 + "x" + ")" * 8
+    assert run_source(s, church_product(125).replace("Compute p.\n", "")
+                      + f"Definition c8 := {c8}.\nDefinition q := mul c125 c8.\n")
+    assert not run_source(s, "Compute q.\n")
+    assert s.err.getvalue() == "Compute q.\n^^^^^^^\nError: the input is nested too deeply to process\n"
+    # Parsing runs before any command: no place to report at.
+    s = session()
+    depth = 3000
+    assert not run_source(s, "Axiom x : " + "(" * depth + "Type" + ")" * depth + ".")
+    assert s.err.getvalue() == "Error: the input is nested too deeply to process\n"
+
+
 def test_error_report_marks_the_start_of_a_span_across_a_line_break():
     err = TypeCheckError("boom", Location("<input>", (1, 5), (2, 3)))
     assert render_error("abc defgh\nij kl.\n", err) == "abc defgh\n    ^\nError: boom"
