@@ -17,18 +17,17 @@ force-type probes and REPL backtracking trivial.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from typing import Iterator, Union as TyUnion
 
 from proofun.errors import CommandError, InternalError
-from proofun.syntax import NOWHERE, Term, Underscore, lift
+from proofun.syntax import NOWHERE, Term, Underscore, _frozen, lift, record, replace
 
 
 # ---------------------------------------------------------------------------
 # Local environment (Gamma)
 
 
-@dataclass(frozen=True)
+@record
 class Decl:
     """A declaration, or a local definition when `body` is set."""
     name: str
@@ -36,7 +35,7 @@ class Decl:
     body: Term | None = None
 
 
-@dataclass(frozen=True)
+@record
 class LocalEnv:
     entries: tuple[Decl, ...] = ()
 
@@ -65,7 +64,7 @@ class LocalEnv:
 # Global environment (Sigma)
 
 
-@dataclass(frozen=True)
+@record
 class ConstInfo:
     """A checked constant: an axiom, or a definition when `essence` and
     `body` are set.  Every field is meta-free."""
@@ -127,19 +126,19 @@ class GlobalEnv:
 # Meta environment (Phi)
 
 
-@dataclass(frozen=True)
+@record
 class SortMeta:
     value: Term | None = None
 
 
-@dataclass(frozen=True)
+@record
 class TypedMeta:
     ctx: LocalEnv
     type: Term
     value: Term | None = None
 
 
-@dataclass(frozen=True)
+@record
 class EssMeta:
     ctx: LocalEnv
     value: Term | None = None
@@ -148,18 +147,24 @@ class EssMeta:
 MetaEntry = TyUnion[SortMeta, TypedMeta, EssMeta]
 
 
-@dataclass(frozen=True, eq=False)
 class MetaEnv:
     """Declared and solved meta-variables plus the fresh-id counter.
 
     Instantiation is write-once: an entry's `value` is set once and never
     changes.  `companions` links a typed meta-variable to the essence meta
-    standing for it during the second typing phase.
+    standing for it during the second typing phase.  Frozen; compared by
+    identity.
     """
 
-    next_id: int = 0
-    entries: dict[int, MetaEntry] = field(default_factory=dict)
-    companions: dict[int, int] = field(default_factory=dict)
+    __slots__ = ("next_id", "entries", "companions")
+    __setattr__ = __delattr__ = _frozen
+
+    def __init__(self, next_id: int = 0, entries: dict[int, MetaEntry] | None = None,
+                 companions: dict[int, int] | None = None) -> None:
+        put = object.__setattr__
+        put(self, "next_id", next_id)
+        put(self, "entries", {} if entries is None else entries)
+        put(self, "companions", {} if companions is None else companions)
 
     def lookup(self, mid: int) -> MetaEntry:
         try:

@@ -27,7 +27,6 @@ alike.  The head view's read-back reduces nothing and takes no ticks.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from operator import is_
 from typing import TypeAlias
 
@@ -37,7 +36,7 @@ from proofun.syntax import (
     NOWHERE, Abs, App, Coercion, Const, Inter, Let, Location, Meta, Prod, SInLeft,
     SInRight, SMatch, SPair, SPrLeft, SPrRight, Sort, Term, Underscore, Union, Var,
     children, contains_meta, contains_underscore, free_in, lift, map_term, mk_app,
-    msubst, visit_term,
+    msubst, replace, visit_term,
 )
 
 DEFAULT_FUEL = 1_000_000

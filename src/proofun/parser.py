@@ -28,7 +28,6 @@ lexed once and parsed from its one token list.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from operator import is_
 from typing import NamedTuple
 
@@ -37,7 +36,7 @@ from proofun.pretty import binder_names
 from proofun.syntax import (
     Abs, App, Coercion, Const, Inter, Let, Location, Meta,
     Prod, SInLeft, SInRight, SMatch, SPair, SPrLeft, SPrRight, Sort, SortKind,
-    Term, Underscore, Union, Var, lift, mk_app, span, visit_term,
+    Term, Underscore, Union, Var, lift, mk_app, record, span, visit_term,
 )
 
 KEYWORDS = frozenset({
@@ -133,25 +132,25 @@ def tokenize(text: str, source: str = "<input>") -> list[Token]:
 # Commands
 
 
-@dataclass(frozen=True)
+@record
 class Help:
     loc: Location
 
 
-@dataclass(frozen=True)
+@record
 class Load:
     loc: Location
     path: str
 
 
-@dataclass(frozen=True)
+@record
 class Axiom:
     loc: Location
     name: str
     type: Term
 
 
-@dataclass(frozen=True)
+@record
 class Definition:
     loc: Location
     name: str
@@ -159,24 +158,24 @@ class Definition:
     body: Term
 
 
-@dataclass(frozen=True)
+@record
 class Print:
     loc: Location
     name: str
 
 
-@dataclass(frozen=True)
+@record
 class Printall:
     loc: Location
 
 
-@dataclass(frozen=True)
+@record
 class Compute:
     loc: Location
     name: str
 
 
-@dataclass(frozen=True)
+@record
 class Quit:
     loc: Location
 

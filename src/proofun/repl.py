@@ -17,7 +17,6 @@ import argparse
 import functools
 import os
 import sys
-from dataclasses import dataclass, field
 from typing import IO
 
 from proofun.env import GlobalEnv, LocalEnv
@@ -52,14 +51,13 @@ class QuitRequested(Exception):
     pass
 
 
-@dataclass
 class Session:
-    genv: GlobalEnv = field(default_factory=GlobalEnv)
-    quiet: bool = False
-    color: bool = False
-    out: IO[str] | None = None  # None: current sys.stdout / sys.stderr
-    err: IO[str] | None = None
-    loading: set[str] = field(default_factory=set)  # real paths of open Loads
+    def __init__(self, quiet: bool = False, color: bool = False,
+                 out: IO[str] | None = None, err: IO[str] | None = None) -> None:
+        self.genv = GlobalEnv()
+        self.quiet, self.color = quiet, color
+        self.out, self.err = out, err  # None: current sys.stdout / sys.stderr
+        self.loading: set[str] = set()  # real paths of open Loads
 
     def emit(self, text: str) -> None:
         print(text, file=self.out or sys.stdout)

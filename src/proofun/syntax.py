@@ -20,13 +20,14 @@ from sorts, variables, constants, products, applications, `&` and `|` is
 its own essence.  Its constructor computes the facts from its children's,
 a constant amount of work per child, so every node knows them from birth
 and each query takes constant time.  They live in the instance
-dictionary, not in a dataclass field, so `==`, `hash`, `repr` and
-`dataclasses.replace` ignore them.
+dictionary, not in a field, so `==`, `hash`, `repr` and `replace` ignore
+them.
 
-The layout of each node kind is declared once, by its fields and
-`_UNDER_BINDER`: its children in field order, and for each child the
-binder it sits under.  The constructors, `children`, `binders` and
-`visit_term` all read it, so a generic walk has no case per node kind.
+The layout of each node kind is declared once, by its annotated fields and
+`_UNDER_BINDER`: its children in field order, for each child the binder it
+sits under, and its hints (the location and those binders' names).  The
+constructors, `record`'s methods, `children`, `binders` and `visit_term`
+all read it, so a generic walk has no case per node kind.
 
 Rebuilds share: `visit_term` returns its input object when every child
 comes back as the same object, and `map_term` (so `lift`, `instantiate`
@@ -38,7 +39,6 @@ the very object it was given.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field, fields
 from enum import Enum
 from operator import is_
 from typing import Callable, Iterator, NamedTuple, Sequence
@@ -77,7 +77,8 @@ class SortKind(Enum):
 
 
 class Term:
-    """Base class for all nodes; see the concrete dataclasses below."""
+    """Base class for all nodes; see the node kinds below.  Each kind is a
+    frozen record (see `record`) whose fields are its annotations."""
 
     __slots__ = ()
     # The facts of the node, `8 * loose + 4 * changes_essence +
@@ -86,92 +87,81 @@ class Term:
     _facts: int
 
 
-@dataclass(frozen=True, init=False)
 class Sort(Term):
-    loc: Location = field(compare=False)
+    loc: Location
     kind: SortKind
 
 
-@dataclass(frozen=True, init=False)
 class Let(Term):
     """let name : annot := bound in body   (body binds index 0)"""
 
-    loc: Location = field(compare=False)
-    name: str = field(compare=False)
+    loc: Location
+    name: str
     annot: Term
     bound: Term
     body: Term
 
 
-@dataclass(frozen=True, init=False)
 class Prod(Term):
     """forall name : domain, codomain   (codomain binds index 0)"""
 
-    loc: Location = field(compare=False)
-    name: str = field(compare=False)
+    loc: Location
+    name: str
     domain: Term
     codomain: Term
 
 
-@dataclass(frozen=True, init=False)
 class Abs(Term):
     """fun name : domain => body   (body binds index 0)
 
     Essence abstractions are untyped; they carry `Underscore` as the domain.
     """
 
-    loc: Location = field(compare=False)
-    name: str = field(compare=False)
+    loc: Location
+    name: str
     domain: Term
     body: Term
 
 
-@dataclass(frozen=True, init=False)
 class App(Term):
     """head applied to spine, leftmost argument first; head is never an App
     in normalized or refined terms."""
 
-    loc: Location = field(compare=False)
+    loc: Location
     head: Term
     spine: tuple[Term, ...]
 
 
-@dataclass(frozen=True, init=False)
 class Inter(Term):
-    loc: Location = field(compare=False)
+    loc: Location
     left: Term
     right: Term
 
 
-@dataclass(frozen=True, init=False)
 class Union(Term):
-    loc: Location = field(compare=False)
+    loc: Location
     left: Term
     right: Term
 
 
-@dataclass(frozen=True, init=False)
 class SPair(Term):
     """Strong pair: both components must share one essence."""
 
-    loc: Location = field(compare=False)
+    loc: Location
     left: Term
     right: Term
 
 
-@dataclass(frozen=True, init=False)
 class SPrLeft(Term):
-    loc: Location = field(compare=False)
+    loc: Location
     body: Term
 
 
-@dataclass(frozen=True, init=False)
 class SPrRight(Term):
-    loc: Location = field(compare=False)
+    loc: Location
     body: Term
 
 
-@dataclass(frozen=True, init=False)
 class SMatch(Term):
     """Strong sum elimination.
 
@@ -179,67 +169,60 @@ class SMatch(Term):
     eta-reduce it); each branch binds index 0 to the matched component.
     """
 
-    loc: Location = field(compare=False)
+    loc: Location
     scrutinee: Term
     motive: Term
-    name1: str = field(compare=False)
+    name1: str
     annot1: Term
     branch1: Term
-    name2: str = field(compare=False)
+    name2: str
     annot2: Term
     branch2: Term
 
 
-@dataclass(frozen=True, init=False)
 class SInLeft(Term):
     """inj_l other body : typeof(body) | other"""
 
-    loc: Location = field(compare=False)
+    loc: Location
     other: Term
     body: Term
 
 
-@dataclass(frozen=True, init=False)
 class SInRight(Term):
     """inj_r other body : other | typeof(body)"""
 
-    loc: Location = field(compare=False)
+    loc: Location
     other: Term
     body: Term
 
 
-@dataclass(frozen=True, init=False)
 class Coercion(Term):
     """coe target body: explicit up-cast, requires typeof(body) <= target."""
 
-    loc: Location = field(compare=False)
+    loc: Location
     target: Term
     body: Term
 
 
-@dataclass(frozen=True, init=False)
 class Var(Term):
-    loc: Location = field(compare=False)
+    loc: Location
     index: int
 
 
-@dataclass(frozen=True, init=False)
 class Const(Term):
-    loc: Location = field(compare=False)
+    loc: Location
     name: str
 
 
-@dataclass(frozen=True, init=False)
 class Underscore(Term):
-    loc: Location = field(compare=False)
+    loc: Location
 
 
-@dataclass(frozen=True, init=False)
 class Meta(Term):
     """Meta-variable with its suspended substitution (one term per local
     variable in scope at creation time)."""
 
-    loc: Location = field(compare=False)
+    loc: Location
     mid: int
     susp: tuple[Term, ...]
 
@@ -260,27 +243,69 @@ _ESSENCE_CHANGING = {Abs, Let, SPair, SPrLeft, SPrRight, SInLeft, SInRight, Coer
 _JOIN = "f = (f if f > x else x) | (f | x) & 7"
 
 
+def _frozen(self: object, name: str, *_value: object) -> None:
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
+def _repr(self: object) -> str:
+    shown = ", ".join([f"{n}={getattr(self, n)!r}" for n in self.__match_args__])
+    return f"{self.__class__.__qualname__}({shown})"
+
+
+def record(cls: type, hints: Sequence[str] = ()) -> type:
+    """Make `cls` a frozen record of the fields its own annotations declare,
+    in order, with the methods a frozen dataclass would get: `==` and
+    `hash` over the fields not in `hints`, compiled by one `exec` with the
+    code a dataclass emits (they are hot: unification and subtyping compare
+    terms); `__match_args__`; a `repr` of every field; a guard that makes
+    assigning a field an `AttributeError`; and, unless `cls` has its own,
+    an `__init__` whose defaults are the fields' class attributes."""
+    names = tuple(cls.__dict__["__annotations__"])
+    mine = "".join(f"self.{n}," for n in names if n not in hints)
+    source = (f"def __eq__(self, other):\n    if other.__class__ is self.__class__:\n"
+              f"        return ({mine}) == ({mine.replace('self.', 'other.')})\n"
+              f"    return NotImplemented\ndef __hash__(self):\n    return hash(({mine}))\n")
+    if "__init__" not in cls.__dict__:
+        source += "".join([f"def __init__(self, {', '.join(names)}):\n    d = self.__dict__\n",
+                           *(f"    d[{n!r}] = {n}\n" for n in names)])
+    methods: dict[str, Callable[..., object]] = {}
+    exec(source, {}, methods)
+    for name, method in methods.items():
+        method.__qualname__ = f"{cls.__name__}.{name}"
+        setattr(cls, name, method)
+    if "__init__" in methods:
+        cls.__init__.__defaults__ = tuple(cls.__dict__[n] for n in names if n in cls.__dict__)
+    cls.__match_args__, cls.__repr__ = names, _repr
+    cls.__setattr__ = cls.__delattr__ = _frozen
+    return cls
+
+
+def replace(obj: object, **changes: object) -> object:
+    """A copy of the record `obj` with `changes` to its fields."""
+    return type(obj)(*(changes.get(n, getattr(obj, n)) for n in obj.__match_args__))
+
+
 def _constructor(cls: type) -> Callable[..., None]:
     """The `__init__` of node kind `cls`.  It stores the fields in the
-    instance dictionary (cheaper than the frozen dataclass's
-    `object.__setattr__`) and sets `_facts` from the children's facts in a
-    constant number of steps per child; a child under a binder counts with
-    its loose range lowered by one."""
+    instance dictionary (past `record`'s frozen guard) and sets `_facts`
+    from the children's facts in a constant number of steps per child; a
+    child under a binder counts with its loose range lowered by one."""
     under = _UNDER_BINDER.get(cls, ())
-    names = [f.name for f in fields(cls)]
+    fields = cls.__dict__["__annotations__"]
+    names = list(fields)
     own = int(cls is Meta) + 2 * int(cls is Underscore) + 4 * int(cls in _ESSENCE_CHANGING)
     lines = ["d = self.__dict__", *(f"d[{n!r}] = {n}" for n in names),
              "f = 8 * index + 8" if cls is Var else
              "f = 4 if type(head) is App or not spine else 0" if cls is App else
              f"f = {own}"]
-    for f in fields(cls):
-        if f.type == "Term":
-            lines.append(f"x = {f.name}._facts")
-            if f.name in under:
+    for name, kind in fields.items():
+        if kind == "Term":
+            lines.append(f"x = {name}._facts")
+            if name in under:
                 lines.append("x = x - 8 if x > 7 else x")
             lines.append(_JOIN)
-        elif f.type == "tuple[Term, ...]":
-            lines += [f"for c in {f.name}:", f"    x = c._facts; {_JOIN}"]
+        elif kind == "tuple[Term, ...]":
+            lines += [f"for c in {name}:", f"    x = c._facts; {_JOIN}"]
     lines.append("d['_facts'] = f")
     source = "".join(f"    {line}\n" for line in lines)
     namespace: dict[str, Callable[..., None] | type] = {"App": App}
@@ -296,17 +321,17 @@ def _layout(cls: type) -> tuple[Callable[..., tuple], Callable[..., tuple],
     off its fields in field order (a `tuple[Term, ...]` field comes last)."""
     under = _UNDER_BINDER.get(cls, {})
     kids, bound, args = [], [], []
-    for f in fields(cls):
-        if f.type == "Term":
+    for name, kind in cls.__dict__["__annotations__"].items():
+        if kind == "Term":
             args.append(f"c[{len(kids)}]")
-            kids.append(f"t.{f.name}")
-            bound.append("(t.{}, t.{})".format(*under[f.name]) if f.name in under else "None")
-        elif f.type == "tuple[Term, ...]":
+            kids.append(f"t.{name}")
+            bound.append("(t.{}, t.{})".format(*under[name]) if name in under else "None")
+        elif kind == "tuple[Term, ...]":
             args.append(f"tuple(c[{len(kids)}:])")
-            kids.append(f"*t.{f.name}")
-            bound.append(f"*[None] * len(t.{f.name})")
+            kids.append(f"*t.{name}")
+            bound.append(f"*[None] * len(t.{name})")
         else:
-            args.append(f"t.{f.name}")
+            args.append(f"t.{name}")
     return (eval(f"lambda t: ({''.join(k + ', ' for k in kids)})"),
             eval(f"lambda t: ({''.join(b + ', ' for b in bound)})"),
             eval(f"lambda t, c: K({', '.join(args)})", {"K": cls}))
@@ -314,14 +339,16 @@ def _layout(cls: type) -> tuple[Callable[..., tuple], Callable[..., tuple],
 
 # The layout of each node kind.  Its children are its `Term` fields and the
 # entries of its `tuple[Term, ...]` field; each child has the `(name, type)`
-# of the binder it sits under, or None; and a node of the same kind is
-# rebuilt from new children with its location, hints and other fields kept.
+# of the binder it sits under, or None; a node of the same kind is rebuilt
+# from new children with its location, hints and other fields kept; and
+# `==` and `hash` skip the location and the binders' names.
 _CHILDREN: dict[type, Callable[[Term], tuple[Term, ...]]] = {}
 _BINDERS: dict[type, Callable[[Term], tuple[tuple[str, Term] | None, ...]]] = {}
 _REBUILD: dict[type, Callable[[Term, Sequence[Term]], Term]] = {}
 
 for _kind in Term.__subclasses__():
     _kind.__init__ = _constructor(_kind)
+    record(_kind, ("loc", *(name for name, _ in _UNDER_BINDER.get(_kind, {}).values())))
     _CHILDREN[_kind], _BINDERS[_kind], _REBUILD[_kind] = _layout(_kind)
 
 

@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import os
 import random
-from dataclasses import replace
 from typing import NamedTuple
 
 from proofun.env import EssMeta, GlobalEnv, LocalEnv, MetaEnv, SortMeta, TypedMeta
@@ -408,14 +407,15 @@ def reference_whnf(phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv, t: Term,
                     if type(pair) is not SPair:
                         return t if pair is body else type(t)(l, pair)
                     t = pair.left if type(t) is SPrLeft else pair.right
-                case SMatch(scrutinee=scrutinee):
+                case SMatch(l, scrutinee, motive, n1, a1, b1, n2, a2, b2):
                     injection = go(scrutinee)
                     if type(injection) is SInLeft:
-                        t = beta_redex(t.branch1, injection.body)
+                        t = beta_redex(b1, injection.body)
                     elif type(injection) is SInRight:
-                        t = beta_redex(t.branch2, injection.body)
+                        t = beta_redex(b2, injection.body)
                     else:
-                        return t if injection is scrutinee else replace(t, scrutinee=injection)
+                        return (t if injection is scrutinee
+                                else SMatch(l, injection, motive, n1, a1, b1, n2, a2, b2))
                 case Meta() as m:
                     expanded = delta_phi_expand(phi, m)
                     if expanded is None:

@@ -1,11 +1,12 @@
 """Environments: lookup lifting, meta bookkeeping, signature discipline."""
 
 import random
-from dataclasses import replace
 
 import pytest
 
-from proofun.env import EssMeta, GlobalEnv, LocalEnv, MetaEnv, SortMeta, TypedMeta
+from proofun.env import (
+    ConstInfo, Decl, EssMeta, GlobalEnv, LocalEnv, MetaEnv, SortMeta, TypedMeta,
+)
 from proofun.errors import CommandError, InternalError
 from proofun.normalize import delta_phi_expand, whnf
 from proofun.syntax import (
@@ -126,6 +127,12 @@ _UNSOLVED = [
 ]
 
 
+def _with_value(entry, value):
+    """`entry` with its `value` field (the last one of each kind) set."""
+    kept = {SortMeta: (), TypedMeta: ("ctx", "type"), EssMeta: ("ctx",)}[type(entry)]
+    return type(entry)(*(getattr(entry, name) for name in kept), value)
+
+
 def test_fresh_ids_are_consecutive_and_entries_kept():
     phi = MetaEnv()
     phi, a = phi.fresh_meta(SortMeta())
@@ -148,7 +155,7 @@ def test_instantiate_then_lookup():
         phi = phi.instantiate_meta(mid, solution)
         solved = phi.lookup(mid)
         assert type(solved) is type(unsolved) and solved.value is solution
-        assert replace(solved, value=None) == unsolved
+        assert _with_value(solved, None) == unsolved
         if not isinstance(unsolved, SortMeta):
             assert solved.ctx is unsolved.ctx
         if isinstance(unsolved, TypedMeta):
@@ -174,7 +181,7 @@ def test_double_instantiation_is_internal_error():
 def test_fresh_meta_of_a_solved_entry_is_internal_error():
     for unsolved, solution in _UNSOLVED:
         with pytest.raises(InternalError):
-            MetaEnv().fresh_meta(replace(unsolved, value=solution))
+            MetaEnv().fresh_meta(_with_value(unsolved, solution))
 
 
 def test_sort_meta_delta_reduction():
@@ -214,3 +221,39 @@ def test_replaying_corpus_preserves_prefix_typing():
         else:
             replay.add(name, elaborate(replay, info.body, info.type))
     assert replay.names() == genv.names()
+
+
+# ------------- records -------------
+
+_AT = "Location(source='<input>', start=(0, 0), end=(0, 0))"
+
+
+def test_entry_reprs_list_every_field_in_order():
+    s, v = f"Const(loc={_AT}, name='s')", f"Var(loc={_AT}, index=0)"
+    x = f"Decl(name='x', type={s}, body=None)"
+    assert repr(Decl("x", Const(L, "s"))) == x
+    ctx = LocalEnv().push_decl("x", Const(L, "s")).push_def("y", Var(L, 0), Const(L, "s"))
+    assert repr(ctx) == f"LocalEnv(entries=(Decl(name='y', type={s}, body={v}), {x}))"
+    assert (repr(ConstInfo(Const(L, "s"), Const(L, "s")))
+            == f"ConstInfo(type_essence={s}, type={s}, essence=None, body=None)")
+    assert (repr(TypedMeta(LocalEnv(), sort_type()))
+            == f"TypedMeta(ctx=LocalEnv(entries=()), type=Sort(loc={_AT}, "
+               f"kind=<SortKind.TYPE: 'Type'>), value=None)")
+    assert (repr(SortMeta(Sort(L, SortKind.KIND)))
+            == f"SortMeta(value=Sort(loc={_AT}, kind=<SortKind.KIND: 'Kind'>))")
+
+
+def test_entries_and_the_meta_environment_are_frozen():
+    for record, name in [(Decl("x", Const(L, "s")), "body"), (LocalEnv(), "entries"),
+                         (ConstInfo(Const(L, "s"), Const(L, "s")), "body"),
+                         *((u, "value") for u, _ in _UNSOLVED), (MetaEnv(), "next_id")]:
+        before = getattr(record, name)
+        with pytest.raises(AttributeError):
+            setattr(record, name, Const(L, "t"))
+        assert getattr(record, name) is before
+
+
+def test_meta_environments_share_no_dict():
+    a, b = MetaEnv(), MetaEnv()
+    assert a.entries is not b.entries and a.companions is not b.companions
+    assert a.entries == b.entries == {} and a.companions == b.companions == {}

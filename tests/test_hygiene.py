@@ -1,16 +1,21 @@
 """Source hygiene of `src/proofun`: no unused import, no module-level
-private name or public method that nothing uses, and no name the benchmark
-tracer wraps missing.  No linter is installed, so these tests are the guard."""
+private name or public method that nothing uses, no name the benchmark
+tracer wraps missing, and no import of the modules that make start-up slow.
+No linter is installed, so these tests are the guard."""
 
 import ast
 import importlib
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "proofun").glob("*.py"))
+SLOW_IMPORTS = {"dataclasses", "inspect"}
 SEARCHED = [*SOURCES, *sorted((ROOT / "tests").glob("*.py")),
             *sorted((ROOT / "perfbench").glob("*.py"))]
 
@@ -51,18 +56,31 @@ def _uses(tree: ast.Module) -> set[str]:
 
 @pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
 def test_every_import_is_used(path):
+    # The scan also fails on an import of a slow module: `dataclasses`
+    # compiles a function per generated method and pulls in `inspect`.
     tree = _parse(path)
     read = _read_names(tree)
-    unused = []
+    unused, slow = [], []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             bound = [a.asname or a.name.split(".")[0] for a in node.names]
+            slow += [a.name for a in node.names if a.name in SLOW_IMPORTS]
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             bound = [a.asname or a.name for a in node.names if a.name != "*"]
+            slow += [node.module] if node.module in SLOW_IMPORTS else []
         else:
             continue
         unused += [name for name in bound if name not in read]
-    assert unused == []
+    assert (unused, slow) == ([], [])
+
+
+def test_importing_the_cli_loads_no_slow_module():
+    probe = ("import sys, proofun.repl; "
+             f"print(sorted(m for m in {sorted(SLOW_IMPORTS)} if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    loaded = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                            capture_output=True, text=True).stdout
+    assert loaded.strip() == "[]"
 
 
 def test_every_private_module_name_is_used():

@@ -177,6 +177,30 @@ def test_definition_args_desugar_into_body():
     assert isinstance(cmd.body, Abs) and isinstance(cmd.body.body, Abs)
 
 
+def test_command_reprs_list_every_field_in_order():
+    (axiom,), (definition,) = parse_script(
+        "Axiom a : A -> A. Definition d : Type := fun x : A => x.", "f.bull")
+
+    def at(start, end):
+        return f"Location(source='f.bull', start=(1, {start}), end=(1, {end}))"
+
+    assert repr(axiom) == (
+        f"Axiom(loc={at(1, 6)}, name='a', type=Prod(loc={at(11, 17)}, name='', "
+        f"domain=Const(loc={at(11, 12)}, name='A'), "
+        f"codomain=Const(loc={at(16, 17)}, name='A')))")
+    assert repr(definition) == (
+        f"Definition(loc={at(19, 29)}, name='d', type=Sort(loc={at(34, 38)}, "
+        f"kind=<SortKind.TYPE: 'Type'>), body=Abs(loc={at(42, 56)}, name='x', "
+        f"domain=Const(loc={at(50, 51)}, name='A'), body=Const(loc={at(55, 56)}, name='x')))")
+
+
+def test_commands_are_frozen():
+    (cmd,) = parse_command("Print a.")
+    with pytest.raises(AttributeError):
+        cmd.name = "b"
+    assert cmd.name == "a"
+
+
 def test_load_and_print_commands():
     (cmd,) = parse_command('Load "corpus/pierce.bull".')
     assert isinstance(cmd, Load) and cmd.path == "corpus/pierce.bull"

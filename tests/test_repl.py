@@ -43,6 +43,12 @@ def printall(s: Session) -> str:
     return text
 
 
+def test_sessions_share_no_signature_or_load_set():
+    a, b = Session(), Session()
+    assert a.genv is not b.genv and a.loading is not b.loading
+    assert a.genv.names() == b.genv.names() == [] and a.loading == b.loading == set()
+
+
 def test_help_matches_the_command_table():
     s = session()
     assert run_source(s, "Help.")

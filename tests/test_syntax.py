@@ -2,7 +2,6 @@
 
 import io
 import random
-from dataclasses import fields, replace
 
 import pytest
 
@@ -14,10 +13,10 @@ from proofun.parser import fix_index, parse_script, parse_term
 from proofun.pretty import show_term
 from proofun.repl import Session, load_file
 from proofun.syntax import (
-    Abs, App, Coercion, Const, Let, Location, Meta, NOWHERE, Prod, SInLeft, SInRight,
-    SMatch, Sort, SortKind, SPair, SPrLeft, SPrRight, Term, Underscore, Var, beta_redex,
-    binders, changes_essence, children, contains_meta, contains_underscore, erase_context,
-    first_meta, free_in, instantiate, lift,
+    Abs, App, Coercion, Const, Inter, Let, Location, Meta, NOWHERE, Prod, SInLeft,
+    SInRight, SMatch, Sort, SortKind, SPair, SPrLeft, SPrRight, Term, Underscore, Union,
+    Var, beta_redex, binders, changes_essence, children, contains_meta,
+    contains_underscore, erase_context, first_meta, free_in, instantiate, lift,
     loose, map_term, mk_app, msubst, subterms, visit_term,
 )
 
@@ -30,9 +29,43 @@ from test_growth import count_calls
 
 L = NOWHERE
 
+# The fields of each node kind in constructor order, written out here so
+# that the tests below do not read the code's own metadata.  A hint (the
+# location or a binder's name) is invisible to `==` and `hash`; a child is
+# a `Term` field or each entry of a `Term`-tuple field; data is compared.
+HINT, CHILD, CHILDREN, DATA = "hint", "child", "children", "data"
+FIELDS = {
+    Sort: (("loc", HINT), ("kind", DATA)),
+    Let: (("loc", HINT), ("name", HINT), ("annot", CHILD), ("bound", CHILD),
+          ("body", CHILD)),
+    Prod: (("loc", HINT), ("name", HINT), ("domain", CHILD), ("codomain", CHILD)),
+    Abs: (("loc", HINT), ("name", HINT), ("domain", CHILD), ("body", CHILD)),
+    App: (("loc", HINT), ("head", CHILD), ("spine", CHILDREN)),
+    Inter: (("loc", HINT), ("left", CHILD), ("right", CHILD)),
+    Union: (("loc", HINT), ("left", CHILD), ("right", CHILD)),
+    SPair: (("loc", HINT), ("left", CHILD), ("right", CHILD)),
+    SPrLeft: (("loc", HINT), ("body", CHILD)),
+    SPrRight: (("loc", HINT), ("body", CHILD)),
+    SMatch: (("loc", HINT), ("scrutinee", CHILD), ("motive", CHILD), ("name1", HINT),
+             ("annot1", CHILD), ("branch1", CHILD), ("name2", HINT), ("annot2", CHILD),
+             ("branch2", CHILD)),
+    SInLeft: (("loc", HINT), ("other", CHILD), ("body", CHILD)),
+    SInRight: (("loc", HINT), ("other", CHILD), ("body", CHILD)),
+    Coercion: (("loc", HINT), ("target", CHILD), ("body", CHILD)),
+    Var: (("loc", HINT), ("index", DATA)),
+    Const: (("loc", HINT), ("name", DATA)),
+    Underscore: (("loc", HINT),),
+    Meta: (("loc", HINT), ("mid", DATA), ("susp", CHILDREN)),
+}
+
 
 def _c(name):
     return Const(L, name)
+
+
+def _rebuild(t, **changes):
+    """A new node of `t`'s kind with `t`'s fields, `changes` applied."""
+    return type(t)(*(changes.get(name, getattr(t, name)) for name, _ in FIELDS[type(t)]))
 
 
 # ------------- visit_term -------------
@@ -48,7 +81,7 @@ def test_visit_abs_contract():
     t = Abs(L, "x", _c("A"), Var(L, 0))
     names = []
     out = visit_term(lambda c: _c("F"), lambda s, c: names.append(s) or _c("G"), t)
-    out = replace(out, name=out.name + "!")
+    out = _rebuild(out, name=out.name + "!")
     assert names == ["x"]
     assert out == Abs(L, "x!", _c("F"), _c("G"))
     assert out.name == "x!"
@@ -225,11 +258,11 @@ def test_subterms_is_preorder_at_any_depth():
 def test_children_are_the_term_fields_in_field_order():
     def by_fields(t):
         out = []
-        for f in fields(t):
-            if f.type == "Term":
-                out.append(getattr(t, f.name))
-            elif f.type == "tuple[Term, ...]":
-                out.extend(getattr(t, f.name))
+        for name, role in FIELDS[type(t)]:
+            if role == CHILD:
+                out.append(getattr(t, name))
+            elif role == CHILDREN:
+                out.extend(getattr(t, name))
         return out
 
     rng = random.Random(43)
@@ -243,6 +276,25 @@ def test_children_are_the_term_fields_in_field_order():
     assert kinds == set(Term.__subclasses__())
     with pytest.raises(InternalError):
         children(object())
+
+
+def test_the_field_table_is_each_node_kinds_match_and_constructor_order():
+    assert set(FIELDS) == set(Term.__subclasses__())
+    for kind, table in FIELDS.items():
+        code = kind.__init__.__code__
+        params = code.co_varnames[1:code.co_argcount]
+        assert kind.__match_args__ == params == tuple(name for name, _ in table), kind
+
+
+def test_nodes_are_frozen():
+    rng = random.Random(47)
+    for _ in range(50):
+        for s in subterms(_random_term(rng)):
+            for name, _ in FIELDS[type(s)]:
+                before = getattr(s, name)
+                with pytest.raises(AttributeError):
+                    setattr(s, name, _c("z"))
+                assert getattr(s, name) is before
 
 
 def _layout_subterms():
@@ -377,8 +429,8 @@ def test_term_eq_equivalence_relation_on_triples():
 def _rehint(t):
     """`t` rebuilt with every location moved and every binder hint renamed."""
     out = visit_term(_rehint, lambda _s, c: _rehint(c), t)
-    hints = [f.name for f in fields(out) if not f.compare and f.name != "loc"]
-    return replace(out, loc=_ELSEWHERE, **{h: getattr(out, h) + "'" for h in hints})
+    hints = [name for name, role in FIELDS[type(out)] if role == HINT and name != "loc"]
+    return _rebuild(out, loc=_ELSEWHERE, **{h: getattr(out, h) + "'" for h in hints})
 
 
 def test_term_eq_and_hash_survive_moved_locations_and_renamed_binders():
@@ -462,11 +514,11 @@ def _twin(t, relocate=False, counter=None):
     counter[0] += 1
     loc = Location("t", (counter[0], 1), (counter[0], 2)) if relocate else t.loc
     args = []
-    for f in fields(t)[1:]:
-        v = getattr(t, f.name)
-        if isinstance(v, Term):
+    for name, role in FIELDS[type(t)][1:]:
+        v = getattr(t, name)
+        if role == CHILD:
             v = _twin(v, relocate, counter)
-        elif isinstance(v, tuple):
+        elif role == CHILDREN:
             v = tuple(_twin(c, relocate, counter) for c in v)
         args.append(v)
     return type(t)(loc, *args)
@@ -511,7 +563,7 @@ def test_facts_of_every_subterm_match_the_reference():
         roots = [
             t,
             App(L, t, (t, Meta(L, 7, (t,)))),  # shared subterms
-            replace(t, loc=_ELSEWHERE) if type(t) is not Var else t,
+            _rebuild(t, loc=_ELSEWHERE) if type(t) is not Var else t,
             visit_term(pick, lambda _s, c: pick(c), t),
             lift(rng.randint(0, 3), rng.randint(0, 3), t),
             instantiate(t, args),
@@ -520,7 +572,7 @@ def test_facts_of_every_subterm_match_the_reference():
             mk_app(L, App(L, other, args), (t,)),
         ]
         if type(t) is App:  # a replaced node gets facts of its own
-            roots.append(replace(t, spine=t.spine + (Var(L, 9), Meta(L, 0, ()))))
+            roots.append(_rebuild(t, spine=t.spine + (Var(L, 9), Meta(L, 0, ()))))
         for root in roots:
             kinds.update(type(s) for s in subterms(root))
             _assert_facts_match(root)
@@ -612,8 +664,8 @@ def test_cache_leaves_eq_hash_repr_and_fields_alone():
         assert (repr(t), hash(t)) == (repr(twin), hash(twin))
         assert t == twin and twin == t
         assert "_facts" not in repr(t)
-        assert "_facts" not in {f.name for f in fields(t)}
-        copy = replace(t)
+        assert "_facts" not in type(t).__match_args__
+        copy = _rebuild(t)
         _assert_facts_match(copy)
         vars(copy)["_facts"] ^= 1  # facts that disagree change none of them
         assert (copy == t, hash(copy), repr(copy)) == (True, hash(t), repr(t))
