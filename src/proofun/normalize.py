@@ -4,13 +4,13 @@ three delta rules (global definitions, local definitions, solved metas).
 One normalizer serves every caller.  `strongly_normalize` is the strict
 entry point for meta-free terms, which `Compute` and subtyping use;
 `normalize_meta` also expands solved meta-variables and keeps unsolved ones
-with their suspensions normalized, which is what the unifier needs.  Both
-normalize by evaluation: `_eval` runs a term in an environment of arguments
-that are evaluated when first needed and then kept (call-by-need), and
-`_quote` reads the value back into an indexed, eta-short term.  Nothing is
-substituted except a solved meta's suspension, so a β, ζ or δ step costs
-the same whatever the size of the argument, and each global definition is
-looked up once per call.  An unsolved meta is a flexible head: applied to
+with their suspensions normalized, which is what the unifier needs of a
+right-hand side.  Both normalize by evaluation: `_eval` runs a term in an
+environment of arguments that are evaluated when first needed and then
+kept (call-by-need), and `_quote` reads the value back into an indexed,
+eta-short term.  Nothing is substituted except a solved meta's suspension,
+so a β, ζ or δ step costs the same whatever the size of the argument, and
+each global definition is looked up once per call.  An unsolved meta is a flexible head: applied to
 arguments it stays a neutral spine, and the read-back normalizes its
 suspension entries.
 
@@ -397,17 +397,23 @@ def _quote_stuck(stuck: _Stuck, depth: int, m: _Machine) -> Term:
 def whnf(phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv, t: Term,
          is_essence: bool = False) -> Term:
     """Reduce just enough to expose the top connective (a view, not a normal
-    form); used by the refiner's beta-view premises.  The evaluator takes
-    `t` to a weak-head value on the fuel budget, and `_view` reads it back
-    without reducing anything below its root.  A term already in weak head
-    normal form comes back as the same object; a node that is never a redex,
-    an unsolved meta and an axiom or unbound constant do so at once, without
-    entering the evaluator."""
+    form); used by the refiner's beta-view premises and the unifier's head
+    views.  The evaluator takes `t` to a weak-head value on the fuel budget,
+    and `_view` reads it back without reducing anything below its root.  A
+    term already in weak head normal form comes back as the same object.
+    These do so at once, without starting the evaluator: a node that is
+    never a redex, an unsolved meta, a declared variable of `ctx` (one
+    without a body) and an axiom or unbound constant, the last two also
+    when applied to a spine."""
     k = type(t)
     if k in _INERT or k is Meta and phi.lookup(t.mid).value is None:
         return t
-    if k is Const and genv.find_const(is_essence, t.name) is None:
-        return t  # an axiom or an unbound name
+    head = t.head if k is App else t
+    if type(head) is Var:
+        if 0 <= head.index < len(ctx.entries) and ctx.entries[head.index].body is None:
+            return t  # a declared variable, or one applied
+    elif type(head) is Const and genv.find_const(is_essence, head.name) is None:
+        return t  # an axiom or an unbound name, or one applied
     view = _view(_eval(t, 0, _Machine(phi, genv, ctx, is_essence)), len(ctx), {})
     return t if view is t or view == t else view
 

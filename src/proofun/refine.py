@@ -514,11 +514,12 @@ def _closed(phi: MetaEnv, genv: GlobalEnv, fallback: Location, *parts: Term) -> 
     """The closing step of both elaborators: the essence of each part in
     order, then every part and every essence with its metas expanded; fails
     on the first one left with a meta."""
-    essences = []
+    zonked, essences = [], []
     for part in parts:
-        ess, phi = essence(phi, genv, LocalEnv(), zonk(phi, part))
+        zonked.append(zonk(phi, part))
+        ess, phi = essence(phi, genv, LocalEnv(), zonked[-1])
         essences.append(ess)
-    closed = [zonk(phi, part) for part in (*parts, *essences)]
+    closed = [zonk(phi, part) for part in (*zonked, *essences)]
     for part in closed:
         _check_meta_free(part, fallback)
     return closed

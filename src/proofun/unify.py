@@ -16,13 +16,20 @@ a declaration whose type the essence phase never reads.
 
 Meta-variables are solved by pattern unification: when a meta is applied
 to distinct variables and the other side mentions nothing outside them,
-the inverse index permutation gives the unique solution.  Suspension
-entries that are not variables are skipped during inversion, which still
-yields a sound solution whenever the right-hand side does not need them;
-anything harder fails rather than postponing constraints.
+the inverse index permutation gives the unique solution.  Inversion only
+asks which suspension entries are variables, so the head view of an
+unsolved meta views each entry and reads none back, except one viewed as
+an abstraction (which may eta-contract to a variable) or a meta.  Two
+views of the same meta whose suspensions differ are still compared as
+normal forms before either is inverted.  Suspension entries that are not
+variables are skipped during inversion, which still yields a sound
+solution whenever the right-hand side does not need them; anything harder
+fails rather than postponing constraints.
 """
 
 from __future__ import annotations
+
+from operator import is_not
 
 from proofun.env import Decl, EssMeta, GlobalEnv, LocalEnv, MetaEnv, SortMeta, TypedMeta
 from proofun.errors import InternalError, UnificationFailure
@@ -179,8 +186,9 @@ def _head(phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv, t: Term,
     viewed down to their first body that is not one; only when that body
     applies something to a term whose view is the innermost variable can the
     normal form eta-contract, and then the abstraction is normalized whole.
-    An unsolved meta also has its suspension normalized: inversion needs
-    variables, not redexes."""
+    An unsolved meta has each suspension entry viewed: inversion needs
+    variables, not redexes.  Only an entry viewed as an abstraction or a
+    meta is normalized, and the meta is rebuilt only if an entry changed."""
     outer, abstractions = ctx, []
     t = whnf(phi, genv, ctx, t, is_essence)
     while isinstance(t, Abs):
@@ -191,7 +199,11 @@ def _head(phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv, t: Term,
             _head(phi, genv, ctx, t.spine[-1], is_essence) == Var(NOWHERE, 0)):
         return normalize_meta(phi, genv, outer, abstractions[0], is_essence)
     if isinstance(t, Meta):
-        t = normalize_meta(phi, genv, ctx, t, is_essence)
+        susp = [whnf(phi, genv, ctx, s, is_essence) for s in t.susp]
+        susp = [normalize_meta(phi, genv, ctx, s, is_essence) if isinstance(s, (Abs, Meta))
+                else s for s in susp]
+        if any(map(is_not, susp, t.susp)):
+            t = Meta(t.loc, t.mid, tuple(susp))
     for b in reversed(abstractions):
         t = Abs(b.loc, b.name, b.domain, t)
     return t
@@ -218,6 +230,10 @@ def _unify_heads(phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv, t1: Term,
     # Meta cases first: a meta can absorb an abstraction, so they take
     # priority over the eta rules.
     if isinstance(t1, Meta) or isinstance(t2, Meta):
+        if (isinstance(t1, Meta) and isinstance(t2, Meta) and t1.mid == t2.mid
+                and normalize_meta(phi, genv, ctx, t1, is_essence)
+                == normalize_meta(phi, genv, ctx, t2, is_essence)):
+            return phi
         if isinstance(t1, Meta):
             solved = try_hopu(phi, genv, ctx, t1, t2, is_essence)
             if solved is not None:

@@ -101,6 +101,22 @@ def chain_of_holes(n: int) -> str:
             f"Definition d (y : {holes}) := k y.\n")
 
 
+def let_chain(n: int) -> str:
+    # Each unannotated `let` gets a hole for its type, solved against the
+    # type of its value.
+    lets = "".join(f"let y{i} := g y{i - 1} in " for i in range(1, n))
+    return (f"Axiom (A : Type) (g : A -> A) (a : A).\n"
+            f"Definition d := let y0 := g a in {lets}y{n - 1}.\n")
+
+
+def shared_let_chain(n: int) -> str:
+    # Each value uses the previous one twice: read back as a tree, the last
+    # one has 2^n leaves.
+    lets = "".join(f"let y{i} := h y{i - 1} y{i - 1} in " for i in range(1, n))
+    return (f"Axiom (A : Type) (h : A -> A -> A) (a : A).\n"
+            f"Definition d := let y0 := h a a in {lets}y{n - 1}.\n")
+
+
 def solved_hole_used_n_times(n: int) -> str:
     # Every use of `y` compares the hole's solution with the domain of `f`.
     arrow = " -> ".join(["A"] * (n + 1))
@@ -176,6 +192,16 @@ def test_chain_of_holes_is_at_most_quadratic():
     # Each hole is a meta whose suspension holds every binder before it, so
     # this family is not linear yet; a cubic path gives a ratio near 8.
     small, large = calls_to_check(chain_of_holes(40)), calls_to_check(chain_of_holes(80))
+    assert large / small < 4, (small, large)
+
+
+@pytest.mark.parametrize("family, size", [(shared_let_chain, 20), (let_chain, 40)],
+                         ids=["shared_let_chain", "let_chain"])
+def test_let_chains_are_at_most_quadratic(family, size):
+    # Each `let` type is a hole whose suspension holds every value before it,
+    # so these families are not linear yet; viewing a suspension by reading
+    # it back is exponential in the shared chain.
+    small, large = calls_to_check(family(size)), calls_to_check(family(2 * size))
     assert large / small < 4, (small, large)
 
 

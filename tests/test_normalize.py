@@ -680,3 +680,25 @@ def test_whnf_gives_back_an_unsolved_meta_and_an_axiom_without_evaluating(monkey
     assert whnf(phi, genv, ctx, Meta(L, solved, (Var(L, 0),))) == Const(L, "a")
     assert whnf(phi, genv, ctx, Const(L, "d")) == P("f a")
     assert len(entered) == 2
+
+
+def test_whnf_gives_back_a_neutral_term_without_starting_the_evaluator(monkeypatch):
+    # A declared variable, applied or not, and an axiom applied are already
+    # head views; a let-bound variable and a defined constant still unfold.
+    genv = make_test_genv()
+    define(genv, "d", "fun (z : A) => f z")
+    ctx = (LocalEnv().push_decl("x", P("A -> B -> A"))
+           .push_def("y", P("a"), Const(L, "A")))
+    x, y = Var(L, 1), Var(L, 0)
+    neutral = [x, mk_app(L, x, (P("a"), P("b"))), mk_app(L, P("f"), (P("a"),))]
+
+    def no_machine(*_args):
+        raise AssertionError("whnf started the evaluator")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(normalize, "_Machine", no_machine)
+        for t in neutral:
+            for is_essence in (False, True):
+                assert whnf(MetaEnv(), genv, ctx, t, is_essence) is t
+    assert whnf(MetaEnv(), genv, ctx, y) == P("a")
+    assert whnf(MetaEnv(), genv, ctx, mk_app(L, P("d"), (P("a"),))) == P("f a")

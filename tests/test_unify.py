@@ -202,6 +202,22 @@ def test_suspension_entries_are_normalized_before_inversion(ctx, entry):
     assert phi2.lookup(mid).value == mk_app(L, P("f"), (Var(L, 0),))
 
 
+def test_one_meta_with_convertible_suspensions_unifies_with_itself():
+    # The entries `f ((fun z => z) x)` and `f x` are not variables, so neither
+    # side inverts, and each side mentions the meta: only comparing the two
+    # metas' normal forms solves the problem.
+    phi, mid = MetaEnv().fresh_meta(TypedMeta(_WITH_X, Const(L, "A")))
+    x = Var(L, 0)
+    redex = mk_app(L, P("f"), (mk_app(L, P("fun (z : A) => z"), (x,)),))
+    same = Meta(L, mid, (redex,)), Meta(L, mid, (mk_app(L, P("f"), (x,)),))
+    assert unify(phi, GENV, _WITH_X, *same) is phi
+    assert unify(phi, GENV, _WITH_X, *reversed(same)) is phi
+    other = Meta(L, mid, (mk_app(L, P("g"), (x,)),))
+    for lhs, rhs in [(same[0], other), (other, same[1])]:
+        with pytest.raises(UnificationFailure):
+            unify(phi, GENV, _WITH_X, lhs, rhs)
+
+
 def test_rigid_free_variable_outside_pattern_fails():
     ctx = CTX.push_decl("u", Const(L, "A"))
     phi, mid = MetaEnv().fresh_meta(TypedMeta(CTX, Const(L, "A")))
