@@ -10,9 +10,10 @@ A local context is an immutable stack (index 0 is the most recent entry);
 entry types and bodies are stored relative to their own position, and
 `find_var` lifts a type on retrieval.  The essence phase uses the same
 stack: its declarations carry `Underscore` as their type and its
-definitions bind essences.  The meta-environment is a persistent value:
-`fresh_meta` and `instantiate_meta` return updated copies, which makes the
-force-type probes and REPL backtracking trivial.
+definitions bind essences.  The meta-environment is one mutable store per
+command: `fresh_meta` and `instantiate_meta` update it in place and record
+what they set on a trail, and the few searches that backtrack take a `mark`
+and `undo` to it.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 from typing import Iterator, Union as TyUnion
 
 from proofun.errors import CommandError, InternalError
-from proofun.syntax import NOWHERE, Term, Underscore, _frozen, lift, record, replace
+from proofun.syntax import NOWHERE, Term, Underscore, lift, record, replace
 
 
 # ---------------------------------------------------------------------------
@@ -148,23 +149,24 @@ MetaEntry = TyUnion[SortMeta, TypedMeta, EssMeta]
 
 
 class MetaEnv:
-    """Declared and solved meta-variables plus the fresh-id counter.
+    """The meta-variables of one command: declared and solved entries, the
+    essence companions, and a trail of what was set, newest last.
 
-    Instantiation is write-once: an entry's `value` is set once and never
-    changes.  `companions` links a typed meta-variable to the essence meta
-    standing for it during the second typing phase.  Frozen; compared by
-    identity.
+    Ids are handed out in order, so the next fresh id is the number of
+    entries, and undoing a fresh meta frees its id.  Instantiation is
+    write-once: an entry's `value` is set once and only `undo` unsets it.
+    `companions` links a typed meta-variable to the essence meta standing
+    for it during the second typing phase.  Each change costs O(1), and
+    `undo` costs the number of changes it unsets.
     """
 
-    __slots__ = ("next_id", "entries", "companions")
-    __setattr__ = __delattr__ = _frozen
+    __slots__ = ("entries", "companions", "_trail")
 
-    def __init__(self, next_id: int = 0, entries: dict[int, MetaEntry] | None = None,
-                 companions: dict[int, int] | None = None) -> None:
-        put = object.__setattr__
-        put(self, "next_id", next_id)
-        put(self, "entries", {} if entries is None else entries)
-        put(self, "companions", {} if companions is None else companions)
+    def __init__(self) -> None:
+        self.entries: dict[int, MetaEntry] = {}
+        self.companions: dict[int, int] = {}
+        # (table, key, value before): None means the key was absent.
+        self._trail: list[tuple[dict, int, MetaEntry | None]] = []
 
     def lookup(self, mid: int) -> MetaEntry:
         try:
@@ -172,33 +174,46 @@ class MetaEnv:
         except KeyError:
             raise InternalError(f"unknown meta-variable ?{mid}") from None
 
-    def fresh_meta(self, decl: MetaEntry) -> tuple[MetaEnv, int]:
+    def mark(self) -> int:
+        """A point to `undo` to: the length of the trail."""
+        return len(self._trail)
+
+    def undo(self, mark: int) -> None:
+        """Unset every entry, fresh id and companion set since `mark()`
+        returned `mark`, newest first."""
+        trail = self._trail
+        while len(trail) > mark:
+            table, key, before = trail.pop()
+            if before is None:
+                del table[key]
+            else:
+                table[key] = before
+
+    def fresh_meta(self, decl: MetaEntry) -> int:
         if decl.value is not None:
             raise InternalError("fresh_meta expects an unsolved entry")
-        mid = self.next_id
-        entries = dict(self.entries)
-        entries[mid] = decl
-        return MetaEnv(mid + 1, entries, self.companions), mid
+        mid = len(self.entries)
+        self.entries[mid] = decl
+        self._trail.append((self.entries, mid, None))
+        return mid
 
-    def instantiate_meta(self, mid: int, solution: Term) -> MetaEnv:
+    def instantiate_meta(self, mid: int, solution: Term) -> None:
         entry = self.lookup(mid)
         if entry.value is not None:
             raise InternalError(f"meta-variable ?{mid} instantiated twice")
-        entries = dict(self.entries)
-        entries[mid] = replace(entry, value=solution)
-        return MetaEnv(self.next_id, entries, self.companions)
+        self.entries[mid] = replace(entry, value=solution)
+        self._trail.append((self.entries, mid, entry))
 
-    def essence_companion(self, mid: int) -> tuple[MetaEnv, int]:
+    def essence_companion(self, mid: int) -> int:
         """Essence meta standing for the typed meta `mid`, minted on demand
         over a bare copy of the typed meta's context."""
-        if mid in self.companions:
-            return self, self.companions[mid]
-        entry = self.lookup(mid)
-        if not isinstance(entry, TypedMeta):
-            raise InternalError(f"?{mid} has no essence companion")
-        psi = LocalEnv(tuple(Decl(e.name, Underscore(NOWHERE))
-                             for e in entry.ctx.entries))
-        phi, eid = self.fresh_meta(EssMeta(psi))
-        companions = dict(phi.companions)
-        companions[mid] = eid
-        return MetaEnv(phi.next_id, phi.entries, companions), eid
+        eid = self.companions.get(mid)
+        if eid is None:
+            entry = self.lookup(mid)
+            if not isinstance(entry, TypedMeta):
+                raise InternalError(f"?{mid} has no essence companion")
+            psi = LocalEnv(tuple(Decl(e.name, Underscore(NOWHERE))
+                                 for e in entry.ctx.entries))
+            eid = self.companions[mid] = self.fresh_meta(EssMeta(psi))
+            self._trail.append((self.companions, mid, None))
+        return eid

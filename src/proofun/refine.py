@@ -57,17 +57,18 @@ _EXPECTED_TYPE = 'the term "{t}" has type "{a}" while it is expected to have typ
 
 def _unify_or(phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv, a: Term, b: Term,
               loc: Location, message: str, subject: Term | tuple | None = None,
-              is_essence: bool = False) -> MetaEnv:
+              is_essence: bool = False) -> None:
     """Unify `a` with `b` (their essences if `is_essence`), or fail with
     `message` at `loc`: a `TypeCheckError`, or an `EssenceMismatch`.  The
     message's fields `{a}`, `{b}` and `{t}` (the `subject`) are shown only
-    on failure, and only those it names.  A `subject` `(head, args)` is
-    the application of `head` to `args`, built only then and blamed at
-    its own location."""
+    on failure, and only those it names, with the metas as they were before
+    the failed unification.  A `subject` `(head, args)` is the application
+    of `head` to `args`, built only then and blamed at its own location."""
+    mark = phi.mark()
     try:
         return (unify_essence if is_essence else unify)(phi, genv, ctx, a, b)
     except UnificationFailure:
-        pass
+        phi.undo(mark)
     if isinstance(subject, tuple):
         subject = mk_app(loc, *subject)
         loc = subject.loc
@@ -78,54 +79,52 @@ def _unify_or(phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv, a: Term, b: Term,
     raise (EssenceMismatch if is_essence else TypeCheckError)(message.format_map(shown), loc)
 
 
-def _hole(phi: MetaEnv, ctx: LocalEnv, ty: Term, loc: Location) -> tuple[MetaEnv, Meta]:
+def _hole(phi: MetaEnv, ctx: LocalEnv, ty: Term, loc: Location) -> Meta:
     """A fresh meta ?x : `ty` over `ctx`, under the identity suspension."""
-    phi, mid = phi.fresh_meta(TypedMeta(ctx, ty))
-    return phi, Meta(loc, mid, erase_context(len(ctx)))
+    return Meta(loc, phi.fresh_meta(TypedMeta(ctx, ty)), erase_context(len(ctx)))
 
 
 def _pts_check(phi: MetaEnv, genv: GlobalEnv, ctx_dom: LocalEnv,
-               ctx_cod: LocalEnv, s1: Term, s2: Term, loc: Location
-               ) -> tuple[MetaEnv, Term]:
+               ctx_cod: LocalEnv, s1: Term, s2: Term, loc: Location) -> Term:
     """Resolve the product side condition; returns the sort of the product.
     Two sorts are looked up in the rules; otherwise the allowed sort pairs
     are tried in order against the metas."""
     v1, v2 = whnf(phi, genv, ctx_dom, s1), whnf(phi, genv, ctx_cod, s2)
     if isinstance(v1, Sort) and isinstance(v2, Sort):
         if (v1.kind, v2.kind) in _PTS_RULES:
-            return phi, Sort(loc, v2.kind)
+            return Sort(loc, v2.kind)
     else:
+        mark = phi.mark()
         for a, b in _PTS_RULES:
             try:
-                phi2 = unify(phi, genv, ctx_dom, s1, Sort(loc, a))
-                phi2 = unify(phi2, genv, ctx_cod, s2, Sort(loc, b))
-                return phi2, Sort(loc, b)
+                unify(phi, genv, ctx_dom, s1, Sort(loc, a))
+                unify(phi, genv, ctx_cod, s2, Sort(loc, b))
+                return Sort(loc, b)
             except UnificationFailure:
-                continue
+                phi.undo(mark)
     raise TypeCheckError("this product is not allowed by the sort discipline", loc)
 
 
 def _infer_abs(phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv, t: Abs
-               ) -> tuple[Term, Term, Term, MetaEnv]:
+               ) -> tuple[Term, Term, Term]:
     """Inference for an abstraction: the refined term, its product type and
     the sort of that product.  The product is trusted, not re-checked: its
     domain was forced and its codomain was synthesised, so only the product
     rule is left to decide, from the domain's sort and the body type's sort,
     which a nested abstraction hands back and `_sort_of` reads otherwise."""
-    dom2, s1, phi = force_type(phi, genv, ctx, t.domain)
+    dom2, s1 = force_type(phi, genv, ctx, t.domain)
     inner = ctx.push_decl(t.name, dom2)
     if isinstance(t.body, Abs):
-        body2, tau, s2, phi = _infer_abs(phi, genv, inner, t.body)
+        body2, tau, s2 = _infer_abs(phi, genv, inner, t.body)
     else:
-        body2, tau, phi = reconstruct(phi, genv, inner, t.body)
-        s2, phi = _sort_of(phi, genv, inner, tau)
-    phi, sort = _pts_check(phi, genv, ctx, inner, s1, s2, t.loc)
+        body2, tau = reconstruct(phi, genv, inner, t.body)
+        s2 = _sort_of(phi, genv, inner, tau)
+    sort = _pts_check(phi, genv, ctx, inner, s1, s2, t.loc)
     term = t if dom2 is t.domain and body2 is t.body else Abs(t.loc, t.name, dom2, body2)
-    return term, Prod(t.loc, t.name, dom2, tau), sort, phi
+    return term, Prod(t.loc, t.name, dom2, tau), sort
 
 
-def _sort_of(phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv, ty: Term
-             ) -> tuple[Term, MetaEnv]:
+def _sort_of(phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv, ty: Term) -> Term:
     """Sort of `ty`, a type the refiner synthesised, read off its shape
     without re-checking it ("retyping"): through products to the final
     codomain, then through the type of its variable, constant or meta head.
@@ -136,45 +135,41 @@ def _sort_of(phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv, ty: Term
         ty = whnf(phi, genv, ctx, ty.codomain)
     head, nargs = (ty.head, len(ty.spine)) if isinstance(ty, App) else (ty, 0)
     if isinstance(head, (Var, Const, Meta)):
-        _h, kind, phi = reconstruct(phi, genv, ctx, head)
-        kind = whnf(phi, genv, ctx, kind)
+        kind = whnf(phi, genv, ctx, reconstruct(phi, genv, ctx, head)[1])
         # A sort is closed, so the arguments need not be substituted.
         kind_ctx = ctx
         while nargs and isinstance(kind, Prod):
             kind_ctx = kind_ctx.push_decl(kind.name, kind.domain)
             kind, nargs = whnf(phi, genv, kind_ctx, kind.codomain), nargs - 1
         if not nargs and isinstance(kind, (Sort, Meta)):
-            return kind, phi
-    _t, sort, phi = force_type(phi, genv, ctx, ty)
-    return sort, phi
+            return kind
+    return force_type(phi, genv, ctx, ty)[1]
 
 
 def reconstruct(phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv, t: Term
-                ) -> tuple[Term, Term, MetaEnv]:
+                ) -> tuple[Term, Term]:
     """Inference mode: fill the holes of `t` and return the refined term
     together with its type."""
     match t:
         case Sort(loc, SortKind.TYPE):
-            return t, sort_kind(loc), phi
+            return t, sort_kind(loc)
         case Sort(loc, SortKind.KIND):
             raise TypeCheckError("Kind itself has no type", loc)
         case Var(loc, n):
-            return t, ctx.find_var(n), phi
+            return t, ctx.find_var(n)
         case Const(loc, name):
             info = genv.lookup(name)
             if info is None:
                 raise TypeCheckError(f'unknown identifier "{name}"', loc)
-            return t, info.type, phi
+            return t, info.type
         case Underscore(loc):  # ?x : ?y : ?z, a term, a type and a sort meta
-            phi, zid = phi.fresh_meta(SortMeta())
-            phi, ty = _hole(phi, ctx, Meta(loc, zid, ()), loc)
-            phi, term = _hole(phi, ctx, ty, loc)
-            return term, ty, phi
+            ty = _hole(phi, ctx, Meta(loc, phi.fresh_meta(SortMeta()), ()), loc)
+            return _hole(phi, ctx, ty, loc), ty
         case Meta(loc, mid, susp):
             entry = phi.lookup(mid)
             match entry:
                 case SortMeta():
-                    return t, sort_kind(loc), phi
+                    return t, sort_kind(loc)
                 case TypedMeta(mctx, ty):
                     n = len(mctx)
                     if len(susp) != n:
@@ -184,30 +179,26 @@ def reconstruct(phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv, t: Term
                         # Entry n-1-i is scoped over the i entries before
                         # it: the prefix checked so far, passed uncopied.
                         want = msubst(mctx.entries[n - 1 - i].type, checked)
-                        elem, phi = reconstruct_with_type(
-                            phi, genv, ctx, susp[i], want)
-                        checked.append(elem)
+                        checked.append(reconstruct_with_type(phi, genv, ctx, susp[i], want))
                     susp2 = tuple(checked)
-                    return Meta(loc, mid, susp2), msubst(ty, susp2), phi
+                    return Meta(loc, mid, susp2), msubst(ty, susp2)
             raise InternalError("essence meta in a typing judgment")
         case Let(loc, name, annot, bound, body):
-            annot2, _s, phi = force_type(phi, genv, ctx, annot)
-            bound2, phi = reconstruct_with_type(phi, genv, ctx, bound, annot2)
+            annot2, _s = force_type(phi, genv, ctx, annot)
+            bound2 = reconstruct_with_type(phi, genv, ctx, bound, annot2)
             inner = ctx.push_def(name, bound2, annot2)
-            body2, tau, phi = reconstruct(phi, genv, inner, body)
-            return (Let(loc, name, annot2, bound2, body2),
-                    beta_redex(zonk(phi, tau), bound2), phi)
+            body2, tau = reconstruct(phi, genv, inner, body)
+            return Let(loc, name, annot2, bound2, body2), beta_redex(zonk(phi, tau), bound2)
         case Prod(loc, name, dom, cod):
-            dom2, s1, phi = force_type(phi, genv, ctx, dom)
+            dom2, s1 = force_type(phi, genv, ctx, dom)
             inner = ctx.push_decl(name, dom2)
-            cod2, s2, phi = force_type(phi, genv, inner, cod)
-            phi, sort = _pts_check(phi, genv, ctx, inner, s1, s2, loc)
-            return t if dom2 is dom and cod2 is cod else Prod(loc, name, dom2, cod2), sort, phi
+            cod2, s2 = force_type(phi, genv, inner, cod)
+            sort = _pts_check(phi, genv, ctx, inner, s1, s2, loc)
+            return t if dom2 is dom and cod2 is cod else Prod(loc, name, dom2, cod2), sort
         case Abs():
-            term, prod, _sort, phi = _infer_abs(phi, genv, ctx, t)
-            return term, prod, phi
+            return _infer_abs(phi, genv, ctx, t)[:2]
         case App(loc, head, spine):
-            term, sigma, phi = reconstruct(phi, genv, ctx, head)
+            term, sigma = reconstruct(phi, genv, ctx, head)
             # While `sigma` is syntactically a product chain, the arguments
             # checked against it are kept `pending` instead of substituted
             # one by one: each domain gets them in one substitution when it
@@ -222,83 +213,80 @@ def reconstruct(phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv, t: Term
                         sigma = view
                 if isinstance(sigma, Prod):
                     want = instantiate(sigma.domain, pending)
-                    arg2, phi = reconstruct_with_type(phi, genv, ctx, arg, want)
+                    arg2 = reconstruct_with_type(phi, genv, ctx, arg, want)
                     pending.append(arg2)
                     sigma = sigma.codomain
                 else:
-                    arg2, sigma1, phi = reconstruct(phi, genv, ctx, arg)
-                    phi, yid = phi.fresh_meta(SortMeta())
-                    phi, cod = _hole(phi, ctx.push_decl("x", sigma1), Meta(loc, yid, ()), loc)
-                    phi = _unify_or(phi, genv, ctx, sigma, Prod(loc, "x", sigma1, cod), loc,
-                                    'the term "{t}" has type "{a}" and cannot be applied',
-                                    (term, args))
+                    arg2, sigma1 = reconstruct(phi, genv, ctx, arg)
+                    yid = phi.fresh_meta(SortMeta())
+                    cod = _hole(phi, ctx.push_decl("x", sigma1), Meta(loc, yid, ()), loc)
+                    _unify_or(phi, genv, ctx, sigma, Prod(loc, "x", sigma1, cod), loc,
+                              'the term "{t}" has type "{a}" and cannot be applied',
+                              (term, args))
                     sigma = Meta(loc, cod.mid, erase_context(len(ctx)) + (arg2,))
                 args.append(arg2)
             if term is not head or type(head) is App or not all(map(is_, args, spine)):
                 t = mk_app(loc, term, args)  # else `t` is its own refinement
-            return t, instantiate(sigma, pending), phi
+            return t, instantiate(sigma, pending)
         case Inter(loc, left, right) | Union(loc, left, right):
-            left2, phi = reconstruct_with_type(phi, genv, ctx, left, sort_type(loc))
-            right2, phi = reconstruct_with_type(phi, genv, ctx, right, sort_type(loc))
+            left2 = reconstruct_with_type(phi, genv, ctx, left, sort_type(loc))
+            right2 = reconstruct_with_type(phi, genv, ctx, right, sort_type(loc))
             if left2 is not left or right2 is not right:
                 t = type(t)(loc, left2, right2)
-            return t, sort_type(loc), phi
+            return t, sort_type(loc)
         case SPair(loc, left, right):
-            left2, s1, phi = reconstruct(phi, genv, ctx, left)
-            right2, s2, phi = reconstruct(phi, genv, ctx, right)
+            left2, s1 = reconstruct(phi, genv, ctx, left)
+            right2, s2 = reconstruct(phi, genv, ctx, right)
             ty = Inter(loc, s1, s2)
-            _t, phi = reconstruct_with_type(phi, genv, ctx, ty, sort_type(loc))
-            return SPair(loc, left2, right2), ty, phi
+            reconstruct_with_type(phi, genv, ctx, ty, sort_type(loc))
+            return SPair(loc, left2, right2), ty
         case SPrLeft(loc, body) | SPrRight(loc, body):
             left_side = isinstance(t, SPrLeft)
-            body2, sigma, phi = reconstruct(phi, genv, ctx, body)
+            body2, sigma = reconstruct(phi, genv, ctx, body)
             view = whnf(phi, genv, ctx, sigma)
             if isinstance(view, Inter):
                 ty = view.left if left_side else view.right
             else:
-                phi, x1 = _hole(phi, ctx, sort_type(loc), loc)
-                phi, x2 = _hole(phi, ctx, sort_type(loc), loc)
-                phi = _unify_or(phi, genv, ctx, sigma, Inter(loc, x1, x2), body.loc,
-                                'the term "{t}" has type "{a}" while it is expected '
-                                'to have an intersection type', body2)
+                x1 = _hole(phi, ctx, sort_type(loc), loc)
+                x2 = _hole(phi, ctx, sort_type(loc), loc)
+                _unify_or(phi, genv, ctx, sigma, Inter(loc, x1, x2), body.loc,
+                          'the term "{t}" has type "{a}" while it is expected '
+                          'to have an intersection type', body2)
                 ty = x1 if left_side else x2
             node = SPrLeft if left_side else SPrRight
-            return node(loc, body2), ty, phi
+            return node(loc, body2), ty
         case SInLeft(loc, other, body) | SInRight(loc, other, body):
             # No inference rule appears for injections in checking-only
             # presentations, but untyped definitions need one: infer the
             # payload and pair it with the annotated other side.
             left_side = isinstance(t, SInLeft)
-            other2, phi = reconstruct_with_type(phi, genv, ctx, other, sort_type(loc))
-            body2, tau, phi = reconstruct(phi, genv, ctx, body)
+            other2 = reconstruct_with_type(phi, genv, ctx, other, sort_type(loc))
+            body2, tau = reconstruct(phi, genv, ctx, body)
             node = SInLeft if left_side else SInRight
             ty = Union(loc, tau, other2) if left_side else Union(loc, other2, tau)
-            return node(loc, other2, body2), ty, phi
+            return node(loc, other2, body2), ty
         case SMatch(loc, scrut, motive, n1, a1, b1, n2, a2, b2):
-            scrut2, sigma, phi = reconstruct(phi, genv, ctx, scrut)
-            a1_2, phi = reconstruct_with_type(phi, genv, ctx, a1, sort_type(loc))
-            a2_2, phi = reconstruct_with_type(phi, genv, ctx, a2, sort_type(loc))
+            scrut2, sigma = reconstruct(phi, genv, ctx, scrut)
+            a1_2 = reconstruct_with_type(phi, genv, ctx, a1, sort_type(loc))
+            a2_2 = reconstruct_with_type(phi, genv, ctx, a2, sort_type(loc))
             union = Union(loc, a1_2, a2_2)
-            phi = _unify_or(phi, genv, ctx, sigma, union, scrut.loc, _EXPECTED_TYPE, scrut2)
-            motive2, phi = reconstruct_with_type(
-                phi, genv, ctx, motive,
-                Prod(loc, "x", union, sort_type(loc)))
+            _unify_or(phi, genv, ctx, sigma, union, scrut.loc, _EXPECTED_TYPE, scrut2)
+            motive2 = reconstruct_with_type(phi, genv, ctx, motive,
+                                            Prod(loc, "x", union, sort_type(loc)))
             if not isinstance(motive2, Abs):
                 raise InternalError("smatch motive is not an abstraction")
             ret = motive2.body
             expected1 = replace_bound(ret, SInLeft(loc, lift(0, 1, a2_2),
                                                    Var(loc, 0)))
-            b1_2, phi = reconstruct_with_type(
-                phi, genv, ctx.push_decl(n1, a1_2), b1, expected1)
+            b1_2 = reconstruct_with_type(phi, genv, ctx.push_decl(n1, a1_2), b1, expected1)
             expected2 = replace_bound(ret, SInRight(loc, lift(0, 1, a1_2),
                                                     Var(loc, 0)))
-            b2_2, phi = reconstruct_with_type(
-                phi, genv, ctx.push_decl(n2, a2_2), b2, expected2)
+            b2_2 = reconstruct_with_type(phi, genv, ctx.push_decl(n2, a2_2), b2, expected2)
             result = SMatch(loc, scrut2, motive2, n1, a1_2, b1_2, n2, a2_2, b2_2)
-            return result, beta_redex(ret, scrut2), phi
+            return result, beta_redex(ret, scrut2)
         case Coercion(loc, target, body):
-            target2, _s, phi = force_type(phi, genv, ctx, target)
-            body2, tau, phi = reconstruct(phi, genv, ctx, body)
+            target2, _s = force_type(phi, genv, ctx, target)
+            body2, tau = reconstruct(phi, genv, ctx, body)
             tau_z = zonk(phi, tau)
             target_z = zonk(phi, target2)
             if contains_meta(tau_z) or contains_meta(target_z):
@@ -308,85 +296,82 @@ def reconstruct(phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv, t: Term
                 raise TypeCheckError(
                     f'the term "{_shown(phi, ctx, body2)}" has type "{_shown(phi, ctx, tau_z)}"'
                     f' which is not a subtype of "{_shown(phi, ctx, target_z)}"', body.loc)
-            return Coercion(loc, target2, body2), target2, phi
+            return Coercion(loc, target2, body2), target2
     raise InternalError(f"reconstruct: unhandled node {t!r}")
 
 
 def force_type(phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv, t: Term
-               ) -> tuple[Term, Term, MetaEnv]:
+               ) -> tuple[Term, Term]:
     """Refine `t` while ensuring it is a type, and return its type `tau`: a
     sort in the weak head normal form of `tau` decides at once, otherwise
     `tau` must unify with a fresh sort meta (only a flexible `tau` does)."""
-    t2, tau, phi = reconstruct(phi, genv, ctx, t)
-    if isinstance(whnf(phi, genv, ctx, tau), Sort):
-        return t2, tau, phi
-    phi, sid = phi.fresh_meta(SortMeta())
-    return t2, tau, _unify_or(phi, genv, ctx, tau, Meta(t.loc, sid, ()), t.loc,
-                              'the term "{t}" is not a type', t2)
+    t2, tau = reconstruct(phi, genv, ctx, t)
+    if not isinstance(whnf(phi, genv, ctx, tau), Sort):
+        sort = Meta(t.loc, phi.fresh_meta(SortMeta()), ())
+        _unify_or(phi, genv, ctx, tau, sort, t.loc, 'the term "{t}" is not a type', t2)
+    return t2, tau
 
 
 def reconstruct_with_type(phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv,
-                          t: Term, expected: Term) -> tuple[Term, MetaEnv]:
+                          t: Term, expected: Term) -> Term:
     """Checking mode: refine `t` against `expected`.  Syntax-directed rules
     fire when the expected type's view matches; otherwise the default rule
     infers and unifies."""
 
-    def default() -> tuple[Term, MetaEnv]:
-        t2, sigma, phi2 = reconstruct(phi, genv, ctx, t)
-        return t2, _unify_or(phi2, genv, ctx, sigma, expected, t.loc, _EXPECTED_TYPE, t2)
+    def default() -> Term:
+        t2, sigma = reconstruct(phi, genv, ctx, t)
+        _unify_or(phi, genv, ctx, sigma, expected, t.loc, _EXPECTED_TYPE, t2)
+        return t2
 
     match t:
         case Let(loc, name, annot, bound, body):
-            annot2, _s, phi = force_type(phi, genv, ctx, annot)
-            bound2, phi = reconstruct_with_type(phi, genv, ctx, bound, annot2)
+            annot2, _s = force_type(phi, genv, ctx, annot)
+            bound2 = reconstruct_with_type(phi, genv, ctx, bound, annot2)
             inner = ctx.push_def(name, bound2, annot2)
             # The expectation moves under one extra binder.
-            body2, phi = reconstruct_with_type(phi, genv, inner, body,
-                                               lift(0, 1, expected))
-            return Let(loc, name, annot2, bound2, body2), phi
+            body2 = reconstruct_with_type(phi, genv, inner, body, lift(0, 1, expected))
+            return Let(loc, name, annot2, bound2, body2)
         case Abs(loc, name, dom, body):
             view = whnf(phi, genv, ctx, expected)
             if not isinstance(view, Prod):
                 return default()
-            dom2, _s, phi = force_type(phi, genv, ctx, dom)
-            phi = _unify_or(phi, genv, ctx, dom2, view.domain, dom.loc,
-                            'the domain "{a}" does not match the expected domain "{b}"')
-            body2, phi = reconstruct_with_type(
+            dom2, _s = force_type(phi, genv, ctx, dom)
+            _unify_or(phi, genv, ctx, dom2, view.domain, dom.loc,
+                      'the domain "{a}" does not match the expected domain "{b}"')
+            body2 = reconstruct_with_type(
                 phi, genv, ctx.push_decl(name, dom2), body, view.codomain)
-            return t if dom2 is dom and body2 is body else Abs(loc, name, dom2, body2), phi
+            return t if dom2 is dom and body2 is body else Abs(loc, name, dom2, body2)
         case SPair(loc, left, right):
             view = whnf(phi, genv, ctx, expected)
             if not isinstance(view, Inter):
                 return default()
-            left2, phi = reconstruct_with_type(phi, genv, ctx, left, view.left)
-            right2, phi = reconstruct_with_type(phi, genv, ctx, right, view.right)
-            return SPair(loc, left2, right2), phi
+            left2 = reconstruct_with_type(phi, genv, ctx, left, view.left)
+            right2 = reconstruct_with_type(phi, genv, ctx, right, view.right)
+            return SPair(loc, left2, right2)
         case SPrLeft(loc, body) | SPrRight(loc, body):
             left_side = isinstance(t, SPrLeft)
-            phi, other = _hole(phi, ctx, sort_type(loc), loc)
+            other = _hole(phi, ctx, sort_type(loc), loc)
             inter = Inter(loc, expected, other) if left_side else \
                 Inter(loc, other, expected)
-            _ty, phi = reconstruct_with_type(phi, genv, ctx, inter, sort_type(loc))
-            body2, phi = reconstruct_with_type(phi, genv, ctx, body, inter)
+            reconstruct_with_type(phi, genv, ctx, inter, sort_type(loc))
+            body2 = reconstruct_with_type(phi, genv, ctx, body, inter)
             node = SPrLeft if left_side else SPrRight
-            return node(loc, body2), phi
+            return node(loc, body2)
         case SInLeft(loc, other, body) | SInRight(loc, other, body):
             left_side = isinstance(t, SInLeft)
             view = whnf(phi, genv, ctx, expected)
             if not isinstance(view, Union):
                 return default()
-            other2, phi = reconstruct_with_type(phi, genv, ctx, other,
-                                                sort_type(loc))
+            other2 = reconstruct_with_type(phi, genv, ctx, other, sort_type(loc))
             target = view.right if left_side else view.left
-            phi = _unify_or(phi, genv, ctx, other2, target, other.loc,
-                            'the annotation "{a}" does not match the union component "{b}"')
-            body2, phi = reconstruct_with_type(
+            _unify_or(phi, genv, ctx, other2, target, other.loc,
+                      'the annotation "{a}" does not match the union component "{b}"')
+            body2 = reconstruct_with_type(
                 phi, genv, ctx, body, view.left if left_side else view.right)
             node = SInLeft if left_side else SInRight
-            return node(loc, other2, body2), phi
+            return node(loc, other2, body2)
         case Underscore(loc):
-            phi, hole = _hole(phi, ctx, expected, loc)
-            return hole, phi
+            return _hole(phi, ctx, expected, loc)
         case _:
             return default()
 
@@ -395,108 +380,96 @@ def reconstruct_with_type(phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv,
 # Essence phase
 
 
-def essence(phi: MetaEnv, genv: GlobalEnv, psi: LocalEnv, t: Term
-            ) -> tuple[Term, MetaEnv]:
+def essence(phi: MetaEnv, genv: GlobalEnv, psi: LocalEnv, t: Term) -> Term:
     """Erase proof-functional structure, checking along the way that strong
     pairs and strong sums share the essence of their first component.  A
     term whose facts show it is its own essence (see `changes_essence`)
-    comes back as the same object at once, however large it is."""
+    comes back as the same object at once, however large it is.  The
+    essences of type annotations are checked and dropped."""
     if not changes_essence(t):
-        return t, phi
+        return t
     match t:
         case Underscore():
             raise InternalError("essence of an unrefined placeholder")
         case Meta(loc, mid, susp):
-            entry = phi.lookup(mid)
-            if not isinstance(entry, TypedMeta):
-                return t, phi
-            phi, eid = phi.essence_companion(mid)
-            parts: list[Term] = []
-            for s in susp:
-                m, phi = essence(phi, genv, psi, s)
-                parts.append(m)
-            return Meta(loc, eid, tuple(parts)), phi
+            if not isinstance(phi.lookup(mid), TypedMeta):
+                return t
+            eid = phi.essence_companion(mid)
+            return Meta(loc, eid, tuple(essence(phi, genv, psi, s) for s in susp))
         case Abs(loc, name, dom, body):
             if not isinstance(dom, Underscore):
-                _sd, phi = essence(phi, genv, psi, dom)
-            m, phi = essence(phi, genv, psi.push_decl(name, Underscore(loc)), body)
-            return Abs(loc, name, Underscore(loc), m), phi
+                essence(phi, genv, psi, dom)
+            m = essence(phi, genv, psi.push_decl(name, Underscore(loc)), body)
+            return Abs(loc, name, Underscore(loc), m)
         case Prod(loc, name, dom, cod):
-            e1, phi = essence(phi, genv, psi, dom)
-            e2, phi = essence(phi, genv, psi.push_decl(name, Underscore(loc)), cod)
-            return Prod(loc, name, e1, e2), phi
+            return Prod(loc, name, essence(phi, genv, psi, dom),
+                        essence(phi, genv, psi.push_decl(name, Underscore(loc)), cod))
         case Let(loc, name, annot, bound, body):
             if not isinstance(annot, Underscore):
-                _sa, phi = essence(phi, genv, psi, annot)
-            m1, phi = essence(phi, genv, psi, bound)
-            m2, phi = essence(phi, genv, psi.push_def(name, m1, Underscore(loc)), body)
-            return Let(loc, name, Underscore(loc), m1, m2), phi
+                essence(phi, genv, psi, annot)
+            m1 = essence(phi, genv, psi, bound)
+            m2 = essence(phi, genv, psi.push_def(name, m1, Underscore(loc)), body)
+            return Let(loc, name, Underscore(loc), m1, m2)
         case App(loc, head, spine):
-            m, phi = essence(phi, genv, psi, head)
-            args = []
-            for arg in spine:
-                n, phi = essence(phi, genv, psi, arg)
-                args.append(n)
-            return mk_app(loc, m, args), phi
+            return mk_app(loc, essence(phi, genv, psi, head),
+                          [essence(phi, genv, psi, arg) for arg in spine])
         case Inter(loc, left, right) | Union(loc, left, right):
-            e1, phi = essence(phi, genv, psi, left)
-            e2, phi = essence(phi, genv, psi, right)
-            return type(t)(loc, e1, e2), phi
+            return type(t)(loc, essence(phi, genv, psi, left), essence(phi, genv, psi, right))
         case SPair(loc, left, right):
-            m, phi = essence(phi, genv, psi, left)
-            phi = essence_with_hint(phi, genv, psi, m, right)
-            return m, phi
-        case (SPrLeft(_, body) | SPrRight(_, body) | SInLeft(_, _, body)
-              | SInRight(_, _, body) | Coercion(_, _, body)):
+            m = essence(phi, genv, psi, left)
+            essence_with_hint(phi, genv, psi, m, right)
+            return m
+        case SPrLeft(_, body) | SPrRight(_, body):
+            return essence(phi, genv, psi, body)
+        case SInLeft(_, other, body) | SInRight(_, other, body) | Coercion(_, other, body):
+            essence(phi, genv, psi, other)
             return essence(phi, genv, psi, body)
         case SMatch(loc, scrut, motive, n1, a1, b1, n2, a2, b2):
-            big_n, phi = essence(phi, genv, psi, scrut)
-            _sm, phi = essence(phi, genv, psi, motive)
-            _s1, phi = essence(phi, genv, psi, a1)
-            m, phi = essence(phi, genv, psi.push_decl(n1, Underscore(loc)), b1)
-            _s2, phi = essence(phi, genv, psi, a2)
-            phi = essence_with_hint(phi, genv, psi.push_decl(n2, Underscore(loc)),
-                                    m, b2)
-            return App(loc, Abs(loc, n1, Underscore(loc), m), (big_n,)), phi
+            big_n = essence(phi, genv, psi, scrut)
+            essence(phi, genv, psi, motive)
+            essence(phi, genv, psi, a1)
+            m = essence(phi, genv, psi.push_decl(n1, Underscore(loc)), b1)
+            essence(phi, genv, psi, a2)
+            essence_with_hint(phi, genv, psi.push_decl(n2, Underscore(loc)), m, b2)
+            return App(loc, Abs(loc, n1, Underscore(loc), m), (big_n,))
     raise InternalError(f"essence: unhandled node {t!r}")
 
 
 def essence_with_hint(phi: MetaEnv, genv: GlobalEnv, psi: LocalEnv,
-                      hint: Term, t: Term) -> MetaEnv:
+                      hint: Term, t: Term) -> None:
     """Checking-mode essence judgment: verify that `t` erases to `hint`.  It
     runs after the typing phase, on terms whose type has sort `Type`, so a
     product, `&` or `|` (whose type is a sort) never reaches it."""
 
-    def default() -> MetaEnv:
-        m2, phi2 = essence(phi, genv, psi, t)
-        return _unify_or(phi2, genv, psi, hint, m2, t.loc, 'the term has essence "{b}" '
-                         'while it is expected to have essence "{a}"', is_essence=True)
+    def default() -> None:
+        _unify_or(phi, genv, psi, hint, essence(phi, genv, psi, t), t.loc,
+                  'the term has essence "{b}" while it is expected to have essence "{a}"',
+                  is_essence=True)
 
     match t:
         case SPair(_, left, right):
-            phi = essence_with_hint(phi, genv, psi, hint, left)
-            return essence_with_hint(phi, genv, psi, hint, right)
+            essence_with_hint(phi, genv, psi, hint, left)
+            essence_with_hint(phi, genv, psi, hint, right)
         case SPrLeft(_, body) | SPrRight(_, body):
-            return essence_with_hint(phi, genv, psi, hint, body)
+            essence_with_hint(phi, genv, psi, hint, body)
         case SInLeft(_, other, body) | SInRight(_, other, body):
-            _s, phi = essence(phi, genv, psi, other)
-            return essence_with_hint(phi, genv, psi, hint, body)
+            essence(phi, genv, psi, other)
+            essence_with_hint(phi, genv, psi, hint, body)
         case Let(loc, name, annot, bound, body):
             if not isinstance(annot, Underscore):
-                _sa, phi = essence(phi, genv, psi, annot)
-            m1, phi = essence(phi, genv, psi, bound)
-            return essence_with_hint(phi, genv,
-                                     psi.push_def(name, m1, Underscore(loc)),
-                                     lift(0, 1, hint), body)
+                essence(phi, genv, psi, annot)
+            m1 = essence(phi, genv, psi, bound)
+            essence_with_hint(phi, genv, psi.push_def(name, m1, Underscore(loc)),
+                              lift(0, 1, hint), body)
         case Abs(loc, name, _, body):
             view = whnf(phi, genv, psi, hint, is_essence=True)
-            if not isinstance(view, Abs):
-                return default()
-            return essence_with_hint(phi, genv,
-                                     psi.push_decl(name, Underscore(loc)),
-                                     view.body, body)
+            if isinstance(view, Abs):
+                essence_with_hint(phi, genv, psi.push_decl(name, Underscore(loc)),
+                                  view.body, body)
+            else:
+                default()
         case _:
-            return default()
+            default()
 
 
 # ---------------------------------------------------------------------------
@@ -517,8 +490,7 @@ def _closed(phi: MetaEnv, genv: GlobalEnv, fallback: Location, *parts: Term) -> 
     zonked, essences = [], []
     for part in parts:
         zonked.append(zonk(phi, part))
-        ess, phi = essence(phi, genv, LocalEnv(), zonked[-1])
-        essences.append(ess)
+        essences.append(essence(phi, genv, LocalEnv(), zonked[-1]))
     closed = [zonk(phi, part) for part in (*zonked, *essences)]
     for part in closed:
         _check_meta_free(part, fallback)
@@ -527,17 +499,16 @@ def _closed(phi: MetaEnv, genv: GlobalEnv, fallback: Location, *parts: Term) -> 
 
 @too_deep_as_error
 def elaborate(genv: GlobalEnv, t: Term, expected: Term | None = None) -> ConstInfo:
-    """Run both refinement phases from an empty meta-environment and return
-    the definition the signature stores: body, type and their essences;
-    fails if any hole is left."""
+    """Run both refinement phases in a new meta-environment and return the
+    definition the signature stores: body, type and their essences; fails
+    if any hole is left."""
     phi = MetaEnv()
     ctx = LocalEnv()
     if expected is not None:
-        expected2, _s, phi = force_type(phi, genv, ctx, expected)
-        term, phi = reconstruct_with_type(phi, genv, ctx, t, expected2)
-        ty = expected2
+        ty, _s = force_type(phi, genv, ctx, expected)
+        term = reconstruct_with_type(phi, genv, ctx, t, ty)
     else:
-        term, ty, phi = reconstruct(phi, genv, ctx, t)
+        term, ty = reconstruct(phi, genv, ctx, t)
     body, ty, essence, type_essence = _closed(phi, genv, t.loc, term, ty)
     return ConstInfo(type_essence=type_essence, type=ty, essence=essence, body=body)
 
@@ -547,6 +518,6 @@ def elaborate_type(genv: GlobalEnv, t: Term) -> ConstInfo:
     """Elaborate an axiom's type and return the axiom the signature stores:
     the type and its essence, with no body."""
     phi = MetaEnv()
-    t2, _s, phi = force_type(phi, genv, LocalEnv(), t)
+    t2, _s = force_type(phi, genv, LocalEnv(), t)
     ty, type_essence = _closed(phi, genv, t.loc, t2)
     return ConstInfo(type_essence=type_essence, type=ty)

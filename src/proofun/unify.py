@@ -1,5 +1,6 @@
 """Higher-order unification: one congruence rule, eta rules, and pattern
-unification for meta-variables, threading an explicit meta-environment.
+unification for meta-variables, solving them in place in the command's
+meta-environment.
 
 Unification is head-first, like conversion checking: `==` terms unify at
 once, and otherwise each step compares the weak head normal forms of both
@@ -102,9 +103,10 @@ def _invert(inverse: dict[int, int], t: Term, k: int = 0) -> Term:
                               lambda _s, c: _invert(inverse, c, k + 1), t)
 
 
-def _prune_meta(phi: MetaEnv, mid: int, kept: list[int]) -> MetaEnv | None:
+def _prune_meta(phi: MetaEnv, mid: int, kept: list[int]) -> bool:
     """Instantiate `mid` with a fresh meta over the kept context positions.
-    None when a kept entry (or the meta's type) depends on a dropped one.
+    False, with nothing set, when a kept entry (or the meta's type) depends
+    on a dropped one.
     `mid` is unsolved (`try_hopu` normalizes the right-hand side first) and
     not a sort meta (its suspension is empty, so nothing is dropped), and
     `kept` lists, in increasing order, fewer positions than its suspension
@@ -130,18 +132,20 @@ def _prune_meta(phi: MetaEnv, mid: int, kept: list[int]) -> MetaEnv | None:
             decl = TypedMeta(pruned_ctx, cut(entry.type, len(kept), n))
         else:
             decl = EssMeta(pruned_ctx)
-        phi, fresh = phi.fresh_meta(decl)
     except (_NotInvertible, _NeedsPruning):
-        return None
+        return False
     susp = tuple(Var(NOWHERE, n - 1 - p) for p in kept)
-    return phi.instantiate_meta(mid, Meta(NOWHERE, fresh, susp))
+    phi.instantiate_meta(mid, Meta(NOWHERE, phi.fresh_meta(decl), susp))
+    return True
 
 
 def try_hopu(phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv, m: Meta, rhs: Term,
-             is_essence: bool = False) -> MetaEnv | None:
-    """Solve `m ≐ rhs` by pattern unification with pruning; None when the
-    problem is outside the fragment, so the caller can fall back.  An
-    occurs-check violation is a hard failure, not a fallback."""
+             is_essence: bool = False) -> Term | None:
+    """Solve `m ≐ rhs` by pattern unification with pruning and return the
+    solution; None, with the pruning undone, when the problem is outside the
+    fragment, so the caller can fall back.  An occurs-check violation is a
+    hard failure, not a fallback."""
+    mark = phi.mark()
     while True:
         entry = phi.lookup(m.mid)
         rhs_n = normalize_meta(phi, genv, ctx, rhs, is_essence)
@@ -150,34 +154,34 @@ def try_hopu(phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv, m: Meta, rhs: Term,
         if entry.value is not None:
             raise InternalError("try_hopu on an instantiated meta-variable")
         if type(entry) is SortMeta:
-            if isinstance(rhs_n, Sort):
-                return phi.instantiate_meta(m.mid, rhs_n)
-            if isinstance(rhs_n, Meta) and phi.lookup(rhs_n.mid) == SortMeta():
-                return phi.instantiate_meta(m.mid, rhs_n)
-            return None
+            if not isinstance(rhs_n, Sort) and not (
+                    isinstance(rhs_n, Meta) and phi.lookup(rhs_n.mid) == SortMeta()):
+                return None
+            solution = rhs_n
+            break
         if len(entry.ctx) != len(m.susp):
             raise InternalError("suspension length does not match the meta context")
-        inverse = _suspension_inverse(m.susp)
         try:
-            solution = _invert(inverse, rhs_n)
+            solution = _invert(_suspension_inverse(m.susp), rhs_n)
+            break
         except _NotInvertible:
-            return None
+            pass
         except _NeedsPruning as need:
-            pruned = _prune_meta(phi, need.mid, need.keep)
-            if pruned is None:
-                return None
-            phi = pruned  # each round strictly shrinks a suspension
-            continue
-        return phi.instantiate_meta(m.mid, solution)
+            if _prune_meta(phi, need.mid, need.keep):
+                continue  # each round strictly shrinks a suspension
+        phi.undo(mark)
+        return None
+    phi.instantiate_meta(m.mid, solution)
+    return solution
 
 
 def unify(phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv, t1: Term, t2: Term,
-          is_essence: bool = False) -> MetaEnv:
-    """Unify two terms, returning the extended meta-environment or raising
-    `UnificationFailure` on a rigid mismatch."""
-    if t1 == t2:
-        return phi
-    return _unify_heads(phi, genv, ctx, t1, t2, is_essence)
+          is_essence: bool = False) -> None:
+    """Unify two terms, solving metas in `phi`, or raise
+    `UnificationFailure` on a rigid mismatch; the caller undoes what a
+    failed unification solved."""
+    if t1 != t2:
+        _unify_heads(phi, genv, ctx, t1, t2, is_essence)
 
 
 def _head(phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv, t: Term,
@@ -217,15 +221,15 @@ def _peel(t: Term) -> Term:
 
 
 def _unify_heads(phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv, t1: Term,
-                 t2: Term, is_essence: bool) -> MetaEnv:
+                 t2: Term, is_essence: bool) -> None:
     """One step below `unify`'s entry: compare the heads, then recurse."""
     t1 = _head(phi, genv, ctx, t1, is_essence)
     t2 = _head(phi, genv, ctx, t2, is_essence)
     if t1 is t2 or isinstance(t1, (Sort, Var, Const, Underscore, Meta)) and t1 == t2:
-        return phi
+        return
 
-    def recur(phi: MetaEnv, ctx: LocalEnv, a: Term, b: Term) -> MetaEnv:
-        return _unify_heads(phi, genv, ctx, a, b, is_essence)
+    def recur(ctx: LocalEnv, a: Term, b: Term) -> None:
+        _unify_heads(phi, genv, ctx, a, b, is_essence)
 
     # Meta cases first: a meta can absorb an abstraction, so they take
     # priority over the eta rules.
@@ -233,15 +237,11 @@ def _unify_heads(phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv, t1: Term,
         if (isinstance(t1, Meta) and isinstance(t2, Meta) and t1.mid == t2.mid
                 and normalize_meta(phi, genv, ctx, t1, is_essence)
                 == normalize_meta(phi, genv, ctx, t2, is_essence)):
-            return phi
-        if isinstance(t1, Meta):
-            solved = try_hopu(phi, genv, ctx, t1, t2, is_essence)
-            if solved is not None:
-                return solved
-        if isinstance(t2, Meta):
-            solved = try_hopu(phi, genv, ctx, t2, t1, is_essence)
-            if solved is not None:
-                return solved
+            return
+        if isinstance(t1, Meta) and try_hopu(phi, genv, ctx, t1, t2, is_essence) is not None:
+            return
+        if isinstance(t2, Meta) and try_hopu(phi, genv, ctx, t2, t1, is_essence) is not None:
+            return
         raise UnificationFailure(t1, t2, t1.loc)
 
     # Abstractions, with eta when exactly one side is one.  The body of a head
@@ -250,10 +250,10 @@ def _unify_heads(phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv, t1: Term,
         while (isinstance(t1, Abs) or isinstance(t2, Abs)) and not (
                 isinstance(t1, Meta) or isinstance(t2, Meta)):
             if isinstance(t1, Abs) and isinstance(t2, Abs):
-                phi = recur(phi, ctx, t1.domain, t2.domain)
+                recur(ctx, t1.domain, t2.domain)
             binder = t1 if isinstance(t1, Abs) else t2
             ctx, t1, t2 = ctx.push_decl(binder.name, binder.domain), _peel(t1), _peel(t2)
-        return recur(phi, ctx, t1, t2)
+        return recur(ctx, t1, t2)
 
     # Like-shaped nodes: unify their children in order, each under the
     # binder of `t1` it sits under.  Leaves that differ are a mismatch.
@@ -261,11 +261,10 @@ def _unify_heads(phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv, t1: Term,
     if type(t1) is not type(t2) or not kids1 or len(kids1) != len(kids2):
         raise UnificationFailure(t1, t2, t1.loc)
     for a, b, binder in zip(kids1, kids2, binders(t1)):
-        phi = recur(phi, ctx if binder is None else ctx.push_decl(*binder), a, b)
-    return phi
+        recur(ctx if binder is None else ctx.push_decl(*binder), a, b)
 
 
 def unify_essence(phi: MetaEnv, genv: GlobalEnv, psi: LocalEnv,
-                  m1: Term, m2: Term) -> MetaEnv:
+                  m1: Term, m2: Term) -> None:
     """The same engine restricted to the essence sublanguage."""
-    return unify(phi, genv, psi, m1, m2, is_essence=True)
+    unify(phi, genv, psi, m1, m2, is_essence=True)

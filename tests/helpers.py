@@ -432,91 +432,87 @@ def reference_whnf(phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv, t: Term,
 # Reference unifier: the eager algorithm the lazy, head-first `unify` in
 # `proofun.unify` replaced.  Both sides are normalized on entry, and a
 # subterm is normalized again only when a meta was solved since its parent
-# was normalized and it mentions a meta.  Kept only so tests can compare the
-# two unifiers; `try_hopu` is shared.
+# was normalized and it mentions a meta: when the store's trail has grown
+# past the mark taken then.  Kept only so tests can compare the two
+# unifiers; `try_hopu` is shared.
 
 
 def reference_unify(phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv, t1: Term,
-                    t2: Term, is_essence: bool = False) -> MetaEnv:
+                    t2: Term, is_essence: bool = False) -> None:
     t1 = normalize_meta(phi, genv, ctx, t1, is_essence)
     t2 = normalize_meta(phi, genv, ctx, t2, is_essence)
-    if t1 == t2:
-        return phi
-    return _reference_unify_normal(phi, genv, ctx, t1, t2, is_essence, phi)
+    if t1 != t2:
+        _reference_unify_normal(phi, genv, ctx, t1, t2, is_essence, phi.mark())
 
 
 def _reference_unify_normal(phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv,
                             t1: Term, t2: Term, is_essence: bool,
-                            normal_at: MetaEnv) -> MetaEnv:
-    if phi is not normal_at:
+                            normal_at: int) -> None:
+    if phi.mark() != normal_at:
         if contains_meta(t1):
             t1 = normalize_meta(phi, genv, ctx, t1, is_essence)
         if contains_meta(t2):
             t2 = normalize_meta(phi, genv, ctx, t2, is_essence)
     if isinstance(t1, (Sort, Var, Const, Underscore, Meta)) and t1 == t2:
-        return phi
-    here = phi
+        return
+    here = phi.mark()
 
-    def recur(phi: MetaEnv, ctx: LocalEnv, a: Term, b: Term) -> MetaEnv:
-        return _reference_unify_normal(phi, genv, ctx, a, b, is_essence, here)
+    def recur(ctx: LocalEnv, a: Term, b: Term) -> None:
+        _reference_unify_normal(phi, genv, ctx, a, b, is_essence, here)
 
     if isinstance(t1, Meta) or isinstance(t2, Meta):
-        if isinstance(t1, Meta):
-            solved = try_hopu(phi, genv, ctx, t1, t2, is_essence)
-            if solved is not None:
-                return solved
-        if isinstance(t2, Meta):
-            solved = try_hopu(phi, genv, ctx, t2, t1, is_essence)
-            if solved is not None:
-                return solved
+        if isinstance(t1, Meta) and try_hopu(phi, genv, ctx, t1, t2, is_essence) is not None:
+            return
+        if isinstance(t2, Meta) and try_hopu(phi, genv, ctx, t2, t1, is_essence) is not None:
+            return
         raise UnificationFailure(t1, t2, t1.loc)
 
     if isinstance(t1, Abs) and not isinstance(t2, Abs):
         applied = mk_app(t2.loc, lift(0, 1, t2), (Var(NOWHERE, 0),))
-        return recur(phi, ctx.push_decl(t1.name, t1.domain), t1.body, applied)
+        return recur(ctx.push_decl(t1.name, t1.domain), t1.body, applied)
     if isinstance(t2, Abs) and not isinstance(t1, Abs):
         applied = mk_app(t1.loc, lift(0, 1, t1), (Var(NOWHERE, 0),))
-        return recur(phi, ctx.push_decl(t2.name, t2.domain), applied, t2.body)
+        return recur(ctx.push_decl(t2.name, t2.domain), applied, t2.body)
 
     match (t1, t2):
         case (Abs(_, n1, d1, b1), Abs(_, _, d2, b2)):
-            phi = recur(phi, ctx, d1, d2)
-            return recur(phi, ctx.push_decl(n1, d1), b1, b2)
+            recur(ctx, d1, d2)
+            return recur(ctx.push_decl(n1, d1), b1, b2)
         case (Prod(_, n1, d1, c1), Prod(_, _, d2, c2)):
-            phi = recur(phi, ctx, d1, d2)
-            return recur(phi, ctx.push_decl(n1, d1), c1, c2)
+            recur(ctx, d1, d2)
+            return recur(ctx.push_decl(n1, d1), c1, c2)
         case (Inter(_, a1, a2), Inter(_, b1, b2)):
-            phi = recur(phi, ctx, a1, b1)
-            return recur(phi, ctx, a2, b2)
+            recur(ctx, a1, b1)
+            return recur(ctx, a2, b2)
         case (Union(_, a1, a2), Union(_, b1, b2)):
-            phi = recur(phi, ctx, a1, b1)
-            return recur(phi, ctx, a2, b2)
+            recur(ctx, a1, b1)
+            return recur(ctx, a2, b2)
         case (SPair(_, a1, a2), SPair(_, b1, b2)):
-            phi = recur(phi, ctx, a1, b1)
-            return recur(phi, ctx, a2, b2)
+            recur(ctx, a1, b1)
+            return recur(ctx, a2, b2)
         case (SPrLeft(_, a), SPrLeft(_, b)) | (SPrRight(_, a), SPrRight(_, b)):
-            return recur(phi, ctx, a, b)
+            return recur(ctx, a, b)
         case (SInLeft(_, o1, a), SInLeft(_, o2, b)) | (SInRight(_, o1, a), SInRight(_, o2, b)):
-            phi = recur(phi, ctx, o1, o2)
-            return recur(phi, ctx, a, b)
+            recur(ctx, o1, o2)
+            return recur(ctx, a, b)
         case (Coercion(_, s1, a), Coercion(_, s2, b)):
-            phi = recur(phi, ctx, s1, s2)
-            return recur(phi, ctx, a, b)
+            recur(ctx, s1, s2)
+            return recur(ctx, a, b)
         case (SMatch(_, s1, m1, x1, a1, l1, y1, c1, r1),
               SMatch(_, s2, m2, _, a2, l2, _, c2, r2)):
-            phi = recur(phi, ctx, s1, s2)
-            phi = recur(phi, ctx, m1, m2)
-            phi = recur(phi, ctx, a1, a2)
-            phi = recur(phi, ctx.push_decl(x1, a1), l1, l2)
-            phi = recur(phi, ctx, c1, c2)
-            return recur(phi, ctx.push_decl(y1, c1), r1, r2)
+            recur(ctx, s1, s2)
+            recur(ctx, m1, m2)
+            recur(ctx, a1, a2)
+            recur(ctx.push_decl(x1, a1), l1, l2)
+            recur(ctx, c1, c2)
+            return recur(ctx.push_decl(y1, c1), r1, r2)
         case (App(_, h1, s1), App(_, h2, s2)):
             if len(s1) != len(s2):
                 raise UnificationFailure(t1, t2, t1.loc)
-            phi = recur(phi, ctx, h1, h2)
+            recur(ctx, h1, h2)
             for a, b in zip(s1, s2):
-                phi = recur(phi, ctx, a, b)
-            return phi
+                recur(ctx, a, b)
+            return
     raise UnificationFailure(t1, t2, t1.loc)
 
 
@@ -524,23 +520,32 @@ def unify_outcome(unifier, phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv,
                   t1: Term, t2: Term, is_essence: bool = False):
     """What a unifier decides on one problem: the exception type it raised,
     or the normalized solution (None while unsolved) of every meta-variable
-    of the resulting environment, keyed by id."""
+    of the resulting store, keyed by id.  The store is given back as it was,
+    so two unifiers can be run on it in turn."""
+    mark = phi.mark()
     try:
-        out = unifier(phi, genv, ctx, t1, t2, is_essence)
+        unifier(phi, genv, ctx, t1, t2, is_essence)
+        solutions = {}
+        for mid, entry in phi.entries.items():
+            if entry.value is None:
+                solutions[mid] = None
+                continue
+            if isinstance(entry, SortMeta):
+                solutions[mid] = normalize_meta(phi, genv, LocalEnv(), entry.value)
+                continue
+            essence = isinstance(entry, EssMeta)
+            meta = Meta(NOWHERE, mid, erase_context(len(entry.ctx)))
+            solutions[mid] = normalize_meta(phi, genv, entry.ctx, meta, essence)
+        return solutions
     except (UnificationFailure, InternalError) as exc:
         return type(exc).__name__
-    solutions = {}
-    for mid, entry in out.entries.items():
-        if entry.value is None:
-            solutions[mid] = None
-            continue
-        if isinstance(entry, SortMeta):
-            solutions[mid] = normalize_meta(out, genv, LocalEnv(), entry.value)
-            continue
-        essence = isinstance(entry, EssMeta)
-        meta = Meta(NOWHERE, mid, erase_context(len(entry.ctx)))
-        solutions[mid] = normalize_meta(out, genv, entry.ctx, meta, essence)
-    return solutions
+    finally:
+        phi.undo(mark)
+
+
+def snapshot(phi: MetaEnv) -> tuple[dict, dict]:
+    """Copies of the store's entries and companions, to compare."""
+    return dict(phi.entries), dict(phi.companions)
 
 
 # ---------------------------------------------------------------------------
@@ -746,39 +751,45 @@ def random_printable_term(rng: random.Random, size: int, depth: int = 0,
 
 
 def reference_force_type(phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv, t: Term
-                         ) -> tuple[Term, Term, MetaEnv]:
-    t2, tau, phi = reconstruct(phi, genv, ctx, t)
+                         ) -> tuple[Term, Term]:
+    t2, tau = reconstruct(phi, genv, ctx, t)
     loc = t.loc
+    mark = phi.mark()
 
-    def probe(sort: Term) -> MetaEnv | None:
+    def probe(sort: Term) -> bool:
         try:
-            return unify(phi, genv, ctx, tau, sort)
+            unify(phi, genv, ctx, tau, sort)
+            return True
         except UnificationFailure:
-            return None
+            return False
+        finally:
+            phi.undo(mark)
 
     as_type = probe(sort_type(loc))
     as_kind = probe(sort_kind(loc))
-    if as_type is not None and as_kind is not None:
-        phi2, sid = phi.fresh_meta(SortMeta())
-        phi3 = unify(phi2, genv, ctx, tau, Meta(loc, sid, ()))
-        return t2, tau, phi3
-    if as_type is not None:
-        return t2, tau, as_type
-    if as_kind is not None:
-        return t2, tau, as_kind
-    raise TypeCheckError(
-        f'the term "{show_term(zonk(phi, t2), ctx.names())}" is not a type', loc)
+    if as_type and as_kind:
+        unify(phi, genv, ctx, tau, Meta(loc, phi.fresh_meta(SortMeta()), ()))
+    elif as_type or as_kind:
+        unify(phi, genv, ctx, tau, sort_type(loc) if as_type else sort_kind(loc))
+    else:
+        raise TypeCheckError(
+            f'the term "{show_term(zonk(phi, t2), ctx.names())}" is not a type', loc)
+    return t2, tau
 
 
 def force_type_outcome(force, phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv,
                        t: Term):
     """What a sort decision gives: the refined term, its type and the whole
-    meta-environment, or the error's class, text and location."""
+    meta-environment, or the error's class, text and location.  The store is
+    given back as it was."""
+    mark = phi.mark()
     try:
-        t2, tau, out = force(phi, genv, ctx, t)
+        t2, tau = force(phi, genv, ctx, t)
+        return t2, tau, snapshot(phi)
     except ProverError as exc:
         return type(exc).__name__, exc.message, exc.loc
-    return t2, tau, (out.next_id, out.entries, out.companions)
+    finally:
+        phi.undo(mark)
 
 
 # ---------------------------------------------------------------------------
@@ -788,76 +799,69 @@ def force_type_outcome(force, phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv,
 # production `essence_with_hint`.  Kept only so tests can compare the two.
 
 
-def reference_essence(phi: MetaEnv, genv: GlobalEnv, psi: LocalEnv, t: Term
-                      ) -> tuple[Term, MetaEnv]:
-    def go(phi: MetaEnv, psi: LocalEnv, t: Term) -> tuple[Term, MetaEnv]:
+def reference_essence(phi: MetaEnv, genv: GlobalEnv, psi: LocalEnv, t: Term) -> Term:
+    def go(psi: LocalEnv, t: Term) -> Term:
         match t:
             case Sort() | Var() | Const():
-                return t, phi
+                return t
             case Underscore():
                 raise InternalError("essence of an unrefined placeholder")
             case Meta(loc, mid, susp):
                 if not isinstance(phi.lookup(mid), TypedMeta):
-                    return t, phi
-                phi, eid = phi.essence_companion(mid)
-                parts = []
-                for s in susp:
-                    m, phi = go(phi, psi, s)
-                    parts.append(m)
-                return Meta(loc, eid, tuple(parts)), phi
+                    return t
+                eid = phi.essence_companion(mid)
+                return Meta(loc, eid, tuple(go(psi, s) for s in susp))
             case Abs(loc, name, dom, body):
                 if not isinstance(dom, Underscore):
-                    _sd, phi = go(phi, psi, dom)
-                m, phi = go(phi, psi.push_decl(name, Underscore(loc)), body)
-                return Abs(loc, name, Underscore(loc), m), phi
+                    go(psi, dom)
+                return Abs(loc, name, Underscore(loc),
+                           go(psi.push_decl(name, Underscore(loc)), body))
             case Prod(loc, name, dom, cod):
-                e1, phi = go(phi, psi, dom)
-                e2, phi = go(phi, psi.push_decl(name, Underscore(loc)), cod)
-                return Prod(loc, name, e1, e2), phi
+                return Prod(loc, name, go(psi, dom),
+                            go(psi.push_decl(name, Underscore(loc)), cod))
             case Let(loc, name, annot, bound, body):
                 if not isinstance(annot, Underscore):
-                    _sa, phi = go(phi, psi, annot)
-                m1, phi = go(phi, psi, bound)
-                m2, phi = go(phi, psi.push_def(name, m1, Underscore(loc)), body)
-                return Let(loc, name, Underscore(loc), m1, m2), phi
+                    go(psi, annot)
+                m1 = go(psi, bound)
+                m2 = go(psi.push_def(name, m1, Underscore(loc)), body)
+                return Let(loc, name, Underscore(loc), m1, m2)
             case App(loc, head, spine):
-                m, phi = go(phi, psi, head)
-                args = []
-                for arg in spine:
-                    n, phi = go(phi, psi, arg)
-                    args.append(n)
-                return mk_app(loc, m, args), phi
+                return mk_app(loc, go(psi, head), [go(psi, arg) for arg in spine])
             case Inter(loc, left, right) | Union(loc, left, right):
-                e1, phi = go(phi, psi, left)
-                e2, phi = go(phi, psi, right)
-                return type(t)(loc, e1, e2), phi
+                return type(t)(loc, go(psi, left), go(psi, right))
             case SPair(loc, left, right):
-                m, phi = go(phi, psi, left)
-                return m, essence_with_hint(phi, genv, psi, m, right)
-            case (SPrLeft(_, body) | SPrRight(_, body) | SInLeft(_, _, body)
-                  | SInRight(_, _, body) | Coercion(_, _, body)):
-                return go(phi, psi, body)
+                m = go(psi, left)
+                essence_with_hint(phi, genv, psi, m, right)
+                return m
+            case SPrLeft(_, body) | SPrRight(_, body):
+                return go(psi, body)
+            case SInLeft(_, other, body) | SInRight(_, other, body) | Coercion(_, other, body):
+                go(psi, other)
+                return go(psi, body)
             case SMatch(loc, scrut, motive, n1, a1, b1, n2, a2, b2):
-                big_n, phi = go(phi, psi, scrut)
-                _sm, phi = go(phi, psi, motive)
-                _s1, phi = go(phi, psi, a1)
-                m, phi = go(phi, psi.push_decl(n1, Underscore(loc)), b1)
-                _s2, phi = go(phi, psi, a2)
-                phi = essence_with_hint(phi, genv, psi.push_decl(n2, Underscore(loc)), m, b2)
-                return App(loc, Abs(loc, n1, Underscore(loc), m), (big_n,)), phi
+                big_n = go(psi, scrut)
+                go(psi, motive)
+                go(psi, a1)
+                m = go(psi.push_decl(n1, Underscore(loc)), b1)
+                go(psi, a2)
+                essence_with_hint(phi, genv, psi.push_decl(n2, Underscore(loc)), m, b2)
+                return App(loc, Abs(loc, n1, Underscore(loc), m), (big_n,))
         raise InternalError(f"reference_essence: unhandled node {t!r}")
 
-    return go(phi, psi, t)
+    return go(psi, t)
 
 
 def essence_outcome(ess, phi: MetaEnv, genv: GlobalEnv, psi: LocalEnv, t: Term):
     """What an essence judgment gives: the essence and the whole
-    meta-environment, or the error's class, text and location."""
+    meta-environment, or the error's class, text and location.  The store is
+    given back as it was."""
+    mark = phi.mark()
     try:
-        m, out = ess(phi, genv, psi, t)
+        return ess(phi, genv, psi, t), snapshot(phi)
     except ProverError as exc:
         return type(exc).__name__, exc.message, exc.loc
-    return m, (out.next_id, out.entries, out.companions)
+    finally:
+        phi.undo(mark)
 
 
 # ---------------------------------------------------------------------------

@@ -67,14 +67,14 @@ def test_criterion_2_refinement_worked_examples():
     axiom(genv2, "s", "Type")
     axiom(genv2, "t", "Type")
     phi = MetaEnv()
-    term, phi = reconstruct_with_type(
+    term = reconstruct_with_type(
         phi, genv2, LocalEnv(), P("<fun x : s => x, fun x : t => _>"),
         P("(s -> s) & (t -> t)"))
     hole = term.right.body
     assert isinstance(hole, Meta)
     entry = phi.lookup(hole.mid)
     assert isinstance(entry, TypedMeta) and entry.value is None and entry.type == P("t")
-    _m, phi = essence(phi, genv2, LocalEnv(), zonk(phi, term))
+    essence(phi, genv2, LocalEnv(), zonk(phi, term))
     companion = phi.lookup(phi.companions[hole.mid])
     assert isinstance(companion, EssMeta) and companion.value is not None
     # essence(?y) is beta-equal to the bound variable x
@@ -143,7 +143,8 @@ def test_criterion_5_unifier_soundness():
     for _ in range(800):
         t, _ty = random_refined_term(rng)
         t = strongly_normalize(False, genv, ctx, t)
-        phi = unify(MetaEnv(), genv, ctx, t, t)
+        phi = MetaEnv()
+        unify(phi, genv, ctx, t, t)
         check(phi, ctx, t, t)
 
     # generated pattern problems: ?m[permuted vars] against a random rhs
@@ -161,9 +162,10 @@ def test_criterion_5_unifier_soundness():
         head = rng.choice([Var(L, rng.randrange(n)), Const(L, "f")])
         rhs = head if rng.random() < 0.4 else mk_app(
             L, Const(L, "f"), (Var(L, rng.randrange(n)),))
-        phi, mid = MetaEnv().fresh_meta(TypedMeta(mctx, atom))
+        phi = MetaEnv()
+        mid = phi.fresh_meta(TypedMeta(mctx, atom))
         problem = Meta(L, mid, susp)
-        phi = unify(phi, genv, pctx, problem, rhs)
+        unify(phi, genv, pctx, problem, rhs)
         n1 = normalize_meta(phi, genv, pctx, problem)
         n2 = normalize_meta(phi, genv, pctx, rhs)
         assert n1 == n2
@@ -178,10 +180,11 @@ def test_criterion_5_unifier_soundness():
             .push_decl("y", Const(L, "s2")).push_decl("z", Const(L, "s3")))
     mctx = (LocalEnv().push_decl("y", Const(L, "s2"))
             .push_decl("x", Const(L, "s1")).push_decl("z", Const(L, "s3")))
-    phi, fid = MetaEnv().fresh_meta(TypedMeta(mctx, Const(L, "s4")))
+    phi = MetaEnv()
+    fid = phi.fresh_meta(TypedMeta(mctx, Const(L, "s4")))
     lhs = Meta(L, fid, (Var(L, 1), Var(L, 2), Var(L, 0)))  # ?f[y; x; z]
     rhs = mk_app(L, Var(L, 2), (Const(L, "c"), Var(L, 1)))  # x c y
-    phi = unify(phi, genv2, ctx2, lhs, rhs)
+    unify(phi, genv2, ctx2, lhs, rhs)
     solution = phi.lookup(fid).value
     lam = solution
     for name, ty in (("z", "s3"), ("x", "s1"), ("y", "s2")):
@@ -222,7 +225,7 @@ def test_criterion_6_normalization_properties():
             via_const = strongly_normalize(False, s.genv, ctx, Const(L, const))
             assert via_const == nf
             # essence(normalize(body)) is beta-equal to normalize(essence)
-            e1, _phi = essence(MetaEnv(), s.genv, LocalEnv(), nf)
+            e1 = essence(MetaEnv(), s.genv, LocalEnv(), nf)
             e1 = strongly_normalize(True, s.genv, LocalEnv(), e1)
             e2 = strongly_normalize(True, s.genv, LocalEnv(), info.essence)
             assert e1 == e2, const

@@ -135,24 +135,24 @@ def _with_value(entry, value):
 
 def test_fresh_ids_are_consecutive_and_entries_kept():
     phi = MetaEnv()
-    phi, a = phi.fresh_meta(SortMeta())
-    phi, b = phi.fresh_meta(SortMeta())
+    a, b = phi.fresh_meta(SortMeta()), phi.fresh_meta(SortMeta())
     assert (a, b) == (0, 1)
     assert phi.lookup(a) == SortMeta()
 
 
 def test_fresh_typed_decl_retrievable():
     ctx = LocalEnv().push_decl("x", Const(L, "s"))
-    phi, mid = MetaEnv().fresh_meta(TypedMeta(ctx, Const(L, "s")))
-    entry = phi.lookup(mid)
+    phi = MetaEnv()
+    entry = phi.lookup(phi.fresh_meta(TypedMeta(ctx, Const(L, "s"))))
     assert entry.ctx == ctx and entry.type == Const(L, "s") and entry.value is None
 
 
 def test_instantiate_then_lookup():
     # Instantiation sets the value and keeps everything else of the entry.
     for unsolved, solution in _UNSOLVED:
-        phi, mid = MetaEnv().fresh_meta(unsolved)
-        phi = phi.instantiate_meta(mid, solution)
+        phi = MetaEnv()
+        mid = phi.fresh_meta(unsolved)
+        phi.instantiate_meta(mid, solution)
         solved = phi.lookup(mid)
         assert type(solved) is type(unsolved) and solved.value is solution
         assert _with_value(solved, None) == unsolved
@@ -164,16 +164,17 @@ def test_instantiate_then_lookup():
 
 def test_instantiate_does_not_disturb_others():
     for unsolved, solution in _UNSOLVED:
-        phi, a = MetaEnv().fresh_meta(unsolved)
-        phi, b = phi.fresh_meta(unsolved)
-        phi = phi.instantiate_meta(a, solution)
+        phi = MetaEnv()
+        a, b = phi.fresh_meta(unsolved), phi.fresh_meta(unsolved)
+        phi.instantiate_meta(a, solution)
         assert phi.lookup(b) == unsolved
 
 
 def test_double_instantiation_is_internal_error():
     for unsolved, solution in _UNSOLVED:
-        phi, mid = MetaEnv().fresh_meta(unsolved)
-        phi = phi.instantiate_meta(mid, solution)
+        phi = MetaEnv()
+        mid = phi.fresh_meta(unsolved)
+        phi.instantiate_meta(mid, solution)
         with pytest.raises(InternalError):
             phi.instantiate_meta(mid, solution)
 
@@ -185,17 +186,18 @@ def test_fresh_meta_of_a_solved_entry_is_internal_error():
 
 
 def test_sort_meta_delta_reduction():
-    phi, mid = MetaEnv().fresh_meta(SortMeta())
-    phi = phi.instantiate_meta(mid, sort_type())
+    phi = MetaEnv()
+    mid = phi.fresh_meta(SortMeta())
+    phi.instantiate_meta(mid, sort_type())
     assert delta_phi_expand(phi, Meta(L, mid, ())) == sort_type()
 
 
 def test_essence_companion_is_stable():
     with_def = _MCTX.push_def("d", Var(L, 0), Const(L, "s"))
     for ctx in (_MCTX, with_def):
-        phi, mid = MetaEnv().fresh_meta(TypedMeta(ctx, Const(L, "s")))
-        phi, e1 = phi.essence_companion(mid)
-        phi, e2 = phi.essence_companion(mid)
+        phi = MetaEnv()
+        mid = phi.fresh_meta(TypedMeta(ctx, Const(L, "s")))
+        e1, e2 = phi.essence_companion(mid), phi.essence_companion(mid)
         assert e1 == e2
         companion = phi.lookup(e1)
         assert isinstance(companion, EssMeta) and companion.value is None
@@ -243,10 +245,10 @@ def test_entry_reprs_list_every_field_in_order():
             == f"SortMeta(value=Sort(loc={_AT}, kind=<SortKind.KIND: 'Kind'>))")
 
 
-def test_entries_and_the_meta_environment_are_frozen():
+def test_entries_are_frozen():
     for record, name in [(Decl("x", Const(L, "s")), "body"), (LocalEnv(), "entries"),
                          (ConstInfo(Const(L, "s"), Const(L, "s")), "body"),
-                         *((u, "value") for u, _ in _UNSOLVED), (MetaEnv(), "next_id")]:
+                         *((u, "value") for u, _ in _UNSOLVED)]:
         before = getattr(record, name)
         with pytest.raises(AttributeError):
             setattr(record, name, Const(L, "t"))
@@ -257,3 +259,42 @@ def test_meta_environments_share_no_dict():
     a, b = MetaEnv(), MetaEnv()
     assert a.entries is not b.entries and a.companions is not b.companions
     assert a.entries == b.entries == {} and a.companions == b.companions == {}
+
+
+def _state(phi):
+    return len(phi.entries), dict(phi.entries), dict(phi.companions)
+
+
+def test_undo_restores_fresh_ids_entries_and_companions_across_nested_marks():
+    phi = MetaEnv()
+    typed = phi.fresh_meta(TypedMeta(_MCTX, Const(L, "s")))
+    outer, at_outer = phi.mark(), _state(phi)
+    phi.instantiate_meta(phi.fresh_meta(SortMeta()), sort_type())
+    eid = phi.essence_companion(typed)
+    inner, at_inner = phi.mark(), _state(phi)
+    phi.instantiate_meta(eid, Var(L, 0))
+    phi.instantiate_meta(typed, Var(L, 0))
+    phi.fresh_meta(EssMeta(_MCTX))
+    phi.undo(inner)
+    assert _state(phi) == at_inner and phi.mark() == inner
+    phi.undo(outer)
+    assert _state(phi) == at_outer and phi.mark() == outer
+    # The ids undone are handed out again, in the same order, and a
+    # companion is minted anew.
+    assert phi.fresh_meta(SortMeta()) == 1
+    assert phi.essence_companion(typed) == 2 and phi.companions == {typed: 2}
+
+
+def test_solving_stays_write_once_under_the_trail():
+    for unsolved, solution in _UNSOLVED:
+        phi = MetaEnv()
+        mid = phi.fresh_meta(unsolved)
+        phi.instantiate_meta(mid, solution)
+        mark = phi.mark()
+        other = phi.fresh_meta(unsolved)
+        phi.instantiate_meta(other, solution)
+        phi.undo(mark)
+        # An undo to a mark after the solution leaves it solved.
+        with pytest.raises(InternalError):
+            phi.instantiate_meta(mid, solution)
+        assert phi.lookup(mid).value is solution and len(phi.entries) == 1

@@ -128,6 +128,24 @@ def test_the_refiner_reports_a_failed_unification_in_one_place():
     assert sorted(catching) == ["_pts_check", "_unify_or"]
 
 
+def test_the_meta_store_is_updated_in_place_and_backtracked_in_three_places():
+    # The refiner and the unifier solve metas in one mutable store: no
+    # function returns a meta-environment, and only the three searches that
+    # can fail half-way take a mark on its trail and undo to it.
+    returning, marking = [], []
+    for name in ("refine.py", "unify.py"):
+        for node in ast.walk(_parse(ROOT / "src" / "proofun" / name)):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            if node.returns is not None and "MetaEnv" in ast.unparse(node.returns):
+                returning.append(node.name)
+            if any(isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+                   and call.func.attr in ("mark", "undo") for call in ast.walk(node)):
+                marking.append(node.name)
+    assert returning == []
+    assert sorted(marking) == ["_pts_check", "_unify_or", "try_hopu"]
+
+
 def test_every_name_the_tracer_wraps_exists():
     # The tracer rebinds these names when it is installed; a renamed or
     # deleted one would only show as a crash of a traced benchmark run.

@@ -130,22 +130,25 @@ def test_is_eta_shifted_indices():
 
 
 def test_uninstantiated_meta_expands_to_none():
-    phi, mid = MetaEnv().fresh_meta(TypedMeta(LocalEnv(), Const(L, "s")))
+    phi = MetaEnv()
+    mid = phi.fresh_meta(TypedMeta(LocalEnv(), Const(L, "s")))
     assert delta_phi_expand(phi, Meta(L, mid, ())) is None
 
 
 def test_suspension_substitutes_into_solution():
     # (x : s |- ?y := x) expands ?y[c] to c.
     ctx = LocalEnv().push_decl("x", Const(L, "s"))
-    phi, mid = MetaEnv().fresh_meta(TypedMeta(ctx, Const(L, "s")))
-    phi = phi.instantiate_meta(mid, Var(L, 0))
+    phi = MetaEnv()
+    mid = phi.fresh_meta(TypedMeta(ctx, Const(L, "s")))
+    phi.instantiate_meta(mid, Var(L, 0))
     assert delta_phi_expand(phi, Meta(L, mid, (Const(L, "c"),))) == Const(L, "c")
 
 
 def test_sort_meta_discards_suspension():
     from proofun.syntax import sort_type
-    phi, mid = MetaEnv().fresh_meta(SortMeta())
-    phi = phi.instantiate_meta(mid, sort_type())
+    phi = MetaEnv()
+    mid = phi.fresh_meta(SortMeta())
+    phi.instantiate_meta(mid, sort_type())
     assert delta_phi_expand(phi, Meta(L, mid, (Const(L, "junk"),))) == sort_type()
 
 
@@ -264,10 +267,11 @@ def _solved_meta_chain():
     """`?outer[c]` in the context `x : s`, where `?outer := ?inner[x]` and
     `?inner := x`: two solved metas to expand, giving `c`."""
     ctx = LocalEnv().push_decl("x", Const(L, "s"))
-    phi, inner = MetaEnv().fresh_meta(TypedMeta(ctx, Const(L, "s")))
-    phi, outer = phi.fresh_meta(TypedMeta(ctx, Const(L, "s")))
-    phi = phi.instantiate_meta(inner, Var(L, 0))
-    phi = phi.instantiate_meta(outer, Meta(L, inner, erase_context(1)))
+    phi = MetaEnv()
+    inner = phi.fresh_meta(TypedMeta(ctx, Const(L, "s")))
+    outer = phi.fresh_meta(TypedMeta(ctx, Const(L, "s")))
+    phi.instantiate_meta(inner, Var(L, 0))
+    phi.instantiate_meta(outer, Meta(L, inner, erase_context(1)))
     return phi, ctx, Meta(L, outer, (Const(L, "c"),))
 
 
@@ -357,9 +361,9 @@ class _Metas:
     def fresh(self, length: int, solution: Term | None = None) -> int:
         ctx = LocalEnv(tuple(Decl(f"z{i}", self.annot) for i in range(length)))
         decl = EssMeta(ctx) if self.is_essence else TypedMeta(ctx, Const(L, "A"))
-        self.phi, mid = self.phi.fresh_meta(decl)
+        mid = self.phi.fresh_meta(decl)
         if solution is not None:
-            self.phi = self.phi.instantiate_meta(mid, solution)
+            self.phi.instantiate_meta(mid, solution)
         return mid
 
     def reducible(self, u: Term) -> Term:
@@ -374,9 +378,9 @@ class _Metas:
         if self.unsolved and type(t) is Abs and self.rng.random() < 0.1:
             solved = self.rng.random() < 0.5
             self.kinds.add("sort_solved" if solved else "sort_unsolved")
-            self.phi, sid = self.phi.fresh_meta(SortMeta())
+            sid = self.phi.fresh_meta(SortMeta())
             if solved:
-                self.phi = self.phi.instantiate_meta(sid, sort_type())
+                self.phi.instantiate_meta(sid, sort_type())
             junk = (self.reducible(Const(L, "a")),) if self.rng.random() < 0.3 else ()
             return Abs(L, t.name, Prod(L, "", t.domain, Meta(L, sid, junk)), t.body)
         roll, k = self.rng.random(), self.outer + depth
@@ -459,9 +463,10 @@ def test_metas_agree_with_the_reference_on_random_terms():
 
 def test_a_normal_input_with_metas_comes_back_equal():
     ctx = LocalEnv().push_decl("x", Const(L, "A"))
-    phi, mid = MetaEnv().fresh_meta(TypedMeta(ctx, Const(L, "A")))
+    phi = MetaEnv()
+    mid = phi.fresh_meta(TypedMeta(ctx, Const(L, "A")))
     flex = Meta(L, mid, (Var(L, 0),))
-    phi, outer = phi.fresh_meta(TypedMeta(LocalEnv(), Const(L, "A")))
+    outer = phi.fresh_meta(TypedMeta(LocalEnv(), Const(L, "A")))
     inner = Meta(L, mid, (Var(L, 0),))
     for t, context in ((flex, ctx),
                        (Abs(L, "x", Const(L, "A"), App(L, inner, (Const(L, "a"),))),
@@ -640,7 +645,8 @@ def test_whnf_gives_back_a_weak_head_normal_input_itself(term):
     genv, ctx = _view_context()
     t = fix_index(parse_term(term), _VIEW_SCOPE)
     assert whnf(MetaEnv(), genv, ctx, t) is t
-    phi, mid = MetaEnv().fresh_meta(TypedMeta(ctx, Const(L, "A")))
+    phi = MetaEnv()
+    mid = phi.fresh_meta(TypedMeta(ctx, Const(L, "A")))
     flex = App(L, Meta(L, mid, erase_context(len(ctx))), (t,))
     assert whnf(phi, genv, ctx, flex) is flex
 
@@ -657,11 +663,12 @@ def test_whnf_gives_back_an_unsolved_meta_and_an_axiom_without_evaluating(monkey
     genv = make_test_genv()
     define(genv, "d", "f a")
     ctx = LocalEnv().push_decl("y", Const(L, "A"))
-    phi, sid = MetaEnv().fresh_meta(SortMeta())
-    phi, tid = phi.fresh_meta(TypedMeta(ctx, Const(L, "A")))
-    phi, eid = phi.fresh_meta(EssMeta(ctx))
-    phi, solved = phi.fresh_meta(TypedMeta(ctx, Const(L, "A")))
-    phi = phi.instantiate_meta(solved, Const(L, "a"))
+    phi = MetaEnv()
+    sid = phi.fresh_meta(SortMeta())
+    tid = phi.fresh_meta(TypedMeta(ctx, Const(L, "A")))
+    eid = phi.fresh_meta(EssMeta(ctx))
+    solved = phi.fresh_meta(TypedMeta(ctx, Const(L, "A")))
+    phi.instantiate_meta(solved, Const(L, "a"))
     entered = []
     evaluate = normalize._eval
 

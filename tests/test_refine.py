@@ -47,7 +47,8 @@ def fresh_genv():
 
 
 def test_type_has_kind():
-    t, ty, phi = reconstruct(MetaEnv(), GlobalEnv(), LocalEnv(), sort_type())
+    phi = MetaEnv()
+    t, ty = reconstruct(phi, GlobalEnv(), LocalEnv(), sort_type())
     assert ty == sort_kind(ty.loc)
     assert phi.entries == {}
 
@@ -60,7 +61,8 @@ def test_kind_is_not_typable():
 def test_wildcard_mints_term_and_type_metas():
     genv = GlobalEnv()
     ctx = LocalEnv().push_decl("v", sort_type())
-    t, ty, phi = reconstruct(MetaEnv(), genv, ctx, Underscore(L))
+    phi = MetaEnv()
+    t, ty = reconstruct(phi, genv, ctx, Underscore(L))
     assert isinstance(t, Meta) and isinstance(ty, Meta)
     assert len(t.susp) == 1 and len(ty.susp) == 1  # suspended over the context
     assert len(phi.entries) == 3  # sort meta, type meta, term meta
@@ -116,6 +118,19 @@ def test_has_type_messages_are_exact(command, column, width, message):
     assert not run_source(s, command)
     caret = " " * (column - 1) + "^" * width
     assert s.err.getvalue() == f"{command}\n{caret}\nError: {message}\n"
+
+
+def test_a_failed_unification_is_reported_before_its_partial_solutions():
+    # Unifying `P ?0 ?0` with `P a b` solves `?0 := a` before `a` meets `b`;
+    # the message shows the types as they were before that unification.
+    s = Session(quiet=True, out=io.StringIO(), err=io.StringIO())
+    assert run_source(s, "Axiom (A : Type) (P : A -> A -> Type) (a b : A)"
+                         " (q : forall (x : A), P x x) (g : P a b -> A).")
+    command = "Definition d := g (q _)."
+    assert not run_source(s, command)
+    assert s.err.getvalue() == (
+        f"{command}\n{' ' * 19}^^^\nError: the term \"q ?0[]\" has type \"P ?0[] ?0[]\""
+        ' while it is expected to have type "P a b".\n')
 
 
 _KIND_NOT_TYPE = 'the term "{}" has type "Kind" while it is expected to have type "Type".'
@@ -199,7 +214,7 @@ def test_inferred_let_type_has_no_solved_meta():
     axiom(genv, "A", "Type")
     axiom(genv, "g", "A -> A")
     axiom(genv, "a", "A")
-    _t, ty, _phi = reconstruct(MetaEnv(), genv, LocalEnv(), P("let y := g a in y"))
+    _t, ty = reconstruct(MetaEnv(), genv, LocalEnv(), P("let y := g a in y"))
     assert not contains_meta(ty)
     assert show_term(ty) == "A"
 
@@ -215,19 +230,22 @@ def test_annotation_must_be_a_type():
 
 
 def test_force_type_on_type_itself():
-    t, sort, phi = force_type(MetaEnv(), GlobalEnv(), LocalEnv(), sort_type())
+    phi = MetaEnv()
+    t, sort = force_type(phi, GlobalEnv(), LocalEnv(), sort_type())
     assert zonk(phi, sort) == sort_kind()
 
 
 def test_force_type_on_atom():
     genv = fresh_genv()
-    t, sort, phi = force_type(MetaEnv(), genv, LocalEnv(), P("nat"))
+    phi = MetaEnv()
+    t, sort = force_type(phi, genv, LocalEnv(), P("nat"))
     assert zonk(phi, sort) == sort_type()
 
 
 def test_force_type_on_wildcard_yields_sort_meta():
     genv = fresh_genv()
-    t, sort, phi = force_type(MetaEnv(), genv, LocalEnv(), Underscore(L))
+    phi = MetaEnv()
+    t, sort = force_type(phi, genv, LocalEnv(), Underscore(L))
     resolved = zonk(phi, sort)
     assert isinstance(resolved, Meta)
     assert phi.lookup(resolved.mid) == SortMeta()
@@ -247,18 +265,19 @@ def _sort_decision_cases():
     axiom(genv, "a", "T")
     axiom(genv, "b", "a")
     empty, ctx = LocalEnv(), LocalEnv().push_decl("x", P("nat"))
-    phi, zid = MetaEnv().fresh_meta(SortMeta())
-    phi = phi.instantiate_meta(zid, sort_type())
-    phi, yid = phi.fresh_meta(TypedMeta(empty, Meta(L, zid, ())))
-    phi, kid = phi.fresh_meta(TypedMeta(empty, sort_kind()))
-    phi = phi.instantiate_meta(kid, sort_type())
-    phi, tid = phi.fresh_meta(TypedMeta(empty, Meta(L, kid, ())))
-    phi, sid = phi.fresh_meta(SortMeta())
-    phi, vid = phi.fresh_meta(TypedMeta(empty, Meta(L, sid, ())))
+    phi = MetaEnv()
+    zid = phi.fresh_meta(SortMeta())
+    phi.instantiate_meta(zid, sort_type())
+    yid = phi.fresh_meta(TypedMeta(empty, Meta(L, zid, ())))
+    kid = phi.fresh_meta(TypedMeta(empty, sort_kind()))
+    phi.instantiate_meta(kid, sort_type())
+    tid = phi.fresh_meta(TypedMeta(empty, Meta(L, kid, ())))
+    sid = phi.fresh_meta(SortMeta())
+    vid = phi.fresh_meta(TypedMeta(empty, Meta(L, sid, ())))
     # A meta over (x : nat) whose type is a type meta; used at `0` below, so
     # the suspension of that type is not a variable.
-    phi, fid = phi.fresh_meta(TypedMeta(ctx, sort_kind()))
-    phi, gid = phi.fresh_meta(TypedMeta(ctx, Meta(L, fid, (Var(L, 0),))))
+    fid = phi.fresh_meta(TypedMeta(ctx, sort_kind()))
+    gid = phi.fresh_meta(TypedMeta(ctx, Meta(L, fid, (Var(L, 0),))))
     cases = [
         ("Type", MetaEnv(), empty, sort_type()),
         ("Kind", MetaEnv(), empty, sort_kind()),
@@ -297,7 +316,7 @@ def test_sort_decision_agrees_with_the_two_probe_reference():
         "this product is not allowed by the sort discipline"
     # `_` comes back as a typed meta whose type is solved to a sort meta.
     for name in ("wildcard", "wildcard under a binder"):
-        t2, sort, (_next, entries, _companions) = outcomes[name]
+        t2, sort, (entries, _companions) = outcomes[name]
         assert isinstance(t2, Meta) and isinstance(sort, Meta)
         assert entries[entries[sort.mid].value.mid] == SortMeta()
 
@@ -337,7 +356,8 @@ def test_a_sort_is_read_without_unifying(monkeypatch):
 
     monkeypatch.setattr(refine, "unify", counting)
     for src in ("Type", "nat", "T", "a", "nat -> Type", "nat -> nat"):
-        t, sort, phi = force_type(MetaEnv(), genv, LocalEnv(), P(src))
+        phi = MetaEnv()
+        t, sort = force_type(phi, genv, LocalEnv(), P(src))
         assert isinstance(whnf(phi, genv, LocalEnv(), sort), Sort), src
     assert posed == []
 
@@ -347,16 +367,16 @@ def test_a_sort_is_read_without_unifying(monkeypatch):
 
 def test_checking_abs_against_product():
     genv = fresh_genv()
-    t, phi = reconstruct_with_type(MetaEnv(), genv, LocalEnv(),
-                                   P("fun x => x"), P("nat -> nat"))
+    phi = MetaEnv()
+    t = reconstruct_with_type(phi, genv, LocalEnv(), P("fun x => x"), P("nat -> nat"))
     assert isinstance(t, Abs)
     assert zonk(phi, t.domain) == P("nat")
 
 
 def test_checking_wildcard_against_expected_type():
     genv = fresh_genv()
-    t, phi = reconstruct_with_type(MetaEnv(), genv, LocalEnv(),
-                                   Underscore(L), P("nat"))
+    phi = MetaEnv()
+    t = reconstruct_with_type(phi, genv, LocalEnv(), Underscore(L), P("nat"))
     assert isinstance(t, Meta)
     entry = phi.lookup(t.mid)
     assert entry.type == P("nat")
@@ -443,7 +463,7 @@ def test_strong_pair_hole_gets_type_and_essence_constraint():
     axiom(genv, "t", "Type")
     phi = MetaEnv()
     ctx = LocalEnv()
-    term, phi = reconstruct_with_type(
+    term = reconstruct_with_type(
         phi, genv, ctx, P("<fun x : s => x, fun x : t => _>"),
         P("(s -> s) & (t -> t)"))
     # Phase 1: the hole is a typed meta of type t in the context x : t.
@@ -454,25 +474,22 @@ def test_strong_pair_hole_gets_type_and_essence_constraint():
     assert entry.type == P("t")
     assert len(entry.ctx) == 1
     # Phase 2: its essence companion is constrained to the bound variable x.
+    mark = phi.mark()
     with pytest.raises(UnresolvedMeta):
         # the hole itself can never be solved, but the essence phase runs first
         _finish(genv, phi, term)
-    phi2 = _essence_phi(genv, phi, term)
-    eid = phi2.companions[hole.mid]
-    companion = phi2.lookup(eid)
+    phi.undo(mark)
+    essence(phi, genv, LocalEnv(), zonk(phi, term))
+    eid = phi.companions[hole.mid]
+    companion = phi.lookup(eid)
     assert isinstance(companion, EssMeta) and companion.value is not None
     from proofun.syntax import Var
     assert companion.value == Var(L, 0)
 
 
-def _essence_phi(genv, phi, term):
-    _m, phi = essence(phi, genv, LocalEnv(), zonk(phi, term))
-    return phi
-
-
 def _finish(genv, phi, term):
     from proofun.refine import _check_meta_free
-    _m, phi = essence(phi, genv, LocalEnv(), zonk(phi, term))
+    essence(phi, genv, LocalEnv(), zonk(phi, term))
     _check_meta_free(zonk(phi, term), L)
 
 
@@ -481,15 +498,15 @@ def _finish(genv, phi, term):
 def test_refinement_gives_back_a_term_it_does_not_change(src):
     genv = make_test_genv()
     t = P(src)
-    t2, ty, _phi = reconstruct(MetaEnv(), genv, LocalEnv(), t)
+    t2, ty = reconstruct(MetaEnv(), genv, LocalEnv(), t)
     assert t2 is t
-    assert reconstruct_with_type(MetaEnv(), genv, LocalEnv(), t, ty)[0] is t
+    assert reconstruct_with_type(MetaEnv(), genv, LocalEnv(), t, ty) is t
 
 
 def test_refinement_merges_an_application_head_into_the_spine():
     genv = make_test_genv()
     t = P("(h (f a)) b")
-    t2, _ty, _phi = reconstruct(MetaEnv(), genv, LocalEnv(), t)
+    t2, _ty = reconstruct(MetaEnv(), genv, LocalEnv(), t)
     assert type(t.head) is App and type(t2.head) is Const and t2 == P("h (f a) b")
 
 
@@ -518,7 +535,7 @@ def test_essence_of_an_application_builds_one_app_node(n, monkeypatch):
     args = [Const(L, f"a{i}") for i in range(n)]
     t = App(L, Const(L, "f"), (*args[:n // 2], SPrLeft(L, Const(L, "p")), *args[n // 2:]))
     monkeypatch.setattr(App, "__init__", counting_init)
-    m, _phi = essence(MetaEnv(), GlobalEnv(), LocalEnv(), t)
+    m = essence(MetaEnv(), GlobalEnv(), LocalEnv(), t)
     monkeypatch.undo()
     assert len(built) == 1
     assert m == App(L, Const(L, "f"), (*args[:n // 2], Const(L, "p"), *args[n // 2:]))
@@ -560,9 +577,8 @@ def test_essence_of_an_essence_free_term_is_the_term_itself(monkeypatch):
         monkeypatch.setattr(kind, "__init__", counting(kind.__init__))
     phi, genv, psi = MetaEnv(), GlobalEnv(), LocalEnv()
     for t in terms:
-        m, phi2 = essence(phi, genv, psi, t)
-        assert m is t and phi2 is phi
-    assert built == []
+        assert essence(phi, genv, psi, t) is t
+    assert built == [] and phi.mark() == 0
 
 
 def _domains_as_holes(t):
@@ -582,7 +598,8 @@ def test_essence_agrees_with_the_reference_on_random_terms():
                     == essence_outcome(reference_essence, MetaEnv(), genv, LocalEnv(), part))
         # with metas, solved and unsolved: the holes refined against the type
         try:
-            t2, phi = reconstruct_with_type(MetaEnv(), genv, LocalEnv(), _domains_as_holes(t), ty)
+            phi = MetaEnv()
+            t2 = reconstruct_with_type(phi, genv, LocalEnv(), _domains_as_holes(t), ty)
         except TypeCheckError:
             continue
         for part in (t2, zonk(phi, t2)):
@@ -601,14 +618,13 @@ def test_essence_agrees_with_the_reference_on_every_corpus_elaboration(monkeypat
     def checking(phi, genv, psi, t):
         depth[0] += 1
         try:
-            m, out = production(phi, genv, psi, t)
+            if depth[0] == 1:
+                assert (essence_outcome(production, phi, genv, psi, t)
+                        == essence_outcome(reference_essence, phi, genv, psi, t))
+                checked.append(t)
+            return production(phi, genv, psi, t)
         finally:
             depth[0] -= 1
-        if depth[0] == 0:
-            assert ((m, (out.next_id, out.entries, out.companions))
-                    == essence_outcome(reference_essence, phi, genv, psi, t))
-            checked.append(t)
-        return m, out
 
     monkeypatch.setattr(refine, "essence", checking)
     for name in CORPUS_FILES:
@@ -681,8 +697,8 @@ def test_hint_checking_through_projection():
 def test_hint_checking_succeeds_via_definition_unfolding():
     genv = make_test_genv()
     define(genv, "idA", "fun x : A => x")
-    phi = essence_with_hint(MetaEnv(), genv, LocalEnv(), P("fun x => x"),
-                            P("idA"))
+    phi = MetaEnv()
+    essence_with_hint(phi, genv, LocalEnv(), P("fun x => x"), P("idA"))
     assert phi.entries == {}
 
 
@@ -768,8 +784,8 @@ def test_corpus_strong_pairs_have_beta_equal_component_essences():
     def walk(genv, psi, t):
         nonlocal found
         if isinstance(t, SPair):
-            e1, phi = essence(MetaEnv(), genv, psi, t.left)
-            e2, phi = essence(phi, genv, psi, t.right)
+            phi = MetaEnv()
+            e1, e2 = essence(phi, genv, psi, t.left), essence(phi, genv, psi, t.right)
             n1 = strongly_normalize(True, genv, psi, e1)
             n2 = strongly_normalize(True, genv, psi, e2)
             assert n1 == n2
@@ -778,7 +794,7 @@ def test_corpus_strong_pairs_have_beta_equal_component_essences():
             case Let(_, name, annot, bound, body):
                 walk(genv, psi, annot)
                 walk(genv, psi, bound)
-                m, _phi = essence(MetaEnv(), genv, psi, bound)
+                m = essence(MetaEnv(), genv, psi, bound)
                 walk(genv, psi.push_def(name, m, Underscore(L)), body)
             case Abs(_, name, dom, body) | Prod(_, name, dom, body):
                 walk(genv, psi, dom)
@@ -814,10 +830,11 @@ def test_meta_var_rule_rederives_suspended_type():
     genv = make_test_genv()
     ctx = LocalEnv().push_decl("u", P("A"))
     mctx = LocalEnv().push_decl("w", P("A"))
-    phi, mid = MetaEnv().fresh_meta(TypedMeta(mctx, P("B")))
+    phi = MetaEnv()
+    mid = phi.fresh_meta(TypedMeta(mctx, P("B")))
     from proofun.syntax import Var
     term = Meta(L, mid, (Var(L, 0),))
-    out, ty, phi2 = reconstruct(phi, genv, ctx, term)
+    out, ty = reconstruct(phi, genv, ctx, term)
     assert isinstance(out, Meta) and out.mid == mid
     assert ty == P("B")
     # the suspension was checked: a badly typed suspension is rejected
@@ -829,11 +846,10 @@ def test_refiner_threading_is_monotone():
     from test_unify import assert_monotone
     genv = make_test_genv()
     phi = MetaEnv()
-    t1, ty1, phi1 = reconstruct(phi, genv, LocalEnv(), P("fun x : A => _"))
-    assert_monotone(phi, phi1)
-    t2, phi2 = reconstruct_with_type(phi1, genv, LocalEnv(),
-                                     P("fun x : A => x"), P("A -> A"))
-    assert_monotone(phi1, phi2)
+    reconstruct(phi, genv, LocalEnv(), P("fun x : A => _"))
+    before = dict(phi.entries)
+    reconstruct_with_type(phi, genv, LocalEnv(), P("fun x : A => x"), P("A -> A"))
+    assert_monotone(before, phi)
 
 
 def test_default_rule_checks_conversion_through_definitions():
@@ -859,6 +875,44 @@ def test_unresolved_meta_blames_the_hole_location():
     with pytest.raises(UM) as info:
         elaborate(genv, fix_index(parse_term(src)))
     assert info.value.loc is not None
+
+
+_P_B = "P (proj_l <a, b>)"
+
+
+@pytest.mark.parametrize("command, column", [
+    (f"Definition d5 : (A | P a) & (A | P a) := < inj_l (P a) a, inj_l ({_P_B}) a >.", 80),
+    (f"Definition d7 : (A | P a) & (A | P a) := < inj_l ({_P_B}) a, inj_l (P a) a >.", 65),
+    (f"Definition d6 : A | P a := inj_l ({_P_B}) a.", 49),
+    (f"Definition d8 : A | P a := coe (A | {_P_B}) (inj_l (P a) a).", 51),
+], ids=["pair_second", "pair_first", "injection", "coercion"])
+def test_the_essence_of_an_annotation_is_checked_wherever_it_sits(command, column):
+    # The annotation of an injection and the target of a coercion are
+    # checked in the essence phase wherever they sit, as an abstraction's
+    # domain is: `<a, b>` in them is rejected whether or not a hint is given.
+    s = Session(quiet=True, out=io.StringIO(), err=io.StringIO())
+    assert run_source(s, "Axiom (A : Type) (P : A -> Type) (a b : A).")
+    assert not run_source(s, command)
+    assert s.err.getvalue() == (
+        f"{command}\n{' ' * (column - 1)}^\n"
+        'Error: the term has essence "b" while it is expected to have essence "a"\n')
+
+
+@pytest.mark.parametrize("command, report", [
+    ("Definition d (y : _) := y a.",
+     "^^^^^^^^^^^^^^^^^^^^^^^^^^^\nError: cannot infer a term for the placeholder ?6"),
+    ("Definition d := fun (y : _) (x : A) => y x x.",
+     "                ^^^^^^^^^^^^^^^^^^^^^^^^^^^^\n"
+     "Error: cannot infer a term for the placeholder ?9"),
+], ids=["applied_hole", "duplicated_argument"])
+def test_unresolved_meta_with_a_synthesized_location_blames_the_command(command, report):
+    # A meta minted by pruning has no location of its own: the error falls
+    # back on the elaborated term, and its number is the one minted, which
+    # pins the order in which fresh ids are handed out.
+    s = Session(quiet=True, out=io.StringIO(), err=io.StringIO())
+    assert run_source(s, "Axiom A : Type.\nAxiom a : A.")
+    assert not run_source(s, command + "\n")
+    assert s.err.getvalue() == f"{command}\n{report}\n"
 
 
 def test_dependent_smatch_motive():

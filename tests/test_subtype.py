@@ -251,7 +251,8 @@ def test_meta_input_is_rejected():
     from proofun.env import MetaEnv, TypedMeta
     from proofun.errors import InternalError
     from proofun.syntax import Const, Meta, NOWHERE
-    phi, mid = MetaEnv().fresh_meta(TypedMeta(LocalEnv(), Const(NOWHERE, "a")))
+    phi = MetaEnv()
+    mid = phi.fresh_meta(TypedMeta(LocalEnv(), Const(NOWHERE, "a")))
     with pytest.raises(InternalError):
         is_subtype(GENV, CTX, Meta(NOWHERE, mid, ()), P("a"))
 

@@ -379,8 +379,8 @@ def test_identity_suspension_invariant_under_projection():
     ctx = LocalEnv().push_decl("x", _c("A")).push_decl("y", _c("B"))
     for i in range(2):
         phi = MetaEnv()
-        phi, mid = phi.fresh_meta(TypedMeta(ctx, _c("A")))
-        phi = phi.instantiate_meta(mid, Var(L, i))
+        mid = phi.fresh_meta(TypedMeta(ctx, _c("A")))
+        phi.instantiate_meta(mid, Var(L, i))
         expanded = delta_phi_expand(phi, Meta(L, mid, erase_context(2)))
         assert expanded == Var(L, i)
 
@@ -614,18 +614,17 @@ def _solve_some_metas(rng, t):
     phi = MetaEnv()
 
     def go(t):
-        nonlocal phi
         if type(t) is not Meta:
             return visit_term(go, lambda _s, c: go(c), t)
         susp = tuple(go(c) for c in t.susp)
         ctx = LocalEnv()
         for _ in susp:
             ctx = push_dummy(ctx)
-        phi, mid = phi.fresh_meta(TypedMeta(ctx, _c("A")))
+        mid = phi.fresh_meta(TypedMeta(ctx, _c("A")))
         if rng.random() < 0.5:
             j = rng.randrange(len(susp)) if susp else None
             sol = _c("s") if j is None else App(L, _c("s"), (Var(L, j), Var(L, 0)))
-            phi = phi.instantiate_meta(mid, sol)
+            phi.instantiate_meta(mid, sol)
         return Meta(t.loc, mid, susp)
 
     t = go(t)

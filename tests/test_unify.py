@@ -21,7 +21,7 @@ from proofun.unify import try_hopu, unify, unify_essence
 
 from helpers import (
     CORPUS_FILES, P, corpus_path, define, make_test_genv, random_refined_term,
-    push_dummy, reference_unify, unify_outcome,
+    push_dummy, reference_unify, snapshot, unify_outcome,
 )
 
 L = NOWHERE
@@ -29,9 +29,10 @@ GENV = make_test_genv()
 CTX = LocalEnv()
 
 
-def assert_monotone(before: MetaEnv, after: MetaEnv) -> None:
-    """Declared entries are never removed and definitions never change."""
-    for mid, entry in before.entries.items():
+def assert_monotone(before: dict, after: MetaEnv) -> None:
+    """Declared entries (`before`, a copy of an earlier store's) are never
+    removed and definitions never change."""
+    for mid, entry in before.items():
         assert mid in after.entries
         if isinstance(entry, TypedMeta) and entry.value is not None:
             assert after.entries[mid] == entry
@@ -50,7 +51,8 @@ def assert_sound(phi: MetaEnv, genv, ctx, t1: Term, t2: Term) -> None:
 
 def test_sorts_unify_when_equal():
     phi = MetaEnv()
-    assert unify(phi, GENV, CTX, sort_type(), sort_type()) is phi
+    unify(phi, GENV, CTX, sort_type(), sort_type())
+    assert phi.mark() == 0
     with pytest.raises(UnificationFailure):
         unify(phi, GENV, CTX, sort_type(), sort_kind())
 
@@ -62,8 +64,8 @@ def test_distinct_constants_fail():
 
 def test_congruence_on_intersection():
     phi = MetaEnv()
-    out = unify(phi, GENV, CTX, P("A & B"), P("A & B"))
-    assert out.entries == phi.entries
+    unify(phi, GENV, CTX, P("A & B"), P("A & B"))
+    assert phi.entries == {}
 
 
 def test_stuck_matches_unify_part_by_part_under_their_binders():
@@ -89,14 +91,16 @@ def test_eta_left_against_rigid_head_fails_on_var_app_mismatch():
 
 
 def test_eta_succeeds_when_expansion_matches():
-    phi = unify(MetaEnv(), GENV, CTX, P("fun x : A => f x"), P("f"))
+    phi = MetaEnv()
+    unify(phi, GENV, CTX, P("fun x : A => f x"), P("f"))
     assert_sound(phi, GENV, CTX, P("fun x : A => f x"), P("f"))
 
 
 def test_abs_congruence_under_binder():
     t1 = P("fun x : A => h x (g x)")
     t2 = P("fun y : A => h y (g y)")
-    phi = unify(MetaEnv(), GENV, CTX, t1, t2)
+    phi = MetaEnv()
+    unify(phi, GENV, CTX, t1, t2)
     assert phi.entries == {}
 
 
@@ -119,8 +123,8 @@ def test_equal_terms_are_not_reduced(monkeypatch):
         monkeypatch.setattr(normalize, name, lambda *args, _f=original, _n=name:
                             steps.append(_n) or _f(*args))
     phi = MetaEnv()
-    assert unify(phi, genv, CTX, P("twice (twice a)"), P("twice (twice a)")) is phi
-    assert steps == []
+    unify(phi, genv, CTX, P("twice (twice a)"), P("twice (twice a)"))
+    assert steps == [] and phi.mark() == 0
     unify(phi, genv, CTX, P("twice a"), P("f (f a)"))
     assert steps  # the counter does see reductions
 
@@ -130,21 +134,22 @@ def test_equal_terms_are_not_reduced(monkeypatch):
 
 def _typed_meta(phi, ctx, ty=None):
     ty = ty if ty is not None else Const(L, "A")
-    phi, mid = phi.fresh_meta(TypedMeta(ctx, ty))
-    return phi, Meta(L, mid, erase_context(len(ctx)))
+    return Meta(L, phi.fresh_meta(TypedMeta(ctx, ty)), erase_context(len(ctx)))
 
 
 def test_empty_pattern_solves_to_constant():
-    phi, m = _typed_meta(MetaEnv(), CTX)
-    phi2 = unify(phi, GENV, CTX, m, P("a"))
-    assert zonk(phi2, m) == P("a")
+    phi = MetaEnv()
+    m = _typed_meta(phi, CTX)
+    unify(phi, GENV, CTX, m, P("a"))
+    assert zonk(phi, m) == P("a")
 
 
 def test_projection_pattern():
     ctx = CTX.push_decl("y", Const(L, "A"))
-    phi, m = _typed_meta(MetaEnv(), ctx)
-    phi2 = unify(phi, GENV, ctx, m, Var(L, 0))
-    entry = phi2.lookup(m.mid)
+    phi = MetaEnv()
+    m = _typed_meta(phi, ctx)
+    unify(phi, GENV, ctx, m, Var(L, 0))
+    entry = phi.lookup(m.mid)
     assert isinstance(entry, TypedMeta) and entry.value == Var(L, 0)
 
 
@@ -162,11 +167,12 @@ def test_hopu_worked_example_permutes_de_bruijn_indices():
     x, y, z = Var(L, 2), Var(L, 1), Var(L, 0)
     meta_ctx = (LocalEnv().push_decl("y", Const(L, "s2"))
                 .push_decl("x", Const(L, "s1")).push_decl("z", Const(L, "s3")))
-    phi, fid = MetaEnv().fresh_meta(TypedMeta(meta_ctx, Const(L, "s4")))
+    phi = MetaEnv()
+    fid = phi.fresh_meta(TypedMeta(meta_ctx, Const(L, "s4")))
     problem_lhs = Meta(L, fid, (y, x, z))
     rhs = mk_app(L, x, (Const(L, "c"), y))
-    phi2 = unify(phi, genv, ctx, problem_lhs, rhs)
-    solution = phi2.lookup(fid).value
+    unify(phi, genv, ctx, problem_lhs, rhs)
+    solution = phi.lookup(fid).value
     # In the declared context (y, x, z) the solution reads x c y.
     assert solution == mk_app(L, Var(L, 1), (Const(L, "c"), Var(L, 2)))
     # Presented as an abstraction over that context, binder order follows
@@ -176,11 +182,12 @@ def test_hopu_worked_example_permutes_de_bruijn_indices():
         lam = Abs(L, name, Const(L, name.replace("z", "s3") if False else ty), lam)
     expected = P("fun y : s2 => fun x : s1 => fun z : s3 => x c y")
     assert lam == expected
-    assert_sound(phi2, genv, ctx, problem_lhs, rhs)
+    assert_sound(phi, genv, ctx, problem_lhs, rhs)
 
 
 def test_occurs_check_is_hard_failure():
-    phi, m = _typed_meta(MetaEnv(), CTX)
+    phi = MetaEnv()
+    m = _typed_meta(phi, CTX)
     rhs = mk_app(L, Const(L, "f"), (m,))
     with pytest.raises(UnificationFailure):
         unify(phi, GENV, CTX, m, rhs)
@@ -196,22 +203,25 @@ _WITH_X = CTX.push_decl("x", Const(L, "A"))
 def test_suspension_entries_are_normalized_before_inversion(ctx, entry):
     # The suspension holds a redex that reduces to x; only the variable x
     # can be inverted.
-    phi, mid = MetaEnv().fresh_meta(TypedMeta(_WITH_X, Const(L, "A")))
+    phi = MetaEnv()
+    mid = phi.fresh_meta(TypedMeta(_WITH_X, Const(L, "A")))
     x = Var(L, len(ctx) - 1)
-    phi2 = unify(phi, GENV, ctx, Meta(L, mid, (entry,)), mk_app(L, P("f"), (x,)))
-    assert phi2.lookup(mid).value == mk_app(L, P("f"), (Var(L, 0),))
+    unify(phi, GENV, ctx, Meta(L, mid, (entry,)), mk_app(L, P("f"), (x,)))
+    assert phi.lookup(mid).value == mk_app(L, P("f"), (Var(L, 0),))
 
 
 def test_one_meta_with_convertible_suspensions_unifies_with_itself():
     # The entries `f ((fun z => z) x)` and `f x` are not variables, so neither
     # side inverts, and each side mentions the meta: only comparing the two
     # metas' normal forms solves the problem.
-    phi, mid = MetaEnv().fresh_meta(TypedMeta(_WITH_X, Const(L, "A")))
+    phi = MetaEnv()
+    mid = phi.fresh_meta(TypedMeta(_WITH_X, Const(L, "A")))
     x = Var(L, 0)
     redex = mk_app(L, P("f"), (mk_app(L, P("fun (z : A) => z"), (x,)),))
     same = Meta(L, mid, (redex,)), Meta(L, mid, (mk_app(L, P("f"), (x,)),))
-    assert unify(phi, GENV, _WITH_X, *same) is phi
-    assert unify(phi, GENV, _WITH_X, *reversed(same)) is phi
+    unify(phi, GENV, _WITH_X, *same)
+    unify(phi, GENV, _WITH_X, *reversed(same))
+    assert phi.mark() == 1  # the fresh meta only: nothing was solved
     other = Meta(L, mid, (mk_app(L, P("g"), (x,)),))
     for lhs, rhs in [(same[0], other), (other, same[1])]:
         with pytest.raises(UnificationFailure):
@@ -220,7 +230,8 @@ def test_one_meta_with_convertible_suspensions_unifies_with_itself():
 
 def test_rigid_free_variable_outside_pattern_fails():
     ctx = CTX.push_decl("u", Const(L, "A"))
-    phi, mid = MetaEnv().fresh_meta(TypedMeta(CTX, Const(L, "A")))
+    phi = MetaEnv()
+    mid = phi.fresh_meta(TypedMeta(CTX, Const(L, "A")))
     closed_meta = Meta(L, mid, ())  # suspension does not cover u
     with pytest.raises(UnificationFailure):
         unify(phi, GENV, ctx, closed_meta, Var(L, 0))
@@ -229,28 +240,37 @@ def test_rigid_free_variable_outside_pattern_fails():
 def test_duplicate_suspension_variables_are_ambiguous():
     ctx = CTX.push_decl("u", Const(L, "A"))
     two = LocalEnv().push_decl("p", Const(L, "A")).push_decl("q", Const(L, "A"))
-    phi, mid = MetaEnv().fresh_meta(TypedMeta(two, Const(L, "A")))
+    phi = MetaEnv()
+    mid = phi.fresh_meta(TypedMeta(two, Const(L, "A")))
     doubled = Meta(L, mid, (Var(L, 0), Var(L, 0)))
     with pytest.raises(UnificationFailure):
         unify(phi, GENV, ctx, doubled, Var(L, 0))
     # but a right-hand side that ignores the duplicate solves fine
-    phi2 = unify(phi, GENV, ctx, doubled, Const(L, "a"))
-    assert zonk(phi2, doubled) == Const(L, "a")
+    unify(phi, GENV, ctx, doubled, Const(L, "a"))
+    assert zonk(phi, doubled) == Const(L, "a")
+    # A third occurrence keeps the variable ambiguous.
+    three = two.push_decl("r", Const(L, "A"))
+    mid = phi.fresh_meta(TypedMeta(three, Const(L, "A")))
+    tripled = Meta(L, mid, (Var(L, 0), Var(L, 0), Var(L, 0)))
+    with pytest.raises(UnificationFailure):
+        unify(phi, GENV, ctx, tripled, Var(L, 0))
 
 
 def test_pruning_restricts_meta_to_shared_variables():
     # ?m[u] =?= g' applied over [u; w]-suspended meta: w must be pruned away.
     ctx = CTX.push_decl("u", Const(L, "A")).push_decl("w", Const(L, "A"))
     narrow_ctx = LocalEnv().push_decl("u", Const(L, "A"))
-    phi, narrow = phi_n = MetaEnv().fresh_meta(TypedMeta(narrow_ctx, Const(L, "A")))
-    phi, wide = phi.fresh_meta(TypedMeta(ctx, Const(L, "A")))
+    phi = MetaEnv()
+    narrow = phi.fresh_meta(TypedMeta(narrow_ctx, Const(L, "A")))
+    wide = phi.fresh_meta(TypedMeta(ctx, Const(L, "A")))
     lhs = Meta(L, narrow, (Var(L, 1),))       # ?narrow[u]
     rhs = Meta(L, wide, erase_context(2))     # ?wide[u; w]
-    phi2 = unify(phi, GENV, ctx, lhs, rhs)
-    assert_monotone(phi, phi2)
+    before = dict(phi.entries)
+    unify(phi, GENV, ctx, lhs, rhs)
+    assert_monotone(before, phi)
     # Instantiating the pruned result makes both sides equal.
-    n1 = normalize_meta(phi2, GENV, ctx, lhs)
-    n2 = normalize_meta(phi2, GENV, ctx, rhs)
+    n1 = normalize_meta(phi, GENV, ctx, lhs)
+    n2 = normalize_meta(phi, GENV, ctx, rhs)
     assert n1 == n2
 
 
@@ -259,13 +279,14 @@ def test_pruning_an_essence_meta_keeps_it_an_essence_meta():
     from proofun.env import EssMeta
     psi = LocalEnv().push_decl("x", Underscore(L)).push_decl("y", Underscore(L))
     narrow_psi = LocalEnv().push_decl("x", Underscore(L))
-    phi, narrow = MetaEnv().fresh_meta(EssMeta(narrow_psi))
-    phi, wide = phi.fresh_meta(EssMeta(psi))
-    phi2 = unify_essence(phi, GENV, psi, Meta(L, narrow, (Var(L, 1),)),
-                         Meta(L, wide, erase_context(2)))
-    pruned = phi2.lookup(wide)
+    phi = MetaEnv()
+    narrow = phi.fresh_meta(EssMeta(narrow_psi))
+    wide = phi.fresh_meta(EssMeta(psi))
+    unify_essence(phi, GENV, psi, Meta(L, narrow, (Var(L, 1),)),
+                  Meta(L, wide, erase_context(2)))
+    pruned = phi.lookup(wide)
     assert isinstance(pruned, EssMeta) and isinstance(pruned.value, Meta)
-    fresh = phi2.lookup(pruned.value.mid)
+    fresh = phi.lookup(pruned.value.mid)
     assert isinstance(fresh, EssMeta) and fresh.value is None
     assert fresh.ctx.names() == ["x"]
 
@@ -277,14 +298,31 @@ def test_pruning_is_refused_when_a_kept_entry_depends_on_a_dropped_one():
     from helpers import axiom
     axiom(genv, "P", "A -> Type")
     ctx = CTX.push_decl("x", Const(L, "A")).push_decl("y", mk_app(L, P("P"), (Var(L, 0),)))
-    phi, n = MetaEnv().fresh_meta(TypedMeta(ctx, Const(L, "A")))
-    phi, m = phi.fresh_meta(TypedMeta(LocalEnv().push_decl("y", Const(L, "B")),
-                                      Const(L, "B")))
+    phi = MetaEnv()
+    n = phi.fresh_meta(TypedMeta(ctx, Const(L, "A")))
+    m = phi.fresh_meta(TypedMeta(LocalEnv().push_decl("y", Const(L, "B")),
+                                 Const(L, "B")))
     lhs = Meta(L, m, (Var(L, 0),))
     rhs = mk_app(L, P("g"), (Meta(L, n, erase_context(2)),))
+    before = snapshot(phi)
     assert try_hopu(phi, genv, ctx, lhs, rhs) is None
+    assert snapshot(phi) == before
     with pytest.raises(UnificationFailure):
         unify(phi, genv, ctx, lhs, rhs)
+
+
+def test_a_pattern_problem_that_fails_after_pruning_undoes_the_pruning():
+    # ?m[x] =?= h ?n[x; y] y over (x : A) (y : A): ?n is pruned to ?n'[x]
+    # first, then `y` cannot be inverted; the store is given back unchanged.
+    ctx = CTX.push_decl("x", Const(L, "A")).push_decl("y", Const(L, "A"))
+    phi = MetaEnv()
+    n = phi.fresh_meta(TypedMeta(ctx, Const(L, "A")))
+    m = phi.fresh_meta(TypedMeta(CTX.push_decl("x", Const(L, "A")), Const(L, "A")))
+    lhs = Meta(L, m, (Var(L, 1),))
+    rhs = mk_app(L, P("h"), (Meta(L, n, erase_context(2)), Var(L, 0)))
+    before = snapshot(phi)
+    assert try_hopu(phi, GENV, ctx, lhs, rhs) is None
+    assert snapshot(phi) == before and phi.mark() == 2
 
 
 def test_pruning_keeps_a_local_definition_and_re_indexes_its_body():
@@ -297,36 +335,39 @@ def test_pruning_keeps_a_local_definition_and_re_indexes_its_body():
     A, f = Const(L, "A"), P("f")
     ctx = (CTX.push_decl("x", A).push_decl("w", Const(L, "B"))
            .push_def("d", mk_app(L, f, (Var(L, 1),)), A).push_decl("y", A))
-    phi, n = MetaEnv().fresh_meta(TypedMeta(ctx, mk_app(L, P("Q"), (Var(L, 1),))))
+    phi = MetaEnv()
+    n = phi.fresh_meta(TypedMeta(ctx, mk_app(L, P("Q"), (Var(L, 1),))))
     m_ctx = LocalEnv().push_decl("x", A).push_def("d", mk_app(L, f, (Var(L, 0),)), A)
-    phi, m = phi.fresh_meta(TypedMeta(m_ctx, A))
+    m = phi.fresh_meta(TypedMeta(m_ctx, A))
     lhs = Meta(L, m, (Var(L, 3), Var(L, 1)))
     rhs = mk_app(L, f, (Meta(L, n, erase_context(4)),))
-    phi2 = try_hopu(phi, genv, ctx, lhs, rhs)
-    assert phi2 is not None and phi2.next_id == 3
-    fresh = phi2.lookup(2)
+    solution = try_hopu(phi, genv, ctx, lhs, rhs)
+    assert solution is not None and len(phi.entries) == 3
+    fresh = phi.lookup(2)
     assert isinstance(fresh, TypedMeta) and fresh.value is None
     assert fresh.ctx.entries == (Decl("d", A, mk_app(L, f, (Var(L, 0),))), Decl("x", A))
     assert fresh.type == mk_app(L, P("Q"), (Var(L, 0),))
-    assert phi2.lookup(n).value == Meta(L, 2, (Var(L, 3), Var(L, 1)))
-    assert phi2.lookup(m).value == mk_app(
+    assert phi.lookup(n).value == Meta(L, 2, (Var(L, 3), Var(L, 1)))
+    assert phi.lookup(m).value is solution and solution == mk_app(
         L, f, (Meta(L, 2, (Var(L, 1), mk_app(L, f, (Var(L, 1),)))),))
 
 
 def test_sort_meta_takes_sorts_only():
-    phi, mid = MetaEnv().fresh_meta(SortMeta())
-    m = Meta(L, mid, ())
-    phi2 = unify(phi, GENV, CTX, m, sort_kind())
-    assert zonk(phi2, m) == sort_kind()
+    phi = MetaEnv()
+    m = Meta(L, phi.fresh_meta(SortMeta()), ())
+    mark = phi.mark()
+    unify(phi, GENV, CTX, m, sort_kind())
+    assert zonk(phi, m) == sort_kind()
+    phi.undo(mark)
     with pytest.raises(UnificationFailure):
         unify(phi, GENV, CTX, m, P("a"))
 
 
 def test_flex_rigid_through_solved_metas():
-    phi, m1 = _typed_meta(MetaEnv(), CTX)
-    phi, m2 = _typed_meta(phi, CTX)
-    phi = unify(phi, GENV, CTX, m1, m2)          # link the two metas
-    phi = unify(phi, GENV, CTX, m1, P("f a"))    # solve through the link
+    phi = MetaEnv()
+    m1, m2 = _typed_meta(phi, CTX), _typed_meta(phi, CTX)
+    unify(phi, GENV, CTX, m1, m2)          # link the two metas
+    unify(phi, GENV, CTX, m1, P("f a"))    # solve through the link
     assert zonk(phi, m2) == P("f a")
 
 
@@ -345,11 +386,12 @@ def test_flex_rigid_through_solved_metas():
 def test_eta_expanded_meta_is_flexible(ty, wrapper, rhs, solution):
     # `fun x => ?m x` is the meta itself: it takes the whole other side
     # instead of being matched against its body head by head.
-    phi, m = _typed_meta(MetaEnv(), CTX, P(ty))
+    phi = MetaEnv()
+    m = _typed_meta(phi, CTX, P(ty))
     lhs = mk_app(L, P(wrapper), (m,))
-    phi2 = unify(phi, GENV, CTX, lhs, P(rhs))
-    assert normalize_meta(phi2, GENV, CTX, m) == P(solution)
-    assert_sound(phi2, GENV, CTX, lhs, P(rhs))
+    unify(phi, GENV, CTX, lhs, P(rhs))
+    assert normalize_meta(phi, GENV, CTX, m) == P(solution)
+    assert_sound(phi, GENV, CTX, lhs, P(rhs))
 
 
 @pytest.mark.parametrize("script", [
@@ -404,11 +446,11 @@ def test_hopu_solution_is_the_unique_pattern_solution():
         for perm in perms:
             susp = tuple(Var(L, j) for j in perm)
             for rhs_body in rng.sample(bodies, min(25, len(bodies))):
-                phi, mid = MetaEnv().fresh_meta(TypedMeta(meta_ctx, ty))
+                phi = MetaEnv()
+                mid = phi.fresh_meta(TypedMeta(meta_ctx, ty))
                 problem = Meta(L, mid, susp)
-                solved = try_hopu(phi, genv, ctx, problem, rhs_body)
-                assert solved is not None
-                solution = solved.lookup(mid).value
+                solution = try_hopu(phi, genv, ctx, problem, rhs_body)
+                assert solution is not None and phi.lookup(mid).value is solution
                 # brute force: the solution is the unique body (modulo
                 # alpha) whose expansion through the suspension is the rhs
                 from proofun.syntax import msubst
@@ -429,8 +471,8 @@ def test_idempotent_trigger_on_random_normal_terms():
         t, _ty = random_refined_term(rng)
         t = strongly_normalize(False, GENV, CTX, t)
         phi = MetaEnv()
-        out = unify(phi, GENV, CTX, t, t)
-        assert out.entries == {}
+        unify(phi, GENV, CTX, t, t)
+        assert phi.entries == {}
         count += 1
 
 
@@ -455,7 +497,8 @@ def test_unify_essence_normalizes_local_definitions():
     # let-bound essences differ as variables but agree after delta-psi.
     psi = (LocalEnv().push_def("id1", P("fun x => x"), Underscore(L))
            .push_def("id2", P("fun x => x"), Underscore(L)))
-    phi = unify_essence(MetaEnv(), GENV, psi, Var(L, 1), Var(L, 0))
+    phi = MetaEnv()
+    unify_essence(phi, GENV, psi, Var(L, 1), Var(L, 0))
     assert phi.entries == {}
 
 
@@ -468,23 +511,25 @@ def test_unify_essence_rejects_different_shapes():
 def test_monotonicity_across_calls():
     rng = random.Random(61)
     for _ in range(100):
-        phi, m = _typed_meta(MetaEnv(), CTX)
+        phi = MetaEnv()
+        m = _typed_meta(phi, CTX)
         t, _ = random_refined_term(rng)
         t = strongly_normalize(False, GENV, CTX, t)
+        before = dict(phi.entries)
         try:
-            phi2 = unify(phi, GENV, CTX, m, t)
+            unify(phi, GENV, CTX, m, t)
         except UnificationFailure:
             continue
-        assert_monotone(phi, phi2)
-        assert_sound(phi2, GENV, CTX, m, t)
+        assert_monotone(before, phi)
+        assert_sound(phi, GENV, CTX, m, t)
 
 
 def test_essence_meta_absorbs_an_abstraction():
     from proofun.env import EssMeta
-    phi, mid = MetaEnv().fresh_meta(EssMeta(LocalEnv()))
-    m = Meta(L, mid, ())
-    phi2 = unify_essence(phi, GENV, LocalEnv(), m, P("fun x => x"))
-    solved = normalize_meta(phi2, GENV, LocalEnv(), m, is_essence=True)
+    phi = MetaEnv()
+    m = Meta(L, phi.fresh_meta(EssMeta(LocalEnv())), ())
+    unify_essence(phi, GENV, LocalEnv(), m, P("fun x => x"))
+    solved = normalize_meta(phi, GENV, LocalEnv(), m, is_essence=True)
     assert solved == P("fun x => x")
 
 
@@ -505,7 +550,7 @@ def test_agrees_with_reference_unifier_on_corpus_calls(monkeypatch):
     def recording_unify(phi, genv, ctx, t1, t2, is_essence=False):
         calls.append((t1, t2))
         _assert_agrees(phi, genv, ctx, t1, t2, is_essence)
-        return unify(phi, genv, ctx, t1, t2, is_essence)
+        unify(phi, genv, ctx, t1, t2, is_essence)
 
     monkeypatch.setattr(refine, "unify", recording_unify)
     monkeypatch.setattr(refine, "unify_essence", lambda phi, genv, psi, m1, m2:
@@ -533,19 +578,16 @@ def _with_metas(rng, phi, t, share):
     in unification)."""
 
     def go(t, depth):
-        nonlocal phi
         if rng.random() < share:
             ctx = LocalEnv()
             for _ in range(depth):
                 ctx = push_dummy(ctx)
-            phi, mid = phi.fresh_meta(TypedMeta(ctx, Const(L, "A")))
-            meta = Meta(L, mid, erase_context(depth))
+            meta = Meta(L, phi.fresh_meta(TypedMeta(ctx, Const(L, "A"))), erase_context(depth))
             wrapper = rng.choice(_ETA_WRAPPERS)
             return meta if wrapper is None else mk_app(L, wrapper, (meta,))
         return visit_term(lambda c: go(c, depth), lambda _s, c: go(c, depth + 1), t)
 
-    t = go(t, 0)
-    return phi, t
+    return go(t, 0)
 
 
 def test_agrees_with_reference_unifier_on_random_pairs():
@@ -553,8 +595,7 @@ def test_agrees_with_reference_unifier_on_random_pairs():
     for _ in range(300):
         t1, _ = random_refined_term(rng)
         t2, _ = random_refined_term(rng)
-        phi, m1 = _with_metas(rng, MetaEnv(), t1, 0.15)
-        phi, m2 = _with_metas(rng, phi, t1, 0.15)
-        phi, m3 = _with_metas(rng, phi, t2, 0.15)
+        phi = MetaEnv()
+        m1, m2, m3 = (_with_metas(rng, phi, t, 0.15) for t in (t1, t1, t2))
         for a, b in [(t1, t2), (m1, t1), (t1, m1), (m1, m2), (m1, m3), (m3, m1)]:
             _assert_agrees(phi, GENV, CTX, a, b)
