@@ -8,7 +8,7 @@ from proofun.errors import (
     TypeCheckError, UnificationFailure, UnresolvedMeta,
 )
 from proofun.normalize import strongly_normalize
-from proofun.parser import fix_id, fix_index, parse_command, parse_term
+from proofun.parser import fix_id, parse_command, parse_term
 from proofun.pretty import render_error, show_term
 from proofun.refine import elaborate, elaborate_type
 from proofun.repl import Session, main, run_source
@@ -22,8 +22,7 @@ __all__ = [
     "CommandError", "ConstInfo", "EssenceMismatch", "GlobalEnv",
     "InternalError", "LocalEnv", "MetaEnv", "ParseError", "ProverError",
     "Session", "Term", "TypeCheckError", "UnificationFailure",
-    "UnresolvedMeta", "elaborate", "elaborate_type", "fix_id", "fix_index",
-    "is_subtype", "main", "parse_command", "parse_term", "render_error",
-    "run_source", "show_term", "strongly_normalize", "unify",
-    "unify_essence",
+    "UnresolvedMeta", "elaborate", "elaborate_type", "fix_id", "is_subtype",
+    "main", "parse_command", "parse_term", "render_error", "run_source",
+    "show_term", "strongly_normalize", "unify", "unify_essence",
 ]

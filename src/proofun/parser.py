@@ -1,12 +1,12 @@
 """Lexer and recursive-descent parser for the concrete term syntax and the
 command language, plus the named/indexed conversions `fix_index` / `fix_id`
-(the checker prints indexed terms with `show_term` and does not call
-`fix_id`).
+(the checker calls neither: it parses to indexed terms and prints them with
+`show_term`).
 
-The parser produces terms whose variables are all `Const` nodes; `fix_index`
-then rewrites names bound by enclosing binders into de Bruijn `Var` indices,
-leaving genuinely free names as constants to be resolved against the global
-signature.  Operator precedence, tightest first:
+The parser resolves names as it builds each node: with a stack of binding
+depths per name, a name bound by an enclosing binder becomes a de Bruijn
+`Var` index in O(1), and a free name stays a `Const` to be resolved against
+the global signature.  Operator precedence, tightest first:
 
     application  >  &  >  |  >  ->        (-> , & , | associate right,
                                            application associates left)
@@ -194,6 +194,22 @@ class _Parser:
     def __init__(self, toks: list[Token]):
         self.toks = toks
         self.pos = 0
+        self.scope: dict[str, list[int]] = {}  # each bound name's binding depths
+        self.binders: list[list[int]] = []  # the depth stack each open binder pushed to
+        self.depth = 0  # the number of binders open at the cursor
+
+    def bind(self, name: str) -> None:
+        """Open a binder for `name` over what is parsed next."""
+        self.binders.append(bound := self.scope.setdefault(name, []))
+        bound.append(self.depth)
+        self.depth += 1
+
+    def unbind(self, count: int, t: Term | None = None) -> Term | None:
+        """Close the `count` innermost binders, those over `t`; returns `t`."""
+        for _ in range(count):
+            self.binders.pop().pop()
+        self.depth -= count
+        return t
 
     def peek(self) -> Token:
         return self.toks[self.pos]
@@ -253,7 +269,9 @@ class _Parser:
             if op is None or op < level:
                 return left
             self.pos += 1
+            self.depth += not op  # an arrow's codomain is under its unnamed binder
             right = self.term(op)  # the same level again: right-associative
+            self.depth -= not op
             loc = span(left.loc, right.loc)
             left = (Prod(loc, "", left, right) if op == 0 else
                     Union(loc, left, right) if op == 1 else Inter(loc, left, right))
@@ -263,7 +281,8 @@ class _Parser:
         if tok.text != "let":  # fun ARGS => t  or  forall ARGS, t
             args = self.args(typed_tail=True)
             self.expect("DARROW" if tok.text == "fun" else "COMMA")
-            return self.fold(Abs if tok.text == "fun" else Prod, tok.loc, args, self.term())
+            body = self.unbind(len(args), self.term())
+            return self.fold(Abs if tok.text == "fun" else Prod, tok.loc, args, body)
         # let ID [args] [: T] := t1 in t2
         name = self.ident()
         args = self.args() if self.args_ahead() else []
@@ -272,9 +291,10 @@ class _Parser:
             self.next()
             annot = self.fold(Prod, tok.loc, args, self.term())
         self.expect("COLONEQ")
-        bound = self.fold(Abs, tok.loc, args, self.term())
+        bound = self.fold(Abs, tok.loc, args, self.unbind(len(args), self.term()))
         self.expect("KW", "in")
-        body = self.term()
+        self.bind(name)
+        body = self.unbind(1, self.term())
         return Let(span(tok.loc, body.loc), name, annot, bound, body)
 
     def fold(self, node: type[Abs] | type[Prod], loc: Location,
@@ -289,6 +309,7 @@ class _Parser:
 
     def args(self, typed_tail: bool = False) -> list[tuple[str, Term]]:
         """Non-empty argument sequence: bare names or `(x y z : T)` groups.
+        Each name is bound from its end on, until the caller unbinds them.
 
         With `typed_tail` (fun/forall position) a trailing `: T` types the
         final run of bare names, so `fun x y : A => e` works unparenthesized.
@@ -299,6 +320,7 @@ class _Parser:
             if self.at("ID"):
                 tok = self.next()
                 out.append((tok.text, Underscore(tok.loc)))
+                self.bind(tok.text)
                 bare_run += 1
             elif self.at("LPAREN") and self.toks[self.pos + 1].kind == "ID":
                 self.next()
@@ -308,7 +330,7 @@ class _Parser:
                 self.expect("COLON")
                 annot = self.term()
                 self.expect("RPAREN")
-                out.extend((n, annot) for n in names)
+                self.group(out, names, annot)
                 bare_run = 0
             else:
                 break
@@ -316,9 +338,16 @@ class _Parser:
             raise self.fail("expected at least one argument")
         if typed_tail and bare_run and self.at("COLON"):
             self.next()
-            annot = self.term()
-            out[-bare_run:] = [(n, annot) for n, _ in out[-bare_run:]]
+            run, out[-bare_run:] = out[-bare_run:], []
+            self.unbind(bare_run)
+            self.group(out, [n for n, _ in run], self.term())
         return out
+
+    def group(self, out: list[tuple[str, Term]], names: list[str], annot: Term) -> None:
+        """Bind `names` in turn, each typed `annot` lifted past the earlier ones."""
+        for i, name in enumerate(names):
+            out.append((name, lift(0, i, annot)))
+            self.bind(name)
 
     def ident(self) -> str:
         return self.expect("ID").text
@@ -330,7 +359,8 @@ class _Parser:
         kind = tok.kind
         if kind == "ID":
             self.pos += 1
-            return Const(tok.loc, tok.text)
+            bound = self.scope.get(tok.text)
+            return Var(tok.loc, self.depth - 1 - bound[-1]) if bound else Const(tok.loc, tok.text)
         if kind == "LPAREN":
             self.pos += 1
             inner = self.term()
@@ -361,9 +391,11 @@ class _Parser:
             self.next()
             as_name = self.ident()
         ret: Term = Underscore(start.loc)
+        self.bind(as_name)
         if self.at("KW", "return"):
             self.next()
             ret = self.term()
+        self.unbind(1)
         motive = Abs(span(start.loc, ret.loc), as_name, Underscore(start.loc), ret)
         self.expect("KW", "with")
         n1, a1, b1 = self.branch()
@@ -379,8 +411,8 @@ class _Parser:
             self.next()
             annot = self.term()
         self.expect("DARROW")
-        body = self.term()
-        return name_tok.text, annot, body
+        self.bind(name_tok.text)
+        return name_tok.text, annot, self.unbind(1, self.term())
 
     # -- commands -----------------------------------------------------------
 
@@ -438,14 +470,14 @@ class _Parser:
             self.next()
             ty = self.fold(Prod, loc, args, self.term())
         self.expect("COLONEQ")
-        body = self.fold(Abs, loc, args, self.term())
+        body = self.fold(Abs, loc, args, self.unbind(len(args), self.term()))
         self.expect("DOT")
         return [Definition(loc, name, ty, body)]
 
 
 @too_deep_as_error
 def parse_term(text: str, source: str = "<input>") -> Term:
-    """Parse a single term; variables come back as `Const` nodes."""
+    """Parse a single term; bound names come back as `Var`s, free ones as `Const`s."""
     p = _Parser(tokenize(text, source))
     t = p.term()
     p.expect("EOF")
@@ -477,7 +509,8 @@ def parse_script(text: str, source: str = "<script>") -> list[list[Command]]:
 
 def fix_index(t: Term, scope: tuple[str, ...] | list[str] = ()) -> Term:
     """Replace names bound by `scope` (innermost first) or by enclosing
-    binders with de Bruijn indices; unknown names stay constants.  Each name
+    binders with de Bruijn indices; unknown names stay constants.  For terms
+    built by hand: the parser resolves names itself.  Each name
     maps to the stack of depths that bind it, so a lookup is O(1).  The node
     kinds the parser builds in bulk are rebuilt here, the others by
     `visit_term`; a node with no bound name in it comes back itself."""

@@ -6,8 +6,7 @@ printable name (`binder_names`, the policy `fix_id` also follows), it
 resolves each `Var` to its binder's name as it goes, and it prints a
 product as `forall` only when that name was printed in the codomain.
 Printing is minimal: parentheses appear only where re-parsing would
-otherwise change the tree, so `fix_index(parse_term(show_term(t)))`
-round-trips.
+otherwise change the tree, so `parse_term(show_term(t))` round-trips.
 """
 
 from __future__ import annotations

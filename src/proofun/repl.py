@@ -26,7 +26,7 @@ from proofun.errors import (
 from proofun.normalize import strongly_normalize
 from proofun.parser import (
     Axiom, Command, Compute, Definition, Help, Load, Print, Printall, Quit,
-    UNTERMINATED_COMMENT, fix_index, tokenize, _Parser,
+    UNTERMINATED_COMMENT, tokenize, _Parser,
 )
 from proofun.pretty import render_error, show_term
 from proofun.refine import elaborate, elaborate_type
@@ -82,11 +82,10 @@ def exec_command(session: Session, cmd: Command) -> None:
         case Quit():
             raise QuitRequested
         case Axiom(loc, name, ty):
-            genv.add(name, elaborate_type(genv, fix_index(ty)))
+            genv.add(name, elaborate_type(genv, ty))
             session.ack(f"{name} is declared.")
         case Definition(loc, name, ty, body):
-            expected = fix_index(ty) if ty is not None else None
-            genv.add(name, elaborate(genv, fix_index(body), expected))
+            genv.add(name, elaborate(genv, body, ty))
             session.ack(f"{name} is defined.")
         case Print(loc, name):
             info = genv.lookup(name)

@@ -62,10 +62,6 @@ NOWHERE = Location()
 def span(a: Location, b: Location) -> Location:
     """Smallest location covering both `a` and `b` (same source assumed)."""
     start, other = a.start, b.start
-    if start == (0, 0):
-        return b
-    if other == (0, 0):
-        return a
     end, last = a.end, b.end
     return tuple.__new__(Location, (a.source, start if start <= other else other,
                                     end if end >= last else last))
@@ -269,7 +265,7 @@ def record(cls: type, hints: Sequence[str] = ()) -> type:
         source += "".join([f"def __init__(self, {', '.join(names)}):\n    d = self.__dict__\n",
                            *(f"    d[{n!r}] = {n}\n" for n in names)])
     methods: dict[str, Callable[..., object]] = {}
-    exec(source, {}, methods)
+    exec(compile(source, f"<{cls.__name__}>", "exec"), {}, methods)
     for name, method in methods.items():
         method.__qualname__ = f"{cls.__name__}.{name}"
         setattr(cls, name, method)
@@ -307,9 +303,9 @@ def _constructor(cls: type) -> Callable[..., None]:
         elif kind == "tuple[Term, ...]":
             lines += [f"for c in {name}:", f"    x = c._facts; {_JOIN}"]
     lines.append("d['_facts'] = f")
-    source = "".join(f"    {line}\n" for line in lines)
+    source = f"def __init__(self, {', '.join(names)}):\n" + "".join(f"    {line}\n" for line in lines)
     namespace: dict[str, Callable[..., None] | type] = {"App": App}
-    exec(f"def __init__(self, {', '.join(names)}):\n{source}", namespace)
+    exec(compile(source, f"<{cls.__name__}.__init__>", "exec"), namespace)
     init = namespace["__init__"]
     init.__qualname__ = f"{cls.__name__}.__init__"
     return init
@@ -332,9 +328,11 @@ def _layout(cls: type) -> tuple[Callable[..., tuple], Callable[..., tuple],
             bound.append(f"*[None] * len(t.{name})")
         else:
             args.append(f"t.{name}")
-    return (eval(f"lambda t: ({''.join(k + ', ' for k in kids)})"),
-            eval(f"lambda t: ({''.join(b + ', ' for b in bound)})"),
-            eval(f"lambda t, c: K({', '.join(args)})", {"K": cls}))
+    sources = {"children": f"lambda t: ({''.join(k + ', ' for k in kids)})",
+               "binders": f"lambda t: ({''.join(b + ', ' for b in bound)})",
+               "rebuild": f"lambda t, c: K({', '.join(args)})"}
+    return tuple(eval(compile(source, f"<{cls.__name__}.{role}>", "eval"), {"K": cls})
+                 for role, source in sources.items())
 
 
 # The layout of each node kind.  Its children are its `Term` fields and the

@@ -164,3 +164,11 @@ def test_every_name_the_tracer_wraps_exists():
         if name not in getattr(importlib.import_module(module), cls).__dict__:
             missing.append(f"{module}.{cls}.{name}")
     assert missing == []
+
+
+def test_only_the_parser_names_fix_index():
+    # The parser resolves names as it builds the tree, so nothing else in
+    # the checker converts a named term to de Bruijn indices.
+    naming = [path.name for path in SOURCES if path.name != "parser.py"
+              and "fix_index" in _uses(_parse(path))]
+    assert naming == []

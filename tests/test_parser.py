@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from proofun.errors import TOO_DEEP, LexError, ParseError, ProverError
 from proofun.parser import (
     Axiom, Definition, Load, Print, Quit, fix_id, fix_index, parse_command,
-    parse_script, parse_term, tokenize,
+    parse_script, parse_term, tokenize, _Parser,
 )
 from proofun.pretty import show_term
 from proofun.repl import Session, run_source
@@ -35,7 +35,7 @@ def test_untyped_fun_gets_placeholder_domain():
     t = parse_term("fun x => x")
     assert isinstance(t, Abs) and t.name == "x"
     assert isinstance(t.domain, Underscore)
-    assert t.body == Const(t.body.loc, "x")
+    assert t.body == Var(t.body.loc, 0)
 
 
 def test_smatch_desugars_to_motive_abstraction():
@@ -191,7 +191,7 @@ def test_command_reprs_list_every_field_in_order():
     assert repr(definition) == (
         f"Definition(loc={at(19, 29)}, name='d', type=Sort(loc={at(34, 38)}, "
         f"kind=<SortKind.TYPE: 'Type'>), body=Abs(loc={at(42, 56)}, name='x', "
-        f"domain=Const(loc={at(50, 51)}, name='A'), body=Const(loc={at(55, 56)}, name='x')))")
+        f"domain=Const(loc={at(50, 51)}, name='A'), body=Var(loc={at(55, 56)}, index=0)))")
 
 
 def test_commands_are_frozen():
@@ -284,7 +284,8 @@ def test_parse_term_nests_deeply_at_the_default_recursion_limit(shape, n):
     while type(t) in (Prod, Abs):
         t, depth = (t.codomain if type(t) is Prod else t.body), depth + 1
     assert depth == (0 if shape == "parens" else n)
-    assert t == Const(NOWHERE, "a" if shape == "arrow" else "x")
+    assert t == {"arrow": Const(NOWHERE, "a"), "fun": Var(NOWHERE, 0),
+                 "parens": Const(NOWHERE, "x")}[shape]
 
 
 @pytest.mark.parametrize("shape", ["app", "fun", "forall"])
@@ -455,6 +456,13 @@ def test_fix_index_matches_the_reference_on_parsed_commands():
                         assert repr(fix_index(t)) == repr(reference_fix_index(t)), name
 
 
+# Shadowing names and binder groups whose type mentions a name of the group.
+_SHADOWING_SOURCES = (
+    "fun (x : A) (x : x) => x y", "fun (x y z : x) => forall (w v : y), z",
+    "fun x y : y => let f (y x : x) := x in f", "forall (y x : x) (z : x), y",
+)
+
+
 def test_fix_index_matches_the_reference_on_random_shadowing_terms():
     rng = random.Random(9)
     names = ("x", "x0", "y", "c", "")
@@ -462,10 +470,65 @@ def test_fix_index_matches_the_reference_on_random_shadowing_terms():
         t = random_printable_term(rng, rng.randint(1, 30), indexed=False)
         scope = tuple(rng.choice(names) for _ in range(rng.randint(0, 4)))
         assert repr(fix_index(t, scope)) == repr(reference_fix_index(t, scope)), (t, scope)
-    for src in ("fun (x : A) (x : x) => x y", "fun (x y z : x) => forall (w v : y), z",
-                "fun x y : y => let f (y x : x) := x in f", "forall (y x : x) (z : x), y"):
+    for src in _SHADOWING_SOURCES:
         t = parse_term(src)
         assert repr(fix_index(t, ("y", "x", "y"))) == repr(reference_fix_index(t, ("y", "x", "y")))
+
+
+class _NamedParser(_Parser):
+    """The parser with names left unresolved: every binder binds the empty
+    name, which no identifier is, so every name comes back a `Const`."""
+
+    def bind(self, name: str) -> None:
+        super().bind("")
+
+
+def _named_script(text: str, source: str) -> list[list]:
+    p = _NamedParser(tokenize(text, source))
+    out = []
+    while not p.at("EOF"):
+        out.append(p.command())
+    return out
+
+
+def _random_source(rng: random.Random, size: int) -> str:
+    """A random term over every binding site, its names drawn from three so
+    that binders shadow each other and groups mention their own names."""
+    if size <= 1:
+        return rng.choice("xyzc")
+    x, y, z = rng.choices("xyz", k=3)
+    a, b, c, d = (f"({_random_source(rng, size // 3)})" for _ in range(4))
+    args = rng.choice([x, f"{x} ({y} {z} : {a})", f"({x} {y} : {a}) {z}"])
+    return rng.choice([
+        f"fun {args} => {b}", f"forall {args}, {b}", f"fun {x} {y} : {a} => {b}",
+        f"{a} -> {b}", f"{a} {b}", f"let {x} {args} : {b} := {c} in {d}",
+        f"let {x} := {a} in {b}",
+        f"smatch {a} as {x} return {b} with {y} : {c} => {d}, {z} => {a} end",
+        f"smatch {a} with {x} => {b}, {y} : {c} => {d} end",
+    ])
+
+
+def test_the_parser_resolves_names_as_the_reference_indexes_a_named_parse():
+    # `repr` compares locations and binder names as well as the indices.
+    rng = random.Random(27)
+    sources = [*_SHADOWING_SOURCES,
+               "forall x : A, A -> x", "fun (x : A) => B -> forall y : x -> x, y -> x",
+               "forall x, (forall y, y -> x) -> x -> forall x : x, x",
+               "smatch s as x return P x -> x with y : x => y x, z : P z => z end",
+               "fun x => smatch x with x => x, y : x => y x end",
+               "let f (x y : A) (z : x) : P x y z := g z x in f f",
+               "let x x : x := x in x"]
+    sources += [_random_source(rng, rng.randint(1, 40)) for _ in range(400)]
+    texts = [*_front_end_texts(), *(("t.bull", f"Definition d := {src}.") for src in sources),
+             ("t.bull", "Definition d (x : A) (y z : x) : P x y -> z := fun w => g x w z.")]
+    for name, text in texts:
+        for group, named_group in zip(parse_script(text, name), _named_script(text, name),
+                                      strict=True):
+            for cmd, named in zip(group, named_group, strict=True):
+                for field in ("type", "body"):
+                    named_t = getattr(named, field, None)
+                    expected = None if named_t is None else reference_fix_index(named_t)
+                    assert repr(getattr(cmd, field, None)) == repr(expected), (name, text)
 
 
 def test_every_name_of_a_binder_group_reads_the_type_outside_the_group():

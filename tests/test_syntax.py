@@ -1,6 +1,8 @@
 """Core term machinery: traversals, lifting, substitution, equality."""
 
+import cProfile
 import io
+import pstats
 import random
 
 import pytest
@@ -356,6 +358,22 @@ def test_a_node_rebuilt_from_its_own_children_is_itself():
         assert type(again) is type(s) and again == s and repr(again) == repr(s), s
         assert again._facts == s._facts, s
         assert visit_term(lambda c: c, lambda _s, c: c, s) is s
+
+
+def test_a_profile_tells_the_generated_functions_of_each_node_kind_apart():
+    # Each generated function is compiled under a file name that names its
+    # node kind (and role), so a profile keeps one entry per kind and role.
+    profile = cProfile.Profile()
+    profile.enable()
+    leaves = [Const(L, "c") for _ in range(5)]
+    apps = [App(L, leaves[0], (leaves[1],)) for _ in range(3)]
+    children(apps[0]), binders(apps[0]), binders(leaves[0])
+    profile.disable()
+    calls = {(file, name): stat[1] for (file, _line, name), stat
+             in pstats.Stats(profile).stats.items() if file.startswith("<")}
+    assert calls == {("<Const.__init__>", "__init__"): 5, ("<App.__init__>", "__init__"): 3,
+                     ("<App.children>", "<lambda>"): 1, ("<App.binders>", "<lambda>"): 1,
+                     ("<Const.binders>", "<lambda>"): 1}
 
 
 # ------------- erase_context -------------
