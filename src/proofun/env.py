@@ -1,5 +1,5 @@
 """The three environments: global signature, local context, and the
-meta-variable environment.
+meta-variable environment, which carries the signature it checks against.
 
 Each environment has one entry class per kind, whose value is an optional
 field: `None` means declared (an axiom, a local declaration, an unsolved
@@ -11,9 +11,10 @@ entry types and bodies are stored relative to their own position, and
 `find_var` lifts a type on retrieval.  The essence phase uses the same
 stack: its declarations carry `Underscore` as their type and its
 definitions bind essences.  The meta-environment is one mutable store per
-command: `fresh_meta` and `instantiate_meta` update it in place and record
-what they set on a trail, and the few searches that backtrack take a `mark`
-and `undo` to it.
+command, and it knows the command's signature, so the refiner, unifier and
+normaliser take the store alone: `fresh_meta` and `instantiate_meta` update
+it in place and record what they set on a trail, and the few searches that
+backtrack take a `mark` and `undo` to it.
 """
 
 from __future__ import annotations
@@ -149,8 +150,11 @@ MetaEntry = TyUnion[SortMeta, TypedMeta, EssMeta]
 
 
 class MetaEnv:
-    """The meta-variables of one command: declared and solved entries, the
-    essence companions, and a trail of what was set, newest last.
+    """The checking state of one command: the signature `genv` it is
+    checked against, the declared and solved meta-variables, the essence
+    companions, and a trail of what was set, newest last.  The signature is
+    only read; the side (terms or their essences) is an argument of each
+    call, not part of the store, since one store serves both phases.
 
     Ids are handed out in order, so the next fresh id is the number of
     entries, and undoing a fresh meta frees its id.  Instantiation is
@@ -160,9 +164,10 @@ class MetaEnv:
     `undo` costs the number of changes it unsets.
     """
 
-    __slots__ = ("entries", "companions", "_trail")
+    __slots__ = ("genv", "entries", "companions", "_trail")
 
-    def __init__(self) -> None:
+    def __init__(self, genv: GlobalEnv) -> None:
+        self.genv = genv
         self.entries: dict[int, MetaEntry] = {}
         self.companions: dict[int, int] = {}
         # (table, key, value before): None means the key was absent.

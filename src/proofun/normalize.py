@@ -90,21 +90,20 @@ def delta_phi_expand(phi: MetaEnv, m: Meta) -> Term | None:
     return msubst(value, m.susp)
 
 
-def strongly_normalize(is_essence: bool, genv: GlobalEnv, ctx: LocalEnv, t: Term) -> Term:
+def strongly_normalize(genv: GlobalEnv, ctx: LocalEnv, t: Term, is_essence: bool = False) -> Term:
     """Normal form of a meta-free term.  Non-termination is out of contract
     for ill-typed input; the fuel budget turns it into a reported error."""
     if contains_meta(t):
         raise InternalError("strongly_normalize: input contains a meta-variable")
     if not is_essence and contains_underscore(t):
         raise InternalError("strongly_normalize: input contains a placeholder")
-    return _nf(t, 0, len(ctx), _Machine(MetaEnv(), genv, ctx, is_essence))
+    return _nf(t, 0, len(ctx), _Machine(MetaEnv(genv), ctx, is_essence))
 
 
-def normalize_meta(phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv, t: Term,
-                   is_essence: bool = False) -> Term:
+def normalize_meta(phi: MetaEnv, ctx: LocalEnv, t: Term, is_essence: bool = False) -> Term:
     """Normalization for the unifier and refiner: solved metas are expanded,
     unsolved ones normalize their suspensions and stay put."""
-    return _nf(t, 0, len(ctx), _Machine(phi, genv, ctx, is_essence))
+    return _nf(t, 0, len(ctx), _Machine(phi, ctx, is_essence))
 
 
 # ---------------------------------------------------------------------------
@@ -176,15 +175,15 @@ _CLOSED_OVER = _INERT - {Sort, Underscore}
 
 
 class _Machine:
-    """What one normalization call shares: the meta-environment, the
-    signature, the local context, the side, one fuel budget, and the thunks
-    of the global definitions and context entries used, each made once per
-    call."""
+    """What one normalization call shares: the meta-environment (and
+    through it the signature), the local context, the side, one fuel
+    budget, and the thunks of the global definitions and context entries
+    used, each made once per call."""
 
-    __slots__ = ("phi", "genv", "ctx", "is_essence", "tick", "consts", "entries")
+    __slots__ = ("phi", "ctx", "is_essence", "tick", "consts", "entries")
 
-    def __init__(self, phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv, is_essence: bool):
-        self.phi, self.genv, self.ctx, self.is_essence = phi, genv, ctx, is_essence
+    def __init__(self, phi: MetaEnv, ctx: LocalEnv, is_essence: bool):
+        self.phi, self.ctx, self.is_essence = phi, ctx, is_essence
         self.tick = _Fuel(DEFAULT_FUEL).tick
         self.consts: dict[str, _Thunk | None] = {}
         self.entries: dict[int, _Thunk] = {}
@@ -195,7 +194,7 @@ class _Machine:
         try:
             return self.consts[name]
         except KeyError:
-            body = self.genv.find_const(self.is_essence, name)
+            body = self.phi.genv.find_const(self.is_essence, name)
             # A closed body: its environment holds no entry of `ctx`.
             thunk = None if body is None else _Thunk(body, len(self.ctx))
             self.consts[name] = thunk
@@ -394,8 +393,7 @@ def _quote_stuck(stuck: _Stuck, depth: int, m: _Machine) -> Term:
 # The head view: a weak-head value read back by substitution.
 
 
-def whnf(phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv, t: Term,
-         is_essence: bool = False) -> Term:
+def whnf(phi: MetaEnv, ctx: LocalEnv, t: Term, is_essence: bool = False) -> Term:
     """Reduce just enough to expose the top connective (a view, not a normal
     form); used by the refiner's beta-view premises and the unifier's head
     views.  The evaluator takes `t` to a weak-head value on the fuel budget,
@@ -412,9 +410,9 @@ def whnf(phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv, t: Term,
     if type(head) is Var:
         if 0 <= head.index < len(ctx.entries) and ctx.entries[head.index].body is None:
             return t  # a declared variable, or one applied
-    elif type(head) is Const and genv.find_const(is_essence, head.name) is None:
+    elif type(head) is Const and phi.genv.find_const(is_essence, head.name) is None:
         return t  # an axiom or an unbound name, or one applied
-    view = _view(_eval(t, 0, _Machine(phi, genv, ctx, is_essence)), len(ctx), {})
+    view = _view(_eval(t, 0, _Machine(phi, ctx, is_essence)), len(ctx), {})
     return t if view is t or view == t else view
 
 

@@ -105,7 +105,7 @@ def exec_command(session: Session, cmd: Command) -> None:
             if info.body is None:
                 session.emit(name)  # axioms are their own normal form
             else:
-                nf = strongly_normalize(False, genv, LocalEnv(), info.body)
+                nf = strongly_normalize(genv, LocalEnv(), info.body)
                 session.emit(show_term(nf))
         case Load(loc, path):
             if not load_file(session, path, loc):

@@ -82,8 +82,8 @@ def is_subtype(genv: GlobalEnv, ctx: LocalEnv, a: Term, b: Term) -> bool:
     """Decide a <= b; both sides must be meta-free."""
     if contains_meta(a) or contains_meta(b):
         raise InternalError("is_subtype: meta-variable in input")
-    a = _anf_atoms(strongly_normalize(False, genv, ctx, a))
-    b = canf(strongly_normalize(False, genv, ctx, b))
+    a = _anf_atoms(strongly_normalize(genv, ctx, a))
+    b = canf(strongly_normalize(genv, ctx, b))
 
     def compare(a: Term, b: Term) -> bool:
         match (a, b):

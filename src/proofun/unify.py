@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from operator import is_not
 
-from proofun.env import Decl, EssMeta, GlobalEnv, LocalEnv, MetaEnv, SortMeta, TypedMeta
+from proofun.env import Decl, EssMeta, LocalEnv, MetaEnv, SortMeta, TypedMeta
 from proofun.errors import InternalError, UnificationFailure
 from proofun.normalize import normalize_meta, whnf, zonk
 from proofun.syntax import (
@@ -139,7 +139,7 @@ def _prune_meta(phi: MetaEnv, mid: int, kept: list[int]) -> bool:
     return True
 
 
-def try_hopu(phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv, m: Meta, rhs: Term,
+def try_hopu(phi: MetaEnv, ctx: LocalEnv, m: Meta, rhs: Term,
              is_essence: bool = False) -> Term | None:
     """Solve `m ≐ rhs` by pattern unification with pruning and return the
     solution; None, with the pruning undone, when the problem is outside the
@@ -148,7 +148,7 @@ def try_hopu(phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv, m: Meta, rhs: Term,
     mark = phi.mark()
     while True:
         entry = phi.lookup(m.mid)
-        rhs_n = normalize_meta(phi, genv, ctx, rhs, is_essence)
+        rhs_n = normalize_meta(phi, ctx, rhs, is_essence)
         if _occurs(m.mid, rhs_n):
             raise UnificationFailure(m, rhs_n, m.loc)
         if entry.value is not None:
@@ -175,17 +175,15 @@ def try_hopu(phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv, m: Meta, rhs: Term,
     return solution
 
 
-def unify(phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv, t1: Term, t2: Term,
-          is_essence: bool = False) -> None:
+def unify(phi: MetaEnv, ctx: LocalEnv, t1: Term, t2: Term, is_essence: bool = False) -> None:
     """Unify two terms, solving metas in `phi`, or raise
     `UnificationFailure` on a rigid mismatch; the caller undoes what a
     failed unification solved."""
     if t1 != t2:
-        _unify_heads(phi, genv, ctx, t1, t2, is_essence)
+        _unify_heads(phi, ctx, t1, t2, is_essence)
 
 
-def _head(phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv, t: Term,
-          is_essence: bool) -> Term:
+def _head(phi: MetaEnv, ctx: LocalEnv, t: Term, is_essence: bool) -> Term:
     """The eta-short weak head normal form of `t`.  Nested abstractions are
     viewed down to their first body that is not one; only when that body
     applies something to a term whose view is the innermost variable can the
@@ -194,17 +192,17 @@ def _head(phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv, t: Term,
     variables, not redexes.  Only an entry viewed as an abstraction or a
     meta is normalized, and the meta is rebuilt only if an entry changed."""
     outer, abstractions = ctx, []
-    t = whnf(phi, genv, ctx, t, is_essence)
+    t = whnf(phi, ctx, t, is_essence)
     while isinstance(t, Abs):
         abstractions.append(t)
         ctx = ctx.push_decl(t.name, t.domain)
-        t = whnf(phi, genv, ctx, t.body, is_essence)
+        t = whnf(phi, ctx, t.body, is_essence)
     if abstractions and type(t) is App and (
-            _head(phi, genv, ctx, t.spine[-1], is_essence) == Var(NOWHERE, 0)):
-        return normalize_meta(phi, genv, outer, abstractions[0], is_essence)
+            _head(phi, ctx, t.spine[-1], is_essence) == Var(NOWHERE, 0)):
+        return normalize_meta(phi, outer, abstractions[0], is_essence)
     if isinstance(t, Meta):
-        susp = [whnf(phi, genv, ctx, s, is_essence) for s in t.susp]
-        susp = [normalize_meta(phi, genv, ctx, s, is_essence) if isinstance(s, (Abs, Meta))
+        susp = [whnf(phi, ctx, s, is_essence) for s in t.susp]
+        susp = [normalize_meta(phi, ctx, s, is_essence) if isinstance(s, (Abs, Meta))
                 else s for s in susp]
         if any(map(is_not, susp, t.susp)):
             t = Meta(t.loc, t.mid, tuple(susp))
@@ -220,27 +218,26 @@ def _peel(t: Term) -> Term:
     return mk_app(t.loc, lift(0, 1, t), (Var(NOWHERE, 0),))
 
 
-def _unify_heads(phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv, t1: Term,
-                 t2: Term, is_essence: bool) -> None:
+def _unify_heads(phi: MetaEnv, ctx: LocalEnv, t1: Term, t2: Term, is_essence: bool) -> None:
     """One step below `unify`'s entry: compare the heads, then recurse."""
-    t1 = _head(phi, genv, ctx, t1, is_essence)
-    t2 = _head(phi, genv, ctx, t2, is_essence)
+    t1 = _head(phi, ctx, t1, is_essence)
+    t2 = _head(phi, ctx, t2, is_essence)
     if t1 is t2 or isinstance(t1, (Sort, Var, Const, Underscore, Meta)) and t1 == t2:
         return
 
     def recur(ctx: LocalEnv, a: Term, b: Term) -> None:
-        _unify_heads(phi, genv, ctx, a, b, is_essence)
+        _unify_heads(phi, ctx, a, b, is_essence)
 
     # Meta cases first: a meta can absorb an abstraction, so they take
     # priority over the eta rules.
     if isinstance(t1, Meta) or isinstance(t2, Meta):
         if (isinstance(t1, Meta) and isinstance(t2, Meta) and t1.mid == t2.mid
-                and normalize_meta(phi, genv, ctx, t1, is_essence)
-                == normalize_meta(phi, genv, ctx, t2, is_essence)):
+                and normalize_meta(phi, ctx, t1, is_essence)
+                == normalize_meta(phi, ctx, t2, is_essence)):
             return
-        if isinstance(t1, Meta) and try_hopu(phi, genv, ctx, t1, t2, is_essence) is not None:
+        if isinstance(t1, Meta) and try_hopu(phi, ctx, t1, t2, is_essence) is not None:
             return
-        if isinstance(t2, Meta) and try_hopu(phi, genv, ctx, t2, t1, is_essence) is not None:
+        if isinstance(t2, Meta) and try_hopu(phi, ctx, t2, t1, is_essence) is not None:
             return
         raise UnificationFailure(t1, t2, t1.loc)
 
@@ -264,7 +261,6 @@ def _unify_heads(phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv, t1: Term,
         recur(ctx if binder is None else ctx.push_decl(*binder), a, b)
 
 
-def unify_essence(phi: MetaEnv, genv: GlobalEnv, psi: LocalEnv,
-                  m1: Term, m2: Term) -> None:
+def unify_essence(phi: MetaEnv, psi: LocalEnv, m1: Term, m2: Term) -> None:
     """The same engine restricted to the essence sublanguage."""
-    unify(phi, genv, psi, m1, m2, is_essence=True)
+    unify(phi, psi, m1, m2, is_essence=True)

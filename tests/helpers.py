@@ -366,7 +366,7 @@ _REFERENCE_INERT = (Prod, Abs, Inter, Union, Sort, SPair, SInLeft, SInRight,
                     Coercion, Underscore)
 
 
-def reference_whnf(phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv, t: Term,
+def reference_whnf(phi: MetaEnv, ctx: LocalEnv, t: Term,
                    is_essence: bool = False, fuel: int = DEFAULT_FUEL) -> Term:
     """The weak head normal form of `t` by root rewriting, one tick of
     `fuel` per step.  A term already in weak head normal form comes back as
@@ -396,7 +396,7 @@ def reference_whnf(phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv, t: Term,
                         return t
                     t = body
                 case Const(_, name):
-                    body = genv.find_const(is_essence, name)
+                    body = phi.genv.find_const(is_essence, name)
                     if body is None:  # unbound or axiom: fixed
                         return t
                     t = body
@@ -437,33 +437,33 @@ def reference_whnf(phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv, t: Term,
 # unifiers; `try_hopu` is shared.
 
 
-def reference_unify(phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv, t1: Term,
+def reference_unify(phi: MetaEnv, ctx: LocalEnv, t1: Term,
                     t2: Term, is_essence: bool = False) -> None:
-    t1 = normalize_meta(phi, genv, ctx, t1, is_essence)
-    t2 = normalize_meta(phi, genv, ctx, t2, is_essence)
+    t1 = normalize_meta(phi, ctx, t1, is_essence)
+    t2 = normalize_meta(phi, ctx, t2, is_essence)
     if t1 != t2:
-        _reference_unify_normal(phi, genv, ctx, t1, t2, is_essence, phi.mark())
+        _reference_unify_normal(phi, ctx, t1, t2, is_essence, phi.mark())
 
 
-def _reference_unify_normal(phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv,
+def _reference_unify_normal(phi: MetaEnv, ctx: LocalEnv,
                             t1: Term, t2: Term, is_essence: bool,
                             normal_at: int) -> None:
     if phi.mark() != normal_at:
         if contains_meta(t1):
-            t1 = normalize_meta(phi, genv, ctx, t1, is_essence)
+            t1 = normalize_meta(phi, ctx, t1, is_essence)
         if contains_meta(t2):
-            t2 = normalize_meta(phi, genv, ctx, t2, is_essence)
+            t2 = normalize_meta(phi, ctx, t2, is_essence)
     if isinstance(t1, (Sort, Var, Const, Underscore, Meta)) and t1 == t2:
         return
     here = phi.mark()
 
     def recur(ctx: LocalEnv, a: Term, b: Term) -> None:
-        _reference_unify_normal(phi, genv, ctx, a, b, is_essence, here)
+        _reference_unify_normal(phi, ctx, a, b, is_essence, here)
 
     if isinstance(t1, Meta) or isinstance(t2, Meta):
-        if isinstance(t1, Meta) and try_hopu(phi, genv, ctx, t1, t2, is_essence) is not None:
+        if isinstance(t1, Meta) and try_hopu(phi, ctx, t1, t2, is_essence) is not None:
             return
-        if isinstance(t2, Meta) and try_hopu(phi, genv, ctx, t2, t1, is_essence) is not None:
+        if isinstance(t2, Meta) and try_hopu(phi, ctx, t2, t1, is_essence) is not None:
             return
         raise UnificationFailure(t1, t2, t1.loc)
 
@@ -516,7 +516,7 @@ def _reference_unify_normal(phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv,
     raise UnificationFailure(t1, t2, t1.loc)
 
 
-def unify_outcome(unifier, phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv,
+def unify_outcome(unifier, phi: MetaEnv, ctx: LocalEnv,
                   t1: Term, t2: Term, is_essence: bool = False):
     """What a unifier decides on one problem: the exception type it raised,
     or the normalized solution (None while unsolved) of every meta-variable
@@ -524,18 +524,18 @@ def unify_outcome(unifier, phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv,
     so two unifiers can be run on it in turn."""
     mark = phi.mark()
     try:
-        unifier(phi, genv, ctx, t1, t2, is_essence)
+        unifier(phi, ctx, t1, t2, is_essence)
         solutions = {}
         for mid, entry in phi.entries.items():
             if entry.value is None:
                 solutions[mid] = None
                 continue
             if isinstance(entry, SortMeta):
-                solutions[mid] = normalize_meta(phi, genv, LocalEnv(), entry.value)
+                solutions[mid] = normalize_meta(phi, LocalEnv(), entry.value)
                 continue
             essence = isinstance(entry, EssMeta)
             meta = Meta(NOWHERE, mid, erase_context(len(entry.ctx)))
-            solutions[mid] = normalize_meta(phi, genv, entry.ctx, meta, essence)
+            solutions[mid] = normalize_meta(phi, entry.ctx, meta, essence)
         return solutions
     except (UnificationFailure, InternalError) as exc:
         return type(exc).__name__
@@ -750,15 +750,15 @@ def random_printable_term(rng: random.Random, size: int, depth: int = 0,
 # tests can compare the two.
 
 
-def reference_force_type(phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv, t: Term
+def reference_force_type(phi: MetaEnv, ctx: LocalEnv, t: Term
                          ) -> tuple[Term, Term]:
-    t2, tau = reconstruct(phi, genv, ctx, t)
+    t2, tau = reconstruct(phi, ctx, t)
     loc = t.loc
     mark = phi.mark()
 
     def probe(sort: Term) -> bool:
         try:
-            unify(phi, genv, ctx, tau, sort)
+            unify(phi, ctx, tau, sort)
             return True
         except UnificationFailure:
             return False
@@ -768,23 +768,23 @@ def reference_force_type(phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv, t: Term
     as_type = probe(sort_type(loc))
     as_kind = probe(sort_kind(loc))
     if as_type and as_kind:
-        unify(phi, genv, ctx, tau, Meta(loc, phi.fresh_meta(SortMeta()), ()))
+        unify(phi, ctx, tau, Meta(loc, phi.fresh_meta(SortMeta()), ()))
     elif as_type or as_kind:
-        unify(phi, genv, ctx, tau, sort_type(loc) if as_type else sort_kind(loc))
+        unify(phi, ctx, tau, sort_type(loc) if as_type else sort_kind(loc))
     else:
         raise TypeCheckError(
             f'the term "{show_term(zonk(phi, t2), ctx.names())}" is not a type', loc)
     return t2, tau
 
 
-def force_type_outcome(force, phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv,
+def force_type_outcome(force, phi: MetaEnv, ctx: LocalEnv,
                        t: Term):
     """What a sort decision gives: the refined term, its type and the whole
     meta-environment, or the error's class, text and location.  The store is
     given back as it was."""
     mark = phi.mark()
     try:
-        t2, tau = force(phi, genv, ctx, t)
+        t2, tau = force(phi, ctx, t)
         return t2, tau, snapshot(phi)
     except ProverError as exc:
         return type(exc).__name__, exc.message, exc.loc
@@ -799,7 +799,7 @@ def force_type_outcome(force, phi: MetaEnv, genv: GlobalEnv, ctx: LocalEnv,
 # production `essence_with_hint`.  Kept only so tests can compare the two.
 
 
-def reference_essence(phi: MetaEnv, genv: GlobalEnv, psi: LocalEnv, t: Term) -> Term:
+def reference_essence(phi: MetaEnv, psi: LocalEnv, t: Term) -> Term:
     def go(psi: LocalEnv, t: Term) -> Term:
         match t:
             case Sort() | Var() | Const():
@@ -831,7 +831,7 @@ def reference_essence(phi: MetaEnv, genv: GlobalEnv, psi: LocalEnv, t: Term) -> 
                 return type(t)(loc, go(psi, left), go(psi, right))
             case SPair(loc, left, right):
                 m = go(psi, left)
-                essence_with_hint(phi, genv, psi, m, right)
+                essence_with_hint(phi, psi, m, right)
                 return m
             case SPrLeft(_, body) | SPrRight(_, body):
                 return go(psi, body)
@@ -844,20 +844,20 @@ def reference_essence(phi: MetaEnv, genv: GlobalEnv, psi: LocalEnv, t: Term) -> 
                 go(psi, a1)
                 m = go(psi.push_decl(n1, Underscore(loc)), b1)
                 go(psi, a2)
-                essence_with_hint(phi, genv, psi.push_decl(n2, Underscore(loc)), m, b2)
+                essence_with_hint(phi, psi.push_decl(n2, Underscore(loc)), m, b2)
                 return App(loc, Abs(loc, n1, Underscore(loc), m), (big_n,))
         raise InternalError(f"reference_essence: unhandled node {t!r}")
 
     return go(psi, t)
 
 
-def essence_outcome(ess, phi: MetaEnv, genv: GlobalEnv, psi: LocalEnv, t: Term):
+def essence_outcome(ess, phi: MetaEnv, psi: LocalEnv, t: Term):
     """What an essence judgment gives: the essence and the whole
     meta-environment, or the error's class, text and location.  The store is
     given back as it was."""
     mark = phi.mark()
     try:
-        return ess(phi, genv, psi, t), snapshot(phi)
+        return ess(phi, psi, t), snapshot(phi)
     except ProverError as exc:
         return type(exc).__name__, exc.message, exc.loc
     finally:

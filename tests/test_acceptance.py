@@ -66,20 +66,20 @@ def test_criterion_2_refinement_worked_examples():
     genv2 = GlobalEnv()
     axiom(genv2, "s", "Type")
     axiom(genv2, "t", "Type")
-    phi = MetaEnv()
+    phi = MetaEnv(genv2)
     term = reconstruct_with_type(
-        phi, genv2, LocalEnv(), P("<fun x : s => x, fun x : t => _>"),
+        phi, LocalEnv(), P("<fun x : s => x, fun x : t => _>"),
         P("(s -> s) & (t -> t)"))
     hole = term.right.body
     assert isinstance(hole, Meta)
     entry = phi.lookup(hole.mid)
     assert isinstance(entry, TypedMeta) and entry.value is None and entry.type == P("t")
-    essence(phi, genv2, LocalEnv(), zonk(phi, term))
+    essence(phi, LocalEnv(), zonk(phi, term))
     companion = phi.lookup(phi.companions[hole.mid])
     assert isinstance(companion, EssMeta) and companion.value is not None
     # essence(?y) is beta-equal to the bound variable x
     psi = LocalEnv().push_decl("x", Underscore(L))
-    solved = normalize_meta(phi, genv2, psi, companion.value, is_essence=True)
+    solved = normalize_meta(phi, psi, companion.value, is_essence=True)
     assert solved == Var(L, 0)
     print("\nPASS criterion 2: eq_refl _ : eq _ 0 elaborates to eq_refl 0 : "
           "eq 0 0; strong-pair hole has essence x")
@@ -135,16 +135,16 @@ def test_criterion_5_unifier_soundness():
 
     def check(phi, c, t1, t2):
         nonlocal successes
-        n1 = strongly_normalize(False, genv, c, zonk(phi, t1))
-        n2 = strongly_normalize(False, genv, c, zonk(phi, t2))
+        n1 = strongly_normalize(genv, c, zonk(phi, t1))
+        n2 = strongly_normalize(genv, c, zonk(phi, t2))
         assert n1 == n2
         successes += 1
 
     for _ in range(800):
         t, _ty = random_refined_term(rng)
-        t = strongly_normalize(False, genv, ctx, t)
-        phi = MetaEnv()
-        unify(phi, genv, ctx, t, t)
+        t = strongly_normalize(genv, ctx, t)
+        phi = MetaEnv(genv)
+        unify(phi, ctx, t, t)
         check(phi, ctx, t, t)
 
     # generated pattern problems: ?m[permuted vars] against a random rhs
@@ -162,12 +162,12 @@ def test_criterion_5_unifier_soundness():
         head = rng.choice([Var(L, rng.randrange(n)), Const(L, "f")])
         rhs = head if rng.random() < 0.4 else mk_app(
             L, Const(L, "f"), (Var(L, rng.randrange(n)),))
-        phi = MetaEnv()
+        phi = MetaEnv(genv)
         mid = phi.fresh_meta(TypedMeta(mctx, atom))
         problem = Meta(L, mid, susp)
-        unify(phi, genv, pctx, problem, rhs)
-        n1 = normalize_meta(phi, genv, pctx, problem)
-        n2 = normalize_meta(phi, genv, pctx, rhs)
+        unify(phi, pctx, problem, rhs)
+        n1 = normalize_meta(phi, pctx, problem)
+        n2 = normalize_meta(phi, pctx, rhs)
         assert n1 == n2
         successes += 1
 
@@ -180,11 +180,11 @@ def test_criterion_5_unifier_soundness():
             .push_decl("y", Const(L, "s2")).push_decl("z", Const(L, "s3")))
     mctx = (LocalEnv().push_decl("y", Const(L, "s2"))
             .push_decl("x", Const(L, "s1")).push_decl("z", Const(L, "s3")))
-    phi = MetaEnv()
+    phi = MetaEnv(genv2)
     fid = phi.fresh_meta(TypedMeta(mctx, Const(L, "s4")))
     lhs = Meta(L, fid, (Var(L, 1), Var(L, 2), Var(L, 0)))  # ?f[y; x; z]
     rhs = mk_app(L, Var(L, 2), (Const(L, "c"), Var(L, 1)))  # x c y
-    unify(phi, genv2, ctx2, lhs, rhs)
+    unify(phi, ctx2, lhs, rhs)
     solution = phi.lookup(fid).value
     lam = solution
     for name, ty in (("z", "s3"), ("x", "s1"), ("y", "s2")):
@@ -204,11 +204,11 @@ def test_criterion_6_normalization_properties():
     for _ in range(1000):
         raw, ty = random_refined_term(rng)
         t = elaborate(genv, raw, ty).body
-        once = strongly_normalize(False, genv, ctx, t)
+        once = strongly_normalize(genv, ctx, t)
         assert _redex_free(genv, once)
-        assert once == strongly_normalize(False, genv, ctx, once)
+        assert once == strongly_normalize(genv, ctx, once)
         # evaluation and substitution give the same normal form
-        assert once == normalize_meta(MetaEnv(), genv, ctx, t)
+        assert once == normalize_meta(MetaEnv(genv), ctx, t)
 
     # corpus definitions: idempotence, delta-transparency, essence coherence
     for name in CORPUS_FILES:
@@ -217,17 +217,17 @@ def test_criterion_6_normalization_properties():
         for const, info in s.genv.items():
             if info.body is None:
                 continue
-            nf = strongly_normalize(False, s.genv, ctx, info.body)
-            assert nf == strongly_normalize(False, s.genv, ctx, nf)
-            assert nf == normalize_meta(MetaEnv(), s.genv, ctx, info.body)
+            nf = strongly_normalize(s.genv, ctx, info.body)
+            assert nf == strongly_normalize(s.genv, ctx, nf)
+            assert nf == normalize_meta(MetaEnv(s.genv), ctx, info.body)
             assert _redex_free(s.genv, nf)
             # Compute on the name agrees with inlining the definition first
-            via_const = strongly_normalize(False, s.genv, ctx, Const(L, const))
+            via_const = strongly_normalize(s.genv, ctx, Const(L, const))
             assert via_const == nf
             # essence(normalize(body)) is beta-equal to normalize(essence)
-            e1 = essence(MetaEnv(), s.genv, LocalEnv(), nf)
-            e1 = strongly_normalize(True, s.genv, LocalEnv(), e1)
-            e2 = strongly_normalize(True, s.genv, LocalEnv(), info.essence)
+            e1 = essence(MetaEnv(s.genv), LocalEnv(), nf)
+            e1 = strongly_normalize(s.genv, LocalEnv(), e1, True)
+            e2 = strongly_normalize(s.genv, LocalEnv(), info.essence, True)
             assert e1 == e2, const
 
     # the printing example renders byte-exactly

@@ -31,7 +31,7 @@ def test_find_var_def_returns_lifted_body():
     # `find_var` gives the type; the head view unfolds the lifted body.
     ctx = LocalEnv().push_decl("y", Const(L, "s")).push_def("x", Var(L, 0), Var(L, 0))
     assert ctx.find_var(0) == Var(L, 1)
-    assert whnf(MetaEnv(), GlobalEnv(), ctx, Var(L, 0)) == Var(L, 1)
+    assert whnf(MetaEnv(GlobalEnv()), ctx, Var(L, 0)) == Var(L, 1)
 
 
 def test_find_var_deeper_entry():
@@ -134,7 +134,7 @@ def _with_value(entry, value):
 
 
 def test_fresh_ids_are_consecutive_and_entries_kept():
-    phi = MetaEnv()
+    phi = MetaEnv(GlobalEnv())
     a, b = phi.fresh_meta(SortMeta()), phi.fresh_meta(SortMeta())
     assert (a, b) == (0, 1)
     assert phi.lookup(a) == SortMeta()
@@ -142,7 +142,7 @@ def test_fresh_ids_are_consecutive_and_entries_kept():
 
 def test_fresh_typed_decl_retrievable():
     ctx = LocalEnv().push_decl("x", Const(L, "s"))
-    phi = MetaEnv()
+    phi = MetaEnv(GlobalEnv())
     entry = phi.lookup(phi.fresh_meta(TypedMeta(ctx, Const(L, "s"))))
     assert entry.ctx == ctx and entry.type == Const(L, "s") and entry.value is None
 
@@ -150,7 +150,7 @@ def test_fresh_typed_decl_retrievable():
 def test_instantiate_then_lookup():
     # Instantiation sets the value and keeps everything else of the entry.
     for unsolved, solution in _UNSOLVED:
-        phi = MetaEnv()
+        phi = MetaEnv(GlobalEnv())
         mid = phi.fresh_meta(unsolved)
         phi.instantiate_meta(mid, solution)
         solved = phi.lookup(mid)
@@ -164,7 +164,7 @@ def test_instantiate_then_lookup():
 
 def test_instantiate_does_not_disturb_others():
     for unsolved, solution in _UNSOLVED:
-        phi = MetaEnv()
+        phi = MetaEnv(GlobalEnv())
         a, b = phi.fresh_meta(unsolved), phi.fresh_meta(unsolved)
         phi.instantiate_meta(a, solution)
         assert phi.lookup(b) == unsolved
@@ -172,7 +172,7 @@ def test_instantiate_does_not_disturb_others():
 
 def test_double_instantiation_is_internal_error():
     for unsolved, solution in _UNSOLVED:
-        phi = MetaEnv()
+        phi = MetaEnv(GlobalEnv())
         mid = phi.fresh_meta(unsolved)
         phi.instantiate_meta(mid, solution)
         with pytest.raises(InternalError):
@@ -182,11 +182,11 @@ def test_double_instantiation_is_internal_error():
 def test_fresh_meta_of_a_solved_entry_is_internal_error():
     for unsolved, solution in _UNSOLVED:
         with pytest.raises(InternalError):
-            MetaEnv().fresh_meta(_with_value(unsolved, solution))
+            MetaEnv(GlobalEnv()).fresh_meta(_with_value(unsolved, solution))
 
 
 def test_sort_meta_delta_reduction():
-    phi = MetaEnv()
+    phi = MetaEnv(GlobalEnv())
     mid = phi.fresh_meta(SortMeta())
     phi.instantiate_meta(mid, sort_type())
     assert delta_phi_expand(phi, Meta(L, mid, ())) == sort_type()
@@ -195,7 +195,7 @@ def test_sort_meta_delta_reduction():
 def test_essence_companion_is_stable():
     with_def = _MCTX.push_def("d", Var(L, 0), Const(L, "s"))
     for ctx in (_MCTX, with_def):
-        phi = MetaEnv()
+        phi = MetaEnv(GlobalEnv())
         mid = phi.fresh_meta(TypedMeta(ctx, Const(L, "s")))
         e1, e2 = phi.essence_companion(mid), phi.essence_companion(mid)
         assert e1 == e2
@@ -256,7 +256,7 @@ def test_entries_are_frozen():
 
 
 def test_meta_environments_share_no_dict():
-    a, b = MetaEnv(), MetaEnv()
+    a, b = MetaEnv(GlobalEnv()), MetaEnv(GlobalEnv())
     assert a.entries is not b.entries and a.companions is not b.companions
     assert a.entries == b.entries == {} and a.companions == b.companions == {}
 
@@ -266,7 +266,7 @@ def _state(phi):
 
 
 def test_undo_restores_fresh_ids_entries_and_companions_across_nested_marks():
-    phi = MetaEnv()
+    phi = MetaEnv(GlobalEnv())
     typed = phi.fresh_meta(TypedMeta(_MCTX, Const(L, "s")))
     outer, at_outer = phi.mark(), _state(phi)
     phi.instantiate_meta(phi.fresh_meta(SortMeta()), sort_type())
@@ -287,7 +287,7 @@ def test_undo_restores_fresh_ids_entries_and_companions_across_nested_marks():
 
 def test_solving_stays_write_once_under_the_trail():
     for unsolved, solution in _UNSOLVED:
-        phi = MetaEnv()
+        phi = MetaEnv(GlobalEnv())
         mid = phi.fresh_meta(unsolved)
         phi.instantiate_meta(mid, solution)
         mark = phi.mark()

@@ -129,20 +129,26 @@ def test_the_refiner_reports_a_failed_unification_in_one_place():
 
 
 def test_the_meta_store_is_updated_in_place_and_backtracked_in_three_places():
-    # The refiner and the unifier solve metas in one mutable store: no
-    # function returns a meta-environment, and only the three searches that
-    # can fail half-way take a mark on its trail and undo to it.
-    returning, marking = [], []
-    for name in ("refine.py", "unify.py"):
+    # The refiner, the unifier and the normaliser solve metas in one mutable
+    # store, which carries the signature: no function returns a
+    # meta-environment or takes a signature beside one, and only the three
+    # searches that can fail half-way take a mark on its trail and undo to it.
+    returning, marking, beside = [], [], []
+    for name in ("refine.py", "unify.py", "normalize.py"):
         for node in ast.walk(_parse(ROOT / "src" / "proofun" / name)):
             if not isinstance(node, ast.FunctionDef):
                 continue
             if node.returns is not None and "MetaEnv" in ast.unparse(node.returns):
                 returning.append(node.name)
+            params = [*node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs]
+            annotations = {ast.unparse(a.annotation) for a in params if a.annotation}
+            if {"MetaEnv", "GlobalEnv"} <= annotations:
+                beside.append(node.name)
             if any(isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
                    and call.func.attr in ("mark", "undo") for call in ast.walk(node)):
                 marking.append(node.name)
     assert returning == []
+    assert beside == []
     assert sorted(marking) == ["_pts_check", "_unify_or", "try_hopu"]
 
 

@@ -35,7 +35,7 @@ L = NOWHERE
 
 
 def nf(genv, t):
-    return strongly_normalize(False, genv, LocalEnv(), t)
+    return strongly_normalize(genv, LocalEnv(), t)
 
 
 # ------------- individual reduction rules -------------
@@ -90,7 +90,7 @@ def test_delta_global_definitions_unfold_but_axioms_stay():
 def test_delta_local_definition():
     genv = GlobalEnv()
     ctx = LocalEnv().push_def("x", Const(L, "c"), Const(L, "s"))
-    assert strongly_normalize(False, genv, ctx, Var(L, 0)) == Const(L, "c")
+    assert strongly_normalize(genv, ctx, Var(L, 0)) == Const(L, "c")
 
 
 def test_chains_of_local_definitions_unfold_fully():
@@ -98,9 +98,9 @@ def test_chains_of_local_definitions_unfold_fully():
     genv = GlobalEnv()
     ctx = (LocalEnv().push_def("x", Const(L, "c"), Const(L, "s"))
            .push_def("y", Var(L, 0), Const(L, "s")))
-    assert whnf(MetaEnv(), genv, ctx, Var(L, 0)) == Const(L, "c")
-    assert strongly_normalize(False, genv, ctx, Var(L, 0)) == Const(L, "c")
-    assert normalize_meta(MetaEnv(), genv, ctx, Var(L, 0)) == Const(L, "c")
+    assert whnf(MetaEnv(genv), ctx, Var(L, 0)) == Const(L, "c")
+    assert strongly_normalize(genv, ctx, Var(L, 0)) == Const(L, "c")
+    assert normalize_meta(MetaEnv(genv), ctx, Var(L, 0)) == Const(L, "c")
 
 
 def test_printing_example_renders_y0():
@@ -130,7 +130,7 @@ def test_is_eta_shifted_indices():
 
 
 def test_uninstantiated_meta_expands_to_none():
-    phi = MetaEnv()
+    phi = MetaEnv(GlobalEnv())
     mid = phi.fresh_meta(TypedMeta(LocalEnv(), Const(L, "s")))
     assert delta_phi_expand(phi, Meta(L, mid, ())) is None
 
@@ -138,7 +138,7 @@ def test_uninstantiated_meta_expands_to_none():
 def test_suspension_substitutes_into_solution():
     # (x : s |- ?y := x) expands ?y[c] to c.
     ctx = LocalEnv().push_decl("x", Const(L, "s"))
-    phi = MetaEnv()
+    phi = MetaEnv(GlobalEnv())
     mid = phi.fresh_meta(TypedMeta(ctx, Const(L, "s")))
     phi.instantiate_meta(mid, Var(L, 0))
     assert delta_phi_expand(phi, Meta(L, mid, (Const(L, "c"),))) == Const(L, "c")
@@ -146,7 +146,7 @@ def test_suspension_substitutes_into_solution():
 
 def test_sort_meta_discards_suspension():
     from proofun.syntax import sort_type
-    phi = MetaEnv()
+    phi = MetaEnv(GlobalEnv())
     mid = phi.fresh_meta(SortMeta())
     phi.instantiate_meta(mid, sort_type())
     assert delta_phi_expand(phi, Meta(L, mid, (Const(L, "junk"),))) == sort_type()
@@ -170,7 +170,7 @@ def test_placeholder_input_is_internal_error():
 def test_essence_mode_tolerates_untyped_binders():
     genv = GlobalEnv()
     t = App(L, Abs(L, "x", Underscore(L), Var(L, 0)), (Const(L, "c"),))
-    out = strongly_normalize(True, genv, LocalEnv(), t)
+    out = strongly_normalize(genv, LocalEnv(), t, True)
     assert out == Const(L, "c")
 
 
@@ -179,7 +179,7 @@ def test_fuel_exhaustion_reports_instead_of_hanging(monkeypatch):
     omega = fix_index(parse_term("(fun (x : A) => x x) (fun (x : A) => x x)"))
     monkeypatch.setattr(normalize, "DEFAULT_FUEL", 5000)
     with pytest.raises(FuelExhausted):
-        strongly_normalize(False, GlobalEnv(), LocalEnv(), omega)
+        strongly_normalize(GlobalEnv(), LocalEnv(), omega)
 
 
 def test_discarded_arguments_are_never_normalized():
@@ -198,9 +198,9 @@ def test_whnf_head_reductions_share_one_fuel_budget(monkeypatch):
     # and c0, and one for the axiom f: six in all
     monkeypatch.setattr(normalize, "DEFAULT_FUEL", 5)
     with pytest.raises(FuelExhausted):
-        whnf(MetaEnv(), genv, LocalEnv(), t)
+        whnf(MetaEnv(genv), LocalEnv(), t)
     monkeypatch.undo()
-    assert whnf(MetaEnv(), genv, LocalEnv(), t) == P("f a")
+    assert whnf(MetaEnv(genv), LocalEnv(), t) == P("f a")
 
 
 # ------------- normal-form properties -------------
@@ -239,9 +239,9 @@ def test_idempotence_and_redex_freedom_on_random_terms():
 
 def test_whnf_exposes_head_without_normalizing_children():
     genv = make_test_genv()
-    phi = MetaEnv()
+    phi = MetaEnv(genv)
     t = P("(fun q : A -> A => q) (fun u : A => f ((fun w : A => w) u))")
-    view = whnf(phi, genv, LocalEnv(), t)
+    view = whnf(phi, LocalEnv(), t)
     assert isinstance(view, Abs)
     # the inner redex is untouched by the view
     assert any(isinstance(s, App) and isinstance(s.head, Abs)
@@ -250,7 +250,7 @@ def test_whnf_exposes_head_without_normalizing_children():
 
 def test_whnf_reduces_the_body_of_a_projection():
     t = P("proj_l ((fun (p : A) => p) <d1, d2>)")
-    assert whnf(MetaEnv(), GlobalEnv(), LocalEnv(), t) == Const(L, "d1")
+    assert whnf(MetaEnv(GlobalEnv()), LocalEnv(), t) == Const(L, "d1")
 
 
 def test_whnf_reduces_the_scrutinee_of_a_match():
@@ -259,7 +259,7 @@ def test_whnf_reduces_the_scrutinee_of_a_match():
     sm = SMatch(L, scrutinee, motive,
                 "x", Const(L, "tau"), fix_index(parse_term("f1 x"), ["x"]),
                 "x", Const(L, "rho"), fix_index(parse_term("f2 x"), ["x"]))
-    view = whnf(MetaEnv(), GlobalEnv(), LocalEnv(), sm)
+    view = whnf(MetaEnv(GlobalEnv()), LocalEnv(), sm)
     assert view == P("f1 d3")
 
 
@@ -267,7 +267,7 @@ def _solved_meta_chain():
     """`?outer[c]` in the context `x : s`, where `?outer := ?inner[x]` and
     `?inner := x`: two solved metas to expand, giving `c`."""
     ctx = LocalEnv().push_decl("x", Const(L, "s"))
-    phi = MetaEnv()
+    phi = MetaEnv(GlobalEnv())
     inner = phi.fresh_meta(TypedMeta(ctx, Const(L, "s")))
     outer = phi.fresh_meta(TypedMeta(ctx, Const(L, "s")))
     phi.instantiate_meta(inner, Var(L, 0))
@@ -278,7 +278,7 @@ def _solved_meta_chain():
 def test_zonk_expands_solved_metas_deeply():
     phi, ctx, t = _solved_meta_chain()
     assert zonk(phi, t) == Const(L, "c")
-    assert normalize_meta(phi, GlobalEnv(), ctx, t) == Const(L, "c")
+    assert normalize_meta(phi, ctx, t) == Const(L, "c")
 
 
 # ------------- agreement of the entry points and the reference -------------
@@ -293,8 +293,8 @@ def _engines_agree(is_essence, genv, ctx, t, scope=()):
     """`strongly_normalize`, `normalize_meta` on an empty meta-environment
     (the same evaluator, entered for the unifier) and `reference_normalize`
     (applicative order) give the same normal form; it is returned."""
-    got = strongly_normalize(is_essence, genv, ctx, t)
-    _assert_agrees(normalize_meta(MetaEnv(), genv, ctx, t, is_essence), got, scope)
+    got = strongly_normalize(genv, ctx, t, is_essence)
+    _assert_agrees(normalize_meta(MetaEnv(genv), ctx, t, is_essence), got, scope)
     _assert_agrees(reference_normalize(None, is_essence, genv, ctx, t), got, scope)
     return got
 
@@ -338,7 +338,7 @@ def test_agrees_with_applicative_reference():
                   (Abs(L, "w", Const(L, "s"), chain),)),
               SPrLeft(L, SPair(L, chain, Var(L, 0)))):
         _assert_agrees(reference_normalize(phi, False, genv, ctx, t),
-                       normalize_meta(phi, genv, ctx, t), ["x"])
+                       normalize_meta(phi, ctx, t), ["x"])
 
 
 class _Metas:
@@ -353,9 +353,10 @@ class _Metas:
     a binder's annotation `T` may become `T -> ?s`, with `?s` a sort meta,
     solved or not.  `kinds` records which forms were made."""
 
-    def __init__(self, rng: random.Random, outer: int, is_essence: bool, unsolved: bool):
+    def __init__(self, genv: GlobalEnv, rng: random.Random, outer: int, is_essence: bool,
+                 unsolved: bool):
         self.rng, self.outer, self.is_essence, self.unsolved = rng, outer, is_essence, unsolved
-        self.phi, self.kinds = MetaEnv(), set()
+        self.phi, self.kinds = MetaEnv(genv), set()
         self.annot = Underscore(L) if is_essence else Const(L, "A")
 
     def fresh(self, length: int, solution: Term | None = None) -> int:
@@ -414,14 +415,14 @@ def _metas_agree(rng, is_essence, genv, ctx, t, unsolved, scope=()):
     is its own normal form and, when every meta is solved, is the normal
     form of `t` itself; the forms made, and where metas ended up, are
     returned."""
-    metas = _Metas(rng, len(ctx), is_essence, unsolved)
+    metas = _Metas(genv, rng, len(ctx), is_essence, unsolved)
     with_metas = metas.put(t, 0)
-    got = normalize_meta(metas.phi, genv, ctx, with_metas, is_essence)
+    got = normalize_meta(metas.phi, ctx, with_metas, is_essence)
     _assert_agrees(reference_normalize(metas.phi, is_essence, genv, ctx, with_metas),
                    got, scope)
-    assert normalize_meta(metas.phi, genv, ctx, got, is_essence) == got
+    assert normalize_meta(metas.phi, ctx, got, is_essence) == got
     if not unsolved:
-        _assert_agrees(strongly_normalize(is_essence, genv, ctx, t), got, scope)
+        _assert_agrees(strongly_normalize(genv, ctx, t, is_essence), got, scope)
     for s in subterms(with_metas):
         if type(s) is Abs and contains_meta(s.body):
             metas.kinds.add("under_binder")
@@ -463,7 +464,7 @@ def test_metas_agree_with_the_reference_on_random_terms():
 
 def test_a_normal_input_with_metas_comes_back_equal():
     ctx = LocalEnv().push_decl("x", Const(L, "A"))
-    phi = MetaEnv()
+    phi = MetaEnv(make_test_genv())
     mid = phi.fresh_meta(TypedMeta(ctx, Const(L, "A")))
     flex = Meta(L, mid, (Var(L, 0),))
     outer = phi.fresh_meta(TypedMeta(LocalEnv(), Const(L, "A")))
@@ -472,7 +473,7 @@ def test_a_normal_input_with_metas_comes_back_equal():
                        (Abs(L, "x", Const(L, "A"), App(L, inner, (Const(L, "a"),))),
                         LocalEnv()),
                        (Meta(L, outer, ()), LocalEnv())):
-        assert normalize_meta(phi, make_test_genv(), context, t) == t
+        assert normalize_meta(phi, context, t) == t
 
 
 def _match(scrutinee: str) -> SMatch:
@@ -549,14 +550,14 @@ def _in_context(ctx: LocalEnv, t: Term) -> list[tuple[LocalEnv, Term]]:
     return out
 
 
-def _views_agree(phi, genv, ctx, t, is_essence=False) -> int:
+def _views_agree(phi, ctx, t, is_essence=False) -> int:
     """`whnf` and `reference_whnf` give equal views of every subterm of `t`,
     and a subterm the reference leaves alone comes back from `whnf` as the
     same object; the number of subterms that reduced is returned."""
     reduced = 0
     for c, s in _in_context(ctx, t):
-        expected = reference_whnf(phi, genv, c, s, is_essence)
-        got = whnf(phi, genv, c, s, is_essence)
+        expected = reference_whnf(phi, c, s, is_essence)
+        got = whnf(phi, c, s, is_essence)
         assert got == expected, (s, expected, got)
         if expected is s:
             assert got is s, s
@@ -578,27 +579,27 @@ def test_whnf_agrees_with_the_substitution_reference():
     reduced = 0
     for i in range(1000):
         t, ty = random_refined_term(rng)
-        reduced += _views_agree(MetaEnv(), genv, LocalEnv(), t)
+        reduced += _views_agree(MetaEnv(genv), LocalEnv(), t)
         if i % 2 == 0:
-            reduced += _views_agree(MetaEnv(), genv, LocalEnv(),
+            reduced += _views_agree(MetaEnv(genv), LocalEnv(),
                                     elaborate(genv, t, ty).essence, True)
-        metas = _Metas(rng, 0, False, unsolved=i % 2 == 1)
+        metas = _Metas(genv, rng, 0, False, unsolved=i % 2 == 1)
         with_metas = metas.put(t, 0)
-        reduced += _views_agree(metas.phi, genv, LocalEnv(), with_metas)
+        reduced += _views_agree(metas.phi, LocalEnv(), with_metas)
         t = random_typed_term(rng, random_simple_type(rng, rng.randint(0, 2)),
                               [Const(L, "A"), Const(L, "A")], 4)
-        reduced += _views_agree(MetaEnv(), genv, with_def, t)
+        reduced += _views_agree(MetaEnv(genv), with_def, t)
     assert reduced > 5000, reduced
 
     for name in CORPUS_FILES:
         session = Session(quiet=True, out=io.StringIO(), err=io.StringIO())
         assert load_file(session, corpus_path(name)), session.err.getvalue()
         for _const, info in session.genv.items():
-            _views_agree(MetaEnv(), session.genv, LocalEnv(), info.type)
-            _views_agree(MetaEnv(), session.genv, LocalEnv(), info.type_essence, True)
+            _views_agree(MetaEnv(session.genv), LocalEnv(), info.type)
+            _views_agree(MetaEnv(session.genv), LocalEnv(), info.type_essence, True)
             if info.body is not None:
-                _views_agree(MetaEnv(), session.genv, LocalEnv(), info.body)
-                _views_agree(MetaEnv(), session.genv, LocalEnv(), info.essence, True)
+                _views_agree(MetaEnv(session.genv), LocalEnv(), info.body)
+                _views_agree(MetaEnv(session.genv), LocalEnv(), info.essence, True)
 
 
 _VIEW_SCOPE = ["y", "x", "u"]
@@ -632,8 +633,8 @@ def _view_context() -> tuple[GlobalEnv, LocalEnv]:
 def test_whnf_reads_the_weak_head_value_back(term, view):
     genv, ctx = _view_context()
     t = fix_index(parse_term(term), _VIEW_SCOPE)
-    got = whnf(MetaEnv(), genv, ctx, t)
-    assert got == reference_whnf(MetaEnv(), genv, ctx, t)
+    got = whnf(MetaEnv(genv), ctx, t)
+    assert got == reference_whnf(MetaEnv(genv), ctx, t)
     assert show_term(got, _VIEW_SCOPE) == view
 
 
@@ -644,16 +645,16 @@ def test_whnf_reads_the_weak_head_value_back(term, view):
 def test_whnf_gives_back_a_weak_head_normal_input_itself(term):
     genv, ctx = _view_context()
     t = fix_index(parse_term(term), _VIEW_SCOPE)
-    assert whnf(MetaEnv(), genv, ctx, t) is t
-    phi = MetaEnv()
+    assert whnf(MetaEnv(genv), ctx, t) is t
+    phi = MetaEnv(genv)
     mid = phi.fresh_meta(TypedMeta(ctx, Const(L, "A")))
     flex = App(L, Meta(L, mid, erase_context(len(ctx))), (t,))
-    assert whnf(phi, genv, ctx, flex) is flex
+    assert whnf(phi, ctx, flex) is flex
 
 
 def test_whnf_reads_an_argument_used_twice_back_once():
     t = P("let x1 : A := f a in let x2 : A := h x1 x1 in let x3 : A := h x2 x2 in g x3")
-    view = whnf(MetaEnv(), make_test_genv(), LocalEnv(), t)
+    view = whnf(MetaEnv(make_test_genv()), LocalEnv(), t)
     assert show_term(view) == "g (h (h (f a) (f a)) (h (f a) (f a)))"
     x3 = view.spine[0]
     assert x3.spine[0] is x3.spine[1] and x3.spine[0].spine[0] is x3.spine[0].spine[1]
@@ -663,7 +664,7 @@ def test_whnf_gives_back_an_unsolved_meta_and_an_axiom_without_evaluating(monkey
     genv = make_test_genv()
     define(genv, "d", "f a")
     ctx = LocalEnv().push_decl("y", Const(L, "A"))
-    phi = MetaEnv()
+    phi = MetaEnv(genv)
     sid = phi.fresh_meta(SortMeta())
     tid = phi.fresh_meta(TypedMeta(ctx, Const(L, "A")))
     eid = phi.fresh_meta(EssMeta(ctx))
@@ -681,11 +682,11 @@ def test_whnf_gives_back_an_unsolved_meta_and_an_axiom_without_evaluating(monkey
              Const(L, "a"), Const(L, "f"), Const(L, "unbound")]
     for t in fixed:
         for is_essence in (False, True):
-            assert whnf(phi, genv, ctx, t, is_essence) is t
+            assert whnf(phi, ctx, t, is_essence) is t
     assert entered == []
     # a solved meta and a definition still reduce, through the evaluator
-    assert whnf(phi, genv, ctx, Meta(L, solved, (Var(L, 0),))) == Const(L, "a")
-    assert whnf(phi, genv, ctx, Const(L, "d")) == P("f a")
+    assert whnf(phi, ctx, Meta(L, solved, (Var(L, 0),))) == Const(L, "a")
+    assert whnf(phi, ctx, Const(L, "d")) == P("f a")
     assert len(entered) == 2
 
 
@@ -706,6 +707,6 @@ def test_whnf_gives_back_a_neutral_term_without_starting_the_evaluator(monkeypat
         patch.setattr(normalize, "_Machine", no_machine)
         for t in neutral:
             for is_essence in (False, True):
-                assert whnf(MetaEnv(), genv, ctx, t, is_essence) is t
-    assert whnf(MetaEnv(), genv, ctx, y) == P("a")
-    assert whnf(MetaEnv(), genv, ctx, mk_app(L, P("d"), (P("a"),))) == P("f a")
+                assert whnf(MetaEnv(genv), ctx, t, is_essence) is t
+    assert whnf(MetaEnv(genv), ctx, y) == P("a")
+    assert whnf(MetaEnv(genv), ctx, mk_app(L, P("d"), (P("a"),))) == P("f a")

@@ -447,13 +447,18 @@ def test_lexer_matches_the_reference_on_arbitrary_text(text):
 
 
 def test_fix_index_matches_the_reference_on_parsed_commands():
-    # `repr` shows locations and binder names too, not only the indices.
+    # The named parse leaves every name a `Const`, so `fix_index` has names
+    # to resolve.  `repr` shows locations and binder names too, not only
+    # the indices.
+    resolved = 0
     for name, text in _front_end_texts():
-        for group in parse_script(text, name):
+        for group in _named_script(text, name):
             for cmd in group:
                 for t in (getattr(cmd, "type", None), getattr(cmd, "body", None)):
                     if t is not None:
                         assert repr(fix_index(t)) == repr(reference_fix_index(t)), name
+                        resolved += fix_index(t) != t
+    assert resolved > 20, resolved
 
 
 # Shadowing names and binder groups whose type mentions a name of the group.

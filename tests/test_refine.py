@@ -30,6 +30,7 @@ from helpers import (
     CORPUS_FILES, P, axiom, corpus_path, define, essence_outcome, force_type_outcome,
     make_test_genv, random_refined_term, reference_essence, reference_force_type,
 )
+from test_growth import FAMILIES
 
 L = NOWHERE
 
@@ -47,22 +48,22 @@ def fresh_genv():
 
 
 def test_type_has_kind():
-    phi = MetaEnv()
-    t, ty = reconstruct(phi, GlobalEnv(), LocalEnv(), sort_type())
+    phi = MetaEnv(GlobalEnv())
+    t, ty = reconstruct(phi, LocalEnv(), sort_type())
     assert ty == sort_kind(ty.loc)
     assert phi.entries == {}
 
 
 def test_kind_is_not_typable():
     with pytest.raises(TypeCheckError):
-        reconstruct(MetaEnv(), GlobalEnv(), LocalEnv(), sort_kind())
+        reconstruct(MetaEnv(GlobalEnv()), LocalEnv(), sort_kind())
 
 
 def test_wildcard_mints_term_and_type_metas():
     genv = GlobalEnv()
     ctx = LocalEnv().push_decl("v", sort_type())
-    phi = MetaEnv()
-    t, ty = reconstruct(phi, genv, ctx, Underscore(L))
+    phi = MetaEnv(genv)
+    t, ty = reconstruct(phi, ctx, Underscore(L))
     assert isinstance(t, Meta) and isinstance(ty, Meta)
     assert len(t.susp) == 1 and len(ty.susp) == 1  # suspended over the context
     assert len(phi.entries) == 3  # sort meta, type meta, term meta
@@ -70,7 +71,7 @@ def test_wildcard_mints_term_and_type_metas():
 
 def test_unknown_identifier_blamed():
     with pytest.raises(TypeCheckError) as info:
-        reconstruct(MetaEnv(), GlobalEnv(), LocalEnv(), P("mystery"))
+        reconstruct(MetaEnv(GlobalEnv()), LocalEnv(), P("mystery"))
     assert 'unknown identifier "mystery"' in info.value.message
 
 
@@ -214,7 +215,7 @@ def test_inferred_let_type_has_no_solved_meta():
     axiom(genv, "A", "Type")
     axiom(genv, "g", "A -> A")
     axiom(genv, "a", "A")
-    _t, ty = reconstruct(MetaEnv(), genv, LocalEnv(), P("let y := g a in y"))
+    _t, ty = reconstruct(MetaEnv(genv), LocalEnv(), P("let y := g a in y"))
     assert not contains_meta(ty)
     assert show_term(ty) == "A"
 
@@ -230,22 +231,22 @@ def test_annotation_must_be_a_type():
 
 
 def test_force_type_on_type_itself():
-    phi = MetaEnv()
-    t, sort = force_type(phi, GlobalEnv(), LocalEnv(), sort_type())
+    phi = MetaEnv(GlobalEnv())
+    t, sort = force_type(phi, LocalEnv(), sort_type())
     assert zonk(phi, sort) == sort_kind()
 
 
 def test_force_type_on_atom():
     genv = fresh_genv()
-    phi = MetaEnv()
-    t, sort = force_type(phi, genv, LocalEnv(), P("nat"))
+    phi = MetaEnv(genv)
+    t, sort = force_type(phi, LocalEnv(), P("nat"))
     assert zonk(phi, sort) == sort_type()
 
 
 def test_force_type_on_wildcard_yields_sort_meta():
     genv = fresh_genv()
-    phi = MetaEnv()
-    t, sort = force_type(phi, genv, LocalEnv(), Underscore(L))
+    phi = MetaEnv(genv)
+    t, sort = force_type(phi, LocalEnv(), Underscore(L))
     resolved = zonk(phi, sort)
     assert isinstance(resolved, Meta)
     assert phi.lookup(resolved.mid) == SortMeta()
@@ -254,7 +255,7 @@ def test_force_type_on_wildcard_yields_sort_meta():
 def test_force_type_rejects_terms():
     genv = fresh_genv()
     with pytest.raises(TypeCheckError):
-        force_type(MetaEnv(), genv, LocalEnv(), P("0"))
+        force_type(MetaEnv(genv), LocalEnv(), P("0"))
 
 
 def _sort_decision_cases():
@@ -265,7 +266,7 @@ def _sort_decision_cases():
     axiom(genv, "a", "T")
     axiom(genv, "b", "a")
     empty, ctx = LocalEnv(), LocalEnv().push_decl("x", P("nat"))
-    phi = MetaEnv()
+    phi = MetaEnv(genv)
     zid = phi.fresh_meta(SortMeta())
     phi.instantiate_meta(zid, sort_type())
     yid = phi.fresh_meta(TypedMeta(empty, Meta(L, zid, ())))
@@ -279,35 +280,35 @@ def _sort_decision_cases():
     fid = phi.fresh_meta(TypedMeta(ctx, sort_kind()))
     gid = phi.fresh_meta(TypedMeta(ctx, Meta(L, fid, (Var(L, 0),))))
     cases = [
-        ("Type", MetaEnv(), empty, sort_type()),
-        ("Kind", MetaEnv(), empty, sort_kind()),
-        ("atom", MetaEnv(), empty, P("nat")),
-        ("definition of a sort", MetaEnv(), empty, P("T")),
-        ("sort behind a definition", MetaEnv(), empty, P("a")),
-        ("term of a defined type", MetaEnv(), empty, P("b")),
+        ("Type", MetaEnv(genv), empty, sort_type()),
+        ("Kind", MetaEnv(genv), empty, sort_kind()),
+        ("atom", MetaEnv(genv), empty, P("nat")),
+        ("definition of a sort", MetaEnv(genv), empty, P("T")),
+        ("sort behind a definition", MetaEnv(genv), empty, P("a")),
+        ("term of a defined type", MetaEnv(genv), empty, P("b")),
         ("solved sort meta", phi, empty, Meta(L, yid, ())),
         ("solved typed meta", phi, empty, Meta(L, tid, ())),
         ("unsolved sort meta", phi, empty, Meta(L, vid, ())),
         ("meta of a flexible type", phi, empty, Meta(L, gid, (P("0"),))),
-        ("wildcard", MetaEnv(), empty, Underscore(L)),
-        ("wildcard under a binder", MetaEnv(), ctx, Underscore(L)),
-        ("product into Kind", MetaEnv(), empty, P("nat -> Type")),
-        ("product out of Kind", MetaEnv(), empty, P("Type -> Type")),
-        ("dependent product", MetaEnv(), empty, P("forall x : nat, eq x x")),
-        ("non-type", MetaEnv(), empty, P("0")),
-        ("type family", MetaEnv(), empty, P("eq 0")),
-        ("variable of a non-sort", MetaEnv(), ctx, Var(L, 0)),
+        ("wildcard", MetaEnv(genv), empty, Underscore(L)),
+        ("wildcard under a binder", MetaEnv(genv), ctx, Underscore(L)),
+        ("product into Kind", MetaEnv(genv), empty, P("nat -> Type")),
+        ("product out of Kind", MetaEnv(genv), empty, P("Type -> Type")),
+        ("dependent product", MetaEnv(genv), empty, P("forall x : nat, eq x x")),
+        ("non-type", MetaEnv(genv), empty, P("0")),
+        ("type family", MetaEnv(genv), empty, P("eq 0")),
+        ("variable of a non-sort", MetaEnv(genv), ctx, Var(L, 0)),
     ]
     return genv, cases
 
 
 def test_sort_decision_agrees_with_the_two_probe_reference():
-    genv, cases = _sort_decision_cases()
+    _genv, cases = _sort_decision_cases()
     outcomes = {}
     for name, phi, ctx, t in cases:
-        outcomes[name] = force_type_outcome(force_type, phi, genv, ctx, t)
+        outcomes[name] = force_type_outcome(force_type, phi, ctx, t)
         assert outcomes[name] == \
-            force_type_outcome(reference_force_type, phi, genv, ctx, t), name
+            force_type_outcome(reference_force_type, phi, ctx, t), name
     assert outcomes["non-type"] == ("TypeCheckError", 'the term "0" is not a type',
                                     Location("<input>", (1, 1), (1, 2)))
     assert outcomes["term of a defined type"][1] == 'the term "b" is not a type'
@@ -322,27 +323,32 @@ def test_sort_decision_agrees_with_the_two_probe_reference():
 
 
 def test_sort_decision_agrees_with_the_reference_on_corpus_calls(monkeypatch):
-    # Every top-level `force_type` call made while checking the corpus is
-    # decided by both; nested calls inside a comparison run unchecked.
+    # Every top-level `force_type` call made while checking the corpus and
+    # the growth-test shapes is decided by both; nested calls inside a
+    # comparison run unchecked.  A product chain is one call, not one per
+    # codomain, so the corpus alone makes 326 calls.
     original, busy, compared = refine.force_type, False, 0
 
-    def checking(phi, genv, ctx, t):
+    def checking(phi, ctx, t):
         nonlocal busy, compared
         if not busy:
             busy = True
             try:
-                new = force_type_outcome(original, phi, genv, ctx, t)
-                old = force_type_outcome(reference_force_type, phi, genv, ctx, t)
+                new = force_type_outcome(original, phi, ctx, t)
+                old = force_type_outcome(reference_force_type, phi, ctx, t)
             finally:
                 busy = False
             assert new == old, t
             compared += 1
-        return original(phi, genv, ctx, t)
+        return original(phi, ctx, t)
 
     monkeypatch.setattr(refine, "force_type", checking)
     for name in CORPUS_FILES:
         session = Session(quiet=True, out=io.StringIO(), err=io.StringIO())
         assert load_file(session, corpus_path(name)), session.err.getvalue()
+    for family, size in FAMILIES:
+        session = Session(quiet=True, out=io.StringIO(), err=io.StringIO())
+        assert run_source(session, family(size // 4 or 1)), session.err.getvalue()
     assert compared > 400
 
 
@@ -356,9 +362,9 @@ def test_a_sort_is_read_without_unifying(monkeypatch):
 
     monkeypatch.setattr(refine, "unify", counting)
     for src in ("Type", "nat", "T", "a", "nat -> Type", "nat -> nat"):
-        phi = MetaEnv()
-        t, sort = force_type(phi, genv, LocalEnv(), P(src))
-        assert isinstance(whnf(phi, genv, LocalEnv(), sort), Sort), src
+        phi = MetaEnv(genv)
+        t, sort = force_type(phi, LocalEnv(), P(src))
+        assert isinstance(whnf(phi, LocalEnv(), sort), Sort), src
     assert posed == []
 
 
@@ -367,16 +373,16 @@ def test_a_sort_is_read_without_unifying(monkeypatch):
 
 def test_checking_abs_against_product():
     genv = fresh_genv()
-    phi = MetaEnv()
-    t = reconstruct_with_type(phi, genv, LocalEnv(), P("fun x => x"), P("nat -> nat"))
+    phi = MetaEnv(genv)
+    t = reconstruct_with_type(phi, LocalEnv(), P("fun x => x"), P("nat -> nat"))
     assert isinstance(t, Abs)
     assert zonk(phi, t.domain) == P("nat")
 
 
 def test_checking_wildcard_against_expected_type():
     genv = fresh_genv()
-    phi = MetaEnv()
-    t = reconstruct_with_type(phi, genv, LocalEnv(), Underscore(L), P("nat"))
+    phi = MetaEnv(genv)
+    t = reconstruct_with_type(phi, LocalEnv(), Underscore(L), P("nat"))
     assert isinstance(t, Meta)
     entry = phi.lookup(t.mid)
     assert entry.type == P("nat")
@@ -385,7 +391,7 @@ def test_checking_wildcard_against_expected_type():
 def test_checking_abs_with_wrong_domain_fails_at_domain():
     genv = make_test_genv()
     with pytest.raises(TypeCheckError):
-        reconstruct_with_type(MetaEnv(), genv, LocalEnv(),
+        reconstruct_with_type(MetaEnv(genv), LocalEnv(),
                               P("fun x : A => x"), P("B -> B"))
 
 
@@ -461,10 +467,10 @@ def test_strong_pair_hole_gets_type_and_essence_constraint():
     genv = GlobalEnv()
     axiom(genv, "s", "Type")
     axiom(genv, "t", "Type")
-    phi = MetaEnv()
+    phi = MetaEnv(genv)
     ctx = LocalEnv()
     term = reconstruct_with_type(
-        phi, genv, ctx, P("<fun x : s => x, fun x : t => _>"),
+        phi, ctx, P("<fun x : s => x, fun x : t => _>"),
         P("(s -> s) & (t -> t)"))
     # Phase 1: the hole is a typed meta of type t in the context x : t.
     hole = term.right.body
@@ -477,9 +483,9 @@ def test_strong_pair_hole_gets_type_and_essence_constraint():
     mark = phi.mark()
     with pytest.raises(UnresolvedMeta):
         # the hole itself can never be solved, but the essence phase runs first
-        _finish(genv, phi, term)
+        _finish(phi, term)
     phi.undo(mark)
-    essence(phi, genv, LocalEnv(), zonk(phi, term))
+    essence(phi, LocalEnv(), zonk(phi, term))
     eid = phi.companions[hole.mid]
     companion = phi.lookup(eid)
     assert isinstance(companion, EssMeta) and companion.value is not None
@@ -487,9 +493,9 @@ def test_strong_pair_hole_gets_type_and_essence_constraint():
     assert companion.value == Var(L, 0)
 
 
-def _finish(genv, phi, term):
+def _finish(phi, term):
     from proofun.refine import _check_meta_free
-    essence(phi, genv, LocalEnv(), zonk(phi, term))
+    essence(phi, LocalEnv(), zonk(phi, term))
     _check_meta_free(zonk(phi, term), L)
 
 
@@ -498,15 +504,15 @@ def _finish(genv, phi, term):
 def test_refinement_gives_back_a_term_it_does_not_change(src):
     genv = make_test_genv()
     t = P(src)
-    t2, ty = reconstruct(MetaEnv(), genv, LocalEnv(), t)
+    t2, ty = reconstruct(MetaEnv(genv), LocalEnv(), t)
     assert t2 is t
-    assert reconstruct_with_type(MetaEnv(), genv, LocalEnv(), t, ty) is t
+    assert reconstruct_with_type(MetaEnv(genv), LocalEnv(), t, ty) is t
 
 
 def test_refinement_merges_an_application_head_into_the_spine():
     genv = make_test_genv()
     t = P("(h (f a)) b")
-    t2, _ty = reconstruct(MetaEnv(), genv, LocalEnv(), t)
+    t2, _ty = reconstruct(MetaEnv(genv), LocalEnv(), t)
     assert type(t.head) is App and type(t2.head) is Const and t2 == P("h (f a) b")
 
 
@@ -535,7 +541,7 @@ def test_essence_of_an_application_builds_one_app_node(n, monkeypatch):
     args = [Const(L, f"a{i}") for i in range(n)]
     t = App(L, Const(L, "f"), (*args[:n // 2], SPrLeft(L, Const(L, "p")), *args[n // 2:]))
     monkeypatch.setattr(App, "__init__", counting_init)
-    m = essence(MetaEnv(), GlobalEnv(), LocalEnv(), t)
+    m = essence(MetaEnv(GlobalEnv()), LocalEnv(), t)
     monkeypatch.undo()
     assert len(built) == 1
     assert m == App(L, Const(L, "f"), (*args[:n // 2], Const(L, "p"), *args[n // 2:]))
@@ -575,9 +581,9 @@ def test_essence_of_an_essence_free_term_is_the_term_itself(monkeypatch):
 
     for kind in Term.__subclasses__():
         monkeypatch.setattr(kind, "__init__", counting(kind.__init__))
-    phi, genv, psi = MetaEnv(), GlobalEnv(), LocalEnv()
+    phi, psi = MetaEnv(GlobalEnv()), LocalEnv()
     for t in terms:
-        assert essence(phi, genv, psi, t) is t
+        assert essence(phi, psi, t) is t
     assert built == [] and phi.mark() == 0
 
 
@@ -594,17 +600,17 @@ def test_essence_agrees_with_the_reference_on_random_terms():
     for _ in range(400):
         t, ty = random_refined_term(rng)
         for part in (t, ty):
-            assert (essence_outcome(essence, MetaEnv(), genv, LocalEnv(), part)
-                    == essence_outcome(reference_essence, MetaEnv(), genv, LocalEnv(), part))
+            assert (essence_outcome(essence, MetaEnv(genv), LocalEnv(), part)
+                    == essence_outcome(reference_essence, MetaEnv(genv), LocalEnv(), part))
         # with metas, solved and unsolved: the holes refined against the type
         try:
-            phi = MetaEnv()
-            t2 = reconstruct_with_type(phi, genv, LocalEnv(), _domains_as_holes(t), ty)
+            phi = MetaEnv(genv)
+            t2 = reconstruct_with_type(phi, LocalEnv(), _domains_as_holes(t), ty)
         except TypeCheckError:
             continue
         for part in (t2, zonk(phi, t2)):
-            assert (essence_outcome(essence, phi, genv, LocalEnv(), part)
-                    == essence_outcome(reference_essence, phi, genv, LocalEnv(), part))
+            assert (essence_outcome(essence, phi, LocalEnv(), part)
+                    == essence_outcome(reference_essence, phi, LocalEnv(), part))
         refined += contains_meta(t2)
     assert refined > 100, refined
 
@@ -615,18 +621,18 @@ def test_essence_agrees_with_the_reference_on_every_corpus_elaboration(monkeypat
     checked, depth = [], [0]
     production = refine.essence
 
-    def checking(phi, genv, psi, t):
+    def checking(phi, psi, t):
         # The reference runs at depth 0: the essences it asks of
         # `refine.essence` for default-rule subterms (the right component of
         # a strong pair, the second branch of an `smatch`) are compared too.
         if depth[0] == 0:
-            expected = essence_outcome(reference_essence, phi, genv, psi, t)
+            expected = essence_outcome(reference_essence, phi, psi, t)
         depth[0] += 1
         try:
             if depth[0] == 1:
-                assert essence_outcome(production, phi, genv, psi, t) == expected
+                assert essence_outcome(production, phi, psi, t) == expected
                 checked.append(t)
-            return production(phi, genv, psi, t)
+            return production(phi, psi, t)
         finally:
             depth[0] -= 1
 
@@ -689,20 +695,20 @@ def test_smatch_essence_shape():
 def test_hint_checking_through_projection():
     genv = make_test_genv()
     axiom(genv, "d", "(A -> A) & (B -> B)")
-    phi = MetaEnv()
+    phi = MetaEnv(genv)
     # hint (fun x => x)'s body x against proj_r d: transparent, then the
     # global essence of d is the constant itself, eta-equal to fun x => x? No:
     # d is an axiom, so its essence is d itself and the hint fails.
     with pytest.raises(EssenceMismatch):
-        essence_with_hint(phi, genv, LocalEnv(), P("fun x => x"),
+        essence_with_hint(phi, LocalEnv(), P("fun x => x"),
                           P("proj_r d"))
 
 
 def test_hint_checking_succeeds_via_definition_unfolding():
     genv = make_test_genv()
     define(genv, "idA", "fun x : A => x")
-    phi = MetaEnv()
-    essence_with_hint(phi, genv, LocalEnv(), P("fun x => x"), P("idA"))
+    phi = MetaEnv(genv)
+    essence_with_hint(phi, LocalEnv(), P("fun x => x"), P("idA"))
     assert phi.entries == {}
 
 
@@ -746,9 +752,9 @@ def test_subject_reduction_on_random_terms():
     for _ in range(100):
         t, ty = random_refined_term(rng)
         result = elaborate(genv, t, ty)
-        reduced = strongly_normalize(False, genv, LocalEnv(), result.body)
+        reduced = strongly_normalize(genv, LocalEnv(), result.body)
         re_elab = elaborate(genv, reduced, result.type)
-        assert strongly_normalize(False, genv, LocalEnv(), re_elab.body) == reduced
+        assert strongly_normalize(genv, LocalEnv(), re_elab.body) == reduced
 
 
 # ------------- corpus-level properties -------------
@@ -775,9 +781,9 @@ def test_corpus_recheck_stability():
 
 def test_corpus_subject_reduction():
     for genv, const, info in _corpus_definitions():
-        reduced = strongly_normalize(False, genv, LocalEnv(), info.body)
+        reduced = strongly_normalize(genv, LocalEnv(), info.body)
         again = elaborate(genv, reduced, info.type)
-        norm = lambda t: strongly_normalize(False, genv, LocalEnv(), t)
+        norm = lambda t: strongly_normalize(genv, LocalEnv(), t)
         assert norm(again.type) == norm(info.type), const
 
 
@@ -788,17 +794,17 @@ def test_corpus_strong_pairs_have_beta_equal_component_essences():
     def walk(genv, psi, t):
         nonlocal found
         if isinstance(t, SPair):
-            phi = MetaEnv()
-            e1, e2 = essence(phi, genv, psi, t.left), essence(phi, genv, psi, t.right)
-            n1 = strongly_normalize(True, genv, psi, e1)
-            n2 = strongly_normalize(True, genv, psi, e2)
+            phi = MetaEnv(genv)
+            e1, e2 = essence(phi, psi, t.left), essence(phi, psi, t.right)
+            n1 = strongly_normalize(genv, psi, e1, True)
+            n2 = strongly_normalize(genv, psi, e2, True)
             assert n1 == n2
             found += 1
         match t:
             case Let(_, name, annot, bound, body):
                 walk(genv, psi, annot)
                 walk(genv, psi, bound)
-                m = essence(MetaEnv(), genv, psi, bound)
+                m = essence(MetaEnv(genv), psi, bound)
                 walk(genv, psi.push_def(name, m, Underscore(L)), body)
             case Abs(_, name, dom, body) | Prod(_, name, dom, body):
                 walk(genv, psi, dom)
@@ -834,25 +840,25 @@ def test_meta_var_rule_rederives_suspended_type():
     genv = make_test_genv()
     ctx = LocalEnv().push_decl("u", P("A"))
     mctx = LocalEnv().push_decl("w", P("A"))
-    phi = MetaEnv()
+    phi = MetaEnv(genv)
     mid = phi.fresh_meta(TypedMeta(mctx, P("B")))
     from proofun.syntax import Var
     term = Meta(L, mid, (Var(L, 0),))
-    out, ty = reconstruct(phi, genv, ctx, term)
+    out, ty = reconstruct(phi, ctx, term)
     assert isinstance(out, Meta) and out.mid == mid
     assert ty == P("B")
     # the suspension was checked: a badly typed suspension is rejected
     with pytest.raises(TypeCheckError):
-        reconstruct(phi, genv, ctx, Meta(L, mid, (P("b"),)))
+        reconstruct(phi, ctx, Meta(L, mid, (P("b"),)))
 
 
 def test_refiner_threading_is_monotone():
     from test_unify import assert_monotone
     genv = make_test_genv()
-    phi = MetaEnv()
-    reconstruct(phi, genv, LocalEnv(), P("fun x : A => _"))
+    phi = MetaEnv(genv)
+    reconstruct(phi, LocalEnv(), P("fun x : A => _"))
     before = dict(phi.entries)
-    reconstruct_with_type(phi, genv, LocalEnv(), P("fun x : A => x"), P("A -> A"))
+    reconstruct_with_type(phi, LocalEnv(), P("fun x : A => x"), P("A -> A"))
     assert_monotone(before, phi)
 
 
@@ -972,7 +978,7 @@ def test_lf_encoding_families_share_one_essence():
 
     def normal_essence(name):
         info = s.genv.lookup(name)
-        return strongly_normalize(True, s.genv, psi, info.essence)
+        return strongly_normalize(s.genv, psi, info.essence, True)
 
     from proofun.pretty import show_term
     families = {
@@ -1001,3 +1007,20 @@ def test_entry_points_report_deep_nesting_as_prover_error(entry):
     with pytest.raises(ProverError) as info:
         entry(genv, chain)
     assert info.value.message == TOO_DEEP and info.value.loc is None
+
+
+@pytest.mark.parametrize("hole", [False, True], ids=["plain", "hole_in_domain"])
+def test_a_long_product_chain_is_checked_at_the_default_recursion_limit(hole):
+    # A chain of 900 arrows nests as deeply as the parser allows; the
+    # refiner walks a product chain in a loop, so it is accepted and printed.
+    n = 900
+    if hole:
+        src = ("Axiom (A : Type) (P : A -> Type). Axiom g : forall (x : _), "
+               + " -> ".join(["P x"] * (n + 1)) + ". Print g.")
+        printed = "g : forall x : A, " + " -> ".join(["P x"] * (n + 1))
+    else:
+        src = "Axiom (A : Type). Axiom g : " + " -> ".join(["A"] * (n + 1)) + ". Print g."
+        printed = "g : " + " -> ".join(["A"] * (n + 1))
+    session = Session(quiet=True, out=io.StringIO(), err=io.StringIO())
+    assert run_source(session, src), session.err.getvalue()[-200:]
+    assert session.out.getvalue() == printed + "\n"

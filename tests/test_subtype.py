@@ -251,7 +251,7 @@ def test_meta_input_is_rejected():
     from proofun.env import MetaEnv, TypedMeta
     from proofun.errors import InternalError
     from proofun.syntax import Const, Meta, NOWHERE
-    phi = MetaEnv()
+    phi = MetaEnv(GENV)
     mid = phi.fresh_meta(TypedMeta(LocalEnv(), Const(NOWHERE, "a")))
     with pytest.raises(InternalError):
         is_subtype(GENV, CTX, Meta(NOWHERE, mid, ()), P("a"))
@@ -289,7 +289,7 @@ def dnf_is_subtype(a: Term, b: Term) -> bool:
                 return a == b
 
     def nf(t: Term) -> Term:
-        return strongly_normalize(False, GENV, CTX, t)
+        return strongly_normalize(GENV, CTX, t)
 
     return compare(CTX, danf(nf(a)), canf(nf(b)))
 

@@ -8,7 +8,7 @@ import random
 import pytest
 
 from proofun import syntax
-from proofun.env import LocalEnv, MetaEnv, TypedMeta
+from proofun.env import GlobalEnv, LocalEnv, MetaEnv, TypedMeta
 from proofun.errors import InternalError
 from proofun.normalize import delta_phi_expand, zonk
 from proofun.parser import fix_index, parse_script, parse_term
@@ -396,7 +396,7 @@ def test_identity_suspension_invariant_under_projection():
     # instantiated with, for every variable of G.
     ctx = LocalEnv().push_decl("x", _c("A")).push_decl("y", _c("B"))
     for i in range(2):
-        phi = MetaEnv()
+        phi = MetaEnv(GlobalEnv())
         mid = phi.fresh_meta(TypedMeta(ctx, _c("A")))
         phi.instantiate_meta(mid, Var(L, i))
         expanded = delta_phi_expand(phi, Meta(L, mid, erase_context(2)))
@@ -629,7 +629,7 @@ def test_facts_of_every_subterm_match_the_reference():
 def _solve_some_metas(rng, t):
     """`t` with every meta renumbered to a fresh one over a context as long
     as its suspension, about half of them solved, and the environment."""
-    phi = MetaEnv()
+    phi = MetaEnv(GlobalEnv())
 
     def go(t):
         if type(t) is not Meta:
@@ -693,12 +693,12 @@ def test_summarised_closed_term_is_queried_and_shifted_in_constant_calls():
     t = App(L, _c("f"), tuple(Abs(L, "x", _c("A"), App(L, Var(L, 0), (_c("a"),)))
                               for _ in range(400)))
     queries = [lambda: contains_meta(t), lambda: first_meta(t),
-               lambda: zonk(MetaEnv(), t), lambda: lift(0, 3, t)]
+               lambda: zonk(MetaEnv(GlobalEnv()), t), lambda: lift(0, 3, t)]
     for query in queries:
         calls, _ = count_calls(query)
         assert calls <= 5, calls
     assert lift(0, 3, t) is t
-    assert zonk(MetaEnv(), t) is t
+    assert zonk(MetaEnv(GlobalEnv()), t) is t
     assert sum(1 for _ in subterms(t)) == 2002
 
 

@@ -38,11 +38,11 @@ def assert_monotone(before: dict, after: MetaEnv) -> None:
             assert after.entries[mid] == entry
 
 
-def assert_sound(phi: MetaEnv, genv, ctx, t1: Term, t2: Term) -> None:
+def assert_sound(phi: MetaEnv, ctx, t1: Term, t2: Term) -> None:
     """After a successful unification, expanding the instantiations and
     normalizing yields alpha-equal terms."""
-    n1 = strongly_normalize(False, genv, ctx, zonk(phi, t1))
-    n2 = strongly_normalize(False, genv, ctx, zonk(phi, t2))
+    n1 = strongly_normalize(phi.genv, ctx, zonk(phi, t1))
+    n2 = strongly_normalize(phi.genv, ctx, zonk(phi, t2))
     assert n1 == n2
 
 
@@ -50,21 +50,21 @@ def assert_sound(phi: MetaEnv, genv, ctx, t1: Term, t2: Term) -> None:
 
 
 def test_sorts_unify_when_equal():
-    phi = MetaEnv()
-    unify(phi, GENV, CTX, sort_type(), sort_type())
+    phi = MetaEnv(GENV)
+    unify(phi, CTX, sort_type(), sort_type())
     assert phi.mark() == 0
     with pytest.raises(UnificationFailure):
-        unify(phi, GENV, CTX, sort_type(), sort_kind())
+        unify(phi, CTX, sort_type(), sort_kind())
 
 
 def test_distinct_constants_fail():
     with pytest.raises(UnificationFailure):
-        unify(MetaEnv(), GENV, CTX, P("a"), P("b"))
+        unify(MetaEnv(GENV), CTX, P("a"), P("b"))
 
 
 def test_congruence_on_intersection():
-    phi = MetaEnv()
-    unify(phi, GENV, CTX, P("A & B"), P("A & B"))
+    phi = MetaEnv(GENV)
+    unify(phi, CTX, P("A & B"), P("A & B"))
     assert phi.entries == {}
 
 
@@ -87,20 +87,20 @@ def test_eta_left_against_rigid_head_fails_on_var_app_mismatch():
     # unify (fun x : A => x) with the axiom f : A -> A proceeds via eta to
     # x =? f x, a rigid mismatch.
     with pytest.raises(UnificationFailure):
-        unify(MetaEnv(), GENV, CTX, P("fun x : A => x"), P("f"))
+        unify(MetaEnv(GENV), CTX, P("fun x : A => x"), P("f"))
 
 
 def test_eta_succeeds_when_expansion_matches():
-    phi = MetaEnv()
-    unify(phi, GENV, CTX, P("fun x : A => f x"), P("f"))
-    assert_sound(phi, GENV, CTX, P("fun x : A => f x"), P("f"))
+    phi = MetaEnv(GENV)
+    unify(phi, CTX, P("fun x : A => f x"), P("f"))
+    assert_sound(phi, CTX, P("fun x : A => f x"), P("f"))
 
 
 def test_abs_congruence_under_binder():
     t1 = P("fun x : A => h x (g x)")
     t2 = P("fun y : A => h y (g y)")
-    phi = MetaEnv()
-    unify(phi, GENV, CTX, t1, t2)
+    phi = MetaEnv(GENV)
+    unify(phi, CTX, t1, t2)
     assert phi.entries == {}
 
 
@@ -111,7 +111,7 @@ def test_rigid_heads_are_compared_before_arguments_are_reduced():
     # The arguments have no normal form; distinct axiom heads decide alone.
     omega = "((fun (x : A) => x x) (fun (x : A) => x x))"
     with pytest.raises(UnificationFailure):
-        unify(MetaEnv(), GENV, CTX, P(f"f {omega}"), P(f"g {omega}"))
+        unify(MetaEnv(GENV), CTX, P(f"f {omega}"), P(f"g {omega}"))
 
 
 def test_equal_terms_are_not_reduced(monkeypatch):
@@ -122,10 +122,10 @@ def test_equal_terms_are_not_reduced(monkeypatch):
         original = getattr(normalize, name)
         monkeypatch.setattr(normalize, name, lambda *args, _f=original, _n=name:
                             steps.append(_n) or _f(*args))
-    phi = MetaEnv()
-    unify(phi, genv, CTX, P("twice (twice a)"), P("twice (twice a)"))
+    phi = MetaEnv(genv)
+    unify(phi, CTX, P("twice (twice a)"), P("twice (twice a)"))
     assert steps == [] and phi.mark() == 0
-    unify(phi, genv, CTX, P("twice a"), P("f (f a)"))
+    unify(phi, CTX, P("twice a"), P("f (f a)"))
     assert steps  # the counter does see reductions
 
 
@@ -138,17 +138,17 @@ def _typed_meta(phi, ctx, ty=None):
 
 
 def test_empty_pattern_solves_to_constant():
-    phi = MetaEnv()
+    phi = MetaEnv(GENV)
     m = _typed_meta(phi, CTX)
-    unify(phi, GENV, CTX, m, P("a"))
+    unify(phi, CTX, m, P("a"))
     assert zonk(phi, m) == P("a")
 
 
 def test_projection_pattern():
     ctx = CTX.push_decl("y", Const(L, "A"))
-    phi = MetaEnv()
+    phi = MetaEnv(GENV)
     m = _typed_meta(phi, ctx)
-    unify(phi, GENV, ctx, m, Var(L, 0))
+    unify(phi, ctx, m, Var(L, 0))
     entry = phi.lookup(m.mid)
     assert isinstance(entry, TypedMeta) and entry.value == Var(L, 0)
 
@@ -167,11 +167,11 @@ def test_hopu_worked_example_permutes_de_bruijn_indices():
     x, y, z = Var(L, 2), Var(L, 1), Var(L, 0)
     meta_ctx = (LocalEnv().push_decl("y", Const(L, "s2"))
                 .push_decl("x", Const(L, "s1")).push_decl("z", Const(L, "s3")))
-    phi = MetaEnv()
+    phi = MetaEnv(genv)
     fid = phi.fresh_meta(TypedMeta(meta_ctx, Const(L, "s4")))
     problem_lhs = Meta(L, fid, (y, x, z))
     rhs = mk_app(L, x, (Const(L, "c"), y))
-    unify(phi, genv, ctx, problem_lhs, rhs)
+    unify(phi, ctx, problem_lhs, rhs)
     solution = phi.lookup(fid).value
     # In the declared context (y, x, z) the solution reads x c y.
     assert solution == mk_app(L, Var(L, 1), (Const(L, "c"), Var(L, 2)))
@@ -182,15 +182,15 @@ def test_hopu_worked_example_permutes_de_bruijn_indices():
         lam = Abs(L, name, Const(L, name.replace("z", "s3") if False else ty), lam)
     expected = P("fun y : s2 => fun x : s1 => fun z : s3 => x c y")
     assert lam == expected
-    assert_sound(phi, genv, ctx, problem_lhs, rhs)
+    assert_sound(phi, ctx, problem_lhs, rhs)
 
 
 def test_occurs_check_is_hard_failure():
-    phi = MetaEnv()
+    phi = MetaEnv(GENV)
     m = _typed_meta(phi, CTX)
     rhs = mk_app(L, Const(L, "f"), (m,))
     with pytest.raises(UnificationFailure):
-        unify(phi, GENV, CTX, m, rhs)
+        unify(phi, CTX, m, rhs)
 
 
 _WITH_X = CTX.push_decl("x", Const(L, "A"))
@@ -203,10 +203,10 @@ _WITH_X = CTX.push_decl("x", Const(L, "A"))
 def test_suspension_entries_are_normalized_before_inversion(ctx, entry):
     # The suspension holds a redex that reduces to x; only the variable x
     # can be inverted.
-    phi = MetaEnv()
+    phi = MetaEnv(GENV)
     mid = phi.fresh_meta(TypedMeta(_WITH_X, Const(L, "A")))
     x = Var(L, len(ctx) - 1)
-    unify(phi, GENV, ctx, Meta(L, mid, (entry,)), mk_app(L, P("f"), (x,)))
+    unify(phi, ctx, Meta(L, mid, (entry,)), mk_app(L, P("f"), (x,)))
     assert phi.lookup(mid).value == mk_app(L, P("f"), (Var(L, 0),))
 
 
@@ -214,63 +214,63 @@ def test_one_meta_with_convertible_suspensions_unifies_with_itself():
     # The entries `f ((fun z => z) x)` and `f x` are not variables, so neither
     # side inverts, and each side mentions the meta: only comparing the two
     # metas' normal forms solves the problem.
-    phi = MetaEnv()
+    phi = MetaEnv(GENV)
     mid = phi.fresh_meta(TypedMeta(_WITH_X, Const(L, "A")))
     x = Var(L, 0)
     redex = mk_app(L, P("f"), (mk_app(L, P("fun (z : A) => z"), (x,)),))
     same = Meta(L, mid, (redex,)), Meta(L, mid, (mk_app(L, P("f"), (x,)),))
-    unify(phi, GENV, _WITH_X, *same)
-    unify(phi, GENV, _WITH_X, *reversed(same))
+    unify(phi, _WITH_X, *same)
+    unify(phi, _WITH_X, *reversed(same))
     assert phi.mark() == 1  # the fresh meta only: nothing was solved
     other = Meta(L, mid, (mk_app(L, P("g"), (x,)),))
     for lhs, rhs in [(same[0], other), (other, same[1])]:
         with pytest.raises(UnificationFailure):
-            unify(phi, GENV, _WITH_X, lhs, rhs)
+            unify(phi, _WITH_X, lhs, rhs)
 
 
 def test_rigid_free_variable_outside_pattern_fails():
     ctx = CTX.push_decl("u", Const(L, "A"))
-    phi = MetaEnv()
+    phi = MetaEnv(GENV)
     mid = phi.fresh_meta(TypedMeta(CTX, Const(L, "A")))
     closed_meta = Meta(L, mid, ())  # suspension does not cover u
     with pytest.raises(UnificationFailure):
-        unify(phi, GENV, ctx, closed_meta, Var(L, 0))
+        unify(phi, ctx, closed_meta, Var(L, 0))
 
 
 def test_duplicate_suspension_variables_are_ambiguous():
     ctx = CTX.push_decl("u", Const(L, "A"))
     two = LocalEnv().push_decl("p", Const(L, "A")).push_decl("q", Const(L, "A"))
-    phi = MetaEnv()
+    phi = MetaEnv(GENV)
     mid = phi.fresh_meta(TypedMeta(two, Const(L, "A")))
     doubled = Meta(L, mid, (Var(L, 0), Var(L, 0)))
     with pytest.raises(UnificationFailure):
-        unify(phi, GENV, ctx, doubled, Var(L, 0))
+        unify(phi, ctx, doubled, Var(L, 0))
     # but a right-hand side that ignores the duplicate solves fine
-    unify(phi, GENV, ctx, doubled, Const(L, "a"))
+    unify(phi, ctx, doubled, Const(L, "a"))
     assert zonk(phi, doubled) == Const(L, "a")
     # A third occurrence keeps the variable ambiguous.
     three = two.push_decl("r", Const(L, "A"))
     mid = phi.fresh_meta(TypedMeta(three, Const(L, "A")))
     tripled = Meta(L, mid, (Var(L, 0), Var(L, 0), Var(L, 0)))
     with pytest.raises(UnificationFailure):
-        unify(phi, GENV, ctx, tripled, Var(L, 0))
+        unify(phi, ctx, tripled, Var(L, 0))
 
 
 def test_pruning_restricts_meta_to_shared_variables():
     # ?m[u] =?= g' applied over [u; w]-suspended meta: w must be pruned away.
     ctx = CTX.push_decl("u", Const(L, "A")).push_decl("w", Const(L, "A"))
     narrow_ctx = LocalEnv().push_decl("u", Const(L, "A"))
-    phi = MetaEnv()
+    phi = MetaEnv(GENV)
     narrow = phi.fresh_meta(TypedMeta(narrow_ctx, Const(L, "A")))
     wide = phi.fresh_meta(TypedMeta(ctx, Const(L, "A")))
     lhs = Meta(L, narrow, (Var(L, 1),))       # ?narrow[u]
     rhs = Meta(L, wide, erase_context(2))     # ?wide[u; w]
     before = dict(phi.entries)
-    unify(phi, GENV, ctx, lhs, rhs)
+    unify(phi, ctx, lhs, rhs)
     assert_monotone(before, phi)
     # Instantiating the pruned result makes both sides equal.
-    n1 = normalize_meta(phi, GENV, ctx, lhs)
-    n2 = normalize_meta(phi, GENV, ctx, rhs)
+    n1 = normalize_meta(phi, ctx, lhs)
+    n2 = normalize_meta(phi, ctx, rhs)
     assert n1 == n2
 
 
@@ -279,10 +279,10 @@ def test_pruning_an_essence_meta_keeps_it_an_essence_meta():
     from proofun.env import EssMeta
     psi = LocalEnv().push_decl("x", Underscore(L)).push_decl("y", Underscore(L))
     narrow_psi = LocalEnv().push_decl("x", Underscore(L))
-    phi = MetaEnv()
+    phi = MetaEnv(GENV)
     narrow = phi.fresh_meta(EssMeta(narrow_psi))
     wide = phi.fresh_meta(EssMeta(psi))
-    unify_essence(phi, GENV, psi, Meta(L, narrow, (Var(L, 1),)),
+    unify_essence(phi, psi, Meta(L, narrow, (Var(L, 1),)),
                   Meta(L, wide, erase_context(2)))
     pruned = phi.lookup(wide)
     assert isinstance(pruned, EssMeta) and isinstance(pruned.value, Meta)
@@ -298,30 +298,30 @@ def test_pruning_is_refused_when_a_kept_entry_depends_on_a_dropped_one():
     from helpers import axiom
     axiom(genv, "P", "A -> Type")
     ctx = CTX.push_decl("x", Const(L, "A")).push_decl("y", mk_app(L, P("P"), (Var(L, 0),)))
-    phi = MetaEnv()
+    phi = MetaEnv(genv)
     n = phi.fresh_meta(TypedMeta(ctx, Const(L, "A")))
     m = phi.fresh_meta(TypedMeta(LocalEnv().push_decl("y", Const(L, "B")),
                                  Const(L, "B")))
     lhs = Meta(L, m, (Var(L, 0),))
     rhs = mk_app(L, P("g"), (Meta(L, n, erase_context(2)),))
     before = snapshot(phi)
-    assert try_hopu(phi, genv, ctx, lhs, rhs) is None
+    assert try_hopu(phi, ctx, lhs, rhs) is None
     assert snapshot(phi) == before
     with pytest.raises(UnificationFailure):
-        unify(phi, genv, ctx, lhs, rhs)
+        unify(phi, ctx, lhs, rhs)
 
 
 def test_a_pattern_problem_that_fails_after_pruning_undoes_the_pruning():
     # ?m[x] =?= h ?n[x; y] y over (x : A) (y : A): ?n is pruned to ?n'[x]
     # first, then `y` cannot be inverted; the store is given back unchanged.
     ctx = CTX.push_decl("x", Const(L, "A")).push_decl("y", Const(L, "A"))
-    phi = MetaEnv()
+    phi = MetaEnv(GENV)
     n = phi.fresh_meta(TypedMeta(ctx, Const(L, "A")))
     m = phi.fresh_meta(TypedMeta(CTX.push_decl("x", Const(L, "A")), Const(L, "A")))
     lhs = Meta(L, m, (Var(L, 1),))
     rhs = mk_app(L, P("h"), (Meta(L, n, erase_context(2)), Var(L, 0)))
     before = snapshot(phi)
-    assert try_hopu(phi, GENV, ctx, lhs, rhs) is None
+    assert try_hopu(phi, ctx, lhs, rhs) is None
     assert snapshot(phi) == before and phi.mark() == 2
 
 
@@ -335,13 +335,13 @@ def test_pruning_keeps_a_local_definition_and_re_indexes_its_body():
     A, f = Const(L, "A"), P("f")
     ctx = (CTX.push_decl("x", A).push_decl("w", Const(L, "B"))
            .push_def("d", mk_app(L, f, (Var(L, 1),)), A).push_decl("y", A))
-    phi = MetaEnv()
+    phi = MetaEnv(genv)
     n = phi.fresh_meta(TypedMeta(ctx, mk_app(L, P("Q"), (Var(L, 1),))))
     m_ctx = LocalEnv().push_decl("x", A).push_def("d", mk_app(L, f, (Var(L, 0),)), A)
     m = phi.fresh_meta(TypedMeta(m_ctx, A))
     lhs = Meta(L, m, (Var(L, 3), Var(L, 1)))
     rhs = mk_app(L, f, (Meta(L, n, erase_context(4)),))
-    solution = try_hopu(phi, genv, ctx, lhs, rhs)
+    solution = try_hopu(phi, ctx, lhs, rhs)
     assert solution is not None and len(phi.entries) == 3
     fresh = phi.lookup(2)
     assert isinstance(fresh, TypedMeta) and fresh.value is None
@@ -353,21 +353,21 @@ def test_pruning_keeps_a_local_definition_and_re_indexes_its_body():
 
 
 def test_sort_meta_takes_sorts_only():
-    phi = MetaEnv()
+    phi = MetaEnv(GENV)
     m = Meta(L, phi.fresh_meta(SortMeta()), ())
     mark = phi.mark()
-    unify(phi, GENV, CTX, m, sort_kind())
+    unify(phi, CTX, m, sort_kind())
     assert zonk(phi, m) == sort_kind()
     phi.undo(mark)
     with pytest.raises(UnificationFailure):
-        unify(phi, GENV, CTX, m, P("a"))
+        unify(phi, CTX, m, P("a"))
 
 
 def test_flex_rigid_through_solved_metas():
-    phi = MetaEnv()
+    phi = MetaEnv(GENV)
     m1, m2 = _typed_meta(phi, CTX), _typed_meta(phi, CTX)
-    unify(phi, GENV, CTX, m1, m2)          # link the two metas
-    unify(phi, GENV, CTX, m1, P("f a"))    # solve through the link
+    unify(phi, CTX, m1, m2)          # link the two metas
+    unify(phi, CTX, m1, P("f a"))    # solve through the link
     assert zonk(phi, m2) == P("f a")
 
 
@@ -386,12 +386,12 @@ def test_flex_rigid_through_solved_metas():
 def test_eta_expanded_meta_is_flexible(ty, wrapper, rhs, solution):
     # `fun x => ?m x` is the meta itself: it takes the whole other side
     # instead of being matched against its body head by head.
-    phi = MetaEnv()
+    phi = MetaEnv(GENV)
     m = _typed_meta(phi, CTX, P(ty))
     lhs = mk_app(L, P(wrapper), (m,))
-    unify(phi, GENV, CTX, lhs, P(rhs))
-    assert normalize_meta(phi, GENV, CTX, m) == P(solution)
-    assert_sound(phi, GENV, CTX, lhs, P(rhs))
+    unify(phi, CTX, lhs, P(rhs))
+    assert normalize_meta(phi, CTX, m) == P(solution)
+    assert_sound(phi, CTX, lhs, P(rhs))
 
 
 @pytest.mark.parametrize("script", [
@@ -446,10 +446,10 @@ def test_hopu_solution_is_the_unique_pattern_solution():
         for perm in perms:
             susp = tuple(Var(L, j) for j in perm)
             for rhs_body in rng.sample(bodies, min(25, len(bodies))):
-                phi = MetaEnv()
+                phi = MetaEnv(genv)
                 mid = phi.fresh_meta(TypedMeta(meta_ctx, ty))
                 problem = Meta(L, mid, susp)
-                solution = try_hopu(phi, genv, ctx, problem, rhs_body)
+                solution = try_hopu(phi, ctx, problem, rhs_body)
                 assert solution is not None and phi.lookup(mid).value is solution
                 # brute force: the solution is the unique body (modulo
                 # alpha) whose expansion through the suspension is the rhs
@@ -469,9 +469,9 @@ def test_idempotent_trigger_on_random_normal_terms():
     count = 0
     while count < 1000:
         t, _ty = random_refined_term(rng)
-        t = strongly_normalize(False, GENV, CTX, t)
-        phi = MetaEnv()
-        unify(phi, GENV, CTX, t, t)
+        t = strongly_normalize(GENV, CTX, t)
+        phi = MetaEnv(GENV)
+        unify(phi, CTX, t, t)
         assert phi.entries == {}
         count += 1
 
@@ -484,7 +484,7 @@ def test_symmetry_of_outcome_on_random_pairs():
         t2, _ = random_refined_term(rng)
         def attempt(a, b):
             try:
-                unify(MetaEnv(), GENV, CTX, a, b)
+                unify(MetaEnv(GENV), CTX, a, b)
                 return True
             except UnificationFailure:
                 return False
@@ -497,48 +497,48 @@ def test_unify_essence_normalizes_local_definitions():
     # let-bound essences differ as variables but agree after delta-psi.
     psi = (LocalEnv().push_def("id1", P("fun x => x"), Underscore(L))
            .push_def("id2", P("fun x => x"), Underscore(L)))
-    phi = MetaEnv()
-    unify_essence(phi, GENV, psi, Var(L, 1), Var(L, 0))
+    phi = MetaEnv(GENV)
+    unify_essence(phi, psi, Var(L, 1), Var(L, 0))
     assert phi.entries == {}
 
 
 def test_unify_essence_rejects_different_shapes():
     with pytest.raises(UnificationFailure):
-        unify_essence(MetaEnv(), GENV, LocalEnv(),
+        unify_essence(MetaEnv(GENV), LocalEnv(),
                       P("fun x => x"), P("fun x => fun y => y"))
 
 
 def test_monotonicity_across_calls():
     rng = random.Random(61)
     for _ in range(100):
-        phi = MetaEnv()
+        phi = MetaEnv(GENV)
         m = _typed_meta(phi, CTX)
         t, _ = random_refined_term(rng)
-        t = strongly_normalize(False, GENV, CTX, t)
+        t = strongly_normalize(GENV, CTX, t)
         before = dict(phi.entries)
         try:
-            unify(phi, GENV, CTX, m, t)
+            unify(phi, CTX, m, t)
         except UnificationFailure:
             continue
         assert_monotone(before, phi)
-        assert_sound(phi, GENV, CTX, m, t)
+        assert_sound(phi, CTX, m, t)
 
 
 def test_essence_meta_absorbs_an_abstraction():
     from proofun.env import EssMeta
-    phi = MetaEnv()
+    phi = MetaEnv(GENV)
     m = Meta(L, phi.fresh_meta(EssMeta(LocalEnv())), ())
-    unify_essence(phi, GENV, LocalEnv(), m, P("fun x => x"))
-    solved = normalize_meta(phi, GENV, LocalEnv(), m, is_essence=True)
+    unify_essence(phi, LocalEnv(), m, P("fun x => x"))
+    solved = normalize_meta(phi, LocalEnv(), m, is_essence=True)
     assert solved == P("fun x => x")
 
 
 # ------------- differential against the eager reference unifier -------------
 
 
-def _assert_agrees(phi, genv, ctx, t1, t2, is_essence=False):
-    lazy = unify_outcome(unify, phi, genv, ctx, t1, t2, is_essence)
-    eager = unify_outcome(reference_unify, phi, genv, ctx, t1, t2, is_essence)
+def _assert_agrees(phi, ctx, t1, t2, is_essence=False):
+    lazy = unify_outcome(unify, phi, ctx, t1, t2, is_essence)
+    eager = unify_outcome(reference_unify, phi, ctx, t1, t2, is_essence)
     assert lazy == eager, (t1, t2)
 
 
@@ -547,14 +547,14 @@ def test_agrees_with_reference_unifier_on_corpus_calls(monkeypatch):
     # when it is posed (the signature grows afterwards).
     calls = []
 
-    def recording_unify(phi, genv, ctx, t1, t2, is_essence=False):
+    def recording_unify(phi, ctx, t1, t2, is_essence=False):
         calls.append((t1, t2))
-        _assert_agrees(phi, genv, ctx, t1, t2, is_essence)
-        unify(phi, genv, ctx, t1, t2, is_essence)
+        _assert_agrees(phi, ctx, t1, t2, is_essence)
+        unify(phi, ctx, t1, t2, is_essence)
 
     monkeypatch.setattr(refine, "unify", recording_unify)
-    monkeypatch.setattr(refine, "unify_essence", lambda phi, genv, psi, m1, m2:
-                        recording_unify(phi, genv, psi, m1, m2, True))
+    monkeypatch.setattr(refine, "unify_essence", lambda phi, psi, m1, m2:
+                        recording_unify(phi, psi, m1, m2, True))
     for name in CORPUS_FILES:
         session = Session(quiet=True, out=io.StringIO(), err=io.StringIO())
         assert load_file(session, corpus_path(name)), session.err.getvalue()
@@ -595,7 +595,7 @@ def test_agrees_with_reference_unifier_on_random_pairs():
     for _ in range(300):
         t1, _ = random_refined_term(rng)
         t2, _ = random_refined_term(rng)
-        phi = MetaEnv()
+        phi = MetaEnv(GENV)
         m1, m2, m3 = (_with_metas(rng, phi, t, 0.15) for t in (t1, t1, t2))
         for a, b in [(t1, t2), (m1, t1), (t1, m1), (m1, m2), (m1, m3), (m3, m1)]:
-            _assert_agrees(phi, GENV, CTX, a, b)
+            _assert_agrees(phi, CTX, a, b)
