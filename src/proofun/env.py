@@ -215,7 +215,7 @@ class MetaEnv:
         eid = self.companions.get(mid)
         if eid is None:
             entry = self.lookup(mid)
-            if not isinstance(entry, TypedMeta):
+            if type(entry) is not TypedMeta:
                 raise InternalError(f"?{mid} has no essence companion")
             psi = LocalEnv(tuple(Decl(e.name, Underscore(NOWHERE))
                                  for e in entry.ctx.entries))

@@ -36,9 +36,9 @@ def _spread(a: Term, b: Term, left: type, right: type,
     """`join(a, b)` distributed over the `left` nodes at the top of `a`, then the
     `right` nodes at the top of `b`: a `right` tree at the split nodes' locations."""
     def go(a: Term, b: Term) -> Term:
-        if isinstance(a, left):
+        if type(a) is left:
             return right(a.loc, go(a.left, b), go(a.right, b))
-        if isinstance(b, right):
+        if type(b) is right:
             return right(b.loc, go(a, b.left), go(a, b.right))
         return join(a, b)
     return go(a, b)
@@ -86,20 +86,19 @@ def is_subtype(genv: GlobalEnv, ctx: LocalEnv, a: Term, b: Term) -> bool:
     b = canf(strongly_normalize(genv, ctx, b))
 
     def compare(a: Term, b: Term) -> bool:
-        match (a, b):
-            case (Union(_, a1, a2), _):
-                return compare(a1, b) and compare(a2, b)
-            # Splitting the right's conjunction before the left's intersection keeps
-            # "or" over the left inside "and" over the conjuncts: a non-DNF left is sound.
-            case (_, Inter(_, b1, b2)):
-                return compare(a, b1) and compare(a, b2)
-            case (Inter(_, a1, a2), _):
-                return compare(a1, b) or compare(a2, b)
-            case (_, Union(_, b1, b2)):
-                return compare(a, b1) or compare(a, b2)
-            case (Prod(_, _, a1, a2), Prod(_, _, b1, b2)):
-                return compare(b1, a1) and compare(a2, b2)
-            case _:
-                return a == b
+        ka, kb = type(a), type(b)
+        if ka is Union:
+            return compare(a.left, b) and compare(a.right, b)
+        # Splitting the right's conjunction before the left's intersection keeps
+        # "or" over the left inside "and" over the conjuncts: a non-DNF left is sound.
+        if kb is Inter:
+            return compare(a, b.left) and compare(a, b.right)
+        if ka is Inter:
+            return compare(a.left, b) or compare(a.right, b)
+        if kb is Union:
+            return compare(a, b.left) or compare(a, b.right)
+        if ka is Prod and kb is Prod:
+            return compare(b.domain, a.domain) and compare(a.codomain, b.codomain)
+        return a == b
 
     return compare(a, b)

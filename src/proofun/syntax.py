@@ -536,7 +536,14 @@ class ConstOccurrences:
 
     def occurs(self, name: str, u: Term) -> bool:
         if self._names is None:
-            self._names = {s.name for s in subterms(self._root) if type(s) is Const}
+            names, stack = set(), [self._root]
+            while stack:
+                s = stack.pop()
+                if type(s) is Const:
+                    names.add(s.name)
+                else:
+                    stack += _CHILDREN[type(s)](s)
+            self._names = names
         if name not in self._names:
             return False
         if self._spans is None:
@@ -583,7 +590,7 @@ def mk_app(loc: Location, head: Term, args: tuple[Term, ...] | list[Term]) -> Te
     ever has an App head."""
     if not args:
         return head
-    if isinstance(head, App):
+    if type(head) is App:
         return App(loc, head.head, head.spine + tuple(args))
     return App(loc, head, tuple(args))
 

@@ -65,7 +65,7 @@ def _suspension_inverse(susp: tuple[Term, ...]) -> dict[int, int]:
     inverse: dict[int, int] = {}
     duplicated: set[int] = set()
     for i, s in enumerate(susp):
-        if isinstance(s, Var):
+        if type(s) is Var:
             if s.index in inverse or s.index in duplicated:
                 inverse.pop(s.index, None)
                 duplicated.add(s.index)
@@ -81,26 +81,27 @@ def _invert(inverse: dict[int, int], t: Term, k: int = 0) -> Term:
     subterm whose free indices are all below `k` comes back as itself."""
     if loose(t) <= k and not contains_meta(t):
         return t
-    match t:
-        case Var(loc, idx):
-            if idx - k in inverse:
-                return Var(loc, inverse[idx - k] + k)
-            raise _NotInvertible
-        case Meta(loc, mid, susp):
-            inverted: list[Term] = []
-            keep: list[int] = []
-            for i, s in enumerate(susp):
-                try:
-                    inverted.append(_invert(inverse, s, k))
-                    keep.append(i)
-                except _NotInvertible:
-                    pass
-            if len(keep) == len(susp):
-                return Meta(loc, mid, tuple(inverted))
-            raise _NeedsPruning(mid, keep)
-        case _:
-            return visit_term(lambda c: _invert(inverse, c, k),
-                              lambda _s, c: _invert(inverse, c, k + 1), t)
+    kind = type(t)
+    if kind is Var:
+        idx = t.index - k
+        if idx in inverse:
+            return Var(t.loc, inverse[idx] + k)
+        raise _NotInvertible
+    if kind is Meta:
+        susp = t.susp
+        inverted: list[Term] = []
+        keep: list[int] = []
+        for i, s in enumerate(susp):
+            try:
+                inverted.append(_invert(inverse, s, k))
+                keep.append(i)
+            except _NotInvertible:
+                pass
+        if len(keep) == len(susp):
+            return Meta(t.loc, t.mid, tuple(inverted))
+        raise _NeedsPruning(t.mid, keep)
+    return visit_term(lambda c: _invert(inverse, c, k),
+                      lambda _s, c: _invert(inverse, c, k + 1), t)
 
 
 def _prune_meta(phi: MetaEnv, mid: int, kept: list[int]) -> bool:
@@ -154,8 +155,8 @@ def try_hopu(phi: MetaEnv, ctx: LocalEnv, m: Meta, rhs: Term,
         if entry.value is not None:
             raise InternalError("try_hopu on an instantiated meta-variable")
         if type(entry) is SortMeta:
-            if not isinstance(rhs_n, Sort) and not (
-                    isinstance(rhs_n, Meta) and phi.lookup(rhs_n.mid) == SortMeta()):
+            if type(rhs_n) is not Sort and not (
+                    type(rhs_n) is Meta and phi.lookup(rhs_n.mid) == SortMeta()):
                 return None
             solution = rhs_n
             break
@@ -193,16 +194,16 @@ def _head(phi: MetaEnv, ctx: LocalEnv, t: Term, is_essence: bool) -> Term:
     meta is normalized, and the meta is rebuilt only if an entry changed."""
     outer, abstractions = ctx, []
     t = whnf(phi, ctx, t, is_essence)
-    while isinstance(t, Abs):
+    while type(t) is Abs:
         abstractions.append(t)
         ctx = ctx.push_decl(t.name, t.domain)
         t = whnf(phi, ctx, t.body, is_essence)
     if abstractions and type(t) is App and (
             _head(phi, ctx, t.spine[-1], is_essence) == Var(NOWHERE, 0)):
         return normalize_meta(phi, outer, abstractions[0], is_essence)
-    if isinstance(t, Meta):
+    if type(t) is Meta:
         susp = [whnf(phi, ctx, s, is_essence) for s in t.susp]
-        susp = [normalize_meta(phi, ctx, s, is_essence) if isinstance(s, (Abs, Meta))
+        susp = [normalize_meta(phi, ctx, s, is_essence) if type(s) is Abs or type(s) is Meta
                 else s for s in susp]
         if any(map(is_not, susp, t.susp)):
             t = Meta(t.loc, t.mid, tuple(susp))
@@ -213,16 +214,21 @@ def _head(phi: MetaEnv, ctx: LocalEnv, t: Term, is_essence: bool) -> Term:
 
 def _peel(t: Term) -> Term:
     """The body of an abstraction, or `t` applied to the new variable."""
-    if isinstance(t, Abs):
+    if type(t) is Abs:
         return t.body
     return mk_app(t.loc, lift(0, 1, t), (Var(NOWHERE, 0),))
+
+
+# The head kinds whose equal views unify at once: the leaves, and metas.
+_COMPARED_FIRST = frozenset({Var, Const, Sort, Underscore, Meta})
 
 
 def _unify_heads(phi: MetaEnv, ctx: LocalEnv, t1: Term, t2: Term, is_essence: bool) -> None:
     """One step below `unify`'s entry: compare the heads, then recurse."""
     t1 = _head(phi, ctx, t1, is_essence)
     t2 = _head(phi, ctx, t2, is_essence)
-    if t1 is t2 or isinstance(t1, (Sort, Var, Const, Underscore, Meta)) and t1 == t2:
+    k1, k2 = type(t1), type(t2)
+    if t1 is t2 or k1 in _COMPARED_FIRST and t1 == t2:
         return
 
     def recur(ctx: LocalEnv, a: Term, b: Term) -> None:
@@ -230,32 +236,32 @@ def _unify_heads(phi: MetaEnv, ctx: LocalEnv, t1: Term, t2: Term, is_essence: bo
 
     # Meta cases first: a meta can absorb an abstraction, so they take
     # priority over the eta rules.
-    if isinstance(t1, Meta) or isinstance(t2, Meta):
-        if (isinstance(t1, Meta) and isinstance(t2, Meta) and t1.mid == t2.mid
+    if k1 is Meta or k2 is Meta:
+        if (k1 is Meta and k2 is Meta and t1.mid == t2.mid
                 and normalize_meta(phi, ctx, t1, is_essence)
                 == normalize_meta(phi, ctx, t2, is_essence)):
             return
-        if isinstance(t1, Meta) and try_hopu(phi, ctx, t1, t2, is_essence) is not None:
+        if k1 is Meta and try_hopu(phi, ctx, t1, t2, is_essence) is not None:
             return
-        if isinstance(t2, Meta) and try_hopu(phi, ctx, t2, t1, is_essence) is not None:
+        if k2 is Meta and try_hopu(phi, ctx, t2, t1, is_essence) is not None:
             return
         raise UnificationFailure(t1, t2, t1.loc)
 
     # Abstractions, with eta when exactly one side is one.  The body of a head
     # view is a head view, so binders are peeled here, not viewed again.
-    if isinstance(t1, Abs) or isinstance(t2, Abs):
-        while (isinstance(t1, Abs) or isinstance(t2, Abs)) and not (
-                isinstance(t1, Meta) or isinstance(t2, Meta)):
-            if isinstance(t1, Abs) and isinstance(t2, Abs):
+    if k1 is Abs or k2 is Abs:
+        while (k1 is Abs or k2 is Abs) and not (k1 is Meta or k2 is Meta):
+            if k1 is Abs and k2 is Abs:
                 recur(ctx, t1.domain, t2.domain)
-            binder = t1 if isinstance(t1, Abs) else t2
+            binder = t1 if k1 is Abs else t2
             ctx, t1, t2 = ctx.push_decl(binder.name, binder.domain), _peel(t1), _peel(t2)
+            k1, k2 = type(t1), type(t2)
         return recur(ctx, t1, t2)
 
     # Like-shaped nodes: unify their children in order, each under the
     # binder of `t1` it sits under.  Leaves that differ are a mismatch.
     kids1, kids2 = children(t1), children(t2)
-    if type(t1) is not type(t2) or not kids1 or len(kids1) != len(kids2):
+    if k1 is not k2 or not kids1 or len(kids1) != len(kids2):
         raise UnificationFailure(t1, t2, t1.loc)
     for a, b, binder in zip(kids1, kids2, binders(t1)):
         recur(ctx if binder is None else ctx.push_decl(*binder), a, b)

@@ -178,3 +178,27 @@ def test_only_the_parser_names_fix_index():
     naming = [path.name for path in SOURCES if path.name != "parser.py"
               and "fix_index" in _uses(_parse(path))]
     assert naming == []
+
+
+def test_node_kinds_are_told_apart_by_their_exact_type():
+    # Node kinds and meta-entry kinds have no subclasses, so `type(t) is K`
+    # decides what a class pattern or an `isinstance` call would, at a
+    # fraction of their cost.  The parser's `fix_id` and the command loop's
+    # `match` are not checked.
+    from proofun.env import MetaEntry
+    from proofun.syntax import Term
+    kinds = {k.__name__ for k in (*Term.__subclasses__(), *MetaEntry.__args__)}
+    found = []
+    for name in ("syntax.py", "env.py", "normalize.py", "unify.py", "refine.py",
+                 "subtype.py", "pretty.py"):
+        for node in ast.walk(_parse(ROOT / "src" / "proofun" / name)):
+            if isinstance(node, ast.MatchClass):
+                named = node.cls
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "isinstance" and len(node.args) == 2):
+                named = node.args[1]
+            else:
+                continue
+            if any(getattr(n, "id", getattr(n, "attr", None)) in kinds for n in ast.walk(named)):
+                found.append(f"{name}:{node.lineno}")
+    assert found == []

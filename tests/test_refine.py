@@ -3,6 +3,7 @@ essence phase, against the worked examples."""
 
 import io
 import random
+import sys
 
 import pytest
 
@@ -1024,3 +1025,25 @@ def test_a_long_product_chain_is_checked_at_the_default_recursion_limit(hole):
     session = Session(quiet=True, out=io.StringIO(), err=io.StringIO())
     assert run_source(session, src), session.err.getvalue()[-200:]
     assert session.out.getvalue() == printed + "\n"
+
+
+@pytest.mark.parametrize("annotated", [False, True], ids=["inferred", "checked"])
+@pytest.mark.parametrize("shape, n", [("spine", 300), ("fun", 450)])
+def test_the_refiner_nests_deeply_at_the_default_recursion_limit(shape, n, annotated):
+    # The refiner spends two Python frames per nested application (the
+    # application rule and its argument's checking rule) and one per
+    # nested `fun`, so both shapes fit the default recursion limit, inferred
+    # and checked.  Two frames more per level of either shape would reject
+    # them.
+    assert sys.getrecursionlimit() == 1000
+    if shape == "spine":  # f (f (... a))
+        body, ty = "f (" * n + "a" + ")" * n, "A"
+    else:
+        body, ty = "fun (x : A) => " * n + "x", " -> ".join(["A"] * (n + 1))
+    annotation = f" : {ty}" if annotated else ""
+    src = f"Axiom (A : Type) (f : A -> A) (a : A). Definition d{annotation} := {body}."
+    session = Session(quiet=True, out=io.StringIO(), err=io.StringIO())
+    assert run_source(session, src), session.err.getvalue()[-200:]
+    info = session.genv.lookup("d")  # compared as printed: `==` recurses per level
+    assert show_term(info.body) == show_term(parse_term(body))
+    assert show_term(info.type) == ty
