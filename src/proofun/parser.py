@@ -19,17 +19,18 @@ level for its right operand.  An arrow nests one frame deep, `(` two.
 `proj_l`, `proj_r`, `inj_l`, `inj_r`, and `coe` are prefix keywords that
 consume exactly their displayed argument count at application precedence.
 Comments are `(* ... *)` and nest.  The lexer is one regular expression
-with an alternative per token shape; `tokenize` runs one `finditer` loop
-over it up to each comment, counts the comment's nesting, and restarts
-after it.  Tokens and their `Location`s are tuples built in C.  A script is
-lexed once and parsed from its one token list.
+with an alternative per token shape; `tokenize` splits the text by it up to
+each comment, counts the comment's nesting, and restarts after it.  Tokens
+come as columns of kinds, texts and offsets (`Tokens`) built in C; a
+`Location` is built only for a node, a line and column only to show an
+error.  A script is lexed once and parsed from its one token list.
 """
 
 from __future__ import annotations
 
 import re
+from itertools import accumulate, repeat
 from operator import is_
-from typing import NamedTuple
 
 from proofun.errors import InternalError, LexError, ParseError, too_deep_as_error
 from proofun.pretty import binder_names
@@ -52,12 +53,6 @@ _IDCHARS = frozenset(
     "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_'")
 
 
-class Token(NamedTuple):
-    kind: str  # ID KW UNDERSCORE STRING LPAREN RPAREN LT GT AMP BAR ARROW DARROW COLONEQ COLON COMMA DOT EOF
-    text: str
-    loc: Location
-
-
 _KIND_NAMES = {
     "ARROW": "->", "DARROW": "=>", "COLONEQ": ":=", "COLON": ":",
     "COMMA": ",", "DOT": ".", "LPAREN": "(", "RPAREN": ")", "LT": "<",
@@ -71,61 +66,80 @@ _OPERATORS = {text: kind for kind, text in _KIND_NAMES.items() if kind not in ("
 # The kind of each operator, keyword and `_`; any other word is an `ID`.
 _KINDS = {**_OPERATORS, **dict.fromkeys(KEYWORDS, "KW"), "_": "UNDERSCORE"}
 
-# After any blanks, one alternative per token shape, tried in order: `(*`
-# before `(`, each two-character operator before its one-character prefix,
-# and an empty match at the end of the text.  Some alternative matches at
-# every position, so successive matches tile the text.
-_LEXEME = re.compile("[ \t\r]*(?:" + "|".join((
-    r"(?P<NL>\n)", r"(?P<COMMENT>\(\*)", r'(?P<STRING>"[^"\n]*")',
-    "(?P<WORD>[" + re.escape("".join(sorted(_IDCHARS))) + "]+)",
-    "(?P<OP>" + "|".join(map(re.escape, sorted(_OPERATORS, key=len, reverse=True))) + ")",
-    r"(?P<BAD>.)", r"\Z",
+# One alternative per token shape, tried in order: a comment opener before
+# `(`, each two-character operator before its one-character prefix.  Split
+# by it, a text alternates between gaps, which must be blank, and tokens.
+_TOKEN = re.compile("(" + "|".join((
+    r"\(\*", r'"[^"\n]*"', "[" + re.escape("".join(sorted(_IDCHARS))) + "]+",
+    *map(re.escape, sorted(_OPERATORS, key=len, reverse=True)),
 )) + ")")
+# The longest prefix of blanks and tokens: it ends at a bad character.
+_TILED = re.compile(r"(?:[ \t\r\n]|" + _TOKEN.pattern + ")*")
 _NESTING = re.compile(r"\(\*|\*\)")
 
 
-def tokenize(text: str, source: str = "<input>") -> list[Token]:
-    """The tokens of `text`, ending with an `EOF` token.  No token spans a
-    line, so a column is the offset past the start of the current line.
-    One `finditer` pass runs up to each comment; the comment's end is found
-    by counting nesting, and a new pass starts after it."""
-    toks: list[Token] = []
-    append, new, kinds = toks.append, tuple.__new__, _KINDS
-    line, before, pos = 1, -1, 0  # `before`: the offset of column 0 of the line
-    while True:
-        for m in _LEXEME.finditer(text, pos):
-            kind = m.lastgroup
-            if kind == "NL":
-                line, before = line + 1, m.end() - 1
-                continue
-            if kind is None:  # the end of the text
-                col = len(text) - before
-                append(new(Token, ("EOF", "", new(Location, (source, (line, col), (line, col))))))
-                return toks
-            start, end = m.span(kind)
-            here = new(Location, (source, (line, start - before), (line, end - before)))
-            if kind == "WORD" or kind == "OP":
-                lexeme = text[start:end]
-                append(new(Token, (kinds.get(lexeme, "ID"), lexeme, here)))
-            elif kind == "STRING":
-                append(new(Token, ("STRING", text[start + 1:end - 1], here)))
-            elif kind == "COMMENT":
+@record
+class Tokens:
+    """The tokens of a text as parallel columns: kind, text (a string's
+    without its quotes) and start and end offsets; the last is `EOF`."""
+
+    source: str
+    kinds: list[str]
+    texts: list[str]
+    starts: list[int]
+    ends: list[int]
+
+    def __len__(self) -> int:
+        return len(self.kinds)
+
+    def loc(self, i: int) -> Location:
+        return tuple.__new__(Location, (self.source, self.starts[i], self.ends[i]))
+
+
+def tokenize(text: str, source: str = "<input>") -> Tokens:
+    """The tokens of `text`, ending with an `EOF` token.  Each stretch up to
+    the next comment opener is split by `_TOKEN` in one call, its offsets
+    summed by `accumulate`; the comment's end is found by counting nesting.
+    An opener may sit in a string: a stretch with a gap that is not blank is
+    split again up to the end of the opener's line (no token spans a line)."""
+    kinds, texts, starts, ends = [], [], [], []  # the columns of `Tokens`
+    pos, size = 0, len(text)
+    while pos < size:
+        opener = text.find("(*", pos)
+        stop = size if opener < 0 else opener + 2
+        while True:
+            chunk = text[pos:stop]
+            pieces = _TOKEN.split(chunk)
+            words = pieces[1::2]
+            cut = words.index("(*") if "(*" in words else len(words)
+            if not "".join(pieces[:2 * cut + 1:2]).strip(" \t\r\n"):
                 break
-            elif text[start] == '"':
-                raise LexError("unterminated string", here)
-            else:
-                raise LexError(f'unexpected character "{text[start]}"', here)
-        depth = 1
-        for nest in _NESTING.finditer(text, end):
-            depth += 1 if nest.group() == "(*" else -1
-            if not depth:
-                break
-        if depth:
-            raise LexError(UNTERMINATED_COMMENT, here)
-        pos = nest.end()
-        newlines = text.count("\n", start, pos)
-        if newlines:
-            line, before = line + newlines, text.rindex("\n", start, pos)
+            line_end = opener >= 0 and text.find("\n", opener) + 1 or size
+            if stop == line_end:
+                at = pos + _TILED.match(chunk).end()
+                raise LexError("unterminated string" if text[at] == '"' else
+                               f'unexpected character "{text[at]}"', Location(source, at, at + 1))
+            stop = line_end
+        bounds = list(accumulate(map(len, pieces[:2 * cut + 1]), initial=pos))
+        kinds += map(_KINDS.get, words[:cut], repeat("ID"))
+        texts += words[:cut]
+        starts += bounds[1:-1:2]
+        ends += bounds[2::2]
+        if '"' in chunk:  # a string's kind, and its text without the quotes
+            for i in range(len(texts) - cut, len(texts)):
+                if texts[i][0] == '"':
+                    kinds[i], texts[i] = "STRING", texts[i][1:-1]
+        pos = stop
+        if cut < len(words):  # a comment, which ends where its nesting does
+            depth, opener = 1, bounds[-1]
+            for nest in _NESTING.finditer(text, opener + 2):
+                depth += 1 if nest.group() == "(*" else -1
+                if not depth:
+                    break
+            if depth:
+                raise LexError(UNTERMINATED_COMMENT, Location(source, opener, opener + 2))
+            pos = nest.end()
+    return Tokens(source, kinds + ["EOF"], texts + [""], starts + [size], ends + [size])
 
 
 # ---------------------------------------------------------------------------
@@ -191,8 +205,8 @@ _PREFIXES = {"proj_l": SPrLeft, "proj_r": SPrRight, "inj_l": SInLeft, "inj_r": S
 
 
 class _Parser:
-    def __init__(self, toks: list[Token]):
-        self.toks = toks
+    def __init__(self, toks: Tokens):
+        self.kinds, self.texts, self.loc = toks.kinds, toks.texts, toks.loc
         self.pos = 0
         self.scope: dict[str, list[int]] = {}  # each bound name's binding depths
         self.binders: list[list[int]] = []  # the depth stack each open binder pushed to
@@ -211,31 +225,29 @@ class _Parser:
         self.depth -= count
         return t
 
-    def peek(self) -> Token:
-        return self.toks[self.pos]
-
-    def next(self) -> Token:
-        tok = self.toks[self.pos]
-        if tok.kind != "EOF":  # `pos` never passes the final EOF token
+    def next(self) -> int:
+        """Consume the token at the cursor; returns its index."""
+        i = self.pos
+        if self.kinds[i] != "EOF":  # `pos` never passes the final EOF token
             self.pos += 1
-        return tok
+        return i
 
     def at(self, kind: str, text: str | None = None) -> bool:
-        tok = self.toks[self.pos]
-        return tok.kind == kind and (text is None or tok.text == text)
+        i = self.pos
+        return self.kinds[i] == kind and (text is None or self.texts[i] == text)
 
-    def expect(self, kind: str, text: str | None = None) -> Token:
-        tok = self.toks[self.pos]
-        if tok.kind != kind or text is not None and tok.text != text:
-            want = text or _KIND_NAMES.get(kind, kind.lower())
-            raise ParseError(f'expected "{want}" but found "{tok.text or "end of input"}"',
-                             tok.loc)
+    def expect(self, kind: str, text: str | None = None) -> int:
+        i = self.pos
+        if self.kinds[i] != kind or text is not None and self.texts[i] != text:
+            raise self.fail(f'expected "{text or _KIND_NAMES.get(kind, kind.lower())}"')
         if kind != "EOF":
             self.pos += 1
-        return tok
+        return i
 
-    def fail(self, message: str) -> ParseError:
-        return ParseError(message, self.peek().loc)
+    def fail(self, expected: str) -> ParseError:
+        """`expected` and what was found, at the cursor."""
+        found = self.texts[self.pos] or "end of input"
+        return ParseError(f'{expected} but found "{found}"', self.loc(self.pos))
 
     # -- terms --------------------------------------------------------------
 
@@ -243,12 +255,12 @@ class _Parser:
         """A term whose infix operators all bind at `level` (`_LEVELS`) or
         tighter, by precedence climbing.  A binder reaches as far right as
         it can, so it stands only where an arrow may (`level` 0)."""
-        tok = self.toks[self.pos]
+        i = self.pos
         node = None
-        if tok.kind == "KW":
-            if not level and tok.text in ("fun", "forall", "let"):
+        if self.kinds[i] == "KW":
+            if not level and self.texts[i] in ("fun", "forall", "let"):
                 return self.binder()
-            node = _PREFIXES.get(tok.text)
+            node = _PREFIXES.get(self.texts[i])
         if node is None:
             left = self.atom()
         else:  # `proj_l`/`proj_r` take one atom, the other prefixes two
@@ -256,16 +268,16 @@ class _Parser:
             args = [self.atom()]
             if node is not SPrLeft and node is not SPrRight and args[0] is not None:
                 args.append(self.atom())
-            left = None if args[-1] is None else node(span(tok.loc, args[-1].loc), *args)
+            left = None if args[-1] is None else node(span(self.loc(i), args[-1].loc), *args)
         if left is None:
-            raise self.fail(f'expected a term but found "{self.peek().text or "end of input"}"')
+            raise self.fail("expected a term")
         spine = []
         while (arg := self.atom()) is not None:
             spine.append(arg)
         if spine:
             left = App(span(left.loc, spine[-1].loc), left, tuple(spine))
         while True:
-            op = _LEVELS.get(self.toks[self.pos].kind)  # the next operator's level
+            op = _LEVELS.get(self.kinds[self.pos])  # the next operator's level
             if op is None or op < level:
                 return left
             self.pos += 1
@@ -277,25 +289,26 @@ class _Parser:
                     Union(loc, left, right) if op == 1 else Inter(loc, left, right))
 
     def binder(self) -> Term:
-        tok = self.next()
-        if tok.text != "let":  # fun ARGS => t  or  forall ARGS, t
+        i = self.next()
+        word, loc = self.texts[i], self.loc(i)
+        if word != "let":  # fun ARGS => t  or  forall ARGS, t
             args = self.args(typed_tail=True)
-            self.expect("DARROW" if tok.text == "fun" else "COMMA")
+            self.expect("DARROW" if word == "fun" else "COMMA")
             body = self.unbind(len(args), self.term())
-            return self.fold(Abs if tok.text == "fun" else Prod, tok.loc, args, body)
+            return self.fold(Abs if word == "fun" else Prod, loc, args, body)
         # let ID [args] [: T] := t1 in t2
         name = self.ident()
         args = self.args() if self.args_ahead() else []
-        annot: Term = Underscore(tok.loc)
+        annot: Term = Underscore(loc)
         if self.at("COLON"):
             self.next()
-            annot = self.fold(Prod, tok.loc, args, self.term())
+            annot = self.fold(Prod, loc, args, self.term())
         self.expect("COLONEQ")
-        bound = self.fold(Abs, tok.loc, args, self.unbind(len(args), self.term()))
+        bound = self.fold(Abs, loc, args, self.unbind(len(args), self.term()))
         self.expect("KW", "in")
         self.bind(name)
         body = self.unbind(1, self.term())
-        return Let(span(tok.loc, body.loc), name, annot, bound, body)
+        return Let(span(loc, body.loc), name, annot, bound, body)
 
     def fold(self, node: type[Abs] | type[Prod], loc: Location,
              args: list[tuple[str, Term]], body: Term) -> Term:
@@ -305,7 +318,7 @@ class _Parser:
         return body
 
     def args_ahead(self) -> bool:
-        return self.at("ID") or (self.at("LPAREN") and self.toks[self.pos + 1].kind == "ID")
+        return self.at("ID") or (self.at("LPAREN") and self.kinds[self.pos + 1] == "ID")
 
     def args(self, typed_tail: bool = False) -> list[tuple[str, Term]]:
         """Non-empty argument sequence: bare names or `(x y z : T)` groups.
@@ -318,11 +331,11 @@ class _Parser:
         bare_run = 0
         while True:
             if self.at("ID"):
-                tok = self.next()
-                out.append((tok.text, Underscore(tok.loc)))
-                self.bind(tok.text)
+                i = self.next()
+                out.append((self.texts[i], Underscore(self.loc(i))))
+                self.bind(self.texts[i])
                 bare_run += 1
-            elif self.at("LPAREN") and self.toks[self.pos + 1].kind == "ID":
+            elif self.at("LPAREN") and self.kinds[self.pos + 1] == "ID":
                 self.next()
                 names = [self.ident()]
                 while self.at("ID"):
@@ -335,7 +348,7 @@ class _Parser:
             else:
                 break
         if not out:
-            raise self.fail("expected at least one argument")
+            raise ParseError("expected at least one argument", self.loc(self.pos))
         if typed_tail and bare_run and self.at("COLON"):
             self.next()
             run, out[-bare_run:] = out[-bare_run:], []
@@ -350,17 +363,18 @@ class _Parser:
             self.bind(name)
 
     def ident(self) -> str:
-        return self.expect("ID").text
+        return self.texts[self.expect("ID")]
 
     def atom(self) -> Term | None:
         """The atom at the cursor, or None, consuming nothing, if no atom
         starts there."""
-        tok = self.toks[self.pos]
-        kind = tok.kind
+        i = self.pos
+        kind = self.kinds[i]
         if kind == "ID":
             self.pos += 1
-            bound = self.scope.get(tok.text)
-            return Var(tok.loc, self.depth - 1 - bound[-1]) if bound else Const(tok.loc, tok.text)
+            name = self.texts[i]
+            bound = self.scope.get(name)
+            return Var(self.loc(i), self.depth - 1 - bound[-1]) if bound else Const(self.loc(i), name)
         if kind == "LPAREN":
             self.pos += 1
             inner = self.term()
@@ -368,75 +382,72 @@ class _Parser:
             return inner
         if kind == "UNDERSCORE":
             self.pos += 1
-            return Underscore(tok.loc)
+            return Underscore(self.loc(i))
         if kind == "LT":
             self.pos += 1
             left = self.term()
             self.expect("COMMA")
             right = self.term()
-            close = self.expect("GT")
-            return SPair(span(tok.loc, close.loc), left, right)
-        if kind == "KW" and tok.text == "Type":
+            return SPair(span(self.loc(i), self.loc(self.expect("GT"))), left, right)
+        if kind == "KW" and self.texts[i] == "Type":
             self.pos += 1
-            return Sort(tok.loc, SortKind.TYPE)
-        if kind == "KW" and tok.text == "smatch":
+            return Sort(self.loc(i), SortKind.TYPE)
+        if kind == "KW" and self.texts[i] == "smatch":
             return self.smatch()
         return None
 
     def smatch(self) -> Term:
-        start = self.expect("KW", "smatch")
+        start = self.loc(self.expect("KW", "smatch"))
         scrut = self.term()
         as_name = ""
         if self.at("KW", "as"):
             self.next()
             as_name = self.ident()
-        ret: Term = Underscore(start.loc)
+        ret: Term = Underscore(start)
         self.bind(as_name)
         if self.at("KW", "return"):
             self.next()
             ret = self.term()
         self.unbind(1)
-        motive = Abs(span(start.loc, ret.loc), as_name, Underscore(start.loc), ret)
+        motive = Abs(span(start, ret.loc), as_name, Underscore(start), ret)
         self.expect("KW", "with")
         n1, a1, b1 = self.branch()
         self.expect("COMMA")
         n2, a2, b2 = self.branch()
-        end = self.expect("KW", "end")
-        return SMatch(span(start.loc, end.loc), scrut, motive, n1, a1, b1, n2, a2, b2)
+        end = self.loc(self.expect("KW", "end"))
+        return SMatch(span(start, end), scrut, motive, n1, a1, b1, n2, a2, b2)
 
     def branch(self) -> tuple[str, Term, Term]:
-        name_tok = self.expect("ID")
-        annot: Term = Underscore(name_tok.loc)
+        i = self.expect("ID")
+        annot: Term = Underscore(self.loc(i))
         if self.at("COLON"):
             self.next()
             annot = self.term()
         self.expect("DARROW")
-        self.bind(name_tok.text)
-        return name_tok.text, annot, self.unbind(1, self.term())
+        self.bind(self.texts[i])
+        return self.texts[i], annot, self.unbind(1, self.term())
 
     # -- commands -----------------------------------------------------------
 
     def command(self) -> list[Command]:
-        tok = self.peek()
-        if tok.kind != "ID" or tok.text not in _COMMAND_WORDS:
-            raise self.fail(
-                f'expected a command but found "{tok.text or "end of input"}"')
-        self.next()
-        word = tok.text
+        word = self.texts[self.pos]
+        if self.kinds[self.pos] != "ID" or word not in _COMMAND_WORDS:
+            raise self.fail("expected a command")
+        loc = self.loc(self.next())
         if word in ("Help", "Printall", "Quit"):
             self.expect("DOT")
-            return [{"Help": Help, "Printall": Printall, "Quit": Quit}[word](tok.loc)]
+            return [{"Help": Help, "Printall": Printall, "Quit": Quit}[word](loc)]
         if word == "Load":
-            path = self.expect("STRING").text
+            path = self.texts[self.expect("STRING")]
             self.expect("DOT")
-            return [Load(tok.loc, path)]
+            return [Load(loc, path)]
         if word in ("Print", "Compute"):
             name = self.ident()
             self.expect("DOT")
-            return [Print(tok.loc, name) if word == "Print" else Compute(tok.loc, name)]
+            return [Print(loc, name) if word == "Print" else Compute(loc, name)]
         if word == "Axiom":
-            return self.axiom(tok.loc)
-        return self.definition(tok.loc)
+            return self.axiom(loc)
+        return self.definition(loc)
 
     def axiom(self, loc: Location) -> list[Command]:
         """`Axiom name : type.` or a sequence of `(names : type)` groups,
@@ -458,7 +469,7 @@ class _Parser:
             self.expect("RPAREN")
             out.extend(Axiom(loc, n, ty) for n in names)
         if not out:
-            raise self.fail("expected a name or a parenthesized group")
+            raise ParseError("expected a name or a parenthesized group", self.loc(self.pos))
         self.expect("DOT")
         return out
 

@@ -197,21 +197,20 @@ def show_term(t: Term, scope: tuple[str, ...] | list[str] = ()) -> str:
 
 
 def render_error(source_text: str, err: ProverError) -> str:
-    """Echo the offending source line, underline the blamed span with
-    carets, then print the error message."""
-    loc = err.loc
-    lines = source_text.split("\n")  # the lexer's lines: only "\n" ends one
-    if lines[-1] == "":
-        lines.pop()  # a final "\n" ends the last line and starts none
-    if loc is not None and loc.start != (0, 0) and 1 <= loc.start[0] <= len(lines):
-        line = lines[loc.start[0] - 1].removesuffix("\r")
-        if loc.end[0] == loc.start[0] and loc.end[1] > loc.start[1]:
-            width = loc.end[1] - loc.start[1]
-        else:
-            width = 1
+    """Echo the source line where the blamed span starts, underline the
+    span on it with carets, then print the error message."""
+    loc, size = err.loc, len(source_text)
+    start = -1 if loc is None else loc.start
+    first = source_text.rfind("\n", 0, max(start, 0)) + 1  # the line's column 0
+    # Only "\n" ends a line, as in the lexer; a final "\n" starts none.
+    if 0 <= start <= size and first < size:
+        stop = source_text.find("\n", start)
+        stop = size if stop < 0 else stop  # where the line ends
+        line = source_text[first:stop].removesuffix("\r")
+        width = loc.end - start if start < loc.end <= stop else 1
         # The lexer counts a tab as one column: keep the line's tabs, before
         # and inside the span, so the carets sit under it at any tab width.
-        column = loc.start[1] - 1
+        column = start - first
         under = line[:column + width].ljust(column + width)
         caret = "".join("\t" if c == "\t" else " " if i < column else "^"
                         for i, c in enumerate(under))

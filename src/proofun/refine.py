@@ -491,7 +491,7 @@ def essence_with_hint(phi: MetaEnv, psi: LocalEnv, hint: Term, t: Term) -> None:
 def _check_meta_free(part: Term, fallback: Location) -> None:
     bad = first_meta(part)
     if bad is not None:
-        loc = bad.loc if bad.loc.start != (0, 0) else fallback
+        loc = bad.loc if bad.loc.start >= 0 else fallback
         raise UnresolvedMeta(bad.mid, loc)
 
 

@@ -19,7 +19,7 @@ import os
 import sys
 from typing import IO
 
-from proofun.env import GlobalEnv, LocalEnv
+from proofun.env import ConstInfo, GlobalEnv, LocalEnv
 from proofun.errors import (
     CommandError, FuelExhausted, LexError, ParseError, ProverError, TOO_DEEP,
 )
@@ -73,8 +73,10 @@ class Session:
         print(rendered, file=self.err or sys.stderr)
 
 
-def exec_command(session: Session, cmd: Command) -> None:
-    """Run one atomic command; prover errors propagate to the caller."""
+def exec_command(session: Session, cmd: Command, typed: dict[int, ConstInfo]) -> None:
+    """Run one atomic command; prover errors propagate to the caller.
+    `typed` maps the `id` of each axiom type the running source command has
+    elaborated to its entry; the command keeps those types alive."""
     genv = session.genv
     match cmd:
         case Help():
@@ -82,7 +84,11 @@ def exec_command(session: Session, cmd: Command) -> None:
         case Quit():
             raise QuitRequested
         case Axiom(loc, name, ty):
-            genv.add(name, elaborate_type(genv, ty))
+            # A group `(a b : T)` gives its names one `T` object.  Once that
+            # has elaborated it mentions none of them, so they share its entry.
+            if id(ty) not in typed:
+                typed[id(ty)] = elaborate_type(genv, ty)
+            genv.add(name, typed[id(ty)])
             session.ack(f"{name} is declared.")
         case Definition(loc, name, ty, body):
             genv.add(name, elaborate(genv, body, ty))
@@ -127,14 +133,14 @@ def run_source(session: Session, text: str, source: str = "<input>") -> bool:
     mark = loc = None  # the signature before this source command; the running command's place
     try:
         toks = tokenize(text, source)
-        if len(toks) > 1 and toks[-2].kind != "DOT":  # checked before anything runs
-            raise ParseError('expected "." at the end of the command', toks[-2].loc)
+        if len(toks) > 1 and toks.kinds[-2] != "DOT":  # checked before anything runs
+            raise ParseError('expected "." at the end of the command', toks.loc(-2))
         parser = _Parser(toks)
         while not parser.at("EOF"):
-            mark, loc = session.genv.snapshot(), None
+            mark, loc, typed = session.genv.snapshot(), None, {}
             for cmd in _parse_chunk(parser):
                 loc = cmd.loc
-                exec_command(session, cmd)
+                exec_command(session, cmd, typed)
         return True
     except _LoadFailed:
         return False  # inner file already reported; keep its successes
@@ -187,7 +193,7 @@ def _incomplete(text: str, source: str) -> bool:
         toks = tokenize(text, source)
     except LexError as error:
         return error.message == UNTERMINATED_COMMENT  # other lex errors: report now
-    return len(toks) < 2 or toks[-2].kind != "DOT"  # toks[-1] is EOF
+    return len(toks) < 2 or toks.kinds[-2] != "DOT"  # the last token is EOF
 
 
 def repl(session: Session) -> int:

@@ -47,13 +47,15 @@ from proofun.errors import InternalError
 
 
 class Location(NamedTuple):
-    """Source span `(source, start, end)`, each position a 1-based
-    `(line, column)`; `(0, 0)` positions mark synthesized nodes.  A tuple,
-    so the lexer and `span` build one with `tuple.__new__`, in C."""
+    """Source span `(source, start, end)`: character offsets into the
+    source text, `end` exclusive; `NOWHERE`'s -1 marks synthesized nodes.
+    Line and column are worked out only to show an error
+    (`pretty.render_error`).  A tuple, so the parser and `span` build one
+    with `tuple.__new__`, in C."""
 
     source: str = "<input>"
-    start: tuple[int, int] = (0, 0)
-    end: tuple[int, int] = (0, 0)
+    start: int = -1
+    end: int = -1
 
 
 NOWHERE = Location()

@@ -867,9 +867,43 @@ def essence_outcome(ess, phi: MetaEnv, psi: LocalEnv, t: Term):
 # ---------------------------------------------------------------------------
 # Reference front end: the lexer and `fix_index` as they were before tokens
 # and locations got cheaper constructors and `fix_index` kept a stack of
-# binding depths per name.  `fix_index` copies the list of enclosing names at every binder and scans
-# it for every constant.  Kept only so tests can compare the front end with
-# them.
+# binding depths per name.  `fix_index` copies the list of enclosing names
+# at every binder and scans it for every constant.  The lexer locates by
+# `(line, column)`, independently of the offsets the production lexer
+# keeps.  Kept only so tests can compare the front end with them.
+
+
+def line_col(text: str, offset: int) -> tuple[int, int]:
+    """The 1-based `(line, column)` of `offset` in `text`, counted as
+    `reference_tokenize` counts: only "\n" ends a line, and a tab or a
+    "\r" is one column."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+
+
+def line_col_location(text: str, loc: Location) -> Location:
+    """`loc`, whose positions are offsets into `text`, with each position
+    as a `(line, column)` pair, the way the reference lexer locates."""
+    return Location(loc.source, line_col(text, loc.start), line_col(text, loc.end))
+
+
+def reference_render_error(source_text: str, message: str, loc: Location) -> str:
+    """The caret report built from a `(line, column)` location, as the
+    error display worked before locations held offsets."""
+    lines = source_text.split("\n")  # the lexer's lines: only "\n" ends one
+    if lines[-1] == "":
+        lines.pop()  # a final "\n" ends the last line and starts none
+    if not 1 <= loc.start[0] <= len(lines):
+        return f"Error: {message}"
+    line = lines[loc.start[0] - 1].removesuffix("\r")
+    if loc.end[0] == loc.start[0] and loc.end[1] > loc.start[1]:
+        width = loc.end[1] - loc.start[1]
+    else:
+        width = 1
+    column = loc.start[1] - 1
+    under = line[:column + width].ljust(column + width)
+    caret = "".join("\t" if c == "\t" else " " if i < column else "^"
+                    for i, c in enumerate(under))
+    return f"{line}\n{caret}\nError: {message}"
 
 
 class ReferenceToken(NamedTuple):

@@ -227,7 +227,7 @@ def test_replaying_corpus_preserves_prefix_typing():
 
 # ------------- records -------------
 
-_AT = "Location(source='<input>', start=(0, 0), end=(0, 0))"
+_AT = "Location(source='<input>', start=-1, end=-1)"
 
 
 def test_entry_reprs_list_every_field_in_order():

@@ -8,12 +8,13 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from proofun.errors import TOO_DEEP, LexError, ParseError, ProverError
+from proofun import parser as parser_module
+from proofun.errors import TOO_DEEP, LexError, ParseError, ProverError, TypeCheckError
 from proofun.parser import (
     Axiom, Definition, Load, Print, Quit, fix_id, fix_index, parse_command,
     parse_script, parse_term, tokenize, _Parser,
 )
-from proofun.pretty import show_term
+from proofun.pretty import render_error, show_term
 from proofun.repl import Session, run_source
 from proofun.syntax import (
     NOWHERE, Abs, App, Const, ConstOccurrences, Inter, Let, Location, Prod, SInRight,
@@ -21,9 +22,9 @@ from proofun.syntax import (
 )
 
 from helpers import (
-    CORPUS_FILES, corpus_path, named_to_syntax, random_named_term,
+    CORPUS_FILES, corpus_path, line_col_location, named_to_syntax, random_named_term,
     random_printable_term, reference_fix_id, reference_fix_index,
-    reference_render, reference_tokenize,
+    reference_render, reference_render_error, reference_tokenize,
 )
 from test_growth import FAMILIES, chain_of_holes, church_product
 
@@ -181,17 +182,17 @@ def test_command_reprs_list_every_field_in_order():
     (axiom,), (definition,) = parse_script(
         "Axiom a : A -> A. Definition d : Type := fun x : A => x.", "f.bull")
 
-    def at(start, end):
-        return f"Location(source='f.bull', start=(1, {start}), end=(1, {end}))"
+    def at(start, end):  # offsets into the one line
+        return f"Location(source='f.bull', start={start}, end={end})"
 
     assert repr(axiom) == (
-        f"Axiom(loc={at(1, 6)}, name='a', type=Prod(loc={at(11, 17)}, name='', "
-        f"domain=Const(loc={at(11, 12)}, name='A'), "
-        f"codomain=Const(loc={at(16, 17)}, name='A')))")
+        f"Axiom(loc={at(0, 5)}, name='a', type=Prod(loc={at(10, 16)}, name='', "
+        f"domain=Const(loc={at(10, 11)}, name='A'), "
+        f"codomain=Const(loc={at(15, 16)}, name='A')))")
     assert repr(definition) == (
-        f"Definition(loc={at(19, 29)}, name='d', type=Sort(loc={at(34, 38)}, "
-        f"kind=<SortKind.TYPE: 'Type'>), body=Abs(loc={at(42, 56)}, name='x', "
-        f"domain=Const(loc={at(50, 51)}, name='A'), body=Var(loc={at(55, 56)}, index=0)))")
+        f"Definition(loc={at(18, 28)}, name='d', type=Sort(loc={at(33, 37)}, "
+        f"kind=<SortKind.TYPE: 'Type'>), body=Abs(loc={at(41, 55)}, name='x', "
+        f"domain=Const(loc={at(49, 50)}, name='A'), body=Var(loc={at(54, 55)}, index=0)))")
 
 
 def test_commands_are_frozen():
@@ -418,18 +419,29 @@ def _front_end_texts() -> list[tuple[str, str]]:
     return texts
 
 
-def _lex_outcome(lexer, text: str, source: str = "t.bull"):
+def _lex_outcome(text: str, source: str = "t.bull"):
+    """The tokens of `text` as `(kind, text, location)`, each offset turned
+    into a `(line, column)` by `line_col`, or the lexer's error."""
     try:
-        return [(t.kind, t.text, t.loc) for t in lexer(text, source)]
+        toks = tokenize(text, source)
+    except LexError as exc:
+        return "LexError", exc.message, line_col_location(text, exc.loc)
+    return [(kind, word, line_col_location(text, Location(source, start, end)))
+            for kind, word, start, end in zip(toks.kinds, toks.texts, toks.starts, toks.ends)]
+
+
+def _reference_lex_outcome(text: str, source: str = "t.bull"):
+    try:
+        return [(t.kind, t.text, t.loc) for t in reference_tokenize(text, source)]
     except LexError as exc:
         return "LexError", exc.message, exc.loc
 
 
 def test_tokens_match_the_reference_on_corpus_and_growth_shapes():
     for name, text in _front_end_texts():
-        toks = _lex_outcome(tokenize, text, name)
+        toks = _lex_outcome(text, name)
         assert toks[-1][0] == "EOF"
-        assert toks == _lex_outcome(reference_tokenize, text, name)
+        assert toks == _reference_lex_outcome(text, name)
 
 
 # Fragments chosen to straddle every lexer state: nested and unterminated
@@ -443,7 +455,42 @@ _LEX_PIECES = ["(*", "*)", "(", ")", "*", '"', "\n", "\t", "\r", " ", "->", "-",
 @given(st.lists(st.sampled_from(_LEX_PIECES), max_size=40).map("".join)
        | st.text(max_size=40))
 def test_lexer_matches_the_reference_on_arbitrary_text(text):
-    assert _lex_outcome(tokenize, text) == _lex_outcome(reference_tokenize, text)
+    assert _lex_outcome(text) == _reference_lex_outcome(text)
+
+
+def _reports(text: str) -> list[tuple[str, str]]:
+    """For each token of `text`, and for each span from one token to the
+    next one, the error report at it and the reference report at the same
+    `(line, column)` location; the lexer's error when there is one."""
+    try:
+        toks = tokenize(text, "t.bull")
+    except LexError as exc:
+        (_, message, loc) = _reference_lex_outcome(text)
+        return [(render_error(text, exc), reference_render_error(text, message, loc))]
+    ref = reference_tokenize(text, "t.bull")
+    out = []
+    for i in range(len(toks)):
+        for j in range(i, min(i + 2, len(toks))):
+            err = TypeCheckError("m", span(toks.loc(i), toks.loc(j)))
+            loc = Location("t.bull", ref[i].loc.start, ref[j].loc.end)
+            out.append((render_error(text, err), reference_render_error(text, "m", loc)))
+    return out
+
+
+@pytest.mark.parametrize("text", [
+    "a\tb :\t\tc.", "a b\r\nc\r\n", "a\nb c", "f (x\n  y) z\n", "\ta\n\n\tb\r",
+    "(* c *)\tx\r\n\r\n", "x\n#", 'Load "p\n', "", "\n\n",
+])
+def test_error_reports_match_the_reference_on_tabs_crs_and_last_lines(text):
+    for report, expected in _reports(text):
+        assert report == expected
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(_LEX_PIECES), max_size=40).map("".join))
+def test_error_reports_match_the_reference_at_every_token(text):
+    for report, expected in _reports(text):
+        assert report == expected
 
 
 def test_fix_index_matches_the_reference_on_parsed_commands():
@@ -543,28 +590,77 @@ def test_every_name_of_a_binder_group_reads_the_type_outside_the_group():
     assert [t.domain, t.body.domain] == [Var(NOWHERE, 0), Var(NOWHERE, 0)]
 
 
-def test_the_lexer_and_span_build_locations_without_calling_python_code():
-    # `Location(...)` runs Python code; `tokenize` and `span` build the same
-    # tuples with `tuple.__new__`.
+def _python_calls(fn, *args) -> list[str]:
+    """The names of the Python functions that run during `fn(*args)`."""
     calls = []
     sys.setprofile(lambda frame, event, _arg: event == "call" and calls.append(
         frame.f_code.co_name))
     try:
-        toks = tokenize("Definition d :=\n  (* c *) fun x => x.", "t.bull")
-        loc = span(toks[0].loc, toks[-1].loc)
+        fn(*args)
     finally:
         sys.setprofile(None)
-    assert calls == ["tokenize", "span"]
-    assert loc == Location("t.bull", (1, 1), (2, 22)) and hash(loc) == hash(Location(*loc))
-    assert repr(loc) == "Location(source='t.bull', start=(1, 1), end=(2, 22))"
-    assert (loc.source, loc.start, loc.end) == ("t.bull", (1, 1), (2, 22))
+    return calls
+
+
+def test_the_lexer_makes_no_python_call_per_token():
+    # The columns are built by C-level calls (`split`, `accumulate`, `map`),
+    # so the Python code that runs does not grow with the text.
+    line = "a : (A -> B) & C.\n"  # ten tokens
+    assert len(tokenize(line)) == 11 and len(tokenize(line * 1000)) == 10_001
+    assert _python_calls(tokenize, line) == _python_calls(tokenize, line * 1000)
+
+
+def test_span_builds_a_location_without_calling_python_code():
+    # `Location(...)` runs Python code; `span` builds the tuple with
+    # `tuple.__new__`.
+    toks = tokenize("Definition d :=\n  (* c *) fun x => x.", "t.bull")
+    a, b = toks.loc(0), toks.loc(len(toks) - 2)
+    assert _python_calls(span, a, b) == ["span"]
+    loc = span(a, b)
+    assert loc == Location("t.bull", 0, 37) and hash(loc) == hash(Location(*loc))
+    assert repr(loc) == "Location(source='t.bull', start=0, end=37)"
+    assert (loc.source, loc.start, loc.end) == ("t.bull", 0, 37)
+
+
+class _SplitRecorder:
+    """Stands for the lexer's split pattern and records the length of every
+    string it is given."""
+
+    def __init__(self, pattern):
+        self.pattern, self.lengths = pattern, []
+
+    def split(self, text):
+        self.lengths.append(len(text))
+        return self.pattern.split(text)
+
+
+_COMMENTED_SCRIPTS = {
+    "a comment per line": "".join(f"Axiom a{i} : A. (* c{i} *)\n" for i in range(2000)),
+    "code after comments on one line": " ".join(f"(* c{i} *) a{i}" for i in range(2000)),
+    "an opener in a string": "".join(f'Load "a(*b". (* c *) x{i}\n' for i in range(2000)),
+    "nested comments": "".join(f"(* a (* b{i} *) (* *) c *) x\n" for i in range(2000)),
+    "an unterminated comment": "x (* c *) y\n" * 2000 + "z (* (* *) never closed",
+}
+
+
+@pytest.mark.parametrize("name", list(_COMMENTED_SCRIPTS))
+def test_lexing_stays_linear_in_the_text(monkeypatch, name):
+    text = _COMMENTED_SCRIPTS[name]
+    recorder = _SplitRecorder(parser_module._TOKEN)
+    monkeypatch.setattr(parser_module, "_TOKEN", recorder)
+    try:
+        outcome = _lex_outcome(text)
+    finally:
+        monkeypatch.undo()
+    assert outcome == _reference_lex_outcome(text)
+    assert text.count("(*") >= 2000 and sum(recorder.lengths) < 2 * len(text), name
 
 
 def test_an_unterminated_comment_is_located_at_its_opener_on_its_own_line():
     with pytest.raises(LexError) as info:
         tokenize("a\n(* x\ny\n", "t.bull")
     assert info.value.message == "unterminated comment"
-    assert (info.value.loc.start, info.value.loc.end) == ((2, 1), (2, 3))
+    assert (info.value.loc.start, info.value.loc.end) == (2, 4)  # (2, 1) to (2, 3)
 
 
 def test_fix_id_eta_expands_a_motive_that_is_not_an_abstraction():

@@ -311,7 +311,7 @@ def test_sort_decision_agrees_with_the_two_probe_reference():
         assert outcomes[name] == \
             force_type_outcome(reference_force_type, phi, ctx, t), name
     assert outcomes["non-type"] == ("TypeCheckError", 'the term "0" is not a type',
-                                    Location("<input>", (1, 1), (1, 2)))
+                                    Location("<input>", 0, 1))
     assert outcomes["term of a defined type"][1] == 'the term "b" is not a type'
     assert outcomes["Kind"][1] == "Kind itself has no type"
     assert outcomes["product out of Kind"][1] == \

@@ -254,7 +254,7 @@ def test_too_deep_is_reported_at_the_running_command_only():
 
 
 def test_error_report_marks_the_start_of_a_span_across_a_line_break():
-    err = TypeCheckError("boom", Location("<input>", (1, 5), (2, 3)))
+    err = TypeCheckError("boom", Location("<input>", 4, 12))  # from (1, 5) to (2, 3)
     assert render_error("abc defgh\nij kl.\n", err) == "abc defgh\n    ^\nError: boom"
 
 
@@ -427,12 +427,55 @@ def test_interrupt_rolls_back_the_whole_source_command(monkeypatch):
         return elaborate_type(*args)
 
     monkeypatch.setattr("proofun.repl.elaborate_type", elaborate_type_then_interrupt)
-    assert not run_source(s, "Axiom (b c : o).")
+    # Two groups: one group's names share one elaboration of its type.
+    assert not run_source(s, "Axiom (b : o) (c : o).")
     assert s.genv.names() == ["o", "a"]  # `b` was added, then rolled back
     assert s.err.getvalue().endswith("Error: interrupted\n")
     monkeypatch.undo()
-    assert run_source(s, "Axiom (b c : o).")
+    assert run_source(s, "Axiom (b : o) (c : o).")
     assert s.genv.names() == ["o", "a", "b", "c"]
+
+
+def _counting_elaborate_type(monkeypatch) -> list:
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return elaborate_type(*args)
+    monkeypatch.setattr("proofun.repl.elaborate_type", counting)
+    return calls
+
+
+def test_an_axiom_group_elaborates_its_shared_type_once(monkeypatch):
+    s = session()
+    calls = _counting_elaborate_type(monkeypatch)
+    assert run_source(s, "Axiom (o : Type).\nAxiom (a b c d e : o -> o) (f : o).")
+    assert len(calls) == 3
+    assert s.genv.names() == ["o", "a", "b", "c", "d", "e", "f"]
+    assert len({id(s.genv.lookup(name)) for name in "abcde"}) == 1
+    assert run_source(s, "Print e.") and s.out.getvalue() == "e : o -> o\n"
+
+
+def test_a_duplicate_name_in_an_axiom_group_rolls_back_the_group(monkeypatch):
+    s = session()
+    calls = _counting_elaborate_type(monkeypatch)
+    assert not run_source(s, "Axiom (a a : Type).")
+    assert len(calls) == 1 and s.genv.names() == []
+    assert s.err.getvalue() == (
+        'Axiom (a a : Type).\n^^^^^\nError: the name "a" is already defined\n')
+    assert run_source(s, "Axiom (o : Type).")
+    assert not run_source(s, "Axiom (a b : o) (b c : o -> o).")
+    assert s.genv.names() == ["o"]
+    assert s.err.getvalue().endswith(
+        'Axiom (a b : o) (b c : o -> o).\n^^^^^\nError: the name "b" is already defined\n')
+
+
+def test_an_axiom_group_whose_type_names_the_group_is_an_unknown_identifier():
+    s = session()
+    assert not run_source(s, "Axiom (x y : x).")
+    assert s.genv.names() == []
+    assert s.err.getvalue() == (
+        'Axiom (x y : x).\n             ^\nError: unknown identifier "x"\n')
 
 
 def test_cli_piped_stdin(tmp_path):
@@ -629,7 +672,8 @@ def test_run_source_and_parse_script_split_texts_into_the_same_commands(monkeypa
     from proofun.parser import parse_script
     for name, text in _front_end_texts():
         ran = []
-        monkeypatch.setattr("proofun.repl.exec_command", lambda _s, cmd: ran.append(cmd))
+        monkeypatch.setattr("proofun.repl.exec_command",
+                            lambda _s, cmd, _typed: ran.append(cmd))
         assert run_source(session(), text, name)
         parsed = [cmd for group in parse_script(text, name) for cmd in group]
         assert repr(ran) == repr(parsed), name
