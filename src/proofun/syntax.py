@@ -8,7 +8,8 @@ a head term plus the tuple of all arguments, leftmost argument first.
 
 Every node carries a `Location`.  Locations and binder names are hints:
 they are excluded from the generated `==` and `hash`, so `==` on terms is
-alpha-equivalence.
+alpha-equivalence.  `==` on a node with children walks both terms with an
+explicit stack, so it compares terms of any depth.
 
 Each node also stores four facts about itself: `loose`, one more than its
 largest free de Bruijn index (0 when it is closed), whether a meta-variable
@@ -19,8 +20,8 @@ node occurs, or an application `mk_app` would merge).  A term built only
 from sorts, variables, constants, products, applications, `&` and `|` is
 its own essence.  Its constructor computes the facts from its children's,
 a constant amount of work per child, so every node knows them from birth
-and each query takes constant time.  They live in the instance
-dictionary, not in a field, so `==`, `hash`, `repr` and `replace` ignore
+and each query takes constant time.  They live in `Term`'s slot
+`_facts`, not in a field, so `==`, `hash`, `repr` and `replace` ignore
 them.
 
 The layout of each node kind is declared once, by its annotated fields and
@@ -40,7 +41,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from enum import Enum
-from operator import is_
+from operator import attrgetter, is_
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from proofun.errors import InternalError
@@ -74,11 +75,21 @@ class SortKind(Enum):
     KIND = "Kind"
 
 
-class Term:
-    """Base class for all nodes; see the node kinds below.  Each kind is a
-    frozen record (see `record`) whose fields are its annotations."""
+class _Slotted(type):
+    """The metaclass of `Term`: a class gets one slot per field its own
+    annotations declare, so a node has no instance dictionary and reading
+    a field is a specialised load."""
 
-    __slots__ = ()
+    def __new__(mcs, name: str, bases: tuple[type, ...], namespace: dict) -> type:
+        namespace["__slots__"] = tuple(namespace.get("__annotations__", ()))
+        return super().__new__(mcs, name, bases, namespace)
+
+
+class Term(metaclass=_Slotted):
+    """Base class for all nodes; see the node kinds below.  Each kind is a
+    frozen record (see `record`) whose fields are its annotations, each a
+    slot."""
+
     # The facts of the node, `8 * loose + 4 * changes_essence +
     # 2 * contains_underscore + contains_meta`, set by its constructor (see
     # `_constructor`).
@@ -252,27 +263,43 @@ def _repr(self: object) -> str:
 
 def record(cls: type, hints: Sequence[str] = ()) -> type:
     """Make `cls` a frozen record of the fields its own annotations declare,
-    in order, with the methods a frozen dataclass would get: `==` and
-    `hash` over the fields not in `hints`, compiled by one `exec` with the
-    code a dataclass emits (they are hot: unification and subtyping compare
-    terms); `__match_args__`; a `repr` of every field; a guard that makes
-    assigning a field an `AttributeError`; and, unless `cls` has its own,
-    an `__init__` whose defaults are the fields' class attributes."""
+    in order, with the methods a frozen dataclass would get: `hash` and,
+    unless `cls` has its own, `==` over the fields not in `hints`, compiled
+    by one `exec` with the code a dataclass emits (they are hot:
+    unification and subtyping compare terms); `__match_args__`; a `repr` of
+    every field; a guard that makes assigning a field an `AttributeError`;
+    and, unless `cls` has its own, an `__init__` whose defaults are the
+    fields' class attributes.
+
+    Each field is a slot, so an instance has no dictionary.  A node kind
+    has its slots from `Term`'s metaclass; any other class is rebuilt with
+    them, as `dataclass(slots=True)` does, so use the class this returns.
+    The generated `__init__` stores each field through its slot's
+    descriptor, past the guard."""
     names = tuple(cls.__dict__["__annotations__"])
+    defaults = tuple(cls.__dict__[n] for n in names if n in cls.__dict__)
+    if not issubclass(cls, Term):
+        namespace = {k: v for k, v in cls.__dict__.items()
+                     if k not in names and k not in ("__dict__", "__weakref__")}
+        cls = type(cls.__name__, cls.__bases__,
+                   {**namespace, "__slots__": names, "__qualname__": cls.__qualname__})
     mine = "".join(f"self.{n}," for n in names if n not in hints)
-    source = (f"def __eq__(self, other):\n    if other.__class__ is self.__class__:\n"
-              f"        return ({mine}) == ({mine.replace('self.', 'other.')})\n"
-              f"    return NotImplemented\ndef __hash__(self):\n    return hash(({mine}))\n")
+    source = f"def __hash__(self):\n    return hash(({mine}))\n"
+    if "__eq__" not in cls.__dict__:
+        source += (f"def __eq__(self, other):\n    if other.__class__ is self.__class__:\n"
+                   f"        return ({mine}) == ({mine.replace('self.', 'other.')})\n"
+                   f"    return NotImplemented\n")
     if "__init__" not in cls.__dict__:
-        source += "".join([f"def __init__(self, {', '.join(names)}):\n    d = self.__dict__\n",
-                           *(f"    d[{n!r}] = {n}\n" for n in names)])
+        source += "".join([f"def __init__(self, {', '.join(names)}):\n",
+                           *(f"    set_{n}(self, {n})\n" for n in names)])
     methods: dict[str, Callable[..., object]] = {}
-    exec(compile(source, f"<{cls.__name__}>", "exec"), {}, methods)
+    setters = {f"set_{n}": cls.__dict__[n].__set__ for n in names}
+    exec(compile(source, f"<{cls.__name__}>", "exec"), setters, methods)
     for name, method in methods.items():
         method.__qualname__ = f"{cls.__name__}.{name}"
         setattr(cls, name, method)
     if "__init__" in methods:
-        cls.__init__.__defaults__ = tuple(cls.__dict__[n] for n in names if n in cls.__dict__)
+        cls.__init__.__defaults__ = defaults
     cls.__match_args__, cls.__repr__ = names, _repr
     cls.__setattr__ = cls.__delattr__ = _frozen
     return cls
@@ -284,15 +311,16 @@ def replace(obj: object, **changes: object) -> object:
 
 
 def _constructor(cls: type) -> Callable[..., None]:
-    """The `__init__` of node kind `cls`.  It stores the fields in the
-    instance dictionary (past `record`'s frozen guard) and sets `_facts`
-    from the children's facts in a constant number of steps per child; a
-    child under a binder counts with its loose range lowered by one."""
+    """The `__init__` of node kind `cls`.  It stores the fields through
+    their slots' descriptors (past `record`'s frozen guard) and sets
+    `_facts` from the children's facts in a constant number of steps per
+    child; a child under a binder counts with its loose range lowered by
+    one."""
     under = _UNDER_BINDER.get(cls, ())
     fields = cls.__dict__["__annotations__"]
     names = list(fields)
     own = int(cls is Meta) + 2 * int(cls is Underscore) + 4 * int(cls in _ESSENCE_CHANGING)
-    lines = ["d = self.__dict__", *(f"d[{n!r}] = {n}" for n in names),
+    lines = [*(f"set_{n}(self, {n})" for n in names),
              "f = 8 * index + 8" if cls is Var else
              "f = 4 if type(head) is App or not spine else 0" if cls is App else
              f"f = {own}"]
@@ -304,9 +332,10 @@ def _constructor(cls: type) -> Callable[..., None]:
             lines.append(_JOIN)
         elif kind == "tuple[Term, ...]":
             lines += [f"for c in {name}:", f"    x = c._facts; {_JOIN}"]
-    lines.append("d['_facts'] = f")
+    lines.append("set__facts(self, f)")
     source = f"def __init__(self, {', '.join(names)}):\n" + "".join(f"    {line}\n" for line in lines)
-    namespace: dict[str, Callable[..., None] | type] = {"App": App}
+    namespace: dict[str, Callable[..., None] | type] = {
+        "App": App, **{f"set_{n}": getattr(cls, n).__set__ for n in (*names, "_facts")}}
     exec(compile(source, f"<{cls.__name__}.__init__>", "exec"), namespace)
     init = namespace["__init__"]
     init.__qualname__ = f"{cls.__name__}.__init__"
@@ -345,10 +374,49 @@ def _layout(cls: type) -> tuple[Callable[..., tuple], Callable[..., tuple],
 _CHILDREN: dict[type, Callable[[Term], tuple[Term, ...]]] = {}
 _BINDERS: dict[type, Callable[[Term], tuple[tuple[str, Term] | None, ...]]] = {}
 _REBUILD: dict[type, Callable[[Term, Sequence[Term]], Term]] = {}
+# For each node kind with children, a reader of its data (the fields that
+# are neither a child nor a hint, as `attrgetter`), or None when it has none.
+_DATA: dict[type, Callable[[Term], object] | None] = {}
+
+
+def _tree_eq(self: Term, other: object) -> bool:
+    """`==` of a node kind with children: the same kind, equal data and
+    equal children, hints skipped, walked with an explicit stack so that it
+    takes no Python frame per nesting level.  A leaf is compared by the
+    `==` that `record` generates for it."""
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    todo = [(self, other)]
+    while todo:
+        a, b = todo.pop()
+        if a is b:
+            continue
+        kind = type(a)
+        if type(b) is not kind:
+            return False
+        if kind not in _DATA:
+            if not a == b:
+                return False
+            continue
+        data = _DATA[kind]
+        if data is not None and data(a) != data(b):
+            return False
+        kids_a, kids_b = _CHILDREN[kind](a), _CHILDREN[kind](b)
+        if len(kids_a) != len(kids_b):
+            return False
+        todo += zip(kids_a, kids_b)
+    return True
+
 
 for _kind in Term.__subclasses__():
+    _hints = ("loc", *(name for name, _ in _UNDER_BINDER.get(_kind, {}).values()))
+    _fields = _kind.__dict__["__annotations__"]
+    if any("Term" in kind for kind in _fields.values()):
+        _data = [name for name, kind in _fields.items() if name not in _hints and "Term" not in kind]
+        _DATA[_kind] = attrgetter(*_data) if _data else None
+        _kind.__eq__ = _tree_eq
     _kind.__init__ = _constructor(_kind)
-    record(_kind, ("loc", *(name for name, _ in _UNDER_BINDER.get(_kind, {}).values())))
+    record(_kind, _hints)
     _CHILDREN[_kind], _BINDERS[_kind], _REBUILD[_kind] = _layout(_kind)
 
 

@@ -607,6 +607,17 @@ def test_compute_prints_a_normal_form_500_applications_deep():
                          + "f (" * 499 + "f x" + ")" * 499 + "\n")
 
 
+def test_a_definition_checked_against_its_own_type_450_applications_deep():
+    # `unify` first tests the annotation and the inferred type with `!=`,
+    # which walks them with an explicit stack, not a frame per level.
+    spine = "f (" * 449 + "f a" + ")" * 449
+    s = session()
+    script = ("Axiom (A : Type) (f : A -> A) (a : A) (P : A -> Type).\n"
+              f"Axiom p : P ({spine}).\nDefinition d : P ({spine}) := p.\n")
+    assert run_source(s, script), s.err.getvalue()
+    assert "d" in s.genv
+
+
 def test_show_term_reports_excessive_depth_as_a_prover_error():
     from proofun.errors import ProverError
     from proofun.pretty import show_term

@@ -7,8 +7,8 @@ import random
 
 import pytest
 
-from proofun import syntax
-from proofun.env import GlobalEnv, LocalEnv, MetaEnv, TypedMeta
+from proofun import env, parser, syntax
+from proofun.env import ConstInfo, Decl, EssMeta, GlobalEnv, LocalEnv, MetaEnv, SortMeta, TypedMeta
 from proofun.errors import InternalError
 from proofun.normalize import delta_phi_expand, zonk
 from proofun.parser import fix_index, parse_script, parse_term
@@ -299,6 +299,37 @@ def test_nodes_are_frozen():
                 assert getattr(s, name) is before
 
 
+# A value of each field annotation of the node kinds, to build one of each.
+_SAMPLES = {"Location": L, "str": "x", "int": 0, "SortKind": SortKind.TYPE,
+            "Term": _c("a"), "tuple[Term, ...]": (_c("a"),)}
+
+
+def test_nodes_and_records_have_one_slot_per_field_and_no_dictionary():
+    classes = [cls for module in (syntax, env, parser) for cls in vars(module).values()
+               if isinstance(cls, type) and cls.__module__ == module.__name__
+               and cls.__setattr__ is syntax._frozen]
+    assert set(Term.__subclasses__()) < set(classes)
+    assert {"Decl", "LocalEnv", "ConstInfo", "SortMeta", "TypedMeta", "EssMeta", "Tokens",
+            "Help", "Load", "Axiom", "Definition", "Print", "Printall", "Compute",
+            "Quit"} == {cls.__name__ for cls in classes if not issubclass(cls, Term)}
+    assert Term.__slots__ == ("_facts",)
+    for cls in classes:
+        fields = cls.__dict__["__annotations__"]
+        assert cls.__slots__ == tuple(fields) == cls.__match_args__, cls
+        obj = cls(*(_SAMPLES.get(kind) for kind in fields.values()))  # None for a record
+        assert not hasattr(obj, "__dict__"), cls
+        for name in (*fields, "extra"):
+            with pytest.raises(AttributeError):
+                setattr(obj, name, None)
+        with pytest.raises(AttributeError):
+            object.__setattr__(obj, "extra", None)
+    a = _c("a")
+    assert Decl("x", a).body is None and LocalEnv().entries == ()
+    assert ConstInfo(a, a).essence is None and ConstInfo(a, a).body is None
+    assert SortMeta().value is None and TypedMeta(LocalEnv(), a).value is None
+    assert EssMeta(LocalEnv()).value is None
+
+
 def _layout_subterms():
     """Every subterm of the corpus (parsed, indexed and elaborated), of
     random well-typed terms and of random terms over every node kind."""
@@ -312,8 +343,8 @@ def _layout_subterms():
                     roots += [t, fix_index(t)]
         session = Session(quiet=True, out=io.StringIO(), err=io.StringIO())
         assert load_file(session, corpus_path(name)), session.err.getvalue()
-        roots += [part for _const, info in session.genv.items()
-                  for part in vars(info).values() if part is not None]
+        roots += [getattr(info, n) for _const, info in session.genv.items()
+                  for n in info.__match_args__ if getattr(info, n) is not None]
     rng = random.Random(47)
     roots += [random_refined_term(rng)[0] for _ in range(100)]
     roots += [_random_term(rng) for _ in range(200)]
@@ -431,6 +462,19 @@ def test_term_eq_distinguishes_indices_and_constants():
     assert Var(L, 0) != Var(L, 1)
     assert Const(L, "a") != Const(L, "b")
     assert Var(L, 0) != Const(L, "a")
+
+
+def test_term_eq_takes_no_frame_per_nesting_level():
+    def chain(depth, leaf):
+        t = leaf
+        for i in range(depth):
+            t = App(L, _c("f"), (t,)) if i % 2 else Prod(L, "x", _c("A"), t)
+        return Meta(L, 0, (t,))
+
+    deep = chain(20_000, Var(L, 0))
+    assert deep == chain(20_000, Var(L, 0)) and not deep != chain(20_000, Var(L, 0))
+    assert deep != chain(20_000, Var(L, 1)) and deep != chain(20_001, Var(L, 0))
+    assert Meta(L, 0, ()) != Meta(L, 1, ()) and Meta(L, 0, ()) != Meta(L, 0, (_c("a"),))
 
 
 def test_term_eq_equivalence_relation_on_triples():
@@ -619,7 +663,7 @@ def test_facts_of_every_subterm_match_the_reference():
         session = Session(quiet=True, out=io.StringIO(), err=io.StringIO())
         assert load_file(session, corpus_path(name)), session.err.getvalue()
         for _const, info in session.genv.items():
-            for part in vars(info).values():
+            for part in (getattr(info, n) for n in info.__match_args__):
                 if part is not None:  # an axiom has no essence and no body
                     _assert_facts_match(part)
                     parts += 1
@@ -684,7 +728,8 @@ def test_cache_leaves_eq_hash_repr_and_fields_alone():
         assert "_facts" not in type(t).__match_args__
         copy = _rebuild(t)
         _assert_facts_match(copy)
-        vars(copy)["_facts"] ^= 1  # facts that disagree change none of them
+        # facts that disagree change none of them
+        object.__setattr__(copy, "_facts", copy._facts ^ 1)
         assert (copy == t, hash(copy), repr(copy)) == (True, hash(t), repr(t))
 
 
