@@ -60,12 +60,15 @@ class CommandError(ProverError):
     """REPL-level failure: unknown name, duplicate name, unreadable file."""
 
 
+class FuelExhausted(ProverError):
+    """A normalization ran out of its step budget (`normalize.DEFAULT_FUEL`
+    steps).  A well-typed term can need more, so this is a reported limit
+    like the nesting depth (`TOO_DEEP`), not a broken invariant."""
+
+
 class InternalError(Exception):
-    """A broken internal invariant; never raised on well-formed user input."""
-
-
-class FuelExhausted(InternalError):
-    """Normalization step budget ran out (ill-typed internal term)."""
+    """A broken internal invariant; never raised on well-formed user input.
+    Resource limits are `ProverError`s: `FuelExhausted` and `TOO_DEEP`."""
 
 
 def too_deep_as_error(fn: Callable[_P, _R]) -> Callable[_P, _R]:

@@ -42,18 +42,6 @@ from proofun.syntax import (
 DEFAULT_FUEL = 1_000_000
 
 
-class _Fuel:
-    __slots__ = ("left",)
-
-    def __init__(self, left: int):
-        self.left = left
-
-    def tick(self) -> None:
-        self.left -= 1
-        if self.left < 0:
-            raise FuelExhausted("normalization did not terminate within the step budget")
-
-
 # Node kinds whose root is never a redex: `whnf` hands them back untouched.
 _INERT = frozenset({Prod, Abs, Inter, Union, Sort, SPair, SInLeft, SInRight,
                     Coercion, Underscore})
@@ -91,8 +79,8 @@ def delta_phi_expand(phi: MetaEnv, m: Meta) -> Term | None:
 
 
 def strongly_normalize(genv: GlobalEnv, ctx: LocalEnv, t: Term, is_essence: bool = False) -> Term:
-    """Normal form of a meta-free term.  Non-termination is out of contract
-    for ill-typed input; the fuel budget turns it into a reported error."""
+    """Normal form of a meta-free term.  A term that does not normalize
+    within the fuel budget raises `FuelExhausted`."""
     if contains_meta(t):
         raise InternalError("strongly_normalize: input contains a meta-variable")
     if not is_essence and contains_underscore(t):
@@ -176,17 +164,24 @@ _CLOSED_OVER = _INERT - {Sort, Underscore}
 
 class _Machine:
     """What one normalization call shares: the meta-environment (and
-    through it the signature), the local context, the side, one fuel
-    budget, and the thunks of the global definitions and context entries
-    used, each made once per call."""
+    through it the signature), the local context, the side, the steps left
+    of its fuel budget (`DEFAULT_FUEL` at the start), and the thunks of the
+    global definitions and context entries used, each made once per call.
+    Running out of fuel raises `FuelExhausted`, a `ProverError`."""
 
-    __slots__ = ("phi", "ctx", "is_essence", "tick", "consts", "entries")
+    __slots__ = ("phi", "ctx", "is_essence", "fuel", "consts", "entries")
 
     def __init__(self, phi: MetaEnv, ctx: LocalEnv, is_essence: bool):
         self.phi, self.ctx, self.is_essence = phi, ctx, is_essence
-        self.tick = _Fuel(DEFAULT_FUEL).tick
+        self.fuel = DEFAULT_FUEL
         self.consts: dict[str, _Thunk | None] = {}
         self.entries: dict[int, _Thunk] = {}
+
+    def tick(self) -> None:
+        """Spend one step of the budget."""
+        self.fuel -= 1
+        if self.fuel < 0:
+            raise FuelExhausted("normalization did not terminate within the step budget")
 
     def const(self, name: str) -> _Thunk | None:
         """The thunk of a definition's body; None for an axiom or an unbound

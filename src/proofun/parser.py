@@ -66,15 +66,19 @@ _OPERATORS = {text: kind for kind, text in _KIND_NAMES.items() if kind not in ("
 # The kind of each operator, keyword and `_`; any other word is an `ID`.
 _KINDS = {**_OPERATORS, **dict.fromkeys(KEYWORDS, "KW"), "_": "UNDERSCORE"}
 
-# One alternative per token shape, tried in order: a comment opener before
-# `(`, each two-character operator before its one-character prefix.  Split
-# by it, a text alternates between gaps, which must be blank, and tokens.
+# One alternative per token shape, tried in order: each two-character
+# operator before its one-character prefix.  Split by it, a text alternates
+# between gaps, which must be blank, and tokens.
+_STRING = r'"[^"\n]*"'
 _TOKEN = re.compile("(" + "|".join((
-    r"\(\*", r'"[^"\n]*"', "[" + re.escape("".join(sorted(_IDCHARS))) + "]+",
+    _STRING, "[" + re.escape("".join(sorted(_IDCHARS))) + "]+",
     *map(re.escape, sorted(_OPERATORS, key=len, reverse=True)),
 )) + ")")
 # The longest prefix of blanks and tokens: it ends at a bad character.
 _TILED = re.compile(r"(?:[ \t\r\n]|" + _TOKEN.pattern + ")*")
+# A complete string or a comment opener: the first opener it finds that is
+# not a string's opens a comment.
+_OPENER = re.compile(_STRING + r"|\(\*")
 _NESTING = re.compile(r"\(\*|\*\)")
 
 
@@ -98,47 +102,43 @@ class Tokens:
 
 def tokenize(text: str, source: str = "<input>") -> Tokens:
     """The tokens of `text`, ending with an `EOF` token.  Each stretch up to
-    the next comment opener is split by `_TOKEN` in one call, its offsets
-    summed by `accumulate`; the comment's end is found by counting nesting.
-    An opener may sit in a string: a stretch with a gap that is not blank is
-    split again up to the end of the opener's line (no token spans a line)."""
+    the next comment opener outside a string is split by `_TOKEN` in one
+    call, its offsets summed by `accumulate`; the comment's end is found by
+    counting nesting."""
     kinds, texts, starts, ends = [], [], [], []  # the columns of `Tokens`
     pos, size = 0, len(text)
     while pos < size:
-        opener = text.find("(*", pos)
-        stop = size if opener < 0 else opener + 2
-        while True:
-            chunk = text[pos:stop]
-            pieces = _TOKEN.split(chunk)
-            words = pieces[1::2]
-            cut = words.index("(*") if "(*" in words else len(words)
-            if not "".join(pieces[:2 * cut + 1:2]).strip(" \t\r\n"):
+        stop = size
+        for opener in _OPENER.finditer(text, pos):
+            if opener.group() == "(*":
+                stop = opener.start()
                 break
-            line_end = opener >= 0 and text.find("\n", opener) + 1 or size
-            if stop == line_end:
-                at = pos + _TILED.match(chunk).end()
-                raise LexError("unterminated string" if text[at] == '"' else
-                               f'unexpected character "{text[at]}"', Location(source, at, at + 1))
-            stop = line_end
-        bounds = list(accumulate(map(len, pieces[:2 * cut + 1]), initial=pos))
-        kinds += map(_KINDS.get, words[:cut], repeat("ID"))
-        texts += words[:cut]
+        chunk = text[pos:stop]
+        pieces = _TOKEN.split(chunk)
+        if "".join(pieces[::2]).strip(" \t\r\n"):
+            at = pos + _TILED.match(chunk).end()
+            raise LexError("unterminated string" if text[at] == '"' else
+                           f'unexpected character "{text[at]}"', Location(source, at, at + 1))
+        words = pieces[1::2]
+        bounds = list(accumulate(map(len, pieces), initial=pos))
+        kinds += map(_KINDS.get, words, repeat("ID"))
+        texts += words
         starts += bounds[1:-1:2]
         ends += bounds[2::2]
         if '"' in chunk:  # a string's kind, and its text without the quotes
-            for i in range(len(texts) - cut, len(texts)):
+            for i in range(len(texts) - len(words), len(texts)):
                 if texts[i][0] == '"':
                     kinds[i], texts[i] = "STRING", texts[i][1:-1]
-        pos = stop
-        if cut < len(words):  # a comment, which ends where its nesting does
-            depth, opener = 1, bounds[-1]
-            for nest in _NESTING.finditer(text, opener + 2):
-                depth += 1 if nest.group() == "(*" else -1
-                if not depth:
-                    break
-            if depth:
-                raise LexError(UNTERMINATED_COMMENT, Location(source, opener, opener + 2))
-            pos = nest.end()
+        if stop == size:
+            break
+        depth = 1  # a comment, which ends where its nesting does
+        for nest in _NESTING.finditer(text, stop + 2):
+            depth += 1 if nest.group() == "(*" else -1
+            if not depth:
+                break
+        if depth:
+            raise LexError(UNTERMINATED_COMMENT, Location(source, stop, stop + 2))
+        pos = nest.end()
     return Tokens(source, kinds + ["EOF"], texts + [""], starts + [size], ends + [size])
 
 
@@ -296,19 +296,24 @@ class _Parser:
             self.expect("DARROW" if word == "fun" else "COMMA")
             body = self.unbind(len(args), self.term())
             return self.fold(Abs if word == "fun" else Prod, loc, args, body)
-        # let ID [args] [: T] := t1 in t2
-        name = self.ident()
-        args = self.args() if self.args_ahead() else []
-        annot: Term = Underscore(loc)
-        if self.at("COLON"):
-            self.next()
-            annot = self.fold(Prod, loc, args, self.term())
-        self.expect("COLONEQ")
-        bound = self.fold(Abs, loc, args, self.unbind(len(args), self.term()))
+        name, annot, bound = self.defined(loc)  # let ID [args] [: T] := t1 in t2
         self.expect("KW", "in")
         self.bind(name)
         body = self.unbind(1, self.term())
-        return Let(span(loc, body.loc), name, annot, bound, body)
+        return Let(span(loc, body.loc), name,
+                   Underscore(loc) if annot is None else annot, bound, body)
+
+    def defined(self, loc: Location) -> tuple[str, Term | None, Term]:
+        """`ID [args] [: T] := t`: the name, its type (None when absent) and
+        its body, each under one binder per argument."""
+        name = self.ident()
+        args = self.args() if self.args_ahead() else []
+        ty = None
+        if self.at("COLON"):
+            self.next()
+            ty = self.fold(Prod, loc, args, self.term())
+        self.expect("COLONEQ")
+        return name, ty, self.fold(Abs, loc, args, self.unbind(len(args), self.term()))
 
     def fold(self, node: type[Abs] | type[Prod], loc: Location,
              args: list[tuple[str, Term]], body: Term) -> Term:
@@ -336,14 +341,7 @@ class _Parser:
                 self.bind(self.texts[i])
                 bare_run += 1
             elif self.at("LPAREN") and self.kinds[self.pos + 1] == "ID":
-                self.next()
-                names = [self.ident()]
-                while self.at("ID"):
-                    names.append(self.ident())
-                self.expect("COLON")
-                annot = self.term()
-                self.expect("RPAREN")
-                self.group(out, names, annot)
+                self.group(out, *self.typed_names())
                 bare_run = 0
             else:
                 break
@@ -355,6 +353,17 @@ class _Parser:
             self.unbind(bare_run)
             self.group(out, [n for n, _ in run], self.term())
         return out
+
+    def typed_names(self) -> tuple[list[str], Term]:
+        """`( ID+ : T )`: the names and their one type."""
+        self.expect("LPAREN")
+        names = [self.ident()]
+        while self.at("ID"):
+            names.append(self.ident())
+        self.expect("COLON")
+        annot = self.term()
+        self.expect("RPAREN")
+        return names, annot
 
     def group(self, out: list[tuple[str, Term]], names: list[str], annot: Term) -> None:
         """Bind `names` in turn, each typed `annot` lifted past the earlier ones."""
@@ -460,13 +469,7 @@ class _Parser:
             return [Axiom(loc, name, ty)]
         out: list[Command] = []
         while self.at("LPAREN"):
-            self.next()
-            names = [self.ident()]
-            while self.at("ID"):
-                names.append(self.ident())
-            self.expect("COLON")
-            ty = self.term()
-            self.expect("RPAREN")
+            names, ty = self.typed_names()
             out.extend(Axiom(loc, n, ty) for n in names)
         if not out:
             raise ParseError("expected a name or a parenthesized group", self.loc(self.pos))
@@ -474,14 +477,7 @@ class _Parser:
         return out
 
     def definition(self, loc: Location) -> list[Command]:
-        name = self.ident()
-        args = self.args() if self.args_ahead() else []
-        ty: Term | None = None
-        if self.at("COLON"):
-            self.next()
-            ty = self.fold(Prod, loc, args, self.term())
-        self.expect("COLONEQ")
-        body = self.fold(Abs, loc, args, self.unbind(len(args), self.term()))
+        name, ty, body = self.defined(loc)
         self.expect("DOT")
         return [Definition(loc, name, ty, body)]
 

@@ -20,9 +20,7 @@ import sys
 from typing import IO
 
 from proofun.env import ConstInfo, GlobalEnv, LocalEnv
-from proofun.errors import (
-    CommandError, FuelExhausted, LexError, ParseError, ProverError, TOO_DEEP,
-)
+from proofun.errors import CommandError, LexError, ParseError, ProverError, TOO_DEEP
 from proofun.normalize import strongly_normalize
 from proofun.parser import (
     Axiom, Command, Compute, Definition, Help, Load, Print, Printall, Quit,
@@ -128,8 +126,9 @@ class _LoadFailed(Exception):
 def run_source(session: Session, text: str, source: str = "<input>") -> bool:
     """Run a whole command stream; each source command is atomic.  Returns
     False as soon as one command fails (the remainder is not run).  An
-    error with no location of its own, a resource limit and an interruption
-    (Ctrl-C) are reported at the running command."""
+    error with no location of its own (running out of fuel is one), the
+    nesting limit and an interruption (Ctrl-C) are reported at the running
+    command."""
     mark = loc = None  # the signature before this source command; the running command's place
     try:
         toks = tokenize(text, source)
@@ -148,8 +147,6 @@ def run_source(session: Session, text: str, source: str = "<input>") -> bool:
         failure = error
     except RecursionError:
         failure = ProverError(TOO_DEEP)
-    except FuelExhausted as exhausted:
-        failure = ProverError(str(exhausted))
     except KeyboardInterrupt:
         failure = ProverError("interrupted")
     if failure.loc is None:

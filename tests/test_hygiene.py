@@ -202,3 +202,22 @@ def test_node_kinds_are_told_apart_by_their_exact_type():
             if any(getattr(n, "id", getattr(n, "attr", None)) in kinds for n in ast.walk(named)):
                 found.append(f"{name}:{node.lineno}")
     assert found == []
+
+
+def test_a_resource_limit_has_no_handler_of_its_own():
+    # Running out of fuel is a `ProverError` and the nesting limit becomes
+    # one, so `run_source` reports either through its `ProverError` path:
+    # at the running command, with the command rolled back.  No error class
+    # is an `InternalError`, the broken invariant that well-formed input
+    # never raises.
+    from proofun import errors
+    tree = _parse(ROOT / "src" / "proofun" / "repl.py")
+    run_source = next(node for node in tree.body
+                      if isinstance(node, ast.FunctionDef) and node.name == "run_source")
+    handled = [ast.unparse(node.type) for node in ast.walk(run_source)
+               if isinstance(node, ast.ExceptHandler)]
+    assert sorted(handled) == ["KeyboardInterrupt", "ProverError", "RecursionError", "_LoadFailed"]
+    internal = [name for name, value in vars(errors).items()
+                if isinstance(value, type) and issubclass(value, errors.InternalError)
+                and value is not errors.InternalError]
+    assert internal == []

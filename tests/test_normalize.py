@@ -11,14 +11,15 @@ import pytest
 
 from proofun import normalize
 from proofun.env import Decl, EssMeta, GlobalEnv, LocalEnv, MetaEnv, SortMeta, TypedMeta
-from proofun.errors import FuelExhausted, InternalError
+from proofun.errors import FuelExhausted, InternalError, ProverError
 from proofun.normalize import (
     delta_phi_expand, is_eta, normalize_meta, strongly_normalize, whnf, zonk,
 )
 from proofun.parser import fix_id, fix_index, parse_term
 from proofun.pretty import show_term
-from proofun.refine import elaborate
+from proofun.refine import elaborate, elaborate_type
 from proofun.repl import Session, load_file
+from proofun.subtype import is_subtype
 from proofun.syntax import (
     Abs, App, Const, Let, Meta, NOWHERE, Prod, SInLeft, SInRight, SMatch, SPair,
     SPrLeft, SPrRight, Term, Underscore, Var, contains_meta, erase_context, lift,
@@ -180,6 +181,34 @@ def test_fuel_exhaustion_reports_instead_of_hanging(monkeypatch):
     monkeypatch.setattr(normalize, "DEFAULT_FUEL", 5000)
     with pytest.raises(FuelExhausted):
         strongly_normalize(GlobalEnv(), LocalEnv(), omega)
+
+
+def _identity_tower_genv() -> GlobalEnv:
+    genv = GlobalEnv()
+    for name, ty in [("A", "Type"), ("P", "A -> Type"), ("a", "A"), ("p", "P a")]:
+        axiom(genv, name, ty)
+    define(genv, "i", "fun (x : A) => x")
+    return genv
+
+
+_TOWER = "P (i (i (i a)))"  # is `P a` after three unfoldings of `i`
+
+
+@pytest.mark.parametrize("entry", [
+    lambda genv: elaborate(genv, P("p"), P(_TOWER)),
+    lambda genv: elaborate_type(genv, P(f"(fun (z : {_TOWER}) => A) p")),
+    lambda genv: is_subtype(genv, LocalEnv(), P("P a"), P(_TOWER)),
+    lambda genv: strongly_normalize(genv, LocalEnv(), P(_TOWER)),
+    lambda genv: whnf(MetaEnv(genv), LocalEnv(), P("i (i (i a))")),
+], ids=["elaborate", "elaborate_type", "is_subtype", "strongly_normalize", "whnf"])
+def test_running_out_of_fuel_on_well_typed_input_is_a_prover_error(monkeypatch, entry):
+    genv = _identity_tower_genv()
+    entry(genv)  # well-typed: it succeeds on the full budget
+    monkeypatch.setattr(normalize, "DEFAULT_FUEL", 2)
+    with pytest.raises(FuelExhausted) as info:
+        entry(genv)
+    assert isinstance(info.value, ProverError) and not isinstance(info.value, InternalError)
+    assert info.value.message == "normalization did not terminate within the step budget"
 
 
 def test_discarded_arguments_are_never_normalized():
@@ -517,19 +546,18 @@ def test_local_definitions_in_the_context_unfold():
 
 def test_a_duplicated_argument_is_evaluated_once(monkeypatch):
     # call-by-need: `y` occurs twice, but its 20 redexes are contracted once
-    budgets = []
+    machines = []
 
-    class RecordedFuel(normalize._Fuel):
-        def __init__(self, left: int):
-            super().__init__(left)
-            budgets.append((left, self))
+    class RecordedMachine(normalize._Machine):
+        def __init__(self, *args):
+            super().__init__(*args)
+            machines.append(self)
 
-    monkeypatch.setattr(normalize, "_Fuel", RecordedFuel)
+    monkeypatch.setattr(normalize, "_Machine", RecordedMachine)
 
     def steps(src: str) -> int:
         assert nf(make_test_genv(), P(src)) == P("h a a")
-        start, fuel = budgets[-1]
-        return start - fuel.left
+        return normalize.DEFAULT_FUEL - machines[-1].fuel
 
     e = "a"
     for _ in range(20):

@@ -640,11 +640,7 @@ def doubling_script(k: int) -> str:
 
 
 def test_fuel_exhaustion_is_a_located_error(tmp_path, monkeypatch, capsys):
-    class SmallFuel(normalize._Fuel):
-        def __init__(self, left: int):
-            super().__init__(min(left, 2000))
-
-    monkeypatch.setattr(normalize, "_Fuel", SmallFuel)
+    monkeypatch.setattr(normalize, "DEFAULT_FUEL", 2000)
     s = session()
     assert run_source(s, doubling_script(10)), s.err.getvalue()
     names = s.genv.names()
