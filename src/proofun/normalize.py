@@ -31,12 +31,12 @@ from operator import is_
 from typing import TypeAlias
 
 from proofun.env import GlobalEnv, LocalEnv, MetaEnv, SortMeta
-from proofun.errors import FuelExhausted, InternalError
+from proofun.errors import FuelExhausted, InternalError, too_deep_as_error
 from proofun.syntax import (
     NOWHERE, Abs, App, Coercion, Const, Inter, Let, Location, Meta, Prod, SInLeft,
     SInRight, SMatch, SPair, SPrLeft, SPrRight, Sort, Term, Underscore, Union, Var,
     children, contains_meta, contains_underscore, free_in, lift, map_term, mk_app,
-    msubst, replace, visit_term,
+    msubst, rebuild, replace,
 )
 
 DEFAULT_FUEL = 1_000_000
@@ -78,9 +78,11 @@ def delta_phi_expand(phi: MetaEnv, m: Meta) -> Term | None:
     return msubst(value, m.susp)
 
 
+@too_deep_as_error
 def strongly_normalize(genv: GlobalEnv, ctx: LocalEnv, t: Term, is_essence: bool = False) -> Term:
     """Normal form of a meta-free term.  A term that does not normalize
-    within the fuel budget raises `FuelExhausted`."""
+    within the fuel budget raises `FuelExhausted`; one nested too deeply
+    raises a `ProverError` (`errors.TOO_DEEP`)."""
     if contains_meta(t):
         raise InternalError("strongly_normalize: input contains a meta-variable")
     if not is_essence and contains_underscore(t):
@@ -90,7 +92,9 @@ def strongly_normalize(genv: GlobalEnv, ctx: LocalEnv, t: Term, is_essence: bool
 
 def normalize_meta(phi: MetaEnv, ctx: LocalEnv, t: Term, is_essence: bool = False) -> Term:
     """Normalization for the unifier and refiner: solved metas are expanded,
-    unsolved ones normalize their suspensions and stay put."""
+    unsolved ones normalize their suspensions and stay put.  Internal, like
+    `whnf`: a term nested too deeply raises a bare `RecursionError`, which
+    the public entry point that called it turns into a `ProverError`."""
     return _nf(t, 0, len(ctx), _Machine(phi, ctx, is_essence))
 
 
@@ -397,7 +401,9 @@ def whnf(phi: MetaEnv, ctx: LocalEnv, t: Term, is_essence: bool = False) -> Term
     These do so at once, without starting the evaluator: a node that is
     never a redex, an unsolved meta, a declared variable of `ctx` (one
     without a body) and an axiom or unbound constant, the last two also
-    when applied to a spine."""
+    when applied to a spine.  Internal: a term nested too deeply raises a
+    bare `RecursionError`, which the public entry point that called it
+    turns into a `ProverError`."""
     k = type(t)
     if k in _INERT or k is Meta and phi.lookup(t.mid).value is None:
         return t
@@ -460,15 +466,21 @@ def zonk(phi: MetaEnv, t: Term) -> Term:
     """Deeply replace every solved meta-variable by its solution (with the
     suspended substitution applied); no other reduction is performed.  Only
     the nodes above a meta-variable are visited: a meta-free subterm comes
-    back as the same object."""
+    back as the same object.  The walk takes one Python frame per nesting
+    level, so it reaches the refiner's depth."""
     return _zonk(phi, t)
 
 
 def _zonk(phi: MetaEnv, t: Term) -> Term:
+    """`zonk` by recursion, one frame per nesting level: the children are
+    walked in a loop and the node is rebuilt only if one of them changed."""
     if not contains_meta(t):
         return t
     if type(t) is Meta:
         expanded = delta_phi_expand(phi, t)
         if expanded is not None:
             return _zonk(phi, expanded)
-    return visit_term(lambda c: _zonk(phi, c), lambda _s, c: _zonk(phi, c), t)
+    old, new = children(t), []
+    for c in old:  # a comprehension would add a frame per nesting level
+        new.append(_zonk(phi, c))
+    return rebuild(t, old, new)

@@ -560,6 +560,7 @@ def fix_index(t: Term, scope: tuple[str, ...] | list[str] = ()) -> Term:
     return go(t)
 
 
+@too_deep_as_error
 def fix_id(t: Term, scope: tuple[str, ...] | list[str] = ()) -> Term:
     """Replace de Bruijn indices with printable names: the named copy of `t`
     that `show_term` prints, with each binder named by the printer's policy

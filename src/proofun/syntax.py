@@ -27,14 +27,14 @@ them.
 The layout of each node kind is declared once, by its annotated fields and
 `_UNDER_BINDER`: its children in field order, for each child the binder it
 sits under, and its hints (the location and those binders' names).  The
-constructors, `record`'s methods, `children`, `binders` and `visit_term`
-all read it, so a generic walk has no case per node kind.
+constructors, `record`'s methods, `children`, `binders`, `rebuild` and
+`visit_term` all read it, so a generic walk has no case per node kind.
 
-Rebuilds share: `visit_term` returns its input object when every child
-comes back as the same object, and `map_term` (so `lift`, `instantiate`
-and `msubst`) also returns a subterm unchanged when its facts show that no
-index in it can change.  A term that a traversal leaves alone is therefore
-the very object it was given.
+Rebuilds share: `rebuild` (and so `visit_term`) returns its input object
+when every child comes back as the same object, and `map_term` (so `lift`,
+`instantiate` and `msubst`) also returns a subterm unchanged when its facts
+show that no index in it can change.  A term that a traversal leaves alone
+is therefore the very object it was given.
 """
 
 from __future__ import annotations
@@ -437,7 +437,13 @@ def visit_term(f: Callable[[Term], Term], g: Callable[[str, Term], Term], t: Ter
     new = []
     for c, b in zip(old, bound):  # a comprehension would add a frame per nesting level
         new.append(f(c) if b is None else g(b[0], c))
-    return t if all(map(is_, new, old)) else _REBUILD[kind](t, new)
+    return rebuild(t, old, new)
+
+
+def rebuild(t: Term, old: Sequence[Term], new: Sequence[Term]) -> Term:
+    """`t` with its children `old` (as `children` lists them) replaced by
+    `new`: `t` itself when every new child is the old one."""
+    return t if all(map(is_, new, old)) else _REBUILD[type(t)](t, new)
 
 
 def map_term(k: int, fn: Callable[[int, Location, int], Term], t: Term) -> Term:

@@ -33,7 +33,7 @@ from __future__ import annotations
 from operator import is_not
 
 from proofun.env import Decl, EssMeta, LocalEnv, MetaEnv, SortMeta, TypedMeta
-from proofun.errors import InternalError, UnificationFailure
+from proofun.errors import TOO_DEEP, InternalError, ProverError, UnificationFailure
 from proofun.normalize import normalize_meta, whnf, zonk
 from proofun.syntax import (
     Abs, App, Const, Meta, NOWHERE, Sort, Term, Underscore, Var, binders, children,
@@ -179,9 +179,13 @@ def try_hopu(phi: MetaEnv, ctx: LocalEnv, m: Meta, rhs: Term,
 def unify(phi: MetaEnv, ctx: LocalEnv, t1: Term, t2: Term, is_essence: bool = False) -> None:
     """Unify two terms, solving metas in `phi`, or raise
     `UnificationFailure` on a rigid mismatch; the caller undoes what a
-    failed unification solved."""
-    if t1 != t2:
-        _unify_heads(phi, ctx, t1, t2, is_essence)
+    failed unification solved.  Terms nested too deeply to walk raise a
+    `ProverError` with no location (`errors.TOO_DEEP`)."""
+    try:
+        if t1 != t2:
+            _unify_heads(phi, ctx, t1, t2, is_essence)
+    except RecursionError:  # free until raised, unlike a decorator's frame on this hot path
+        raise ProverError(TOO_DEEP) from None
 
 
 def _head(phi: MetaEnv, ctx: LocalEnv, t: Term, is_essence: bool) -> Term:
@@ -224,15 +228,14 @@ _COMPARED_FIRST = frozenset({Var, Const, Sort, Underscore, Meta})
 
 
 def _unify_heads(phi: MetaEnv, ctx: LocalEnv, t1: Term, t2: Term, is_essence: bool) -> None:
-    """One step below `unify`'s entry: compare the heads, then recurse."""
+    """One step below `unify`'s entry: compare the heads, then recurse
+    into the children by calling itself, one Python frame per nesting
+    level."""
     t1 = _head(phi, ctx, t1, is_essence)
     t2 = _head(phi, ctx, t2, is_essence)
     k1, k2 = type(t1), type(t2)
     if t1 is t2 or k1 in _COMPARED_FIRST and t1 == t2:
         return
-
-    def recur(ctx: LocalEnv, a: Term, b: Term) -> None:
-        _unify_heads(phi, ctx, a, b, is_essence)
 
     # Meta cases first: a meta can absorb an abstraction, so they take
     # priority over the eta rules.
@@ -252,11 +255,11 @@ def _unify_heads(phi: MetaEnv, ctx: LocalEnv, t1: Term, t2: Term, is_essence: bo
     if k1 is Abs or k2 is Abs:
         while (k1 is Abs or k2 is Abs) and not (k1 is Meta or k2 is Meta):
             if k1 is Abs and k2 is Abs:
-                recur(ctx, t1.domain, t2.domain)
+                _unify_heads(phi, ctx, t1.domain, t2.domain, is_essence)
             binder = t1 if k1 is Abs else t2
             ctx, t1, t2 = ctx.push_decl(binder.name, binder.domain), _peel(t1), _peel(t2)
             k1, k2 = type(t1), type(t2)
-        return recur(ctx, t1, t2)
+        return _unify_heads(phi, ctx, t1, t2, is_essence)
 
     # Like-shaped nodes: unify their children in order, each under the
     # binder of `t1` it sits under.  Leaves that differ are a mismatch.
@@ -264,7 +267,7 @@ def _unify_heads(phi: MetaEnv, ctx: LocalEnv, t1: Term, t2: Term, is_essence: bo
     if k1 is not k2 or not kids1 or len(kids1) != len(kids2):
         raise UnificationFailure(t1, t2, t1.loc)
     for a, b, binder in zip(kids1, kids2, binders(t1)):
-        recur(ctx if binder is None else ctx.push_decl(*binder), a, b)
+        _unify_heads(phi, ctx if binder is None else ctx.push_decl(*binder), a, b, is_essence)
 
 
 def unify_essence(phi: MetaEnv, psi: LocalEnv, m1: Term, m2: Term) -> None:

@@ -1,13 +1,18 @@
 """Source hygiene of `src/proofun`: no unused import, no module-level
-private name or public method that nothing uses, no name the benchmark
-tracer wraps missing, and no import of the modules that make start-up slow.
-No linter is installed, so these tests are the guard."""
+private name or public method that nothing uses, no function that no input
+enters, no name the benchmark tracer wraps missing, and no import of the
+modules that make start-up slow.  No linter is installed, so these tests
+are the guard."""
 
 import ast
+import contextlib
 import importlib
+import io
+import json
 import os
 import pathlib
 import re
+import runpy
 import subprocess
 import sys
 
@@ -221,3 +226,117 @@ def test_a_resource_limit_has_no_handler_of_its_own():
                 if isinstance(value, type) and issubclass(value, errors.InternalError)
                 and value is not errors.InternalError]
     assert internal == []
+
+
+# --------------------------------------------------------------------------
+# Reachability: every function of `src/proofun` is entered by some input.
+
+# The functions the gate's inputs never enter, each with the reason it
+# stays.  A function is named by its module and the names it is nested in
+# (`parser.fix_index.go`); an entry also covers the code nested in it.
+UNREACHED = {
+    "parser.fix_index": "no caller in src/; the benchmark tracer wraps it, "
+                        "so it goes once the tracer no longer names it",
+    "parser.fix_id": "no caller in src/; the benchmark tracer wraps it and it is in "
+                     "proofun.__all__, so it goes once the tracer no longer names it",
+    "syntax.subterms": "no caller in src/; the benchmark tracer uses it, so it moves "
+                       "to the tests once the tracer no longer names it",
+    "parser.parse_term": "public entry point with no internal caller",
+    "parser.parse_command": "public entry point with no internal caller",
+    "parser.parse_script": "public entry point with no internal caller "
+                           "(perfbench/test_gen.py uses it)",
+    "env.GlobalEnv.__contains__": "public method with no internal caller (`name in genv`)",
+    "env.GlobalEnv.names": "public method with no internal caller",
+    "syntax._frozen": "guard: only raises AttributeError on an assignment to a field",
+    "syntax._repr": "the repr of a node or record: read only by InternalError "
+                    "messages and by a person debugging",
+}
+
+# Scripts beyond the corpus, the golden inputs and the growth families,
+# each reaching code that those do not.
+REACH_SCRIPTS = [
+    # A projection of an axiom is stuck, and `Compute` reads it back.
+    "Axiom (A : Type) (p : A & A). Definition q := proj_l p. Compute q.",
+    # Eta-expanded definitions contract, the inner one under a binder.
+    "Axiom (A : Type) (g : A -> A -> A) (a : A).\n"
+    "Definition e := fun (x : A) => g a x. Definition e2 := fun (y x : A) => g y x.\n"
+    "Compute e. Compute e2.",
+    # A binder hint equal to a constant in its scope, printed.
+    "Axiom (A : Type) (x : A) (g : A -> A -> A).\n"
+    "Definition h := g x ((fun (x : A) => x) x). Print h. Printall.",
+    # The head view of a partial application substitutes its environment.
+    "Axiom (A : Type) (P : (A -> A) -> Type) (a : A) (p : P (fun (y : A) => a)).\n"
+    "Definition k := fun (x y : A) => x. Definition q : P (k a) := p.",
+    # Rejections: a hole in a strong pair has an essence companion and stays
+    # unsolved; an unannotated binder; a term missing.
+    "Axiom (s t : Type). Definition h : (s -> s) & (t -> t) := <fun x : s => x, fun x : t => _>.",
+    "Axiom (A : Type). Definition d := fun x y : A => x. Definition u := fun x => x.",
+    "Definition d := .",
+]
+
+
+def _reached_probe() -> None:
+    """Run the gate's inputs under `sys.setprofile`, from the import of the
+    package on, and print the name of every code object of `src/proofun`
+    that no input entered, as JSON.  Run it in a fresh process: the import
+    must happen under the profile."""
+    entered = set()
+
+    def profile(frame, event, _arg):
+        if event == "call":
+            entered.add(frame.f_code)
+
+    sys.setprofile(profile)
+    from proofun.repl import Session, main, run_source  # imports the whole package
+    sys.setprofile(None)
+    import test_growth  # the test helpers call the checker as they load
+    from helpers import CORPUS_FILES, corpus_path
+
+    scripts = [pathlib.Path(corpus_path(name)).read_text(encoding="utf-8")
+               for name in CORPUS_FILES]
+    scripts.append("Axiom (bool nat : Type) (f : (bool -> nat -> bool) -> bool).\n"
+                   "Definition d := f (fun x y => y).\nHelp.\n")  # the golden inputs
+    sizes = [*test_growth.FAMILIES, (test_growth.chain_of_holes, 40),
+             (test_growth.let_chain, 40), (test_growth.shared_let_chain, 20)]
+    scripts += [family(size // 4) for family, size in sizes]
+    scripts += [*REACH_SCRIPTS, f'Load "{corpus_path(CORPUS_FILES[0])}".']
+    sys.setprofile(profile)
+    for text in scripts:
+        run_source(Session(out=io.StringIO(), err=io.StringIO()), text)
+    # The CLI on a file, and the interactive loop on a command split over lines.
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        sys.argv = ["proofun", "--quiet", corpus_path(CORPUS_FILES[0])]
+        with contextlib.suppress(SystemExit):
+            runpy.run_module("proofun", run_name="__main__")
+        sys.stdin = io.StringIO("Axiom (A : Type).\nDefinition d :=\n  A.\nQuit.\n")
+        main([])
+    sys.setprofile(None)
+
+    missing = []
+    for path in SOURCES:
+        source = compile(path.read_text(encoding="utf-8"), str(path), "exec", dont_inherit=True)
+        todo = [(source, path.stem)]
+        while todo:
+            code, name = todo.pop()
+            todo += [(c, f"{name}.{c.co_name}") for c in code.co_consts if isinstance(c, type(code))]
+            if code not in entered:  # code objects compare by content
+                missing.append(name)
+    print(json.dumps(sorted(set(missing))))
+
+
+def test_every_function_of_the_checker_is_entered():
+    # A function that the corpus, the golden inputs, the growth families
+    # and a few extra scripts never enter is dead code, unless the allowlist
+    # gives a reason to keep it.  An allowlist entry that is entered after
+    # all is stale, and fails too.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")]))
+    probe = "import test_hygiene; test_hygiene._reached_probe()"
+    missing = json.loads(subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                                        capture_output=True, text=True).stdout)
+
+    def covers(entry, name):
+        return name == entry or name.startswith(entry + ".")
+
+    assert [name for name in missing if not any(covers(e, name) for e in UNREACHED)] == []
+    stale = [entry for entry in UNREACHED if not any(covers(entry, n) for n in missing)]
+    assert stale == []

@@ -4,9 +4,11 @@ essence phase, against the worked examples."""
 import io
 import random
 import sys
+from types import FunctionType
 
 import pytest
 
+import proofun
 from proofun import refine
 from proofun.env import EssMeta, GlobalEnv, LocalEnv, MetaEnv, SortMeta, TypedMeta
 from proofun.errors import (
@@ -1008,6 +1010,52 @@ def test_entry_points_report_deep_nesting_as_prover_error(entry):
     with pytest.raises(ProverError) as info:
         entry(genv, chain)
     assert info.value.message == TOO_DEEP and info.value.loc is None
+
+
+# Public functions that take neither a term nor text, or that do not raise
+# on an error, with the reason.
+_NO_DEEP_INPUT = {
+    "main": "takes command-line arguments",
+    "render_error": "renders an error under its source line: it parses and walks nothing",
+    "run_source": "reports the limit at the running command instead of raising "
+                  "(tests/test_repl.py)",
+}
+
+
+@pytest.mark.parametrize("name", sorted(
+    name for name in proofun.__all__
+    if type(getattr(proofun, name)) is FunctionType and name not in _NO_DEEP_INPUT))
+def test_every_public_entry_point_reports_deep_input_as_too_deep(name):
+    # `f (f (... a))` 5,000 applications deep, as a term and as text.  A
+    # public function missing from `calls` fails here until it is added.
+    genv = GlobalEnv()
+    axiom(genv, "A", "Type")
+    axiom(genv, "f", "A -> A")
+    axiom(genv, "a", "A")
+    spine, other = Const(L, "a"), Const(L, "b")
+    for _ in range(5000):
+        spine, other = App(L, Const(L, "f"), (spine,)), App(L, Const(L, "f"), (other,))
+    text = "f (" * 5000 + "a" + ")" * 5000
+    calls = {
+        "elaborate": lambda: proofun.elaborate(genv, spine),
+        "elaborate_type": lambda: proofun.elaborate_type(genv, spine),
+        "fix_id": lambda: proofun.fix_id(spine),
+        "is_subtype": lambda: proofun.is_subtype(genv, LocalEnv(), spine, spine),
+        "parse_command": lambda: proofun.parse_command(f"Definition d := {text}."),
+        "parse_term": lambda: proofun.parse_term(text),
+        "show_term": lambda: proofun.show_term(spine),
+        "strongly_normalize": lambda: proofun.strongly_normalize(genv, LocalEnv(), spine),
+        "unify": lambda: proofun.unify(MetaEnv(genv), LocalEnv(), spine, other),
+        "unify_essence": lambda: proofun.unify_essence(MetaEnv(genv), LocalEnv(), spine, other),
+    }
+    try:
+        calls[name]()
+        outcome = None
+    except ProverError as error:
+        outcome = (error.message, error.loc)
+    except RecursionError:  # kept out of pytest, whose report of it is very slow
+        outcome = "RecursionError"
+    assert outcome == (TOO_DEEP, None)
 
 
 @pytest.mark.parametrize("hole", [False, True], ids=["plain", "hole_in_domain"])

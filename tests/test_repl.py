@@ -618,6 +618,27 @@ def test_a_definition_checked_against_its_own_type_450_applications_deep():
     assert "d" in s.genv
 
 
+def test_an_unannotated_let_chain_450_deep_is_accepted():
+    # Each `let` gets a hole for its type, and the definition is zonked at
+    # the end: one Python frame per nesting level in the refiner and in
+    # `zonk`, so the chain reaches the refiner's limit.
+    lets = "".join(f"let y{i} := a in " for i in range(450))
+    s = session()
+    assert run_source(s, f"Axiom (A : Type) (a : A).\nDefinition d := {lets}a.\n"), \
+        s.err.getvalue()[-200:]
+    assert "d" in s.genv
+
+
+def test_identity_applications_with_a_hole_450_deep_are_accepted():
+    # `(fun (x : _) => x) (... a)`: each hole is solved by unification and
+    # zonked, one Python frame per nesting level in both.
+    body = "(fun (x : _) => x) (" * 450 + "a" + ")" * 450
+    s = session()
+    assert run_source(s, f"Axiom (A : Type) (a : A).\nDefinition d := {body}.\n"), \
+        s.err.getvalue()[-200:]
+    assert "d" in s.genv
+
+
 def test_show_term_reports_excessive_depth_as_a_prover_error():
     from proofun.errors import ProverError
     from proofun.pretty import show_term

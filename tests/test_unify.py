@@ -13,7 +13,7 @@ from proofun.env import Decl, GlobalEnv, LocalEnv, MetaEnv, SortMeta, TypedMeta
 from proofun.errors import UnificationFailure
 from proofun.normalize import normalize_meta, strongly_normalize, zonk
 from proofun.syntax import (
-    Abs, Const, Meta, NOWHERE, Sort, Term, Underscore, Var,
+    Abs, App, Const, Meta, NOWHERE, Sort, Term, Underscore, Var,
     erase_context, mk_app, sort_kind, sort_type, visit_term,
 )
 from proofun.repl import Session, load_file, run_source
@@ -506,6 +506,22 @@ def test_unify_essence_rejects_different_shapes():
     with pytest.raises(UnificationFailure):
         unify_essence(MetaEnv(GENV), LocalEnv(),
                       P("fun x => x"), P("fun x => fun y => y"))
+
+
+def test_a_leaf_mismatch_900_applications_deep_is_a_unification_failure():
+    # `_unify_heads` calls itself once per nesting level, so two spines
+    # that differ only at the leaf are compared down to it.
+    t1, t2 = Const(L, "a"), Const(L, "b")
+    for _ in range(900):
+        t1, t2 = App(L, Const(L, "f"), (t1,)), App(L, Const(L, "f"), (t2,))
+    try:
+        unify(MetaEnv(GlobalEnv()), LocalEnv(), t1, t2)
+        outcome = None
+    except UnificationFailure as failure:
+        outcome = (failure.t1, failure.t2)
+    except RecursionError:  # kept out of pytest, whose report of it is very slow
+        outcome = "RecursionError"
+    assert outcome == (Const(L, "a"), Const(L, "b"))
 
 
 def test_monotonicity_across_calls():
